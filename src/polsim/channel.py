@@ -40,7 +40,11 @@ class ChannelConfig:
 
 
 class RadioChannel:
-    """Single-owner broadcast medium; all PRNG draws are sequenced."""
+    """Single-owner broadcast medium; all PRNG draws are sequenced.
+
+    Positions change only through `register` and `move`; both drop the cached
+    link levels, so a delivery costs one noise draw and a clamp.
+    """
 
     def __init__(self, config: ChannelConfig):
         self.config = config
@@ -48,10 +52,14 @@ class RadioChannel:
         self._noise = random.Random(config.seed ^ 0x5EED_0F_0C_EA_11)
         self._jitter_cache: dict[tuple[NodeId, NodeId], float] = {}
         self._order: list[NodeId] = []
+        # per sender: (receiver, path loss + link jitter) of every receiver in
+        # range, in receiver order. Valid while no position changes.
+        self._levels: dict[NodeId, list[tuple[NodeId, float]]] = {}
 
     def register(self, node: NodeId, position: Location) -> None:
         self._positions[node] = position
         self._order = sorted(self._positions)
+        self._levels.clear()
 
     def position(self, node: NodeId) -> Location:
         try:
@@ -63,6 +71,7 @@ class RadioChannel:
         if node not in self._positions:
             raise UnknownNodeError(str(node))
         self._positions[node] = to
+        self._levels.clear()
 
     def link_jitter(self, sender: NodeId, receiver: NodeId) -> float:
         """Fixed asymmetry offset of the ordered link, in [-J, +J].
@@ -82,15 +91,10 @@ class RadioChannel:
             self._jitter_cache[key] = cached
         return cached
 
-    def broadcast(self, sender: NodeId, msg: Message, now: int) -> list[tuple[NodeId, Rssi]]:
-        """Deliver `msg` to every other registered node within range.
-
-        Returns (receiver, reception RSSI) pairs in ascending receiver order.
-        The sender is the physical transmitter; the message's claimed sender
-        field may differ (identity spoofing).
-        """
+    def _link_levels(self, sender: NodeId) -> list[tuple[NodeId, float]]:
+        """Noise-free reception level of every other node in range of `sender`."""
         origin = self.position(sender)
-        deliveries: list[tuple[NodeId, Rssi]] = []
+        levels: list[tuple[NodeId, float]] = []
         for receiver in self._order:
             if receiver == sender:
                 continue
@@ -99,8 +103,25 @@ class RadioChannel:
                 continue
             level = rssi_value_from_distance(self.config.model, max(d, 1e-9))
             level += self.link_jitter(sender, receiver)
-            if self.config.noise_sigma > 0:
-                level += self._noise.gauss(0.0, self.config.noise_sigma)
-            level = min(RSSI_MAX, max(RSSI_MIN, level))
-            deliveries.append((receiver, Rssi(level)))
-        return deliveries
+            levels.append((receiver, level))
+        self._levels[sender] = levels
+        return levels
+
+    def broadcast(self, sender: NodeId, msg: Message, now: int) -> list[tuple[NodeId, Rssi]]:
+        """Deliver `msg` to every other registered node within range.
+
+        Returns (receiver, reception RSSI) pairs in ascending receiver order.
+        The sender is the physical transmitter; the message's claimed sender
+        field may differ (identity spoofing).
+        """
+        levels = self._levels.get(sender)
+        if levels is None:
+            levels = self._link_levels(sender)
+        sigma = self.config.noise_sigma
+        if sigma > 0:
+            gauss = self._noise.gauss
+            return [
+                (receiver, Rssi(min(RSSI_MAX, max(RSSI_MIN, level + gauss(0.0, sigma)))))
+                for receiver, level in levels
+            ]
+        return [(receiver, Rssi(min(RSSI_MAX, max(RSSI_MIN, level)))) for receiver, level in levels]

@@ -374,8 +374,9 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
         inboxes: dict[NodeId, list[tuple[Message, Rssi]]] = {mac: [] for mac in node_order}
         for phys_sender, msg in broadcasts:
             for receiver, rssi in channel.broadcast(phys_sender, msg, tick):
-                if receiver in inboxes:
-                    inboxes[receiver].append((msg, rssi))
+                inbox = inboxes.get(receiver)
+                if inbox is not None:
+                    inbox.append((msg, rssi))
 
         # 4. protocol rounds, ascending node id
         for mac in node_order:

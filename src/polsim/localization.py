@@ -159,25 +159,67 @@ def multilaterate(
     dim = 2 if planar else 3
     x = [sum(p[i] for p in anchors) / count for i in range(dim)]
 
-    def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
-        """One sweep: cost, normal matrix J'J and gradient J'r."""
-        a = [[0.0] * dim for _ in range(dim)]
-        g = [0.0] * dim
-        cost = 0.0
-        for p, d in zip(anchors, dists):
-            dx = point[0] - p[0]
-            dy = point[1] - p[1]
-            dz = (fixed_z - p[2]) if planar else (point[2] - p[2])
-            rng = math.sqrt(dx * dx + dy * dy + dz * dz)
-            rng = max(rng, 1e-12)
-            res = rng - d
-            cost += res * res
-            row = (dx / rng, dy / rng) if planar else (dx / rng, dy / rng, dz / rng)
-            for i in range(dim):
-                g[i] += row[i] * res
-                for j in range(dim):
-                    a[i][j] += row[i] * row[j]
-        return cost, a, g
+    # The sweeps below are the dim x dim accumulation loop written out per
+    # entry. Every accumulator starts at 0.0 and adds in anchor order, so the
+    # sums are bit-for-bit those of the loop; a[j][i] is the same product as
+    # a[i][j] because float multiplication commutes.
+    sqrt = math.sqrt
+    if planar:
+        # the height offset to each anchor is fixed; only its square is used
+        terms = [
+            (px, py, (fixed_z - pz) * (fixed_z - pz), d) for (px, py, pz), d in zip(anchors, dists)
+        ]
+
+        def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
+            """One sweep: cost, normal matrix J'J and gradient J'r."""
+            x0, x1 = point
+            a00 = a01 = a11 = g0 = g1 = cost = 0.0
+            for px, py, dz2, d in terms:
+                dx = x0 - px
+                dy = x1 - py
+                rng = sqrt(dx * dx + dy * dy + dz2)
+                if 1e-12 > rng:
+                    rng = 1e-12
+                res = rng - d
+                cost += res * res
+                u0 = dx / rng
+                u1 = dy / rng
+                g0 += u0 * res
+                g1 += u1 * res
+                a00 += u0 * u0
+                a01 += u0 * u1
+                a11 += u1 * u1
+            return cost, [[a00, a01], [a01, a11]], [g0, g1]
+
+    else:
+        terms = [(px, py, pz, d) for (px, py, pz), d in zip(anchors, dists)]
+
+        def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
+            """One sweep: cost, normal matrix J'J and gradient J'r."""
+            x0, x1, x2 = point
+            a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = cost = 0.0
+            for px, py, pz, d in terms:
+                dx = x0 - px
+                dy = x1 - py
+                dz = x2 - pz
+                rng = sqrt(dx * dx + dy * dy + dz * dz)
+                if 1e-12 > rng:
+                    rng = 1e-12
+                res = rng - d
+                cost += res * res
+                u0 = dx / rng
+                u1 = dy / rng
+                u2 = dz / rng
+                g0 += u0 * res
+                g1 += u1 * res
+                g2 += u2 * res
+                a00 += u0 * u0
+                a01 += u0 * u1
+                a02 += u0 * u2
+                a11 += u1 * u1
+                a12 += u1 * u2
+                a22 += u2 * u2
+            return cost, [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]], [g0, g1, g2]
 
     cost, a, g = pass_over(x)
     best_x = list(x)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .filters import (
@@ -79,6 +80,13 @@ class ProtocolParams:
                      "residual_cap", "max_gdop"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("verify_slack_cells", "alert_cooldown", "moved_ttl"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.min_anchors < 4:
+            raise ValueError("min_anchors must be >= 4 (a 3-D solve needs four)")
+        if not (0.0 <= self.initial_trust <= 1.0):
+            raise ValueError("initial_trust must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,7 @@ for _c in (True, False):
 class _LinkPipeline:
     """Smoothing and trigger state for one outgoing observation link."""
 
+    link: LinkKey  # (own id, peer), built once and reused for every sample
     median: MedianState
     kalman: KalmanState
     trigger: TriggerState
@@ -192,13 +201,15 @@ class MessagePool:
 
     def add(self, msg: PayloadMessage, received_at: int, rssi: Rssi) -> bool:
         """Insert unless (sender, seq) was pooled before; True if inserted."""
-        seen = self._seen.setdefault(msg.sender, set())
+        sender = msg.sender
+        seen = self._seen.get(sender)
+        if seen is None:
+            seen = self._seen[sender] = set()
+            self._by_sender[sender] = deque()
         if msg.seq in seen:
             return False
         seen.add(msg.seq)
-        self._by_sender.setdefault(msg.sender, deque()).append(
-            _PoolEntry(msg, received_at, rssi)
-        )
+        self._by_sender[sender].append(_PoolEntry(msg, received_at, rssi))
         return True
 
     def expire(self, now: int) -> list[_PoolEntry]:
@@ -215,9 +226,9 @@ class MessagePool:
     def entries(self, sender: NodeId) -> list[_PoolEntry]:
         return list(self._by_sender.get(sender, ()))
 
-    def newest(self, sender: NodeId) -> Optional[_PoolEntry]:
-        dq = self._by_sender.get(sender)
-        return dq[-1] if dq else None
+    def newest_per_sender(self) -> list[tuple[NodeId, _PoolEntry]]:
+        """(sender, newest entry) for every sender with pooled entries, by sender."""
+        return sorted(((s, dq[-1]) for s, dq in self._by_sender.items() if dq), key=itemgetter(0))
 
     def clear_sender(self, sender: NodeId) -> list[_PoolEntry]:
         dq = self._by_sender.get(sender)
@@ -259,29 +270,23 @@ class NodeState:
 
     # -- link pipeline ----------------------------------------------------
 
-    def _pipeline(self, peer: NodeId) -> _LinkPipeline:
-        pipe = self._pipelines.get(peer)
-        if pipe is None:
-            fp = self.filter_params
-            pipe = _LinkPipeline(
-                median=MedianState(window=fp.median_window),
-                kalman=KalmanState(q=fp.kalman_q, r=fp.kalman_r),
-                trigger=TriggerState(
-                    threshold=fp.trigger_threshold, cooldown=fp.trigger_cooldown
-                ),
-                alt_state=(
-                    None
-                    if fp.smoother == "median_kalman"
-                    else make_smoother_state(fp.smoother, fp.smoother_params)
-                ),
-            )
-            self._pipelines[peer] = pipe
+    def _new_pipeline(self, link: LinkKey) -> _LinkPipeline:
+        fp = self.filter_params
+        pipe = _LinkPipeline(
+            link=link,
+            median=MedianState(window=fp.median_window),
+            kalman=KalmanState(q=fp.kalman_q, r=fp.kalman_r),
+            trigger=TriggerState(
+                threshold=fp.trigger_threshold, cooldown=fp.trigger_cooldown
+            ),
+            alt_state=(
+                None
+                if fp.smoother == "median_kalman"
+                else make_smoother_state(fp.smoother, fp.smoother_params)
+            ),
+        )
+        self._pipelines[link.observed] = pipe
         return pipe
-
-    def _smooth(self, pipe: _LinkPipeline, value: float) -> float:
-        if pipe.alt_state is None:
-            return cascade_step(pipe.median, pipe.kalman, value)
-        return SMOOTHER_STEPS[self.filter_params.smoother](pipe.alt_state, value)
 
     def ingest_sample(self, peer: NodeId, rssi: Rssi, now: int) -> Optional[float]:
         """Record a measured RSSI sample and advance the link's smoothing.
@@ -291,22 +296,28 @@ class NodeState:
         """
         if peer == self.self_id:
             return None
-        link = LinkKey(self.self_id, peer)
+        pipe = self._pipelines.get(peer)
+        link = LinkKey(self.self_id, peer) if pipe is None else pipe.link
+        store = self.store
         try:
-            self.store.record_rssi(link, now, rssi, RssiSource.MEASURED)
+            store.record_rssi(link, now, rssi, RssiSource.MEASURED)
         except ValueError:
-            pipe = self._pipelines.get(peer)
             return pipe.smoothed if pipe else None
-        self.store.ensure_peer(peer)
+        if pipe is None:
+            # peers are never removed, so one ensure_peer per link suffices
+            store.ensure_peer(peer)
+            pipe = self._new_pipeline(link)
         self._last_heard[peer] = now
-        pipe = self._pipeline(peer)
         pipe.samples += 1
-        pipe.smoothed = self._smooth(pipe, rssi.value)
-        self.store.update_smoothed(link, now, pipe.smoothed)
-        if pipe.samples > self.filter_params.warmup:
-            if bft_trigger(pipe.trigger, pipe.smoothed, now):
-                pipe.pending_since = now
-        return pipe.smoothed
+        if pipe.alt_state is None:
+            smoothed = cascade_step(pipe.median, pipe.kalman, rssi.value)
+        else:
+            smoothed = SMOOTHER_STEPS[self.filter_params.smoother](pipe.alt_state, rssi.value)
+        pipe.smoothed = smoothed
+        store.update_smoothed(link, now, smoothed)
+        if pipe.samples > self.filter_params.warmup and bft_trigger(pipe.trigger, smoothed, now):
+            pipe.pending_since = now
+        return smoothed
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
         pipe = self._pipelines.get(peer)
@@ -399,36 +410,47 @@ class NodeState:
         so a standing disagreement is announced but never spammed.
         """
         actions: list[Action] = []
-        for entry in self.pool.expire(now):
+        pool = self.pool
+        for entry in pool.expire(now):
             actions.append(
                 Ignore("expired", context=f"{entry.message.sender}#{entry.message.seq}")
             )
-        for sender in self.pool.senders():
-            newest = self.pool.newest(sender)
-            assert newest is not None
+        store = self.store
+        model = self.model
+        self_location = self.self_location
+        pipelines = self._pipelines
+        params = self.params
+        grid = params.location_grid
+        freshness = params.anchor_freshness
+        min_anchors = params.min_anchors
+        slack_cells = params.verify_slack_cells
+        residual_cap = params.residual_cap
+        max_gdop = params.max_gdop
+        for sender, newest in pool.newest_per_sender():
             verdict = locate_and_verify(
                 sender,
-                self.store,
+                store,
                 newest.message,
-                self.model,
-                self.params.location_grid,
-                self.self_location,
+                model,
+                grid,
+                self_location,
                 now,
-                freshness=self.params.anchor_freshness,
-                min_anchors_3d=self.params.min_anchors,
-                slack_cells=self.params.verify_slack_cells,
-                residual_cap=self.params.residual_cap,
-                max_gdop=self.params.max_gdop,
+                freshness=freshness,
+                min_anchors_3d=min_anchors,
+                slack_cells=slack_cells,
+                residual_cap=residual_cap,
+                max_gdop=max_gdop,
             )
             if verdict is VerifyOutcome.VERIFIED:
-                for entry in self.pool.clear_sender(sender):
+                for entry in pool.clear_sender(sender):
                     self.trusted.append(entry.message)
                     actions.append(StoreTrusted(entry.message))
                 continue
-            pipe = self._pipelines.get(sender)
+            pipe = pipelines.get(sender)
             if pipe is None or pipe.smoothed is None:
                 continue
-            self._expire_pending(pipe, now)
+            if pipe.pending_since is not None:
+                self._expire_pending(pipe, now)
             if pipe.pending_since is not None:
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget = 1

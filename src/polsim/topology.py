@@ -28,7 +28,11 @@ class UnknownPeerError(KeyError):
 
 @dataclass(frozen=True)
 class LinkKey:
-    """Directed link: `observer` measured (or reported) `observed`."""
+    """Directed link: `observer` measured (or reported) `observed`.
+
+    The hash is the dataclass one, hash((observer, observed)), computed once:
+    links key the per-sample dictionaries of the store.
+    """
 
     observer: NodeId
     observed: NodeId
@@ -36,6 +40,10 @@ class LinkKey:
     def __post_init__(self) -> None:
         if self.observer == self.observed:
             raise ValueError("link endpoints must differ")
+        object.__setattr__(self, "_hash", hash((self.observer, self.observed)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,21 @@
 """Radio channel: delivery, noise determinism, asymmetry bounds."""
 
 import math
+import random
 
 import pytest
 
 from polsim.channel import ChannelConfig, RadioChannel, UnknownNodeError
-from polsim.localization import PathLossModel
-from polsim.messages import Location, NodeId, PayloadMessage, LocationKey, SensorType
+from polsim.localization import PathLossModel, rssi_value_from_distance
+from polsim.messages import (
+    RSSI_MAX,
+    RSSI_MIN,
+    Location,
+    LocationKey,
+    NodeId,
+    PayloadMessage,
+    SensorType,
+)
 
 A = NodeId.from_str("02:00:00:00:00:01")
 B = NodeId.from_str("02:00:00:00:00:02")
@@ -135,3 +144,107 @@ class TestMonotonicity:
         levels = [rssi.value for _, rssi in ch.broadcast(A, MSG, 0)]
         assert levels == sorted(levels, reverse=True)
         assert len(set(levels)) == len(levels)
+
+
+class UncachedChannel:
+    """Recomputes every delivery from the positions: path loss + link jitter
+    + one seeded noise draw per delivery, in receiver order."""
+
+    def __init__(self, config: ChannelConfig):
+        self.config = config
+        self.positions: dict[NodeId, Location] = {}
+        self.jitter = RadioChannel(config)  # link_jitter is a pure function of (seed, link)
+        self.noise = random.Random()
+        self.noise.setstate(RadioChannel(config)._noise.getstate())
+
+    def broadcast(self, sender: NodeId) -> list[tuple[NodeId, float]]:
+        origin = self.positions[sender]
+        out = []
+        for receiver in sorted(self.positions):
+            if receiver == sender:
+                continue
+            d = origin.distance_to(self.positions[receiver])
+            if d > self.config.range:
+                continue
+            level = rssi_value_from_distance(self.config.model, max(d, 1e-9))
+            level += self.jitter.link_jitter(sender, receiver)
+            if self.config.noise_sigma > 0:
+                level += self.noise.gauss(0.0, self.config.noise_sigma)
+            out.append((receiver, min(RSSI_MAX, max(RSSI_MIN, level))))
+        return out
+
+
+NODES = [NodeId(bytes([2, 0, 0, 0, 1, i])) for i in range(6)]
+
+
+class TestLinkLevelCache:
+    """Cached link levels must give exactly the deliveries of a recomputation."""
+
+    def pair(self, **overrides):
+        cfg = dict(noise_sigma=2.0, asymmetry_jitter=1.5, range=10.0, seed=11)
+        cfg.update(overrides)
+        config = ChannelConfig(model=PathLossModel(), **cfg)
+        return RadioChannel(config), UncachedChannel(config)
+
+    def register(self, ch, ref, node, pos):
+        ch.register(node, pos)
+        ref.positions[node] = pos
+
+    def move(self, ch, ref, node, pos):
+        ch.move(node, pos, 0)
+        ref.positions[node] = pos
+
+    def receivers(self, ch, ref, sender):
+        """Broadcast once on both channels; the deliveries must be equal."""
+        got = [(r, rssi.value) for r, rssi in ch.broadcast(sender, MSG, 0)]
+        assert got == ref.broadcast(sender)
+        return [r for r, _ in got]
+
+    def assert_rounds(self, ch, ref, rounds=3):
+        for _ in range(rounds):
+            for sender in sorted(ref.positions):
+                self.receivers(ch, ref, sender)
+
+    def layout(self, ch, ref):
+        for i, node in enumerate(NODES[:5]):
+            self.register(ch, ref, node, Location(3.0 * i, (i % 2) * 1.5, float(i % 3 - 1)))
+
+    @pytest.mark.parametrize("sigma", [2.0, 0.0])
+    def test_matches_uncached_recomputation(self, sigma):
+        ch, ref = self.pair(noise_sigma=sigma)
+        self.layout(ch, ref)
+        self.assert_rounds(ch, ref)
+
+    @pytest.mark.parametrize("sigma", [2.0, 0.0])
+    def test_move_of_sender_and_of_receiver(self, sigma):
+        ch, ref = self.pair(noise_sigma=sigma)
+        self.layout(ch, ref)
+        self.assert_rounds(ch, ref, rounds=1)
+        self.move(ch, ref, NODES[0], Location(1.0, 4.0, 0.0))  # a sender moves
+        self.assert_rounds(ch, ref)
+        self.move(ch, ref, NODES[3], Location(5.0, -2.0, 1.0))  # a receiver of NODES[2] moves
+        assert NODES[3] in self.receivers(ch, ref, NODES[2])
+        self.assert_rounds(ch, ref)
+
+    @pytest.mark.parametrize("sigma", [2.0, 0.0])
+    def test_late_register(self, sigma):
+        ch, ref = self.pair(noise_sigma=sigma)
+        self.layout(ch, ref)
+        self.assert_rounds(ch, ref, rounds=1)
+        self.register(ch, ref, NODES[5], Location(4.0, 1.0, 0.0))
+        assert NODES[5] in self.receivers(ch, ref, NODES[1])
+        self.assert_rounds(ch, ref)
+
+    @pytest.mark.parametrize("sigma", [2.0, 0.0])
+    def test_receiver_leaves_range_and_returns(self, sigma):
+        ch, ref = self.pair(noise_sigma=sigma)
+        self.register(ch, ref, NODES[0], Location(0.0, 0.0, 0.0))
+        self.register(ch, ref, NODES[1], Location(9.0, 0.0, 0.0))
+        self.register(ch, ref, NODES[2], Location(0.0, 5.0, 0.0))
+        assert NODES[1] in self.receivers(ch, ref, NODES[0])
+        self.move(ch, ref, NODES[1], Location(10.5, 0.0, 0.0))  # out of range of NODES[0]
+        assert NODES[1] not in self.receivers(ch, ref, NODES[0])
+        self.assert_rounds(ch, ref)
+        self.move(ch, ref, NODES[1], Location(10.0, 0.0, 0.0))  # exactly at the range: in
+        assert NODES[1] in self.receivers(ch, ref, NODES[0])
+        self.assert_rounds(ch, ref)

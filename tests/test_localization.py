@@ -3,20 +3,25 @@
 import math
 import random
 import statistics
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from polsim.localization import (
     AnchorObservation,
     InsufficientAnchorsError,
+    MultilaterationResult,
     PathLossModel,
     VerifyOutcome,
+    _inverse_trace,
+    _solve_spd,
     distance_from_rssi,
     gather_anchors,
     locate_and_verify,
     multilaterate,
     rssi_from_distance,
+    rssi_value_from_distance,
 )
 from polsim.messages import (
     Location,
@@ -156,6 +161,203 @@ class TestMultilaterate:
         assert errs[0.0] < 1e-6
         assert errs[0.5] < errs[2.0]
         assert errs[2.0] <= 1.5  # stated bound, tolerance +-50% covered by margin
+
+
+# -- solver equivalence ---------------------------------------------------------
+#
+# `reference_multilaterate` is the generic dim x dim accumulation loop the
+# solver used before its sweeps were written out per matrix entry. The
+# unrolled solver must return bit-for-bit the same result for any input.
+
+def reference_multilaterate(
+    obs: list[AnchorObservation],
+    m: PathLossModel,
+    fixed_z: Optional[float] = None,
+    max_iterations: int = 50,
+    step_tol: float = 1e-9,
+) -> MultilaterationResult:
+    """Estimate the target position from anchor RSSI observations.
+
+    Needs four observations for a full 3-D solve, or three when `fixed_z`
+    pins the height (planar fallback). A damped Gauss-Newton (Levenberg)
+    iteration starts from the anchor centroid and minimizes the sum of
+    squared range residuals (estimated distance minus model distance per
+    anchor). Non-convergence returns the best iterate, flagged via
+    `converged`. The result carries the RMS misfit and the geometric dilution
+    of precision, which callers use to reject low-confidence solutions.
+    """
+    planar = fixed_z is not None
+    needed = 3 if planar else 4
+    if len(obs) < needed:
+        raise InsufficientAnchorsError(
+            f"{len(obs)} observations, need {needed} for {'planar' if planar else '3-D'} solve"
+        )
+
+    anchors = [o.anchor.as_tuple() for o in obs]
+    dists = [distance_from_rssi(m, o.rssi) for o in obs]
+    count = len(obs)
+    dim = 2 if planar else 3
+    x = [sum(p[i] for p in anchors) / count for i in range(dim)]
+
+    def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
+        """One sweep: cost, normal matrix J'J and gradient J'r."""
+        a = [[0.0] * dim for _ in range(dim)]
+        g = [0.0] * dim
+        cost = 0.0
+        for p, d in zip(anchors, dists):
+            dx = point[0] - p[0]
+            dy = point[1] - p[1]
+            dz = (fixed_z - p[2]) if planar else (point[2] - p[2])
+            rng = math.sqrt(dx * dx + dy * dy + dz * dz)
+            rng = max(rng, 1e-12)
+            res = rng - d
+            cost += res * res
+            row = (dx / rng, dy / rng) if planar else (dx / rng, dy / rng, dz / rng)
+            for i in range(dim):
+                g[i] += row[i] * res
+                for j in range(dim):
+                    a[i][j] += row[i] * row[j]
+        return cost, a, g
+
+    cost, a, g = pass_over(x)
+    best_x = list(x)
+    best_cost = cost
+    converged = False
+    lam = 1e-9
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        damped = [row[:] for row in a]
+        for i in range(dim):
+            damped[i][i] += lam * (1.0 + a[i][i])
+        step = _solve_spd(damped, [-v for v in g])
+        if step is None:
+            lam = max(lam * 10.0, 1e-6)
+            continue
+        candidate = [xi + si for xi, si in zip(x, step)]
+        new_cost, new_a, new_g = pass_over(candidate)
+        if new_cost <= cost:
+            x, cost, a, g = candidate, new_cost, new_a, new_g
+            lam = max(lam * 0.3, 1e-12)
+            if cost < best_cost:
+                best_cost = cost
+                best_x = list(x)
+            if math.sqrt(sum(s * s for s in step)) < step_tol:
+                converged = True
+                break
+        else:
+            lam = min(lam * 10.0, 1e6)
+
+    rms = math.sqrt(best_cost / count)
+    _, a_best, _ = pass_over(best_x)
+    trace_inv = _inverse_trace(a_best)
+    gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
+    if planar:
+        pos = Location(best_x[0], best_x[1], float(fixed_z))
+    else:
+        pos = Location(best_x[0], best_x[1], best_x[2])
+    return MultilaterationResult(pos, rms, converged, iterations, gdop)
+
+
+def solve_outcome(solver, obs, fixed_z, max_iterations, step_tol):
+    """The solver's result, or the type of the error it raised."""
+    try:
+        return solver(obs, MODEL, fixed_z=fixed_z, max_iterations=max_iterations, step_tol=step_tol)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same_solve(obs, fixed_z=None, max_iterations=50, step_tol=1e-9):
+    got = solve_outcome(multilaterate, obs, fixed_z, max_iterations, step_tol)
+    want = solve_outcome(reference_multilaterate, obs, fixed_z, max_iterations, step_tol)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.position == want.position
+    assert same_float(got.residual, want.residual)
+    assert same_float(got.gdop, want.gdop)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+
+
+# A failing example is reported as generated: shrinking lists of floats
+# through two solvers can run for minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+coord = st.floats(min_value=-25.0, max_value=25.0, allow_nan=False)
+anchor_point = st.builds(Location, coord, coord, st.floats(min_value=-3.0, max_value=3.0))
+level = st.floats(min_value=-110.0, max_value=-20.0)
+
+
+class TestUnrolledSolverMatchesReference:
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+    @given(
+        st.lists(st.tuples(anchor_point, level), min_size=3, max_size=8),
+        st.one_of(st.none(), st.floats(min_value=-3.0, max_value=3.0)),
+        st.sampled_from([(50, 1e-9), (20, 1e-7), (3, 1e-3)]),
+    )
+    def test_random_anchors(self, anchors, fixed_z, budget):
+        obs = [AnchorObservation(point, Rssi(value)) for point, value in anchors]
+        assert_same_solve(obs, fixed_z, *budget)
+
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+    @given(
+        st.lists(anchor_point, min_size=4, max_size=8, unique=True),
+        anchor_point,
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_consistent_ranges(self, anchors, target, noise_db):
+        # levels from a real target, as in the simulator, plus one offset
+        levels = [rssi_value_from_distance(MODEL, max(target.distance_to(a), 1e-9)) for a in anchors]
+        obs = [
+            AnchorObservation(a, Rssi(min(0.0, max(-120.0, level + noise_db))))
+            for a, level in zip(anchors, levels)
+        ]
+        assert_same_solve(obs)
+        assert_same_solve(obs[:3], fixed_z=target.z)
+
+    @pytest.mark.parametrize("fixed_z", [None, 0.0, 1.5])
+    def test_collinear_anchors(self, fixed_z):
+        anchors = [Location(float(i), 0.0, 0.0) for i in range(5)]
+        target = Location(2.0, 3.0, 0.5)
+        obs = exact_observations(target, anchors)
+        assert_same_solve(obs, fixed_z=fixed_z)
+        assert_same_solve(obs, fixed_z=fixed_z, max_iterations=20, step_tol=1e-7)
+
+    @pytest.mark.parametrize("fixed_z", [None, 0.0, -1.0])
+    def test_coplanar_anchors(self, fixed_z):
+        anchors = [
+            Location(0.0, 0.0, 0.0),
+            Location(4.0, 0.0, 0.0),
+            Location(0.0, 4.0, 0.0),
+            Location(3.0, 3.0, 0.0),
+            Location(1.0, 2.0, 0.0),
+        ]
+        for target in (Location(1.0, 1.0, 0.0), Location(1.0, 1.0, 2.0), Location(9.0, -4.0, 1.0)):
+            assert_same_solve(exact_observations(target, anchors), fixed_z=fixed_z)
+            obs = exact_observations(target, anchors[:4])
+            assert_same_solve(obs, fixed_z=fixed_z, max_iterations=20, step_tol=1e-7)
+
+    def test_coincident_anchors(self):
+        same = [Location(1.0, 1.0, 1.0)] * 4
+        obs = [AnchorObservation(a, Rssi(-50.0)) for a in same]
+        assert_same_solve(obs)
+        assert_same_solve(obs[:3], fixed_z=1.0)
+
+    def test_start_on_an_anchor(self):
+        # the start point (anchor centroid) is an anchor: its range takes the 1e-12 floor
+        anchors = [
+            Location(0.0, 0.0, 0.0),
+            Location(1.0, 0.0, 0.0),
+            Location(-1.0, 0.0, 0.0),
+            Location(0.0, 1.0, 1.0),
+            Location(0.0, -1.0, -1.0),
+        ]
+        obs = [AnchorObservation(a, Rssi(-45.0)) for a in anchors]
+        assert_same_solve(obs)
+        assert_same_solve(obs, fixed_z=0.0)
 
 
 def seeded_store(subject_location: Location, *, reports_at: int = 100) -> TopologyStore:

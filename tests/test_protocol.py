@@ -490,3 +490,27 @@ class TestMovedFlag:
         assert node.smoothed_rssi(PEER) is not None
         node.on_moved(Location(1.0, 0.0, 0.0), 10, announce=True)
         assert node.smoothed_rssi(PEER) is None
+
+
+class TestProtocolParamsBounds:
+    """Values that would silently break verification or trust are rejected."""
+
+    @pytest.mark.parametrize(
+        "field, bad, edge",
+        [
+            ("verify_slack_cells", -1, 0),   # empty offset range: every solve contradicts
+            ("min_anchors", 3, 4),           # a 3-D solve needs four observers
+            ("alert_cooldown", -5, 0),
+            ("moved_ttl", -1, 0),
+            ("initial_trust", 7.0, 1.0),
+            ("initial_trust", -0.1, 0.0),
+        ],
+    )
+    def test_bound(self, field, bad, edge):
+        with pytest.raises(ValueError, match=field):
+            ProtocolParams(**{field: bad})
+        assert getattr(ProtocolParams(**{field: edge}), field) == edge
+
+    def test_zero_anchors_rejected(self):
+        with pytest.raises(ValueError, match="min_anchors"):
+            ProtocolParams(min_anchors=0)

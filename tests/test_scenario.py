@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polsim.cli import main
 from polsim.scenario import (
     AttackKind,
     BUILTIN_NAMES,
@@ -83,6 +84,32 @@ class TestValidation:
     def test_bad_json_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):
             Scenario.from_json("{nope")
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("verify_slack_cells", -1),
+            ("min_anchors", 0),
+            ("min_anchors", 3),
+            ("alert_cooldown", -5),
+            ("moved_ttl", -1),
+            ("initial_trust", 7.0),
+            ("initial_trust", -0.5),
+        ],
+    )
+    def test_protocol_bound_is_a_scenario_error(self, key, bad):
+        doc = minimal_doc()
+        doc["protocol"] = {key: bad}
+        with pytest.raises(ScenarioError, match=f"protocol: {key}"):
+            Scenario.from_dict(doc)
+
+    def test_protocol_bound_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        doc = minimal_doc()
+        doc["protocol"] = {"verify_slack_cells": -1}
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "verify_slack_cells" in capsys.readouterr().err
 
 
 class TestBuiltins:
