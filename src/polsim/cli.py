@@ -104,6 +104,23 @@ def _read_trace(path: Path) -> dict[tuple[str, str], list[tuple[int, float]]]:
     return links
 
 
+def _parse_filter_params(text: Optional[str], names: list[str]) -> dict:
+    """Parse --params and build each named filter once, so a bad value fails
+    before anything is written; raises ValueError."""
+    params = json.loads(text) if text else {}
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object of per-filter objects")
+    for name in names:
+        own = params.get(name)
+        if own is not None and not isinstance(own, dict):
+            raise ValueError(f"parameters for {name} must be a JSON object")
+        try:
+            make_filter(name, own)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    return params
+
+
 def cmd_filters(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     try:
@@ -117,12 +134,14 @@ def cmd_filters(args: argparse.Namespace) -> int:
             print(f"unknown filter {name!r}; choose from {FILTER_NAMES}", file=sys.stderr)
             return EXIT_VALIDATION
     try:
-        params = json.loads(args.params) if args.params else {}
+        params = _parse_filter_params(args.params, names)
         thresholds = _parse_sweep(args.threshold_sweep) if args.threshold_sweep else [args.threshold]
+        for threshold in thresholds:
+            TriggerState(threshold=threshold, cooldown=args.cooldown)  # raises on bad values
+        movements = [int(m) for m in args.movements.split(",") if m.strip()] if args.movements else []
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    movements = [int(m) for m in args.movements.split(",") if m.strip()] if args.movements else []
     settle = args.settle_window
 
     out_dir = Path(args.out) if args.out else trace_path.parent

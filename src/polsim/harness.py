@@ -18,8 +18,9 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional, TextIO
 
 from .messages import (
     AlertMessage,
@@ -46,9 +47,47 @@ from .topology import PeerRecord
 
 TRACE_VERSION = 1
 MOVEMENT_SETTLE_WINDOW = 120  # ticks after a movement not counted as static
+# lines joined per write: one write per line costs a call per line, one
+# string for the whole file raises peak memory by its size
+_WRITE_CHUNK_LINES = 4096
 
 
-@dataclass
+def compact_json(value: Any) -> str:
+    """Serialize a trace value exactly as ``json.dumps(value, sort_keys=True,
+    separators=(",", ":"))`` does.
+
+    The domain is exactly the types str, int, float (NaN and +-Infinity are
+    written as json writes them), bool, None and dict with str keys and
+    values in the domain. Any other type, subclasses included, raises
+    TypeError.
+    """
+    cls = type(value)
+    if cls is str:
+        return _escape(value)
+    if cls is int:
+        return repr(value)
+    if cls is dict:
+        parts = []
+        for key in sorted(value):
+            # _escape raises TypeError for a key that is not a str
+            parts.append(f"{_escape(key)}:{compact_json(value[key])}")
+        return "{" + ",".join(parts) + "}"
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    if cls is float:
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return repr(value)
+    raise TypeError(f"cannot encode {cls.__name__} in a trace")
+
+
+@dataclass(slots=True)
 class TraceEvent:
     tick: int
     node: str
@@ -56,14 +95,14 @@ class TraceEvent:
     details: dict[str, Any]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"tick": self.tick, "node": self.node, "action": self.action, "details": self.details},
-            sort_keys=True,
-            separators=(",", ":"),
+        # the keys of json.dumps(..., sort_keys=True) in their sorted order
+        return (
+            f'{{"action":{compact_json(self.action)},"details":{compact_json(self.details)},'
+            f'"node":{compact_json(self.node)},"tick":{compact_json(self.tick)}}}'
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RssiRow:
     tick: int
     receiver: str
@@ -281,7 +320,16 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
     node_order = sorted(nodes)
 
     def record_action(tick: int, node_label: str, action: Action) -> None:
-        if isinstance(action, SendPayload):
+        # most actions are Ignore("expired"), so it is tested first
+        if isinstance(action, Ignore):
+            events.append(
+                TraceEvent(
+                    tick, node_label, "ignore",
+                    {"reason": action.reason, "context": action.context},
+                )
+            )
+            counts[node_label]["ignored"] += 1
+        elif isinstance(action, SendPayload):
             events.append(TraceEvent(tick, node_label, "send_payload", {"seq": action.message.seq}))
             counts[node_label]["payload_sent"] += 1
         elif isinstance(action, SendBft):
@@ -323,14 +371,6 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
                 )
             )
             counts[node_label]["trusted_stored"] += 1
-        elif isinstance(action, Ignore):
-            events.append(
-                TraceEvent(
-                    tick, node_label, "ignore",
-                    {"reason": action.reason, "context": action.context},
-                )
-            )
-            counts[node_label]["ignored"] += 1
 
     pending: list[tuple[NodeId, Message]] = []  # broadcasts queued for next tick
 
@@ -491,6 +531,12 @@ def _build_metrics(
     )
 
 
+def _write_lines(fh: TextIO, records: list, line: Callable[[Any], str]) -> None:
+    """Write line(record) + newline per record, _WRITE_CHUNK_LINES per write."""
+    for start in range(0, len(records), _WRITE_CHUNK_LINES):
+        fh.write("".join([f"{line(record)}\n" for record in records[start:start + _WRITE_CHUNK_LINES]]))
+
+
 def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
     """Write rssi.csv, events.jsonl and metrics.json; returns the paths."""
     out = Path(out_dir)
@@ -502,11 +548,9 @@ def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
     }
     with open(paths["rssi"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tick,receiver,sender,rssi_raw,rssi_smoothed\n")
-        for row in result.rssi_rows:
-            fh.write(row.to_csv() + "\n")
+        _write_lines(fh, result.rssi_rows, RssiRow.to_csv)
     with open(paths["events"], "w", encoding="utf-8", newline="\n") as fh:
-        for event in result.events:
-            fh.write(event.to_json() + "\n")
+        _write_lines(fh, result.events, TraceEvent.to_json)
     with open(paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(result.metrics.to_json() + "\n")
     return paths

@@ -15,6 +15,7 @@ of the state reproduces the same actions, which the test suite asserts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -181,35 +182,58 @@ class _LinkPipeline:
     contradiction_budget: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _PoolEntry:
     message: PayloadMessage
     received_at: int
-    rssi: Rssi
 
 
 class MessagePool:
-    """Received-but-unvalidated payload messages with TTL and seq dedup."""
+    """Received-but-unvalidated payload messages with TTL and seq dedup.
+
+    A (sender, seq) pair is pooled at most once for the life of the pool.
+    The seqs pooled so far are kept per sender as sorted disjoint runs,
+    flattened to ``[lo0, hi0, lo1, hi1, ...]`` with ``hi < next lo - 1``: an
+    honest sender's monotone seqs stay one run however long the run is,
+    and a spoofer's seqs in another range add a second run instead of
+    shutting out the victim's later seqs, as a per-sender high watermark
+    would.
+    """
 
     def __init__(self, ttl: int):
         self.ttl = ttl
         self._by_sender: dict[NodeId, deque[_PoolEntry]] = {}
-        self._seen: dict[NodeId, set[int]] = {}
+        self._seen: dict[NodeId, list[int]] = {}
 
     def __len__(self) -> int:
         return sum(len(d) for d in self._by_sender.values())
 
-    def add(self, msg: PayloadMessage, received_at: int, rssi: Rssi) -> bool:
+    def add(self, msg: PayloadMessage, received_at: int) -> bool:
         """Insert unless (sender, seq) was pooled before; True if inserted."""
         sender = msg.sender
-        seen = self._seen.get(sender)
-        if seen is None:
-            seen = self._seen[sender] = set()
+        seq = msg.seq
+        runs = self._seen.get(sender)
+        if runs is None:
+            self._seen[sender] = [seq, seq]
             self._by_sender[sender] = deque()
-        if msg.seq in seen:
-            return False
-        seen.add(msg.seq)
-        self._by_sender[sender].append(_PoolEntry(msg, received_at, rssi))
+        else:
+            # i counts the bounds <= seq: seq is pooled already when i is odd
+            # (lo <= seq < hi) or seq is the hi just below; otherwise it lies
+            # in the gap between runs[i - 1] (a hi) and runs[i] (a lo)
+            i = bisect_right(runs, seq)
+            if i & 1 or (i and runs[i - 1] == seq):
+                return False
+            joins_below = i > 0 and runs[i - 1] == seq - 1
+            joins_above = i < len(runs) and runs[i] == seq + 1
+            if joins_below and joins_above:
+                del runs[i - 1:i + 1]
+            elif joins_below:
+                runs[i - 1] = seq
+            elif joins_above:
+                runs[i] = seq
+            else:
+                runs[i:i] = (seq, seq)
+        self._by_sender[sender].append(_PoolEntry(msg, received_at))
         return True
 
     def expire(self, now: int) -> list[_PoolEntry]:
@@ -396,7 +420,7 @@ class NodeState:
         self.ingest_sample(msg.sender, rssi, now)
         if now - msg.timestamp > self.params.pool_ttl:
             return [Ignore("stale", context=f"{msg.sender}#{msg.seq}")]
-        self.pool.add(msg, now, rssi)
+        self.pool.add(msg, now)
         return []
 
     # -- P3: pool validation ----------------------------------------------------

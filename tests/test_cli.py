@@ -197,6 +197,31 @@ class TestFiltersCommand:
             assert code == 1, sweep
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--params", "[1]"),
+            ("--params", '{"median":5}'),
+            ("--params", '{"median":{"bogus":1}}'),
+            ("--params", '{"median":{"window":4}}'),
+            ("--movements", "a,b"),
+            ("--cooldown", "-1"),
+            ("--threshold-sweep", "0:4:2"),
+        ],
+        ids=["params-list", "params-scalar", "params-unknown-key", "params-even-window",
+             "movements", "cooldown", "zero-threshold"],
+    )
+    def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
+        out = tmp_path / "rep"
+        code = run_cli(
+            "filters", "--trace", str(trace_dir / "rssi.csv"),
+            "--filter", "moving_average,median", "--out", str(out), *extra,
+        )
+        assert code == 1
+        assert "argument error" in capsys.readouterr().err
+        assert list(out.glob("smoothed_*.csv")) == []
+        assert not (out / "filter_report.json").exists()
+
 
 class TestCheckCommand:
     def test_spoof_check_passes(self, capsys):

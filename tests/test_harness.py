@@ -1,9 +1,13 @@
 """Simulation harness: determinism, traces, metrics, attack injection."""
 
 import dataclasses
+import enum
 import json
 
-from polsim.harness import run, sensor_reading, write_traces
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polsim.harness import TraceEvent, compact_json, run, sensor_reading, write_traces
 from polsim.scenario import AttackKind, AttackSpec, Scenario, builtin_scenario
 
 
@@ -63,6 +67,56 @@ class TestTraces:
             for c in res.metrics.counts.values()
         )
         assert total_rows == total_recv
+
+
+def json_reference(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# non-ASCII, control characters, quotes, backslashes and lone surrogates
+trace_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(max_codepoint=0x1F),
+        st.sampled_from('"\\/\u2028\ud800\udfff\U0001f600'),
+    ),
+    max_size=8,
+)
+trace_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    trace_text,
+)
+trace_values = st.recursive(
+    trace_scalars, lambda inner: st.dictionaries(trace_text, inner, max_size=4), max_leaves=10
+)
+
+
+class TestCompactJson:
+    @settings(max_examples=250)
+    @given(trace_values)
+    def test_matches_json_dumps(self, value):
+        assert compact_json(value) == json_reference(value)
+
+    @settings(max_examples=100)
+    @given(st.integers(), trace_text, trace_text, st.dictionaries(trace_text, trace_values, max_size=4))
+    def test_event_line_matches_json_dumps(self, tick, node, action, details):
+        event = TraceEvent(tick, node, action, details)
+        expected = json_reference({"tick": tick, "node": node, "action": action, "details": details})
+        assert event.to_json() == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [b"raw", {1, 2}, [1], (1,), {"k": b"raw"}, {1: "a"}, {"a": {2: "b"}}, enum.IntEnum("E", "A").A],
+        ids=["bytes", "set", "list", "tuple", "nested-bytes", "int-key", "nested-int-key", "int-subclass"],
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            compact_json(value)
 
 
 class TestZeroNoiseOracle:

@@ -4,6 +4,7 @@ import copy
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polsim.localization import PathLossModel, rssi_from_distance
 from polsim.messages import (
@@ -29,6 +30,7 @@ from polsim.protocol import (
     SELF_DISTRUST,
     FilterParams,
     Ignore,
+    MessagePool,
     NodeState,
     ProtocolParams,
     SendBft,
@@ -129,6 +131,62 @@ class TestReceivePayload:
         msg = payload_from(ME, 1, Location(0.0, 0.0, 0.0), 9)
         (action,) = node.receive_payload(msg, Rssi(-50.0), 10)
         assert isinstance(action, Ignore) and action.reason == "self-echo"
+
+
+def canonical_runs(seqs: set[int]) -> list[int]:
+    """Sorted disjoint non-adjacent runs of a seq set, flattened [lo, hi, ...]."""
+    runs: list[int] = []
+    for seq in sorted(seqs):
+        if runs and runs[-1] == seq - 1:
+            runs[-1] = seq
+        else:
+            runs += [seq, seq]
+    return runs
+
+
+class TestMessagePoolDedup:
+    SENDERS = [PEER, OTHER, EXTRAS[0]]
+    # an honest range and a spoofer-style range far above it, narrow enough
+    # that gaps get filled and runs merge
+    seqs = st.one_of(st.integers(0, 12), st.integers(1_000_000, 1_000_006))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), seqs), max_size=80))
+    def test_add_matches_set_model(self, ops):
+        body = struct.pack("<d", 21.5)
+        key = location_key(Location(1.0, 2.0, 3.0), body, 0.5)
+        pool = MessagePool(ttl=10)
+        model: dict[NodeId, set[int]] = {}
+        for index, seq in ops:
+            sender = self.SENDERS[index]
+            msg = PayloadMessage(sender, seq, SensorType.TEMPERATURE, body, key, 0)
+            seen = model.setdefault(sender, set())
+            assert pool.add(msg, 0) is (seq not in seen)
+            seen.add(seq)
+        assert len(pool) == sum(len(seen) for seen in model.values())
+        for sender, seen in model.items():
+            assert [e.message.seq for e in pool.entries(sender)] == [
+                seq for index, seq in dict.fromkeys(ops) if self.SENDERS[index] == sender
+            ]
+            assert pool._seen[sender] == canonical_runs(seen)
+
+    def test_monotone_seqs_keep_one_run_per_sender(self):
+        pool = MessagePool(ttl=10)
+        for seq in range(1, 10_001):
+            for sender in (PEER, OTHER):
+                msg = payload_from(sender, seq, Location(1.0, 0.0, 0.0), seq)
+                assert pool.add(msg, seq)
+            pool.expire(seq)
+        assert pool._seen == {PEER: [1, 10_000], OTHER: [1, 10_000]}
+        assert not pool.add(payload_from(PEER, 5_000, Location(1.0, 0.0, 0.0), 10_000), 10_000)
+
+    def test_spoofed_high_seqs_do_not_shut_out_lower_ones(self):
+        pool = MessagePool(ttl=10)
+        loc = Location(1.0, 0.0, 0.0)
+        assert pool.add(payload_from(PEER, 1_000_001, loc, 0), 0)
+        assert pool.add(payload_from(PEER, 7, loc, 1), 1)
+        assert pool.add(payload_from(PEER, 8, loc, 2), 2)
+        assert pool._seen[PEER] == [7, 8, 1_000_001, 1_000_001]
 
 
 def seed_full_anchors(node: NodeState, subject_loc: Location, now: int) -> None:
