@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .filters import KalmanState, MedianState, cascade_step, kalman_step
+from .filters import KalmanState, kalman_step, make_filter
 from .harness import RunResult, run
 from .localization import (
     AnchorObservation,
@@ -411,12 +411,11 @@ def check_filter_oracles() -> CheckResult:
         length = rng.randint(20, 60)
         spike_at = rng.randint(5, length - 1)
         spike = level + (20.0 if rng.random() < 0.5 else -20.0)
-        median = MedianState(window=5)
-        kalman = KalmanState()
+        smooth = make_filter("median_kalman", {"window": 5})
         worst = 0.0
         for i in range(length):
             value = spike if i == spike_at else level
-            out = cascade_step(median, kalman, value)
+            out = smooth(value)
             worst = max(worst, abs(out - level))
         if worst > 1.0:
             return CheckResult(

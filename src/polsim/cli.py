@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import filters
 from .checks import BUILTIN_CHECKS, check_determinism
 from .filters import FILTER_NAMES, TriggerState, make_filter
 from .harness import run
@@ -110,6 +111,9 @@ def _parse_filter_params(text: Optional[str], names: list[str]) -> dict:
     params = json.loads(text) if text else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object of per-filter objects")
+    unselected = sorted(set(params) - set(names))
+    if unselected:
+        raise ValueError(f"--params names no selected filter: {unselected}")
     for name in names:
         own = params.get(name)
         if own is not None and not isinstance(own, dict):
@@ -137,12 +141,17 @@ def cmd_filters(args: argparse.Namespace) -> int:
         params = _parse_filter_params(args.params, names)
         thresholds = _parse_sweep(args.threshold_sweep) if args.threshold_sweep else [args.threshold]
         for threshold in thresholds:
-            TriggerState(threshold=threshold, cooldown=args.cooldown)  # raises on bad values
+            # raises on a bad threshold, cooldown or warm-up
+            TriggerState(threshold=threshold, cooldown=args.cooldown, warmup=args.warmup)
         movements = [int(m) for m in args.movements.split(",") if m.strip()] if args.movements else []
+        if args.settle_window < 0:
+            raise ValueError("--settle-window must be >= 0")
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     settle = args.settle_window
+    # resolved when the command runs: perfbench/tracer.py wraps it by name
+    fire = filters.bft_trigger
 
     out_dir = Path(args.out) if args.out else trace_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,13 +173,9 @@ def cmd_filters(args: argparse.Namespace) -> int:
         for threshold in thresholds:
             fires: list[tuple[int, tuple[str, str]]] = []
             for link, rows in sorted(smoothed_per_link.items()):
-                trigger = TriggerState(threshold=threshold, cooldown=args.cooldown)
-                from .filters import bft_trigger
-
-                for i, (t, _raw, smooth) in enumerate(rows):
-                    if i < args.warmup:
-                        continue
-                    if bft_trigger(trigger, smooth, t):
+                trigger = TriggerState(threshold=threshold, cooldown=args.cooldown, warmup=args.warmup)
+                for t, _raw, smooth in rows:
+                    if fire(trigger, smooth, t):
                         fires.append((t, link))
             static_fp = sum(
                 1

@@ -7,6 +7,10 @@ Gaussian, median, Kalman) plus the median-then-Kalman cascade that proved the
 best fit, and the threshold trigger that turns smoothed-value deviations into
 BFT emissions.
 
+Every filter is a state dataclass plus a `step(state, value)` function;
+`make_filter` builds one by name from the single registry, for the node's
+links and for the offline `polsim filters` sweep alike.
+
 All filters consume and produce plain floats (dB). The dynamic moving average
 has no canonical definition; the adaptive-window variant implemented here
 (window halves on outliers, grows by one otherwise) is a placeholder, see
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 
 @dataclass
@@ -76,9 +81,16 @@ def kalman_step(state: KalmanState, z: float) -> float:
     return state.x
 
 
-def cascade_step(median: MedianState, kalman: KalmanState, raw: float) -> float:
+@dataclass
+class CascadeState:
     """Median filter feeding the Kalman filter (the selected combination)."""
-    return kalman_step(kalman, median_step(median, raw))
+
+    median: MedianState = field(default_factory=MedianState)
+    kalman: KalmanState = field(default_factory=KalmanState)
+
+
+def cascade_step(state: CascadeState, raw: float) -> float:
+    return kalman_step(state.kalman, median_step(state.median, raw))
 
 
 @dataclass
@@ -183,16 +195,18 @@ class TriggerState:
 
     `last_reported` tracks the smoothed value most recently announced to the
     network; `last_fire` enforces at most one fire per `cooldown` ticks per
-    link. After `rebaseline_after` quiet ticks the baseline follows the
-    current smoothed value, so the settled state becomes the new reference
-    and a later change is measured at its full swing. Rebaselining only
-    happens while the signal is locally flat, never during an in-progress
-    deviation.
+    link. The first `warmup` samples are only counted. After
+    `rebaseline_after` quiet ticks the baseline follows the current smoothed
+    value, so the settled state becomes the new reference and a later change
+    is measured at its full swing. Rebaselining only happens while the
+    signal is locally flat, never during an in-progress deviation.
     """
 
     threshold: float = 6.0
     cooldown: int = 30
     rebaseline_after: int = 90
+    warmup: int = 0
+    samples: int = 0  # warm-up samples seen, stops at `warmup`
     last_reported: Optional[float] = None
     last_fire: Optional[int] = None
     last_baseline: Optional[int] = None
@@ -206,6 +220,8 @@ class TriggerState:
             raise ValueError("threshold must be positive")
         if self.cooldown < 0 or self.rebaseline_after < 1:
             raise ValueError("cooldown must be >= 0 and rebaseline_after >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
 
     def cooldown_over(self, now: int) -> bool:
         return self.last_fire is None or now - self.last_fire >= self.cooldown
@@ -226,11 +242,15 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
     """True when the smoothed value moved more than the threshold since the
     last reported value and the cooldown allows another fire.
 
-    The first call only records the baseline and returns False. On a fire the
+    The first `warmup` calls only count the sample and return False; the
+    next one only records the baseline and returns False. On a fire the
     baseline and fire time advance to the current values. A deviation that
     never reaches the threshold is absorbed into the baseline after
     `rebaseline_after` ticks, but only once the signal has flattened out.
     """
+    if state.samples < state.warmup:
+        state.samples += 1
+        return False
     state.recent.append(smoothed)
     if len(state.recent) > state.FLAT_WINDOW:
         del state.recent[0]
@@ -250,85 +270,54 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
     return False
 
 
-# factory registry used by the offline filter-sweep CLI
-def make_filter(name: str, params: Optional[dict] = None):
-    """Build a (step(value) -> smoothed) callable for a named filter."""
-    params = dict(params or {})
-    if name == "median":
-        st = MedianState(window=int(params.pop("window", 5)))
-        fn = lambda v: median_step(st, v)
-    elif name == "kalman":
-        st = KalmanState(q=float(params.pop("q", 0.01)), r=float(params.pop("r", 4.0)))
-        fn = lambda v: kalman_step(st, v)
-    elif name == "median_kalman":
-        med = MedianState(window=int(params.pop("window", 5)))
-        kal = KalmanState(q=float(params.pop("q", 0.01)), r=float(params.pop("r", 4.0)))
-        fn = lambda v: cascade_step(med, kal, v)
-    elif name == "moving_average":
-        st = MovingAverageState(window=int(params.pop("window", 5)))
-        fn = lambda v: moving_average_step(st, v)
-    elif name == "exp_smoothing":
-        st = ExpSmoothingState(alpha=float(params.pop("alpha", 0.3)))
-        fn = lambda v: exp_smoothing_step(st, v)
-    elif name == "dynamic_moving_average":
-        st = DynamicMovingAverageState(
-            max_window=int(params.pop("max_window", 10)),
-            threshold=float(params.pop("threshold", 5.0)),
-        )
-        fn = lambda v: dynamic_moving_average_step(st, v)
-    elif name == "gaussian":
-        st = GaussianState(sigma=float(params.pop("sigma", 2.0)), window=int(params.pop("window", 5)))
-        fn = lambda v: gaussian_step(st, v)
-    else:
+def _median_state(params: dict) -> MedianState:
+    return MedianState(window=int(params.pop("window", 5)))
+
+
+def _kalman_state(params: dict) -> KalmanState:
+    return KalmanState(q=float(params.pop("q", 0.01)), r=float(params.pop("r", 4.0)))
+
+
+# name -> (state factory that pops its own parameters, step(state, value))
+_FILTERS: dict[str, tuple[Callable[[dict], Any], Callable[[Any, float], float]]] = {
+    "moving_average": (
+        lambda p: MovingAverageState(window=int(p.pop("window", 5))),
+        moving_average_step,
+    ),
+    "exp_smoothing": (
+        lambda p: ExpSmoothingState(alpha=float(p.pop("alpha", 0.3))),
+        exp_smoothing_step,
+    ),
+    "dynamic_moving_average": (
+        lambda p: DynamicMovingAverageState(
+            max_window=int(p.pop("max_window", 10)), threshold=float(p.pop("threshold", 5.0))
+        ),
+        dynamic_moving_average_step,
+    ),
+    "gaussian": (
+        lambda p: GaussianState(sigma=float(p.pop("sigma", 2.0)), window=int(p.pop("window", 5))),
+        gaussian_step,
+    ),
+    "median": (_median_state, median_step),
+    "kalman": (_kalman_state, kalman_step),
+    "median_kalman": (lambda p: CascadeState(_median_state(p), _kalman_state(p)), cascade_step),
+}
+
+FILTER_NAMES = tuple(_FILTERS)
+
+
+def make_filter(name: str, params: Optional[dict] = None) -> Callable[[float], float]:
+    """Build a step(value) -> smoothed callable for a named filter.
+
+    The callable is a `functools.partial` over the filter's state, so a deep
+    copy carries the state with it. Raises ValueError on an unknown name, a
+    bad value or a parameter the filter does not take.
+    """
+    if name not in _FILTERS:
         raise ValueError(f"unknown filter {name!r}")
+    new_state, step = _FILTERS[name]
+    params = dict(params or {})
+    state = new_state(params)
     if params:
         raise ValueError(f"unused parameters for {name}: {sorted(params)}")
-    return fn
-
-
-FILTER_NAMES = (
-    "moving_average",
-    "exp_smoothing",
-    "dynamic_moving_average",
-    "gaussian",
-    "median",
-    "kalman",
-    "median_kalman",
-)
-
-
-def make_smoother_state(name: str, params: Optional[dict] = None):
-    """Build the state object for a single-state smoother (deep-copyable).
-
-    The median_kalman cascade is a two-state pipeline and is handled by its
-    caller; every other registry name maps to one state dataclass here.
-    """
-    params = dict(params or {})
-    if name == "median":
-        return MedianState(window=int(params.get("window", 5)))
-    if name == "kalman":
-        return KalmanState(q=float(params.get("q", 0.01)), r=float(params.get("r", 4.0)))
-    if name == "moving_average":
-        return MovingAverageState(window=int(params.get("window", 5)))
-    if name == "exp_smoothing":
-        return ExpSmoothingState(alpha=float(params.get("alpha", 0.3)))
-    if name == "dynamic_moving_average":
-        return DynamicMovingAverageState(
-            max_window=int(params.get("max_window", 10)),
-            threshold=float(params.get("threshold", 5.0)),
-        )
-    if name == "gaussian":
-        return GaussianState(
-            sigma=float(params.get("sigma", 2.0)), window=int(params.get("window", 5))
-        )
-    raise ValueError(f"unknown smoother {name!r}")
-
-
-SMOOTHER_STEPS = {
-    "median": median_step,
-    "kalman": kalman_step,
-    "moving_average": moving_average_step,
-    "exp_smoothing": exp_smoothing_step,
-    "dynamic_moving_average": dynamic_moving_average_step,
-    "gaussian": gaussian_step,
-}
+    return partial(step, state)

@@ -19,17 +19,11 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .filters import (
-    KalmanState,
-    MedianState,
-    SMOOTHER_STEPS,
-    TriggerState,
-    bft_trigger,
-    cascade_step,
-    make_smoother_state,
-)
+# perfbench/tracer.py wraps polsim.protocol.cascade_step by name; the node
+# steps its smoother through make_filter and no longer calls it here
+from .filters import TriggerState, bft_trigger, cascade_step, make_filter  # noqa: F401
 from .localization import PathLossModel, VerifyOutcome, locate_and_verify
 from .messages import (
     AlertMessage,
@@ -94,19 +88,28 @@ class ProtocolParams:
 class FilterParams:
     """Per-link smoothing pipeline and trigger configuration.
 
-    `smoother` picks any filter from the registry; the default is the
-    median-then-Kalman cascade, which `median_window`/`kalman_q`/`kalman_r`
-    parameterize directly. Other smoothers read `smoother_params`.
+    `smoother` picks any filter from the registry (default: the
+    median-then-Kalman cascade) and `smoother_params` holds that filter's
+    parameters. Building the params builds one smoother and one trigger, so
+    a bad value raises ValueError here rather than on a node's first sample.
     """
 
-    median_window: int = 5
-    kalman_q: float = 0.01
-    kalman_r: float = 4.0
     trigger_threshold: float = 6.0
     trigger_cooldown: int = 30
     warmup: int = 10                # samples before the trigger baseline is set
     smoother: str = "median_kalman"
     smoother_params: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        if self.smoother_params is not None and not isinstance(self.smoother_params, dict):
+            raise ValueError("smoother_params must be an object")
+        self.link_state()
+
+    def link_state(self) -> tuple[Callable[[float], float], TriggerState]:
+        """A fresh smoother and trigger for one link."""
+        return make_filter(self.smoother, self.smoother_params), TriggerState(
+            threshold=self.trigger_threshold, cooldown=self.trigger_cooldown, warmup=self.warmup
+        )
 
 
 # -- actions -----------------------------------------------------------------
@@ -170,11 +173,8 @@ class _LinkPipeline:
     """Smoothing and trigger state for one outgoing observation link."""
 
     link: LinkKey  # (own id, peer), built once and reused for every sample
-    median: MedianState
-    kalman: KalmanState
+    smooth: Callable[[float], float]
     trigger: TriggerState
-    alt_state: Optional[object] = None  # state of a non-cascade smoother
-    samples: int = 0
     smoothed: Optional[float] = None
     pending_since: Optional[int] = None  # trigger fired, BFT not yet sent
     # one contradiction-driven BFT allowed per deviation episode; replenished
@@ -295,20 +295,7 @@ class NodeState:
     # -- link pipeline ----------------------------------------------------
 
     def _new_pipeline(self, link: LinkKey) -> _LinkPipeline:
-        fp = self.filter_params
-        pipe = _LinkPipeline(
-            link=link,
-            median=MedianState(window=fp.median_window),
-            kalman=KalmanState(q=fp.kalman_q, r=fp.kalman_r),
-            trigger=TriggerState(
-                threshold=fp.trigger_threshold, cooldown=fp.trigger_cooldown
-            ),
-            alt_state=(
-                None
-                if fp.smoother == "median_kalman"
-                else make_smoother_state(fp.smoother, fp.smoother_params)
-            ),
-        )
+        pipe = _LinkPipeline(link, *self.filter_params.link_state())
         self._pipelines[link.observed] = pipe
         return pipe
 
@@ -332,14 +319,10 @@ class NodeState:
             store.ensure_peer(peer)
             pipe = self._new_pipeline(link)
         self._last_heard[peer] = now
-        pipe.samples += 1
-        if pipe.alt_state is None:
-            smoothed = cascade_step(pipe.median, pipe.kalman, rssi.value)
-        else:
-            smoothed = SMOOTHER_STEPS[self.filter_params.smoother](pipe.alt_state, rssi.value)
+        smoothed = pipe.smooth(rssi.value)
         pipe.smoothed = smoothed
         store.update_smoothed(link, now, smoothed)
-        if pipe.samples > self.filter_params.warmup and bft_trigger(pipe.trigger, smoothed, now):
+        if bft_trigger(pipe.trigger, smoothed, now):
             pipe.pending_since = now
         return smoothed
 
@@ -355,16 +338,8 @@ class NodeState:
         self.store.ensure_peer(self.self_id).location = to
         if announce:
             self.moved_until = now + self.params.moved_ttl
-            fp = self.filter_params
             for pipe in self._pipelines.values():
-                pipe.median = MedianState(window=fp.median_window)
-                pipe.kalman = KalmanState(q=fp.kalman_q, r=fp.kalman_r)
-                pipe.trigger = TriggerState(
-                    threshold=fp.trigger_threshold, cooldown=fp.trigger_cooldown
-                )
-                if pipe.alt_state is not None:
-                    pipe.alt_state = make_smoother_state(fp.smoother, fp.smoother_params)
-                pipe.samples = 0
+                pipe.smooth, pipe.trigger = self.filter_params.link_state()
                 pipe.smoothed = None
                 pipe.pending_since = None
 

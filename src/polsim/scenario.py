@@ -17,7 +17,6 @@ from typing import Any
 from .channel import ChannelConfig
 from .localization import PathLossModel
 from .messages import Location, NodeId, SensorType
-from .filters import FILTER_NAMES
 from .protocol import FilterParams, ProtocolParams
 
 
@@ -71,7 +70,7 @@ class Scenario:
     movements: tuple[MovementSpec, ...] = ()
     attacks: tuple[AttackSpec, ...] = ()
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    filters: FilterParams = field(default_factory=FilterParams)
+    filters: FilterParams = FilterParams()  # frozen, so one validated default serves all
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     tick_ms: int = 1000
 
@@ -158,9 +157,6 @@ class Scenario:
                 "range": self.channel.range,
             },
             "filters": {
-                "median_window": self.filters.median_window,
-                "kalman_q": self.filters.kalman_q,
-                "kalman_r": self.filters.kalman_r,
                 "trigger_threshold": self.filters.trigger_threshold,
                 "trigger_cooldown": self.filters.trigger_cooldown,
                 "warmup": self.filters.warmup,
@@ -319,22 +315,15 @@ class Scenario:
         if isinstance(f_doc, dict):
             reject_unknown(
                 f_doc,
-                {"median_window", "kalman_q", "kalman_r", "trigger_threshold",
-                 "trigger_cooldown", "warmup", "smoother", "smoother_params"},
+                {"trigger_threshold", "trigger_cooldown", "warmup", "smoother", "smoother_params"},
                 "filters",
             )
             try:
-                smoother = str(f_doc.get("smoother", "median_kalman"))
-                if smoother not in FILTER_NAMES:
-                    raise ValueError(f"unknown smoother {smoother!r}")
                 filters = FilterParams(
-                    median_window=int(f_doc.get("median_window", 5)),
-                    kalman_q=float(f_doc.get("kalman_q", 0.01)),
-                    kalman_r=float(f_doc.get("kalman_r", 4.0)),
                     trigger_threshold=float(f_doc.get("trigger_threshold", 6.0)),
                     trigger_cooldown=int(f_doc.get("trigger_cooldown", 30)),
                     warmup=int(f_doc.get("warmup", 10)),
-                    smoother=smoother,
+                    smoother=str(f_doc.get("smoother", "median_kalman")),
                     smoother_params=f_doc.get("smoother_params"),
                 )
             except (ValueError, TypeError) as exc:

@@ -237,10 +237,6 @@ class TopologyStore:
             for obs in self._bft_log
         )
 
-    def prune_bft_log(self, before: int) -> None:
-        """Drop observations seen before `before` (housekeeping)."""
-        self._bft_log = [obs for obs in self._bft_log if obs.seen_at >= before]
-
     # -- JSON dump / load ---------------------------------------------------
 
     def to_json(self) -> str:

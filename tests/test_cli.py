@@ -207,9 +207,14 @@ class TestFiltersCommand:
             ("--movements", "a,b"),
             ("--cooldown", "-1"),
             ("--threshold-sweep", "0:4:2"),
+            ("--params", '{"medain":{"window":3}}'),
+            ("--params", '{"kalman":{"q":0.1}}'),
+            ("--warmup", "-5"),
+            ("--settle-window", "-3"),
         ],
         ids=["params-list", "params-scalar", "params-unknown-key", "params-even-window",
-             "movements", "cooldown", "zero-threshold"],
+             "movements", "cooldown", "zero-threshold", "params-unknown-filter",
+             "params-unselected-filter", "warmup", "settle-window"],
     )
     def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
         out = tmp_path / "rep"
@@ -221,6 +226,31 @@ class TestFiltersCommand:
         assert "argument error" in capsys.readouterr().err
         assert list(out.glob("smoothed_*.csv")) == []
         assert not (out / "filter_report.json").exists()
+
+    def test_sweep_smooths_like_the_node(self, tmp_path, capsys):
+        # static-honest has no moves (no pipeline resets) and no same-tick
+        # duplicate receptions, so every rssi.csv row is one smoother step
+        trace = tmp_path / "static"
+        assert run_cli("run", "--builtin", "static-honest", "--seed", "1", "--out", str(trace)) == 0
+        out = tmp_path / "rep"
+        assert run_cli(
+            "filters", "--trace", str(trace / "rssi.csv"), "--filter", "median_kalman", "--out", str(out),
+        ) == 0
+        capsys.readouterr()
+
+        def smoothed(path):
+            with open(path, newline="") as fh:
+                return {
+                    (row["tick"], row["receiver"], row["sender"]): float(row["rssi_smoothed"])
+                    for row in csv.DictReader(fh)
+                }
+
+        node = smoothed(trace / "rssi.csv")
+        sweep = smoothed(out / "smoothed_median_kalman.csv")
+        assert len(node) == 18_000
+        assert sweep.keys() == node.keys()
+        # the sweep reads the raw values rounded to 6 decimals
+        assert max(abs(sweep[key] - value) for key, value in node.items()) <= 2e-6
 
 
 class TestCheckCommand:

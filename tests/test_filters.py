@@ -1,9 +1,13 @@
 """Smoothing filters, the cascade, and the BFT trigger."""
 
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polsim.filters import (
+    CascadeState,
     DynamicMovingAverageState,
     ExpSmoothingState,
     GaussianState,
@@ -95,32 +99,29 @@ class TestKalman:
 
 class TestCascade:
     def test_single_spike_suppressed(self):
-        median = MedianState(window=3)
-        kalman = KalmanState()
+        state = CascadeState(MedianState(window=3), KalmanState())
         worst = 0.0
         for i in range(40):
             v = -90.0 if i == 20 else -45.0
-            out = cascade_step(median, kalman, v)
+            out = cascade_step(state, v)
             if i >= 3:
                 worst = max(worst, abs(out + 45.0))
         assert worst <= 1.0
 
     def test_constant_converges(self):
-        median = MedianState(window=5)
-        kalman = KalmanState()
+        state = CascadeState(MedianState(window=5), KalmanState())
         out = None
         for _ in range(50):
-            out = cascade_step(median, kalman, -45.0)
+            out = cascade_step(state, -45.0)
         assert out == pytest.approx(-45.0)
 
     def test_step_change_tracked(self):
-        median = MedianState(window=5)
-        kalman = KalmanState()
+        state = CascadeState(MedianState(window=5), KalmanState())
         for _ in range(30):
-            cascade_step(median, kalman, -45.0)
+            cascade_step(state, -45.0)
         out = None
         for _ in range(50):
-            out = cascade_step(median, kalman, -60.0)
+            out = cascade_step(state, -60.0)
         assert abs(out - (-60.0)) <= 2.0
 
 
@@ -180,6 +181,13 @@ class TestOtherFilters:
         with pytest.raises(ValueError):
             make_filter("median", {"bogus": 1})
 
+    def test_make_filter_state_survives_deepcopy(self):
+        step = make_filter("median_kalman", {"window": 3})
+        for v in (-40.0, -60.0, -41.0):
+            step(v)
+        clone = copy.deepcopy(step)
+        assert [clone(v) for v in (-70.0, -42.0)] == [step(v) for v in (-70.0, -42.0)]
+
 
 class TestTrigger:
     def test_fires_past_threshold(self):
@@ -222,15 +230,36 @@ class TestTrigger:
     def test_at_most_two_fires_per_step_change(self):
         fires = 0
         state = TriggerState(threshold=6.0, cooldown=35)
-        median = MedianState(window=5)
-        kalman = KalmanState()
+        cascade = CascadeState(MedianState(window=5), KalmanState())
         for t in range(250):
             raw = -45.0 if t < 50 else -58.0
-            smoothed = cascade_step(median, kalman, raw)
+            smoothed = cascade_step(cascade, raw)
             if t >= 10 and bft_trigger(state, smoothed, t):
                 assert t > 50
                 fires += 1
         assert 1 <= fires <= 2
+
+    def test_rejects_negative_warmup(self):
+        with pytest.raises(ValueError, match="warmup"):
+            TriggerState(warmup=-1)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(min_value=0, max_value=30),
+        streams,
+        st.floats(min_value=0.5, max_value=10.0),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_warmup_skips_then_matches_a_fresh_trigger(self, k, values, threshold, cooldown):
+        warm = TriggerState(threshold=threshold, cooldown=cooldown, rebaseline_after=5, warmup=k)
+        initial = copy.deepcopy(warm)
+        for t, v in enumerate(values[:k]):
+            assert bft_trigger(warm, v, t) is False
+            assert dataclasses.replace(warm, samples=0) == initial
+        fresh = TriggerState(threshold=threshold, cooldown=cooldown, rebaseline_after=5)
+        rest = list(enumerate(values))[k:]
+        assert [bft_trigger(warm, v, t) for t, v in rest] == [bft_trigger(fresh, v, t) for t, v in rest]
+        assert dataclasses.replace(warm, warmup=0, samples=0) == fresh
 
 
 class TestBoundedness:

@@ -494,9 +494,8 @@ class TestConfigurableSmoother:
         assert out == pytest.approx(-60.0)  # alpha=1 passes raw values through
 
     def test_unknown_smoother_rejected(self):
-        node = make_node(filter_params=FilterParams(smoother="nope"))
         with pytest.raises(ValueError):
-            node.ingest_sample(PEER, Rssi(-50.0), 0)
+            make_node(filter_params=FilterParams(smoother="nope"))
 
     def test_reset_on_move_rebuilds_alt_state(self):
         node = make_node(

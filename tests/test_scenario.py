@@ -103,6 +103,32 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=f"protocol: {key}"):
             Scenario.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "filters, message",
+        [
+            ({"smoother_params": {"window": 4}}, "odd"),
+            ({"smoother_params": {"r": 0}}, "r > 0"),
+            ({"trigger_threshold": 0}, "threshold must be positive"),
+            ({"smoother_params": [3]}, "smoother_params must be an object"),
+            ({"smoother": "moving_average", "smoother_params": {"windw": 3}}, "windw"),
+            ({"warmup": -5}, "warmup must be >= 0"),
+            ({"median_window": 5}, "unknown key 'median_window'"),
+        ],
+        ids=["even-window", "kalman-r-zero", "zero-threshold", "params-not-object",
+             "params-typo", "negative-warmup", "dropped-key"],
+    )
+    def test_bad_filter_config_exits_1_before_running(self, filters, message, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["filters"] = filters
+        with pytest.raises(ScenarioError, match=f"filters: .*{message}"):
+            Scenario.from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+        assert "scenario error: filters:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_protocol_bound_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         doc = minimal_doc()
