@@ -6,10 +6,10 @@ the channel delivers them, every node runs its round, and the resulting
 send actions queue for the next tick. The whole run is a pure function of
 the scenario (seed included); traces are byte-stable across runs.
 
-Trace outputs (written when an output directory is given):
+Trace outputs (streamed while the run goes when an output directory is given):
   rssi.csv     one row per reception: tick,receiver,sender,rssi_raw,rssi_smoothed
   events.jsonl one JSON object per node action: {tick, node, action, details}
-  metrics.json run summary, cross-checked against the event log
+  metrics.json run summary, cross-checked against the event log, written last
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -47,8 +48,8 @@ from .topology import PeerRecord
 
 TRACE_VERSION = 1
 MOVEMENT_SETTLE_WINDOW = 120  # ticks after a movement not counted as static
-# lines joined per write: one write per line costs a call per line, one
-# string for the whole file raises peak memory by its size
+# records held before a write: one write per line costs a call per line,
+# holding a whole file raises peak memory by its size
 _WRITE_CHUNK_LINES = 4096
 
 
@@ -120,6 +121,36 @@ _COUNT_KEYS = (
     "payload_recv", "bft_recv", "alert_recv",
     "trusted_stored", "ignored",
 )
+# the event action behind each sent/stored/ignored counter, in check order
+_ACTION_COUNTS = {
+    "send_payload": "payload_sent",
+    "send_bft": "bft_sent",
+    "send_alert": "alert_sent",
+    "store_trusted": "trusted_stored",
+    "ignore": "ignored",
+}
+RSSI_HEADER = "tick,receiver,sender,rssi_raw,rssi_smoothed\n"
+
+
+def _tally(events: list[TraceEvent], tally: dict[str, dict[str, int]]) -> None:
+    """Count each event in tally[node][action]; an unknown action raises KeyError."""
+    for e in events:
+        node = tally.get(e.node)
+        if node is None:
+            node = tally[e.node] = dict.fromkeys(_ACTION_COUNTS, 0)
+        node[e.action] += 1
+
+
+def _check_counts(counts: dict[str, dict[str, int]], tally: dict[str, dict[str, int]]) -> None:
+    """Raise AssertionError where a counter differs from the tally of the events."""
+    for label, node_counts in counts.items():
+        derived = tally.get(label) or dict.fromkeys(_ACTION_COUNTS, 0)
+        for action, key in _ACTION_COUNTS.items():
+            if node_counts[key] != derived[action]:
+                raise AssertionError(f"{label}.{key}: metrics={node_counts[key]} events={derived[action]}")
+    unknown = sorted(set(tally) - set(counts))
+    if unknown:
+        raise AssertionError(f"events of nodes without counters: {unknown}")
 
 
 @dataclass
@@ -158,37 +189,33 @@ class RunMetrics:
 
 @dataclass
 class RunResult:
+    """A finished run. A run given an output directory streamed its records
+    there: `events` and `rssi_rows` are None and `out_dir` names the files."""
+
     metrics: RunMetrics
-    events: list[TraceEvent]
-    rssi_rows: list[RssiRow]
+    events: Optional[list[TraceEvent]]
+    rssi_rows: Optional[list[RssiRow]]
     nodes: dict[str, NodeState]
+    out_dir: Optional[str] = None
+
+    def _events(self) -> list[TraceEvent]:
+        if self.events is None:
+            raise RuntimeError(
+                f"the run streamed its records to {self.out_dir}; read events.jsonl and rssi.csv there"
+            )
+        return self.events
 
     def bft_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.action == "send_bft"]
+        return [e for e in self._events() if e.action == "send_bft"]
 
     def alert_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.action == "send_alert"]
+        return [e for e in self._events() if e.action == "send_alert"]
 
     def verify_counts(self) -> None:
         """Cross-check metric counters against the event log; raises on drift."""
-        derived: dict[str, dict[str, int]] = {
-            label: dict.fromkeys(_COUNT_KEYS, 0) for label in self.metrics.counts
-        }
-        action_to_key = {
-            "send_payload": "payload_sent",
-            "send_bft": "bft_sent",
-            "send_alert": "alert_sent",
-            "store_trusted": "trusted_stored",
-            "ignore": "ignored",
-        }
-        for event in self.events:
-            derived[event.node][action_to_key[event.action]] += 1
-        for label, counts in self.metrics.counts.items():
-            for key in ("payload_sent", "bft_sent", "alert_sent", "trusted_stored", "ignored"):
-                if counts[key] != derived[label][key]:
-                    raise AssertionError(
-                        f"{label}.{key}: metrics={counts[key]} events={derived[label][key]}"
-                    )
+        tally: dict[str, dict[str, int]] = {}
+        _tally(self._events(), tally)
+        _check_counts(self.metrics.counts, tally)
 
 
 def sensor_reading(node_index: int, tick: int) -> bytes:
@@ -267,8 +294,124 @@ class _AttackDriver:
         return self.captured
 
 
+class _MemorySink:
+    """Keeps every record for a RunResult that carries them.
+
+    A sink takes records through its `event` and `row` callables and is told
+    when a tick ends; `finish` turns the run's metrics into its RunResult.
+    Here both callables are bound `list.append`, so keeping a record costs
+    no Python-level call.
+    """
+
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
+        self.rows: list[RssiRow] = []
+        self.event = self.events.append
+        self.row = self.rows.append
+
+    def end_tick(self) -> None:
+        pass
+
+    def bft_events(self) -> list[TraceEvent]:
+        return [e for e in self.events if e.action == "send_bft"]
+
+    def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
+        result = RunResult(metrics, self.events, self.rows, nodes)
+        result.verify_counts()
+        return result
+
+    def close(self) -> None:
+        pass
+
+
+class _FileSink:
+    """Streams records to rssi.csv and events.jsonl in `out_dir` as a run makes them.
+
+    Records are buffered as they come, through bound `list.append` like the
+    memory sink's, and encoded and written when a tick ends with a full
+    buffer, so the run holds at most about one chunk of records. Of what
+    it writes it keeps only the per-(node, action) tally for the count
+    check and the `send_bft` events the metrics need. `write_metrics`
+    writes the rest, closes both files, checks the tally and writes
+    metrics.json last: a run that raises leaves no metrics.json.
+    """
+
+    def __init__(self, out_dir: str) -> None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        self.out_dir = out_dir
+        self.paths = {
+            "rssi": out / "rssi.csv",
+            "events": out / "events.jsonl",
+            "metrics": out / "metrics.json",
+        }
+        # a metrics.json left by an earlier run would vouch for these files
+        self.paths["metrics"].unlink(missing_ok=True)
+        self._rssi_fh = open(self.paths["rssi"], "w", encoding="utf-8", newline="\n")
+        try:
+            self._rssi_fh.write(RSSI_HEADER)
+            self._events_fh = open(self.paths["events"], "w", encoding="utf-8", newline="\n")
+        except BaseException:
+            self._rssi_fh.close()
+            raise
+        self.events: list[TraceEvent] = []
+        self.rows: list[RssiRow] = []
+        self.event = self.events.append
+        self.row = self.rows.append
+        self.tally: dict[str, dict[str, int]] = {}
+        self.bft: list[TraceEvent] = []
+
+    def end_tick(self) -> None:
+        if len(self.events) >= _WRITE_CHUNK_LINES:
+            self._write_events()
+        if len(self.rows) >= _WRITE_CHUNK_LINES:
+            self._write_rows()
+
+    def _write_events(self) -> None:
+        events = self.events
+        _write_lines(self._events_fh, events, TraceEvent.to_json)
+        _tally(events, self.tally)
+        self.bft += [e for e in events if e.action == "send_bft"]
+        events.clear()  # the same list: `event` stays bound to it
+
+    def _write_rows(self) -> None:
+        _write_lines(self._rssi_fh, self.rows, RssiRow.to_csv)
+        self.rows.clear()
+
+    def bft_events(self) -> list[TraceEvent]:
+        return self.bft + [e for e in self.events if e.action == "send_bft"]
+
+    def write_metrics(self, metrics: RunMetrics) -> None:
+        """Write the buffered records, close the trace files, check the counts, write metrics.json."""
+        self._write_events()
+        self._write_rows()
+        self.close()
+        _check_counts(metrics.counts, self.tally)
+        with open(self.paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(metrics.to_json() + "\n")
+
+    def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
+        self.write_metrics(metrics)
+        return RunResult(metrics, None, None, nodes, out_dir=self.out_dir)
+
+    def close(self) -> None:
+        self._rssi_fh.close()
+        self._events_fh.close()
+
+
 def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = True) -> RunResult:
-    """Execute a scenario; optionally write the trace files into `out_dir`."""
+    """Execute a scenario.
+
+    With `out_dir` the trace files are opened before the first tick and
+    the records streamed into them, and the result carries no records;
+    without it the result holds every event and RSSI row.
+    """
+    sink = _FileSink(out_dir) if out_dir is not None else _MemorySink()
+    with closing(sink):
+        return _simulate(scenario, sink, collect_rssi)
+
+
+def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: bool) -> RunResult:
     labels: dict[NodeId, str] = {spec.mac: spec.label for spec in scenario.nodes}
     index_of = {spec.label: i for i, spec in enumerate(scenario.nodes)}
 
@@ -310,8 +453,7 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
     for mv in scenario.movements:
         movements_by_tick.setdefault(mv.at, []).append(mv)
 
-    events: list[TraceEvent] = []
-    rssi_rows: list[RssiRow] = []
+    event, row = sink.event, sink.row
     counts = {spec.label: dict.fromkeys(_COUNT_KEYS, 0) for spec in scenario.nodes}
     for driver in drivers:
         counts.setdefault(driver.label, dict.fromkeys(_COUNT_KEYS, 0))
@@ -322,7 +464,7 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
     def record_action(tick: int, node_label: str, action: Action) -> None:
         # most actions are Ignore("expired"), so it is tested first
         if isinstance(action, Ignore):
-            events.append(
+            event(
                 TraceEvent(
                     tick, node_label, "ignore",
                     {"reason": action.reason, "context": action.context},
@@ -330,11 +472,11 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
             )
             counts[node_label]["ignored"] += 1
         elif isinstance(action, SendPayload):
-            events.append(TraceEvent(tick, node_label, "send_payload", {"seq": action.message.seq}))
+            event(TraceEvent(tick, node_label, "send_payload", {"seq": action.message.seq}))
             counts[node_label]["payload_sent"] += 1
         elif isinstance(action, SendBft):
             m = action.message
-            events.append(
+            event(
                 TraceEvent(
                     tick, node_label, "send_bft",
                     {
@@ -355,7 +497,7 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
                     "subject": label_of(m.ref_bft.subject),
                     "timestamp": m.ref_bft.timestamp,
                 }
-            events.append(
+            event(
                 TraceEvent(
                     tick, node_label, "send_alert",
                     {"alert_type": m.alert_type.name.lower(), "object": obj, "ref_bft": ref},
@@ -364,7 +506,7 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
             counts[node_label]["alert_sent"] += 1
         elif isinstance(action, StoreTrusted):
             m = action.message
-            events.append(
+            event(
                 TraceEvent(
                     tick, node_label, "store_trusted",
                     {"sender": label_of(m.sender), "seq": m.seq},
@@ -436,7 +578,7 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
                     pending.append((mac, action.message))
             if collect_rssi:
                 for msg, rssi in inbox:
-                    rssi_rows.append(
+                    row(
                         RssiRow(
                             tick,
                             node_label,
@@ -458,26 +600,19 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
                 if snap.get(peer_label) != value:
                     snap[peer_label] = value
                     trust_timeline.append((tick, observer, peer_label, value))
+        sink.end_tick()
 
-    metrics = _build_metrics(scenario, events, counts, trust_snapshot, trust_timeline)
-    result = RunResult(metrics=metrics, events=events, rssi_rows=rssi_rows, nodes={
-        labels[mac]: nodes[mac] for mac in node_order
-    })
-    result.verify_counts()
-    if out_dir is not None:
-        write_traces(result, out_dir)
-    return result
+    metrics = _build_metrics(scenario, sink.bft_events(), counts, trust_snapshot, trust_timeline)
+    return sink.finish(metrics, {labels[mac]: nodes[mac] for mac in node_order})
 
 
 def _build_metrics(
     scenario: Scenario,
-    events: list[TraceEvent],
+    bft_sends: list[TraceEvent],
     counts: dict[str, dict[str, int]],
     trust_snapshot: dict[str, dict[str, float]],
     trust_timeline: list[tuple[int, str, str, float]],
 ) -> RunMetrics:
-    bft_sends = [e for e in events if e.action == "send_bft"]
-
     latency: list[dict[str, Any]] = []
     for mv in scenario.movements:
         for spec in scenario.nodes:
@@ -532,25 +667,19 @@ def _build_metrics(
 
 
 def _write_lines(fh: TextIO, records: list, line: Callable[[Any], str]) -> None:
-    """Write line(record) + newline per record, _WRITE_CHUNK_LINES per write."""
-    for start in range(0, len(records), _WRITE_CHUNK_LINES):
-        fh.write("".join([f"{line(record)}\n" for record in records[start:start + _WRITE_CHUNK_LINES]]))
+    """Write line(record) + newline per record, in one write call."""
+    fh.write("".join([f"{line(record)}\n" for record in records]))
 
 
 def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
-    """Write rssi.csv, events.jsonl and metrics.json; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "rssi": out / "rssi.csv",
-        "events": out / "events.jsonl",
-        "metrics": out / "metrics.json",
-    }
-    with open(paths["rssi"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tick,receiver,sender,rssi_raw,rssi_smoothed\n")
-        _write_lines(fh, result.rssi_rows, RssiRow.to_csv)
-    with open(paths["events"], "w", encoding="utf-8", newline="\n") as fh:
-        _write_lines(fh, result.events, TraceEvent.to_json)
-    with open(paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.metrics.to_json() + "\n")
-    return paths
+    """Write rssi.csv, events.jsonl and metrics.json of an in-memory result
+    by replaying its records through the file sink; returns the paths."""
+    events = result._events()
+    rows = result.rssi_rows
+    with closing(_FileSink(out_dir)) as sink:
+        for start in range(0, max(len(events), len(rows)), _WRITE_CHUNK_LINES):
+            sink.events.extend(events[start:start + _WRITE_CHUNK_LINES])
+            sink.rows.extend(rows[start:start + _WRITE_CHUNK_LINES])
+            sink.end_tick()
+        sink.write_metrics(result.metrics)
+    return sink.paths

@@ -7,6 +7,7 @@ from collections import defaultdict
 import pytest
 
 import polsim.checks
+from polsim.channel import RadioChannel
 from polsim.cli import main
 from polsim.scenario import builtin_scenario
 
@@ -30,6 +31,17 @@ class TestRunCommand:
         assert run_cli("run", "--builtin", "static-honest", "--seed", "5", "--out", str(d2)) == 0
         assert (d1 / "rssi.csv").read_bytes() == (d2 / "rssi.csv").read_bytes()
         assert (d1 / "events.jsonl").read_bytes() == (d2 / "events.jsonl").read_bytes()
+
+    def test_unwritable_out_exit_2_before_any_tick(self, tmp_path, monkeypatch, capsys):
+        def no_broadcast(*args, **kwargs):
+            raise AssertionError("a tick ran before the output directory was opened")
+
+        monkeypatch.setattr(RadioChannel, "broadcast", no_broadcast)
+        regular_file = tmp_path / "file"
+        regular_file.write_text("")
+        code = run_cli("run", "--builtin", "static-honest", "--out", str(regular_file / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("runtime error:")
 
     def test_missing_scenario_file_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

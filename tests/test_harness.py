@@ -3,12 +3,16 @@
 import dataclasses
 import enum
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsim.harness import TraceEvent, compact_json, run, sensor_reading, write_traces
-from polsim.scenario import AttackKind, AttackSpec, Scenario, builtin_scenario
+import polsim.harness
+from polsim.harness import RSSI_HEADER, TraceEvent, compact_json, run, sensor_reading, write_traces
+from polsim.protocol import NodeState
+from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, builtin_scenario
 
 
 def quiet(scenario: Scenario) -> Scenario:
@@ -67,6 +71,119 @@ class TestTraces:
             for c in res.metrics.counts.values()
         )
         assert total_rows == total_recv
+
+
+def stretched(name: str, seed: int, ticks: int) -> Scenario:
+    doc = builtin_scenario(name, seed=seed).to_dict()
+    doc["duration"] = ticks
+    return Scenario.from_dict(doc)
+
+
+def bump_n1_bft_count(counts) -> None:
+    counts["n1"]["bft_sent"] += 1
+
+
+def drop_n5_counts(counts) -> None:
+    del counts["n5"]
+
+
+def forge_counts(monkeypatch, forge) -> None:
+    """Apply `forge` to the counters of the run's metrics once they are built."""
+    build = polsim.harness._build_metrics
+
+    def forged(*args, **kwargs):
+        metrics = build(*args, **kwargs)
+        forge(metrics.counts)
+        return metrics
+
+    monkeypatch.setattr(polsim.harness, "_build_metrics", forged)
+
+
+TRACE_FILES = ("rssi.csv", "events.jsonl", "metrics.json")
+
+
+class TestStreamedTraces:
+    """A run with an output directory streams its records into the files."""
+
+    @pytest.mark.parametrize("collect_rssi", [True, False], ids=["rssi", "no-rssi"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_streamed_files_equal_replayed_result(self, name, seed, collect_rssi, tmp_path):
+        scenario = builtin_scenario(name, seed=seed)
+        streamed, replayed = tmp_path / "streamed", tmp_path / "replayed"
+        run(scenario, out_dir=str(streamed), collect_rssi=collect_rssi)
+        write_traces(run(scenario, collect_rssi=collect_rssi), str(replayed))
+        for file_name in TRACE_FILES:
+            assert (streamed / file_name).read_bytes() == (replayed / file_name).read_bytes(), file_name
+        if not collect_rssi:
+            assert (streamed / "rssi.csv").read_text() == RSSI_HEADER
+
+    def test_streamed_result_carries_no_records(self, tmp_path):
+        out = tmp_path / "out"
+        res = run(builtin_scenario("malicious-bft", seed=1), out_dir=str(out))
+        assert res.events is None and res.rssi_rows is None
+        assert res.out_dir == str(out)
+        assert res.metrics.counts["n1"]["payload_sent"] > 0
+        for read in (res.bft_events, res.alert_events, res.verify_counts):
+            with pytest.raises(RuntimeError, match=f"streamed its records to {out}"):
+                read()
+        with pytest.raises(RuntimeError, match="streamed"):
+            write_traces(res, str(tmp_path / "again"))
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (bump_n1_bft_count, "n1.bft_sent: metrics="),
+            (drop_n5_counts, "events of nodes without counters: ['n5']"),
+        ],
+        ids=["count", "node"],
+    )
+    def test_forged_count_raises_on_both_paths(self, forge, message, monkeypatch, tmp_path):
+        forge_counts(monkeypatch, forge)
+        scenario = builtin_scenario("malicious-bft", seed=1)
+        with pytest.raises(AssertionError) as in_memory:
+            run(scenario)
+        with pytest.raises(AssertionError) as streamed:
+            run(scenario, out_dir=str(tmp_path))
+        assert str(in_memory.value).startswith(message)
+        assert str(streamed.value) == str(in_memory.value)
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_failed_run_closes_files_and_leaves_no_metrics(self, monkeypatch, tmp_path):
+        (tmp_path / "metrics.json").write_text("{}\n")  # left by an earlier run
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        tick = NodeState.tick
+
+        def failing_tick(self, inbox, sensor_value, now):
+            if now == 5:
+                raise RuntimeError("tick 5 failed")
+            return tick(self, inbox, sensor_value, now)
+
+        monkeypatch.setattr(polsim.harness, "open", recording_open, raising=False)
+        monkeypatch.setattr(NodeState, "tick", failing_tick)
+        with pytest.raises(RuntimeError, match="tick 5 failed"):
+            run(builtin_scenario("paper-fig7", seed=1), out_dir=str(tmp_path))
+        assert sorted(Path(fh.name).name for fh in opened) == ["events.jsonl", "rssi.csv"]
+        assert all(fh.closed for fh in opened)
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_memory_flat_with_duration(self, tmp_path):
+        peaks = {}
+        for ticks in (900, 3600):
+            scenario = stretched("malicious-bft", 1, ticks)
+            tracemalloc.start()
+            try:
+                run(scenario, out_dir=str(tmp_path / str(ticks)))
+                peaks[ticks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3600] <= 1.5 * peaks[900], peaks
 
 
 def json_reference(value) -> str:
