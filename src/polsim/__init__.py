@@ -1,129 +1,1 @@
 """Proof-of-Location protocol node logic and wireless sensor network simulator."""
-
-from .messages import (
-    AlertMessage,
-    AlertType,
-    BftMessage,
-    BftRef,
-    Location,
-    LocationKey,
-    NodeId,
-    PayloadMessage,
-    Rssi,
-    RssiSource,
-    SensorType,
-    TrustScore,
-    decode_message,
-    encode_message,
-    location_key,
-    quantize_location,
-    verify_location_key,
-)
-from .topology import LinkKey, PeerRecord, TopologyStore
-from .filters import (
-    CascadeState,
-    KalmanState,
-    MedianState,
-    TriggerState,
-    bft_trigger,
-    cascade_step,
-    kalman_step,
-    median_step,
-)
-from .localization import (
-    AnchorObservation,
-    PathLossModel,
-    VerifyOutcome,
-    distance_from_rssi,
-    locate_and_verify,
-    multilaterate,
-    rssi_from_distance,
-)
-from .channel import ChannelConfig, RadioChannel
-from .protocol import (
-    Action,
-    FilterParams,
-    Ignore,
-    NodeState,
-    ProtocolParams,
-    SELF_DEFENSE_TABLE,
-    SendAlert,
-    SendBft,
-    SendPayload,
-    StoreTrusted,
-)
-from .scenario import (
-    AttackKind,
-    AttackSpec,
-    BUILTIN_NAMES,
-    MovementSpec,
-    NodeSpec,
-    Scenario,
-    ScenarioError,
-    builtin_scenario,
-)
-from .harness import RunMetrics, RunResult, run, write_traces
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Action",
-    "AlertMessage",
-    "AlertType",
-    "AnchorObservation",
-    "AttackKind",
-    "AttackSpec",
-    "BUILTIN_NAMES",
-    "BftMessage",
-    "BftRef",
-    "CascadeState",
-    "ChannelConfig",
-    "FilterParams",
-    "Ignore",
-    "KalmanState",
-    "LinkKey",
-    "Location",
-    "LocationKey",
-    "MedianState",
-    "MovementSpec",
-    "NodeId",
-    "NodeSpec",
-    "NodeState",
-    "PathLossModel",
-    "PayloadMessage",
-    "PeerRecord",
-    "ProtocolParams",
-    "RadioChannel",
-    "Rssi",
-    "RssiSource",
-    "RunMetrics",
-    "RunResult",
-    "SELF_DEFENSE_TABLE",
-    "Scenario",
-    "ScenarioError",
-    "SendAlert",
-    "SendBft",
-    "SendPayload",
-    "SensorType",
-    "StoreTrusted",
-    "TopologyStore",
-    "TriggerState",
-    "TrustScore",
-    "VerifyOutcome",
-    "bft_trigger",
-    "builtin_scenario",
-    "cascade_step",
-    "decode_message",
-    "distance_from_rssi",
-    "encode_message",
-    "kalman_step",
-    "locate_and_verify",
-    "location_key",
-    "median_step",
-    "multilaterate",
-    "quantize_location",
-    "rssi_from_distance",
-    "run",
-    "verify_location_key",
-    "write_traces",
-]

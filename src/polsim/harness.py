@@ -572,11 +572,12 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                     counts[node_label]["bft_recv"] += 1
                 elif isinstance(msg, AlertMessage):
                     counts[node_label]["alert_recv"] += 1
-            for action in state.tick(inbox, None, tick):
+            for action in state.tick(inbox, now=tick):
                 record_action(tick, node_label, action)
                 if isinstance(action, (SendBft, SendAlert)):
                     pending.append((mac, action.message))
             if collect_rssi:
+                smoothed_rssi = state.smoothed_rssi
                 for msg, rssi in inbox:
                     row(
                         RssiRow(
@@ -584,7 +585,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                             node_label,
                             label_of(msg.sender),
                             rssi.value,
-                            state.smoothed_rssi(msg.sender),
+                            smoothed_rssi(msg.sender),
                         )
                     )
 

@@ -128,9 +128,6 @@ class Location:
             (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
         )
 
-    def plane_distance_to(self, other: "Location") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 

@@ -175,7 +175,6 @@ class _LinkPipeline:
     link: LinkKey  # (own id, peer), built once and reused for every sample
     smooth: Callable[[float], float]
     trigger: TriggerState
-    smoothed: Optional[float] = None
     pending_since: Optional[int] = None  # trigger fired, BFT not yet sent
     # one contradiction-driven BFT allowed per deviation episode; replenished
     # by the next trigger fire so a standing disagreement is announced once
@@ -285,7 +284,6 @@ class NodeState:
         self.store = store if store is not None else TopologyStore(self_id)
         self.store.ensure_peer(self_id).location = self_location
         self.pool = MessagePool(params.pool_ttl)
-        self.trusted: list[PayloadMessage] = []
         self.moved_until: Optional[int] = None
         self._pipelines: dict[NodeId, _LinkPipeline] = {}
         self._seq = 0
@@ -313,14 +311,13 @@ class NodeState:
         try:
             store.record_rssi(link, now, rssi, RssiSource.MEASURED)
         except ValueError:
-            return pipe.smoothed if pipe else None
+            return self.smoothed_rssi(peer)
         if pipe is None:
             # peers are never removed, so one ensure_peer per link suffices
             store.ensure_peer(peer)
             pipe = self._new_pipeline(link)
         self._last_heard[peer] = now
         smoothed = pipe.smooth(rssi.value)
-        pipe.smoothed = smoothed
         store.update_smoothed(link, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
             pipe.pending_since = now
@@ -328,7 +325,10 @@ class NodeState:
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
         pipe = self._pipelines.get(peer)
-        return pipe.smoothed if pipe else None
+        if pipe is None:
+            return None
+        own = self.store.latest_smoothed(pipe.link)
+        return None if own is None else own[1]
 
     def on_moved(self, to: Location, now: int, announce: bool) -> None:
         """Relocate the node. An announced move (the node noticed, e.g. via an
@@ -338,9 +338,9 @@ class NodeState:
         self.store.ensure_peer(self.self_id).location = to
         if announce:
             self.moved_until = now + self.params.moved_ttl
+            self.store.clear_smoothed()
             for pipe in self._pipelines.values():
                 pipe.smooth, pipe.trigger = self.filter_params.link_state()
-                pipe.smoothed = None
                 pipe.pending_since = None
 
     def moved_flag(self, now: int) -> bool:
@@ -403,10 +403,11 @@ class NodeState:
     def validate_pool(self, now: int) -> list[Action]:
         """Validate pooled payloads against RSSI-derived sender positions.
 
-        Verified senders move to trusted memory. A sender whose deviation
-        trigger fired causes one BFT message; a confidently contradicted
-        location key causes at most one more until the next trigger episode,
-        so a standing disagreement is announced but never spammed.
+        A verified sender's pooled payloads become StoreTrusted actions. A
+        sender whose deviation trigger fired causes one BFT message; a
+        confidently contradicted location key causes at most one more until
+        the next trigger episode, so a standing disagreement is announced but
+        never spammed.
         """
         actions: list[Action] = []
         pool = self.pool
@@ -442,14 +443,15 @@ class NodeState:
             )
             if verdict is VerifyOutcome.VERIFIED:
                 for entry in pool.clear_sender(sender):
-                    self.trusted.append(entry.message)
                     actions.append(StoreTrusted(entry.message))
                 continue
             pipe = pipelines.get(sender)
-            if pipe is None or pipe.smoothed is None:
+            if pipe is None:
                 continue
             if pipe.pending_since is not None:
                 self._expire_pending(pipe, now)
+            # a trigger fires on a sample, so a pending link has a smoothed
+            # value; a contradiction alone does not guarantee one
             if pipe.pending_since is not None:
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget = 1
@@ -457,6 +459,7 @@ class NodeState:
                 verdict is VerifyOutcome.CONTRADICTED
                 and pipe.contradiction_budget > 0
                 and pipe.trigger.cooldown_over(now)
+                and store.latest_smoothed(pipe.link) is not None
             ):
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget -= 1
@@ -472,16 +475,16 @@ class NodeState:
     def _emit_bft(
         self, subject: NodeId, pipe: _LinkPipeline, now: int, ref_seq: Optional[int]
     ) -> SendBft:
-        assert pipe.smoothed is not None
+        _, smoothed = self.store.latest_smoothed(pipe.link)
         msg = BftMessage(
             sender=self.self_id,
             sender_location=self.self_location,
             subject=subject,
-            measured_rssi=Rssi(pipe.smoothed),
+            measured_rssi=Rssi(smoothed),
             ref_seq=ref_seq,
             timestamp=now,
         )
-        pipe.trigger.note_report(pipe.smoothed, now)
+        pipe.trigger.note_report(smoothed, now)
         pipe.pending_since = None
         # own dissent counts toward the local picture as well
         self.store.register_bft(self.self_id, subject, now, now)
@@ -547,9 +550,8 @@ class NodeState:
         if outcome == IGNORE:
             return [Ignore("self-defense", context=f"{inputs}")]
         if outcome == BFT_ABOUT_B:
-            pipe = self._pipelines.get(origin)
-            if pipe is None or pipe.smoothed is None:
-                return [Ignore("no-measurement-of-accuser", context=str(origin))]
+            # self_defense_inputs found a smoothed value, so the pipeline exists
+            pipe = self._pipelines[origin]
             if not pipe.trigger.cooldown_over(now):
                 return [Ignore("bft-cooldown", context=str(origin))]
             return [self._emit_bft(origin, pipe, now, ref_seq=None)]
@@ -673,18 +675,12 @@ class NodeState:
             return self.receive_alert(msg, now, rssi=rssi)
         return [Ignore("unknown-message-type")]
 
-    def tick(
-        self,
-        inbox: list[tuple[Message, Rssi]],
-        sensor_value: Optional[bytes],
-        now: int,
-    ) -> list[Action]:
-        """One protocol round: ingest the inbox, validate the pool, optionally
-        emit a payload. Deterministic in (state, inbox order, now)."""
+    # `now` is keyword-only: perfbench/tracer.py reads it from the call's kwargs
+    def tick(self, inbox: list[tuple[Message, Rssi]], *, now: int) -> list[Action]:
+        """One protocol round: ingest the inbox, then validate the pool.
+        Deterministic in (state, inbox order, now)."""
         actions: list[Action] = []
         for msg, rssi in inbox:
             actions.extend(self.receive_message(msg, rssi, now))
         actions.extend(self.validate_pool(now))
-        if sensor_value is not None:
-            actions.extend(self.emit_payload(sensor_value, now))
         return actions

@@ -203,6 +203,13 @@ class Scenario:
                 if key not in allowed:
                     errors.append(f"{where}: unknown key {key!r}")
 
+        def list_of(key: str) -> list:
+            value = doc.get(key, [])
+            if isinstance(value, list):
+                return value
+            errors.append(f"{key} must be a list")
+            return []
+
         if not isinstance(doc, dict):
             raise ScenarioError(["scenario document must be a JSON object"])
         reject_unknown(
@@ -215,15 +222,17 @@ class Scenario:
         seed = doc.get("seed", 0)
         duration = doc.get("duration", 0)
         tick_ms = doc.get("tick_ms", 1000)
-        if not isinstance(duration, int) or duration < 1:
+        if not _is_int(duration) or duration < 1:
             errors.append("duration must be a positive integer")
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             errors.append("seed must be an integer")
+        if not _is_int(tick_ms) or tick_ms < 1:
+            errors.append("tick_ms must be a positive integer")
 
         nodes: list[NodeSpec] = []
         labels: set[str] = set()
         macs: set[str] = set()
-        for i, nd in enumerate(doc.get("nodes", [])):
+        for i, nd in enumerate(list_of("nodes")):
             where = f"nodes[{i}]"
             if not isinstance(nd, dict):
                 errors.append(f"{where}: must be an object")
@@ -233,7 +242,9 @@ class Scenario:
                 label = str(nd["id"])
                 mac = NodeId.from_str(nd["mac"])
                 pos = Location(*[float(c) for c in nd["position"]])
-                stype = SENSOR_TYPES[nd.get("sensor_type", "temperature")]
+                stype = SENSOR_TYPES.get(nd.get("sensor_type", "temperature"))
+                if stype is None:
+                    raise ValueError(f"unknown sensor_type {nd['sensor_type']!r}")
                 period = int(nd.get("payload_period", 1))
                 if period < 1:
                     raise ValueError("payload_period must be >= 1")
@@ -244,13 +255,15 @@ class Scenario:
                 labels.add(label)
                 macs.add(str(mac))
                 nodes.append(NodeSpec(label, mac, pos, stype, period))
-            except (KeyError, ValueError, TypeError) as exc:
+            except KeyError as exc:
+                errors.append(f"{where}: missing key {exc}")
+            except (ValueError, TypeError) as exc:
                 errors.append(f"{where}: {exc}")
         if not nodes and "nodes" not in doc:
             errors.append("scenario needs a nodes list")
 
         movements: list[MovementSpec] = []
-        for i, mv in enumerate(doc.get("movements", [])):
+        for i, mv in enumerate(list_of("movements")):
             where = f"movements[{i}]"
             if not isinstance(mv, dict):
                 errors.append(f"{where}: must be an object")
@@ -263,14 +276,16 @@ class Scenario:
                 announce = bool(mv.get("announce", True))
                 if node not in labels:
                     raise ValueError(f"unknown node {node!r}")
-                if isinstance(duration, int) and not (0 <= at < duration):
+                if _is_int(duration) and not (0 <= at < duration):
                     raise ValueError(f"movement time {at} outside [0, {duration})")
                 movements.append(MovementSpec(node, at, to, announce))
-            except (KeyError, ValueError, TypeError) as exc:
+            except KeyError as exc:
+                errors.append(f"{where}: missing key {exc}")
+            except (ValueError, TypeError) as exc:
                 errors.append(f"{where}: {exc}")
 
         attacks: list[AttackSpec] = []
-        for i, at_doc in enumerate(doc.get("attacks", [])):
+        for i, at_doc in enumerate(list_of("attacks")):
             where = f"attacks[{i}]"
             if not isinstance(at_doc, dict):
                 errors.append(f"{where}: must be an object")
@@ -280,14 +295,18 @@ class Scenario:
                 kind = AttackKind(at_doc["type"])
                 at = int(at_doc["at"])
                 params = dict(at_doc.get("params", {}))
-                if isinstance(duration, int) and not (0 <= at < duration):
+                if _is_int(duration) and not (0 <= at < duration):
                     raise ValueError(f"attack time {at} outside [0, {duration})")
                 errors.extend(_check_attack_params(kind, params, labels, where))
                 attacks.append(AttackSpec(kind, at, params))
-            except (KeyError, ValueError, TypeError) as exc:
+            except KeyError as exc:
+                errors.append(f"{where}: missing key {exc}")
+            except (ValueError, TypeError) as exc:
                 errors.append(f"{where}: {exc}")
 
-        channel = ChannelConfig(seed=seed if isinstance(seed, int) else 0)
+        if not _is_int(seed):
+            seed = 0
+        channel = ChannelConfig(seed=seed)
         ch_doc = doc.get("channel", {})
         if isinstance(ch_doc, dict):
             reject_unknown(
@@ -303,7 +322,7 @@ class Scenario:
                     noise_sigma=float(ch_doc.get("noise_sigma", 1.0)),
                     asymmetry_jitter=float(ch_doc.get("asymmetry_jitter", 1.0)),
                     range=float(ch_doc.get("range", 30.0)),
-                    seed=seed if isinstance(seed, int) else 0,
+                    seed=seed,
                 )
             except (ValueError, TypeError) as exc:
                 errors.append(f"channel: {exc}")
@@ -378,8 +397,13 @@ class Scenario:
             channel=channel,
             filters=filters,
             protocol=protocol,
-            tick_ms=int(tick_ms),
+            tick_ms=tick_ms,
         )
+
+
+def _is_int(value: Any) -> bool:
+    """An int proper: JSON true/false load as bool, which is an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_attack_params(

@@ -9,7 +9,6 @@ BFT messages backs the distrust predicate's dissent counting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -154,25 +153,6 @@ class TopologyStore:
         if source == RssiSource.REPORTED:
             self._reported.setdefault(link.observed, {})[link.observer] = entry
 
-    def latest_rssi(self, link: LinkKey, source_filter: Optional[RssiSource] = None) -> Optional[Rssi]:
-        """Newest matching sample's value, or None."""
-        history = self._links.get(link)
-        if not history:
-            return None
-        for entry in reversed(history):
-            if source_filter is None or entry.source == source_filter:
-                return Rssi(entry.value)
-        return None
-
-    def latest_entry(self, link: LinkKey, source_filter: Optional[RssiSource] = None) -> Optional[RssiEntry]:
-        history = self._links.get(link)
-        if not history:
-            return None
-        for entry in reversed(history):
-            if source_filter is None or entry.source == source_filter:
-                return entry
-        return None
-
     def history(self, link: LinkKey) -> tuple[RssiEntry, ...]:
         return tuple(self._links.get(link, ()))
 
@@ -200,13 +180,19 @@ class TopologyStore:
         median = tail[(len(tail) - 1) // 2] if len(tail) % 2 == 0 else tail[len(tail) // 2]
         return abs(candidate.value - median) <= tol
 
-    # -- smoothed per-link values (maintained by the owning node) ---------
+    # -- smoothed values of the owning node's own links --------------------
+    # The node's only copy of them: NodeState writes one per counted sample
+    # and clears them all on an announced move, so its readers and the
+    # verifier's own anchor never see a value from before the move.
 
     def update_smoothed(self, link: LinkKey, t: int, value: float) -> None:
         self._smoothed[link] = (t, value)
 
     def latest_smoothed(self, link: LinkKey) -> Optional[tuple[int, float]]:
         return self._smoothed.get(link)
+
+    def clear_smoothed(self) -> None:
+        self._smoothed.clear()
 
     # -- BFT observation log ----------------------------------------------
 
@@ -236,99 +222,3 @@ class TopologyStore:
             obs.sender == sender and obs.subject == subject and obs.emitted_at == emitted_at
             for obs in self._bft_log
         )
-
-    # -- JSON dump / load ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the full store state for fixtures and debugging."""
-        doc = {
-            "self_id": str(self.self_id),
-            "capacity": self.capacity,
-            "peers": [
-                {
-                    "id": str(rec.id),
-                    "sensor_type": int(rec.sensor_type),
-                    "location": list(rec.location.as_tuple()) if rec.location else None,
-                    "trust": rec.trust.value,
-                    "location_verified": rec.location_verified,
-                }
-                for rec in sorted(self.peers.values(), key=lambda r: r.id)
-            ],
-            "links": [
-                {
-                    "observer": str(link.observer),
-                    "observed": str(link.observed),
-                    "history": [
-                        {
-                            "t": e.timestamp,
-                            "rssi": e.value,
-                            "source": int(e.source),
-                            "reporter_location": (
-                                list(e.reporter_location.as_tuple()) if e.reporter_location else None
-                            ),
-                        }
-                        for e in entries
-                    ],
-                }
-                for link, entries in sorted(
-                    self._links.items(), key=lambda kv: (kv[0].observer, kv[0].observed)
-                )
-            ],
-            "smoothed": [
-                {"observer": str(l.observer), "observed": str(l.observed), "t": t, "value": v}
-                for l, (t, v) in sorted(
-                    self._smoothed.items(), key=lambda kv: (kv[0].observer, kv[0].observed)
-                )
-            ],
-            "bft_log": [
-                {
-                    "sender": str(o.sender),
-                    "subject": str(o.subject),
-                    "emitted_at": o.emitted_at,
-                    "seen_at": o.seen_at,
-                }
-                for o in self._bft_log
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TopologyStore":
-        doc = json.loads(text)
-        store = cls(NodeId.from_str(doc["self_id"]), capacity=doc["capacity"])
-        for p in doc["peers"]:
-            store.add_peer(
-                PeerRecord(
-                    id=NodeId.from_str(p["id"]),
-                    sensor_type=SensorType(p["sensor_type"]),
-                    location=Location(*p["location"]) if p["location"] else None,
-                    trust=TrustScore(p["trust"]),
-                    location_verified=p["location_verified"],
-                )
-            )
-        for l in doc["links"]:
-            link = LinkKey(NodeId.from_str(l["observer"]), NodeId.from_str(l["observed"]))
-            entries = [
-                RssiEntry(
-                    e["t"],
-                    e["rssi"],
-                    RssiSource(e["source"]),
-                    Location(*e["reporter_location"]) if e["reporter_location"] else None,
-                )
-                for e in l["history"]
-            ]
-            store._links[link] = entries
-            for entry in entries:
-                if entry.source == RssiSource.REPORTED:
-                    store._reported.setdefault(link.observed, {})[link.observer] = entry
-        for s in doc["smoothed"]:
-            link = LinkKey(NodeId.from_str(s["observer"]), NodeId.from_str(s["observed"]))
-            store._smoothed[link] = (s["t"], s["value"])
-        for o in doc["bft_log"]:
-            store.register_bft(
-                NodeId.from_str(o["sender"]),
-                NodeId.from_str(o["subject"]),
-                o["emitted_at"],
-                o["seen_at"],
-            )
-        return store

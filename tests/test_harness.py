@@ -160,10 +160,10 @@ class TestStreamedTraces:
 
         tick = NodeState.tick
 
-        def failing_tick(self, inbox, sensor_value, now):
+        def failing_tick(self, inbox, *, now):
             if now == 5:
                 raise RuntimeError("tick 5 failed")
-            return tick(self, inbox, sensor_value, now)
+            return tick(self, inbox, now=now)
 
         monkeypatch.setattr(polsim.harness, "open", recording_open, raising=False)
         monkeypatch.setattr(NodeState, "tick", failing_tick)

@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsim.localization import PathLossModel, rssi_from_distance
+from polsim.localization import PathLossModel, gather_anchors, rssi_from_distance
 from polsim.messages import (
     AlertMessage,
     AlertType,
@@ -108,7 +108,8 @@ class TestReceivePayload:
         actions = node.receive_payload(msg, Rssi(-52.0), 10)
         assert actions == []
         assert len(node.pool) == 1
-        assert node.store.latest_rssi(LinkKey(ME, PEER), RssiSource.MEASURED).value == -52.0
+        newest = node.store.history(LinkKey(ME, PEER))[-1]
+        assert (newest.value, newest.source) == (-52.0, RssiSource.MEASURED)
 
     def test_duplicate_seq_single_pool_entry(self):
         node = make_node()
@@ -117,7 +118,7 @@ class TestReceivePayload:
         node.receive_payload(msg, Rssi(-53.0), 11)
         assert len(node.pool) == 1
         # the second reception's RSSI is still recorded
-        assert node.store.latest_rssi(LinkKey(ME, PEER)).value == -53.0
+        assert node.store.history(LinkKey(ME, PEER))[-1].value == -53.0
 
     def test_stale_message_ignored(self):
         node = make_node()
@@ -218,7 +219,7 @@ class TestValidatePool:
         stored = [a for a in actions if isinstance(a, StoreTrusted)]
         assert len(stored) == 2
         assert len(node.pool) == 0
-        assert [m.seq for m in node.trusted] == [1, 2]
+        assert [a.message.seq for a in stored] == [1, 2]
 
     def test_displaced_sender_draws_bft(self):
         node = make_node()
@@ -274,8 +275,10 @@ class TestReceiveBft:
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-47.0), None, 20)
         actions = node.receive_bft(msg, Rssi(-51.0), 21)
         assert actions == []
-        assert node.store.latest_rssi(LinkKey(PEER, OTHER), RssiSource.REPORTED).value == -47.0
-        assert node.store.latest_rssi(LinkKey(ME, PEER), RssiSource.MEASURED).value == -51.0
+        reported = node.store.history(LinkKey(PEER, OTHER))[-1]
+        assert (reported.value, reported.source) == (-47.0, RssiSource.REPORTED)
+        measured = node.store.history(LinkKey(ME, PEER))[-1]
+        assert (measured.value, measured.source) == (-51.0, RssiSource.MEASURED)
         assert node.store.count_recent_bft(OTHER, 100, 21) == 1
 
     def test_bft_about_self_dispatches_self_defense(self):
@@ -464,22 +467,17 @@ class TestTick:
             (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-47.0), None, 9), Rssi(-48.0)),
         ]
         n1, n2 = copy.deepcopy(node), copy.deepcopy(node)
-        a1 = n1.tick(list(inbox), b"\x01", 10)
-        a2 = n2.tick(list(inbox), b"\x01", 10)
+        a1 = n1.tick(list(inbox), now=10)
+        a2 = n2.tick(list(inbox), now=10)
         assert repr(a1) == repr(a2)
-        assert n1.store.to_json() == n2.store.to_json()
+        assert vars(n1.store) == vars(n2.store)
 
     def test_empty_tick_only_expires(self):
         node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
         node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 0), Rssi(-50.0), 1)
-        assert node.tick([], None, 3) == []
-        actions = node.tick([], None, 50)
+        assert node.tick([], now=3) == []
+        actions = node.tick([], now=50)
         assert [a.reason for a in actions if isinstance(a, Ignore)] == ["expired"]
-
-    def test_sensor_value_emits_payload(self):
-        node = make_node()
-        actions = node.tick([], b"\x09", 5)
-        assert any(isinstance(a, SendPayload) for a in actions)
 
 
 class TestConfigurableSmoother:
@@ -547,6 +545,20 @@ class TestMovedFlag:
         assert node.smoothed_rssi(PEER) is not None
         node.on_moved(Location(1.0, 0.0, 0.0), 10, announce=True)
         assert node.smoothed_rssi(PEER) is None
+
+    def test_announced_move_leaves_no_stale_own_anchor(self):
+        node = make_node()
+        for t in range(10):
+            node.ingest_sample(PEER, Rssi(-50.0), t)
+        moved_to = Location(1.0, 0.0, 0.0)
+        node.on_moved(moved_to, 10, announce=True)
+        assert node.smoothed_rssi(PEER) is None
+        assert gather_anchors(PEER, node.store, moved_to, 10, freshness=45) == []
+        node.ingest_sample(PEER, Rssi(-60.0), 11)
+        assert node.smoothed_rssi(PEER) == pytest.approx(-60.0)
+        (own,) = gather_anchors(PEER, node.store, moved_to, 11, freshness=45)
+        assert own.anchor == moved_to
+        assert own.rssi.value == pytest.approx(-60.0)
 
 
 class TestProtocolParamsBounds:

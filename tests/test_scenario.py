@@ -1,6 +1,7 @@
 """Scenario validation and the builtin experiment definitions."""
 
 import json
+import math
 
 import pytest
 
@@ -104,6 +105,42 @@ class TestValidation:
             Scenario.from_dict(doc)
 
     @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"nodes": 5}, "nodes must be a list"),
+            ({"movements": 5}, "movements must be a list"),
+            ({"attacks": 5}, "attacks must be a list"),
+            ({"tick_ms": "x"}, "tick_ms must be a positive integer"),
+            ({"tick_ms": 2.5}, "tick_ms must be a positive integer"),
+            ({"tick_ms": True}, "tick_ms must be a positive integer"),
+            ({"duration": True}, "duration must be a positive integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"nodes": [{"mac": "02:00:00:00:00:01", "position": [0, 0, 0]}]},
+             r"nodes\[0\]: missing key 'id'"),
+            ({"movements": [{"node": "a", "at": 3}]}, r"movements\[0\]: missing key 'to'"),
+            ({"attacks": [{"at": 3}]}, r"attacks\[0\]: missing key 'type'"),
+        ],
+        ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
+             "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "node-missing-id",
+             "movement-missing-to", "attack-missing-type"],
+    )
+    def test_malformed_document_is_a_scenario_error(self, patch, message):
+        doc = minimal_doc()
+        doc.update(patch)
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_dict(doc)
+
+    def test_malformed_document_exits_1_before_running(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        doc = minimal_doc()
+        doc["nodes"] = 5
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+        assert "scenario error: nodes must be a list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "filters, message",
         [
             ({"smoother_params": {"window": 4}}, "odd"),
@@ -157,7 +194,8 @@ class TestBuiltins:
         labels = list(nodes)
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
-                d = nodes[a].position.plane_distance_to(nodes[b].position)
+                pa, pb = nodes[a].position, nodes[b].position
+                d = math.hypot(pa.x - pb.x, pa.y - pb.y)
                 assert 0.5 <= d <= 2.3, (a, b, d)
 
     def test_fig7_movement_schedule(self):

@@ -1,9 +1,9 @@
-"""Topology store: histories, trust, dissent counting, JSON round-trip."""
+"""Topology store: histories, trust, dissent counting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsim.messages import Location, NodeId, Rssi, RssiSource, TrustScore
+from polsim.messages import NodeId, Rssi, RssiSource, TrustScore
 from polsim.topology import (
     LinkKey,
     OrderingError,
@@ -67,25 +67,6 @@ class TestRecordRssi:
         store.record_rssi(link, 5, Rssi(-40.0), RssiSource.MEASURED)
         with pytest.raises(OrderingError):
             store.record_rssi(link, 4, Rssi(-40.0), RssiSource.MEASURED)
-
-
-class TestLatestRssi:
-    def test_unknown_link_absent(self):
-        assert make_store().latest_rssi(LinkKey(A, B)) is None
-
-    def test_newest_wins(self):
-        store = make_store()
-        link = LinkKey(A, B)
-        store.record_rssi(link, 1, Rssi(-40.0), RssiSource.MEASURED)
-        store.record_rssi(link, 2, Rssi(-46.0), RssiSource.MEASURED)
-        assert store.latest_rssi(link).value == -46.0
-
-    def test_source_filter(self):
-        store = make_store()
-        link = LinkKey(A, B)
-        store.record_rssi(link, 1, Rssi(-40.0), RssiSource.REPORTED)
-        assert store.latest_rssi(link, RssiSource.MEASURED) is None
-        assert store.latest_rssi(link, RssiSource.REPORTED).value == -40.0
 
 
 class TestHistoryConsistent:
@@ -200,28 +181,3 @@ class TestStoreProperties:
             except OrderingError:
                 pass
         assert all(link.observer != link.observed for link in store.links())
-
-
-class TestJsonRoundTrip:
-    def test_full_state_roundtrip(self):
-        store = make_store()
-        store.peers[B].trust = TrustScore(0.7)
-        store.peers[C].location = Location(1.0, 2.0, 3.0)
-        store.record_rssi(LinkKey(A, B), 1, Rssi(-44.0), RssiSource.MEASURED)
-        store.record_rssi(
-            LinkKey(B, C), 2, Rssi(-50.0), RssiSource.REPORTED,
-            reporter_location=Location(0.5, 0.5, 0.0),
-        )
-        store.update_smoothed(LinkKey(A, B), 1, -44.2)
-        store.register_bft(B, C, 3, 4)
-
-        clone = TopologyStore.from_json(store.to_json())
-        assert clone.self_id == store.self_id
-        assert clone.peers[B].trust.value == pytest.approx(0.7)
-        assert clone.peers[C].location == Location(1.0, 2.0, 3.0)
-        assert clone.history(LinkKey(A, B)) == store.history(LinkKey(A, B))
-        assert clone.history(LinkKey(B, C)) == store.history(LinkKey(B, C))
-        assert clone.latest_smoothed(LinkKey(A, B)) == (1, -44.2)
-        assert clone.count_recent_bft(C, 100, 10) == 1
-        assert clone.latest_reports_of(C)[B].value == -50.0
-        assert clone.to_json() == store.to_json()
