@@ -67,7 +67,7 @@ class RadioChannel:
         except KeyError:
             raise UnknownNodeError(str(node)) from None
 
-    def move(self, node: NodeId, to: Location, now: int = 0) -> None:
+    def move(self, node: NodeId, to: Location) -> None:
         if node not in self._positions:
             raise UnknownNodeError(str(node))
         self._positions[node] = to

@@ -434,7 +434,7 @@ def check_determinism(workdir: str, seed: int = 7) -> CheckResult:
 
     paths = []
     for attempt in ("a", "b"):
-        res = run(builtin_scenario("paper-fig7", seed=seed).with_seed(seed), collect_rssi=True)
+        res = run(builtin_scenario("paper-fig7", seed=seed), collect_rssi=True)
         paths.append(write_traces(res, str(Path(workdir) / attempt)))
     for key in ("rssi", "events"):
         a = paths[0][key].read_bytes()

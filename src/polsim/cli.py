@@ -17,7 +17,8 @@ from typing import Optional
 from . import filters
 from .checks import BUILTIN_CHECKS, check_determinism
 from .filters import FILTER_NAMES, TriggerState, make_filter
-from .harness import run
+from .harness import MOVEMENT_SETTLE_WINDOW, run
+from .protocol import FilterParams
 from .scenario import BUILTIN_NAMES, Scenario, ScenarioError, builtin_scenario
 
 EXIT_OK = 0
@@ -252,16 +253,27 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list of filters ({', '.join(FILTER_NAMES)})",
     )
     p_filters.add_argument("--params", default=None, help="JSON object of per-filter parameters")
-    p_filters.add_argument("--threshold", type=float, default=6.0, help="trigger threshold in dB")
+    p_filters.add_argument(
+        "--threshold", type=float, default=FilterParams.trigger_threshold, help="trigger threshold in dB"
+    )
     p_filters.add_argument(
         "--threshold-sweep", dest="threshold_sweep", default=None, help="LO:HI:STEP sweep of thresholds"
     )
     p_filters.add_argument(
         "--movements", default=None, help="comma list of known movement ticks for latency stats"
     )
-    p_filters.add_argument("--settle-window", type=int, default=120, help="ticks after a movement not counted static")
-    p_filters.add_argument("--cooldown", type=int, default=30, help="trigger cooldown in ticks")
-    p_filters.add_argument("--warmup", type=int, default=10, help="samples skipped before triggering")
+    p_filters.add_argument(
+        "--settle-window",
+        type=int,
+        default=MOVEMENT_SETTLE_WINDOW,
+        help="ticks after a movement not counted static",
+    )
+    p_filters.add_argument(
+        "--cooldown", type=int, default=FilterParams.trigger_cooldown, help="trigger cooldown in ticks"
+    )
+    p_filters.add_argument(
+        "--warmup", type=int, default=FilterParams.warmup, help="samples skipped before triggering"
+    )
     p_filters.add_argument("--out", default=None, help="directory for report and smoothed CSVs")
     p_filters.set_defaults(func=cmd_filters)
 

@@ -228,11 +228,11 @@ class _AttackDriver:
     """Expands an attack spec into per-tick injected broadcasts."""
 
     def __init__(self, spec: AttackSpec, scenario: Scenario, index: int):
-        self.spec = spec
         self.kind = spec.kind
         self.params = spec.params
         self.at = spec.at
         self.until = spec.params.get("until", scenario.duration)
+        self.period = spec.params.get("period", 1)
         self.counter = 0
         self.victim = scenario.node(spec.params["victim"])
         self.grid = scenario.protocol.location_grid
@@ -250,19 +250,18 @@ class _AttackDriver:
         self.capture_at = spec.params.get("capture_at")
 
     def active(self, tick: int) -> bool:
-        period = int(self.params.get("period", 1))
         if tick < self.at or tick > self.until:
             return False
         if self.kind is AttackKind.REPLAY:
             count = self.params.get("count")
             if count is not None and self.counter >= count:
                 return False
-        return (tick - self.at) % period == 0
+        return (tick - self.at) % self.period == 0
 
     def suppresses_payload_of(self, label: str, tick: int) -> bool:
         return (
             self.kind is AttackKind.IDENTITY_SPOOF
-            and bool(self.params.get("suppress_victim", True))
+            and self.params.get("suppress_victim", True)
             and label == self.victim.label
             and tick >= self.at
         )
@@ -520,7 +519,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
         # 1. movements and attack captures
         for mv in movements_by_tick.get(tick, ()):
             mac = scenario.node(mv.node).mac
-            channel.move(mac, mv.to, tick)
+            channel.move(mac, mv.to)
             nodes[mac].on_moved(mv.to, tick, mv.announce)
 
         # 2. collect this tick's broadcasts: payloads, queued actions, attacks
@@ -659,11 +658,8 @@ def _build_metrics(
         static_false_positive_bft=static_fp,
         trust_final={obs: dict(sorted(snap.items())) for obs, snap in trust_snapshot.items()},
         trust_timeline=trust_timeline,
-        movements=[
-            {"node": m.node, "at": m.at, "to": list(m.to.as_tuple()), "announce": m.announce}
-            for m in scenario.movements
-        ],
-        attacks=[{"type": a.kind.value, "at": a.at, "params": dict(a.params)} for a in scenario.attacks],
+        movements=[m.to_dict() for m in scenario.movements],
+        attacks=[a.to_dict() for a in scenario.attacks],
     )
 
 

@@ -63,7 +63,6 @@ class ProtocolParams:
     max_gdop: float = 4.0           # geometry confidence bound for verification
     alert_cooldown: int = 30        # ticks between alerts per (type, object)
     moved_ttl: int = 120            # ticks the own-movement flag stays raised
-    initial_trust: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
@@ -80,8 +79,6 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.min_anchors < 4:
             raise ValueError("min_anchors must be >= 4 (a 3-D solve needs four)")
-        if not (0.0 <= self.initial_trust <= 1.0):
-            raise ValueError("initial_trust must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -364,10 +361,10 @@ class NodeState:
         return int(fixed)
 
     def distrust(self, target: NodeId, now: int) -> bool:
-        """Low trust in the target, or enough distinct peers questioned it."""
+        """Low trust in the target (one with no peer record is trusted), or
+        enough distinct peers questioned it."""
         rec = self.store.peer(target)
-        trust = rec.trust.value if rec is not None else self.params.initial_trust
-        if trust < self.params.epsilon:
+        if rec is not None and rec.trust.value < self.params.epsilon:
             return True
         count = self.store.count_recent_bft(target, self.params.bft_window, now)
         return count > self.tau(now)

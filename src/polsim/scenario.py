@@ -10,13 +10,13 @@ lying-BFT attack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Any
+from typing import Any, Callable, Optional, get_type_hints
 
 from .channel import ChannelConfig
 from .localization import PathLossModel
-from .messages import Location, NodeId, SensorType
+from .messages import RSSI_MAX, RSSI_MIN, Location, NodeId, SensorType
 from .protocol import FilterParams, ProtocolParams
 
 
@@ -53,6 +53,9 @@ class MovementSpec:
     to: Location
     announce: bool = True
 
+    def to_dict(self) -> dict[str, Any]:
+        return {"node": self.node, "at": self.at, "to": list(self.to.as_tuple()), "announce": self.announce}
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -60,11 +63,13 @@ class AttackSpec:
     at: int
     params: dict[str, Any] = field(default_factory=dict)
 
+    def to_dict(self) -> dict[str, Any]:
+        return {"type": self.kind.value, "at": self.at, "params": dict(self.params)}
+
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    seed: int
     duration: int
     nodes: tuple[NodeSpec, ...]
     movements: tuple[MovementSpec, ...] = ()
@@ -72,7 +77,11 @@ class Scenario:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     filters: FilterParams = FilterParams()  # frozen, so one validated default serves all
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
-    tick_ms: int = 1000
+
+    @property
+    def seed(self) -> int:
+        """The run seed; the channel's noise and link jitter are its only consumers."""
+        return self.channel.seed
 
     def node(self, label: str) -> NodeSpec:
         for spec in self.nodes:
@@ -81,47 +90,10 @@ class Scenario:
         raise KeyError(label)
 
     def with_seed(self, seed: int) -> "Scenario":
-        channel = ChannelConfig(
-            model=self.channel.model,
-            noise_sigma=self.channel.noise_sigma,
-            asymmetry_jitter=self.channel.asymmetry_jitter,
-            range=self.channel.range,
-            seed=seed,
-        )
-        return Scenario(
-            name=self.name,
-            seed=seed,
-            duration=self.duration,
-            nodes=self.nodes,
-            movements=self.movements,
-            attacks=self.attacks,
-            channel=channel,
-            filters=self.filters,
-            protocol=self.protocol,
-            tick_ms=self.tick_ms,
-        )
+        return self.with_channel(seed=seed)
 
     def with_channel(self, **overrides: Any) -> "Scenario":
-        base = {
-            "model": self.channel.model,
-            "noise_sigma": self.channel.noise_sigma,
-            "asymmetry_jitter": self.channel.asymmetry_jitter,
-            "range": self.channel.range,
-            "seed": self.channel.seed,
-        }
-        base.update(overrides)
-        return Scenario(
-            name=self.name,
-            seed=self.seed,
-            duration=self.duration,
-            nodes=self.nodes,
-            movements=self.movements,
-            attacks=self.attacks,
-            channel=ChannelConfig(**base),
-            filters=self.filters,
-            protocol=self.protocol,
-            tick_ms=self.tick_ms,
-        )
+        return replace(self, channel=replace(self.channel, **overrides))
 
     # -- JSON ------------------------------------------------------------
 
@@ -130,7 +102,6 @@ class Scenario:
             "name": self.name,
             "seed": self.seed,
             "duration": self.duration,
-            "tick_ms": self.tick_ms,
             "nodes": [
                 {
                     "id": n.label,
@@ -141,46 +112,11 @@ class Scenario:
                 }
                 for n in self.nodes
             ],
-            "movements": [
-                {"node": m.node, "at": m.at, "to": list(m.to.as_tuple()), "announce": m.announce}
-                for m in self.movements
-            ],
-            "attacks": [
-                {"type": a.kind.value, "at": a.at, "params": dict(a.params)} for a in self.attacks
-            ],
-            "channel": {
-                "p0": self.channel.model.p0,
-                "n": self.channel.model.n,
-                "d0": self.channel.model.d0,
-                "noise_sigma": self.channel.noise_sigma,
-                "asymmetry_jitter": self.channel.asymmetry_jitter,
-                "range": self.channel.range,
-            },
-            "filters": {
-                "trigger_threshold": self.filters.trigger_threshold,
-                "trigger_cooldown": self.filters.trigger_cooldown,
-                "warmup": self.filters.warmup,
-                "smoother": self.filters.smoother,
-                "smoother_params": self.filters.smoother_params,
-            },
-            "protocol": {
-                "epsilon": self.protocol.epsilon,
-                "tau": self.protocol.tau,
-                "trust_step": self.protocol.trust_step,
-                "consistency_tol": self.protocol.consistency_tol,
-                "pool_ttl": self.protocol.pool_ttl,
-                "bft_window": self.protocol.bft_window,
-                "history_window": self.protocol.history_window,
-                "location_grid": self.protocol.location_grid,
-                "verify_slack_cells": self.protocol.verify_slack_cells,
-                "min_anchors": self.protocol.min_anchors,
-                "anchor_freshness": self.protocol.anchor_freshness,
-                "residual_cap": self.protocol.residual_cap,
-                "max_gdop": self.protocol.max_gdop,
-                "alert_cooldown": self.protocol.alert_cooldown,
-                "moved_ttl": self.protocol.moved_ttl,
-                "initial_trust": self.protocol.initial_trust,
-            },
+            "movements": [m.to_dict() for m in self.movements],
+            "attacks": [a.to_dict() for a in self.attacks],
+            "channel": {**_values(self.channel.model, _MODEL_KINDS), **_values(self.channel, _CHANNEL_KINDS)},
+            "filters": _values(self.filters, _FILTER_KINDS),
+            "protocol": _values(self.protocol, _PROTOCOL_KINDS),
         }
 
     def to_json(self) -> str:
@@ -196,200 +132,85 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Scenario":
-        errors: list[str] = []
-
-        def reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-            for key in obj:
-                if key not in allowed:
-                    errors.append(f"{where}: unknown key {key!r}")
-
-        def list_of(key: str) -> list:
-            value = doc.get(key, [])
-            if isinstance(value, list):
-                return value
-            errors.append(f"{key} must be a list")
-            return []
-
         if not isinstance(doc, dict):
             raise ScenarioError(["scenario document must be a JSON object"])
-        reject_unknown(
-            doc,
-            {"name", "seed", "duration", "tick_ms", "nodes", "movements", "attacks",
-             "channel", "filters", "protocol"},
-            "scenario",
-        )
-        name = doc.get("name", "custom")
-        seed = doc.get("seed", 0)
-        duration = doc.get("duration", 0)
-        tick_ms = doc.get("tick_ms", 1000)
-        if not _is_int(duration) or duration < 1:
-            errors.append("duration must be a positive integer")
-        if not _is_int(seed):
-            errors.append("seed must be an integer")
-        if not _is_int(tick_ms) or tick_ms < 1:
-            errors.append("tick_ms must be a positive integer")
+        errors: list[str] = []
+        top = _checked(doc, _TOP_KINDS, "", errors, ("duration", "nodes"))
+        duration = top.get("duration")
 
         nodes: list[NodeSpec] = []
         labels: set[str] = set()
-        macs: set[str] = set()
-        for i, nd in enumerate(list_of("nodes")):
-            where = f"nodes[{i}]"
-            if not isinstance(nd, dict):
-                errors.append(f"{where}: must be an object")
+        macs: set[NodeId] = set()
+        for i, nd in enumerate(top.get("nodes", ())):
+            where = f"nodes[{i}]: "
+            seen = len(errors)
+            spec = _checked(nd, _NODE_KINDS, where, errors, ("id", "mac", "position"))
+            if len(errors) > seen:
                 continue
-            reject_unknown(nd, {"id", "mac", "position", "sensor_type", "payload_period"}, where)
+            label = spec.pop("id")
             try:
-                label = str(nd["id"])
-                mac = NodeId.from_str(nd["mac"])
-                pos = Location(*[float(c) for c in nd["position"]])
-                stype = SENSOR_TYPES.get(nd.get("sensor_type", "temperature"))
-                if stype is None:
-                    raise ValueError(f"unknown sensor_type {nd['sensor_type']!r}")
-                period = int(nd.get("payload_period", 1))
-                if period < 1:
-                    raise ValueError("payload_period must be >= 1")
-                if label in labels:
-                    raise ValueError(f"duplicate node id {label!r}")
-                if str(mac) in macs:
-                    raise ValueError(f"duplicate mac {mac}")
+                mac = NodeId.from_str(spec.pop("mac"))
+            except ValueError as exc:
+                errors.append(f"{where}{exc}")
+                continue
+            if label in labels:
+                errors.append(f"{where}duplicate node id {label!r}")
+            elif mac in macs:
+                errors.append(f"{where}duplicate mac {mac}")
+            else:
                 labels.add(label)
-                macs.add(str(mac))
-                nodes.append(NodeSpec(label, mac, pos, stype, period))
-            except KeyError as exc:
-                errors.append(f"{where}: missing key {exc}")
-            except (ValueError, TypeError) as exc:
-                errors.append(f"{where}: {exc}")
-        if not nodes and "nodes" not in doc:
-            errors.append("scenario needs a nodes list")
+                macs.add(mac)
+                nodes.append(NodeSpec(label, mac, **spec))
+
+        def in_run(at: int, what: str, where: str) -> bool:
+            if duration is None or 0 <= at < duration:
+                return True
+            errors.append(f"{where}{what} time {at} outside [0, {duration})")
+            return False
 
         movements: list[MovementSpec] = []
-        for i, mv in enumerate(list_of("movements")):
-            where = f"movements[{i}]"
-            if not isinstance(mv, dict):
-                errors.append(f"{where}: must be an object")
+        for i, mv in enumerate(top.get("movements", ())):
+            where = f"movements[{i}]: "
+            seen = len(errors)
+            spec = _checked(mv, _MOVEMENT_KINDS, where, errors, ("node", "at", "to"))
+            if len(errors) > seen:
                 continue
-            reject_unknown(mv, {"node", "at", "to", "announce"}, where)
-            try:
-                node = str(mv["node"])
-                at = int(mv["at"])
-                to = Location(*[float(c) for c in mv["to"]])
-                announce = bool(mv.get("announce", True))
-                if node not in labels:
-                    raise ValueError(f"unknown node {node!r}")
-                if _is_int(duration) and not (0 <= at < duration):
-                    raise ValueError(f"movement time {at} outside [0, {duration})")
-                movements.append(MovementSpec(node, at, to, announce))
-            except KeyError as exc:
-                errors.append(f"{where}: missing key {exc}")
-            except (ValueError, TypeError) as exc:
-                errors.append(f"{where}: {exc}")
+            if spec["node"] not in labels:
+                errors.append(f"{where}unknown node {spec['node']!r}")
+            elif in_run(spec["at"], "movement", where):
+                movements.append(MovementSpec(**spec))
 
         attacks: list[AttackSpec] = []
-        for i, at_doc in enumerate(list_of("attacks")):
-            where = f"attacks[{i}]"
-            if not isinstance(at_doc, dict):
-                errors.append(f"{where}: must be an object")
+        for i, ad in enumerate(top.get("attacks", ())):
+            where = f"attacks[{i}]: "
+            seen = len(errors)
+            spec = _checked(ad, _ATTACK_KINDS, where, errors, ("type", "at"))
+            if len(errors) > seen:
                 continue
-            reject_unknown(at_doc, {"type", "at", "params"}, where)
-            try:
-                kind = AttackKind(at_doc["type"])
-                at = int(at_doc["at"])
-                params = dict(at_doc.get("params", {}))
-                if _is_int(duration) and not (0 <= at < duration):
-                    raise ValueError(f"attack time {at} outside [0, {duration})")
-                errors.extend(_check_attack_params(kind, params, labels, where))
-                attacks.append(AttackSpec(kind, at, params))
-            except KeyError as exc:
-                errors.append(f"{where}: missing key {exc}")
-            except (ValueError, TypeError) as exc:
-                errors.append(f"{where}: {exc}")
+            kind = spec["type"]
+            kinds, required = _ATTACK_PARAMS[kind]
+            params = _checked(spec.get("params", {}), kinds, f"{where}params: ", errors, required)
+            for role in ("victim", "attacker"):
+                if role in params and params[role] not in labels:
+                    errors.append(f"{where}{role} {params[role]!r} is not a scenario node")
+            if in_run(spec["at"], "attack", where) and len(errors) == seen:
+                attacks.append(AttackSpec(kind, spec["at"], params))
 
-        if not _is_int(seed):
-            seed = 0
-        channel = ChannelConfig(seed=seed)
-        ch_doc = doc.get("channel", {})
-        if isinstance(ch_doc, dict):
-            reject_unknown(
-                ch_doc, {"p0", "n", "d0", "noise_sigma", "asymmetry_jitter", "range"}, "channel"
-            )
-            try:
-                channel = ChannelConfig(
-                    model=PathLossModel(
-                        p0=float(ch_doc.get("p0", -40.0)),
-                        n=float(ch_doc.get("n", 2.0)),
-                        d0=float(ch_doc.get("d0", 1.0)),
-                    ),
-                    noise_sigma=float(ch_doc.get("noise_sigma", 1.0)),
-                    asymmetry_jitter=float(ch_doc.get("asymmetry_jitter", 1.0)),
-                    range=float(ch_doc.get("range", 30.0)),
-                    seed=seed,
-                )
-            except (ValueError, TypeError) as exc:
-                errors.append(f"channel: {exc}")
-        else:
-            errors.append("channel: must be an object")
-
-        filters = FilterParams()
-        f_doc = doc.get("filters", {})
-        if isinstance(f_doc, dict):
-            reject_unknown(
-                f_doc,
-                {"trigger_threshold", "trigger_cooldown", "warmup", "smoother", "smoother_params"},
-                "filters",
-            )
-            try:
-                filters = FilterParams(
-                    trigger_threshold=float(f_doc.get("trigger_threshold", 6.0)),
-                    trigger_cooldown=int(f_doc.get("trigger_cooldown", 30)),
-                    warmup=int(f_doc.get("warmup", 10)),
-                    smoother=str(f_doc.get("smoother", "median_kalman")),
-                    smoother_params=f_doc.get("smoother_params"),
-                )
-            except (ValueError, TypeError) as exc:
-                errors.append(f"filters: {exc}")
-        else:
-            errors.append("filters: must be an object")
-
-        protocol = ProtocolParams()
-        p_doc = doc.get("protocol", {})
-        if isinstance(p_doc, dict):
-            reject_unknown(
-                p_doc,
-                {"epsilon", "tau", "trust_step", "consistency_tol", "pool_ttl", "bft_window",
-                 "history_window", "location_grid", "verify_slack_cells", "min_anchors",
-                 "anchor_freshness", "residual_cap", "max_gdop", "alert_cooldown",
-                 "moved_ttl", "initial_trust"},
-                "protocol",
-            )
-            try:
-                protocol = ProtocolParams(
-                    epsilon=float(p_doc.get("epsilon", 0.3)),
-                    tau=(float(p_doc["tau"]) if p_doc.get("tau") is not None else None),
-                    trust_step=float(p_doc.get("trust_step", 0.1)),
-                    consistency_tol=float(p_doc.get("consistency_tol", 5.0)),
-                    pool_ttl=int(p_doc.get("pool_ttl", 120)),
-                    bft_window=int(p_doc.get("bft_window", 120)),
-                    history_window=int(p_doc.get("history_window", 64)),
-                    location_grid=float(p_doc.get("location_grid", 0.5)),
-                    verify_slack_cells=int(p_doc.get("verify_slack_cells", 1)),
-                    min_anchors=int(p_doc.get("min_anchors", 4)),
-                    anchor_freshness=int(p_doc.get("anchor_freshness", 45)),
-                    residual_cap=float(p_doc.get("residual_cap", 0.5)),
-                    max_gdop=float(p_doc.get("max_gdop", 4.0)),
-                    alert_cooldown=int(p_doc.get("alert_cooldown", 30)),
-                    moved_ttl=int(p_doc.get("moved_ttl", 120)),
-                    initial_trust=float(p_doc.get("initial_trust", 1.0)),
-                )
-            except (ValueError, TypeError) as exc:
-                errors.append(f"protocol: {exc}")
-        else:
-            errors.append("protocol: must be an object")
+        channel = _checked(top.get("channel", {}), _CHANNEL_SECTION, "channel: ", errors)
+        model = {key: channel.pop(key) for key in _MODEL_KINDS if key in channel}
+        channel["model"] = _built(PathLossModel, model, "channel: ", errors)
+        if "seed" in top:
+            channel["seed"] = top["seed"]
+        filters = _checked(top.get("filters", {}), _FILTER_KINDS, "filters: ", errors)
+        protocol = _checked(top.get("protocol", {}), _PROTOCOL_KINDS, "protocol: ", errors)
+        channel = _built(ChannelConfig, channel, "channel: ", errors)
+        filters = _built(FilterParams, filters, "filters: ", errors)
+        protocol = _built(ProtocolParams, protocol, "protocol: ", errors)
 
         if errors:
             raise ScenarioError(errors)
         return cls(
-            name=str(name),
-            seed=seed,
+            name=top.get("name", "custom"),
             duration=duration,
             nodes=tuple(nodes),
             movements=tuple(movements),
@@ -397,42 +218,152 @@ class Scenario:
             channel=channel,
             filters=filters,
             protocol=protocol,
-            tick_ms=tick_ms,
         )
 
 
-def _is_int(value: Any) -> bool:
-    """An int proper: JSON true/false load as bool, which is an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# -- kinds of document values --------------------------------------------------
+#
+# A kind takes a document value and returns what is stored, or raises
+# ValueError saying what the value must be. Each value gets one type test:
+# JSON true/false load as bool, an int subclass, so a bool is never a number,
+# and a string is never parsed as one. An int given for a number is stored as
+# a float, so a document round-trips unchanged.
+
+Kind = Callable[[Any], Any]
+_NUMBER_TYPES = (int, float)
 
 
-def _check_attack_params(
-    kind: AttackKind, params: dict[str, Any], labels: set[str], where: str
-) -> list[str]:
-    errors: list[str] = []
-    allowed = {
-        AttackKind.IDENTITY_SPOOF: {"victim", "attacker_position", "period", "suppress_victim", "until"},
-        AttackKind.MALICIOUS_BFT: {"attacker", "victim", "fake_rssi", "period", "until"},
-        AttackKind.REPLAY: {"victim", "attacker_position", "period", "capture_at", "count"},
-    }[kind]
-    for key in params:
-        if key not in allowed:
-            errors.append(f"{where}: unknown param {key!r} for {kind.value}")
-    for role in ("victim", "attacker"):
-        if role in allowed and role in params and params[role] not in labels:
-            errors.append(f"{where}: {role} {params[role]!r} is not a scenario node")
-    if "victim" in allowed and "victim" not in params:
-        errors.append(f"{where}: {kind.value} needs a victim")
-    if kind is AttackKind.MALICIOUS_BFT and "attacker" not in params:
-        errors.append(f"{where}: {kind.value} needs an attacker")
-    if kind in (AttackKind.IDENTITY_SPOOF, AttackKind.REPLAY):
-        pos = params.get("attacker_position")
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 3):
-            errors.append(f"{where}: attacker_position must be [x, y, z]")
-    period = params.get("period", 1)
-    if not isinstance(period, int) or period < 1:
-        errors.append(f"{where}: period must be a positive integer")
-    return errors
+def _kind(types: tuple[type, ...], what: str, ok: Optional[Callable[[Any], bool]] = None) -> Kind:
+    widen = float in types
+
+    def check(value: Any) -> Any:
+        t = type(value)
+        if t not in types or (ok is not None and not ok(value)):
+            raise ValueError(f"must be {what}, not {value!r}")
+        return float(value) if widen and t is int else value
+
+    return check
+
+
+_INT = _kind((int,), "an integer")
+_POSITIVE_INT = _kind((int,), "a positive integer", lambda v: v >= 1)
+_OPTIONAL_INT = _kind((int, type(None)), "an integer or null")
+_NUMBER = _kind(_NUMBER_TYPES, "a number")
+_BOOL = _kind((bool,), "true or false")
+_STR = _kind((str,), "a string")
+_LIST = _kind((list,), "a list")
+_OBJECT = _kind((dict,), "an object")
+_RSSI = _kind(_NUMBER_TYPES, f"a number in [{RSSI_MIN}, {RSSI_MAX}]", lambda v: RSSI_MIN <= v <= RSSI_MAX)
+
+
+def _one_of(names: dict[str, Any]) -> Kind:
+    """A string naming one of `names`; stores what it names."""
+    check = _kind((str,), f"one of {sorted(names)}", names.__contains__)
+    return lambda value: names[check(value)]
+
+
+def _point(value: Any) -> list[float]:
+    """Three numbers, stored as floats."""
+    if type(value) is list and len(value) == 3:
+        x, y, z = value
+        if type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES and type(z) in _NUMBER_TYPES:
+            return [float(x), float(y), float(z)]
+    raise ValueError(f"must be [x, y, z] numbers, not {value!r}")
+
+
+# The annotations a parameter dataclass may use; any other fails at import.
+_BY_ANNOTATION: dict[Any, Kind] = {
+    int: _INT,
+    float: _NUMBER,
+    Optional[float]: _kind((*_NUMBER_TYPES, type(None)), "a number or null"),
+    bool: _BOOL,
+    str: _STR,
+    Optional[dict]: _kind((dict, type(None)), "an object or null"),
+}
+
+
+def _schema(cls: type, *skip: str) -> dict[str, Kind]:
+    """The document keys of a parameter dataclass: its field names, each with
+    the kind its annotation names. Defaults stay in the dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: _BY_ANNOTATION[hints[f.name]] for f in fields(cls) if f.name not in skip}
+
+
+_MODEL_KINDS = _schema(PathLossModel)
+# the model's keys sit beside the channel's own; the seed is the top-level key
+_CHANNEL_KINDS = _schema(ChannelConfig, "model", "seed")
+_CHANNEL_SECTION = {**_MODEL_KINDS, **_CHANNEL_KINDS}
+_FILTER_KINDS = _schema(FilterParams)
+_PROTOCOL_KINDS = _schema(ProtocolParams)
+
+_TOP_KINDS = {
+    "name": _STR, "seed": _INT, "duration": _POSITIVE_INT,
+    "nodes": _LIST, "movements": _LIST, "attacks": _LIST,
+    "channel": _OBJECT, "filters": _OBJECT, "protocol": _OBJECT,
+}
+_NODE_KINDS = {
+    "id": _STR,
+    "mac": _STR,
+    "position": lambda v: Location(*_point(v)),
+    "sensor_type": _one_of(SENSOR_TYPES),
+    "payload_period": _POSITIVE_INT,
+}
+_MOVEMENT_KINDS = {"node": _STR, "at": _INT, "to": lambda v: Location(*_point(v)), "announce": _BOOL}
+_ATTACK_KINDS = {"type": _one_of({k.value: k for k in AttackKind}), "at": _INT, "params": _OBJECT}
+# per attack kind: the kind of each parameter, and the parameters it needs
+_ATTACK_PARAMS: dict[AttackKind, tuple[dict[str, Kind], tuple[str, ...]]] = {
+    AttackKind.IDENTITY_SPOOF: (
+        {"victim": _STR, "attacker_position": _point, "period": _POSITIVE_INT,
+         "suppress_victim": _BOOL, "until": _INT},
+        ("victim", "attacker_position"),
+    ),
+    AttackKind.MALICIOUS_BFT: (
+        {"attacker": _STR, "victim": _STR, "fake_rssi": _RSSI, "period": _POSITIVE_INT, "until": _INT},
+        ("attacker", "victim"),
+    ),
+    AttackKind.REPLAY: (
+        {"victim": _STR, "attacker_position": _point, "period": _POSITIVE_INT,
+         "capture_at": _INT, "count": _OPTIONAL_INT},
+        ("victim", "attacker_position"),
+    ),
+}
+
+
+def _checked(
+    obj: Any, kinds: dict[str, Kind], where: str, errors: list[str], required: tuple[str, ...] = ()
+) -> dict[str, Any]:
+    """The entries of `obj` that are of the kind `kinds` names for their key;
+    every unknown, missing or ill-kinded entry goes to `errors`."""
+    if type(obj) is not dict:
+        errors.append(f"{where}must be an object")
+        return {}
+    out: dict[str, Any] = {}
+    for key, value in obj.items():
+        kind = kinds.get(key)
+        if kind is None:
+            errors.append(f"{where}unknown key {key!r}")
+            continue
+        try:
+            out[key] = kind(value)
+        except ValueError as exc:
+            errors.append(f"{where}{key} {exc}")
+    for key in required:
+        if key not in obj:
+            errors.append(f"{where}missing key {key!r}")
+    return out
+
+
+def _built(cls: type, values: dict[str, Any], where: str, errors: list[str]) -> Any:
+    """`cls(**values)`, or None with its range violation added to `errors`."""
+    try:
+        return cls(**values)
+    except (ValueError, TypeError) as exc:
+        errors.append(f"{where}{exc}")
+        return None
+
+
+def _values(params: Any, kinds: dict[str, Kind]) -> dict[str, Any]:
+    return {key: getattr(params, key) for key in kinds}
 
 
 # -- builtin scenarios ---------------------------------------------------------
@@ -450,69 +381,44 @@ _FIG7_NODES = [
 BUILTIN_NAMES = ("paper-fig7", "static-honest", "spoof-attack", "malicious-bft")
 
 
-def _fig7_nodespecs() -> tuple[NodeSpec, ...]:
-    return tuple(
-        NodeSpec(label, NodeId.from_str(mac), Location(*pos), SensorType.TEMPERATURE, 1)
-        for label, mac, pos in _FIG7_NODES
-    )
-
-
 def builtin_scenario(name: str, seed: int = 42) -> Scenario:
-    """Return one of the built-in scenarios, reseeded via `seed`."""
-    nodes = _fig7_nodespecs()
+    """Return one of the built-in scenarios, reseeded via `seed`: the five
+    fig7 nodes for 900 ticks, with the named scenario's movements or attack."""
+    if name not in BUILTIN_NAMES:
+        raise ScenarioError([f"unknown builtin scenario {name!r}; choose from {BUILTIN_NAMES}"])
+    events: dict[str, Any] = {}
     if name == "paper-fig7":
-        return Scenario(
-            name=name,
-            seed=seed,
-            duration=900,
-            nodes=nodes,
-            movements=(
-                MovementSpec("n5", 300, Location(1.0, 6.0, 0.0), announce=True),
-                MovementSpec("n5", 600, Location(1.0, 2.0, 0.0), announce=True),
+        events["movements"] = (
+            MovementSpec("n5", 300, Location(1.0, 6.0, 0.0)),
+            MovementSpec("n5", 600, Location(1.0, 2.0, 0.0)),
+        )
+    elif name == "spoof-attack":
+        events["attacks"] = (
+            AttackSpec(
+                AttackKind.IDENTITY_SPOOF,
+                at=400,
+                params={
+                    "victim": "n1",
+                    "attacker_position": [0.0, -5.0, -1.0],
+                    "period": 1,
+                    "suppress_victim": True,
+                },
             ),
-            channel=ChannelConfig(seed=seed),
         )
-    if name == "static-honest":
-        return Scenario(
-            name=name,
-            seed=seed,
-            duration=900,
-            nodes=nodes,
-            channel=ChannelConfig(seed=seed),
-        )
-    if name == "spoof-attack":
-        return Scenario(
-            name=name,
-            seed=seed,
-            duration=900,
-            nodes=nodes,
-            attacks=(
-                AttackSpec(
-                    AttackKind.IDENTITY_SPOOF,
-                    at=400,
-                    params={
-                        "victim": "n1",
-                        "attacker_position": [0.0, -5.0, -1.0],
-                        "period": 1,
-                        "suppress_victim": True,
-                    },
-                ),
+    elif name == "malicious-bft":
+        events["attacks"] = (
+            AttackSpec(
+                AttackKind.MALICIOUS_BFT,
+                at=200,
+                params={"attacker": "n4", "victim": "n2", "fake_rssi": -90.0, "period": 40},
             ),
-            channel=ChannelConfig(seed=seed),
         )
-    if name == "malicious-bft":
-        return Scenario(
-            name=name,
-            seed=seed,
-            duration=900,
-            nodes=nodes,
-            attacks=(
-                AttackSpec(
-                    AttackKind.MALICIOUS_BFT,
-                    at=200,
-                    params={"attacker": "n4", "victim": "n2", "fake_rssi": -90.0, "period": 40},
-                ),
-            ),
-            channel=ChannelConfig(seed=seed),
-        )
-    raise ScenarioError([f"unknown builtin scenario {name!r}; choose from {BUILTIN_NAMES}"])
+    return Scenario(
+        name=name,
+        duration=900,
+        nodes=tuple(
+            NodeSpec(label, NodeId.from_str(mac), Location(*pos)) for label, mac, pos in _FIG7_NODES
+        ),
+        channel=ChannelConfig(seed=seed),
+        **events,
+    )

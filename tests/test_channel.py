@@ -80,7 +80,7 @@ class TestMove:
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
         before = ch.broadcast(A, MSG, 0)[0][1].value
-        ch.move(B, Location(2.0, 0.0, 0.0), 1)
+        ch.move(B, Location(2.0, 0.0, 0.0))
         after = ch.broadcast(A, MSG, 1)[0][1].value
         assert before == pytest.approx(-40.0)
         # doubling the distance with n=2 drops the level by 20*log10(2)
@@ -91,13 +91,13 @@ class TestMove:
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.5, 0.0, 0.0))
         before = ch.broadcast(A, MSG, 0)[0][1].value
-        ch.move(B, Location(1.5, 0.0, 0.0), 1)
+        ch.move(B, Location(1.5, 0.0, 0.0))
         assert ch.broadcast(A, MSG, 1)[0][1].value == pytest.approx(before)
 
     def test_unknown_node_errors(self):
         ch = quiet_channel()
         with pytest.raises(UnknownNodeError):
-            ch.move(A, Location(0.0, 0.0, 0.0), 0)
+            ch.move(A, Location(0.0, 0.0, 0.0))
 
 
 class TestAsymmetry:
@@ -191,7 +191,7 @@ class TestLinkLevelCache:
         ref.positions[node] = pos
 
     def move(self, ch, ref, node, pos):
-        ch.move(node, pos, 0)
+        ch.move(node, pos)
         ref.positions[node] = pos
 
     def receivers(self, ch, ref, sender):

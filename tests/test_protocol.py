@@ -571,8 +571,6 @@ class TestProtocolParamsBounds:
             ("min_anchors", 3, 4),           # a 3-D solve needs four observers
             ("alert_cooldown", -5, 0),
             ("moved_ttl", -1, 0),
-            ("initial_trust", 7.0, 1.0),
-            ("initial_trust", -0.1, 0.0),
         ],
     )
     def test_bound(self, field, bad, edge):

@@ -1,16 +1,23 @@
 """Scenario validation and the builtin experiment definitions."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polsim.channel import ChannelConfig
 from polsim.cli import main
+from polsim.localization import PathLossModel
+from polsim.protocol import FilterParams, ProtocolParams
 from polsim.scenario import (
     AttackKind,
     BUILTIN_NAMES,
     Scenario,
     ScenarioError,
+    _schema,
     builtin_scenario,
 )
 
@@ -82,6 +89,20 @@ class TestValidation:
         clone = Scenario.from_json(scenario.to_json())
         assert clone.to_dict() == scenario.to_dict()
 
+    def test_integer_for_a_number_is_stored_as_a_float(self):
+        doc = minimal_doc()
+        doc["channel"] = {"p0": -40, "range": 30}
+        doc["protocol"] = {"tau": 3}
+        doc["attacks"] = [{"type": "malicious_bft", "at": 3,
+                           "params": {"attacker": "a", "victim": "b", "fake_rssi": -90}}]
+        scenario = Scenario.from_dict(doc)
+        stored = (scenario.channel.model.p0, scenario.channel.range, scenario.protocol.tau,
+                  scenario.nodes[1].position.x, scenario.attacks[0].params["fake_rssi"])
+        assert [type(v) for v in stored] == [float] * 5
+        assert stored == (-40.0, 30.0, 3.0, 1.0, -90.0)
+        text = scenario.to_json()
+        assert Scenario.from_json(text).to_json() == text
+
     def test_bad_json_is_a_scenario_error(self):
         with pytest.raises(ScenarioError, match="not valid JSON"):
             Scenario.from_json("{nope")
@@ -94,8 +115,6 @@ class TestValidation:
             ("min_anchors", 3),
             ("alert_cooldown", -5),
             ("moved_ttl", -1),
-            ("initial_trust", 7.0),
-            ("initial_trust", -0.5),
         ],
     )
     def test_protocol_bound_is_a_scenario_error(self, key, bad):
@@ -110,25 +129,50 @@ class TestValidation:
             ({"nodes": 5}, "nodes must be a list"),
             ({"movements": 5}, "movements must be a list"),
             ({"attacks": 5}, "attacks must be a list"),
-            ({"tick_ms": "x"}, "tick_ms must be a positive integer"),
-            ({"tick_ms": 2.5}, "tick_ms must be a positive integer"),
-            ({"tick_ms": True}, "tick_ms must be a positive integer"),
+            ({"tick_ms": 1000}, "unknown key 'tick_ms'"),
+            ({"protocol": {"initial_trust": 1.0}}, "protocol: unknown key 'initial_trust'"),
             ({"duration": True}, "duration must be a positive integer"),
             ({"seed": True}, "seed must be an integer"),
             ({"nodes": [{"mac": "02:00:00:00:00:01", "position": [0, 0, 0]}]},
              r"nodes\[0\]: missing key 'id'"),
             ({"movements": [{"node": "a", "at": 3}]}, r"movements\[0\]: missing key 'to'"),
             ({"attacks": [{"at": 3}]}, r"attacks\[0\]: missing key 'type'"),
+            ({"movements": [{"node": "a", "at": True, "to": [0, 0, 0]}]},
+             r"movements\[0\]: at must be an integer, not True"),
+            ({"nodes": [{"id": "a", "mac": "02:00:00:00:00:01", "position": [0, 0, 0], "payload_period": 2.9}]},
+             r"nodes\[0\]: payload_period must be a positive integer, not 2.9"),
+            ({"protocol": {"pool_ttl": "7"}}, "protocol: pool_ttl must be an integer, not '7'"),
+            ({"filters": {"trigger_cooldown": 2.9}}, "filters: trigger_cooldown must be an integer, not 2.9"),
+            ({"movements": [{"node": "a", "at": 3, "to": [0, 0, 0], "announce": "no"}]},
+             r"movements\[0\]: announce must be true or false, not 'no'"),
+            ({"channel": {"noise_sigma": "1.5"}}, "channel: noise_sigma must be a number, not '1.5'"),
+            ({"attacks": [{"type": "malicious_bft", "at": 3,
+                           "params": {"attacker": "a", "victim": "b", "until": "x"}}]},
+             r"attacks\[0\]: params: until must be an integer, not 'x'"),
+            ({"attacks": [{"type": "malicious_bft", "at": 3,
+                           "params": {"attacker": "a", "victim": "b", "fake_rssi": 5}}]},
+             r"attacks\[0\]: params: fake_rssi must be a number in \[-120.0, 0.0\], not 5"),
+            ({"attacks": [{"type": "identity_spoof", "at": 3,
+                           "params": {"victim": "a", "attacker_position": [0, 0, 0], "period": True}}]},
+             r"attacks\[0\]: params: period must be a positive integer, not True"),
         ],
-        ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
-             "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "node-missing-id",
-             "movement-missing-to", "attack-missing-type"],
+        ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-dropped",
+             "initial-trust-dropped", "duration-bool", "seed-bool", "node-missing-id",
+             "movement-missing-to", "attack-missing-type", "movement-at-bool", "payload-period-float",
+             "pool-ttl-string", "trigger-cooldown-float", "announce-string", "channel-string-number",
+             "attack-until-string", "attack-fake-rssi-out-of-range", "attack-period-bool"],
     )
-    def test_malformed_document_is_a_scenario_error(self, patch, message):
+    def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()
         doc.update(patch)
         with pytest.raises(ScenarioError, match=message):
             Scenario.from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
+        assert re.search(f"scenario error: .*{message}", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_malformed_document_exits_1_before_running(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -173,6 +217,96 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "verify_slack_cells" in capsys.readouterr().err
+
+
+def non_default(cls, **strategies):
+    """`cls` with every field drawn from its strategy and away from its default
+    (a field whose default is null keeps the strategy as given)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    assert set(strategies) == set(defaults), "draw every field"
+    return st.builds(cls, **{
+        name: s if defaults[name] is None else s.filter(lambda v, d=defaults[name]: v != d)
+        for name, s in strategies.items()
+    })
+
+
+POSITIVE = st.floats(min_value=0.01, max_value=1000.0)
+TICKS = st.integers(min_value=1, max_value=10_000)
+COUNTS = st.integers(min_value=0, max_value=10_000)
+# (smoother, its parameters); the default smoother has no params to differ from
+SMOOTHERS = st.one_of(
+    st.tuples(st.just("median"), st.fixed_dictionaries({"window": st.sampled_from([1, 3, 7, 9])})),
+    st.tuples(st.just("kalman"), st.fixed_dictionaries({"q": st.floats(0.0, 1.0), "r": POSITIVE})),
+    st.tuples(st.just("gaussian"), st.fixed_dictionaries({"sigma": POSITIVE, "window": TICKS})),
+    st.tuples(st.just("exp_smoothing"), st.fixed_dictionaries({"alpha": st.floats(0.01, 1.0)})),
+)
+
+
+@st.composite
+def scenarios(draw):
+    smoother, smoother_params = draw(SMOOTHERS)
+    channel = non_default(
+        ChannelConfig,
+        model=non_default(
+            PathLossModel, p0=st.floats(-90.0, -10.0), n=st.floats(0.5, 6.0), d0=st.floats(0.1, 10.0)
+        ),
+        noise_sigma=st.floats(0.0, 10.0),
+        asymmetry_jitter=st.floats(0.0, 2.5),
+        range=POSITIVE,
+        seed=st.integers(0, 2**32),
+    )
+    filters = non_default(
+        FilterParams,
+        trigger_threshold=POSITIVE,
+        trigger_cooldown=COUNTS,
+        warmup=COUNTS,
+        smoother=st.just(smoother),
+        smoother_params=st.just(smoother_params),
+    )
+    protocol = non_default(
+        ProtocolParams,
+        epsilon=st.floats(0.01, 0.99),
+        tau=st.one_of(st.none(), st.floats(0.01, 0.99), st.integers(1, 50)),  # null, a fraction, a count
+        trust_step=POSITIVE,
+        consistency_tol=POSITIVE,
+        pool_ttl=TICKS,
+        bft_window=TICKS,
+        history_window=TICKS,
+        location_grid=POSITIVE,
+        verify_slack_cells=COUNTS,
+        min_anchors=st.integers(4, 50),
+        anchor_freshness=TICKS,
+        residual_cap=POSITIVE,
+        max_gdop=POSITIVE,
+        alert_cooldown=COUNTS,
+        moved_ttl=COUNTS,
+    )
+    return dataclasses.replace(
+        builtin_scenario(draw(st.sampled_from(BUILTIN_NAMES))),
+        channel=draw(channel), filters=draw(filters), protocol=draw(protocol),
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios())
+    def test_every_parameter_survives_the_document(self, scenario):
+        doc = scenario.to_dict()
+        clone = Scenario.from_dict(json.loads(json.dumps(doc)))
+        assert clone.to_dict() == doc
+        # equal dataclasses, so a field that either side drops comes back as its default and fails
+        assert (clone.channel, clone.filters, clone.protocol) == (
+            scenario.channel, scenario.filters, scenario.protocol
+        )
+        assert clone.seed == scenario.seed == scenario.channel.seed
+
+    def test_unknown_annotation_fails_when_the_schema_is_built(self):
+        @dataclasses.dataclass
+        class Odd:
+            values: list
+
+        with pytest.raises(KeyError):
+            _schema(Odd)
 
 
 class TestBuiltins:
