@@ -108,19 +108,25 @@ class TestValidation:
             Scenario.from_json("{nope")
 
     @pytest.mark.parametrize(
-        "key, bad",
+        "key, bad, message",
         [
-            ("verify_slack_cells", -1),
-            ("min_anchors", 0),
-            ("min_anchors", 3),
-            ("alert_cooldown", -5),
-            ("moved_ttl", -1),
+            ("verify_slack_cells", -1, "verify_slack_cells"),
+            ("min_anchors", 0, "min_anchors"),
+            ("min_anchors", 3, "min_anchors"),
+            ("alert_cooldown", -5, "alert_cooldown"),
+            ("moved_ttl", -1, "moved_ttl"),
+            # initial_trust is no longer a parameter: a value outside its old
+            # [0, 1] bound, like any value, fails as an unknown key.
+            ("initial_trust", 7.0, "unknown key 'initial_trust'"),
+            ("initial_trust", -0.5, "unknown key 'initial_trust'"),
         ],
+        ids=["verify_slack_cells--1", "min_anchors-0", "min_anchors-3", "alert_cooldown--5",
+             "moved_ttl--1", "initial_trust-7.0", "initial_trust--0.5"],
     )
-    def test_protocol_bound_is_a_scenario_error(self, key, bad):
+    def test_protocol_bound_is_a_scenario_error(self, key, bad, message):
         doc = minimal_doc()
         doc["protocol"] = {key: bad}
-        with pytest.raises(ScenarioError, match=f"protocol: {key}"):
+        with pytest.raises(ScenarioError, match=f"protocol: {message}"):
             Scenario.from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -129,8 +135,9 @@ class TestValidation:
             ({"nodes": 5}, "nodes must be a list"),
             ({"movements": 5}, "movements must be a list"),
             ({"attacks": 5}, "attacks must be a list"),
-            ({"tick_ms": 1000}, "unknown key 'tick_ms'"),
-            ({"protocol": {"initial_trust": 1.0}}, "protocol: unknown key 'initial_trust'"),
+            ({"tick_ms": "x"}, "unknown key 'tick_ms'"),
+            ({"tick_ms": 2.5}, "unknown key 'tick_ms'"),
+            ({"tick_ms": True}, "unknown key 'tick_ms'"),
             ({"duration": True}, "duration must be a positive integer"),
             ({"seed": True}, "seed must be an integer"),
             ({"nodes": [{"mac": "02:00:00:00:00:01", "position": [0, 0, 0]}]},
@@ -156,8 +163,8 @@ class TestValidation:
                            "params": {"victim": "a", "attacker_position": [0, 0, 0], "period": True}}]},
              r"attacks\[0\]: params: period must be a positive integer, not True"),
         ],
-        ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-dropped",
-             "initial-trust-dropped", "duration-bool", "seed-bool", "node-missing-id",
+        ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
+             "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "node-missing-id",
              "movement-missing-to", "attack-missing-type", "movement-at-bool", "payload-period-float",
              "pool-ttl-string", "trigger-cooldown-float", "announce-string", "channel-string-number",
              "attack-until-string", "attack-fake-rssi-out-of-range", "attack-period-bool"],
