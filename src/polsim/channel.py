@@ -37,6 +37,9 @@ class ChannelConfig:
             raise ValueError(f"asymmetry_jitter must be in [0, {MAX_ASYMMETRY_JITTER}]")
         if self.range <= 0:
             raise ValueError("range must be positive")
+        if not (-(2**63) <= self.seed < 2**63):
+            # link jitter hashes the seed as 8 signed bytes
+            raise ValueError("seed must be in [-2**63, 2**63)")
 
 
 class RadioChannel:

@@ -29,15 +29,18 @@ EXIT_CHECK_FAILED = 3
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.builtin:
-        scenario = builtin_scenario(args.builtin, seed=args.seed if args.seed is not None else 42)
+        scenario = builtin_scenario(args.builtin)
     else:
         path = Path(args.scenario)
         if not path.exists():
             raise ScenarioError([f"scenario file not found: {path}"])
         scenario = Scenario.from_json(path.read_text(encoding="utf-8"))
-        if args.seed is not None:
-            scenario = scenario.with_seed(args.seed)
-    return scenario
+    if args.seed is None:
+        return scenario
+    try:
+        return scenario.with_seed(args.seed)
+    except ValueError as exc:
+        raise ScenarioError([str(exc)]) from exc
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -116,12 +119,9 @@ def _parse_filter_params(text: Optional[str], names: list[str]) -> dict:
     if unselected:
         raise ValueError(f"--params names no selected filter: {unselected}")
     for name in names:
-        own = params.get(name)
-        if own is not None and not isinstance(own, dict):
-            raise ValueError(f"parameters for {name} must be a JSON object")
         try:
-            make_filter(name, own)
-        except (TypeError, ValueError) as exc:
+            make_filter(name, params.get(name))
+        except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc
     return params
 

@@ -7,9 +7,11 @@ Gaussian, median, Kalman) plus the median-then-Kalman cascade that proved the
 best fit, and the threshold trigger that turns smoothed-value deviations into
 BFT emissions.
 
-Every filter is a state dataclass plus a `step(state, value)` function;
-`make_filter` builds one by name from the single registry, for the node's
-links and for the offline `polsim filters` sweep alike.
+Every filter is a state dataclass plus a `step(state, value)` function. The
+init fields of the state dataclass are the filter's parameters, with their
+defaults and kinds; its running state is not an init field. `make_filter`
+builds one by name from the single registry, for the node's links and for
+the offline `polsim filters` sweep alike.
 
 All filters consume and produce plain floats (dB). The dynamic moving average
 has no canonical definition; the adaptive-window variant implemented here
@@ -24,6 +26,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional
 
+from .kinds import _checked, _schema
+
 
 @dataclass
 class MedianState:
@@ -35,7 +39,7 @@ class MedianState:
     """
 
     window: int = 5
-    buffer: list[float] = field(default_factory=list)
+    buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.window < 1 or self.window % 2 == 0:
@@ -61,8 +65,8 @@ class KalmanState:
 
     q: float = 0.01
     r: float = 4.0
-    x: Optional[float] = None
-    p: float = 0.0
+    x: Optional[float] = field(default=None, init=False)
+    p: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if self.q < 0 or self.r <= 0:
@@ -85,8 +89,15 @@ def kalman_step(state: KalmanState, z: float) -> float:
 class CascadeState:
     """Median filter feeding the Kalman filter (the selected combination)."""
 
-    median: MedianState = field(default_factory=MedianState)
-    kalman: KalmanState = field(default_factory=KalmanState)
+    window: int = MedianState.window
+    q: float = KalmanState.q
+    r: float = KalmanState.r
+    median: MedianState = field(init=False)
+    kalman: KalmanState = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.median = MedianState(self.window)
+        self.kalman = KalmanState(self.q, self.r)
 
 
 def cascade_step(state: CascadeState, raw: float) -> float:
@@ -96,7 +107,7 @@ def cascade_step(state: CascadeState, raw: float) -> float:
 @dataclass
 class MovingAverageState:
     window: int = 5
-    buffer: list[float] = field(default_factory=list)
+    buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -113,7 +124,7 @@ def moving_average_step(state: MovingAverageState, v: float) -> float:
 @dataclass
 class ExpSmoothingState:
     alpha: float = 0.3
-    y: Optional[float] = None
+    y: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -139,13 +150,13 @@ class DynamicMovingAverageState:
 
     max_window: int = 10
     threshold: float = 5.0
-    window: int = 1
-    y: Optional[float] = None
-    buffer: list[float] = field(default_factory=list)
+    window: int = field(default=1, init=False)
+    y: Optional[float] = field(default=None, init=False)
+    buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.max_window < 1 or self.window < 1:
-            raise ValueError("windows must be >= 1")
+        if self.max_window < 1:
+            raise ValueError("max_window must be >= 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
 
@@ -170,7 +181,7 @@ class GaussianState:
 
     sigma: float = 2.0
     window: int = 5
-    buffer: list[float] = field(default_factory=list)
+    buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
@@ -202,8 +213,8 @@ class TriggerState:
     signal is locally flat, never during an in-progress deviation.
     """
 
-    threshold: float = 6.0
-    cooldown: int = 30
+    threshold: float
+    cooldown: int
     rebaseline_after: int = 90
     warmup: int = 0
     samples: int = 0  # warm-up samples seen, stops at `warmup`
@@ -270,40 +281,20 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
     return False
 
 
-def _median_state(params: dict) -> MedianState:
-    return MedianState(window=int(params.pop("window", 5)))
-
-
-def _kalman_state(params: dict) -> KalmanState:
-    return KalmanState(q=float(params.pop("q", 0.01)), r=float(params.pop("r", 4.0)))
-
-
-# name -> (state factory that pops its own parameters, step(state, value))
-_FILTERS: dict[str, tuple[Callable[[dict], Any], Callable[[Any, float], float]]] = {
-    "moving_average": (
-        lambda p: MovingAverageState(window=int(p.pop("window", 5))),
-        moving_average_step,
-    ),
-    "exp_smoothing": (
-        lambda p: ExpSmoothingState(alpha=float(p.pop("alpha", 0.3))),
-        exp_smoothing_step,
-    ),
-    "dynamic_moving_average": (
-        lambda p: DynamicMovingAverageState(
-            max_window=int(p.pop("max_window", 10)), threshold=float(p.pop("threshold", 5.0))
-        ),
-        dynamic_moving_average_step,
-    ),
-    "gaussian": (
-        lambda p: GaussianState(sigma=float(p.pop("sigma", 2.0)), window=int(p.pop("window", 5))),
-        gaussian_step,
-    ),
-    "median": (_median_state, median_step),
-    "kalman": (_kalman_state, kalman_step),
-    "median_kalman": (lambda p: CascadeState(_median_state(p), _kalman_state(p)), cascade_step),
+# name -> (state class, step(state, value)); the init fields of the state
+# class are the filter's parameters
+_FILTERS: dict[str, tuple[type, Callable[[Any, float], float]]] = {
+    "moving_average": (MovingAverageState, moving_average_step),
+    "exp_smoothing": (ExpSmoothingState, exp_smoothing_step),
+    "dynamic_moving_average": (DynamicMovingAverageState, dynamic_moving_average_step),
+    "gaussian": (GaussianState, gaussian_step),
+    "median": (MedianState, median_step),
+    "kalman": (KalmanState, kalman_step),
+    "median_kalman": (CascadeState, cascade_step),
 }
 
 FILTER_NAMES = tuple(_FILTERS)
+_PARAMS = {name: _schema(cls) for name, (cls, _step) in _FILTERS.items()}
 
 
 def make_filter(name: str, params: Optional[dict] = None) -> Callable[[float], float]:
@@ -311,13 +302,14 @@ def make_filter(name: str, params: Optional[dict] = None) -> Callable[[float], f
 
     The callable is a `functools.partial` over the filter's state, so a deep
     copy carries the state with it. Raises ValueError on an unknown name, a
-    bad value or a parameter the filter does not take.
+    parameter the filter does not take, or a value of the wrong kind or
+    out of range.
     """
     if name not in _FILTERS:
         raise ValueError(f"unknown filter {name!r}")
-    new_state, step = _FILTERS[name]
-    params = dict(params or {})
-    state = new_state(params)
-    if params:
-        raise ValueError(f"unused parameters for {name}: {sorted(params)}")
-    return partial(step, state)
+    cls, step = _FILTERS[name]
+    errors: list[str] = []
+    values = _checked({} if params is None else params, _PARAMS[name], "", errors)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return partial(step, cls(**values))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .messages import (
     Location,
@@ -26,6 +26,9 @@ from .messages import (
     quantize_location,
 )
 from .topology import LinkKey, TopologyStore
+
+if TYPE_CHECKING:  # protocol imports this module
+    from .protocol import ProtocolParams
 
 
 class InsufficientAnchorsError(ValueError):
@@ -307,36 +310,34 @@ def locate_and_verify(
     store: TopologyStore,
     msg: PayloadMessage,
     m: PathLossModel,
-    grid: float,
     self_location: Location,
     now: int,
-    freshness: int = 45,
-    min_anchors_3d: int = 4,
-    slack_cells: int = 1,
-    residual_cap: float = 0.5,
-    max_gdop: float = 4.0,
+    params: ProtocolParams,
 ) -> VerifyOutcome:
     """Check a payload's signed location against the RSSI-derived position.
 
-    With at least `min_anchors_3d` anchors a 3-D multilateration runs; with
-    exactly three and a stored subject location the solve falls back to the
-    stored height. The verdict is only trusted when the solve converged, the
-    range misfit stays below `residual_cap` (anchors agree with each other)
-    and the geometry is strong enough (`max_gdop`); anything else yields
-    INSUFFICIENT_DATA rather than an accusation.
+    The bounds come from the node's `params`. Anchors older than
+    `anchor_freshness` ticks are dropped. With at least `min_anchors`
+    anchors a 3-D multilateration runs; with one fewer and a stored subject
+    location the solve falls back to the stored height. The verdict is only
+    trusted when the solve converged, the range misfit stays below
+    `residual_cap` (anchors agree with each other) and the geometry is
+    strong enough (`max_gdop`); anything else yields INSUFFICIENT_DATA
+    rather than an accusation.
 
     RSSI localization cannot resolve positions to a single grid cell under
-    measurement noise, so the signed key is accepted if it matches any cell
-    within `slack_cells` of the estimate's cell per axis; a displacement of
-    two or more cells still contradicts.
+    measurement noise, so the signed key is accepted if it matches any
+    `location_grid` cell within `verify_slack_cells` of the estimate's cell
+    per axis; a displacement of two or more cells still contradicts.
     """
-    if 1 + len(store.latest_reports_of(subject)) < min_anchors_3d - 1:
+    min_anchors = params.min_anchors
+    if 1 + len(store.latest_reports_of(subject)) < min_anchors - 1:
         return VerifyOutcome.INSUFFICIENT_DATA
-    anchors = gather_anchors(subject, store, self_location, now, freshness)
+    anchors = gather_anchors(subject, store, self_location, now, params.anchor_freshness)
     fixed_z: Optional[float] = None
-    if len(anchors) < min_anchors_3d:
+    if len(anchors) < min_anchors:
         rec = store.peer(subject)
-        if len(anchors) == min_anchors_3d - 1 and rec is not None and rec.location is not None:
+        if len(anchors) == min_anchors - 1 and rec is not None and rec.location is not None:
             fixed_z = rec.location.z
         else:
             return VerifyOutcome.INSUFFICIENT_DATA
@@ -346,9 +347,11 @@ def locate_and_verify(
         result = multilaterate(anchors, m, fixed_z=fixed_z, max_iterations=20, step_tol=1e-7)
     except InsufficientAnchorsError:
         return VerifyOutcome.INSUFFICIENT_DATA
-    if not result.converged or result.residual > residual_cap or result.gdop > max_gdop:
+    if not result.converged or result.residual > params.residual_cap or result.gdop > params.max_gdop:
         return VerifyOutcome.INSUFFICIENT_DATA
 
+    grid = params.location_grid
+    slack_cells = params.verify_slack_cells
     ex, ey, ez = quantize_location(result.position, grid)
     offsets = sorted(range(-slack_cells, slack_cells + 1), key=abs)  # exact cell first
     for dx in offsets:

@@ -54,7 +54,7 @@ class ProtocolParams:
     consistency_tol: float = 5.0    # dB, claimed-vs-measured and history checks
     pool_ttl: int = 120             # ticks a payload may wait for validation
     bft_window: int = 120           # ticks of BFT observations counted / anchor freshness
-    history_window: int = 64        # samples for history consistency checks (full buffer)
+    history_window: int = 64        # samples kept per link, all read by history checks
     location_grid: float = 0.5      # metres, location-key quantization
     verify_slack_cells: int = 1     # grid-cell tolerance of location verification
     min_anchors: int = 4            # observers needed for a 3-D position solve
@@ -98,8 +98,6 @@ class FilterParams:
     smoother_params: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if self.smoother_params is not None and not isinstance(self.smoother_params, dict):
-            raise ValueError("smoother_params must be an object")
         self.link_state()
 
     def link_state(self) -> tuple[Callable[[float], float], TriggerState]:
@@ -270,7 +268,6 @@ class NodeState:
         params: ProtocolParams = ProtocolParams(),
         filter_params: FilterParams = FilterParams(),
         model: PathLossModel = PathLossModel(),
-        store: Optional[TopologyStore] = None,
     ):
         self.self_id = self_id
         self.self_location = self_location
@@ -278,7 +275,7 @@ class NodeState:
         self.params = params
         self.filter_params = filter_params
         self.model = model
-        self.store = store if store is not None else TopologyStore(self_id)
+        self.store = TopologyStore(self_id, capacity=params.history_window)
         self.store.ensure_peer(self_id).location = self_location
         self.pool = MessagePool(params.pool_ttl)
         self.moved_until: Optional[int] = None
@@ -417,27 +414,8 @@ class NodeState:
         self_location = self.self_location
         pipelines = self._pipelines
         params = self.params
-        grid = params.location_grid
-        freshness = params.anchor_freshness
-        min_anchors = params.min_anchors
-        slack_cells = params.verify_slack_cells
-        residual_cap = params.residual_cap
-        max_gdop = params.max_gdop
         for sender, newest in pool.newest_per_sender():
-            verdict = locate_and_verify(
-                sender,
-                store,
-                newest.message,
-                model,
-                grid,
-                self_location,
-                now,
-                freshness=freshness,
-                min_anchors_3d=min_anchors,
-                slack_cells=slack_cells,
-                residual_cap=residual_cap,
-                max_gdop=max_gdop,
-            )
+            verdict = locate_and_verify(sender, store, newest.message, model, self_location, now, params)
             if verdict is VerifyOutcome.VERIFIED:
                 for entry in pool.clear_sender(sender):
                     actions.append(StoreTrusted(entry.message))

@@ -10,11 +10,12 @@ lying-BFT attack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Optional, get_type_hints
+from typing import Any
 
 from .channel import ChannelConfig
+from .kinds import _BOOL, _INT, _NUMBER_TYPES, _STR, Kind, _checked, _kind, _schema
 from .localization import PathLossModel
 from .messages import RSSI_MAX, RSSI_MIN, Location, NodeId, SensorType
 from .protocol import FilterParams, ProtocolParams
@@ -221,36 +222,10 @@ class Scenario:
         )
 
 
-# -- kinds of document values --------------------------------------------------
-#
-# A kind takes a document value and returns what is stored, or raises
-# ValueError saying what the value must be. Each value gets one type test:
-# JSON true/false load as bool, an int subclass, so a bool is never a number,
-# and a string is never parsed as one. An int given for a number is stored as
-# a float, so a document round-trips unchanged.
+# -- kinds of document values (see polsim.kinds) ------------------------------
 
-Kind = Callable[[Any], Any]
-_NUMBER_TYPES = (int, float)
-
-
-def _kind(types: tuple[type, ...], what: str, ok: Optional[Callable[[Any], bool]] = None) -> Kind:
-    widen = float in types
-
-    def check(value: Any) -> Any:
-        t = type(value)
-        if t not in types or (ok is not None and not ok(value)):
-            raise ValueError(f"must be {what}, not {value!r}")
-        return float(value) if widen and t is int else value
-
-    return check
-
-
-_INT = _kind((int,), "an integer")
 _POSITIVE_INT = _kind((int,), "a positive integer", lambda v: v >= 1)
 _OPTIONAL_INT = _kind((int, type(None)), "an integer or null")
-_NUMBER = _kind(_NUMBER_TYPES, "a number")
-_BOOL = _kind((bool,), "true or false")
-_STR = _kind((str,), "a string")
 _LIST = _kind((list,), "a list")
 _OBJECT = _kind((dict,), "an object")
 _RSSI = _kind(_NUMBER_TYPES, f"a number in [{RSSI_MIN}, {RSSI_MAX}]", lambda v: RSSI_MIN <= v <= RSSI_MAX)
@@ -269,24 +244,6 @@ def _point(value: Any) -> list[float]:
         if type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES and type(z) in _NUMBER_TYPES:
             return [float(x), float(y), float(z)]
     raise ValueError(f"must be [x, y, z] numbers, not {value!r}")
-
-
-# The annotations a parameter dataclass may use; any other fails at import.
-_BY_ANNOTATION: dict[Any, Kind] = {
-    int: _INT,
-    float: _NUMBER,
-    Optional[float]: _kind((*_NUMBER_TYPES, type(None)), "a number or null"),
-    bool: _BOOL,
-    str: _STR,
-    Optional[dict]: _kind((dict, type(None)), "an object or null"),
-}
-
-
-def _schema(cls: type, *skip: str) -> dict[str, Kind]:
-    """The document keys of a parameter dataclass: its field names, each with
-    the kind its annotation names. Defaults stay in the dataclass."""
-    hints = get_type_hints(cls)
-    return {f.name: _BY_ANNOTATION[hints[f.name]] for f in fields(cls) if f.name not in skip}
 
 
 _MODEL_KINDS = _schema(PathLossModel)
@@ -327,30 +284,6 @@ _ATTACK_PARAMS: dict[AttackKind, tuple[dict[str, Kind], tuple[str, ...]]] = {
         ("victim", "attacker_position"),
     ),
 }
-
-
-def _checked(
-    obj: Any, kinds: dict[str, Kind], where: str, errors: list[str], required: tuple[str, ...] = ()
-) -> dict[str, Any]:
-    """The entries of `obj` that are of the kind `kinds` names for their key;
-    every unknown, missing or ill-kinded entry goes to `errors`."""
-    if type(obj) is not dict:
-        errors.append(f"{where}must be an object")
-        return {}
-    out: dict[str, Any] = {}
-    for key, value in obj.items():
-        kind = kinds.get(key)
-        if kind is None:
-            errors.append(f"{where}unknown key {key!r}")
-            continue
-        try:
-            out[key] = kind(value)
-        except ValueError as exc:
-            errors.append(f"{where}{key} {exc}")
-    for key in required:
-        if key not in obj:
-            errors.append(f"{where}missing key {key!r}")
-    return out
 
 
 def _built(cls: type, values: dict[str, Any], where: str, errors: list[str]) -> Any:

@@ -14,8 +14,6 @@ from typing import Iterable, Optional
 
 from .messages import Location, NodeId, Rssi, RssiSource, SensorType, TrustScore
 
-DEFAULT_HISTORY_CAPACITY = 64
-
 
 class OrderingError(ValueError):
     """Sample rejected: timestamp went backwards on a link."""
@@ -82,7 +80,7 @@ class TopologyStore:
     non-decreasing timestamps; at most one entry per (timestamp, source).
     """
 
-    def __init__(self, self_id: NodeId, capacity: int = DEFAULT_HISTORY_CAPACITY):
+    def __init__(self, self_id: NodeId, capacity: int):
         if capacity < 1:
             raise ValueError("history capacity must be >= 1")
         self.self_id = self_id

@@ -132,6 +132,16 @@ class TestAsymmetry:
         with pytest.raises(ValueError):
             ChannelConfig(asymmetry_jitter=3.0)
 
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_seed_at_either_end_of_64_bits_hashes(self, seed):
+        ch = RadioChannel(ChannelConfig(asymmetry_jitter=1.5, seed=seed))
+        assert abs(ch.link_jitter(A, B)) <= 1.5
+
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63])
+    def test_seed_past_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            ChannelConfig(seed=seed)
+
 
 class TestMonotonicity:
     def test_farther_is_weaker(self):

@@ -49,6 +49,19 @@ class TestRunCommand:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["builtin", "file"])
+    def test_seed_past_64_bits_exit_1_before_writing(self, source, tmp_path, capsys):
+        if source == "builtin":
+            scenario = ("--builtin", "static-honest")
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(builtin_scenario("static-honest").to_dict()))
+            scenario = ("--scenario", str(path))
+        out = tmp_path / "out"
+        assert run_cli("run", *scenario, "--seed", str(2**64), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("scenario error: seed must be in")
+        assert not out.exists()
+
     def test_invalid_scenario_lists_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"duration": -1, "nodes": [], "bogus": 1}))
@@ -223,10 +236,15 @@ class TestFiltersCommand:
             ("--params", '{"kalman":{"q":0.1}}'),
             ("--warmup", "-5"),
             ("--settle-window", "-3"),
+            ("--params", '{"median":{"window":"7"}}'),
+            ("--params", '{"median":{"window":true}}'),
+            ("--params", '{"median":{"window":7.9}}'),
+            ("--filter", "median_kalman", "--params", '{"median_kalman":{"q":"0.5"}}'),
         ],
         ids=["params-list", "params-scalar", "params-unknown-key", "params-even-window",
              "movements", "cooldown", "zero-threshold", "params-unknown-filter",
-             "params-unselected-filter", "warmup", "settle-window"],
+             "params-unselected-filter", "warmup", "settle-window", "params-window-string",
+             "params-window-bool", "params-window-float", "params-q-string"],
     )
     def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
         out = tmp_path / "rep"

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polsim.filters import (
+    _FILTERS,
     CascadeState,
     DynamicMovingAverageState,
     ExpSmoothingState,
@@ -64,7 +66,8 @@ class TestKalman:
 
     def test_forced_arithmetic_step(self):
         # x=-40, p=1, q=0, r=4, z=-46: K = 1/5, x' = -40 + 0.2 * (-6) = -41.2
-        state = KalmanState(q=0.0, r=4.0, x=-40.0, p=1.0)
+        state = KalmanState(q=0.0, r=4.0)
+        state.x, state.p = -40.0, 1.0
         assert kalman_step(state, -46.0) == pytest.approx(-41.2)
 
     def test_converges_to_constant_input(self):
@@ -79,7 +82,8 @@ class TestKalman:
         # implementation starts at the first sample (-50) so it stays at -50
         assert got == pytest.approx(-50.0, abs=1e-9)
         # a run started at -40 must close most of the gap within 200 steps
-        state2 = KalmanState(q=0.01, r=4.0, x=-40.0, p=4.0)
+        state2 = KalmanState(q=0.01, r=4.0)
+        state2.x, state2.p = -40.0, 4.0
         for _ in range(200):
             out = kalman_step(state2, -50.0)
         assert abs(out - (-50.0)) < 0.5
@@ -99,7 +103,7 @@ class TestKalman:
 
 class TestCascade:
     def test_single_spike_suppressed(self):
-        state = CascadeState(MedianState(window=3), KalmanState())
+        state = CascadeState(window=3)
         worst = 0.0
         for i in range(40):
             v = -90.0 if i == 20 else -45.0
@@ -109,14 +113,14 @@ class TestCascade:
         assert worst <= 1.0
 
     def test_constant_converges(self):
-        state = CascadeState(MedianState(window=5), KalmanState())
+        state = CascadeState(window=5)
         out = None
         for _ in range(50):
             out = cascade_step(state, -45.0)
         assert out == pytest.approx(-45.0)
 
     def test_step_change_tracked(self):
-        state = CascadeState(MedianState(window=5), KalmanState())
+        state = CascadeState(window=5)
         for _ in range(30):
             cascade_step(state, -45.0)
         out = None
@@ -181,6 +185,17 @@ class TestOtherFilters:
         with pytest.raises(ValueError):
             make_filter("median", {"bogus": 1})
 
+    @pytest.mark.parametrize("name, key, bad", [
+        pytest.param(name, f.name, bad, id=f"{name}-{f.name}-{bad!r}")
+        for name, (cls, _step) in _FILTERS.items()
+        for f in dataclasses.fields(cls)
+        if f.init
+        for bad in (True, "1", *((1.5,) if get_type_hints(cls)[f.name] is int else ()))
+    ])
+    def test_make_filter_rejects_a_value_of_the_wrong_kind(self, name, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            make_filter(name, {key: bad})
+
     def test_make_filter_state_survives_deepcopy(self):
         step = make_filter("median_kalman", {"window": 3})
         for v in (-40.0, -60.0, -41.0):
@@ -230,7 +245,7 @@ class TestTrigger:
     def test_at_most_two_fires_per_step_change(self):
         fires = 0
         state = TriggerState(threshold=6.0, cooldown=35)
-        cascade = CascadeState(MedianState(window=5), KalmanState())
+        cascade = CascadeState(window=5)
         for t in range(250):
             raw = -45.0 if t < 50 else -58.0
             smoothed = cascade_step(cascade, raw)
@@ -241,7 +256,7 @@ class TestTrigger:
 
     def test_rejects_negative_warmup(self):
         with pytest.raises(ValueError, match="warmup"):
-            TriggerState(warmup=-1)
+            TriggerState(threshold=6.0, cooldown=30, warmup=-1)
 
     @settings(max_examples=150)
     @given(

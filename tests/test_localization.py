@@ -32,9 +32,12 @@ from polsim.messages import (
     SensorType,
     location_key,
 )
+from polsim.protocol import ProtocolParams
 from polsim.topology import LinkKey, PeerRecord, TopologyStore
 
 MODEL = PathLossModel(p0=-40.0, n=2.0, d0=1.0)
+# verification bounds: grid 0.5 m, one cell of slack, four anchors
+PARAMS = ProtocolParams()
 
 SELF = NodeId.from_str("02:00:00:00:00:01")
 SUBJECT = NodeId.from_str("02:00:00:00:00:05")
@@ -365,7 +368,7 @@ class TestUnrolledSolverMatchesReference:
 
 def seeded_store(subject_location: Location, *, reports_at: int = 100) -> TopologyStore:
     """Store holding a full set of exact anchors for SUBJECT."""
-    store = TopologyStore(SELF)
+    store = TopologyStore(SELF, capacity=64)
     self_loc = Location(0.0, 0.0, 0.0)
     store.add_peer(PeerRecord(id=SELF, location=self_loc))
     peer_locs = [Location(4.0, 0.0, 0.0), Location(0.0, 4.0, 0.0), Location(0.0, 0.0, 4.0)]
@@ -404,29 +407,29 @@ class TestLocateAndVerify:
         true_loc = Location(1.0, 1.0, 1.0)
         store = seeded_store(true_loc)
         msg = payload_signed_at(true_loc)
-        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 100)
+        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.VERIFIED
 
     def test_displaced_signature_contradicted(self):
         true_loc = Location(1.0, 1.0, 1.0)
         store = seeded_store(true_loc)
         msg = payload_signed_at(Location(2.0, 1.0, 1.0))  # 2 grid cells off
-        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 100)
+        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.CONTRADICTED
 
     def test_one_cell_slack_tolerated(self):
         true_loc = Location(1.0, 1.0, 1.0)
         store = seeded_store(true_loc)
         msg = payload_signed_at(Location(1.5, 1.0, 1.0))  # single cell off
-        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 100)
+        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.VERIFIED
 
     def test_only_self_measurement_insufficient(self):
-        store = TopologyStore(SELF)
+        store = TopologyStore(SELF, capacity=64)
         store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
         store.update_smoothed(LinkKey(SELF, SUBJECT), 100, -45.0)
         msg = payload_signed_at(Location(1.0, 1.0, 1.0))
-        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 100)
+        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA
 
     def test_stale_reports_insufficient(self):
@@ -434,7 +437,7 @@ class TestLocateAndVerify:
         store = seeded_store(true_loc, reports_at=10)
         msg = payload_signed_at(true_loc)
         outcome = locate_and_verify(
-            SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 100, freshness=45
+            SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, ProtocolParams(anchor_freshness=45)
         )
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA
 
@@ -444,7 +447,7 @@ class TestLocateAndVerify:
         # drop one peer report: 3 anchors remain, the stored height pins z
         store._reported[SUBJECT].pop(PEERS[2])
         msg = payload_signed_at(true_loc)
-        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 100)
+        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.VERIFIED
 
     def test_inconsistent_ranges_yield_no_verdict(self):
@@ -456,7 +459,7 @@ class TestLocateAndVerify:
             reporter_location=Location(4.0, 0.0, 0.0),
         )
         msg = payload_signed_at(true_loc)
-        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, 0.5, Location(0, 0, 0), 101)
+        outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 101, PARAMS)
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA
 
 
@@ -467,7 +470,7 @@ class TestGatherAnchors:
         assert len(anchors) == 4
 
     def test_reporter_location_preferred(self):
-        store = TopologyStore(SELF)
+        store = TopologyStore(SELF, capacity=64)
         claimed = Location(9.0, 9.0, 9.0)
         store.add_peer(PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0)))
         store.record_rssi(
@@ -478,7 +481,7 @@ class TestGatherAnchors:
         assert anchors[0].anchor == claimed
 
     def test_unverified_stored_location_skipped(self):
-        store = TopologyStore(SELF)
+        store = TopologyStore(SELF, capacity=64)
         rec = PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0), location_verified=False)
         store.add_peer(rec)
         store.record_rssi(LinkKey(PEERS[0], SUBJECT), 100, Rssi(-50.0), RssiSource.REPORTED)

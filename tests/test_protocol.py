@@ -506,6 +506,19 @@ class TestConfigurableSmoother:
         assert out == pytest.approx(-70.0)  # buffer was cleared
 
 
+class TestHistoryWindow:
+    def test_every_sample_of_the_window_is_kept(self):
+        node = make_node(params=ProtocolParams(tau=2, history_window=100))
+        for t in range(100):
+            node.ingest_sample(PEER, Rssi(-80.0 if t < 60 else -50.0), t)
+        # the median of all 100 samples is -80; of only the last 64 it is -50
+        params = node.params
+        assert len(node.store.history(LinkKey(ME, PEER))) == 100
+        assert node.store.history_consistent(
+            LinkKey(ME, PEER), Rssi(-80.0), params.history_window, params.consistency_tol
+        )
+
+
 class TestTauResolution:
     def test_fraction_of_in_range_peers(self):
         node = make_node(params=ProtocolParams(tau=0.5))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from polsim.channel import ChannelConfig
 from polsim.cli import main
+from polsim.kinds import _schema
 from polsim.localization import PathLossModel
 from polsim.protocol import FilterParams, ProtocolParams
 from polsim.scenario import (
@@ -17,7 +18,6 @@ from polsim.scenario import (
     BUILTIN_NAMES,
     Scenario,
     ScenarioError,
-    _schema,
     builtin_scenario,
 )
 
@@ -140,6 +140,7 @@ class TestValidation:
             ({"tick_ms": True}, "unknown key 'tick_ms'"),
             ({"duration": True}, "duration must be a positive integer"),
             ({"seed": True}, "seed must be an integer"),
+            ({"seed": 2**64}, r"seed must be in \[-2\*\*63, 2\*\*63\)"),
             ({"nodes": [{"mac": "02:00:00:00:00:01", "position": [0, 0, 0]}]},
              r"nodes\[0\]: missing key 'id'"),
             ({"movements": [{"node": "a", "at": 3}]}, r"movements\[0\]: missing key 'to'"),
@@ -164,10 +165,11 @@ class TestValidation:
              r"attacks\[0\]: params: period must be a positive integer, not True"),
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
-             "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "node-missing-id",
-             "movement-missing-to", "attack-missing-type", "movement-at-bool", "payload-period-float",
-             "pool-ttl-string", "trigger-cooldown-float", "announce-string", "channel-string-number",
-             "attack-until-string", "attack-fake-rssi-out-of-range", "attack-period-bool"],
+             "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
+             "node-missing-id", "movement-missing-to", "attack-missing-type", "movement-at-bool",
+             "payload-period-float", "pool-ttl-string", "trigger-cooldown-float", "announce-string",
+             "channel-string-number", "attack-until-string", "attack-fake-rssi-out-of-range",
+             "attack-period-bool"],
     )
     def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()
@@ -201,9 +203,14 @@ class TestValidation:
             ({"smoother": "moving_average", "smoother_params": {"windw": 3}}, "windw"),
             ({"warmup": -5}, "warmup must be >= 0"),
             ({"median_window": 5}, "unknown key 'median_window'"),
+            ({"smoother_params": {"window": "7"}}, "window must be an integer, not '7'"),
+            ({"smoother_params": {"window": True}}, "window must be an integer, not True"),
+            ({"smoother_params": {"window": 7.9}}, "window must be an integer, not 7.9"),
+            ({"smoother_params": {"q": "0.5"}}, "q must be a number, not '0.5'"),
         ],
         ids=["even-window", "kalman-r-zero", "zero-threshold", "params-not-object",
-             "params-typo", "negative-warmup", "dropped-key"],
+             "params-typo", "negative-warmup", "dropped-key", "window-string", "window-bool",
+             "window-float", "q-string"],
     )
     def test_bad_filter_config_exits_1_before_running(self, filters, message, tmp_path, capsys):
         doc = minimal_doc()
