@@ -243,11 +243,6 @@ class TriggerState:
         self.last_fire = now
         self.last_baseline = now
 
-    def locally_flat(self) -> bool:
-        if len(self.recent) < self.FLAT_WINDOW:
-            return False
-        return max(self.recent) - min(self.recent) <= self.threshold / 3.0
-
 
 def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
     """True when the smoothed value moved more than the threshold since the
@@ -257,25 +252,36 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
     next one only records the baseline and returns False. On a fire the
     baseline and fire time advance to the current values. A deviation that
     never reaches the threshold is absorbed into the baseline after
-    `rebaseline_after` ticks, but only once the signal has flattened out.
+    `rebaseline_after` ticks, but only once the signal has flattened out:
+    the last `FLAT_WINDOW` smoothed values span at most a third of the
+    threshold.
     """
     if state.samples < state.warmup:
         state.samples += 1
         return False
-    state.recent.append(smoothed)
-    if len(state.recent) > state.FLAT_WINDOW:
-        del state.recent[0]
-    if state.last_reported is None:
+    recent = state.recent
+    recent.append(smoothed)
+    if len(recent) > state.FLAT_WINDOW:
+        del recent[0]
+    last_reported = state.last_reported
+    if last_reported is None:
         state.last_reported = smoothed
         state.last_baseline = now
         return False
-    if abs(smoothed - state.last_reported) > state.threshold and state.cooldown_over(now):
+    if abs(smoothed - last_reported) > state.threshold and state.cooldown_over(now):
         state.note_report(smoothed, now)
         return True
-    anchor = state.last_baseline if state.last_baseline is not None else now
-    if state.last_fire is not None:
-        anchor = max(anchor, state.last_fire)
-    if now - anchor >= state.rebaseline_after and state.locally_flat():
+    anchor = state.last_baseline
+    if anchor is None:
+        anchor = now
+    last_fire = state.last_fire
+    if last_fire is not None and last_fire > anchor:
+        anchor = last_fire
+    if (
+        now - anchor >= state.rebaseline_after
+        and len(recent) >= state.FLAT_WINDOW
+        and max(recent) - min(recent) <= state.threshold / 3.0
+    ):
         state.last_reported = smoothed
         state.last_baseline = now
     return False

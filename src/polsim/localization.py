@@ -227,6 +227,7 @@ def multilaterate(
     cost, a, g = pass_over(x)
     best_x = list(x)
     best_cost = cost
+    best_a = a  # the normal matrix at best_x, for the GDOP
     converged = False
     lam = 1e-9
     iterations = 0
@@ -246,6 +247,7 @@ def multilaterate(
             if cost < best_cost:
                 best_cost = cost
                 best_x = list(x)
+                best_a = a
             if math.sqrt(sum(s * s for s in step)) < step_tol:
                 converged = True
                 break
@@ -253,8 +255,7 @@ def multilaterate(
             lam = min(lam * 10.0, 1e6)
 
     rms = math.sqrt(best_cost / count)
-    _, a_best, _ = pass_over(best_x)
-    trace_inv = _inverse_trace(a_best)
+    trace_inv = _inverse_trace(best_a)
     gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
     if planar:
         pos = Location(best_x[0], best_x[1], float(fixed_z))
@@ -331,8 +332,6 @@ def locate_and_verify(
     per axis; a displacement of two or more cells still contradicts.
     """
     min_anchors = params.min_anchors
-    if 1 + len(store.latest_reports_of(subject)) < min_anchors - 1:
-        return VerifyOutcome.INSUFFICIENT_DATA
     anchors = gather_anchors(subject, store, self_location, now, params.anchor_freshness)
     fixed_z: Optional[float] = None
     if len(anchors) < min_anchors:

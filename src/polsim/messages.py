@@ -62,45 +62,33 @@ class RssiSource(IntEnum):
     REPORTED = 1   # extracted from a peer's BFT message
 
 
-class NodeId:
-    """6-byte MAC-style identifier; compares byte-wise.
+class NodeId(bytes):
+    """6-byte MAC-style identifier: a `bytes` subclass that adds only its text forms.
 
-    Hash and string forms are cached, identifiers are used as dict keys on
-    every hot path of the simulator.
+    Identifiers key the dicts and sets of every hot path of the simulator, so
+    hash, equality and order are the `bytes` ones and run in C: the hash is
+    `hash(mac)`, ids compare byte-wise, and `sorted` orders them by MAC. A
+    subclass is chosen over interning one object per MAC: there is no intern
+    table to grow when the codec decodes arbitrary bytes. `copy`, `deepcopy`
+    and `pickle` rebuild a `NodeId` through `__new__`.
     """
 
-    __slots__ = ("mac", "_hash", "_str")
+    __slots__ = ()
 
-    def __init__(self, mac: bytes):
+    def __new__(cls, mac: bytes) -> "NodeId":
         if not isinstance(mac, bytes) or len(mac) != 6:
             raise ValueError(f"NodeId needs exactly 6 bytes, got {mac!r}")
-        self.mac = mac
-        self._hash = hash(mac)
-        self._str = ":".join(f"{b:02x}" for b in mac)
+        return super().__new__(cls, mac)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NodeId) and self.mac == other.mac
-
-    def __lt__(self, other: "NodeId") -> bool:
-        return self.mac < other.mac
-
-    def __le__(self, other: "NodeId") -> bool:
-        return self.mac <= other.mac
-
-    def __gt__(self, other: "NodeId") -> bool:
-        return self.mac > other.mac
-
-    def __ge__(self, other: "NodeId") -> bool:
-        return self.mac >= other.mac
+    @property
+    def mac(self) -> bytes:
+        return bytes(self)
 
     def __str__(self) -> str:
-        return self._str
+        return self.hex(":")
 
     def __repr__(self) -> str:
-        return f"NodeId({self._str})"
+        return f"NodeId({self})"
 
     @classmethod
     def from_str(cls, text: str) -> "NodeId":
@@ -246,7 +234,8 @@ class AlertMessage:
 
     def __post_init__(self) -> None:
         if self.alert_type == AlertType.MEASUREMENT:
-            if not isinstance(self.object, bytes):
+            # a NodeId is bytes too, but never a sensor reading
+            if not isinstance(self.object, bytes) or isinstance(self.object, NodeId):
                 raise ValueError("measurement alert carries a sensor reading")
         else:
             if not isinstance(self.object, NodeId):

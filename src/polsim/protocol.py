@@ -53,7 +53,8 @@ class ProtocolParams:
     trust_step: float = 0.1
     consistency_tol: float = 5.0    # dB, claimed-vs-measured and history checks
     pool_ttl: int = 120             # ticks a payload may wait for validation
-    bft_window: int = 120           # ticks of BFT observations counted / anchor freshness
+    bft_window: int = 120           # ticks of dissent counted (count_recent_bft,
+                                    # recent_bft_senders) and of in-range peers for tau
     history_window: int = 64        # samples kept per link, all read by history checks
     location_grid: float = 0.5      # metres, location-key quantization
     verify_slack_cells: int = 1     # grid-cell tolerance of location verification
@@ -210,6 +211,10 @@ class MessagePool:
         if runs is None:
             self._seen[sender] = [seq, seq]
             self._by_sender[sender] = deque()
+        elif runs[-1] == seq - 1:
+            # the next seq after the newest run, as an honest sender sends:
+            # the bisect below would extend that run the same way
+            runs[-1] = seq
         else:
             # i counts the bounds <= seq: seq is pooled already when i is odd
             # (lo <= seq < hi) or seq is the hi just below; otherwise it lies
@@ -414,8 +419,14 @@ class NodeState:
         self_location = self.self_location
         pipelines = self._pipelines
         params = self.params
+        # own anchor plus one per reporter cannot reach the min_anchors - 1
+        # of even the planar fallback, so the sender stays unverified
+        hopeless = params.min_anchors - 2
         for sender, newest in pool.newest_per_sender():
-            verdict = locate_and_verify(sender, store, newest.message, model, self_location, now, params)
+            if len(store.latest_reports_of(sender)) < hopeless:
+                verdict = VerifyOutcome.INSUFFICIENT_DATA
+            else:
+                verdict = locate_and_verify(sender, store, newest.message, model, self_location, now, params)
             if verdict is VerifyOutcome.VERIFIED:
                 for entry in pool.clear_sender(sender):
                     actions.append(StoreTrusted(entry.message))

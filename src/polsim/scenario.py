@@ -201,7 +201,9 @@ class Scenario:
         model = {key: channel.pop(key) for key in _MODEL_KINDS if key in channel}
         channel["model"] = _built(PathLossModel, model, "channel: ", errors)
         if "seed" in top:
-            channel["seed"] = top["seed"]
+            # a top-level key: ChannelConfig checks its range, without the section prefix
+            if _built(ChannelConfig, {"seed": top["seed"]}, "", errors) is not None:
+                channel["seed"] = top["seed"]
         filters = _checked(top.get("filters", {}), _FILTER_KINDS, "filters: ", errors)
         protocol = _checked(top.get("protocol", {}), _PROTOCOL_KINDS, "protocol: ", errors)
         channel = _built(ChannelConfig, channel, "channel: ", errors)

@@ -10,7 +10,7 @@ BFT messages backs the distrust predicate's dissent counting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .messages import Location, NodeId, Rssi, RssiSource, SensorType, TrustScore
 
@@ -43,8 +43,10 @@ class LinkKey:
         return self._hash
 
 
-@dataclass(frozen=True)
-class RssiEntry:
+class RssiEntry(NamedTuple):
+    """One sample of a link's history: immutable, and as a tuple cheaper to
+    build per recorded sample than a frozen dataclass."""
+
     timestamp: int
     value: float
     source: RssiSource

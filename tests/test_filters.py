@@ -277,6 +277,77 @@ class TestTrigger:
         assert dataclasses.replace(warm, warmup=0, samples=0) == fresh
 
 
+def reference_bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
+    """The trigger as written before its state was read into locals and the
+    flatness check was inlined; `bft_trigger` must match it step for step."""
+
+    def locally_flat() -> bool:
+        if len(state.recent) < state.FLAT_WINDOW:
+            return False
+        return max(state.recent) - min(state.recent) <= state.threshold / 3.0
+
+    if state.samples < state.warmup:
+        state.samples += 1
+        return False
+    state.recent.append(smoothed)
+    if len(state.recent) > state.FLAT_WINDOW:
+        del state.recent[0]
+    if state.last_reported is None:
+        state.last_reported = smoothed
+        state.last_baseline = now
+        return False
+    if abs(smoothed - state.last_reported) > state.threshold and state.cooldown_over(now):
+        state.note_report(smoothed, now)
+        return True
+    anchor = state.last_baseline if state.last_baseline is not None else now
+    if state.last_fire is not None:
+        anchor = max(anchor, state.last_fire)
+    if now - anchor >= state.rebaseline_after and locally_flat():
+        state.last_reported = smoothed
+        state.last_baseline = now
+    return False
+
+
+class TestTriggerMatchesReference:
+    # Each segment jumps by `delta` and then holds within +-`wobble` for
+    # `length` samples, so both fires and rebaselines on flat windows occur;
+    # `report` stands for the node's own BFT emission before the segment.
+    segments = st.lists(
+        st.tuples(
+            st.floats(min_value=-15.0, max_value=15.0),
+            st.integers(min_value=1, max_value=25),
+            st.floats(min_value=0.0, max_value=2.0),
+            st.integers(min_value=0, max_value=3),
+            st.booleans(),
+        ),
+        max_size=12,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        segments,
+        st.floats(min_value=0.5, max_value=10.0),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_same_fires_and_final_state(self, segments, threshold, cooldown, rebaseline_after, warmup):
+        state = TriggerState(threshold=threshold, cooldown=cooldown,
+                             rebaseline_after=rebaseline_after, warmup=warmup)
+        reference = copy.deepcopy(state)
+        level, now = -60.0, 0
+        for delta, length, wobble, gap, report in segments:
+            level = min(-10.0, max(-110.0, level + delta))
+            if report and state.last_reported is not None:
+                state.note_report(level, now)
+                reference.note_report(level, now)
+            for i in range(length):
+                value = level + (wobble if i % 2 else -wobble)
+                assert bft_trigger(state, value, now) == reference_bft_trigger(reference, value, now)
+                assert state == reference
+                now += gap
+
+
 class TestBoundedness:
     @settings(max_examples=80)
     @given(streams)

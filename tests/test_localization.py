@@ -169,6 +169,59 @@ class TestMultilaterate:
         assert errs[2.0] <= 1.5  # stated bound, tolerance +-50% covered by margin
 
 
+def _ranged(anchors: list[Location], target: Location, offsets: list[float]) -> list[AnchorObservation]:
+    """Model RSSI of `target` at each anchor, shifted by `offsets` dB."""
+    return [
+        AnchorObservation(a, Rssi(rssi_value_from_distance(MODEL, target.distance_to(a)) + off))
+        for a, off in zip(anchors, offsets)
+    ]
+
+
+_SPREAD = [Location(0, 0, 0), Location(4, 0, 0), Location(0, 4, 0), Location(0, 0, 4), Location(3, 3, 1)]
+_PLANE = [Location(0, 0, 0), Location(6, 0, 1), Location(0, 5, -1), Location(5, 5, 0)]
+_NOISE = [1.5, -2.0, 0.5, -0.75, 2.5]
+
+
+class TestPinnedSolves:
+    """Every result field, recorded bit for bit from the solver that re-swept
+    the best iterate for its GDOP; the solver now keeps that normal matrix."""
+
+    @pytest.mark.parametrize(
+        "obs, kwargs, want",
+        [
+            (_ranged(_SPREAD, Location(1.3, 2.1, 0.7), [0.0] * 5), {},
+             ((1.3, 2.0999999999999996, 0.7000000000000002), 4.864753555590494e-16, True, 4,
+              1.4742616826792836)),
+            (_ranged(_SPREAD, Location(1.3, 2.1, 0.7), _NOISE), {},
+             ((1.1213124245471993, 2.3897883276500833, 0.5998354998100422), 0.4603472954378065, True, 29,
+              1.5110267060104956)),
+            (_ranged(_SPREAD, Location(1.3, 2.1, 0.7), _NOISE), {"max_iterations": 3},
+             ((1.116690079149622, 2.3928993837064105, 0.6022050585310903), 0.46036368808260236, False, 3,
+              1.511191975178506)),
+            (_ranged(_SPREAD[:4], Location(1.3, 2.1, 0.7), [0.3, -0.4, 0.2, 0.1]),
+             {"max_iterations": 20, "step_tol": 1e-7},
+             ((1.1198599215191605, 2.094183430260901, 0.7104977977035988), 0.02120955015447579, True, 11,
+              1.662825231881407)),
+            (_ranged(_PLANE, Location(2.2, 1.7, 0.0), [-1.0, 2.0, 0.5, -1.5]), {"fixed_z": 0.0},
+             ((2.461990526636248, 1.3072668308864535, 0.0), 0.5644103608219164, False, 50,
+              1.0273595486126574)),
+            (_ranged(_PLANE[:3], Location(2.2, 1.7, 0.0), [0.4, -0.2, 0.3]),
+             {"fixed_z": 0.0, "max_iterations": 20, "step_tol": 1e-7},
+             ((2.0501269200142174, 1.7250492987896884, 0.0), 0.036757093359760976, True, 5,
+              1.2120907939901924)),
+        ],
+        ids=["3d-exact", "3d-noisy", "3d-budget", "3d-verify", "planar-noisy", "planar-three"],
+    )
+    def test_every_field_bit_for_bit(self, obs, kwargs, want):
+        result = multilaterate(obs, MODEL, **kwargs)
+        position, residual, converged, iterations, gdop = want
+        assert result.position.as_tuple() == position
+        assert result.residual == residual
+        assert result.converged is converged
+        assert result.iterations == iterations
+        assert result.gdop == gdop
+
+
 # -- solver equivalence ---------------------------------------------------------
 #
 # `reference_multilaterate` is the generic dim x dim accumulation loop the

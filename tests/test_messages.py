@@ -1,5 +1,8 @@
 """Core value types, location keys, and the wire codec."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,13 +36,41 @@ class TestNodeId:
         assert str(NodeId.from_str("aa:bb:cc:dd:ee:ff")) == "aa:bb:cc:dd:ee:ff"
 
     def test_requires_six_bytes(self):
-        with pytest.raises(ValueError):
-            NodeId(b"\x01\x02")
+        for bad in (b"\x01\x02", b"", b"\x01" * 7, bytearray(6), "02:00:00:00:00:01", 6, None):
+            with pytest.raises(ValueError, match="exactly 6 bytes"):
+                NodeId(bad)
 
     def test_bytewise_order_and_equality(self):
         assert A < B
         assert A == NodeId(bytes([2, 0, 0, 0, 0, 1]))
         assert len({A, NodeId(A.mac)}) == 1
+
+    @given(st.binary(min_size=6, max_size=6))
+    def test_hash_is_the_mac_hash(self, mac):
+        node = NodeId(mac)
+        assert hash(node) == hash(mac)
+        assert node.mac == mac and type(node.mac) is bytes
+
+    @given(st.lists(st.binary(min_size=6, max_size=6), max_size=20))
+    def test_sorted_order_is_byte_order(self, macs):
+        assert [n.mac for n in sorted(NodeId(m) for m in macs)] == sorted(macs)
+
+    def test_text_forms(self):
+        node = NodeId(bytes([0x0A, 0xBB, 0, 1, 0xFE, 0x7F]))
+        assert str(node) == "0a:bb:00:01:fe:7f"
+        assert repr(node) == "NodeId(0a:bb:00:01:fe:7f)"
+        assert f"{node}#3" == "0a:bb:00:01:fe:7f#3"
+        assert NodeId.from_str(str(node)) == node
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda node: pickle.loads(pickle.dumps(node))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_node_ids(self, clone):
+        twin = clone(A)
+        assert type(twin) is NodeId
+        assert twin == A and hash(twin) == hash(A) and str(twin) == str(A)
 
 
 class TestLocation:

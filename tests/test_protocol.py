@@ -6,7 +6,14 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsim.localization import PathLossModel, gather_anchors, rssi_from_distance
+from polsim import protocol
+from polsim.localization import (
+    PathLossModel,
+    VerifyOutcome,
+    gather_anchors,
+    locate_and_verify,
+    rssi_from_distance,
+)
 from polsim.messages import (
     AlertMessage,
     AlertType,
@@ -267,6 +274,53 @@ class TestValidatePool:
         assert len(bfts) >= 1
         assert bfts[0].message.subject == PEER
         assert bfts[0].message.measured_rssi.value <= -52.0
+
+    def test_hopeless_sender_decided_without_verification(self, monkeypatch):
+        # one reporter of PEER: own anchor + 1 < min_anchors - 1, so no solve
+        # can run; validate_pool decides without calling locate_and_verify
+        node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("locate_and_verify called for a hopeless sender")
+
+        monkeypatch.setattr(protocol, "locate_and_verify", refuse)
+        steady = Location(4.0, 0.0, 0.0)
+        actions = []
+        for t in range(30):
+            node.receive_payload(payload_from(PEER, t + 1, steady, t - 1), Rssi(-52.0 if t < 12 else -67.0), t)
+            if t % 3 == 0:
+                bft = BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-55.0), None, t)
+                node.receive_bft(bft, Rssi(-50.0), t)
+            assert len(node.store.latest_reports_of(PEER)) < node.params.min_anchors - 2
+            # called alone, the verifier reaches the same verdict
+            newest = node.pool.newest_per_sender()[0][1].message
+            verdict = locate_and_verify(PEER, node.store, newest, MODEL, node.self_location, t, node.params)
+            assert verdict is VerifyOutcome.INSUFFICIENT_DATA
+            actions += [(t, action) for action in node.validate_pool(t)]
+        # the actions the node took before validate_pool skipped the call
+        expected = [(t, Ignore("expired", context=f"{PEER}#{t - 5}")) for t in range(6, 30)]
+        bft = BftMessage(ME, node.self_location, PEER, Rssi(-58.480527897555184), 22, 21)
+        expected.insert(expected.index((21, Ignore("expired", context=f"{PEER}#16"))) + 1, (21, SendBft(bft)))
+        assert actions == expected
+
+    def test_sender_at_the_reporter_bound_is_verified(self, monkeypatch):
+        # min_anchors - 2 reporters plus the own anchor reach the planar
+        # fallback's min_anchors - 1, so the verifier runs
+        node = make_node()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return locate_and_verify(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "locate_and_verify", spy)
+        node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 10), Rssi(-52.0), 11)
+        for reporter in (OTHER, EXTRAS[0]):
+            bft = BftMessage(reporter, node.store.peer(reporter).location, PEER, Rssi(-55.0), None, 11)
+            node.receive_bft(bft, Rssi(-50.0), 11)
+        assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
+        node.validate_pool(11)
+        assert calls == [PEER]
 
 
 class TestReceiveBft:

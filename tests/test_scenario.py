@@ -140,7 +140,9 @@ class TestValidation:
             ({"tick_ms": True}, "unknown key 'tick_ms'"),
             ({"duration": True}, "duration must be a positive integer"),
             ({"seed": True}, "seed must be an integer"),
-            ({"seed": 2**64}, r"seed must be in \[-2\*\*63, 2\*\*63\)"),
+            # a top-level key: its message names no section
+            ({"seed": 2**64}, r"(?<!channel: )seed must be in \[-2\*\*63, 2\*\*63\)"),
+            ({"seed": -(2**63) - 1}, r"(?<!channel: )seed must be in \[-2\*\*63, 2\*\*63\)"),
             ({"nodes": [{"mac": "02:00:00:00:00:01", "position": [0, 0, 0]}]},
              r"nodes\[0\]: missing key 'id'"),
             ({"movements": [{"node": "a", "at": 3}]}, r"movements\[0\]: missing key 'to'"),
@@ -166,6 +168,7 @@ class TestValidation:
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
              "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
+             "seed-too-small",
              "node-missing-id", "movement-missing-to", "attack-missing-type", "movement-at-bool",
              "payload-period-float", "pool-ttl-string", "trigger-cooldown-float", "announce-string",
              "channel-string-number", "attack-until-string", "attack-fake-rssi-out-of-range",
