@@ -13,12 +13,7 @@ from typing import Callable
 
 from .filters import KalmanState, kalman_step, make_filter
 from .harness import RunResult, run
-from .localization import (
-    AnchorObservation,
-    PathLossModel,
-    multilaterate,
-    rssi_from_distance,
-)
+from .localization import PathLossModel, multilaterate, rssi_from_distance
 from .messages import BftMessage, BftRef, AlertMessage, AlertType, Location, NodeId, Rssi, TrustScore
 from .protocol import (
     BFT_ABOUT_B,
@@ -364,8 +359,8 @@ def check_localization_oracle() -> CheckResult:
         )
         if min(target.distance_to(p) for p in hull) < 0.1:
             continue
-        obs = [AnchorObservation(p, rssi_from_distance(model, target.distance_to(p))) for p in hull]
-        result = multilaterate(obs, model)
+        anchors = [(p.x, p.y, p.z, rssi_from_distance(model, target.distance_to(p)).value) for p in hull]
+        result = multilaterate(anchors, model)
         err = result.position.distance_to(target)
         worst = max(worst, err)
         if err > 1e-6:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -83,7 +84,7 @@ def _parse_sweep(text: str) -> list[float]:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad sweep spec {text!r}, expected LO:HI:STEP") from exc
-    if step <= 0 or hi < lo:
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0 or hi < lo:
         raise ValueError(f"bad sweep spec {text!r}")
     out = []
     value = lo

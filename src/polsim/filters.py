@@ -13,7 +13,8 @@ defaults and kinds; its running state is not an init field. `make_filter`
 builds one by name from the single registry, for the node's links and for
 the offline `polsim filters` sweep alike.
 
-All filters consume and produce plain floats (dB). The dynamic moving average
+All filters consume and produce plain floats (dB), and their sums add left
+to right (`_sum`). The dynamic moving average
 has no canonical definition; the adaptive-window variant implemented here
 (window halves on outliers, grows by one otherwise) is a placeholder, see
 README.
@@ -24,9 +25,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Optional
+from operator import mul
+from typing import Any, Callable, Iterable, Optional
 
 from .kinds import _checked, _schema
+
+
+def _sum(values: Iterable[float]) -> float:
+    """The sum of `values`, added left to right from 0 as `sum` did before
+    Python 3.12. From 3.12 on `sum` of floats is compensated and rounds
+    differently, and smoothed values feed the traces."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass
@@ -118,7 +130,7 @@ def moving_average_step(state: MovingAverageState, v: float) -> float:
     state.buffer.append(v)
     if len(state.buffer) > state.window:
         del state.buffer[0]
-    return sum(state.buffer) / len(state.buffer)
+    return _sum(state.buffer) / len(state.buffer)
 
 
 @dataclass
@@ -171,7 +183,7 @@ def dynamic_moving_average_step(state: DynamicMovingAverageState, v: float) -> f
     if len(state.buffer) > state.max_window:
         del state.buffer[0]
     tail = state.buffer[-state.window :]
-    state.y = sum(tail) / len(tail)
+    state.y = _sum(tail) / len(tail)
     return state.y
 
 
@@ -195,9 +207,9 @@ def gaussian_step(state: GaussianState, v: float) -> float:
     if len(state.buffer) > state.window:
         del state.buffer[0]
     weights = [math.exp(-(age * age) / (2.0 * state.sigma * state.sigma)) for age in range(len(state.buffer))]
-    total = sum(weights)
+    total = _sum(weights)
     # newest sample has age 0 and sits at the end of the buffer
-    return sum(w * x for w, x in zip(weights, reversed(state.buffer))) / total
+    return _sum(map(mul, weights, reversed(state.buffer))) / total
 
 
 @dataclass
@@ -227,8 +239,8 @@ class TriggerState:
     FLAT_WINDOW = 15
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
         if self.cooldown < 0 or self.rebaseline_after < 1:
             raise ValueError("cooldown must be >= 0 and rebaseline_after >= 1")
         if self.warmup < 0:

@@ -130,6 +130,8 @@ _ACTION_COUNTS = {
     "ignore": "ignored",
 }
 RSSI_HEADER = "tick,receiver,sender,rssi_raw,rssi_smoothed\n"
+# the received counter of each message type
+_RECV_COUNTS = {PayloadMessage: "payload_recv", BftMessage: "bft_recv", AlertMessage: "alert_recv"}
 
 
 def _tally(events: list[TraceEvent], tally: dict[str, dict[str, int]]) -> None:
@@ -454,6 +456,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
 
     event, row = sink.event, sink.row
     counts = {spec.label: dict.fromkeys(_COUNT_KEYS, 0) for spec in scenario.nodes}
+    counts_of = {spec.mac: counts[spec.label] for spec in scenario.nodes}
     for driver in drivers:
         counts.setdefault(driver.label, dict.fromkeys(_COUNT_KEYS, 0))
     trust_timeline: list[tuple[int, str, str, float]] = []
@@ -551,26 +554,21 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                 elif isinstance(injected, PayloadMessage):
                     record_action(tick, driver.label, SendPayload(injected))
 
-        # 3. channel delivery
+        # 3. channel delivery, counted per receiver by message type
         inboxes: dict[NodeId, list[tuple[Message, Rssi]]] = {mac: [] for mac in node_order}
         for phys_sender, msg in broadcasts:
+            received = _RECV_COUNTS[type(msg)]
             for receiver, rssi in channel.broadcast(phys_sender, msg, tick):
                 inbox = inboxes.get(receiver)
                 if inbox is not None:
                     inbox.append((msg, rssi))
+                    counts_of[receiver][received] += 1
 
         # 4. protocol rounds, ascending node id
         for mac in node_order:
             state = nodes[mac]
             node_label = labels[mac]
             inbox = inboxes[mac]
-            for msg, _rssi in inbox:
-                if isinstance(msg, PayloadMessage):
-                    counts[node_label]["payload_recv"] += 1
-                elif isinstance(msg, BftMessage):
-                    counts[node_label]["bft_recv"] += 1
-                elif isinstance(msg, AlertMessage):
-                    counts[node_label]["alert_recv"] += 1
             for action in state.tick(inbox, now=tick):
                 record_action(tick, node_label, action)
                 if isinstance(action, (SendBft, SendAlert)):

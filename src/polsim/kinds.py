@@ -3,8 +3,9 @@
 A kind takes a document value and returns what is stored, or raises
 ValueError saying what the value must be. Each value gets one type test:
 JSON true/false load as bool, an int subclass, so a bool is never a number,
-and a string is never parsed as one. An int given for a number is stored as
-a float, so a document round-trips unchanged.
+and a string is never parsed as one. A number must be finite: Python's JSON
+reader takes NaN and +-Infinity, which no parameter can mean. An int given
+for a number is stored as a float, so a document round-trips unchanged.
 
 A parameter dataclass declares each key once: `_schema` reads the names from
 its init fields and the kinds from their annotations, and the defaults stay
@@ -14,6 +15,7 @@ values this way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import Any, Callable, Optional, get_type_hints
 
@@ -26,7 +28,11 @@ def _kind(types: tuple[type, ...], what: str, ok: Optional[Callable[[Any], bool]
 
     def check(value: Any) -> Any:
         t = type(value)
-        if t not in types or (ok is not None and not ok(value)):
+        if (
+            t not in types
+            or (t is float and not math.isfinite(value))
+            or (ok is not None and not ok(value))
+        ):
             raise ValueError(f"must be {what}, not {value!r}")
         return float(value) if widen and t is int else value
 

@@ -13,9 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from hashlib import blake2b
+from struct import pack
 from typing import TYPE_CHECKING, Optional
 
-from .messages import (
+# perfbench/tracer.py wraps polsim.localization.location_key by name; the
+# verification below hashes each candidate cell itself and no longer calls it
+from .messages import (  # noqa: F401
     Location,
     NodeId,
     PayloadMessage,
@@ -23,12 +27,15 @@ from .messages import (
     RSSI_MIN,
     Rssi,
     location_key,
-    quantize_location,
 )
 from .topology import LinkKey, TopologyStore
 
 if TYPE_CHECKING:  # protocol imports this module
     from .protocol import ProtocolParams
+
+# One observer of known position and its reading of the target:
+# (x, y, z, rssi_dB), the observer's coordinates in metres.
+Anchor = tuple[float, float, float, float]
 
 
 class InsufficientAnchorsError(ValueError):
@@ -46,14 +53,6 @@ class PathLossModel:
     def __post_init__(self) -> None:
         if self.n <= 0 or self.d0 <= 0:
             raise ValueError("need n > 0 and d0 > 0")
-
-
-@dataclass(frozen=True)
-class AnchorObservation:
-    """One observer of known position and its RSSI reading of the target."""
-
-    anchor: Location
-    rssi: Rssi
 
 
 def rssi_value_from_distance(m: PathLossModel, d: float) -> float:
@@ -83,66 +82,17 @@ class MultilaterationResult:
     gdop: float = 0.0  # geometric dilution of precision at the solution
 
 
-def _solve_spd(a: list[list[float]], g: list[float]) -> Optional[list[float]]:
-    """Solve the 2x2 or 3x3 normal-equation system via determinants."""
-    if len(g) == 2:
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        if abs(det) < 1e-300:
-            return None
-        return [
-            (g[0] * a[1][1] - g[1] * a[0][1]) / det,
-            (a[0][0] * g[1] - a[1][0] * g[0]) / det,
-        ]
-    c00 = a[1][1] * a[2][2] - a[1][2] * a[2][1]
-    c01 = a[1][2] * a[2][0] - a[1][0] * a[2][2]
-    c02 = a[1][0] * a[2][1] - a[1][1] * a[2][0]
-    det = a[0][0] * c00 + a[0][1] * c01 + a[0][2] * c02
-    if abs(det) < 1e-300:
-        return None
-    c10 = a[0][2] * a[2][1] - a[0][1] * a[2][2]
-    c11 = a[0][0] * a[2][2] - a[0][2] * a[2][0]
-    c12 = a[0][1] * a[2][0] - a[0][0] * a[2][1]
-    c20 = a[0][1] * a[1][2] - a[0][2] * a[1][1]
-    c21 = a[0][2] * a[1][0] - a[0][0] * a[1][2]
-    c22 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return [
-        (g[0] * c00 + g[1] * c10 + g[2] * c20) / det,
-        (g[0] * c01 + g[1] * c11 + g[2] * c21) / det,
-        (g[0] * c02 + g[1] * c12 + g[2] * c22) / det,
-    ]
-
-
-def _inverse_trace(a: list[list[float]]) -> float:
-    """trace(A^-1) for the 2x2 or 3x3 normal matrix; inf when singular."""
-    if len(a) == 2:
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        if abs(det) < 1e-300:
-            return math.inf
-        return (a[1][1] + a[0][0]) / det
-    c00 = a[1][1] * a[2][2] - a[1][2] * a[2][1]
-    c11 = a[0][0] * a[2][2] - a[0][2] * a[2][0]
-    c22 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    det = (
-        a[0][0] * c00
-        + a[0][1] * (a[1][2] * a[2][0] - a[1][0] * a[2][2])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-    if abs(det) < 1e-300:
-        return math.inf
-    return (c00 + c11 + c22) / det
-
-
 def multilaterate(
-    obs: list[AnchorObservation],
+    anchors: list[Anchor],
     m: PathLossModel,
     fixed_z: Optional[float] = None,
     max_iterations: int = 50,
     step_tol: float = 1e-9,
 ) -> MultilaterationResult:
-    """Estimate the target position from anchor RSSI observations.
+    """Estimate the target position from `(x, y, z, rssi_dB)` anchor readings.
 
-    Needs four observations for a full 3-D solve, or three when `fixed_z`
-    pins the height (planar fallback). A damped Gauss-Newton (Levenberg)
+    Needs four anchors for a full 3-D solve, or three when `fixed_z` pins
+    the height (planar fallback). A damped Gauss-Newton (Levenberg)
     iteration starts from the anchor centroid and minimizes the sum of
     squared range residuals (estimated distance minus model distance per
     anchor). Non-convergence returns the best iterate, flagged via
@@ -151,118 +101,198 @@ def multilaterate(
     """
     planar = fixed_z is not None
     needed = 3 if planar else 4
-    if len(obs) < needed:
+    count = len(anchors)
+    if count < needed:
         raise InsufficientAnchorsError(
-            f"{len(obs)} observations, need {needed} for {'planar' if planar else '3-D'} solve"
+            f"{count} observations, need {needed} for {'planar' if planar else '3-D'} solve"
         )
-
-    anchors = [o.anchor.as_tuple() for o in obs]
-    dists = [distance_from_rssi(m, o.rssi) for o in obs]
-    count = len(obs)
-    dim = 2 if planar else 3
-    x = [sum(p[i] for p in anchors) / count for i in range(dim)]
-
-    # The sweeps below are the dim x dim accumulation loop written out per
-    # entry. Every accumulator starts at 0.0 and adds in anchor order, so the
-    # sums are bit-for-bit those of the loop; a[j][i] is the same product as
-    # a[i][j] because float multiplication commutes.
-    sqrt = math.sqrt
+    # distance_from_rssi on the plain dB value
+    d0, p0, slope = m.d0, m.p0, 10.0 * m.n
+    # the centroid adds in anchor order, left to right: sum() of floats is
+    # compensated from Python 3.12 on and would round differently
+    cx = cy = cz = 0.0
+    terms = []
     if planar:
         # the height offset to each anchor is fixed; only its square is used
-        terms = [
-            (px, py, (fixed_z - pz) * (fixed_z - pz), d) for (px, py, pz), d in zip(anchors, dists)
-        ]
+        for px, py, pz, rssi in anchors:
+            cx += px
+            cy += py
+            terms.append((px, py, (fixed_z - pz) * (fixed_z - pz), d0 * 10.0 ** ((p0 - rssi) / slope)))
+        return _levenberg_planar(terms, cx / count, cy / count, float(fixed_z), max_iterations, step_tol)
+    for px, py, pz, rssi in anchors:
+        cx += px
+        cy += py
+        cz += pz
+        terms.append((px, py, pz, d0 * 10.0 ** ((p0 - rssi) / slope)))
+    return _levenberg_3d(terms, cx / count, cy / count, cz / count, max_iterations, step_tol)
 
-        def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
-            """One sweep: cost, normal matrix J'J and gradient J'r."""
-            x0, x1 = point
-            a00 = a01 = a11 = g0 = g1 = cost = 0.0
-            for px, py, dz2, d in terms:
-                dx = x0 - px
-                dy = x1 - py
-                rng = sqrt(dx * dx + dy * dy + dz2)
-                if 1e-12 > rng:
-                    rng = 1e-12
-                res = rng - d
-                cost += res * res
-                u0 = dx / rng
-                u1 = dy / rng
-                g0 += u0 * res
-                g1 += u1 * res
-                a00 += u0 * u0
-                a01 += u0 * u1
-                a11 += u1 * u1
-            return cost, [[a00, a01], [a01, a11]], [g0, g1]
 
-    else:
-        terms = [(px, py, pz, d) for (px, py, pz), d in zip(anchors, dists)]
+# The two Levenberg loops below keep the iterate, the symmetric normal matrix
+# J'J (upper triangle aNM) and the gradient J'r (gN) as scalars, and solve the
+# damped system by Cramer's rule. Each sum and product is the one of the
+# generic dim x dim loop with list matrices, in the same order: the sweeps
+# start every accumulator at 0.0 and add in anchor order, a mirrored entry
+# aMN is the same float as aNM, and x * y == y * x exactly. The step solves
+# (J'J + damping) step = -J'r, and subtracting a product equals adding its
+# negation, so the step is bit-for-bit the one of the list solver.
 
-        def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
-            """One sweep: cost, normal matrix J'J and gradient J'r."""
-            x0, x1, x2 = point
-            a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = cost = 0.0
-            for px, py, pz, d in terms:
-                dx = x0 - px
-                dy = x1 - py
-                dz = x2 - pz
-                rng = sqrt(dx * dx + dy * dy + dz * dz)
-                if 1e-12 > rng:
-                    rng = 1e-12
-                res = rng - d
-                cost += res * res
-                u0 = dx / rng
-                u1 = dy / rng
-                u2 = dz / rng
-                g0 += u0 * res
-                g1 += u1 * res
-                g2 += u2 * res
-                a00 += u0 * u0
-                a01 += u0 * u1
-                a02 += u0 * u2
-                a11 += u1 * u1
-                a12 += u1 * u2
-                a22 += u2 * u2
-            return cost, [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]], [g0, g1, g2]
 
-    cost, a, g = pass_over(x)
-    best_x = list(x)
-    best_cost = cost
-    best_a = a  # the normal matrix at best_x, for the GDOP
+def _sweep_3d(
+    terms: list[tuple[float, float, float, float]], x0: float, x1: float, x2: float
+) -> tuple[float, float, float, float, float, float, float, float, float, float]:
+    """One pass over (x, y, z, range) terms: cost, J'J upper triangle, J'r."""
+    sqrt = math.sqrt
+    a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = cost = 0.0
+    for px, py, pz, d in terms:
+        dx = x0 - px
+        dy = x1 - py
+        dz = x2 - pz
+        rng = sqrt(dx * dx + dy * dy + dz * dz)
+        if 1e-12 > rng:
+            rng = 1e-12
+        res = rng - d
+        cost += res * res
+        u0 = dx / rng
+        u1 = dy / rng
+        u2 = dz / rng
+        g0 += u0 * res
+        g1 += u1 * res
+        g2 += u2 * res
+        a00 += u0 * u0
+        a01 += u0 * u1
+        a02 += u0 * u2
+        a11 += u1 * u1
+        a12 += u1 * u2
+        a22 += u2 * u2
+    return cost, a00, a01, a02, a11, a12, a22, g0, g1, g2
+
+
+def _levenberg_3d(
+    terms: list[tuple[float, float, float, float]],
+    x0: float,
+    x1: float,
+    x2: float,
+    max_iterations: int,
+    step_tol: float,
+) -> MultilaterationResult:
+    cost, a00, a01, a02, a11, a12, a22, g0, g1, g2 = _sweep_3d(terms, x0, x1, x2)
+    b0, b1, b2, best_cost = x0, x1, x2, cost
+    # the normal matrix at the best iterate, for the GDOP
+    b00, b01, b02, b11, b12, b22 = a00, a01, a02, a11, a12, a22
     converged = False
     lam = 1e-9
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        damped = [row[:] for row in a]
-        for i in range(dim):
-            damped[i][i] += lam * (1.0 + a[i][i])
-        step = _solve_spd(damped, [-v for v in g])
-        if step is None:
+        d00 = a00 + lam * (1.0 + a00)
+        d11 = a11 + lam * (1.0 + a11)
+        d22 = a22 + lam * (1.0 + a22)
+        c00 = d11 * d22 - a12 * a12
+        c01 = a12 * a02 - a01 * d22
+        c02 = a01 * a12 - d11 * a02
+        det = d00 * c00 + a01 * c01 + a02 * c02
+        if abs(det) < 1e-300:
             lam = max(lam * 10.0, 1e-6)
             continue
-        candidate = [xi + si for xi, si in zip(x, step)]
-        new_cost, new_a, new_g = pass_over(candidate)
-        if new_cost <= cost:
-            x, cost, a, g = candidate, new_cost, new_a, new_g
+        c11 = d00 * d22 - a02 * a02
+        c12 = a01 * a02 - d00 * a12
+        c22 = d00 * d11 - a01 * a01
+        s0 = (-g0 * c00 - g1 * c01 - g2 * c02) / det
+        s1 = (-g0 * c01 - g1 * c11 - g2 * c12) / det
+        s2 = (-g0 * c02 - g1 * c12 - g2 * c22) / det
+        n0 = x0 + s0
+        n1 = x1 + s1
+        n2 = x2 + s2
+        swept = _sweep_3d(terms, n0, n1, n2)
+        if swept[0] <= cost:
+            x0, x1, x2 = n0, n1, n2
+            cost, a00, a01, a02, a11, a12, a22, g0, g1, g2 = swept
             lam = max(lam * 0.3, 1e-12)
             if cost < best_cost:
-                best_cost = cost
-                best_x = list(x)
-                best_a = a
-            if math.sqrt(sum(s * s for s in step)) < step_tol:
+                b0, b1, b2, best_cost = x0, x1, x2, cost
+                b00, b01, b02, b11, b12, b22 = a00, a01, a02, a11, a12, a22
+            if math.sqrt(s0 * s0 + s1 * s1 + s2 * s2) < step_tol:
                 converged = True
                 break
         else:
             lam = min(lam * 10.0, 1e6)
 
-    rms = math.sqrt(best_cost / count)
-    trace_inv = _inverse_trace(best_a)
+    # GDOP: sqrt(trace((J'J)^-1)) at the best iterate, from its cofactors
+    c00 = b11 * b22 - b12 * b12
+    det = b00 * c00 + b01 * (b12 * b02 - b01 * b22) + b02 * (b01 * b12 - b11 * b02)
+    trace_inv = math.inf if abs(det) < 1e-300 else (c00 + (b00 * b22 - b02 * b02) + (b00 * b11 - b01 * b01)) / det
     gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
-    if planar:
-        pos = Location(best_x[0], best_x[1], float(fixed_z))
-    else:
-        pos = Location(best_x[0], best_x[1], best_x[2])
-    return MultilaterationResult(pos, rms, converged, iterations, gdop)
+    rms = math.sqrt(best_cost / len(terms))
+    return MultilaterationResult(Location(b0, b1, b2), rms, converged, iterations, gdop)
 
+
+def _sweep_planar(
+    terms: list[tuple[float, float, float, float]], x0: float, x1: float
+) -> tuple[float, float, float, float, float, float]:
+    """One pass over (x, y, dz squared, range) terms: cost, J'J upper triangle, J'r."""
+    sqrt = math.sqrt
+    a00 = a01 = a11 = g0 = g1 = cost = 0.0
+    for px, py, dz2, d in terms:
+        dx = x0 - px
+        dy = x1 - py
+        rng = sqrt(dx * dx + dy * dy + dz2)
+        if 1e-12 > rng:
+            rng = 1e-12
+        res = rng - d
+        cost += res * res
+        u0 = dx / rng
+        u1 = dy / rng
+        g0 += u0 * res
+        g1 += u1 * res
+        a00 += u0 * u0
+        a01 += u0 * u1
+        a11 += u1 * u1
+    return cost, a00, a01, a11, g0, g1
+
+
+def _levenberg_planar(
+    terms: list[tuple[float, float, float, float]],
+    x0: float,
+    x1: float,
+    z: float,
+    max_iterations: int,
+    step_tol: float,
+) -> MultilaterationResult:
+    cost, a00, a01, a11, g0, g1 = _sweep_planar(terms, x0, x1)
+    b0, b1, best_cost = x0, x1, cost
+    b00, b01, b11 = a00, a01, a11
+    converged = False
+    lam = 1e-9
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        d00 = a00 + lam * (1.0 + a00)
+        d11 = a11 + lam * (1.0 + a11)
+        det = d00 * d11 - a01 * a01
+        if abs(det) < 1e-300:
+            lam = max(lam * 10.0, 1e-6)
+            continue
+        s0 = (-g0 * d11 + g1 * a01) / det
+        s1 = (-d00 * g1 + a01 * g0) / det
+        n0 = x0 + s0
+        n1 = x1 + s1
+        swept = _sweep_planar(terms, n0, n1)
+        if swept[0] <= cost:
+            x0, x1 = n0, n1
+            cost, a00, a01, a11, g0, g1 = swept
+            lam = max(lam * 0.3, 1e-12)
+            if cost < best_cost:
+                b0, b1, best_cost = x0, x1, cost
+                b00, b01, b11 = a00, a01, a11
+            if math.sqrt(s0 * s0 + s1 * s1) < step_tol:
+                converged = True
+                break
+        else:
+            lam = min(lam * 10.0, 1e6)
+
+    det = b00 * b11 - b01 * b01
+    trace_inv = math.inf if abs(det) < 1e-300 else (b11 + b00) / det
+    gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
+    rms = math.sqrt(best_cost / len(terms))
+    return MultilaterationResult(Location(b0, b1, z), rms, converged, iterations, gdop)
 
 class VerifyOutcome(Enum):
     VERIFIED = "verified"
@@ -276,7 +306,7 @@ def gather_anchors(
     self_location: Location,
     now: int,
     freshness: int,
-) -> list[AnchorObservation]:
+) -> list[Anchor]:
     """Collect usable observers of `subject`: self plus reporting peers.
 
     The node's own anchor uses its current smoothed RSSI of the subject. Peer
@@ -285,10 +315,10 @@ def gather_anchors(
     reporter claimed in its BFT message, falling back to the stored peer
     location when it is known and still verified.
     """
-    anchors: list[AnchorObservation] = []
+    anchors: list[Anchor] = []
     own = store.latest_smoothed(LinkKey(store.self_id, subject))
     if own is not None and now - own[0] <= freshness:
-        anchors.append(AnchorObservation(self_location, Rssi(own[1])))
+        anchors.append((self_location.x, self_location.y, self_location.z, own[1]))
     reports = store.latest_reports_of(subject)
     for peer_id in sorted(reports):
         if peer_id == subject or peer_id == store.self_id:
@@ -302,7 +332,7 @@ def gather_anchors(
             if rec is None or rec.location is None or not rec.location_verified:
                 continue
             point = rec.location
-        anchors.append(AnchorObservation(point, Rssi(entry.value)))
+        anchors.append((point.x, point.y, point.z, entry.value))
     return anchors
 
 
@@ -349,14 +379,30 @@ def locate_and_verify(
     if not result.converged or result.residual > params.residual_cap or result.gdop > params.max_gdop:
         return VerifyOutcome.INSUFFICIENT_DATA
 
-    grid = params.location_grid
-    slack_cells = params.verify_slack_cells
-    ex, ey, ez = quantize_location(result.position, grid)
-    offsets = sorted(range(-slack_cells, slack_cells + 1), key=abs)  # exact cell first
-    for dx in offsets:
-        for dy in offsets:
-            for dz in offsets:
-                cell = Location(ex + dx * grid, ey + dy * grid, ez + dz * grid)
-                if location_key(cell, msg.payload, grid) == msg.signed_payload:
-                    return VerifyOutcome.VERIFIED
+    if _signed_within_slack(result.position, msg, params.location_grid, params.verify_slack_cells):
+        return VerifyOutcome.VERIFIED
     return VerifyOutcome.CONTRADICTED
+
+
+def _signed_within_slack(position: Location, msg: PayloadMessage, grid: float, slack_cells: int) -> bool:
+    """True iff `msg` was signed in a `grid` cell at most `slack_cells` cells
+    from the cell of `position` on every axis.
+
+    This is `location_key(Location(ex + dx*grid, ...), msg.payload, grid) ==
+    msg.signed_payload` over the cell offsets, (ex, ey, ez) the quantized
+    `position`, with the quantization `location_key` applies done once per
+    axis and offset.
+    """
+    offsets = sorted(range(-slack_cells, slack_cells + 1), key=abs)  # exact cell first
+    xs, ys, zs = (
+        [round((e + d * grid) / grid) * grid for d in offsets]
+        for e in (round(c / grid) * grid for c in (position.x, position.y, position.z))
+    )
+    payload = msg.payload
+    signed = msg.signed_payload.digest
+    for qx in xs:
+        for qy in ys:
+            for qz in zs:
+                if blake2b(payload, key=pack("<3d", qx, qy, qz), digest_size=32).digest() == signed:
+                    return True
+    return False

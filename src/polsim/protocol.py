@@ -411,8 +411,9 @@ class NodeState:
         actions: list[Action] = []
         pool = self.pool
         for entry in pool.expire(now):
+            # str(NodeId), without a Python-level __str__ call per entry
             actions.append(
-                Ignore("expired", context=f"{entry.message.sender}#{entry.message.seq}")
+                Ignore("expired", context=f"{entry.message.sender.hex(':')}#{entry.message.seq}")
             )
         store = self.store
         model = self.model

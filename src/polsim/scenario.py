@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any
 
 from .channel import ChannelConfig
-from .kinds import _BOOL, _INT, _NUMBER_TYPES, _STR, Kind, _checked, _kind, _schema
+from .kinds import _BOOL, _INT, _NUMBER, _NUMBER_TYPES, _STR, Kind, _checked, _kind, _schema
 from .localization import PathLossModel
 from .messages import RSSI_MAX, RSSI_MIN, Location, NodeId, SensorType
 from .protocol import FilterParams, ProtocolParams
@@ -240,11 +240,12 @@ def _one_of(names: dict[str, Any]) -> Kind:
 
 
 def _point(value: Any) -> list[float]:
-    """Three numbers, stored as floats."""
+    """Three finite numbers, stored as floats."""
     if type(value) is list and len(value) == 3:
-        x, y, z = value
-        if type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES and type(z) in _NUMBER_TYPES:
-            return [float(x), float(y), float(z)]
+        try:
+            return [_NUMBER(c) for c in value]
+        except ValueError:
+            pass
     raise ValueError(f"must be [x, y, z] numbers, not {value!r}")
 
 

@@ -240,11 +240,15 @@ class TestFiltersCommand:
             ("--params", '{"median":{"window":true}}'),
             ("--params", '{"median":{"window":7.9}}'),
             ("--filter", "median_kalman", "--params", '{"median_kalman":{"q":"0.5"}}'),
+            ("--filter", "median_kalman", "--params", '{"median_kalman":{"q":NaN}}'),
+            ("--threshold", "nan"),
+            ("--threshold-sweep", "2:nan:2"),
         ],
         ids=["params-list", "params-scalar", "params-unknown-key", "params-even-window",
              "movements", "cooldown", "zero-threshold", "params-unknown-filter",
              "params-unselected-filter", "warmup", "settle-window", "params-window-string",
-             "params-window-bool", "params-window-float", "params-q-string"],
+             "params-window-bool", "params-window-float", "params-q-string", "params-q-nan",
+             "threshold-nan", "threshold-sweep-nan"],
     )
     def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
         out = tmp_path / "rep"
@@ -256,6 +260,7 @@ class TestFiltersCommand:
         assert "argument error" in capsys.readouterr().err
         assert list(out.glob("smoothed_*.csv")) == []
         assert not (out / "filter_report.json").exists()
+        assert not out.exists()
 
     def test_sweep_smooths_like_the_node(self, tmp_path, capsys):
         # static-honest has no moves (no pipeline resets) and no same-tick

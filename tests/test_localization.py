@@ -3,19 +3,19 @@
 import math
 import random
 import statistics
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from polsim.localization import (
-    AnchorObservation,
     InsufficientAnchorsError,
     MultilaterationResult,
     PathLossModel,
     VerifyOutcome,
-    _inverse_trace,
-    _solve_spd,
+    _signed_within_slack,
     distance_from_rssi,
     gather_anchors,
     locate_and_verify,
@@ -25,12 +25,14 @@ from polsim.localization import (
 )
 from polsim.messages import (
     Location,
+    LocationKey,
     NodeId,
     PayloadMessage,
     Rssi,
     RssiSource,
     SensorType,
     location_key,
+    quantize_location,
 )
 from polsim.protocol import ProtocolParams
 from polsim.topology import LinkKey, PeerRecord, TopologyStore
@@ -95,9 +97,9 @@ class TestPathLoss:
         assert rssi_from_distance(MODEL, 1e7).value == -120.0
 
 
-def exact_observations(target: Location, anchors=None) -> list[AnchorObservation]:
+def exact_observations(target: Location, anchors=None) -> list[tuple[float, float, float, float]]:
     anchors = anchors if anchors is not None else HULL
-    return [AnchorObservation(a, rssi_from_distance(MODEL, target.distance_to(a))) for a in anchors]
+    return [(*a.as_tuple(), rssi_from_distance(MODEL, target.distance_to(a)).value) for a in anchors]
 
 
 class TestMultilaterate:
@@ -158,7 +160,7 @@ class TestMultilaterate:
                 for a in anchors:
                     level = rssi_from_distance(MODEL, target.distance_to(a)).value
                     noisy = min(0.0, max(-120.0, level + rng.gauss(0.0, sigma)))
-                    obs.append(AnchorObservation(a, Rssi(noisy)))
+                    obs.append((*a.as_tuple(), noisy))
                 result = multilaterate(obs, MODEL)
                 errors.append(result.position.distance_to(target))
             return statistics.median(errors)
@@ -169,10 +171,12 @@ class TestMultilaterate:
         assert errs[2.0] <= 1.5  # stated bound, tolerance +-50% covered by margin
 
 
-def _ranged(anchors: list[Location], target: Location, offsets: list[float]) -> list[AnchorObservation]:
+def _ranged(
+    anchors: list[Location], target: Location, offsets: list[float]
+) -> list[tuple[float, float, float, float]]:
     """Model RSSI of `target` at each anchor, shifted by `offsets` dB."""
     return [
-        AnchorObservation(a, Rssi(rssi_value_from_distance(MODEL, target.distance_to(a)) + off))
+        (*a.as_tuple(), Rssi(rssi_value_from_distance(MODEL, target.distance_to(a)) + off).value)
         for a, off in zip(anchors, offsets)
     ]
 
@@ -224,12 +228,65 @@ class TestPinnedSolves:
 
 # -- solver equivalence ---------------------------------------------------------
 #
-# `reference_multilaterate` is the generic dim x dim accumulation loop the
-# solver used before its sweeps were written out per matrix entry. The
-# unrolled solver must return bit-for-bit the same result for any input.
+# `reference_multilaterate` is the generic dim x dim accumulation loop with
+# list matrices and a determinant solve, as the solver was before its sweeps
+# and its 2x2/3x3 solves were written out per matrix entry on scalars. The
+# scalar solver must return bit-for-bit the same result for any input. Its
+# sums add left to right, as the solver's do: `sum` of floats is compensated
+# from Python 3.12 on, so it would round differently there.
+
+
+def reference_solve_spd(a: list[list[float]], g: list[float]) -> Optional[list[float]]:
+    """Solve the 2x2 or 3x3 normal-equation system via determinants."""
+    if len(g) == 2:
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        if abs(det) < 1e-300:
+            return None
+        return [
+            (g[0] * a[1][1] - g[1] * a[0][1]) / det,
+            (a[0][0] * g[1] - a[1][0] * g[0]) / det,
+        ]
+    c00 = a[1][1] * a[2][2] - a[1][2] * a[2][1]
+    c01 = a[1][2] * a[2][0] - a[1][0] * a[2][2]
+    c02 = a[1][0] * a[2][1] - a[1][1] * a[2][0]
+    det = a[0][0] * c00 + a[0][1] * c01 + a[0][2] * c02
+    if abs(det) < 1e-300:
+        return None
+    c10 = a[0][2] * a[2][1] - a[0][1] * a[2][2]
+    c11 = a[0][0] * a[2][2] - a[0][2] * a[2][0]
+    c12 = a[0][1] * a[2][0] - a[0][0] * a[2][1]
+    c20 = a[0][1] * a[1][2] - a[0][2] * a[1][1]
+    c21 = a[0][2] * a[1][0] - a[0][0] * a[1][2]
+    c22 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return [
+        (g[0] * c00 + g[1] * c10 + g[2] * c20) / det,
+        (g[0] * c01 + g[1] * c11 + g[2] * c21) / det,
+        (g[0] * c02 + g[1] * c12 + g[2] * c22) / det,
+    ]
+
+
+def reference_inverse_trace(a: list[list[float]]) -> float:
+    """trace(A^-1) for the 2x2 or 3x3 normal matrix; inf when singular."""
+    if len(a) == 2:
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        if abs(det) < 1e-300:
+            return math.inf
+        return (a[1][1] + a[0][0]) / det
+    c00 = a[1][1] * a[2][2] - a[1][2] * a[2][1]
+    c11 = a[0][0] * a[2][2] - a[0][2] * a[2][0]
+    c22 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    det = (
+        a[0][0] * c00
+        + a[0][1] * (a[1][2] * a[2][0] - a[1][0] * a[2][2])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+    if abs(det) < 1e-300:
+        return math.inf
+    return (c00 + c11 + c22) / det
+
 
 def reference_multilaterate(
-    obs: list[AnchorObservation],
+    obs: list[tuple[float, float, float, float]],
     m: PathLossModel,
     fixed_z: Optional[float] = None,
     max_iterations: int = 50,
@@ -252,11 +309,11 @@ def reference_multilaterate(
             f"{len(obs)} observations, need {needed} for {'planar' if planar else '3-D'} solve"
         )
 
-    anchors = [o.anchor.as_tuple() for o in obs]
-    dists = [distance_from_rssi(m, o.rssi) for o in obs]
+    anchors = [o[:3] for o in obs]
+    dists = [distance_from_rssi(m, Rssi(o[3])) for o in obs]
     count = len(obs)
     dim = 2 if planar else 3
-    x = [sum(p[i] for p in anchors) / count for i in range(dim)]
+    x = [reduce(add, (p[i] for p in anchors), 0) / count for i in range(dim)]
 
     def pass_over(point: list[float]) -> tuple[float, list[list[float]], list[float]]:
         """One sweep: cost, normal matrix J'J and gradient J'r."""
@@ -288,7 +345,7 @@ def reference_multilaterate(
         damped = [row[:] for row in a]
         for i in range(dim):
             damped[i][i] += lam * (1.0 + a[i][i])
-        step = _solve_spd(damped, [-v for v in g])
+        step = reference_solve_spd(damped, [-v for v in g])
         if step is None:
             lam = max(lam * 10.0, 1e-6)
             continue
@@ -300,7 +357,7 @@ def reference_multilaterate(
             if cost < best_cost:
                 best_cost = cost
                 best_x = list(x)
-            if math.sqrt(sum(s * s for s in step)) < step_tol:
+            if math.sqrt(reduce(add, (s * s for s in step), 0)) < step_tol:
                 converged = True
                 break
         else:
@@ -308,7 +365,7 @@ def reference_multilaterate(
 
     rms = math.sqrt(best_cost / count)
     _, a_best, _ = pass_over(best_x)
-    trace_inv = _inverse_trace(a_best)
+    trace_inv = reference_inverse_trace(a_best)
     gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
     if planar:
         pos = Location(best_x[0], best_x[1], float(fixed_z))
@@ -358,7 +415,7 @@ class TestUnrolledSolverMatchesReference:
         st.sampled_from([(50, 1e-9), (20, 1e-7), (3, 1e-3)]),
     )
     def test_random_anchors(self, anchors, fixed_z, budget):
-        obs = [AnchorObservation(point, Rssi(value)) for point, value in anchors]
+        obs = [(*point.as_tuple(), value) for point, value in anchors]
         assert_same_solve(obs, fixed_z, *budget)
 
     @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
@@ -371,7 +428,7 @@ class TestUnrolledSolverMatchesReference:
         # levels from a real target, as in the simulator, plus one offset
         levels = [rssi_value_from_distance(MODEL, max(target.distance_to(a), 1e-9)) for a in anchors]
         obs = [
-            AnchorObservation(a, Rssi(min(0.0, max(-120.0, level + noise_db))))
+            (*a.as_tuple(), min(0.0, max(-120.0, level + noise_db)))
             for a, level in zip(anchors, levels)
         ]
         assert_same_solve(obs)
@@ -401,7 +458,7 @@ class TestUnrolledSolverMatchesReference:
 
     def test_coincident_anchors(self):
         same = [Location(1.0, 1.0, 1.0)] * 4
-        obs = [AnchorObservation(a, Rssi(-50.0)) for a in same]
+        obs = [(*a.as_tuple(), -50.0) for a in same]
         assert_same_solve(obs)
         assert_same_solve(obs[:3], fixed_z=1.0)
 
@@ -414,7 +471,7 @@ class TestUnrolledSolverMatchesReference:
             Location(0.0, 1.0, 1.0),
             Location(0.0, -1.0, -1.0),
         ]
-        obs = [AnchorObservation(a, Rssi(-45.0)) for a in anchors]
+        obs = [(*a.as_tuple(), -45.0) for a in anchors]
         assert_same_solve(obs)
         assert_same_solve(obs, fixed_z=0.0)
 
@@ -516,6 +573,76 @@ class TestLocateAndVerify:
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA
 
 
+# -- cell check ---------------------------------------------------------------
+#
+# `reference_signed_within_slack` is the verification loop as it was before
+# the quantization moved out of it: one Location and one location_key per
+# candidate cell. The check in polsim must give the same answer for any input.
+
+
+def reference_signed_within_slack(position: Location, msg: PayloadMessage, grid: float, slack_cells: int) -> bool:
+    ex, ey, ez = quantize_location(position, grid)
+    offsets = sorted(range(-slack_cells, slack_cells + 1), key=abs)  # exact cell first
+    for dx in offsets:
+        for dy in offsets:
+            for dz in offsets:
+                cell = Location(ex + dx * grid, ey + dy * grid, ez + dz * grid)
+                if location_key(cell, msg.payload, grid) == msg.signed_payload:
+                    return True
+    return False
+
+
+def payload_with_key(payload: bytes, key: LocationKey) -> PayloadMessage:
+    return PayloadMessage(
+        sender=SUBJECT, seq=1, sensor_type=SensorType.TEMPERATURE, payload=payload,
+        signed_payload=key, timestamp=100,
+    )
+
+
+@st.composite
+def cell_checks(draw):
+    """(position, message, grid, slack): a key signed near the position, one
+    cell outside the slack included, or a random key."""
+    grid = draw(st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 1.5]), st.floats(0.05, 2.0)))
+    slack = draw(st.integers(0, 2))
+    # anywhere, negative included, on a cell centre, or on a cell boundary
+    # (half a cell off a centre, where round() ties)
+    coordinate = st.one_of(
+        st.floats(-60.0, 60.0),
+        st.integers(-100, 100).map(lambda k: k * grid),
+        st.integers(-100, 100).map(lambda k: (k + 0.5) * grid),
+    )
+    position = Location(draw(coordinate), draw(coordinate), draw(coordinate))
+    payload = draw(st.binary(max_size=16))
+    reach = slack + 1  # one cell outside the slack
+    cells = st.tuples(*[st.integers(-reach, reach)] * 3)
+    shifts = st.tuples(*[st.floats(-reach - 0.5, reach + 0.5)] * 3)
+    shift = draw(st.one_of(cells, shifts, st.none()))
+    if shift is None:
+        key = LocationKey(draw(st.binary(min_size=32, max_size=32)))
+    else:
+        signed_at = Location(*(c + k * grid for c, k in zip(position.as_tuple(), shift)))
+        key = location_key(signed_at, payload, grid)
+    return position, payload_with_key(payload, key), grid, slack
+
+
+class TestCellCheckMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(cell_checks())
+    def test_same_verdict(self, case):
+        assert _signed_within_slack(*case) == reference_signed_within_slack(*case)
+
+    @pytest.mark.parametrize("grid", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("slack", [0, 1, 2])
+    def test_slack_edge(self, grid, slack):
+        position = Location(-2.0 * grid, 3.0 * grid, 7.0 * grid)
+        for cells, verified in ((slack, True), (slack + 1, False), (-slack, True), (-slack - 1, False)):
+            signed_at = Location(position.x, position.y + cells * grid, position.z)
+            msg = payload_with_key(b"\x17", location_key(signed_at, b"\x17", grid))
+            assert _signed_within_slack(position, msg, grid, slack) is verified
+            assert reference_signed_within_slack(position, msg, grid, slack) is verified
+
+
 class TestGatherAnchors:
     def test_collects_self_and_fresh_reports(self):
         store = seeded_store(Location(1.0, 1.0, 1.0))
@@ -531,7 +658,7 @@ class TestGatherAnchors:
             reporter_location=claimed,
         )
         anchors = gather_anchors(SUBJECT, store, Location(0, 0, 0), 100, 45)
-        assert anchors[0].anchor == claimed
+        assert anchors[0][:3] == claimed.as_tuple()
 
     def test_unverified_stored_location_skipped(self):
         store = TopologyStore(SELF, capacity=64)

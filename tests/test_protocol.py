@@ -624,8 +624,8 @@ class TestMovedFlag:
         node.ingest_sample(PEER, Rssi(-60.0), 11)
         assert node.smoothed_rssi(PEER) == pytest.approx(-60.0)
         (own,) = gather_anchors(PEER, node.store, moved_to, 11, freshness=45)
-        assert own.anchor == moved_to
-        assert own.rssi.value == pytest.approx(-60.0)
+        assert own[:3] == moved_to.as_tuple()
+        assert own[3] == pytest.approx(-60.0)
 
 
 class TestProtocolParamsBounds:

@@ -165,6 +165,16 @@ class TestValidation:
             ({"attacks": [{"type": "identity_spoof", "at": 3,
                            "params": {"victim": "a", "attacker_position": [0, 0, 0], "period": True}}]},
              r"attacks\[0\]: params: period must be a positive integer, not True"),
+            # Python's JSON reader parses NaN and +-Infinity; no number may be either
+            ({"channel": {"noise_sigma": math.nan}}, "channel: noise_sigma must be a number, not nan"),
+            ({"protocol": {"tau": math.inf}}, "protocol: tau must be a number or null, not inf"),
+            ({"filters": {"trigger_threshold": -math.inf}},
+             "filters: trigger_threshold must be a number, not -inf"),
+            ({"nodes": [{"id": "a", "mac": "02:00:00:00:00:01", "position": [math.nan, 0, 0]}]},
+             r"nodes\[0\]: position must be \[x, y, z\] numbers, not \[nan, 0, 0\]"),
+            ({"attacks": [{"type": "identity_spoof", "at": 3,
+                           "params": {"victim": "a", "attacker_position": [0, 0, math.inf]}}]},
+             r"attacks\[0\]: params: attacker_position must be \[x, y, z\] numbers, not \[0, 0, inf\]"),
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
              "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
@@ -172,7 +182,8 @@ class TestValidation:
              "node-missing-id", "movement-missing-to", "attack-missing-type", "movement-at-bool",
              "payload-period-float", "pool-ttl-string", "trigger-cooldown-float", "announce-string",
              "channel-string-number", "attack-until-string", "attack-fake-rssi-out-of-range",
-             "attack-period-bool"],
+             "attack-period-bool", "channel-nan", "protocol-infinity", "filters-minus-infinity",
+             "node-position-nan", "attacker-position-infinity"],
     )
     def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()
@@ -210,10 +221,11 @@ class TestValidation:
             ({"smoother_params": {"window": True}}, "window must be an integer, not True"),
             ({"smoother_params": {"window": 7.9}}, "window must be an integer, not 7.9"),
             ({"smoother_params": {"q": "0.5"}}, "q must be a number, not '0.5'"),
+            ({"smoother_params": {"q": math.nan}}, "q must be a number, not nan"),
         ],
         ids=["even-window", "kalman-r-zero", "zero-threshold", "params-not-object",
              "params-typo", "negative-warmup", "dropped-key", "window-string", "window-bool",
-             "window-float", "q-string"],
+             "window-float", "q-string", "q-nan"],
     )
     def test_bad_filter_config_exits_1_before_running(self, filters, message, tmp_path, capsys):
         doc = minimal_doc()
