@@ -17,11 +17,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any, Callable, Optional, TextIO
+from typing import Any, Optional, TextIO
 
 from .messages import (
     AlertMessage,
@@ -48,7 +50,7 @@ from .topology import PeerRecord
 
 TRACE_VERSION = 1
 MOVEMENT_SETTLE_WINDOW = 120  # ticks after a movement not counted as static
-# records held before a write: one write per line costs a call per line,
+# lines held before a write: one write per line costs a call per line,
 # holding a whole file raises peak memory by its size
 _WRITE_CHUNK_LINES = 4096
 
@@ -298,17 +300,27 @@ class _AttackDriver:
 class _MemorySink:
     """Keeps every record for a RunResult that carries them.
 
-    A sink takes records through its `event` and `row` callables and is told
-    when a tick ends; `finish` turns the run's metrics into its RunResult.
-    Here both callables are bound `list.append`, so keeping a record costs
-    no Python-level call.
+    A sink takes records through one callable per record shape the run
+    makes in bulk, `ignore`, `payload_sent` and `row`, and through `event`
+    for the rare kinds; it is told when a tick ends, and `finish` turns
+    the run's metrics into its RunResult. Here `event` is a bound
+    `list.append`; the others build the `TraceEvent` or `RssiRow` of
+    their fields.
     """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         self.rows: list[RssiRow] = []
         self.event = self.events.append
-        self.row = self.rows.append
+
+    def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
+        self.events.append(TraceEvent(tick, node, "ignore", {"reason": reason, "context": context}))
+
+    def payload_sent(self, tick: int, node: str, seq: int) -> None:
+        self.events.append(TraceEvent(tick, node, "send_payload", {"seq": seq}))
+
+    def row(self, tick: int, receiver: str, sender: str, raw: float, smoothed: Optional[float]) -> None:
+        self.rows.append(RssiRow(tick, receiver, sender, raw, smoothed))
 
     def end_tick(self) -> None:
         pass
@@ -328,13 +340,16 @@ class _MemorySink:
 class _FileSink:
     """Streams records to rssi.csv and events.jsonl in `out_dir` as a run makes them.
 
-    Records are buffered as they come, through bound `list.append` like the
-    memory sink's, and encoded and written when a tick ends with a full
-    buffer, so the run holds at most about one chunk of records. Of what
-    it writes it keeps only the per-(node, action) tally for the count
-    check and the `send_bft` events the metrics need. `write_metrics`
-    writes the rest, closes both files, checks the tally and writes
-    metrics.json last: a run that raises leaves no metrics.json.
+    Each record is encoded into its line when it comes: `ignore`,
+    `payload_sent` and `row` fill one template each, the exact encoding
+    `TraceEvent.to_json` and `RssiRow.to_csv` give their fields, and
+    `event` encodes a `TraceEvent` through `to_json`. The lines are held
+    as plain strings, which the cyclic GC does not track, and written when
+    a tick ends with a full buffer, so the run holds at most about one
+    chunk of lines. Of what it encodes it keeps only the per-(node, action)
+    tally for the count check and the `send_bft` events the metrics need.
+    `write_metrics` writes the rest, closes both files, checks the tally
+    and writes metrics.json last: a run that raises leaves no metrics.json.
     """
 
     def __init__(self, out_dir: str) -> None:
@@ -355,37 +370,49 @@ class _FileSink:
         except BaseException:
             self._rssi_fh.close()
             raise
-        self.events: list[TraceEvent] = []
-        self.rows: list[RssiRow] = []
-        self.event = self.events.append
-        self.row = self.rows.append
-        self.tally: dict[str, dict[str, int]] = {}
+        self.event_lines: list[str] = []
+        self.row_lines: list[str] = []
+        self.tally: defaultdict[str, dict[str, int]] = defaultdict(partial(dict.fromkeys, _ACTION_COUNTS, 0))
         self.bft: list[TraceEvent] = []
 
+    def event(self, e: TraceEvent) -> None:
+        self.event_lines.append(f"{e.to_json()}\n")
+        self.tally[e.node][e.action] += 1  # an unknown action raises KeyError
+        if e.action == "send_bft":
+            self.bft.append(e)
+
+    def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
+        self.event_lines.append(
+            f'{{"action":"ignore","details":{{"context":{_escape(context)},"reason":{_escape(reason)}}},'
+            f'"node":{_escape(node)},"tick":{tick!r}}}\n'
+        )
+        self.tally[node]["ignore"] += 1
+
+    def payload_sent(self, tick: int, node: str, seq: int) -> None:
+        self.event_lines.append(
+            f'{{"action":"send_payload","details":{{"seq":{seq!r}}},"node":{_escape(node)},"tick":{tick!r}}}\n'
+        )
+        self.tally[node]["send_payload"] += 1
+
+    def row(self, tick: int, receiver: str, sender: str, raw: float, smoothed: Optional[float]) -> None:
+        if smoothed is None:
+            self.row_lines.append(f"{tick},{receiver},{sender},{raw:.6f},\n")
+        else:
+            self.row_lines.append(f"{tick},{receiver},{sender},{raw:.6f},{smoothed:.6f}\n")
+
     def end_tick(self) -> None:
-        if len(self.events) >= _WRITE_CHUNK_LINES:
-            self._write_events()
-        if len(self.rows) >= _WRITE_CHUNK_LINES:
-            self._write_rows()
-
-    def _write_events(self) -> None:
-        events = self.events
-        _write_lines(self._events_fh, events, TraceEvent.to_json)
-        _tally(events, self.tally)
-        self.bft += [e for e in events if e.action == "send_bft"]
-        events.clear()  # the same list: `event` stays bound to it
-
-    def _write_rows(self) -> None:
-        _write_lines(self._rssi_fh, self.rows, RssiRow.to_csv)
-        self.rows.clear()
+        if len(self.event_lines) >= _WRITE_CHUNK_LINES:
+            _write_lines(self._events_fh, self.event_lines)
+        if len(self.row_lines) >= _WRITE_CHUNK_LINES:
+            _write_lines(self._rssi_fh, self.row_lines)
 
     def bft_events(self) -> list[TraceEvent]:
-        return self.bft + [e for e in self.events if e.action == "send_bft"]
+        return self.bft
 
     def write_metrics(self, metrics: RunMetrics) -> None:
-        """Write the buffered records, close the trace files, check the counts, write metrics.json."""
-        self._write_events()
-        self._write_rows()
+        """Write the buffered lines, close the trace files, check the counts, write metrics.json."""
+        _write_lines(self._events_fh, self.event_lines)
+        _write_lines(self._rssi_fh, self.row_lines)
         self.close()
         _check_counts(metrics.counts, self.tally)
         with open(self.paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
@@ -449,12 +476,13 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
         if driver.kind in (AttackKind.IDENTITY_SPOOF, AttackKind.REPLAY):
             channel.register(driver.phys_id, driver.position)
     replay_drivers = [d for d in drivers if d.kind is AttackKind.REPLAY]
+    spoof_drivers = [d for d in drivers if d.kind is AttackKind.IDENTITY_SPOOF]
 
     movements_by_tick: dict[int, list] = {}
     for mv in scenario.movements:
         movements_by_tick.setdefault(mv.at, []).append(mv)
 
-    event, row = sink.event, sink.row
+    event, ignore, payload_sent, row = sink.event, sink.ignore, sink.payload_sent, sink.row
     counts = {spec.label: dict.fromkeys(_COUNT_KEYS, 0) for spec in scenario.nodes}
     counts_of = {spec.mac: counts[spec.label] for spec in scenario.nodes}
     for driver in drivers:
@@ -464,19 +492,8 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
     node_order = sorted(nodes)
 
     def record_action(tick: int, node_label: str, action: Action) -> None:
-        # most actions are Ignore("expired"), so it is tested first
-        if isinstance(action, Ignore):
-            event(
-                TraceEvent(
-                    tick, node_label, "ignore",
-                    {"reason": action.reason, "context": action.context},
-                )
-            )
-            counts[node_label]["ignored"] += 1
-        elif isinstance(action, SendPayload):
-            event(TraceEvent(tick, node_label, "send_payload", {"seq": action.message.seq}))
-            counts[node_label]["payload_sent"] += 1
-        elif isinstance(action, SendBft):
+        # Ignore and SendPayload, the bulk, go to their sink callables where they are made
+        if isinstance(action, SendBft):
             m = action.message
             event(
                 TraceEvent(
@@ -530,12 +547,13 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
         for spec in scenario.nodes:
             if tick % spec.payload_period != 0:
                 continue
-            if any(d.suppresses_payload_of(spec.label, tick) for d in drivers):
+            if spoof_drivers and any(d.suppresses_payload_of(spec.label, tick) for d in spoof_drivers):
                 continue
             state = nodes[spec.mac]
             for action in state.emit_payload(sensor_reading(index_of[spec.label], tick), tick):
                 assert isinstance(action, SendPayload)
-                record_action(tick, spec.label, action)
+                payload_sent(tick, spec.label, action.message.seq)
+                counts[spec.label]["payload_sent"] += 1
                 broadcasts.append((spec.mac, action.message))
                 if replay_drivers:
                     for d in replay_drivers:
@@ -552,7 +570,8 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                 if isinstance(injected, BftMessage):
                     record_action(tick, driver.label, SendBft(injected))
                 elif isinstance(injected, PayloadMessage):
-                    record_action(tick, driver.label, SendPayload(injected))
+                    payload_sent(tick, driver.label, injected.seq)
+                    counts[driver.label]["payload_sent"] += 1
 
         # 3. channel delivery, counted per receiver by message type
         inboxes: dict[NodeId, list[tuple[Message, Rssi]]] = {mac: [] for mac in node_order}
@@ -569,22 +588,21 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
             state = nodes[mac]
             node_label = labels[mac]
             inbox = inboxes[mac]
+            node_counts = counts[node_label]
             for action in state.tick(inbox, now=tick):
+                # most actions are Ignore("expired"), so it is tested first
+                if type(action) is Ignore:
+                    ignore(tick, node_label, action.reason, action.context)
+                    node_counts["ignored"] += 1
+                    continue
                 record_action(tick, node_label, action)
                 if isinstance(action, (SendBft, SendAlert)):
                     pending.append((mac, action.message))
             if collect_rssi:
                 smoothed_rssi = state.smoothed_rssi
                 for msg, rssi in inbox:
-                    row(
-                        RssiRow(
-                            tick,
-                            node_label,
-                            label_of(msg.sender),
-                            rssi.value,
-                            smoothed_rssi(msg.sender),
-                        )
-                    )
+                    sender = msg.sender
+                    row(tick, node_label, label_of(sender), rssi.value, smoothed_rssi(sender))
 
         # 5. trust timeline
         for mac in node_order:
@@ -661,9 +679,10 @@ def _build_metrics(
     )
 
 
-def _write_lines(fh: TextIO, records: list, line: Callable[[Any], str]) -> None:
-    """Write line(record) + newline per record, in one write call."""
-    fh.write("".join([f"{line(record)}\n" for record in records]))
+def _write_lines(fh: TextIO, lines: list[str]) -> None:
+    """Write the buffered lines in one write call and empty the buffer."""
+    fh.write("".join(lines))
+    lines.clear()  # the same list: the sink keeps appending to it
 
 
 def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
@@ -673,8 +692,10 @@ def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
     rows = result.rssi_rows
     with closing(_FileSink(out_dir)) as sink:
         for start in range(0, max(len(events), len(rows)), _WRITE_CHUNK_LINES):
-            sink.events.extend(events[start:start + _WRITE_CHUNK_LINES])
-            sink.rows.extend(rows[start:start + _WRITE_CHUNK_LINES])
+            for e in events[start:start + _WRITE_CHUNK_LINES]:
+                sink.event(e)
+            for r in rows[start:start + _WRITE_CHUNK_LINES]:
+                sink.row(r.tick, r.receiver, r.sender, r.raw, r.smoothed)
             sink.end_tick()
         sink.write_metrics(result.metrics)
     return sink.paths

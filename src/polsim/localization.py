@@ -68,11 +68,6 @@ def rssi_from_distance(m: PathLossModel, d: float) -> Rssi:
     return Rssi(rssi_value_from_distance(m, d))
 
 
-def distance_from_rssi(m: PathLossModel, r: Rssi) -> float:
-    """Invert the path-loss model (exact inverse within the unclamped range)."""
-    return m.d0 * 10.0 ** ((m.p0 - r.value) / (10.0 * m.n))
-
-
 @dataclass(frozen=True)
 class MultilaterationResult:
     position: Location
@@ -106,7 +101,7 @@ def multilaterate(
         raise InsufficientAnchorsError(
             f"{count} observations, need {needed} for {'planar' if planar else '3-D'} solve"
         )
-    # distance_from_rssi on the plain dB value
+    # the inverse of the path-loss model, d0 * 10 ** ((p0 - rssi) / (10 n)), on the plain dB value
     d0, p0, slope = m.d0, m.p0, 10.0 * m.n
     # the centroid adds in anchor order, left to right: sum() of floats is
     # compensated from Python 3.12 on and would round differently

@@ -163,7 +163,7 @@ def quantize_location(loc: Location, grid: float) -> tuple[float, float, float]:
     """Snap each coordinate to the nearest multiple of `grid`."""
     if grid <= 0:
         raise ValueError("grid must be positive")
-    return tuple(round(c / grid) * grid for c in loc.as_tuple())
+    return round(loc.x / grid) * grid, round(loc.y / grid) * grid, round(loc.z / grid) * grid
 
 
 def location_key(loc: Location, payload: bytes, grid: float = DEFAULT_LOCATION_GRID) -> LocationKey:

@@ -413,7 +413,7 @@ class NodeState:
         for entry in pool.expire(now):
             # str(NodeId), without a Python-level __str__ call per entry
             actions.append(
-                Ignore("expired", context=f"{entry.message.sender.hex(':')}#{entry.message.seq}")
+                Ignore("expired", f"{entry.message.sender.hex(':')}#{entry.message.seq}")
             )
         store = self.store
         model = self.model

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polsim.harness
-from polsim.harness import RSSI_HEADER, TraceEvent, compact_json, run, sensor_reading, write_traces
+from polsim.harness import RSSI_HEADER, RssiRow, TraceEvent, compact_json, run, sensor_reading, write_traces
 from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, builtin_scenario
 
@@ -173,6 +173,19 @@ class TestStreamedTraces:
         assert all(fh.closed for fh in opened)
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_streamed_buffers_hold_str_lines_only(self, monkeypatch, tmp_path):
+        held = set()
+        end_tick = polsim.harness._FileSink.end_tick
+
+        def inspecting_end_tick(sink):
+            held.update(map(type, sink.event_lines))
+            held.update(map(type, sink.row_lines))
+            end_tick(sink)
+
+        monkeypatch.setattr(polsim.harness._FileSink, "end_tick", inspecting_end_tick)
+        run(builtin_scenario("malicious-bft", seed=1), out_dir=str(tmp_path))
+        assert held == {str}
+
     def test_memory_flat_with_duration(self, tmp_path):
         peaks = {}
         for ticks in (900, 3600):
@@ -234,6 +247,37 @@ class TestCompactJson:
     def test_other_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             compact_json(value)
+
+
+@pytest.fixture(scope="module")
+def file_sink(tmp_path_factory):
+    sink = polsim.harness._FileSink(str(tmp_path_factory.mktemp("sink")))
+    yield sink
+    sink.close()
+
+
+class TestLineTemplates:
+    """Each line the file sink makes from fields is the generic encoding of the same record."""
+
+    @settings(max_examples=200)
+    @given(st.integers(), trace_text, trace_text, trace_text)
+    def test_ignore_line(self, file_sink, tick, node, reason, context):
+        file_sink.ignore(tick, node, reason, context)
+        event = TraceEvent(tick, node, "ignore", {"reason": reason, "context": context})
+        assert file_sink.event_lines.pop() == event.to_json() + "\n"
+
+    @settings(max_examples=200)
+    @given(st.integers(), trace_text, st.integers())
+    def test_payload_sent_line(self, file_sink, tick, node, seq):
+        file_sink.payload_sent(tick, node, seq)
+        event = TraceEvent(tick, node, "send_payload", {"seq": seq})
+        assert file_sink.event_lines.pop() == event.to_json() + "\n"
+
+    @settings(max_examples=200)
+    @given(st.integers(), trace_text, trace_text, st.floats(), st.none() | st.floats())
+    def test_row_line(self, file_sink, tick, receiver, sender, raw, smoothed):
+        file_sink.row(tick, receiver, sender, raw, smoothed)
+        assert file_sink.row_lines.pop() == RssiRow(tick, receiver, sender, raw, smoothed).to_csv() + "\n"
 
 
 class TestZeroNoiseOracle:

@@ -16,7 +16,6 @@ from polsim.localization import (
     PathLossModel,
     VerifyOutcome,
     _signed_within_slack,
-    distance_from_rssi,
     gather_anchors,
     locate_and_verify,
     multilaterate,
@@ -283,6 +282,11 @@ def reference_inverse_trace(a: list[list[float]]) -> float:
     if abs(det) < 1e-300:
         return math.inf
     return (c00 + c11 + c22) / det
+
+
+def distance_from_rssi(m: PathLossModel, r: Rssi) -> float:
+    """Invert the path-loss model (exact inverse within the unclamped range)."""
+    return m.d0 * 10.0 ** ((m.p0 - r.value) / (10.0 * m.n))
 
 
 def reference_multilaterate(
