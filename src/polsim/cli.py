@@ -12,13 +12,14 @@ import csv
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 from . import filters
 from .checks import BUILTIN_CHECKS, check_determinism
 from .filters import FILTER_NAMES, TriggerState, make_filter
-from .harness import MOVEMENT_SETTLE_WINDOW, run
+from .harness import MOVEMENT_SETTLE_WINDOW, RSSI_HEADER, run
 from .protocol import FilterParams
 from .scenario import BUILTIN_NAMES, Scenario, ScenarioError, builtin_scenario
 
@@ -94,20 +95,31 @@ def _parse_sweep(text: str) -> list[float]:
     return out
 
 
-def _read_trace(path: Path) -> dict[tuple[str, str], list[tuple[int, float]]]:
-    links: dict[tuple[str, str], list[tuple[int, float]]] = {}
+def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list[float]]]]:
+    """Each link in order, with its ticks and raw RSSI as two columns stably
+    sorted by tick. Raises ValueError unless the header names the five columns
+    once each, in any order, and every row has five fields and a finite rssi_raw."""
+    links: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"tick", "receiver", "sender", "rssi_raw", "rssi_smoothed"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(f"unexpected columns {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or sorted(header) != sorted(RSSI_HEADER.rstrip("\n").split(",")):
+            raise ValueError(f"unexpected columns {header}")
+        tick, receiver, sender, raw = map(header.index, ("tick", "receiver", "sender", "rssi_raw"))
         for row in reader:
-            links.setdefault((row["receiver"], row["sender"]), []).append(
-                (int(row["tick"]), float(row["rssi_raw"]))
-            )
-    for series in links.values():
-        series.sort(key=lambda p: p[0])
-    return links
+            if len(row) != 5:
+                if not row:
+                    continue  # a blank line
+                raise ValueError(f"line {reader.line_num}: {len(row)} fields, the header has 5")
+            value = float(row[raw])
+            if not math.isfinite(value):
+                raise ValueError(f"line {reader.line_num}: rssi_raw {row[raw]!r} is not finite")
+            ticks, raws = links.setdefault((row[receiver], row[sender]), ([], []))
+            ticks.append(int(row[tick]))
+            raws.append(value)
+    for ticks, raws in links.values():
+        ticks[:], raws[:] = zip(*sorted(zip(ticks, raws), key=itemgetter(0)))
+    return sorted(links.items())
 
 
 def _parse_filter_params(text: Optional[str], names: list[str]) -> dict:
@@ -131,14 +143,10 @@ def cmd_filters(args: argparse.Namespace) -> int:
     trace_path = Path(args.trace)
     try:
         links = _read_trace(trace_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     names = [n.strip() for n in args.filter.split(",") if n.strip()]
-    for name in names:
-        if name not in FILTER_NAMES:
-            print(f"unknown filter {name!r}; choose from {FILTER_NAMES}", file=sys.stderr)
-            return EXIT_VALIDATION
     try:
         params = _parse_filter_params(args.params, names)
         thresholds = _parse_sweep(args.threshold_sweep) if args.threshold_sweep else [args.threshold]
@@ -151,7 +159,6 @@ def cmd_filters(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    settle = args.settle_window
     # resolved when the command runs: perfbench/tracer.py wraps it by name
     fire = filters.bft_trigger
 
@@ -159,49 +166,33 @@ def cmd_filters(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report = {"trace": str(trace_path), "movements": movements, "filters": []}
+    # each row's "tick,receiver,sender,raw," prefix, formatted once for every filter
+    prefixes = [[f"{t},{r},{s},{raw:.6f}," for t, raw in zip(*columns)] for (r, s), columns in links]
     for name in names:
-        smoothed_per_link: dict[tuple[str, str], list[tuple[int, float, float]]] = {}
-        for link, series in sorted(links.items()):
-            step = make_filter(name, params.get(name))
-            smoothed_per_link[link] = [(t, raw, step(raw)) for t, raw in series]
-        smooth_path = out_dir / f"smoothed_{name}.csv"
-        with open(smooth_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("tick,receiver,sender,rssi_raw,rssi_smoothed\n")
-            for (receiver, sender), rows in sorted(smoothed_per_link.items()):
-                for t, raw, smooth in rows:
-                    fh.write(f"{t},{receiver},{sender},{raw:.6f},{smooth:.6f}\n")
+        per_link = [list(map(make_filter(name, params.get(name)), raws)) for _link, (_ticks, raws) in links]
+        with open(out_dir / f"smoothed_{name}.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(RSSI_HEADER)
+            for prefix, smoothed in zip(prefixes, per_link):
+                fh.write("".join([f"{p}{value:.6f}\n" for p, value in zip(prefix, smoothed)]))
 
         entries = []
         for threshold in thresholds:
-            fires: list[tuple[int, tuple[str, str]]] = []
-            for link, rows in sorted(smoothed_per_link.items()):
+            fires: list[int] = []  # the tick of every fire, over all links
+            for (_link, (ticks, _raws)), smoothed in zip(links, per_link):
                 trigger = TriggerState(threshold=threshold, cooldown=args.cooldown, warmup=args.warmup)
-                for t, _raw, smooth in rows:
-                    if fire(trigger, smooth, t):
-                        fires.append((t, link))
-            static_fp = sum(
-                1
-                for t, _link in fires
-                if not any(mv < t <= mv + settle for mv in movements)
-            )
+                fires += [t for t, value in zip(ticks, smoothed) if fire(trigger, value, t)]
+            static_fp = sum(not any(mv < t <= mv + args.settle_window for mv in movements) for t in fires)
             detections = []
             for mv in movements:
-                hits = [t for t, _link in fires if mv < t <= mv + settle]
-                detections.append(
-                    {"movement_tick": mv, "latency": (min(hits) - mv) if hits else None}
-                )
-            entries.append(
-                {
-                    "threshold": threshold,
-                    "trigger_count": len(fires),
-                    "static_false_positives": static_fp,
-                    "detections": detections,
-                }
-            )
+                hits = [t for t in fires if mv < t <= mv + args.settle_window]
+                detections.append({"movement_tick": mv, "latency": (min(hits) - mv) if hits else None})
+            entries.append({"threshold": threshold, "trigger_count": len(fires),
+                            "static_false_positives": static_fp, "detections": detections})
             print(
                 f"{name},threshold={threshold},triggers={len(fires)},static_fp={static_fp},"
                 f"latencies={[d['latency'] for d in detections]}"
             )
+        del per_link  # freed before the next filter's list is built, for a lower peak
         report["filters"].append({"name": name, "params": params.get(name, {}), "thresholds": entries})
 
     report_path = out_dir / "filter_report.json"

@@ -194,6 +194,9 @@ class GaussianState:
     sigma: float = 2.0
     window: int = 5
     buffer: list[float] = field(default_factory=list, init=False)
+    # weights[age] and totals[n - 1] (the first n added left to right), each made once in warm-up
+    weights: list[float] = field(default_factory=list, init=False)
+    totals: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
@@ -206,10 +209,16 @@ def gaussian_step(state: GaussianState, v: float) -> float:
     state.buffer.append(v)
     if len(state.buffer) > state.window:
         del state.buffer[0]
-    weights = [math.exp(-(age * age) / (2.0 * state.sigma * state.sigma)) for age in range(len(state.buffer))]
-    total = _sum(weights)
+    elif len(state.weights) < len(state.buffer):
+        age = len(state.weights)
+        state.weights.append(math.exp(-(age * age) / (2.0 * state.sigma * state.sigma)))
+        state.totals.append((state.totals[-1] if age else 0) + state.weights[-1])
     # newest sample has age 0 and sits at the end of the buffer
-    return _sum(map(mul, weights, reversed(state.buffer))) / total
+    return _sum(map(mul, state.weights, reversed(state.buffer))) / state.totals[len(state.buffer) - 1]
+
+
+# samples kept for the local-flatness check
+FLAT_WINDOW = 15
 
 
 @dataclass
@@ -223,6 +232,10 @@ class TriggerState:
     value, so the settled state becomes the new reference and a later change
     is measured at its full swing. Rebaselining only happens while the
     signal is locally flat, never during an in-progress deviation.
+
+    Invariant while `now` does not decrease: once `last_reported` is set,
+    `last_baseline` is set too and `last_fire <= last_baseline`, so the
+    quiet time counts from `last_baseline` alone.
     """
 
     threshold: float
@@ -235,8 +248,7 @@ class TriggerState:
     last_baseline: Optional[int] = None
     recent: list[float] = field(default_factory=list)
 
-    # samples kept for the local-flatness check
-    FLAT_WINDOW = 15
+    FLAT_WINDOW = FLAT_WINDOW  # the module constant, also as `state.FLAT_WINDOW`
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
@@ -273,26 +285,23 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
         return False
     recent = state.recent
     recent.append(smoothed)
-    if len(recent) > state.FLAT_WINDOW:
+    if len(recent) > FLAT_WINDOW:
         del recent[0]
     last_reported = state.last_reported
     if last_reported is None:
         state.last_reported = smoothed
         state.last_baseline = now
         return False
-    if abs(smoothed - last_reported) > state.threshold and state.cooldown_over(now):
-        state.note_report(smoothed, now)
-        return True
-    anchor = state.last_baseline
-    if anchor is None:
-        anchor = now
-    last_fire = state.last_fire
-    if last_fire is not None and last_fire > anchor:
-        anchor = last_fire
+    threshold = state.threshold
+    if abs(smoothed - last_reported) > threshold:
+        last_fire = state.last_fire
+        if last_fire is None or now - last_fire >= state.cooldown:
+            state.note_report(smoothed, now)
+            return True
     if (
-        now - anchor >= state.rebaseline_after
-        and len(recent) >= state.FLAT_WINDOW
-        and max(recent) - min(recent) <= state.threshold / 3.0
+        now - state.last_baseline >= state.rebaseline_after
+        and len(recent) == FLAT_WINDOW
+        and max(recent) - min(recent) <= threshold / 3.0
     ):
         state.last_reported = smoothed
         state.last_baseline = now
@@ -324,7 +333,7 @@ def make_filter(name: str, params: Optional[dict] = None) -> Callable[[float], f
     out of range.
     """
     if name not in _FILTERS:
-        raise ValueError(f"unknown filter {name!r}")
+        raise ValueError(f"unknown filter {name!r}; choose from {FILTER_NAMES}")
     cls, step = _FILTERS[name]
     errors: list[str] = []
     values = _checked({} if params is None else params, _PARAMS[name], "", errors)

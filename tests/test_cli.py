@@ -2,13 +2,16 @@
 
 import csv
 import json
+import random
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 import polsim.checks
 from polsim.channel import RadioChannel
 from polsim.cli import main
+from polsim.filters import FILTER_NAMES, TriggerState, bft_trigger, make_filter
 from polsim.scenario import builtin_scenario
 
 
@@ -286,6 +289,167 @@ class TestFiltersCommand:
         assert sweep.keys() == node.keys()
         # the sweep reads the raw values rounded to 6 decimals
         assert max(abs(sweep[key] - value) for key, value in node.items()) <= 2e-6
+
+
+GOOD_ROWS = "tick,receiver,sender,rssi_raw,rssi_smoothed\n1,a,b,-50.0,-50.0\n"
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            GOOD_ROWS + "2,a,b\n",
+            GOOD_ROWS + "2,a,b,-50.0,-50.0,7\n",
+            GOOD_ROWS + "2,a,b,nan,-50.0\n",
+            GOOD_ROWS + "2,a,b,-inf,-50.0\n",
+            "tick,receiver,sender,rssi_raw,rssi_smoothed,tick\n1,a,b,-50.0,-50.0,1\n",
+            GOOD_ROWS + "2,a,b,-50.0," + "9" * 200_000 + "\n",
+        ],
+        ids=["short-row", "long-row", "nan", "inf", "repeated-header", "field-past-csv-limit"],
+    )
+    def test_exit_1_before_writing(self, tmp_path, capsys, text):
+        trace = tmp_path / "rssi.csv"
+        trace.write_text(text, encoding="utf-8")
+        out = tmp_path / "rep"
+        assert run_cli("filters", "--trace", str(trace), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("trace error: ")
+        assert not out.exists()
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        trace = tmp_path / "rssi.csv"
+        trace.write_text(GOOD_ROWS + "\n2,a,b,-51.0,-51.0\n\n", encoding="utf-8")
+        out = tmp_path / "rep"
+        assert run_cli("filters", "--trace", str(trace), "--filter", "median", "--out", str(out)) == 0
+        capsys.readouterr()
+        assert (out / "smoothed_median.csv").read_text().splitlines()[1:] == [
+            "1,a,b,-50.000000,-50.000000",
+            "2,a,b,-51.000000,-50.000000",  # the median of two is the upper one
+        ]
+
+
+# -- the sweep as written with one (tick, raw, smoothed) tuple per row --------
+
+
+def reference_read_trace(path):
+    """`_read_trace` as it was, through `csv.DictReader`."""
+    links = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        expected = {"tick", "receiver", "sender", "rssi_raw", "rssi_smoothed"}
+        if reader.fieldnames is None or set(reader.fieldnames) != expected:
+            raise ValueError(f"unexpected columns {reader.fieldnames}")
+        for row in reader:
+            links.setdefault((row["receiver"], row["sender"]), []).append(
+                (int(row["tick"]), float(row["rssi_raw"]))
+            )
+    for series in links.values():
+        series.sort(key=lambda p: p[0])
+    return links
+
+
+def reference_sweep(trace_path, out_dir, names, thresholds, cooldown, warmup, movements, settle):
+    """The loops of `cmd_filters` as they were: a (t, raw, smoothed) tuple per
+    row for each filter, each row formatted whole. Returns the stdout lines."""
+    links = reference_read_trace(trace_path)
+    params = {}
+    fire = bft_trigger
+    lines = []
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    report = {"trace": str(trace_path), "movements": movements, "filters": []}
+    for name in names:
+        smoothed_per_link = {}
+        for link, series in sorted(links.items()):
+            step = make_filter(name, params.get(name))
+            smoothed_per_link[link] = [(t, raw, step(raw)) for t, raw in series]
+        smooth_path = out_dir / f"smoothed_{name}.csv"
+        with open(smooth_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("tick,receiver,sender,rssi_raw,rssi_smoothed\n")
+            for (receiver, sender), rows in sorted(smoothed_per_link.items()):
+                for t, raw, smooth in rows:
+                    fh.write(f"{t},{receiver},{sender},{raw:.6f},{smooth:.6f}\n")
+
+        entries = []
+        for threshold in thresholds:
+            fires = []
+            for link, rows in sorted(smoothed_per_link.items()):
+                trigger = TriggerState(threshold=threshold, cooldown=cooldown, warmup=warmup)
+                for t, _raw, smooth in rows:
+                    if fire(trigger, smooth, t):
+                        fires.append((t, link))
+            static_fp = sum(
+                1
+                for t, _link in fires
+                if not any(mv < t <= mv + settle for mv in movements)
+            )
+            detections = []
+            for mv in movements:
+                hits = [t for t, _link in fires if mv < t <= mv + settle]
+                detections.append(
+                    {"movement_tick": mv, "latency": (min(hits) - mv) if hits else None}
+                )
+            entries.append(
+                {
+                    "threshold": threshold,
+                    "trigger_count": len(fires),
+                    "static_false_positives": static_fp,
+                    "detections": detections,
+                }
+            )
+            lines.append(
+                f"{name},threshold={threshold},triggers={len(fires)},static_fp={static_fp},"
+                f"latencies={[d['latency'] for d in detections]}"
+            )
+        report["filters"].append({"name": name, "params": params.get(name, {}), "thresholds": entries})
+
+    report_path = out_dir / "filter_report.json"
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return lines
+
+
+def synthetic_trace(path: Path, ticks: int = 420) -> None:
+    """Three links with a level jump at tick 150 and 300, rows shuffled,
+    columns out of the usual order, raw values in several number forms, and
+    one link with two rows on the same tick."""
+    rng = random.Random(7)
+    rows = []
+    for receiver, sender, base in (("n1", "n2", -55.0), ("n2", "n1", -61.0), ("n3", "n1", -70.0)):
+        for t in range(1, ticks + 1):
+            level = base + (9.0 if 150 <= t < 300 else 0.0) - (12.0 if t >= 300 else 0.0)
+            raw = level + rng.gauss(0.0, 1.5)
+            forms = (f"{raw:.6f}", repr(round(raw, 1)), repr(raw), str(round(raw)))
+            rows.append((t, receiver, sender, forms[t % 4]))
+    rows.append((77, "n2", "n1", "-45.5"))  # same tick as an earlier n2<-n1 row
+    rows.append((77, "n2", "n1", "-80"))
+    rng.shuffle(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("rssi_smoothed,sender,tick,rssi_raw,receiver\n")
+        for t, receiver, sender, text in rows:
+            fh.write(f"0.0,{sender},{t},{text},{receiver}\n")
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("warmup", [0, 10])
+    def test_byte_identical_outputs(self, tmp_path, capsys, warmup):
+        trace = tmp_path / "rssi.csv"
+        synthetic_trace(trace)
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        argv = [
+            "filters", "--trace", str(trace), "--filter", ",".join(FILTER_NAMES),
+            "--threshold-sweep", "2:6:2", "--warmup", str(warmup), "--cooldown", "20",
+            "--movements", "150,300", "--settle-window", "60", "--out", str(ours),
+        ]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        expected = reference_sweep(trace, theirs, FILTER_NAMES, [2.0, 4.0, 6.0], 20, warmup, [150, 300], 60)
+        assert printed == expected + [f"report,{ours / 'filter_report.json'}"]
+        report = json.loads((theirs / "filter_report.json").read_text())
+        assert sum(e["trigger_count"] for f in report["filters"] for e in f["thresholds"]) > 0
+        written = sorted(p.name for p in ours.iterdir())
+        assert written == sorted(p.name for p in theirs.iterdir())
+        assert len(written) == len(FILTER_NAMES) + 1
+        for name in written:
+            assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
 
 
 class TestCheckCommand:

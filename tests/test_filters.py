@@ -2,6 +2,9 @@
 
 import copy
 import dataclasses
+import math
+import random
+from operator import mul
 from typing import get_type_hints
 
 import pytest
@@ -17,6 +20,7 @@ from polsim.filters import (
     MedianState,
     MovingAverageState,
     TriggerState,
+    _sum,
     bft_trigger,
     cascade_step,
     dynamic_moving_average_step,
@@ -156,6 +160,28 @@ class TestOtherFilters:
             out = gaussian_step(state, v)
         assert -60.0 < out < -40.0
         assert out > -50.0  # newest (-40) carries the largest weight
+
+    @pytest.mark.parametrize("sigma", [0.25, 1.0, 2.0, 3.3, 10.0])
+    @pytest.mark.parametrize("window", range(1, 10))
+    def test_gaussian_cached_weights_match_the_per_call_expression(self, window, sigma):
+        # the weights and their total as each step computed them before they
+        # were cached on the state; outputs must agree bit for bit, during
+        # warm-up (fewer than `window` samples) and after
+        rng = random.Random(window * 100 + sigma)
+        state, buffer = GaussianState(sigma=sigma, window=window), []
+        for _ in range(3 * window + 5):
+            v = rng.uniform(-95.0, -30.0)
+            buffer = (buffer + [v])[-window:]
+            weights = [math.exp(-(age * age) / (2.0 * sigma * sigma)) for age in range(len(buffer))]
+            expected = _sum(map(mul, weights, reversed(buffer))) / _sum(weights)
+            assert gaussian_step(state, v) == expected
+
+    def test_gaussian_weighs_only_the_ages_it_has_seen(self):
+        # a window far longer than any trace costs nothing up front
+        state = GaussianState(window=10**12)
+        for v in (-40.0, -50.0, -60.0):
+            gaussian_step(state, v)
+        assert len(state.weights) == len(state.totals) == 3
 
     def test_dynamic_moving_average_shrinks_on_jump(self):
         state = DynamicMovingAverageState(max_window=8, threshold=5.0)
@@ -308,6 +334,14 @@ def reference_bft_trigger(state: TriggerState, smoothed: float, now: int) -> boo
     return False
 
 
+def assert_trigger_invariant(state: TriggerState) -> None:
+    """The `TriggerState` invariant that lets `bft_trigger` count quiet time
+    from `last_baseline` alone."""
+    if state.last_reported is not None:
+        assert state.last_baseline is not None
+        assert state.last_fire is None or state.last_fire <= state.last_baseline
+
+
 class TestTriggerMatchesReference:
     # Each segment jumps by `delta` and then holds within +-`wobble` for
     # `length` samples, so both fires and rebaselines on flat windows occur;
@@ -345,6 +379,7 @@ class TestTriggerMatchesReference:
                 value = level + (wobble if i % 2 else -wobble)
                 assert bft_trigger(state, value, now) == reference_bft_trigger(reference, value, now)
                 assert state == reference
+                assert_trigger_invariant(state)
                 now += gap
 
 
