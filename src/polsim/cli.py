@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_FAILED = 3
+MAX_SWEEP_THRESHOLDS = 10_000  # values one --threshold-sweep may ask for
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -81,15 +82,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """The thresholds LO, LO + STEP, ... up to HI; raises ValueError for a
+    malformed spec and for one that makes more than MAX_SWEEP_THRESHOLDS."""
     try:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad sweep spec {text!r}, expected LO:HI:STEP") from exc
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0 or hi < lo:
         raise ValueError(f"bad sweep spec {text!r}")
-    out = []
+    if lo + step == lo:
+        raise ValueError(f"bad sweep spec {text!r}: step {step!r} does not move {lo!r}")
+    too_long = f"sweep spec {text!r} makes more than {MAX_SWEEP_THRESHOLDS} thresholds"
+    # the count of the loop below, give or take one step of rounding
+    if (hi + 1e-9 - lo) / step >= MAX_SWEEP_THRESHOLDS:
+        raise ValueError(too_long)
+    out: list[float] = []
     value = lo
     while value <= hi + 1e-9:
+        # value can still stop moving where it crosses into a coarser binade
+        if len(out) == MAX_SWEEP_THRESHOLDS:
+            raise ValueError(too_long)
         out.append(round(value, 9))
         value += step
     return out

@@ -374,6 +374,8 @@ class _FileSink:
         self.row_lines: list[str] = []
         self.tally: defaultdict[str, dict[str, int]] = defaultdict(partial(dict.fromkeys, _ACTION_COUNTS, 0))
         self.bft: list[TraceEvent] = []
+        # JSON string of each node label and ignore reason, escaped once
+        self._escaped: dict[str, str] = {}
 
     def event(self, e: TraceEvent) -> None:
         self.event_lines.append(f"{e.to_json()}\n")
@@ -382,9 +384,16 @@ class _FileSink:
             self.bft.append(e)
 
     def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
+        escaped = self._escaped
+        reason_json = escaped.get(reason)
+        if reason_json is None:
+            reason_json = escaped[reason] = _escape(reason)
+        node_json = escaped.get(node)
+        if node_json is None:
+            node_json = escaped[node] = _escape(node)
         self.event_lines.append(
-            f'{{"action":"ignore","details":{{"context":{_escape(context)},"reason":{_escape(reason)}}},'
-            f'"node":{_escape(node)},"tick":{tick!r}}}\n'
+            f'{{"action":"ignore","details":{{"context":{_escape(context)},"reason":{reason_json}}},'
+            f'"node":{node_json},"tick":{tick!r}}}\n'
         )
         self.tally[node]["ignore"] += 1
 
@@ -602,7 +611,10 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                 smoothed_rssi = state.smoothed_rssi
                 for msg, rssi in inbox:
                     sender = msg.sender
-                    row(tick, node_label, label_of(sender), rssi.value, smoothed_rssi(sender))
+                    sender_label = labels.get(sender)  # label_of, inline
+                    if sender_label is None:
+                        sender_label = str(sender)
+                    row(tick, node_label, sender_label, rssi.value, smoothed_rssi(sender))
 
         # 5. trust timeline
         for mac in node_order:

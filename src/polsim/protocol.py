@@ -18,7 +18,6 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Optional, Union
 
 # perfbench/tracer.py wraps polsim.protocol.cascade_step by name; the node
@@ -40,7 +39,11 @@ from .messages import (
     decode_message,
     location_key,
 )
-from .topology import LinkKey, RssiSource, TopologyStore
+from .topology import LinkKey, RssiEntry, RssiSource, TopologyStore
+
+_MEASURED = RssiSource.MEASURED
+# RssiEntry's own __new__ is a Python function; this builds the same tuple
+_new_entry = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,12 @@ for _c in (True, False):
                 SELF_DEFENSE_TABLE.setdefault((_c, _h, _db, _ds), IGNORE)
 
 
-@dataclass
+@dataclass(slots=True)
 class _LinkPipeline:
     """Smoothing and trigger state for one outgoing observation link."""
 
     link: LinkKey  # (own id, peer), built once and reused for every sample
+    history: list[RssiEntry]  # the store's history list of `link`, appended in place
     smooth: Callable[[float], float]
     trigger: TriggerState
     pending_since: Optional[int] = None  # trigger fired, BFT not yet sent
@@ -249,9 +253,10 @@ class MessagePool:
     def entries(self, sender: NodeId) -> list[_PoolEntry]:
         return list(self._by_sender.get(sender, ()))
 
-    def newest_per_sender(self) -> list[tuple[NodeId, _PoolEntry]]:
-        """(sender, newest entry) for every sender with pooled entries, by sender."""
-        return sorted(((s, dq[-1]) for s, dq in self._by_sender.items() if dq), key=itemgetter(0))
+    def newest(self, sender: NodeId) -> Optional[_PoolEntry]:
+        """The sender's newest pooled entry, or None when it has none."""
+        dq = self._by_sender.get(sender)
+        return dq[-1] if dq else None
 
     def clear_sender(self, sender: NodeId) -> list[_PoolEntry]:
         dq = self._by_sender.get(sender)
@@ -292,7 +297,7 @@ class NodeState:
     # -- link pipeline ----------------------------------------------------
 
     def _new_pipeline(self, link: LinkKey) -> _LinkPipeline:
-        pipe = _LinkPipeline(link, *self.filter_params.link_state())
+        pipe = _LinkPipeline(link, self.store.own_history(link), *self.filter_params.link_state())
         self._pipelines[link.observed] = pipe
         return pipe
 
@@ -301,23 +306,34 @@ class NodeState:
 
         Returns the smoothed value, or None when the sample was a same-tick
         duplicate (only the first measurement per link and tick counts).
+
+        A sample later than the link's newest entry is appended here, as
+        `record_rssi` would append it. The first sample of a link, one at
+        the newest entry's tick and an older one go through `record_rssi`,
+        which alone decides duplicates and ordering.
         """
-        if peer == self.self_id:
-            return None
         pipe = self._pipelines.get(peer)
-        link = LinkKey(self.self_id, peer) if pipe is None else pipe.link
-        store = self.store
-        try:
-            store.record_rssi(link, now, rssi, RssiSource.MEASURED)
-        except ValueError:
-            return self.smoothed_rssi(peer)
-        if pipe is None:
-            # peers are never removed, so one ensure_peer per link suffices
-            store.ensure_peer(peer)
-            pipe = self._new_pipeline(link)
+        value = rssi.value
+        if pipe is not None and pipe.history[-1][0] < now:
+            history = pipe.history
+            history.append(_new_entry(RssiEntry, (now, value, _MEASURED, None)))
+            if len(history) > self.params.history_window:
+                del history[0]
+        else:
+            if peer == self.self_id:
+                return None
+            link = LinkKey(self.self_id, peer) if pipe is None else pipe.link
+            try:
+                self.store.record_rssi(link, now, rssi, _MEASURED)
+            except ValueError:
+                return self.smoothed_rssi(peer)
+            if pipe is None:
+                # peers are never removed, so one ensure_peer per link suffices
+                self.store.ensure_peer(peer)
+                pipe = self._new_pipeline(link)
         self._last_heard[peer] = now
-        smoothed = pipe.smooth(rssi.value)
-        store.update_smoothed(link, now, smoothed)
+        smoothed = pipe.smooth(value)
+        self.store.update_smoothed(pipe.link, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
             pipe.pending_since = now
         return smoothed
@@ -416,18 +432,26 @@ class NodeState:
                 Ignore("expired", f"{entry.message.sender.hex(':')}#{entry.message.seq}")
             )
         store = self.store
-        model = self.model
-        self_location = self.self_location
         pipelines = self._pipelines
         params = self.params
-        # own anchor plus one per reporter cannot reach the min_anchors - 1
-        # of even the planar fallback, so the sender stays unverified
-        hopeless = params.min_anchors - 2
-        for sender, newest in pool.newest_per_sender():
-            if len(store.latest_reports_of(sender)) < hopeless:
-                verdict = VerifyOutcome.INSUFFICIENT_DATA
+        # with fewer reporters the own anchor plus one per reporter cannot
+        # reach the min_anchors - 1 of even the planar fallback: the verdict
+        # is INSUFFICIENT_DATA, and without a pending trigger that is no action
+        reported = store.subjects_reported_by(params.min_anchors - 2)
+        live = set(reported)
+        for sender, pipe in pipelines.items():
+            if pipe.pending_since is not None:
+                live.add(sender)
+        for sender in sorted(live):
+            newest = pool.newest(sender)
+            if newest is None:
+                continue
+            if sender in reported:
+                verdict = locate_and_verify(
+                    sender, store, newest.message, self.model, self.self_location, now, params
+                )
             else:
-                verdict = locate_and_verify(sender, store, newest.message, model, self_location, now, params)
+                verdict = VerifyOutcome.INSUFFICIENT_DATA
             if verdict is VerifyOutcome.VERIFIED:
                 for entry in pool.clear_sender(sender):
                     actions.append(StoreTrusted(entry.message))
@@ -654,6 +678,8 @@ class NodeState:
         return self.receive_message(msg, rssi, now)
 
     def receive_message(self, msg: Message, rssi: Rssi, now: int) -> list[Action]:
+        if type(msg) is PayloadMessage:  # the bulk of the traffic
+            return self.receive_payload(msg, rssi, now)
         if isinstance(msg, PayloadMessage):
             return self.receive_payload(msg, rssi, now)
         if isinstance(msg, BftMessage):

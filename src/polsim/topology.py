@@ -156,9 +156,23 @@ class TopologyStore:
     def history(self, link: LinkKey) -> tuple[RssiEntry, ...]:
         return tuple(self._links.get(link, ()))
 
+    def own_history(self, link: LinkKey) -> list[RssiEntry]:
+        """The live history list of a link `record_rssi` has created.
+
+        The owning node holds it for its own link and appends a Measured
+        sample later than the newest entry itself, trimmed to `capacity`:
+        that is what `record_rssi` would do with it. Every other sample of
+        the link must go through `record_rssi`.
+        """
+        return self._links[link]
+
     def latest_reports_of(self, subject: NodeId) -> dict[NodeId, RssiEntry]:
         """Newest Reported entry per reporter for the given subject."""
         return self._reported.get(subject, {})
+
+    def subjects_reported_by(self, min_reporters: int) -> set[NodeId]:
+        """Subjects with a Reported entry from at least `min_reporters` reporters."""
+        return {s for s, reports in self._reported.items() if len(reports) >= min_reporters}
 
     def links(self) -> Iterable[LinkKey]:
         return self._links.keys()

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import polsim.checks
+from polsim import cli
 from polsim.channel import RadioChannel
-from polsim.cli import main
+from polsim.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, main
 from polsim.filters import FILTER_NAMES, TriggerState, bft_trigger, make_filter
 from polsim.scenario import builtin_scenario
 
@@ -225,6 +226,34 @@ class TestFiltersCommand:
             assert code == 1, sweep
         capsys.readouterr()
 
+    def test_sweep_keeps_its_values(self):
+        assert _parse_sweep("2:10:2") == [2.0, 4.0, 6.0, 8.0, 10.0]
+        assert _parse_sweep("0.1:0.5:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert len(_parse_sweep(f"1:{MAX_SWEEP_THRESHOLDS}:1")) == MAX_SWEEP_THRESHOLDS
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("2:1e12:1", "more than 10000 thresholds"),
+            (f"1:{MAX_SWEEP_THRESHOLDS + 1}:1", "more than 10000 thresholds"),
+            ("1e17:1.00000000000001e17:1", "does not move"),
+            ("-1e308:1e308:1e300", "more than 10000 thresholds"),  # hi - lo overflows
+        ],
+    )
+    def test_oversized_sweep_rejected_before_the_loop(self, monkeypatch, spec, message):
+        # every threshold goes through round(): none may be made
+        def refuse(*args):
+            raise AssertionError(f"a threshold of {spec!r} was computed")
+
+        monkeypatch.setattr(cli, "round", refuse, raising=False)
+        with pytest.raises(ValueError, match=message):
+            _parse_sweep(spec)
+
+    def test_sweep_whose_value_stops_moving_is_bounded(self):
+        # 2**53 - 1 + 1 moves, but 2**53 + 1 rounds back to 2**53
+        with pytest.raises(ValueError, match="more than 10000 thresholds"):
+            _parse_sweep(f"{2**53 - 1}:{2**53 + 10}:1")
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -246,12 +275,15 @@ class TestFiltersCommand:
             ("--filter", "median_kalman", "--params", '{"median_kalman":{"q":NaN}}'),
             ("--threshold", "nan"),
             ("--threshold-sweep", "2:nan:2"),
+            ("--threshold-sweep", "2:1e12:1"),
+            ("--threshold-sweep", "1e17:1.00000000000001e17:1"),
         ],
         ids=["params-list", "params-scalar", "params-unknown-key", "params-even-window",
              "movements", "cooldown", "zero-threshold", "params-unknown-filter",
              "params-unselected-filter", "warmup", "settle-window", "params-window-string",
              "params-window-bool", "params-window-float", "params-q-string", "params-q-nan",
-             "threshold-nan", "threshold-sweep-nan"],
+             "threshold-nan", "threshold-sweep-nan", "threshold-sweep-too-long",
+             "threshold-sweep-step-too-small"],
     )
     def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
         out = tmp_path / "rep"

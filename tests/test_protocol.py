@@ -44,7 +44,8 @@ from polsim.protocol import (
     SendPayload,
     StoreTrusted,
 )
-from polsim.topology import LinkKey, PeerRecord
+from polsim.filters import bft_trigger
+from polsim.topology import LinkKey, PeerRecord, TopologyStore
 
 MODEL = PathLossModel()
 ME = NodeId.from_str("02:00:00:00:00:01")
@@ -293,7 +294,7 @@ class TestValidatePool:
                 node.receive_bft(bft, Rssi(-50.0), t)
             assert len(node.store.latest_reports_of(PEER)) < node.params.min_anchors - 2
             # called alone, the verifier reaches the same verdict
-            newest = node.pool.newest_per_sender()[0][1].message
+            newest = node.pool.newest(PEER).message
             verdict = locate_and_verify(PEER, node.store, newest, MODEL, node.self_location, t, node.params)
             assert verdict is VerifyOutcome.INSUFFICIENT_DATA
             actions += [(t, action) for action in node.validate_pool(t)]
@@ -321,6 +322,160 @@ class TestValidatePool:
         assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
         node.validate_pool(11)
         assert calls == [PEER]
+
+    def test_sender_reaching_the_reporter_bound_is_verified_that_tick(self):
+        node = make_node()
+        true_loc = Location(4.0, 0.0, 0.0)
+        node.receive_payload(payload_from(PEER, 1, true_loc, 10), Rssi(-52.0), 10)
+        assert node.validate_pool(10) == []
+        # the own anchor and min_anchors - 2 reporters, all exact, arrive at 11
+        node.store.update_smoothed(
+            LinkKey(ME, PEER), 11, rssi_from_distance(MODEL, true_loc.distance_to(node.self_location)).value
+        )
+        for reporter in (OTHER, EXTRAS[1]):
+            loc = node.store.peer(reporter).location
+            node.store.record_rssi(
+                LinkKey(reporter, PEER),
+                11,
+                rssi_from_distance(MODEL, true_loc.distance_to(loc)),
+                RssiSource.REPORTED,
+                reporter_location=loc,
+            )
+        assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
+        (stored,) = node.validate_pool(11)
+        assert isinstance(stored, StoreTrusted) and stored.message.seq == 1
+        assert len(node.pool) == 0
+
+    def test_live_senders_of_both_kinds_visited_in_id_order(self, monkeypatch):
+        node = make_node(filter_params=FilterParams(warmup=2, trigger_threshold=6.0))
+        visits = []
+
+        def verify(sender, *args):
+            visits.append(("verify", sender))
+            return VerifyOutcome.INSUFFICIENT_DATA  # no action of its own
+
+        emit_bft = NodeState._emit_bft
+
+        def emit(self, subject, *args, **kwargs):
+            visits.append(("bft", subject))
+            return emit_bft(self, subject, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "locate_and_verify", verify)
+        monkeypatch.setattr(NodeState, "_emit_bft", emit)
+        # OTHER's link level jumps by 15 dB: its trigger fires, no reports exist
+        for t in range(30):
+            node.ingest_sample(OTHER, Rssi(-52.0 if t < 12 else -67.0), t)
+            if node._pipelines[OTHER].pending_since is not None:
+                break
+        else:
+            raise AssertionError("the trigger did not fire")
+        now = t + 1
+        # PEER and EXTRAS[0] have min_anchors - 2 reporters, EXTRAS[1] one
+        for subject, reporters in ((PEER, (OTHER, EXTRAS[1])), (EXTRAS[0], (OTHER, PEER)), (EXTRAS[1], (PEER,))):
+            for reporter in reporters:
+                loc = node.store.peer(reporter).location
+                node.store.record_rssi(
+                    LinkKey(reporter, subject), now, Rssi(-55.0), RssiSource.REPORTED, reporter_location=loc
+                )
+        # EXTRAS[2] has reporters but nothing pooled
+        for reporter in (OTHER, PEER):
+            node.store.record_rssi(LinkKey(reporter, EXTRAS[2]), now, Rssi(-55.0), RssiSource.REPORTED)
+        for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
+            node.receive_payload(payload_from(sender, 1, node.store.peer(sender).location, now), Rssi(-52.0), now)
+        node.validate_pool(now)
+        assert visits == [("verify", PEER), ("bft", OTHER), ("verify", EXTRAS[0])]
+
+
+class TestOwnLinkAppendPath:
+    """ingest_sample appends a later sample itself; it must leave the store,
+    the smoothed value and the trigger as record_rssi, update_smoothed and
+    the smoother would."""
+
+    def test_only_first_same_tick_and_older_samples_use_record_rssi(self, monkeypatch):
+        node = make_node()
+        calls = []
+        record = TopologyStore.record_rssi
+
+        def spy(store, link, t, *args, **kwargs):
+            calls.append(t)
+            return record(store, link, t, *args, **kwargs)
+
+        monkeypatch.setattr(TopologyStore, "record_rssi", spy)
+        for t in range(1, 100):
+            node.ingest_sample(PEER, Rssi(-50.0 - t % 3), t)
+        assert calls == [1]
+        assert len(node.store.history(LinkKey(ME, PEER))) == node.params.history_window
+        assert node.ingest_sample(PEER, Rssi(-70.0), 99) == node.smoothed_rssi(PEER)
+        assert node.ingest_sample(PEER, Rssi(-70.0), 98) == node.smoothed_rssi(PEER)
+        assert calls == [1, 99, 98]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window=st.integers(1, 6),
+        warmup=st.integers(0, 3),
+        cooldown=st.integers(0, 4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["ingest", "ingest", "ingest", "inject", "move"]),
+                st.integers(-3, 3),
+                st.integers(-80, -40),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_record_rssi_reference(self, window, warmup, cooldown, ops):
+        filter_params = FilterParams(warmup=warmup, trigger_threshold=3.0, trigger_cooldown=cooldown)
+        node = make_node(params=ProtocolParams(tau=2, history_window=window), filter_params=filter_params)
+        link = LinkKey(ME, PEER)
+        ref_store = TopologyStore(ME, capacity=window)
+        ref_smooth = ref_trigger = ref_pending = ref_heard = None
+        clock = 0
+        for kind, dt, level in ops:
+            now = max(0, clock + dt)
+            clock = max(clock, now)
+            rssi = Rssi(float(level))
+            if kind == "move":
+                node.on_moved(node.self_location, now, announce=True)
+                ref_store.clear_smoothed()
+                if ref_smooth is not None:
+                    ref_smooth, ref_trigger = filter_params.link_state()
+                    ref_pending = None
+            elif kind == "inject":
+                # as checks._craft_state appends raw history past the smoother
+                outcomes = []
+                for store in (node.store, ref_store):
+                    try:
+                        store.record_rssi(link, now, rssi, RssiSource.MEASURED)
+                        outcomes.append(True)
+                    except ValueError:
+                        outcomes.append(False)
+                assert outcomes[0] == outcomes[1]
+            else:
+                got = node.ingest_sample(PEER, rssi, now)
+                try:
+                    ref_store.record_rssi(link, now, rssi, RssiSource.MEASURED)
+                except ValueError:
+                    own = ref_store.latest_smoothed(link)
+                    expected = None if own is None else own[1]
+                else:
+                    if ref_smooth is None:
+                        ref_smooth, ref_trigger = filter_params.link_state()
+                    ref_heard = now
+                    expected = ref_smooth(rssi.value)
+                    ref_store.update_smoothed(link, now, expected)
+                    if bft_trigger(ref_trigger, expected, now):
+                        ref_pending = now
+                assert got == expected
+            assert node.store.history(link) == ref_store.history(link)
+            own = ref_store.latest_smoothed(link)
+            assert node.store.latest_smoothed(link) == own
+            assert node.smoothed_rssi(PEER) == (None if own is None or ref_smooth is None else own[1])
+            assert node._last_heard.get(PEER) == ref_heard
+            pipe = node._pipelines.get(PEER)
+            assert (pipe is None) == (ref_smooth is None)
+            if pipe is not None:
+                assert pipe.trigger == ref_trigger
+                assert pipe.pending_since == ref_pending
 
 
 class TestReceiveBft:
