@@ -28,7 +28,7 @@ from .protocol import (
     SendBft,
 )
 from .scenario import builtin_scenario
-from .topology import LinkKey, PeerRecord, RssiSource
+from .topology import PeerRecord
 
 ACCEPTANCE_SEEDS = tuple(range(1, 11))
 RUNTIME_BUDGET_S = 5.0
@@ -185,7 +185,7 @@ def _craft_state(c: bool, h: bool, db: bool, dself: bool) -> tuple[NodeState, Bf
     if not h:
         # append raw history far from the smoothed value, bypassing the filter
         for t in range(9, 9 + params.history_window):
-            state.store.record_rssi(LinkKey(_A, _B), t, Rssi(-80.0), RssiSource.MEASURED)
+            state.store.record_rssi(_B, t, -80.0)
     if db:
         state.store.peers[_B].trust = TrustScore(0.05)
     now = 40

@@ -621,8 +621,6 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
             observer = labels[mac]
             snap = trust_snapshot[observer]
             for peer_id, rec in nodes[mac].store.peers.items():
-                if peer_id == mac:
-                    continue
                 peer_label = label_of(peer_id)
                 value = rec.trust.value
                 if snap.get(peer_label) != value:

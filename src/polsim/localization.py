@@ -28,7 +28,7 @@ from .messages import (  # noqa: F401
     Rssi,
     location_key,
 )
-from .topology import LinkKey, TopologyStore
+from .topology import TopologyStore
 
 if TYPE_CHECKING:  # protocol imports this module
     from .protocol import ProtocolParams
@@ -305,13 +305,13 @@ def gather_anchors(
     """Collect usable observers of `subject`: self plus reporting peers.
 
     The node's own anchor uses its current smoothed RSSI of the subject. Peer
-    anchors come from Reported history entries (extracted from BFT messages)
-    no older than `freshness` ticks; the anchor point is the location the
-    reporter claimed in its BFT message, falling back to the stored peer
-    location when it is known and still verified.
+    anchors come from the newest report per reporter (extracted from BFT
+    messages) no older than `freshness` ticks; the anchor point is the
+    location the reporter claimed in its BFT message, falling back to the
+    stored peer location when it is known and still verified.
     """
     anchors: list[Anchor] = []
-    own = store.latest_smoothed(LinkKey(store.self_id, subject))
+    own = store.latest_smoothed(subject)
     if own is not None and now - own[0] <= freshness:
         anchors.append((self_location.x, self_location.y, self_location.z, own[1]))
     reports = store.latest_reports_of(subject)

@@ -57,11 +57,6 @@ class AlertType(IntEnum):
     DISTRUST = 3
 
 
-class RssiSource(IntEnum):
-    MEASURED = 0   # own radio measurement
-    REPORTED = 1   # extracted from a peer's BFT message
-
-
 class NodeId(bytes):
     """6-byte MAC-style identifier: a `bytes` subclass that adds only its text forms.
 

@@ -39,11 +39,7 @@ from .messages import (
     decode_message,
     location_key,
 )
-from .topology import LinkKey, RssiEntry, RssiSource, TopologyStore
-
-_MEASURED = RssiSource.MEASURED
-# RssiEntry's own __new__ is a Python function; this builds the same tuple
-_new_entry = tuple.__new__
+from .topology import TopologyStore
 
 
 @dataclass(frozen=True)
@@ -171,8 +167,6 @@ for _c in (True, False):
 class _LinkPipeline:
     """Smoothing and trigger state for one outgoing observation link."""
 
-    link: LinkKey  # (own id, peer), built once and reused for every sample
-    history: list[RssiEntry]  # the store's history list of `link`, appended in place
     smooth: Callable[[float], float]
     trigger: TriggerState
     pending_since: Optional[int] = None  # trigger fired, BFT not yet sent
@@ -286,63 +280,41 @@ class NodeState:
         self.filter_params = filter_params
         self.model = model
         self.store = TopologyStore(self_id, capacity=params.history_window)
-        self.store.ensure_peer(self_id).location = self_location
         self.pool = MessagePool(params.pool_ttl)
         self.moved_until: Optional[int] = None
         self._pipelines: dict[NodeId, _LinkPipeline] = {}
         self._seq = 0
-        self._last_heard: dict[NodeId, int] = {}
         self._alert_last: dict[tuple[AlertType, NodeId], int] = {}
 
     # -- link pipeline ----------------------------------------------------
-
-    def _new_pipeline(self, link: LinkKey) -> _LinkPipeline:
-        pipe = _LinkPipeline(link, self.store.own_history(link), *self.filter_params.link_state())
-        self._pipelines[link.observed] = pipe
-        return pipe
 
     def ingest_sample(self, peer: NodeId, rssi: Rssi, now: int) -> Optional[float]:
         """Record a measured RSSI sample and advance the link's smoothing.
 
         Returns the smoothed value, or None when the sample was a same-tick
         duplicate (only the first measurement per link and tick counts).
-
-        A sample later than the link's newest entry is appended here, as
-        `record_rssi` would append it. The first sample of a link, one at
-        the newest entry's tick and an older one go through `record_rssi`,
-        which alone decides duplicates and ordering.
         """
-        pipe = self._pipelines.get(peer)
         value = rssi.value
-        if pipe is not None and pipe.history[-1][0] < now:
-            history = pipe.history
-            history.append(_new_entry(RssiEntry, (now, value, _MEASURED, None)))
-            if len(history) > self.params.history_window:
-                del history[0]
-        else:
-            if peer == self.self_id:
-                return None
-            link = LinkKey(self.self_id, peer) if pipe is None else pipe.link
-            try:
-                self.store.record_rssi(link, now, rssi, _MEASURED)
-            except ValueError:
-                return self.smoothed_rssi(peer)
-            if pipe is None:
-                # peers are never removed, so one ensure_peer per link suffices
-                self.store.ensure_peer(peer)
-                pipe = self._new_pipeline(link)
-        self._last_heard[peer] = now
+        try:
+            self.store.record_rssi(peer, now, value)
+        except ValueError:
+            return self.smoothed_rssi(peer)
+        pipe = self._pipelines.get(peer)
+        if pipe is None:
+            # peers are never removed, so one ensure_peer per link suffices
+            self.store.ensure_peer(peer)
+            pipe = _LinkPipeline(*self.filter_params.link_state())
+            self._pipelines[peer] = pipe
         smoothed = pipe.smooth(value)
-        self.store.update_smoothed(pipe.link, now, smoothed)
+        self.store.update_smoothed(peer, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
             pipe.pending_since = now
         return smoothed
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
-        pipe = self._pipelines.get(peer)
-        if pipe is None:
+        if peer not in self._pipelines:
             return None
-        own = self.store.latest_smoothed(pipe.link)
+        own = self.store.latest_smoothed(peer)
         return None if own is None else own[1]
 
     def on_moved(self, to: Location, now: int, announce: bool) -> None:
@@ -350,7 +322,6 @@ class NodeState:
         acceleration sensor) raises the movement flag and resets the link
         pipelines, since every baseline the node held just became stale."""
         self.self_location = to
-        self.store.ensure_peer(self.self_id).location = to
         if announce:
             self.moved_until = now + self.params.moved_ttl
             self.store.clear_smoothed()
@@ -364,11 +335,7 @@ class NodeState:
     # -- distrust predicate -------------------------------------------------
 
     def in_range_peers(self, now: int) -> int:
-        return sum(
-            1
-            for peer, t in self._last_heard.items()
-            if peer != self.self_id and now - t <= self.params.bft_window
-        )
+        return self.store.links_heard_within(self.params.bft_window, now)
 
     def tau(self, now: int) -> int:
         fixed = self.params.tau
@@ -470,7 +437,7 @@ class NodeState:
                 verdict is VerifyOutcome.CONTRADICTED
                 and pipe.contradiction_budget > 0
                 and pipe.trigger.cooldown_over(now)
-                and store.latest_smoothed(pipe.link) is not None
+                and store.latest_smoothed(sender) is not None
             ):
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget -= 1
@@ -479,14 +446,14 @@ class NodeState:
     def _expire_pending(self, pipe: _LinkPipeline, now: int) -> None:
         if (
             pipe.pending_since is not None
-            and now - pipe.pending_since > self.filter_params.trigger_cooldown
+            and now - pipe.pending_since > pipe.trigger.cooldown
         ):
             pipe.pending_since = None
 
     def _emit_bft(
         self, subject: NodeId, pipe: _LinkPipeline, now: int, ref_seq: Optional[int]
     ) -> SendBft:
-        _, smoothed = self.store.latest_smoothed(pipe.link)
+        _, smoothed = self.store.latest_smoothed(subject)
         msg = BftMessage(
             sender=self.self_id,
             sender_location=self.self_location,
@@ -512,16 +479,9 @@ class NodeState:
         rec = self.store.ensure_peer(msg.sender)
         if rec.location is None:
             rec.location = msg.sender_location
-        try:
-            self.store.record_rssi(
-                LinkKey(msg.sender, msg.subject),
-                now,
-                msg.measured_rssi,
-                RssiSource.REPORTED,
-                reporter_location=msg.sender_location,
-            )
-        except ValueError:
-            pass  # second report from the same sender within one tick
+        self.store.record_report(
+            msg.sender, msg.subject, now, msg.measured_rssi.value, msg.sender_location
+        )
         self.store.register_bft(msg.sender, msg.subject, msg.timestamp, now)
         if msg.subject == self.self_id:
             return self.self_defense(msg, now)
@@ -536,12 +496,7 @@ class NodeState:
         if own is None:
             return None
         claimed_ok = abs(msg.measured_rssi.value - own) <= self.params.consistency_tol
-        history_ok = self.store.history_consistent(
-            LinkKey(self.self_id, origin),
-            Rssi(own),
-            self.params.history_window,
-            self.params.consistency_tol,
-        )
+        history_ok = self.store.history_consistent(origin, Rssi(own), self.params.consistency_tol)
         distrust_b = self.distrust(origin, now)
         distrust_self = (
             self.store.count_recent_bft(self.self_id, self.params.bft_window, now) > self.tau(now)
@@ -634,18 +589,12 @@ class NodeState:
         seen = self.store.has_seen_bft(ref.sender, ref.subject, ref.timestamp)
         a_smoothed = self.smoothed_rssi(accuser)
         a_consistent = a_smoothed is not None and self.store.history_consistent(
-            LinkKey(self.self_id, accuser),
-            Rssi(a_smoothed),
-            self.params.history_window,
-            self.params.consistency_tol,
+            accuser, Rssi(a_smoothed), self.params.consistency_tol
         )
         a_distrusted = self.distrust(accuser, now)
         b_smoothed = self.smoothed_rssi(accused)
         b_inconsistent = b_smoothed is not None and not self.store.history_consistent(
-            LinkKey(self.self_id, accused),
-            Rssi(b_smoothed),
-            self.params.history_window,
-            self.params.consistency_tol,
+            accused, Rssi(b_smoothed), self.params.consistency_tol
         )
         b_doubt = b_inconsistent and self.distrust(accused, now)
 

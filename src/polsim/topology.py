@@ -1,56 +1,34 @@
 """Per-node memory of the network: RSSI histories, peer identities, trust.
 
 Mirrors the topology storage matrix each sensor node maintains: one row per
-known node (MAC, sensor type, location, trust score) and a bounded history of
-RSSI values per directed link, both for the node's own links and for links
-between third parties it learned about from BFT messages. A log of observed
+known node (MAC, sensor type, location, trust score), a bounded history of
+the RSSI the node measured on each of its own links, and the newest report
+per reporter about each subject, learned from BFT messages. A log of observed
 BFT messages backs the distrust predicate's dissent counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .messages import Location, NodeId, Rssi, RssiSource, SensorType, TrustScore
+from .messages import Location, NodeId, Rssi, SensorType, TrustScore
 
 
 class OrderingError(ValueError):
-    """Sample rejected: timestamp went backwards on a link."""
+    """Sample rejected: not later than the newest sample on its link."""
 
 
 class UnknownPeerError(KeyError):
     """Operation referenced a node the store has never heard of."""
 
 
-@dataclass(frozen=True)
-class LinkKey:
-    """Directed link: `observer` measured (or reported) `observed`.
-
-    The hash is the dataclass one, hash((observer, observed)), computed once:
-    links key the per-sample dictionaries of the store.
-    """
-
-    observer: NodeId
-    observed: NodeId
-
-    def __post_init__(self) -> None:
-        if self.observer == self.observed:
-            raise ValueError("link endpoints must differ")
-        object.__setattr__(self, "_hash", hash((self.observer, self.observed)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
-class RssiEntry(NamedTuple):
-    """One sample of a link's history: immutable, and as a tuple cheaper to
-    build per recorded sample than a frozen dataclass."""
+class Report(NamedTuple):
+    """The newest report of one reporter about one subject, from a BFT message."""
 
     timestamp: int
     value: float
-    source: RssiSource
-    # location claimed by the reporting node at report time (Reported only)
+    # location the reporter claimed in its BFT message
     reporter_location: Optional[Location] = None
 
 
@@ -78,8 +56,9 @@ class BftObservation:
 class TopologyStore:
     """Single-writer store owned by one simulated node.
 
-    History per link is a ring buffer of `capacity` entries with
-    non-decreasing timestamps; at most one entry per (timestamp, source).
+    The node's own links are keyed by the peer. Each holds a history of at
+    most `capacity` measured `(tick, value)` samples at rising ticks and the
+    newest smoothed value.
     """
 
     def __init__(self, self_id: NodeId, capacity: int):
@@ -88,11 +67,11 @@ class TopologyStore:
         self.self_id = self_id
         self.capacity = capacity
         self.peers: dict[NodeId, PeerRecord] = {}
-        self._links: dict[LinkKey, list[RssiEntry]] = {}
-        self._smoothed: dict[LinkKey, tuple[int, float]] = {}
+        self._links: dict[NodeId, list[tuple[int, float]]] = {}
+        self._smoothed: dict[NodeId, tuple[int, float]] = {}
         self._bft_log: list[BftObservation] = []
-        # newest Reported entry per (subject, reporter), for anchor gathering
-        self._reported: dict[NodeId, dict[NodeId, RssiEntry]] = {}
+        # newest report per (subject, reporter), for anchor gathering
+        self._reported: dict[NodeId, dict[NodeId, Report]] = {}
 
     # -- peers ----------------------------------------------------------
 
@@ -117,93 +96,79 @@ class TopologyStore:
         rec.trust = rec.trust.adjusted(delta)
         return rec.trust
 
-    # -- RSSI histories ---------------------------------------------------
+    # -- own-link histories -----------------------------------------------
 
-    def record_rssi(
-        self,
-        link: LinkKey,
-        t: int,
-        v: Rssi,
-        source: RssiSource,
-        reporter_location: Optional[Location] = None,
-    ) -> None:
-        """Append a sample; creates the link on first sight.
-
-        Timestamps must not go backwards. A second sample at the same tick is
-        allowed only from the other source kind (measured vs reported).
-        """
-        history = self._links.get(link)
+    def record_rssi(self, peer: NodeId, t: int, value: float) -> None:
+        """Append a measured sample of the link to `peer`; creates the link
+        on first sight. A sample not later than the link's newest one raises
+        OrderingError, so only the first measurement per tick counts."""
+        history = self._links.get(peer)
         if history is None:
-            history = []
-            self._links[link] = history
-        if history:
-            last_t = history[-1].timestamp
-            if t < last_t:
-                raise OrderingError(f"sample at t={t} after t={last_t} on {link}")
-            if t == last_t:
-                for entry in reversed(history):
-                    if entry.timestamp != t:
-                        break
-                    if entry.source == source:
-                        raise OrderingError(f"duplicate {source.name} sample at t={t} on {link}")
-        entry = RssiEntry(t, v.value, source, reporter_location)
-        history.append(entry)
+            if peer == self.self_id:
+                raise ValueError("a node has no link to itself")
+            self._links[peer] = [(t, value)]
+            return
+        last_t = history[-1][0]
+        if t <= last_t:
+            raise OrderingError(f"sample at t={t} not after t={last_t} on the link to {peer}")
+        history.append((t, value))
         if len(history) > self.capacity:
             del history[0]
-        if source == RssiSource.REPORTED:
-            self._reported.setdefault(link.observed, {})[link.observer] = entry
 
-    def history(self, link: LinkKey) -> tuple[RssiEntry, ...]:
-        return tuple(self._links.get(link, ()))
+    def history(self, peer: NodeId) -> tuple[tuple[int, float], ...]:
+        return tuple(self._links.get(peer, ()))
 
-    def own_history(self, link: LinkKey) -> list[RssiEntry]:
-        """The live history list of a link `record_rssi` has created.
+    def links_heard_within(self, window: int, now: int) -> int:
+        """Own links whose newest sample is at most `window` ticks old."""
+        return sum(1 for history in self._links.values() if now - history[-1][0] <= window)
 
-        The owning node holds it for its own link and appends a Measured
-        sample later than the newest entry itself, trimmed to `capacity`:
-        that is what `record_rssi` would do with it. Every other sample of
-        the link must go through `record_rssi`.
-        """
-        return self._links[link]
+    def history_consistent(self, peer: NodeId, candidate: Rssi, tol: float) -> bool:
+        """Is `candidate` within `tol` dB of the (lower) median of the link's
+        history? An empty history cannot contradict anything, so it returns
+        True."""
+        if tol < 0:
+            raise ValueError("tol must be >= 0")
+        history = self._links.get(peer)
+        if history is None:
+            return True
+        values = sorted(v for _, v in history)
+        return abs(candidate.value - values[(len(values) - 1) // 2]) <= tol
 
-    def latest_reports_of(self, subject: NodeId) -> dict[NodeId, RssiEntry]:
-        """Newest Reported entry per reporter for the given subject."""
+    # -- reports from BFT messages ------------------------------------------
+
+    def record_report(
+        self,
+        reporter: NodeId,
+        subject: NodeId,
+        t: int,
+        value: float,
+        reporter_location: Optional[Location] = None,
+    ) -> None:
+        """Keep the report unless the reporter's newest one about `subject`
+        is from tick `t` or later: the first report per tick wins."""
+        reports = self._reported.setdefault(subject, {})
+        newest = reports.get(reporter)
+        if newest is None or newest.timestamp < t:
+            reports[reporter] = Report(t, value, reporter_location)
+
+    def latest_reports_of(self, subject: NodeId) -> dict[NodeId, Report]:
+        """Newest report per reporter for the given subject."""
         return self._reported.get(subject, {})
 
     def subjects_reported_by(self, min_reporters: int) -> set[NodeId]:
-        """Subjects with a Reported entry from at least `min_reporters` reporters."""
+        """Subjects with a report from at least `min_reporters` reporters."""
         return {s for s, reports in self._reported.items() if len(reports) >= min_reporters}
-
-    def links(self) -> Iterable[LinkKey]:
-        return self._links.keys()
-
-    def history_consistent(self, link: LinkKey, candidate: Rssi, window: int, tol: float) -> bool:
-        """Is `candidate` within `tol` dB of the median of recent measurements?
-
-        Uses the last `window` Measured samples (all of them if fewer exist).
-        An empty history cannot contradict anything, so it returns True.
-        """
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
-        values = [e.value for e in self._links.get(link, ()) if e.source == RssiSource.MEASURED]
-        if not values:
-            return True
-        tail = sorted(values[-window:])
-        median = tail[(len(tail) - 1) // 2] if len(tail) % 2 == 0 else tail[len(tail) // 2]
-        return abs(candidate.value - median) <= tol
 
     # -- smoothed values of the owning node's own links --------------------
     # The node's only copy of them: NodeState writes one per counted sample
     # and clears them all on an announced move, so its readers and the
     # verifier's own anchor never see a value from before the move.
 
-    def update_smoothed(self, link: LinkKey, t: int, value: float) -> None:
-        self._smoothed[link] = (t, value)
+    def update_smoothed(self, peer: NodeId, t: int, value: float) -> None:
+        self._smoothed[peer] = (t, value)
 
-    def latest_smoothed(self, link: LinkKey) -> Optional[tuple[int, float]]:
-        return self._smoothed.get(link)
+    def latest_smoothed(self, peer: NodeId) -> Optional[tuple[int, float]]:
+        return self._smoothed.get(peer)
 
     def clear_smoothed(self) -> None:
         self._smoothed.clear()

@@ -28,13 +28,12 @@ from polsim.messages import (
     NodeId,
     PayloadMessage,
     Rssi,
-    RssiSource,
     SensorType,
     location_key,
     quantize_location,
 )
 from polsim.protocol import ProtocolParams
-from polsim.topology import LinkKey, PeerRecord, TopologyStore
+from polsim.topology import PeerRecord, TopologyStore
 
 MODEL = PathLossModel(p0=-40.0, n=2.0, d0=1.0)
 # verification bounds: grid 0.5 m, one cell of slack, four anchors
@@ -484,21 +483,20 @@ def seeded_store(subject_location: Location, *, reports_at: int = 100) -> Topolo
     """Store holding a full set of exact anchors for SUBJECT."""
     store = TopologyStore(SELF, capacity=64)
     self_loc = Location(0.0, 0.0, 0.0)
-    store.add_peer(PeerRecord(id=SELF, location=self_loc))
     peer_locs = [Location(4.0, 0.0, 0.0), Location(0.0, 4.0, 0.0), Location(0.0, 0.0, 4.0)]
     store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
     store.update_smoothed(
-        LinkKey(SELF, SUBJECT),
+        SUBJECT,
         reports_at,
         rssi_from_distance(MODEL, subject_location.distance_to(self_loc)).value,
     )
     for peer, loc in zip(PEERS, peer_locs):
         store.add_peer(PeerRecord(id=peer, location=loc))
-        store.record_rssi(
-            LinkKey(peer, SUBJECT),
+        store.record_report(
+            peer,
+            SUBJECT,
             reports_at,
-            rssi_from_distance(MODEL, subject_location.distance_to(loc)),
-            RssiSource.REPORTED,
+            rssi_from_distance(MODEL, subject_location.distance_to(loc)).value,
             reporter_location=loc,
         )
     return store
@@ -541,7 +539,7 @@ class TestLocateAndVerify:
     def test_only_self_measurement_insufficient(self):
         store = TopologyStore(SELF, capacity=64)
         store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
-        store.update_smoothed(LinkKey(SELF, SUBJECT), 100, -45.0)
+        store.update_smoothed(SUBJECT, 100, -45.0)
         msg = payload_signed_at(Location(1.0, 1.0, 1.0))
         outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA
@@ -568,9 +566,8 @@ class TestLocateAndVerify:
         true_loc = Location(1.0, 1.0, 1.0)
         store = seeded_store(true_loc)
         # poison one report: ranges no longer meet anywhere
-        store.record_rssi(
-            LinkKey(PEERS[0], SUBJECT), 101, Rssi(-90.0), RssiSource.REPORTED,
-            reporter_location=Location(4.0, 0.0, 0.0),
+        store.record_report(
+            PEERS[0], SUBJECT, 101, -90.0, reporter_location=Location(4.0, 0.0, 0.0)
         )
         msg = payload_signed_at(true_loc)
         outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 101, PARAMS)
@@ -657,10 +654,7 @@ class TestGatherAnchors:
         store = TopologyStore(SELF, capacity=64)
         claimed = Location(9.0, 9.0, 9.0)
         store.add_peer(PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0)))
-        store.record_rssi(
-            LinkKey(PEERS[0], SUBJECT), 100, Rssi(-50.0), RssiSource.REPORTED,
-            reporter_location=claimed,
-        )
+        store.record_report(PEERS[0], SUBJECT, 100, -50.0, reporter_location=claimed)
         anchors = gather_anchors(SUBJECT, store, Location(0, 0, 0), 100, 45)
         assert anchors[0][:3] == claimed.as_tuple()
 
@@ -668,6 +662,6 @@ class TestGatherAnchors:
         store = TopologyStore(SELF, capacity=64)
         rec = PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0), location_verified=False)
         store.add_peer(rec)
-        store.record_rssi(LinkKey(PEERS[0], SUBJECT), 100, Rssi(-50.0), RssiSource.REPORTED)
+        store.record_report(PEERS[0], SUBJECT, 100, -50.0)
         anchors = gather_anchors(SUBJECT, store, Location(0, 0, 0), 100, 45)
         assert anchors == []

@@ -23,7 +23,6 @@ from polsim.messages import (
     NodeId,
     PayloadMessage,
     Rssi,
-    RssiSource,
     SensorType,
     TrustScore,
     location_key,
@@ -45,7 +44,7 @@ from polsim.protocol import (
     StoreTrusted,
 )
 from polsim.filters import bft_trigger
-from polsim.topology import LinkKey, PeerRecord, TopologyStore
+from polsim.topology import PeerRecord, Report, TopologyStore
 
 MODEL = PathLossModel()
 ME = NodeId.from_str("02:00:00:00:00:01")
@@ -116,8 +115,7 @@ class TestReceivePayload:
         actions = node.receive_payload(msg, Rssi(-52.0), 10)
         assert actions == []
         assert len(node.pool) == 1
-        newest = node.store.history(LinkKey(ME, PEER))[-1]
-        assert (newest.value, newest.source) == (-52.0, RssiSource.MEASURED)
+        assert node.store.history(PEER) == ((10, -52.0),)
 
     def test_duplicate_seq_single_pool_entry(self):
         node = make_node()
@@ -126,7 +124,7 @@ class TestReceivePayload:
         node.receive_payload(msg, Rssi(-53.0), 11)
         assert len(node.pool) == 1
         # the second reception's RSSI is still recorded
-        assert node.store.history(LinkKey(ME, PEER))[-1].value == -53.0
+        assert node.store.history(PEER)[-1] == (11, -53.0)
 
     def test_stale_message_ignored(self):
         node = make_node()
@@ -201,15 +199,11 @@ class TestMessagePoolDedup:
 def seed_full_anchors(node: NodeState, subject_loc: Location, now: int) -> None:
     """Give the node a fresh, exact anchor set for PEER."""
     self_rssi = rssi_from_distance(MODEL, subject_loc.distance_to(node.self_location))
-    node.store.update_smoothed(LinkKey(ME, PEER), now, self_rssi.value)
+    node.store.update_smoothed(PEER, now, self_rssi.value)
     for reporter in (OTHER, EXTRAS[0], EXTRAS[1]):
         loc = node.store.peer(reporter).location
-        node.store.record_rssi(
-            LinkKey(reporter, PEER),
-            now,
-            rssi_from_distance(MODEL, subject_loc.distance_to(loc)),
-            RssiSource.REPORTED,
-            reporter_location=loc,
+        node.store.record_report(
+            reporter, PEER, now, rssi_from_distance(MODEL, subject_loc.distance_to(loc)).value, loc
         )
 
 
@@ -330,16 +324,12 @@ class TestValidatePool:
         assert node.validate_pool(10) == []
         # the own anchor and min_anchors - 2 reporters, all exact, arrive at 11
         node.store.update_smoothed(
-            LinkKey(ME, PEER), 11, rssi_from_distance(MODEL, true_loc.distance_to(node.self_location)).value
+            PEER, 11, rssi_from_distance(MODEL, true_loc.distance_to(node.self_location)).value
         )
         for reporter in (OTHER, EXTRAS[1]):
             loc = node.store.peer(reporter).location
-            node.store.record_rssi(
-                LinkKey(reporter, PEER),
-                11,
-                rssi_from_distance(MODEL, true_loc.distance_to(loc)),
-                RssiSource.REPORTED,
-                reporter_location=loc,
+            node.store.record_report(
+                reporter, PEER, 11, rssi_from_distance(MODEL, true_loc.distance_to(loc)).value, loc
             )
         assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
         (stored,) = node.validate_pool(11)
@@ -374,12 +364,10 @@ class TestValidatePool:
         for subject, reporters in ((PEER, (OTHER, EXTRAS[1])), (EXTRAS[0], (OTHER, PEER)), (EXTRAS[1], (PEER,))):
             for reporter in reporters:
                 loc = node.store.peer(reporter).location
-                node.store.record_rssi(
-                    LinkKey(reporter, subject), now, Rssi(-55.0), RssiSource.REPORTED, reporter_location=loc
-                )
+                node.store.record_report(reporter, subject, now, -55.0, reporter_location=loc)
         # EXTRAS[2] has reporters but nothing pooled
         for reporter in (OTHER, PEER):
-            node.store.record_rssi(LinkKey(reporter, EXTRAS[2]), now, Rssi(-55.0), RssiSource.REPORTED)
+            node.store.record_report(reporter, EXTRAS[2], now, -55.0)
         for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
             node.receive_payload(payload_from(sender, 1, node.store.peer(sender).location, now), Rssi(-52.0), now)
         node.validate_pool(now)
@@ -387,31 +375,33 @@ class TestValidatePool:
 
 
 class TestOwnLinkAppendPath:
-    """ingest_sample appends a later sample itself; it must leave the store,
-    the smoothed value and the trigger as record_rssi, update_smoothed and
-    the smoother would."""
+    """Every own-link sample enters the store through record_rssi; ingest_sample
+    must leave the store, the smoothed value, the trigger and the in-range
+    count as record_rssi, update_smoothed and the smoother would."""
 
-    def test_only_first_same_tick_and_older_samples_use_record_rssi(self, monkeypatch):
+    def test_every_sample_goes_through_record_rssi(self, monkeypatch):
         node = make_node()
         calls = []
         record = TopologyStore.record_rssi
 
-        def spy(store, link, t, *args, **kwargs):
+        def spy(store, peer, t, value):
             calls.append(t)
-            return record(store, link, t, *args, **kwargs)
+            return record(store, peer, t, value)
 
         monkeypatch.setattr(TopologyStore, "record_rssi", spy)
         for t in range(1, 100):
             node.ingest_sample(PEER, Rssi(-50.0 - t % 3), t)
-        assert calls == [1]
-        assert len(node.store.history(LinkKey(ME, PEER))) == node.params.history_window
+        assert calls == list(range(1, 100))
+        assert len(node.store.history(PEER)) == node.params.history_window
         assert node.ingest_sample(PEER, Rssi(-70.0), 99) == node.smoothed_rssi(PEER)
         assert node.ingest_sample(PEER, Rssi(-70.0), 98) == node.smoothed_rssi(PEER)
-        assert calls == [1, 99, 98]
+        assert calls == [*range(1, 100), 99, 98]
+        assert node.store.history(PEER)[-1] == (99, -50.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
         window=st.integers(1, 6),
+        bft_window=st.integers(1, 6),
         warmup=st.integers(0, 3),
         cooldown=st.integers(0, 4),
         ops=st.lists(
@@ -423,10 +413,10 @@ class TestOwnLinkAppendPath:
             max_size=60,
         ),
     )
-    def test_matches_record_rssi_reference(self, window, warmup, cooldown, ops):
+    def test_matches_record_rssi_reference(self, window, bft_window, warmup, cooldown, ops):
         filter_params = FilterParams(warmup=warmup, trigger_threshold=3.0, trigger_cooldown=cooldown)
-        node = make_node(params=ProtocolParams(tau=2, history_window=window), filter_params=filter_params)
-        link = LinkKey(ME, PEER)
+        params = ProtocolParams(tau=2, history_window=window, bft_window=bft_window)
+        node = make_node(params=params, filter_params=filter_params)
         ref_store = TopologyStore(ME, capacity=window)
         ref_smooth = ref_trigger = ref_pending = ref_heard = None
         clock = 0
@@ -445,32 +435,37 @@ class TestOwnLinkAppendPath:
                 outcomes = []
                 for store in (node.store, ref_store):
                     try:
-                        store.record_rssi(link, now, rssi, RssiSource.MEASURED)
+                        store.record_rssi(PEER, now, rssi.value)
                         outcomes.append(True)
                     except ValueError:
                         outcomes.append(False)
                 assert outcomes[0] == outcomes[1]
+                if outcomes[0]:
+                    ref_heard = now
             else:
                 got = node.ingest_sample(PEER, rssi, now)
                 try:
-                    ref_store.record_rssi(link, now, rssi, RssiSource.MEASURED)
+                    ref_store.record_rssi(PEER, now, rssi.value)
                 except ValueError:
-                    own = ref_store.latest_smoothed(link)
+                    own = ref_store.latest_smoothed(PEER)
                     expected = None if own is None else own[1]
                 else:
                     if ref_smooth is None:
                         ref_smooth, ref_trigger = filter_params.link_state()
                     ref_heard = now
                     expected = ref_smooth(rssi.value)
-                    ref_store.update_smoothed(link, now, expected)
+                    ref_store.update_smoothed(PEER, now, expected)
                     if bft_trigger(ref_trigger, expected, now):
                         ref_pending = now
                 assert got == expected
-            assert node.store.history(link) == ref_store.history(link)
-            own = ref_store.latest_smoothed(link)
-            assert node.store.latest_smoothed(link) == own
+            assert node.store.history(PEER) == ref_store.history(PEER)
+            own = ref_store.latest_smoothed(PEER)
+            assert node.store.latest_smoothed(PEER) == own
             assert node.smoothed_rssi(PEER) == (None if own is None or ref_smooth is None else own[1])
-            assert node._last_heard.get(PEER) == ref_heard
+            # the last-heard tick is the newest sample's, injected ones included
+            for probe in (clock, clock + bft_window, clock + bft_window + 1):
+                heard = ref_heard is not None and probe - ref_heard <= bft_window
+                assert node.in_range_peers(probe) == int(heard)
             pipe = node._pipelines.get(PEER)
             assert (pipe is None) == (ref_smooth is None)
             if pipe is not None:
@@ -484,11 +479,22 @@ class TestReceiveBft:
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-47.0), None, 20)
         actions = node.receive_bft(msg, Rssi(-51.0), 21)
         assert actions == []
-        reported = node.store.history(LinkKey(PEER, OTHER))[-1]
-        assert (reported.value, reported.source) == (-47.0, RssiSource.REPORTED)
-        measured = node.store.history(LinkKey(ME, PEER))[-1]
-        assert (measured.value, measured.source) == (-51.0, RssiSource.MEASURED)
+        assert node.store.latest_reports_of(OTHER) == {PEER: Report(21, -47.0, Location(4.0, 0.0, 0.0))}
+        assert node.store.history(PEER) == ((21, -51.0),)
+        assert node.store.history(OTHER) == ()
         assert node.store.count_recent_bft(OTHER, 100, 21) == 1
+
+    def test_first_report_per_tick_kept_until_a_later_tick(self):
+        node = make_node()
+        for value, now in ((-47.0, 21), (-60.0, 21), (-49.0, 22)):
+            msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(value), None, now)
+            assert node.receive_bft(msg, Rssi(-51.0), now) == []
+            if now == 21:
+                assert node.store.latest_reports_of(OTHER)[PEER] == Report(21, -47.0, Location(4.0, 0.0, 0.0))
+        assert node.store.latest_reports_of(OTHER)[PEER] == Report(22, -49.0, Location(4.0, 0.0, 0.0))
+        # every BFT message is still logged for dissent counting
+        assert node.store.count_recent_bft(OTHER, 100, 22) == 1
+        assert node.store.has_seen_bft(PEER, OTHER, 21) and node.store.has_seen_bft(PEER, OTHER, 22)
 
     def test_bft_about_self_dispatches_self_defense(self):
         node = make_node()
@@ -603,7 +609,7 @@ class TestReceiveAlert:
         node.store.register_bft(accused, accuser, 20, 20)  # the referenced BFT was seen
         # doubt about the accused: history inconsistency plus dissent
         for t in range(12, 12 + node.params.history_window):
-            node.store.record_rssi(LinkKey(ME, accused), t, Rssi(-80.0), RssiSource.MEASURED)
+            node.store.record_rssi(accused, t, -80.0)
         for i, sender in enumerate((EXTRAS[0], EXTRAS[1], EXTRAS[2])):
             node.store.ensure_peer(sender)
             node.store.register_bft(sender, accused, 21 + i, 21 + i)
@@ -722,10 +728,8 @@ class TestHistoryWindow:
             node.ingest_sample(PEER, Rssi(-80.0 if t < 60 else -50.0), t)
         # the median of all 100 samples is -80; of only the last 64 it is -50
         params = node.params
-        assert len(node.store.history(LinkKey(ME, PEER))) == 100
-        assert node.store.history_consistent(
-            LinkKey(ME, PEER), Rssi(-80.0), params.history_window, params.consistency_tol
-        )
+        assert len(node.store.history(PEER)) == 100
+        assert node.store.history_consistent(PEER, Rssi(-80.0), params.consistency_tol)
 
 
 class TestTauResolution:

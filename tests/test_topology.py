@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsim.messages import NodeId, Rssi, RssiSource, TrustScore
+from polsim.messages import Location, NodeId, Rssi, TrustScore
 from polsim.topology import (
-    LinkKey,
     OrderingError,
     PeerRecord,
+    Report,
     TopologyStore,
     UnknownPeerError,
 )
@@ -25,73 +25,104 @@ def make_store(capacity=64):
     return store
 
 
-class TestLinkKey:
-    def test_rejects_self_link(self):
-        with pytest.raises(ValueError):
-            LinkKey(A, A)
-
-
 class TestRecordRssi:
     def test_first_record_creates_link(self):
         store = make_store()
-        store.record_rssi(LinkKey(A, B), 1, Rssi(-40.0), RssiSource.MEASURED)
-        assert len(list(store.links())) == 1
-        assert len(store.history(LinkKey(A, B))) == 1
+        store.record_rssi(B, 1, -40.0)
+        assert store.history(B) == ((1, -40.0),)
+        assert store.history(C) == ()
+
+    def test_rejects_own_id(self):
+        with pytest.raises(ValueError):
+            make_store().record_rssi(A, 1, -40.0)
 
     def test_ring_buffer_evicts_oldest(self):
         store = make_store(capacity=8)
-        link = LinkKey(A, B)
         for t in range(9):
-            store.record_rssi(link, t, Rssi(-40.0 - t), RssiSource.MEASURED)
-        history = store.history(link)
+            store.record_rssi(B, t, -40.0 - t)
+        history = store.history(B)
         assert len(history) == 8
-        assert history[0].value == -41.0  # t=0 evicted
+        assert history[0] == (1, -41.0)  # t=0 evicted
 
-    def test_same_tick_distinct_sources_ok(self):
+    def test_same_tick_rejected(self):
         store = make_store()
-        link = LinkKey(A, B)
-        store.record_rssi(link, 5, Rssi(-40.0), RssiSource.MEASURED)
-        store.record_rssi(link, 5, Rssi(-42.0), RssiSource.REPORTED)
-        assert len(store.history(link)) == 2
-
-    def test_same_tick_same_source_rejected(self):
-        store = make_store()
-        link = LinkKey(A, B)
-        store.record_rssi(link, 5, Rssi(-40.0), RssiSource.MEASURED)
+        store.record_rssi(B, 5, -40.0)
         with pytest.raises(OrderingError):
-            store.record_rssi(link, 5, Rssi(-41.0), RssiSource.MEASURED)
+            store.record_rssi(B, 5, -41.0)
+        assert store.history(B) == ((5, -40.0),)
 
     def test_backwards_time_rejected(self):
         store = make_store()
-        link = LinkKey(A, B)
-        store.record_rssi(link, 5, Rssi(-40.0), RssiSource.MEASURED)
+        store.record_rssi(B, 5, -40.0)
         with pytest.raises(OrderingError):
-            store.record_rssi(link, 4, Rssi(-40.0), RssiSource.MEASURED)
+            store.record_rssi(B, 4, -40.0)
+
+
+class TestRecordReport:
+    def test_first_report_of_a_tick_is_kept(self):
+        store = make_store()
+        store.record_report(B, C, 5, -40.0, Location(1.0, 0.0, 0.0))
+        store.record_report(B, C, 5, -60.0, Location(2.0, 0.0, 0.0))
+        assert store.latest_reports_of(C) == {B: Report(5, -40.0, Location(1.0, 0.0, 0.0))}
+
+    def test_later_tick_replaces_and_older_tick_is_dropped(self):
+        store = make_store()
+        store.record_report(B, C, 5, -40.0)
+        store.record_report(B, C, 7, -45.0)
+        store.record_report(B, C, 6, -50.0)
+        assert store.latest_reports_of(C) == {B: Report(7, -45.0)}
+
+    def test_reporters_and_subjects_kept_apart(self):
+        store = make_store()
+        store.record_report(B, C, 5, -40.0)
+        store.record_report(D, C, 5, -41.0)
+        store.record_report(B, D, 5, -42.0)
+        assert store.latest_reports_of(C) == {B: Report(5, -40.0), D: Report(5, -41.0)}
+        assert store.latest_reports_of(B) == {}
+        assert store.subjects_reported_by(2) == {C}
+        assert store.subjects_reported_by(1) == {C, D}
 
 
 class TestHistoryConsistent:
     def test_within_tolerance(self):
-        store = make_store()
-        link = LinkKey(A, B)
+        store = make_store(capacity=3)
         for t, v in enumerate([-45.0, -44.0, -46.0]):
-            store.record_rssi(link, t, Rssi(v), RssiSource.MEASURED)
-        assert store.history_consistent(link, Rssi(-45.0), 3, 5.0)
+            store.record_rssi(B, t, v)
+        assert store.history_consistent(B, Rssi(-45.0), 5.0)
 
     def test_outside_tolerance(self):
-        store = make_store()
-        link = LinkKey(A, B)
+        store = make_store(capacity=3)
         for t, v in enumerate([-45.0, -44.0, -46.0]):
-            store.record_rssi(link, t, Rssi(v), RssiSource.MEASURED)
-        assert not store.history_consistent(link, Rssi(-60.0), 3, 5.0)
+            store.record_rssi(B, t, v)
+        assert not store.history_consistent(B, Rssi(-60.0), 5.0)
+
+    def test_only_the_last_capacity_samples_count(self):
+        store = make_store(capacity=3)
+        for t, v in enumerate([-90.0, -90.0, -90.0, -45.0, -44.0, -46.0]):
+            store.record_rssi(B, t, v)
+        assert store.history_consistent(B, Rssi(-45.0), 5.0)
+        assert not store.history_consistent(B, Rssi(-90.0), 5.0)
+
+    def test_even_count_uses_the_lower_median(self):
+        store = make_store(capacity=3)
+        for t, v in enumerate([-40.0, -60.0]):
+            store.record_rssi(B, t, v)
+        assert store.history_consistent(B, Rssi(-60.0), 0.0)
+        assert not store.history_consistent(B, Rssi(-40.0), 0.0)
 
     def test_empty_history_is_vacuously_consistent(self):
-        assert make_store().history_consistent(LinkKey(A, B), Rssi(-90.0), 3, 5.0)
+        assert make_store(capacity=3).history_consistent(B, Rssi(-90.0), 5.0)
 
     def test_reported_entries_are_not_history_evidence(self):
-        store = make_store()
-        link = LinkKey(A, B)
-        store.record_rssi(link, 1, Rssi(-90.0), RssiSource.REPORTED)
-        assert store.history_consistent(link, Rssi(-40.0), 3, 5.0)
+        store = make_store(capacity=3)
+        store.record_report(B, C, 1, -90.0)
+        store.record_report(C, B, 1, -90.0)
+        assert store.history_consistent(B, Rssi(-40.0), 5.0)
+        assert store.history_consistent(C, Rssi(-40.0), 5.0)
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            make_store(capacity=3).history_consistent(B, Rssi(-40.0), -1.0)
 
 
 class TestAdjustTrust:
@@ -144,40 +175,33 @@ class TestCountRecentBft:
         assert store.count_recent_bft(D, 10, 20) == 0  # left edge excluded
 
 
-ops = st.lists(
+samples = st.lists(
     st.tuples(
-        st.sampled_from([B, C, D]),
-        st.integers(min_value=0, max_value=200),
+        st.sampled_from([A, B, C, D]),
+        st.integers(min_value=0, max_value=40),
         st.floats(min_value=-120.0, max_value=0.0, allow_nan=False),
-        st.sampled_from(list(RssiSource)),
     ),
     max_size=120,
 )
 
 
 class TestStoreProperties:
-    @settings(max_examples=100)
-    @given(ops)
-    def test_histories_sorted_and_bounded(self, calls):
-        store = make_store(capacity=16)
-        for peer, t, value, source in calls:
-            try:
-                store.record_rssi(LinkKey(A, peer), t, Rssi(value), source)
-            except OrderingError:
-                pass
-        for link in store.links():
-            history = store.history(link)
-            assert len(history) <= 16
-            times = [e.timestamp for e in history]
-            assert times == sorted(times)
-
-    @settings(max_examples=60)
-    @given(ops)
-    def test_no_self_links(self, calls):
-        store = make_store()
-        for peer, t, value, source in calls:
-            try:
-                store.record_rssi(LinkKey(A, peer), t, Rssi(value), source)
-            except OrderingError:
-                pass
-        assert all(link.observer != link.observed for link in store.links())
+    @settings(max_examples=200)
+    @given(st.integers(min_value=1, max_value=8), samples)
+    def test_record_rssi_matches_list_model(self, capacity, calls):
+        # the model keeps every accepted sample; the store its last `capacity`
+        store = make_store(capacity=capacity)
+        model: dict[NodeId, list[tuple[int, float]]] = {}
+        for peer, t, value in calls:
+            kept = model.get(peer, [])
+            if peer == A:
+                with pytest.raises(ValueError):
+                    store.record_rssi(peer, t, value)
+            elif kept and t <= kept[-1][0]:
+                with pytest.raises(OrderingError):
+                    store.record_rssi(peer, t, value)
+            else:
+                store.record_rssi(peer, t, value)
+                model[peer] = kept + [(t, value)]
+            for node in (A, B, C, D):
+                assert store.history(node) == tuple(model.get(node, [])[-capacity:])
