@@ -13,7 +13,7 @@ from typing import Callable
 
 from .filters import KalmanState, kalman_step, make_filter
 from .harness import RunResult, run
-from .localization import PathLossModel, multilaterate, rssi_from_distance
+from .localization import PathLossModel, multilaterate, rssi_value_from_distance
 from .messages import BftMessage, BftRef, AlertMessage, AlertType, Location, NodeId, Rssi, TrustScore
 from .protocol import (
     BFT_ABOUT_B,
@@ -359,7 +359,7 @@ def check_localization_oracle() -> CheckResult:
         )
         if min(target.distance_to(p) for p in hull) < 0.1:
             continue
-        anchors = [(p.x, p.y, p.z, rssi_from_distance(model, target.distance_to(p)).value) for p in hull]
+        anchors = [(p.x, p.y, p.z, rssi_value_from_distance(model, target.distance_to(p))) for p in hull]
         result = multilaterate(anchors, model)
         err = result.position.distance_to(target)
         worst = max(worst, err)
@@ -422,21 +422,17 @@ def check_filter_oracles() -> CheckResult:
 
 
 def check_determinism(workdir: str, seed: int = 7) -> CheckResult:
-    """Two runs of the same seed produce byte-identical trace files."""
+    """Two runs of the same seed write byte-identical files, as `polsim run` writes them."""
     from pathlib import Path
 
-    from .harness import write_traces
-
-    paths = []
-    for attempt in ("a", "b"):
-        res = run(builtin_scenario("paper-fig7", seed=seed), collect_rssi=True)
-        paths.append(write_traces(res, str(Path(workdir) / attempt)))
-    for key in ("rssi", "events"):
-        a = paths[0][key].read_bytes()
-        b = paths[1][key].read_bytes()
-        if a != b:
-            return CheckResult("determinism", False, f"{key} traces differ between runs")
-    return CheckResult("determinism", True, f"rssi.csv and events.jsonl byte-identical for seed {seed}")
+    dirs = [Path(workdir) / attempt for attempt in ("a", "b")]
+    for out in dirs:
+        run(builtin_scenario("paper-fig7", seed=seed), out_dir=str(out))
+    names = ("rssi.csv", "events.jsonl", "metrics.json")
+    for name in names:
+        if (dirs[0] / name).read_bytes() != (dirs[1] / name).read_bytes():
+            return CheckResult("determinism", False, f"{name} differs between runs")
+    return CheckResult("determinism", True, f"{', '.join(names)} byte-identical for seed {seed}")
 
 
 def check_malicious_bft(seed: int = 42) -> CheckResult:

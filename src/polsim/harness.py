@@ -470,13 +470,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
         # initialisation phase result: every node knows every identity row
         for other in scenario.nodes:
             if other.mac != spec.mac:
-                state.store.add_peer(
-                    PeerRecord(
-                        id=other.mac,
-                        sensor_type=other.sensor_type,
-                        location=other.position,
-                    )
-                )
+                state.store.add_peer(PeerRecord(id=other.mac, location=other.position))
         nodes[spec.mac] = state
         channel.register(spec.mac, spec.position)
 

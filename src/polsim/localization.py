@@ -25,7 +25,6 @@ from .messages import (  # noqa: F401
     PayloadMessage,
     RSSI_MAX,
     RSSI_MIN,
-    Rssi,
     location_key,
 )
 from .topology import TopologyStore
@@ -61,11 +60,6 @@ def rssi_value_from_distance(m: PathLossModel, d: float) -> float:
         raise ValueError("distance must be positive")
     raw = m.p0 - 10.0 * m.n * math.log10(d / m.d0)
     return min(RSSI_MAX, max(RSSI_MIN, raw))
-
-
-def rssi_from_distance(m: PathLossModel, d: float) -> Rssi:
-    """Model RSSI at range `d`, clamped into the representable dB range."""
-    return Rssi(rssi_value_from_distance(m, d))
 
 
 @dataclass(frozen=True)
@@ -307,8 +301,7 @@ def gather_anchors(
     The node's own anchor uses its current smoothed RSSI of the subject. Peer
     anchors come from the newest report per reporter (extracted from BFT
     messages) no older than `freshness` ticks; the anchor point is the
-    location the reporter claimed in its BFT message, falling back to the
-    stored peer location when it is known and still verified.
+    location the reporter claimed in its BFT message.
     """
     anchors: list[Anchor] = []
     own = store.latest_smoothed(subject)
@@ -316,17 +309,10 @@ def gather_anchors(
         anchors.append((self_location.x, self_location.y, self_location.z, own[1]))
     reports = store.latest_reports_of(subject)
     for peer_id in sorted(reports):
-        if peer_id == subject or peer_id == store.self_id:
-            continue
         entry = reports[peer_id]
         if now - entry.timestamp > freshness:
             continue
         point = entry.reporter_location
-        if point is None:
-            rec = store.peer(peer_id)
-            if rec is None or rec.location is None or not rec.location_verified:
-                continue
-            point = rec.location
         anchors.append((point.x, point.y, point.z, entry.value))
     return anchors
 

@@ -426,8 +426,8 @@ class NodeState:
             pipe = pipelines.get(sender)
             if pipe is None:
                 continue
-            if pipe.pending_since is not None:
-                self._expire_pending(pipe, now)
+            if pipe.pending_since is not None and now - pipe.pending_since > pipe.trigger.cooldown:
+                pipe.pending_since = None
             # a trigger fires on a sample, so a pending link has a smoothed
             # value; a contradiction alone does not guarantee one
             if pipe.pending_since is not None:
@@ -442,13 +442,6 @@ class NodeState:
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget -= 1
         return actions
-
-    def _expire_pending(self, pipe: _LinkPipeline, now: int) -> None:
-        if (
-            pipe.pending_since is not None
-            and now - pipe.pending_since > pipe.trigger.cooldown
-        ):
-            pipe.pending_since = None
 
     def _emit_bft(
         self, subject: NodeId, pipe: _LinkPipeline, now: int, ref_seq: Optional[int]
@@ -476,15 +469,12 @@ class NodeState:
         if msg.sender == self.self_id:
             return [Ignore("self-echo", context="bft")]
         self.ingest_sample(msg.sender, rssi, now)
-        rec = self.store.ensure_peer(msg.sender)
-        if rec.location is None:
-            rec.location = msg.sender_location
-        self.store.record_report(
-            msg.sender, msg.subject, now, msg.measured_rssi.value, msg.sender_location
-        )
         self.store.register_bft(msg.sender, msg.subject, msg.timestamp, now)
         if msg.subject == self.self_id:
             return self.self_defense(msg, now)
+        self.store.record_report(
+            msg.sender, msg.subject, now, msg.measured_rssi.value, msg.sender_location
+        )
         return []
 
     # -- self defense (BFT about self) ------------------------------------------
@@ -561,8 +551,7 @@ class NodeState:
         Distrust alerts are accepted, rejected, or ignored; acceptance lowers
         the accused node's trust, rejection lowers the alert sender's trust
         and raises every dissent participant's. Self-distrust lowers the
-        sender's trust and voids its stored location. Measurement alerts are
-        payload-level and only logged.
+        sender's trust. Measurement alerts are payload-level and only logged.
         """
         if alert.sender == self.self_id:
             return [Ignore("self-echo", context="alert")]
@@ -571,9 +560,8 @@ class NodeState:
         if alert.alert_type == AlertType.MEASUREMENT:
             return [Ignore("measurement-alert", context=str(alert.sender))]
         if alert.alert_type == AlertType.SELF_DISTRUST:
-            rec = self.store.ensure_peer(alert.sender)
+            self.store.ensure_peer(alert.sender)
             self.store.adjust_trust(alert.sender, -self.params.trust_step)
-            rec.location_verified = False
             return []
         # distrust alert from A accusing B of a lying BFT about A
         accuser = alert.sender
@@ -628,8 +616,6 @@ class NodeState:
 
     def receive_message(self, msg: Message, rssi: Rssi, now: int) -> list[Action]:
         if type(msg) is PayloadMessage:  # the bulk of the traffic
-            return self.receive_payload(msg, rssi, now)
-        if isinstance(msg, PayloadMessage):
             return self.receive_payload(msg, rssi, now)
         if isinstance(msg, BftMessage):
             return self.receive_bft(msg, rssi, now)

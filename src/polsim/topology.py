@@ -1,10 +1,10 @@
 """Per-node memory of the network: RSSI histories, peer identities, trust.
 
 Mirrors the topology storage matrix each sensor node maintains: one row per
-known node (MAC, sensor type, location, trust score), a bounded history of
-the RSSI the node measured on each of its own links, and the newest report
-per reporter about each subject, learned from BFT messages. A log of observed
-BFT messages backs the distrust predicate's dissent counting.
+known node (MAC, location, trust score), a bounded history of the RSSI the
+node measured on each of its own links, and the newest report per reporter
+about each subject other than the node itself, learned from BFT messages. A
+log of observed BFT messages backs the distrust predicate's dissent counting.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .messages import Location, NodeId, Rssi, SensorType, TrustScore
+from .messages import Location, NodeId, Rssi, TrustScore
 
 
 class OrderingError(ValueError):
@@ -29,7 +29,7 @@ class Report(NamedTuple):
     timestamp: int
     value: float
     # location the reporter claimed in its BFT message
-    reporter_location: Optional[Location] = None
+    reporter_location: Location
 
 
 @dataclass
@@ -37,10 +37,8 @@ class PeerRecord:
     """Identity attributes of one known node."""
 
     id: NodeId
-    sensor_type: SensorType = SensorType.GENERIC
     location: Optional[Location] = None
     trust: TrustScore = field(default_factory=lambda: TrustScore(1.0))
-    location_verified: bool = True
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,7 @@ class TopologyStore:
     # -- reports from BFT messages ------------------------------------------
 
     def record_report(
-        self,
-        reporter: NodeId,
-        subject: NodeId,
-        t: int,
-        value: float,
-        reporter_location: Optional[Location] = None,
+        self, reporter: NodeId, subject: NodeId, t: int, value: float, reporter_location: Location
     ) -> None:
         """Keep the report unless the reporter's newest one about `subject`
         is from tick `t` or later: the first report per tick wins."""

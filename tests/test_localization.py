@@ -19,7 +19,6 @@ from polsim.localization import (
     gather_anchors,
     locate_and_verify,
     multilaterate,
-    rssi_from_distance,
     rssi_value_from_distance,
 )
 from polsim.messages import (
@@ -53,20 +52,20 @@ HULL = [
 
 class TestPathLoss:
     def test_reference_distance(self):
-        assert rssi_from_distance(MODEL, 1.0).value == pytest.approx(-40.0)
+        assert rssi_value_from_distance(MODEL, 1.0) == pytest.approx(-40.0)
 
     def test_decade(self):
-        assert rssi_from_distance(MODEL, 10.0).value == pytest.approx(-60.0)
+        assert rssi_value_from_distance(MODEL, 10.0) == pytest.approx(-60.0)
 
     def test_two_metres_high_precision(self):
         # -40 - 20*log10(2) evaluated independently
         expected = -40.0 - 20.0 * math.log10(2.0)
-        assert rssi_from_distance(MODEL, 2.0).value == pytest.approx(expected, abs=1e-9)
-        assert rssi_from_distance(MODEL, 2.0).value == pytest.approx(-46.0206, abs=1e-4)
+        assert rssi_value_from_distance(MODEL, 2.0) == pytest.approx(expected, abs=1e-9)
+        assert rssi_value_from_distance(MODEL, 2.0) == pytest.approx(-46.0206, abs=1e-4)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            rssi_from_distance(MODEL, 0.0)
+            rssi_value_from_distance(MODEL, 0.0)
 
     def test_inverse_at_reference(self):
         assert distance_from_rssi(MODEL, Rssi(-40.0)) == pytest.approx(1.0)
@@ -74,7 +73,7 @@ class TestPathLoss:
 
     def test_roundtrip(self):
         d = 3.7
-        r = rssi_from_distance(MODEL, d)
+        r = Rssi(rssi_value_from_distance(MODEL, d))
         assert distance_from_rssi(MODEL, r) == pytest.approx(d, abs=1e-9)
 
     @given(st.floats(min_value=0.02, max_value=500.0), st.floats(min_value=0.02, max_value=500.0))
@@ -83,21 +82,21 @@ class TestPathLoss:
         if d1 == d2:
             return
         lo, hi = sorted((d1, d2))
-        r_lo = rssi_from_distance(MODEL, lo).value
-        r_hi = rssi_from_distance(MODEL, hi).value
+        r_lo = rssi_value_from_distance(MODEL, lo)
+        r_hi = rssi_value_from_distance(MODEL, hi)
         assert r_lo >= r_hi
         # strict wherever the distances differ by more than float rounding can hide
         if r_lo < 0.0 and r_hi > -120.0 and hi / lo > 1 + 1e-9:  # off the clamp rails
             assert r_lo > r_hi
 
     def test_clamped_into_rssi_range(self):
-        assert rssi_from_distance(MODEL, 1e-6).value == 0.0
-        assert rssi_from_distance(MODEL, 1e7).value == -120.0
+        assert rssi_value_from_distance(MODEL, 1e-6) == 0.0
+        assert rssi_value_from_distance(MODEL, 1e7) == -120.0
 
 
 def exact_observations(target: Location, anchors=None) -> list[tuple[float, float, float, float]]:
     anchors = anchors if anchors is not None else HULL
-    return [(*a.as_tuple(), rssi_from_distance(MODEL, target.distance_to(a)).value) for a in anchors]
+    return [(*a.as_tuple(), rssi_value_from_distance(MODEL, target.distance_to(a))) for a in anchors]
 
 
 class TestMultilaterate:
@@ -156,7 +155,7 @@ class TestMultilaterate:
             for _ in range(200):
                 obs = []
                 for a in anchors:
-                    level = rssi_from_distance(MODEL, target.distance_to(a)).value
+                    level = rssi_value_from_distance(MODEL, target.distance_to(a))
                     noisy = min(0.0, max(-120.0, level + rng.gauss(0.0, sigma)))
                     obs.append((*a.as_tuple(), noisy))
                 result = multilaterate(obs, MODEL)
@@ -488,7 +487,7 @@ def seeded_store(subject_location: Location, *, reports_at: int = 100) -> Topolo
     store.update_smoothed(
         SUBJECT,
         reports_at,
-        rssi_from_distance(MODEL, subject_location.distance_to(self_loc)).value,
+        rssi_value_from_distance(MODEL, subject_location.distance_to(self_loc)),
     )
     for peer, loc in zip(PEERS, peer_locs):
         store.add_peer(PeerRecord(id=peer, location=loc))
@@ -496,7 +495,7 @@ def seeded_store(subject_location: Location, *, reports_at: int = 100) -> Topolo
             peer,
             SUBJECT,
             reports_at,
-            rssi_from_distance(MODEL, subject_location.distance_to(loc)).value,
+            rssi_value_from_distance(MODEL, subject_location.distance_to(loc)),
             reporter_location=loc,
         )
     return store
@@ -657,11 +656,3 @@ class TestGatherAnchors:
         store.record_report(PEERS[0], SUBJECT, 100, -50.0, reporter_location=claimed)
         anchors = gather_anchors(SUBJECT, store, Location(0, 0, 0), 100, 45)
         assert anchors[0][:3] == claimed.as_tuple()
-
-    def test_unverified_stored_location_skipped(self):
-        store = TopologyStore(SELF, capacity=64)
-        rec = PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0), location_verified=False)
-        store.add_peer(rec)
-        store.record_report(PEERS[0], SUBJECT, 100, -50.0)
-        anchors = gather_anchors(SUBJECT, store, Location(0, 0, 0), 100, 45)
-        assert anchors == []

@@ -12,7 +12,7 @@ from polsim.localization import (
     VerifyOutcome,
     gather_anchors,
     locate_and_verify,
-    rssi_from_distance,
+    rssi_value_from_distance,
 )
 from polsim.messages import (
     AlertMessage,
@@ -198,12 +198,13 @@ class TestMessagePoolDedup:
 
 def seed_full_anchors(node: NodeState, subject_loc: Location, now: int) -> None:
     """Give the node a fresh, exact anchor set for PEER."""
-    self_rssi = rssi_from_distance(MODEL, subject_loc.distance_to(node.self_location))
-    node.store.update_smoothed(PEER, now, self_rssi.value)
+    node.store.update_smoothed(
+        PEER, now, rssi_value_from_distance(MODEL, subject_loc.distance_to(node.self_location))
+    )
     for reporter in (OTHER, EXTRAS[0], EXTRAS[1]):
         loc = node.store.peer(reporter).location
         node.store.record_report(
-            reporter, PEER, now, rssi_from_distance(MODEL, subject_loc.distance_to(loc)).value, loc
+            reporter, PEER, now, rssi_value_from_distance(MODEL, subject_loc.distance_to(loc)), loc
         )
 
 
@@ -324,12 +325,12 @@ class TestValidatePool:
         assert node.validate_pool(10) == []
         # the own anchor and min_anchors - 2 reporters, all exact, arrive at 11
         node.store.update_smoothed(
-            PEER, 11, rssi_from_distance(MODEL, true_loc.distance_to(node.self_location)).value
+            PEER, 11, rssi_value_from_distance(MODEL, true_loc.distance_to(node.self_location))
         )
         for reporter in (OTHER, EXTRAS[1]):
             loc = node.store.peer(reporter).location
             node.store.record_report(
-                reporter, PEER, 11, rssi_from_distance(MODEL, true_loc.distance_to(loc)).value, loc
+                reporter, PEER, 11, rssi_value_from_distance(MODEL, true_loc.distance_to(loc)), loc
             )
         assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
         (stored,) = node.validate_pool(11)
@@ -367,7 +368,7 @@ class TestValidatePool:
                 node.store.record_report(reporter, subject, now, -55.0, reporter_location=loc)
         # EXTRAS[2] has reporters but nothing pooled
         for reporter in (OTHER, PEER):
-            node.store.record_report(reporter, EXTRAS[2], now, -55.0)
+            node.store.record_report(reporter, EXTRAS[2], now, -55.0, node.store.peer(reporter).location)
         for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
             node.receive_payload(payload_from(sender, 1, node.store.peer(sender).location, now), Rssi(-52.0), now)
         node.validate_pool(now)
@@ -504,6 +505,20 @@ class TestReceiveBft:
         actions = node.receive_bft(msg, Rssi(-50.0), 21)
         assert len(actions) == 1  # table row (T, T, F, F) -> explicit ignore
         assert isinstance(actions[0], Ignore)
+
+    def test_bft_about_self_counted_and_answered_but_not_stored(self):
+        node = make_node()
+        for t in range(10):
+            node.ingest_sample(PEER, Rssi(-50.0), t)
+        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 20)
+        twin = copy.deepcopy(node)
+        actions = node.receive_bft(msg, Rssi(-50.0), 21)
+        assert node.store.latest_reports_of(ME) == {}
+        assert ME not in node.store.subjects_reported_by(1)
+        assert node.store.count_recent_bft(ME, 100, 21) == 1
+        twin.ingest_sample(PEER, Rssi(-50.0), 21)
+        twin.store.register_bft(PEER, ME, 20, 21)
+        assert actions == twin.self_defense(msg, 21)
 
     def test_malformed_wire_bft_ignored(self):
         node = make_node()
@@ -648,12 +663,14 @@ class TestReceiveAlert:
         assert isinstance(action, Ignore) and action.reason == "alert-undecidable"
         assert {n: r.trust.value for n, r in node.store.peers.items()} == before
 
-    def test_self_distrust_marks_sender_unverified(self):
+    def test_self_distrust_lowers_trust_one_step_and_keeps_location(self):
         node = make_node()
+        rec = node.store.peers[PEER]
+        trust, location = rec.trust.value, rec.location
         alert = AlertMessage(PEER, AlertType.SELF_DISTRUST, PEER, None, 30)
         assert node.receive_alert(alert, 31) == []
-        assert node.store.peers[PEER].trust.value == pytest.approx(0.9)
-        assert not node.store.peers[PEER].location_verified
+        assert rec.trust.value == trust - node.params.trust_step
+        assert rec.location is location
 
     def test_measurement_alert_logged_only(self):
         node = make_node()

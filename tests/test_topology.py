@@ -16,6 +16,7 @@ A = NodeId.from_str("02:00:00:00:00:01")
 B = NodeId.from_str("02:00:00:00:00:02")
 C = NodeId.from_str("02:00:00:00:00:03")
 D = NodeId.from_str("02:00:00:00:00:04")
+HERE = Location(1.0, 0.0, 0.0)
 
 
 def make_store(capacity=64):
@@ -67,17 +68,17 @@ class TestRecordReport:
 
     def test_later_tick_replaces_and_older_tick_is_dropped(self):
         store = make_store()
-        store.record_report(B, C, 5, -40.0)
-        store.record_report(B, C, 7, -45.0)
-        store.record_report(B, C, 6, -50.0)
-        assert store.latest_reports_of(C) == {B: Report(7, -45.0)}
+        store.record_report(B, C, 5, -40.0, HERE)
+        store.record_report(B, C, 7, -45.0, HERE)
+        store.record_report(B, C, 6, -50.0, HERE)
+        assert store.latest_reports_of(C) == {B: Report(7, -45.0, HERE)}
 
     def test_reporters_and_subjects_kept_apart(self):
         store = make_store()
-        store.record_report(B, C, 5, -40.0)
-        store.record_report(D, C, 5, -41.0)
-        store.record_report(B, D, 5, -42.0)
-        assert store.latest_reports_of(C) == {B: Report(5, -40.0), D: Report(5, -41.0)}
+        store.record_report(B, C, 5, -40.0, HERE)
+        store.record_report(D, C, 5, -41.0, HERE)
+        store.record_report(B, D, 5, -42.0, HERE)
+        assert store.latest_reports_of(C) == {B: Report(5, -40.0, HERE), D: Report(5, -41.0, HERE)}
         assert store.latest_reports_of(B) == {}
         assert store.subjects_reported_by(2) == {C}
         assert store.subjects_reported_by(1) == {C, D}
@@ -115,8 +116,8 @@ class TestHistoryConsistent:
 
     def test_reported_entries_are_not_history_evidence(self):
         store = make_store(capacity=3)
-        store.record_report(B, C, 1, -90.0)
-        store.record_report(C, B, 1, -90.0)
+        store.record_report(B, C, 1, -90.0, HERE)
+        store.record_report(C, B, 1, -90.0, HERE)
         assert store.history_consistent(B, Rssi(-40.0), 5.0)
         assert store.history_consistent(C, Rssi(-40.0), 5.0)
 
