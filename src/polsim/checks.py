@@ -24,8 +24,6 @@ from .protocol import (
     FilterParams,
     NodeState,
     ProtocolParams,
-    SendAlert,
-    SendBft,
 )
 from .scenario import builtin_scenario
 from .topology import PeerRecord
@@ -203,10 +201,10 @@ def _craft_state(c: bool, h: bool, db: bool, dself: bool) -> tuple[NodeState, Bf
 
 def _outcome_of(actions) -> str:
     for action in actions:
-        if isinstance(action, SendBft):
+        if isinstance(action, BftMessage):
             return BFT_ABOUT_B
-        if isinstance(action, SendAlert):
-            if action.message.alert_type == AlertType.SELF_DISTRUST:
+        if isinstance(action, AlertMessage):
+            if action.alert_type == AlertType.SELF_DISTRUST:
                 return SELF_DISTRUST
             return DISTRUST_B
     return IGNORE

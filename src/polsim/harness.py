@@ -2,8 +2,8 @@
 
 One tick is one protocol round: due movements and attacks are applied, due
 payload emissions and the previous tick's protocol messages are broadcast,
-the channel delivers them, every node runs its round, and the resulting
-send actions queue for the next tick. The whole run is a pure function of
+the channel delivers them, every node runs its round, and the messages it
+returns queue for the next tick. The whole run is a pure function of
 the scenario (seed included); traces are byte-stable across runs.
 
 Trace outputs (streamed while the run goes when an output directory is given):
@@ -19,7 +19,7 @@ import math
 import struct
 from collections import defaultdict
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -36,15 +36,7 @@ from .messages import (
     location_key,
 )
 from .channel import RadioChannel
-from .protocol import (
-    Action,
-    Ignore,
-    NodeState,
-    SendAlert,
-    SendBft,
-    SendPayload,
-    StoreTrusted,
-)
+from .protocol import Ignore, NodeState, StoreTrusted
 from .scenario import AttackKind, AttackSpec, Scenario
 from .topology import PeerRecord
 
@@ -55,41 +47,6 @@ MOVEMENT_SETTLE_WINDOW = 120  # ticks after a movement not counted as static
 _WRITE_CHUNK_LINES = 4096
 
 
-def compact_json(value: Any) -> str:
-    """Serialize a trace value exactly as ``json.dumps(value, sort_keys=True,
-    separators=(",", ":"))`` does.
-
-    The domain is exactly the types str, int, float (NaN and +-Infinity are
-    written as json writes them), bool, None and dict with str keys and
-    values in the domain. Any other type, subclasses included, raises
-    TypeError.
-    """
-    cls = type(value)
-    if cls is str:
-        return _escape(value)
-    if cls is int:
-        return repr(value)
-    if cls is dict:
-        parts = []
-        for key in sorted(value):
-            # _escape raises TypeError for a key that is not a str
-            parts.append(f"{_escape(key)}:{compact_json(value[key])}")
-        return "{" + ",".join(parts) + "}"
-    if value is None:
-        return "null"
-    if cls is bool:
-        return "true" if value else "false"
-    if cls is float:
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return repr(value)
-    raise TypeError(f"cannot encode {cls.__name__} in a trace")
-
-
 @dataclass(slots=True)
 class TraceEvent:
     tick: int
@@ -98,10 +55,10 @@ class TraceEvent:
     details: dict[str, Any]
 
     def to_json(self) -> str:
-        # the keys of json.dumps(..., sort_keys=True) in their sorted order
-        return (
-            f'{{"action":{compact_json(self.action)},"details":{compact_json(self.details)},'
-            f'"node":{compact_json(self.node)},"tick":{compact_json(self.tick)}}}'
+        return json.dumps(
+            {"tick": self.tick, "node": self.node, "action": self.action, "details": self.details},
+            sort_keys=True,
+            separators=(",", ":"),
         )
 
 
@@ -118,11 +75,6 @@ class RssiRow:
         return f"{self.tick},{self.receiver},{self.sender},{self.raw:.6f},{smooth}"
 
 
-_COUNT_KEYS = (
-    "payload_sent", "bft_sent", "alert_sent",
-    "payload_recv", "bft_recv", "alert_recv",
-    "trusted_stored", "ignored",
-)
 # the event action behind each sent/stored/ignored counter, in check order
 _ACTION_COUNTS = {
     "send_payload": "payload_sent",
@@ -134,6 +86,7 @@ _ACTION_COUNTS = {
 RSSI_HEADER = "tick,receiver,sender,rssi_raw,rssi_smoothed\n"
 # the received counter of each message type
 _RECV_COUNTS = {PayloadMessage: "payload_recv", BftMessage: "bft_recv", AlertMessage: "alert_recv"}
+_COUNT_KEYS = (*_ACTION_COUNTS.values(), *_RECV_COUNTS.values())
 
 
 def _tally(events: list[TraceEvent], tally: dict[str, dict[str, int]]) -> None:
@@ -173,19 +126,7 @@ class RunMetrics:
     attacks: list[dict[str, Any]]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trace_version": TRACE_VERSION,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "duration": self.duration,
-            "counts": self.counts,
-            "bft_latency": self.bft_latency,
-            "static_false_positive_bft": self.static_false_positive_bft,
-            "trust_final": self.trust_final,
-            "trust_timeline": [list(t) for t in self.trust_timeline],
-            "movements": self.movements,
-            "attacks": self.attacks,
-        }
+        return {"trace_version": TRACE_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -491,50 +432,48 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
     for driver in drivers:
         counts.setdefault(driver.label, dict.fromkeys(_COUNT_KEYS, 0))
     trust_timeline: list[tuple[int, str, str, float]] = []
-    trust_snapshot: dict[str, dict[str, float]] = {spec.label: {} for spec in scenario.nodes}
+    trust_snapshot: dict[NodeId, dict[NodeId, float]] = {spec.mac: {} for spec in scenario.nodes}
     node_order = sorted(nodes)
 
-    def record_action(tick: int, node_label: str, action: Action) -> None:
-        # Ignore and SendPayload, the bulk, go to their sink callables where they are made
-        if isinstance(action, SendBft):
-            m = action.message
+    def record(tick: int, label: str, out: Message | StoreTrusted) -> None:
+        """Write the trace record and counter of one node or attacker output
+        (Ignore, the bulk of a round's outputs, goes to `ignore` directly)."""
+        cls = type(out)
+        if cls is PayloadMessage:
+            payload_sent(tick, label, out.seq)
+            counts[label]["payload_sent"] += 1
+        elif cls is BftMessage:
             event(
                 TraceEvent(
-                    tick, node_label, "send_bft",
+                    tick, label, "send_bft",
                     {
-                        "subject": label_of(m.subject),
-                        "measured_rssi": round(m.measured_rssi.value, 6),
-                        "ref_seq": m.ref_seq,
+                        "subject": label_of(out.subject),
+                        "measured_rssi": round(out.measured_rssi.value, 6),
+                        "ref_seq": out.ref_seq,
                     },
                 )
             )
-            counts[node_label]["bft_sent"] += 1
-        elif isinstance(action, SendAlert):
-            m = action.message
-            obj = label_of(m.object) if isinstance(m.object, NodeId) else m.object.hex()
+            counts[label]["bft_sent"] += 1
+        elif cls is AlertMessage:
+            obj = label_of(out.object) if isinstance(out.object, NodeId) else out.object.hex()
             ref = None
-            if m.ref_bft is not None:
+            if out.ref_bft is not None:
                 ref = {
-                    "sender": label_of(m.ref_bft.sender),
-                    "subject": label_of(m.ref_bft.subject),
-                    "timestamp": m.ref_bft.timestamp,
+                    "sender": label_of(out.ref_bft.sender),
+                    "subject": label_of(out.ref_bft.subject),
+                    "timestamp": out.ref_bft.timestamp,
                 }
             event(
                 TraceEvent(
-                    tick, node_label, "send_alert",
-                    {"alert_type": m.alert_type.name.lower(), "object": obj, "ref_bft": ref},
+                    tick, label, "send_alert",
+                    {"alert_type": out.alert_type.name.lower(), "object": obj, "ref_bft": ref},
                 )
             )
-            counts[node_label]["alert_sent"] += 1
-        elif isinstance(action, StoreTrusted):
-            m = action.message
-            event(
-                TraceEvent(
-                    tick, node_label, "store_trusted",
-                    {"sender": label_of(m.sender), "seq": m.seq},
-                )
-            )
-            counts[node_label]["trusted_stored"] += 1
+            counts[label]["alert_sent"] += 1
+        elif cls is StoreTrusted:
+            m = out.message
+            event(TraceEvent(tick, label, "store_trusted", {"sender": label_of(m.sender), "seq": m.seq}))
+            counts[label]["trusted_stored"] += 1
 
     pending: list[tuple[NodeId, Message]] = []  # broadcasts queued for next tick
 
@@ -552,29 +491,21 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                 continue
             if spoof_drivers and any(d.suppresses_payload_of(spec.label, tick) for d in spoof_drivers):
                 continue
-            state = nodes[spec.mac]
-            for action in state.emit_payload(sensor_reading(index_of[spec.label], tick), tick):
-                assert isinstance(action, SendPayload)
-                payload_sent(tick, spec.label, action.message.seq)
-                counts[spec.label]["payload_sent"] += 1
-                broadcasts.append((spec.mac, action.message))
-                if replay_drivers:
-                    for d in replay_drivers:
-                        if d.victim.mac == spec.mac:
-                            cap_at = d.capture_at if d.capture_at is not None else 0
-                            if tick <= cap_at or d.captured is None:
-                                d.captured = action.message
+            msg = nodes[spec.mac].emit_payload(sensor_reading(index_of[spec.label], tick), tick)
+            record(tick, spec.label, msg)
+            broadcasts.append((spec.mac, msg))
+            for d in replay_drivers:
+                if d.victim.mac == spec.mac:
+                    cap_at = d.capture_at if d.capture_at is not None else 0
+                    if tick <= cap_at or d.captured is None:
+                        d.captured = msg
         broadcasts.extend(pending)
         pending = []
         for driver in drivers:
             injected = driver.emit(tick, index_of[driver.victim.label])
             if injected is not None:
                 broadcasts.append((driver.phys_id, injected))
-                if isinstance(injected, BftMessage):
-                    record_action(tick, driver.label, SendBft(injected))
-                elif isinstance(injected, PayloadMessage):
-                    payload_sent(tick, driver.label, injected.seq)
-                    counts[driver.label]["payload_sent"] += 1
+                record(tick, driver.label, injected)
 
         # 3. channel delivery, counted per receiver by message type
         inboxes: dict[NodeId, list[tuple[Message, Rssi]]] = {mac: [] for mac in node_order}
@@ -592,15 +523,16 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
             node_label = labels[mac]
             inbox = inboxes[mac]
             node_counts = counts[node_label]
-            for action in state.tick(inbox, now=tick):
-                # most actions are Ignore("expired"), so it is tested first
-                if type(action) is Ignore:
-                    ignore(tick, node_label, action.reason, action.context)
+            for out in state.tick(inbox, now=tick):
+                # most outputs are Ignore("expired"), so it is tested first
+                cls = type(out)
+                if cls is Ignore:
+                    ignore(tick, node_label, out.reason, out.context)
                     node_counts["ignored"] += 1
                     continue
-                record_action(tick, node_label, action)
-                if isinstance(action, (SendBft, SendAlert)):
-                    pending.append((mac, action.message))
+                record(tick, node_label, out)
+                if cls is BftMessage or cls is AlertMessage:
+                    pending.append((mac, out))
             if collect_rssi:
                 smoothed_rssi = state.smoothed_rssi
                 for msg, rssi in inbox:
@@ -612,17 +544,19 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
 
         # 5. trust timeline
         for mac in node_order:
-            observer = labels[mac]
-            snap = trust_snapshot[observer]
+            snap = trust_snapshot[mac]
             for peer_id, rec in nodes[mac].store.peers.items():
-                peer_label = label_of(peer_id)
                 value = rec.trust.value
-                if snap.get(peer_label) != value:
-                    snap[peer_label] = value
-                    trust_timeline.append((tick, observer, peer_label, value))
+                if snap.get(peer_id) != value:
+                    snap[peer_id] = value
+                    trust_timeline.append((tick, labels[mac], label_of(peer_id), value))
         sink.end_tick()
 
-    metrics = _build_metrics(scenario, sink.bft_events(), counts, trust_snapshot, trust_timeline)
+    trust_final = {
+        labels[mac]: dict(sorted((label_of(peer_id), value) for peer_id, value in snap.items()))
+        for mac, snap in trust_snapshot.items()
+    }
+    metrics = _build_metrics(scenario, sink.bft_events(), counts, trust_final, trust_timeline)
     return sink.finish(metrics, {labels[mac]: nodes[mac] for mac in node_order})
 
 
@@ -630,7 +564,7 @@ def _build_metrics(
     scenario: Scenario,
     bft_sends: list[TraceEvent],
     counts: dict[str, dict[str, int]],
-    trust_snapshot: dict[str, dict[str, float]],
+    trust_final: dict[str, dict[str, float]],
     trust_timeline: list[tuple[int, str, str, float]],
 ) -> RunMetrics:
     latency: list[dict[str, Any]] = []
@@ -676,7 +610,7 @@ def _build_metrics(
         counts=counts,
         bft_latency=latency,
         static_false_positive_bft=static_fp,
-        trust_final={obs: dict(sorted(snap.items())) for obs, snap in trust_snapshot.items()},
+        trust_final=trust_final,
         trust_timeline=trust_timeline,
         movements=[m.to_dict() for m in scenario.movements],
         attacks=[a.to_dict() for a in scenario.attacks],

@@ -351,12 +351,10 @@ def locate_and_verify(
             fixed_z = rec.location.z
         else:
             return VerifyOutcome.INSUFFICIENT_DATA
-    try:
-        # grid-level verification needs far less precision than the public
-        # solver default, and garbage inputs should fail fast
-        result = multilaterate(anchors, m, fixed_z=fixed_z, max_iterations=20, step_tol=1e-7)
-    except InsufficientAnchorsError:
-        return VerifyOutcome.INSUFFICIENT_DATA
+    # min_anchors >= 4, so the 3-D solve gets at least four anchors and the
+    # planar one at least three. Grid-level verification needs far less
+    # precision than the public solver default, and garbage inputs should fail fast
+    result = multilaterate(anchors, m, fixed_z=fixed_z, max_iterations=20, step_tol=1e-7)
     if not result.converged or result.residual > params.residual_cap or result.gdop > params.max_gdop:
         return VerifyOutcome.INSUFFICIENT_DATA
 

@@ -29,8 +29,6 @@ from typing import Optional, Union
 RSSI_MIN = -120.0
 RSSI_MAX = 0.0
 
-DEFAULT_LOCATION_GRID = 0.5  # metres
-
 TAG_PAYLOAD = 0x01
 TAG_BFT = 0x02
 TAG_ALERT = 0x03
@@ -161,7 +159,7 @@ def quantize_location(loc: Location, grid: float) -> tuple[float, float, float]:
     return round(loc.x / grid) * grid, round(loc.y / grid) * grid, round(loc.z / grid) * grid
 
 
-def location_key(loc: Location, payload: bytes, grid: float = DEFAULT_LOCATION_GRID) -> LocationKey:
+def location_key(loc: Location, payload: bytes, grid: float) -> LocationKey:
     """Keyed digest of `payload` with the quantized location as the key.
 
     Two calls with locations falling in the same grid cell and equal payload
@@ -171,13 +169,6 @@ def location_key(loc: Location, payload: bytes, grid: float = DEFAULT_LOCATION_G
     qx, qy, qz = quantize_location(loc, grid)
     key = struct.pack("<3d", qx, qy, qz)
     return LocationKey(hashlib.blake2b(payload, key=key, digest_size=32).digest())
-
-
-def verify_location_key(
-    claimed: LocationKey, loc: Location, payload: bytes, grid: float = DEFAULT_LOCATION_GRID
-) -> bool:
-    """True iff signing `payload` at `loc` reproduces `claimed`."""
-    return location_key(loc, payload, grid) == claimed
 
 
 @dataclass(frozen=True)

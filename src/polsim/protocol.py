@@ -47,7 +47,7 @@ class ProtocolParams:
     """Tunable protocol constants (see README for the rationale behind defaults)."""
 
     epsilon: float = 0.3            # trust threshold of the distrust predicate
-    tau: Optional[float] = None     # dissent threshold: a count, a fraction of
+    tau: Optional[float] = None     # dissent threshold: a whole count, a fraction of
                                     # in-range peers, or None for half of them
     trust_step: float = 0.1
     consistency_tol: float = 5.0    # dB, claimed-vs-measured and history checks
@@ -69,6 +69,8 @@ class ProtocolParams:
             raise ValueError("epsilon must be in (0, 1)")
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive when fixed")
+        if self.tau is not None and self.tau >= 1 and not float(self.tau).is_integer():
+            raise ValueError(f"tau must be a whole number when 1 or more, not {self.tau!r}")
         for name in ("trust_step", "consistency_tol", "pool_ttl", "bft_window",
                      "history_window", "location_grid", "anchor_freshness",
                      "residual_cap", "max_gdop"):
@@ -108,21 +110,8 @@ class FilterParams:
 
 
 # -- actions -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SendPayload:
-    message: PayloadMessage
-
-
-@dataclass(frozen=True)
-class SendBft:
-    message: BftMessage
-
-
-@dataclass(frozen=True)
-class SendAlert:
-    message: AlertMessage
+# A message in a round's output is broadcast next tick; StoreTrusted and
+# Ignore are local outcomes.
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,7 @@ class Ignore:
     context: str = ""
 
 
-Action = Union[SendPayload, SendBft, SendAlert, StoreTrusted, Ignore]
+Action = Union[BftMessage, AlertMessage, StoreTrusted, Ignore]
 
 
 # -- self-defense decision table ----------------------------------------------
@@ -169,7 +158,7 @@ class _LinkPipeline:
 
     smooth: Callable[[float], float]
     trigger: TriggerState
-    pending_since: Optional[int] = None  # trigger fired, BFT not yet sent
+    pending: bool = False  # trigger fired at trigger.last_fire, BFT not yet sent
     # one contradiction-driven BFT allowed per deviation episode; replenished
     # by the next trigger fire so a standing disagreement is announced once
     contradiction_budget: int = 1
@@ -308,7 +297,7 @@ class NodeState:
         smoothed = pipe.smooth(value)
         self.store.update_smoothed(peer, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
-            pipe.pending_since = now
+            pipe.pending = True
         return smoothed
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
@@ -327,7 +316,7 @@ class NodeState:
             self.store.clear_smoothed()
             for pipe in self._pipelines.values():
                 pipe.smooth, pipe.trigger = self.filter_params.link_state()
-                pipe.pending_since = None
+                pipe.pending = False
 
     def moved_flag(self, now: int) -> bool:
         return self.moved_until is not None and now <= self.moved_until
@@ -356,9 +345,9 @@ class NodeState:
 
     # -- P1: payload emission ------------------------------------------------
 
-    def emit_payload(self, sensor_value: bytes, now: int) -> list[Action]:
+    def emit_payload(self, sensor_value: bytes, now: int) -> PayloadMessage:
         self._seq += 1
-        msg = PayloadMessage(
+        return PayloadMessage(
             sender=self.self_id,
             seq=self._seq,
             sensor_type=self.sensor_type,
@@ -366,7 +355,6 @@ class NodeState:
             signed_payload=location_key(self.self_location, sensor_value, self.params.location_grid),
             timestamp=now,
         )
-        return [SendPayload(msg)]
 
     # -- P2: payload reception -------------------------------------------------
 
@@ -407,7 +395,7 @@ class NodeState:
         reported = store.subjects_reported_by(params.min_anchors - 2)
         live = set(reported)
         for sender, pipe in pipelines.items():
-            if pipe.pending_since is not None:
+            if pipe.pending:
                 live.add(sender)
         for sender in sorted(live):
             newest = pool.newest(sender)
@@ -426,11 +414,11 @@ class NodeState:
             pipe = pipelines.get(sender)
             if pipe is None:
                 continue
-            if pipe.pending_since is not None and now - pipe.pending_since > pipe.trigger.cooldown:
-                pipe.pending_since = None
+            if pipe.pending and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
+                pipe.pending = False
             # a trigger fires on a sample, so a pending link has a smoothed
             # value; a contradiction alone does not guarantee one
-            if pipe.pending_since is not None:
+            if pipe.pending:
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget = 1
             elif (
@@ -445,7 +433,7 @@ class NodeState:
 
     def _emit_bft(
         self, subject: NodeId, pipe: _LinkPipeline, now: int, ref_seq: Optional[int]
-    ) -> SendBft:
+    ) -> BftMessage:
         _, smoothed = self.store.latest_smoothed(subject)
         msg = BftMessage(
             sender=self.self_id,
@@ -456,10 +444,10 @@ class NodeState:
             timestamp=now,
         )
         pipe.trigger.note_report(smoothed, now)
-        pipe.pending_since = None
+        pipe.pending = False
         # own dissent counts toward the local picture as well
         self.store.register_bft(self.self_id, subject, now, now)
-        return SendBft(msg)
+        return msg
 
     # -- P4: BFT reception ----------------------------------------------------
 
@@ -522,7 +510,7 @@ class NodeState:
                 ref_bft=ref,
                 timestamp=now,
             )
-            return [SendAlert(alert)]
+            return [alert]
         # outcome == DISTRUST_B
         if not self._alert_allowed(AlertType.DISTRUST, origin, now):
             return [Ignore("alert-cooldown", context=f"distrust {origin}")]
@@ -533,7 +521,7 @@ class NodeState:
             ref_bft=ref,
             timestamp=now,
         )
-        return [SendAlert(alert)]
+        return [alert]
 
     def _alert_allowed(self, alert_type: AlertType, obj: NodeId, now: int) -> bool:
         key = (alert_type, obj)

@@ -24,7 +24,6 @@ from polsim.messages import (
     encode_message,
     location_key,
     quantize_location,
-    verify_location_key,
 )
 
 A = NodeId.from_str("02:00:00:00:00:01")
@@ -124,10 +123,10 @@ class TestLocationKey:
     def test_verify_roundtrip_and_mismatches(self):
         loc = Location(2.0, 3.0, 1.0)
         key = location_key(loc, b"data", 0.5)
-        assert verify_location_key(key, loc, b"data", 0.5)
+        assert location_key(loc, b"data", 0.5) == key
         moved = Location(loc.x + 1.0, loc.y, loc.z)  # two grid cells away
-        assert not verify_location_key(key, moved, b"data", 0.5)
-        assert not verify_location_key(key, loc, b"other", 0.5)
+        assert location_key(moved, b"data", 0.5) != key
+        assert location_key(loc, b"other", 0.5) != key
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

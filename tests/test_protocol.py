@@ -26,7 +26,6 @@ from polsim.messages import (
     SensorType,
     TrustScore,
     location_key,
-    verify_location_key,
 )
 from polsim.protocol import (
     BFT_ABOUT_B,
@@ -39,8 +38,6 @@ from polsim.protocol import (
     MessagePool,
     NodeState,
     ProtocolParams,
-    SendBft,
-    SendPayload,
     StoreTrusted,
 )
 from polsim.filters import bft_trigger
@@ -88,24 +85,21 @@ def payload_from(sender: NodeId, seq: int, loc: Location, t: int, grid=0.5) -> P
 class TestEmitPayload:
     def test_signed_with_current_location(self):
         node = make_node()
-        (action,) = node.emit_payload(b"\x05", 10)
-        assert isinstance(action, SendPayload)
-        msg = action.message
-        assert verify_location_key(msg.signed_payload, node.self_location, b"\x05", 0.5)
+        msg = node.emit_payload(b"\x05", 10)
+        assert isinstance(msg, PayloadMessage)
+        assert location_key(node.self_location, b"\x05", 0.5) == msg.signed_payload
         assert msg.timestamp == 10
 
     def test_seq_strictly_increases(self):
         node = make_node()
-        seqs = [node.emit_payload(b"x", t)[0].message.seq for t in range(3)]
+        seqs = [node.emit_payload(b"x", t).seq for t in range(3)]
         assert seqs == sorted(set(seqs))
 
     def test_uses_location_after_move(self):
         node = make_node()
         node.on_moved(Location(5.0, 5.0, 0.0), 3, announce=True)
-        (action,) = node.emit_payload(b"\x05", 4)
-        assert verify_location_key(
-            action.message.signed_payload, Location(5.0, 5.0, 0.0), b"\x05", 0.5
-        )
+        msg = node.emit_payload(b"\x05", 4)
+        assert location_key(Location(5.0, 5.0, 0.0), b"\x05", 0.5) == msg.signed_payload
 
 
 class TestReceivePayload:
@@ -231,9 +225,9 @@ class TestValidatePool:
         node.receive_payload(payload_from(PEER, 1, claimed, 10), Rssi(-52.0), 11)
         seed_full_anchors(node, actual, 11)
         actions = node.validate_pool(11)
-        bfts = [a for a in actions if isinstance(a, SendBft)]
+        bfts = [a for a in actions if isinstance(a, BftMessage)]
         assert len(bfts) == 1
-        assert bfts[0].message.subject == PEER
+        assert bfts[0].subject == PEER
         assert len(node.pool) == 1  # entry remains until ttl
 
     def test_contradiction_not_repeated_without_new_trigger(self):
@@ -242,10 +236,10 @@ class TestValidatePool:
         actual = Location(4.0, 2.0, 0.0)
         node.receive_payload(payload_from(PEER, 1, claimed, 10), Rssi(-52.0), 11)
         seed_full_anchors(node, actual, 11)
-        first = [a for a in node.validate_pool(11) if isinstance(a, SendBft)]
+        first = [a for a in node.validate_pool(11) if isinstance(a, BftMessage)]
         assert len(first) == 1
         for now in range(12, 90):
-            again = [a for a in node.validate_pool(now) if isinstance(a, SendBft)]
+            again = [a for a in node.validate_pool(now) if isinstance(a, BftMessage)]
             assert again == []
 
     def test_expiry_produces_ignores(self):
@@ -266,10 +260,10 @@ class TestValidatePool:
         for t in range(12, 30):
             node.receive_payload(payload_from(PEER, t + 1, steady, t), Rssi(-67.0), t)
             actions.extend(node.validate_pool(t))
-        bfts = [a for a in actions if isinstance(a, SendBft)]
+        bfts = [a for a in actions if isinstance(a, BftMessage)]
         assert len(bfts) >= 1
-        assert bfts[0].message.subject == PEER
-        assert bfts[0].message.measured_rssi.value <= -52.0
+        assert bfts[0].subject == PEER
+        assert bfts[0].measured_rssi.value <= -52.0
 
     def test_hopeless_sender_decided_without_verification(self, monkeypatch):
         # one reporter of PEER: own anchor + 1 < min_anchors - 1, so no solve
@@ -296,7 +290,7 @@ class TestValidatePool:
         # the actions the node took before validate_pool skipped the call
         expected = [(t, Ignore("expired", context=f"{PEER}#{t - 5}")) for t in range(6, 30)]
         bft = BftMessage(ME, node.self_location, PEER, Rssi(-58.480527897555184), 22, 21)
-        expected.insert(expected.index((21, Ignore("expired", context=f"{PEER}#16"))) + 1, (21, SendBft(bft)))
+        expected.insert(expected.index((21, Ignore("expired", context=f"{PEER}#16"))) + 1, (21, bft))
         assert actions == expected
 
     def test_sender_at_the_reporter_bound_is_verified(self, monkeypatch):
@@ -356,7 +350,7 @@ class TestValidatePool:
         # OTHER's link level jumps by 15 dB: its trigger fires, no reports exist
         for t in range(30):
             node.ingest_sample(OTHER, Rssi(-52.0 if t < 12 else -67.0), t)
-            if node._pipelines[OTHER].pending_since is not None:
+            if node._pipelines[OTHER].pending:
                 break
         else:
             raise AssertionError("the trigger did not fire")
@@ -471,7 +465,8 @@ class TestOwnLinkAppendPath:
             assert (pipe is None) == (ref_smooth is None)
             if pipe is not None:
                 assert pipe.trigger == ref_trigger
-                assert pipe.pending_since == ref_pending
+                assert pipe.pending == (ref_pending is not None)
+                assert ref_pending is None or pipe.trigger.last_fire == ref_pending
 
 
 class TestReceiveBft:

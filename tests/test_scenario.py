@@ -119,9 +119,11 @@ class TestValidation:
             # [0, 1] bound, like any value, fails as an unknown key.
             ("initial_trust", 7.0, "unknown key 'initial_trust'"),
             ("initial_trust", -0.5, "unknown key 'initial_trust'"),
+            # a count above 1 is whole: int() would drop the fraction
+            ("tau", 2.9, "tau must be a whole number"),
         ],
         ids=["verify_slack_cells--1", "min_anchors-0", "min_anchors-3", "alert_cooldown--5",
-             "moved_ttl--1", "initial_trust-7.0", "initial_trust--0.5"],
+             "moved_ttl--1", "initial_trust-7.0", "initial_trust--0.5", "tau-2.9"],
     )
     def test_protocol_bound_is_a_scenario_error(self, key, bad, message):
         doc = minimal_doc()

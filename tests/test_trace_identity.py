@@ -3,7 +3,8 @@
 The SHA-256 of every trace file is read from `perfbench/references.json`, the
 one stored copy of the reference hashes, so a change that alters a single
 byte of `events.jsonl` or `rssi.csv` fails here as well as in the bench. The
-offline filter sweep over the fig7 trace is held to the bench's hashes too.
+offline filter sweep over the fig7 trace is held to the bench's hashes too,
+and each built-in's `metrics.json` to a hash pinned in this file.
 """
 
 import hashlib
@@ -36,6 +37,23 @@ def test_builtin_traces_match_reference(name, references, tmp_path):
     for file_name, digest in want.items():
         got = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
         assert got == digest, f"{name} {file_name} differs from the reference trace"
+
+
+# SHA-256 of metrics.json of each built-in at seed 1; the bench's references
+# hold no metrics.json, so its bytes are pinned here
+METRICS_SHA256 = {
+    "paper-fig7": "16399e9f5966c025da2ff61116f130054cf7af5fe06496608db095789426cef0",
+    "static-honest": "b8fd13595dfbdf27addd6ea457e55ba8cf012b9c265cec9bbf54e25292c3b8c4",
+    "spoof-attack": "f575918f4266178cc619d89c3b55a50917ee3684db712739ef7687763f7bc5da",
+    "malicious-bft": "56e48f372e4c19b700a1001929577a10561a3187835e690c4fc9a6a8eb6c0028",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_metrics_match_pinned_hash(name, tmp_path):
+    run(builtin_scenario(name, seed=1), out_dir=str(tmp_path))
+    got = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
+    assert got == METRICS_SHA256[name], f"{name} metrics.json differs from the pinned bytes"
 
 
 def test_filter_sweep_matches_reference(references, tmp_path, capsys):
