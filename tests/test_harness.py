@@ -62,6 +62,15 @@ class TestTraces:
         derived_bft = sum(1 for e in res.events if e.action == "send_bft")
         assert derived_bft == sum(c["bft_sent"] for c in doc["counts"].values())
 
+    def test_attacker_injections_counted_under_its_label(self):
+        res = run(builtin_scenario("spoof-attack", seed=42), collect_rssi=False)
+        keys = {"payload_sent", "bft_sent", "alert_sent", "trusted_stored", "ignored",
+                "payload_recv", "bft_recv", "alert_recv"}
+        assert all(set(c) == keys for c in res.metrics.counts.values())
+        injected = [e for e in res.events if e.node == "attacker0"]
+        assert injected and {e.action for e in injected} == {"send_payload"}
+        assert res.metrics.counts["attacker0"]["payload_sent"] == len(injected)
+
     def test_reception_counts_match_rows(self):
         res = run(builtin_scenario("static-honest", seed=3), collect_rssi=True)
         total_rows = len(res.rssi_rows)
@@ -227,6 +236,24 @@ trace_values = st.recursive(
 
 class TestCompactJson:
     """An event line is the compact, key-sorted `json.dumps` of its record."""
+
+    @settings(max_examples=250)
+    @given(st.integers(), trace_text, trace_values)
+    def test_matches_json_dumps(self, file_sink, tick, node, value):
+        before = file_sink.tally[node]["store_trusted"]
+        file_sink.event(TraceEvent(tick, node, "store_trusted", {"value": value}))
+        record = {"tick": tick, "node": node, "action": "store_trusted", "details": {"value": value}}
+        assert file_sink.event_lines.pop() == json_reference(record) + "\n"
+        assert file_sink.tally[node]["store_trusted"] == before + 1
+
+    @pytest.mark.parametrize("value", [b"raw", {1, 2}, {"k": b"raw"}], ids=["bytes", "set", "nested-bytes"])
+    def test_other_types_raise_type_error(self, file_sink, value):
+        """A value JSON cannot hold raises and leaves neither a line nor a count."""
+        lines, before = len(file_sink.event_lines), file_sink.tally["n1"]["store_trusted"]
+        with pytest.raises(TypeError):
+            file_sink.event(TraceEvent(0, "n1", "store_trusted", {"value": value}))
+        assert len(file_sink.event_lines) == lines
+        assert file_sink.tally["n1"]["store_trusted"] == before
 
     @settings(max_examples=100)
     @given(st.integers(), trace_text, trace_text, st.dictionaries(trace_text, trace_values, max_size=4))

@@ -816,6 +816,19 @@ class TestProtocolParamsBounds:
             ProtocolParams(**{field: bad})
         assert getattr(ProtocolParams(**{field: edge}), field) == edge
 
+    @pytest.mark.parametrize(
+        "tau, message",
+        [(0, "positive"), (-2, "positive"), (1.5, "a whole number"), (2.9, "a whole number")],
+    )
+    def test_tau_rejected(self, tau, message):
+        with pytest.raises(ValueError, match=f"tau must be {message}"):
+            ProtocolParams(tau=tau)
+
+    @pytest.mark.parametrize("tau, resolved", [(None, 1), (0.99, 1), (1, 1), (3.0, 3)])
+    def test_tau_accepted(self, tau, resolved):
+        # with no peer in range, a fraction and the default resolve to their floor of 1
+        assert make_node(params=ProtocolParams(tau=tau)).tau(0) == resolved
+
     def test_zero_anchors_rejected(self):
         with pytest.raises(ValueError, match="min_anchors"):
             ProtocolParams(min_anchors=0)
