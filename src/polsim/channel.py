@@ -31,11 +31,11 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
         if not (0.0 <= self.asymmetry_jitter <= MAX_ASYMMETRY_JITTER):
             raise ValueError(f"asymmetry_jitter must be in [0, {MAX_ASYMMETRY_JITTER}]")
-        if self.range <= 0:
+        if not self.range > 0:
             raise ValueError("range must be positive")
         if not (-(2**63) <= self.seed < 2**63):
             # link jitter hashes the seed as 8 signed bytes
@@ -53,7 +53,6 @@ class RadioChannel:
         self.config = config
         self._positions: dict[NodeId, Location] = {}
         self._noise = random.Random(config.seed ^ 0x5EED_0F_0C_EA_11)
-        self._jitter_cache: dict[tuple[NodeId, NodeId], float] = {}
         self._order: list[NodeId] = []
         # per sender: (receiver, path loss + link jitter) of every receiver in
         # range, in receiver order. Valid while no position changes.
@@ -80,19 +79,14 @@ class RadioChannel:
         """Fixed asymmetry offset of the ordered link, in [-J, +J].
 
         Derived by hashing (seed, sender, receiver) so it is stable across the
-        run and independent of call order.
+        run and independent of call order; `_levels` holds it per link.
         """
         j = self.config.asymmetry_jitter
         if j == 0.0:
             return 0.0
-        key = (sender, receiver)
-        cached = self._jitter_cache.get(key)
-        if cached is None:
-            material = self.config.seed.to_bytes(8, "little", signed=True) + sender.mac + receiver.mac
-            h = int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
-            cached = (h / 2**64 * 2.0 - 1.0) * j
-            self._jitter_cache[key] = cached
-        return cached
+        material = self.config.seed.to_bytes(8, "little", signed=True) + sender.mac + receiver.mac
+        h = int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
+        return (h / 2**64 * 2.0 - 1.0) * j
 
     def _link_levels(self, sender: NodeId) -> list[tuple[NodeId, float]]:
         """Noise-free reception level of every other node in range of `sender`."""

@@ -7,8 +7,10 @@ test suite can run the same assertions and report one line per criterion.
 from __future__ import annotations
 
 import random
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 from .filters import KalmanState, kalman_step, make_filter
@@ -419,17 +421,16 @@ def check_filter_oracles() -> CheckResult:
     )
 
 
-def check_determinism(workdir: str, seed: int = 7) -> CheckResult:
+def check_determinism(seed: int = 7) -> CheckResult:
     """Two runs of the same seed write byte-identical files, as `polsim run` writes them."""
-    from pathlib import Path
-
-    dirs = [Path(workdir) / attempt for attempt in ("a", "b")]
-    for out in dirs:
-        run(builtin_scenario("paper-fig7", seed=seed), out_dir=str(out))
     names = ("rssi.csv", "events.jsonl", "metrics.json")
-    for name in names:
-        if (dirs[0] / name).read_bytes() != (dirs[1] / name).read_bytes():
-            return CheckResult("determinism", False, f"{name} differs between runs")
+    with tempfile.TemporaryDirectory() as workdir:
+        dirs = [Path(workdir) / attempt for attempt in ("a", "b")]
+        for out in dirs:
+            run(builtin_scenario("paper-fig7", seed=seed), out_dir=str(out))
+        for name in names:
+            if (dirs[0] / name).read_bytes() != (dirs[1] / name).read_bytes():
+                return CheckResult("determinism", False, f"{name} differs between runs")
     return CheckResult("determinism", True, f"{', '.join(names)} byte-identical for seed {seed}")
 
 
@@ -464,6 +465,7 @@ BUILTIN_CHECKS: dict[str, list[Callable[[], CheckResult]]] = {
     "paper-fig7": [
         check_movement_detection,
         check_rssi_symmetry,
+        check_determinism,
     ],
     "static-honest": [check_zero_false_positives],
     "spoof-attack": [check_spoof_detection],

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import filters
-from .checks import BUILTIN_CHECKS, check_determinism
+from .checks import BUILTIN_CHECKS
 from .filters import FILTER_NAMES, TriggerState, make_filter
 from .harness import MOVEMENT_SETTLE_WINDOW, RSSI_HEADER, run
 from .protocol import FilterParams
@@ -217,13 +217,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.builtin not in BUILTIN_NAMES:
         print(f"unknown builtin {args.builtin!r}; choose from {BUILTIN_NAMES}", file=sys.stderr)
         return EXIT_VALIDATION
-    checks = list(BUILTIN_CHECKS[args.builtin])
-    results = [check() for check in checks]
-    if args.builtin == "paper-fig7":
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            results.append(check_determinism(tmp))
+    results = [check() for check in BUILTIN_CHECKS[args.builtin]]
     failed = False
     for result in results:
         print(result.line())

@@ -54,7 +54,7 @@ class MedianState:
     buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.window < 1 or self.window % 2 == 0:
+        if not self.window >= 1 or self.window % 2 == 0:
             raise ValueError("median window must be an odd count >= 1")
 
 
@@ -81,7 +81,7 @@ class KalmanState:
     p: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.q < 0 or self.r <= 0:
+        if not (self.q >= 0 and self.r > 0):
             raise ValueError("need q >= 0 and r > 0")
 
 
@@ -122,7 +122,7 @@ class MovingAverageState:
     buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.window < 1:
+        if not self.window >= 1:
             raise ValueError("window must be >= 1")
 
 
@@ -167,9 +167,9 @@ class DynamicMovingAverageState:
     buffer: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.max_window < 1:
+        if not self.max_window >= 1:
             raise ValueError("max_window must be >= 1")
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
 
 
@@ -199,9 +199,9 @@ class GaussianState:
     totals: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.window < 1:
+        if not self.window >= 1:
             raise ValueError("window must be >= 1")
 
 
@@ -248,14 +248,12 @@ class TriggerState:
     last_baseline: Optional[int] = None
     recent: list[float] = field(default_factory=list)
 
-    FLAT_WINDOW = FLAT_WINDOW  # the module constant, also as `state.FLAT_WINDOW`
-
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
             raise ValueError("threshold must be positive and finite")
-        if self.cooldown < 0 or self.rebaseline_after < 1:
+        if not (self.cooldown >= 0 and self.rebaseline_after >= 1):
             raise ValueError("cooldown must be >= 0 and rebaseline_after >= 1")
-        if self.warmup < 0:
+        if not self.warmup >= 0:
             raise ValueError("warmup must be >= 0")
 
     def cooldown_over(self, now: int) -> bool:

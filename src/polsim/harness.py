@@ -172,7 +172,7 @@ def sensor_reading(node_index: int, tick: int) -> bytes:
 class _AttackDriver:
     """Expands an attack spec into per-tick injected broadcasts."""
 
-    def __init__(self, spec: AttackSpec, scenario: Scenario, index: int):
+    def __init__(self, spec: AttackSpec, scenario: Scenario, index: int, channel: RadioChannel):
         self.kind = spec.kind
         self.params = spec.params
         self.at = spec.at
@@ -180,19 +180,21 @@ class _AttackDriver:
         self.period = spec.params.get("period", 1)
         self.counter = 0
         self.victim = scenario.node(spec.params["victim"])
+        self.victim_index = scenario.nodes.index(self.victim)
         self.grid = scenario.protocol.location_grid
-        if self.kind in (AttackKind.IDENTITY_SPOOF, AttackKind.REPLAY):
-            # physical transmitter registered in the channel, invisible to nodes
-            self.phys_id = NodeId(bytes([0x02, 0, 0, 0, 0xAA, 0xF0 + index]))
-            self.position = Location(*[float(c) for c in spec.params["attacker_position"]])
-            self.label = f"attacker{index}"
-        else:
+        if self.kind is AttackKind.MALICIOUS_BFT:
             attacker = scenario.node(spec.params["attacker"])
             self.phys_id = attacker.mac
             self.position = attacker.position
             self.label = attacker.label
+        else:
+            # physical transmitter registered in the channel, invisible to nodes
+            self.phys_id = NodeId(bytes([0x02, 0, 0, 0, 0xAA, 0xF0 + index]))
+            self.position = Location(*[float(c) for c in spec.params["attacker_position"]])
+            self.label = f"attacker{index}"
+            channel.register(self.phys_id, self.position)
         self.captured: Optional[PayloadMessage] = None
-        self.capture_at = spec.params.get("capture_at")
+        self.capture_at = spec.params.get("capture_at", 0)
 
     def active(self, tick: int) -> bool:
         if tick < self.at or tick > self.until:
@@ -203,20 +205,28 @@ class _AttackDriver:
                 return False
         return (tick - self.at) % self.period == 0
 
-    def suppresses_payload_of(self, label: str, tick: int) -> bool:
+    def silences(self, tick: int) -> bool:
+        """Does this spoofer hold back its victim's own payload at `tick`?"""
         return (
             self.kind is AttackKind.IDENTITY_SPOOF
-            and self.params.get("suppress_victim", True)
-            and label == self.victim.label
             and tick >= self.at
+            and self.params.get("suppress_victim", True)
         )
 
-    def emit(self, tick: int, victim_index: int) -> Optional[Message]:
+    def overhear(self, payloads: list[tuple[NodeId, Message]], tick: int) -> None:
+        """A replayer keeps its victim's payload among the tick's node payloads
+        while `tick <= capture_at`, or the first one after."""
+        if self.kind is AttackKind.REPLAY and (tick <= self.capture_at or self.captured is None):
+            for sender, msg in payloads:
+                if sender == self.victim.mac:
+                    self.captured = msg
+
+    def emit(self, tick: int) -> Optional[Message]:
         if not self.active(tick):
             return None
         self.counter += 1
         if self.kind is AttackKind.IDENTITY_SPOOF:
-            payload = sensor_reading(victim_index, tick)
+            payload = sensor_reading(self.victim_index, tick)
             return PayloadMessage(
                 sender=self.victim.mac,
                 seq=1_000_000 + self.counter,
@@ -266,9 +276,6 @@ class _MemorySink:
     def end_tick(self) -> None:
         pass
 
-    def bft_events(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.action == "send_bft"]
-
     def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
         result = RunResult(metrics, self.events, self.rows, nodes)
         result.verify_counts()
@@ -288,7 +295,7 @@ class _FileSink:
     as plain strings, which the cyclic GC does not track, and written when
     a tick ends with a full buffer, so the run holds at most about one
     chunk of lines. Of what it encodes it keeps only the per-(node, action)
-    tally for the count check and the `send_bft` events the metrics need.
+    tally for the count check.
     `write_metrics` writes the rest, closes both files, checks the tally
     and writes metrics.json last: a run that raises leaves no metrics.json.
     """
@@ -314,15 +321,12 @@ class _FileSink:
         self.event_lines: list[str] = []
         self.row_lines: list[str] = []
         self.tally: defaultdict[str, dict[str, int]] = defaultdict(partial(dict.fromkeys, _ACTION_COUNTS, 0))
-        self.bft: list[TraceEvent] = []
         # JSON string of each node label and ignore reason, escaped once
         self._escaped: dict[str, str] = {}
 
     def event(self, e: TraceEvent) -> None:
         self.event_lines.append(f"{e.to_json()}\n")
         self.tally[e.node][e.action] += 1  # an unknown action raises KeyError
-        if e.action == "send_bft":
-            self.bft.append(e)
 
     def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
         escaped = self._escaped
@@ -356,9 +360,6 @@ class _FileSink:
         if len(self.row_lines) >= _WRITE_CHUNK_LINES:
             _write_lines(self._rssi_fh, self.row_lines)
 
-    def bft_events(self) -> list[TraceEvent]:
-        return self.bft
-
     def write_metrics(self, metrics: RunMetrics) -> None:
         """Write the buffered lines, close the trace files, check the counts, write metrics.json."""
         _write_lines(self._events_fh, self.event_lines)
@@ -391,7 +392,6 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
 
 def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: bool) -> RunResult:
     labels: dict[NodeId, str] = {spec.mac: spec.label for spec in scenario.nodes}
-    index_of = {spec.label: i for i, spec in enumerate(scenario.nodes)}
 
     def label_of(node: NodeId) -> str:
         lab = labels.get(node)
@@ -415,12 +415,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
         nodes[spec.mac] = state
         channel.register(spec.mac, spec.position)
 
-    drivers = [_AttackDriver(spec, scenario, i) for i, spec in enumerate(scenario.attacks)]
-    for driver in drivers:
-        if driver.kind in (AttackKind.IDENTITY_SPOOF, AttackKind.REPLAY):
-            channel.register(driver.phys_id, driver.position)
-    replay_drivers = [d for d in drivers if d.kind is AttackKind.REPLAY]
-    spoof_drivers = [d for d in drivers if d.kind is AttackKind.IDENTITY_SPOOF]
+    drivers = [_AttackDriver(spec, scenario, i, channel) for i, spec in enumerate(scenario.attacks)]
 
     movements_by_tick: dict[int, list] = {}
     for mv in scenario.movements:
@@ -431,6 +426,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
     counts_of = {spec.mac: counts[spec.label] for spec in scenario.nodes}
     for driver in drivers:
         counts.setdefault(driver.label, dict.fromkeys(_COUNT_KEYS, 0))
+    bft_sends: list[tuple[int, str, str]] = []  # (tick, sender label, subject label)
     trust_timeline: list[tuple[int, str, str, float]] = []
     trust_snapshot: dict[NodeId, dict[NodeId, float]] = {spec.mac: {} for spec in scenario.nodes}
     node_order = sorted(nodes)
@@ -443,11 +439,13 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
             payload_sent(tick, label, out.seq)
             counts[label]["payload_sent"] += 1
         elif cls is BftMessage:
+            subject = label_of(out.subject)
+            bft_sends.append((tick, label, subject))
             event(
                 TraceEvent(
                     tick, label, "send_bft",
                     {
-                        "subject": label_of(out.subject),
+                        "subject": subject,
                         "measured_rssi": round(out.measured_rssi.value, 6),
                         "ref_seq": out.ref_seq,
                     },
@@ -478,7 +476,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
     pending: list[tuple[NodeId, Message]] = []  # broadcasts queued for next tick
 
     for tick in range(scenario.duration):
-        # 1. movements and attack captures
+        # 1. movements
         for mv in movements_by_tick.get(tick, ()):
             mac = scenario.node(mv.node).mac
             channel.move(mac, mv.to)
@@ -486,23 +484,19 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
 
         # 2. collect this tick's broadcasts: payloads, queued actions, attacks
         broadcasts: list[tuple[NodeId, Message]] = []
-        for spec in scenario.nodes:
-            if tick % spec.payload_period != 0:
+        silenced = {d.victim.mac for d in drivers if d.silences(tick)}
+        for i, spec in enumerate(scenario.nodes):
+            if tick % spec.payload_period != 0 or spec.mac in silenced:
                 continue
-            if spoof_drivers and any(d.suppresses_payload_of(spec.label, tick) for d in spoof_drivers):
-                continue
-            msg = nodes[spec.mac].emit_payload(sensor_reading(index_of[spec.label], tick), tick)
+            msg = nodes[spec.mac].emit_payload(sensor_reading(i, tick), tick)
             record(tick, spec.label, msg)
             broadcasts.append((spec.mac, msg))
-            for d in replay_drivers:
-                if d.victim.mac == spec.mac:
-                    cap_at = d.capture_at if d.capture_at is not None else 0
-                    if tick <= cap_at or d.captured is None:
-                        d.captured = msg
+        for driver in drivers:
+            driver.overhear(broadcasts, tick)
         broadcasts.extend(pending)
         pending = []
         for driver in drivers:
-            injected = driver.emit(tick, index_of[driver.victim.label])
+            injected = driver.emit(tick)
             if injected is not None:
                 broadcasts.append((driver.phys_id, injected))
                 record(tick, driver.label, injected)
@@ -556,13 +550,13 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
         labels[mac]: dict(sorted((label_of(peer_id), value) for peer_id, value in snap.items()))
         for mac, snap in trust_snapshot.items()
     }
-    metrics = _build_metrics(scenario, sink.bft_events(), counts, trust_final, trust_timeline)
+    metrics = _build_metrics(scenario, bft_sends, counts, trust_final, trust_timeline)
     return sink.finish(metrics, {labels[mac]: nodes[mac] for mac in node_order})
 
 
 def _build_metrics(
     scenario: Scenario,
-    bft_sends: list[TraceEvent],
+    bft_sends: list[tuple[int, str, str]],
     counts: dict[str, dict[str, int]],
     trust_final: dict[str, dict[str, float]],
     trust_timeline: list[tuple[int, str, str, float]],
@@ -574,11 +568,11 @@ def _build_metrics(
                 continue
             first = next(
                 (
-                    e.tick
-                    for e in bft_sends
-                    if e.node == spec.label
-                    and e.details["subject"] == mv.node
-                    and mv.at < e.tick <= mv.at + MOVEMENT_SETTLE_WINDOW
+                    tick
+                    for tick, sender, subject in bft_sends
+                    if sender == spec.label
+                    and subject == mv.node
+                    and mv.at < tick <= mv.at + MOVEMENT_SETTLE_WINDOW
                 ),
                 None,
             )
@@ -601,7 +595,7 @@ def _build_metrics(
                 return True
         return False
 
-    static_fp = sum(1 for e in bft_sends if not in_disturbed_window(e.tick))
+    static_fp = sum(1 for tick, _, _ in bft_sends if not in_disturbed_window(tick))
 
     return RunMetrics(
         scenario=scenario.name,

@@ -13,20 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from hashlib import blake2b
-from struct import pack
 from typing import TYPE_CHECKING, Optional
 
+from .messages import RSSI_MAX, RSSI_MIN, Location, NodeId, PayloadMessage, cell_digest, quantize_location
 # perfbench/tracer.py wraps polsim.localization.location_key by name; the
-# verification below hashes each candidate cell itself and no longer calls it
-from .messages import (  # noqa: F401
-    Location,
-    NodeId,
-    PayloadMessage,
-    RSSI_MAX,
-    RSSI_MIN,
-    location_key,
-)
+# verification below calls cell_digest per candidate cell, not location_key
+from .messages import location_key  # noqa: F401
 from .topology import TopologyStore
 
 if TYPE_CHECKING:  # protocol imports this module
@@ -50,8 +42,10 @@ class PathLossModel:
     d0: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n <= 0 or self.d0 <= 0:
+        if not (self.n > 0 and self.d0 > 0):
             raise ValueError("need n > 0 and d0 > 0")
+        if not math.isfinite(self.p0):
+            raise ValueError("p0 must be finite")
 
 
 def rssi_value_from_distance(m: PathLossModel, d: float) -> float:
@@ -375,13 +369,13 @@ def _signed_within_slack(position: Location, msg: PayloadMessage, grid: float, s
     offsets = sorted(range(-slack_cells, slack_cells + 1), key=abs)  # exact cell first
     xs, ys, zs = (
         [round((e + d * grid) / grid) * grid for d in offsets]
-        for e in (round(c / grid) * grid for c in (position.x, position.y, position.z))
+        for e in quantize_location(position, grid)
     )
     payload = msg.payload
     signed = msg.signed_payload.digest
     for qx in xs:
         for qy in ys:
             for qz in zs:
-                if blake2b(payload, key=pack("<3d", qx, qy, qz), digest_size=32).digest() == signed:
+                if cell_digest(qx, qy, qz, payload) == signed:
                     return True
     return False

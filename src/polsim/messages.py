@@ -159,6 +159,11 @@ def quantize_location(loc: Location, grid: float) -> tuple[float, float, float]:
     return round(loc.x / grid) * grid, round(loc.y / grid) * grid, round(loc.z / grid) * grid
 
 
+def cell_digest(qx: float, qy: float, qz: float, payload: bytes) -> bytes:
+    """32-byte digest of `payload` keyed by the grid cell (qx, qy, qz)."""
+    return hashlib.blake2b(payload, key=struct.pack("<3d", qx, qy, qz), digest_size=32).digest()
+
+
 def location_key(loc: Location, payload: bytes, grid: float) -> LocationKey:
     """Keyed digest of `payload` with the quantized location as the key.
 
@@ -166,9 +171,7 @@ def location_key(loc: Location, payload: bytes, grid: float) -> LocationKey:
     bytes produce the same digest; anything else differs (up to digest
     collisions, negligible at 256 bits).
     """
-    qx, qy, qz = quantize_location(loc, grid)
-    key = struct.pack("<3d", qx, qy, qz)
-    return LocationKey(hashlib.blake2b(payload, key=key, digest_size=32).digest())
+    return LocationKey(cell_digest(*quantize_location(loc, grid), payload))
 
 
 @dataclass(frozen=True)

@@ -67,19 +67,19 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0, 1)")
-        if self.tau is not None and self.tau <= 0:
+        if self.tau is not None and not self.tau > 0:
             raise ValueError("tau must be positive when fixed")
         if self.tau is not None and self.tau >= 1 and not float(self.tau).is_integer():
             raise ValueError(f"tau must be a whole number when 1 or more, not {self.tau!r}")
         for name in ("trust_step", "consistency_tol", "pool_ttl", "bft_window",
                      "history_window", "location_grid", "anchor_freshness",
                      "residual_cap", "max_gdop"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("verify_slack_cells", "alert_cooldown", "moved_ttl"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.min_anchors < 4:
+        if not self.min_anchors >= 4:
             raise ValueError("min_anchors must be >= 4 (a 3-D solve needs four)")
 
 
@@ -548,7 +548,6 @@ class NodeState:
         if alert.alert_type == AlertType.MEASUREMENT:
             return [Ignore("measurement-alert", context=str(alert.sender))]
         if alert.alert_type == AlertType.SELF_DISTRUST:
-            self.store.ensure_peer(alert.sender)
             self.store.adjust_trust(alert.sender, -self.params.trust_step)
             return []
         # distrust alert from A accusing B of a lying BFT about A
@@ -577,18 +576,15 @@ class NodeState:
         accept = seen and a_consistent and not a_distrusted and b_doubt
         reject = (not seen) or a_distrusted or (a_smoothed is not None and not a_consistent)
         if accept:
-            self.store.ensure_peer(accused)
             self.store.adjust_trust(accused, -self.params.trust_step)
             return []
         if reject:
-            self.store.ensure_peer(accuser)
             self.store.adjust_trust(accuser, -self.params.trust_step)
             for participant in sorted(
                 self.store.recent_bft_senders(accuser, self.params.bft_window, now)
             ):
                 if participant == self.self_id:
                     continue
-                self.store.ensure_peer(participant)
                 self.store.adjust_trust(participant, self.params.trust_step)
             return []
         return [Ignore("alert-undecidable", context=f"{accuser} vs {accused}")]

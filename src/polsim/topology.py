@@ -19,10 +19,6 @@ class OrderingError(ValueError):
     """Sample rejected: not later than the newest sample on its link."""
 
 
-class UnknownPeerError(KeyError):
-    """Operation referenced a node the store has never heard of."""
-
-
 class Report(NamedTuple):
     """The newest report of one reporter about one subject, from a BFT message."""
 
@@ -87,10 +83,8 @@ class TopologyStore:
         return rec
 
     def adjust_trust(self, peer: NodeId, delta: float) -> TrustScore:
-        """Clamped trust update; raises UnknownPeerError for strangers."""
-        rec = self.peers.get(peer)
-        if rec is None:
-            raise UnknownPeerError(str(peer))
+        """Clamped trust update; a stranger first gets a record at full trust."""
+        rec = self.ensure_peer(peer)
         rec.trust = rec.trust.adjusted(delta)
         return rec.trust
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from polsim.filters import (
     _FILTERS,
+    FLAT_WINDOW,
     CascadeState,
     DynamicMovingAverageState,
     ExpSmoothingState,
@@ -308,7 +309,7 @@ def reference_bft_trigger(state: TriggerState, smoothed: float, now: int) -> boo
     flatness check was inlined; `bft_trigger` must match it step for step."""
 
     def locally_flat() -> bool:
-        if len(state.recent) < state.FLAT_WINDOW:
+        if len(state.recent) < FLAT_WINDOW:
             return False
         return max(state.recent) - min(state.recent) <= state.threshold / 3.0
 
@@ -316,7 +317,7 @@ def reference_bft_trigger(state: TriggerState, smoothed: float, now: int) -> boo
         state.samples += 1
         return False
     state.recent.append(smoothed)
-    if len(state.recent) > state.FLAT_WINDOW:
+    if len(state.recent) > FLAT_WINDOW:
         del state.recent[0]
     if state.last_reported is None:
         state.last_reported = smoothed

@@ -255,13 +255,6 @@ class TestCompactJson:
         assert len(file_sink.event_lines) == lines
         assert file_sink.tally["n1"]["store_trusted"] == before
 
-    @settings(max_examples=100)
-    @given(st.integers(), trace_text, trace_text, st.dictionaries(trace_text, trace_values, max_size=4))
-    def test_event_line_matches_json_dumps(self, tick, node, action, details):
-        event = TraceEvent(tick, node, action, details)
-        expected = json_reference({"tick": tick, "node": node, "action": action, "details": details})
-        assert event.to_json() == expected
-
 
 @pytest.fixture(scope="module")
 def file_sink(tmp_path_factory):

@@ -1,7 +1,9 @@
 """Core value types, location keys, and the wire codec."""
 
 import copy
+import hashlib
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from polsim.messages import (
     Rssi,
     SensorType,
     TrustScore,
+    cell_digest,
     decode_message,
     encode_message,
     location_key,
@@ -142,6 +145,19 @@ class TestLocationKey:
         base = Location(round(x / grid) * grid, round(y / grid) * grid, round(z / grid) * grid)
         nudged = Location(base.x + dx, base.y + dy, base.z + dz)
         assert location_key(base, b"p", grid) == location_key(nudged, b"p", grid)
+
+    @given(
+        st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50),
+        st.binary(max_size=16), st.sampled_from([0.1, 0.5, 1.0, 2.5]),
+    )
+    def test_is_the_cell_digest_of_the_quantized_location(self, x, y, z, payload, grid):
+        loc = Location(x, y, z)
+        cell = quantize_location(loc, grid)
+        assert location_key(loc, payload, grid).digest == cell_digest(*cell, payload)
+
+    def test_cell_digest_is_blake2b_keyed_by_the_cell(self):
+        want = hashlib.blake2b(b"p", key=struct.pack("<3d", 1.0, -0.5, 2.0), digest_size=32).digest()
+        assert cell_digest(1.0, -0.5, 2.0, b"p") == want
 
 
 node_ids = st.binary(min_size=6, max_size=6).map(NodeId)

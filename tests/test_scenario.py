@@ -10,6 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from polsim.channel import ChannelConfig
 from polsim.cli import main
+from polsim.filters import (
+    DynamicMovingAverageState,
+    GaussianState,
+    KalmanState,
+    MedianState,
+    MovingAverageState,
+    TriggerState,
+)
 from polsim.kinds import _schema
 from polsim.localization import PathLossModel
 from polsim.protocol import FilterParams, ProtocolParams
@@ -32,6 +40,35 @@ def minimal_doc() -> dict:
             {"id": "b", "mac": "02:00:00:00:00:02", "position": [1, 0, 0]},
         ],
     }
+
+
+# every bounded parameter, with the arguments its dataclass needs besides it
+_BOUNDED = [
+    *((ProtocolParams, name, {}) for name in (
+        "epsilon", "tau", "trust_step", "consistency_tol", "pool_ttl", "bft_window",
+        "history_window", "location_grid", "verify_slack_cells", "min_anchors",
+        "anchor_freshness", "residual_cap", "max_gdop", "alert_cooldown", "moved_ttl",
+    )),
+    *((ChannelConfig, name, {}) for name in ("noise_sigma", "asymmetry_jitter", "range")),
+    *((PathLossModel, name, {}) for name in ("p0", "n", "d0")),
+    *((TriggerState, name, {"threshold": 6.0, "cooldown": 30})
+      for name in ("threshold", "cooldown", "rebaseline_after", "warmup")),
+    *((FilterParams, name, {}) for name in ("trigger_threshold", "trigger_cooldown", "warmup")),
+    *((KalmanState, name, {}) for name in ("q", "r")),
+    (MedianState, "window", {}),
+    (MovingAverageState, "window", {}),
+    *((DynamicMovingAverageState, name, {}) for name in ("max_window", "threshold")),
+    *((GaussianState, name, {}) for name in ("sigma", "window")),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, args", _BOUNDED, ids=[f"{cls.__name__}.{name}" for cls, name, _ in _BOUNDED]
+)
+def test_nan_fails_every_bound(cls, name, args):
+    """NaN compares false with everything, so a bound written `x <= 0` would let it pass."""
+    with pytest.raises(ValueError):
+        cls(**{**args, name: math.nan})
 
 
 class TestValidation:

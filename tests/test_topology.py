@@ -9,7 +9,6 @@ from polsim.topology import (
     PeerRecord,
     Report,
     TopologyStore,
-    UnknownPeerError,
 )
 
 A = NodeId.from_str("02:00:00:00:00:01")
@@ -145,9 +144,16 @@ class TestAdjustTrust:
         store.adjust_trust(B, -0.3)
         assert store.adjust_trust(B, -0.3).value == 0.0
 
-    def test_unknown_peer(self):
-        with pytest.raises(UnknownPeerError):
-            make_store().adjust_trust(NodeId.from_str("ff:ff:ff:ff:ff:ff"), 0.1)
+    def test_unknown_peer_gets_a_record(self):
+        """A trust update on a stranger creates its record at 1.0 + delta, clamped."""
+        store = make_store()
+        lowered, raised = NodeId.from_str("ff:ff:ff:ff:ff:01"), NodeId.from_str("ff:ff:ff:ff:ff:02")
+        assert store.adjust_trust(lowered, -0.1).value == pytest.approx(0.9)
+        assert store.adjust_trust(raised, 0.1).value == 1.0
+        for stranger, want in ((lowered, 0.9), (raised, 1.0)):
+            rec = store.peer(stranger)
+            assert rec is not None and rec.location is None
+            assert rec.trust.value == pytest.approx(want)
 
 
 class TestCountRecentBft:

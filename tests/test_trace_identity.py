@@ -4,7 +4,8 @@ The SHA-256 of every trace file is read from `perfbench/references.json`, the
 one stored copy of the reference hashes, so a change that alters a single
 byte of `events.jsonl` or `rssi.csv` fails here as well as in the bench. The
 offline filter sweep over the fig7 trace is held to the bench's hashes too,
-and each built-in's `metrics.json` to a hash pinned in this file.
+and each built-in's `metrics.json` to a hash pinned in this file, as are the
+three files of four attack runs that the references do not cover.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import pytest
 from polsim.cli import main
 from polsim.filters import FILTER_NAMES
 from polsim.harness import run
-from polsim.scenario import BUILTIN_NAMES, builtin_scenario
+from polsim.scenario import BUILTIN_NAMES, Scenario, builtin_scenario
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 TICKS = 900
@@ -54,6 +55,62 @@ def test_builtin_metrics_match_pinned_hash(name, tmp_path):
     run(builtin_scenario(name, seed=1), out_dir=str(tmp_path))
     got = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
     assert got == METRICS_SHA256[name], f"{name} metrics.json differs from the pinned bytes"
+
+
+# Attack paths the built-ins leave unrun, each on static-honest at seed 1
+ATTACKS = {
+    "replay": {
+        "type": "replay", "at": 300,
+        "params": {"victim": "n2", "attacker_position": [4.0, 4.0, 0.0], "period": 10},
+    },
+    "replay-capture": {
+        "type": "replay", "at": 300,
+        "params": {"victim": "n2", "attacker_position": [4.0, 4.0, 0.0], "period": 10,
+                   "capture_at": 250, "count": 20},
+    },
+    "spoof-no-suppress": {
+        "type": "identity_spoof", "at": 400,
+        "params": {"victim": "n1", "attacker_position": [0.0, -5.0, -1.0], "period": 1,
+                   "suppress_victim": False, "until": 600},
+    },
+    "bft-period-1": {
+        "type": "malicious_bft", "at": 200,
+        "params": {"attacker": "n4", "victim": "n2", "fake_rssi": -90.0, "period": 1},
+    },
+}
+# SHA-256 of each file the attack runs write
+ATTACK_SHA256 = {
+    "replay": {
+        "events.jsonl": "f1d45f0f554e339971811a68b8a82f0dd13daff05593d540485897e0b6d3843b",
+        "rssi.csv": "6bf3ef676764a0c45fb8aa9fb2eddecd45c5f10bb2a5b32460b1c8eb0345b027",
+        "metrics.json": "adb417b4d74f0f2247632c05e14f68ad5989cc817b037c1c73573a7d150a3079",
+    },
+    "replay-capture": {
+        "events.jsonl": "4eb7eea9830472b0f638a6c0e7200434f5dff38349202de23cf1613f354bfad1",
+        "rssi.csv": "ba5d31626317d6fa74acd1cd864ef82ecf37dfc04067f2e8c6888dab2366ff40",
+        "metrics.json": "52947ae6acdcfcb63ab65acdfb88f5a669182b99f7facdd6c63d623aed719958",
+    },
+    "spoof-no-suppress": {
+        "events.jsonl": "339ee1bd9652fdc45d734a9d930d12d487993e2bd101a13654adc7939f13814c",
+        "rssi.csv": "e0c3fe1fdc56b5b74e7f1947df46459a03068e78960ec805c768147f5f3666e8",
+        "metrics.json": "8164a4687734b404dd71ebd2fc658215bb165bd092d4355b44a981e3895c92d1",
+    },
+    "bft-period-1": {
+        "events.jsonl": "4f0bfa264e1ac4a4110f0d048df63bc9bcbf0231721f100f973aee13274aa580",
+        "rssi.csv": "14e4467dd5cbdc01062624bbac540ecbbe325af01cda2192f1253b7761618847",
+        "metrics.json": "e6c491e264279af1ee1b55739e40c83d35329be3fe387d3a45799929636e269a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", ATTACKS)
+def test_attack_traces_match_pinned_hashes(name, tmp_path):
+    doc = builtin_scenario("static-honest", seed=1).to_dict()
+    doc["attacks"] = [ATTACKS[name]]
+    run(Scenario.from_dict(doc), out_dir=str(tmp_path))
+    for file_name, digest in ATTACK_SHA256[name].items():
+        got = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} {file_name} differs from the pinned bytes"
 
 
 def test_filter_sweep_matches_reference(references, tmp_path, capsys):
