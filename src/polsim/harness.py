@@ -36,7 +36,7 @@ from .messages import (
     location_key,
 )
 from .channel import RadioChannel
-from .protocol import Ignore, NodeState, StoreTrusted
+from .protocol import Expired, Ignore, NodeState, StoreTrusted
 from .scenario import AttackKind, AttackSpec, Scenario
 from .topology import PeerRecord
 
@@ -206,10 +206,11 @@ class _AttackDriver:
         return (tick - self.at) % self.period == 0
 
     def silences(self, tick: int) -> bool:
-        """Does this spoofer hold back its victim's own payload at `tick`?"""
+        """Does this spoofer hold back its victim's own payload at `tick`?
+        It does while it is under way, `at <= tick <= until`."""
         return (
             self.kind is AttackKind.IDENTITY_SPOOF
-            and tick >= self.at
+            and self.at <= tick <= self.until
             and self.params.get("suppress_victim", True)
         )
 
@@ -252,11 +253,11 @@ class _MemorySink:
     """Keeps every record for a RunResult that carries them.
 
     A sink takes records through one callable per record shape the run
-    makes in bulk, `ignore`, `payload_sent` and `row`, and through `event`
-    for the rare kinds; it is told when a tick ends, and `finish` turns
-    the run's metrics into its RunResult. Here `event` is a bound
-    `list.append`; the others build the `TraceEvent` or `RssiRow` of
-    their fields.
+    makes in bulk, `ignore`, `expired`, `payload_sent` and `row`, and
+    through `event` for the rare kinds; it is told when a tick ends, and
+    `finish` turns the run's metrics into its RunResult. Here `event` is a
+    bound `list.append`; the others build the `TraceEvent`s or `RssiRow` of
+    their fields, `expired` one `ignore` event per expired payload.
     """
 
     def __init__(self) -> None:
@@ -266,6 +267,12 @@ class _MemorySink:
 
     def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
         self.events.append(TraceEvent(tick, node, "ignore", {"reason": reason, "context": context}))
+
+    def expired(self, tick: int, node: str, messages: tuple[PayloadMessage, ...]) -> None:
+        self.events.extend([
+            TraceEvent(tick, node, "ignore", {"reason": "expired", "context": f"{m.sender}#{m.seq}"})
+            for m in messages
+        ])
 
     def payload_sent(self, tick: int, node: str, seq: int) -> None:
         self.events.append(TraceEvent(tick, node, "send_payload", {"seq": seq}))
@@ -290,11 +297,12 @@ class _FileSink:
 
     Each record is encoded into its line when it comes: `ignore`,
     `payload_sent` and `row` fill one template each, the exact encoding
-    `TraceEvent.to_json` and `RssiRow.to_csv` give their fields, and
-    `event` encodes a `TraceEvent` through `to_json`. The lines are held
-    as plain strings, which the cyclic GC does not track, and written when
-    a tick ends with a full buffer, so the run holds at most about one
-    chunk of lines. Of what it encodes it keeps only the per-(node, action)
+    `TraceEvent.to_json` and `RssiRow.to_csv` give their fields; `expired`
+    fills one template per payload, the line `ignore` writes for that
+    payload's `expired` record; and `event` encodes a `TraceEvent` through
+    `to_json`. The lines are held as plain strings, which the cyclic GC
+    does not track, and written when a tick ends with a full buffer, so
+    the run holds at most about one chunk of lines. Of what it encodes it keeps only the per-(node, action)
     tally for the count check.
     `write_metrics` writes the rest, closes both files, checks the tally
     and writes metrics.json last: a run that raises leaves no metrics.json.
@@ -341,6 +349,18 @@ class _FileSink:
             f'"node":{node_json},"tick":{tick!r}}}\n'
         )
         self.tally[node]["ignore"] += 1
+
+    def expired(self, tick: int, node: str, messages: tuple[PayloadMessage, ...]) -> None:
+        node_json = self._escaped.get(node)
+        if node_json is None:
+            node_json = self._escaped[node] = _escape(node)
+        # the context `sender#seq` (str(NodeId) without a Python-level
+        # __str__ call) is hex digits, colons, '#' and digits: nothing to escape
+        tail = f'","reason":"expired"}},"node":{node_json},"tick":{tick!r}}}\n'
+        self.event_lines.extend([
+            f'{{"action":"ignore","details":{{"context":"{m.sender.hex(":")}#{m.seq}{tail}' for m in messages
+        ])
+        self.tally[node]["ignore"] += len(messages)
 
     def payload_sent(self, tick: int, node: str, seq: int) -> None:
         self.event_lines.append(
@@ -421,7 +441,9 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
     for mv in scenario.movements:
         movements_by_tick.setdefault(mv.at, []).append(mv)
 
-    event, ignore, payload_sent, row = sink.event, sink.ignore, sink.payload_sent, sink.row
+    event, ignore, expired, payload_sent, row = (
+        sink.event, sink.ignore, sink.expired, sink.payload_sent, sink.row
+    )
     counts = {spec.label: dict.fromkeys(_COUNT_KEYS, 0) for spec in scenario.nodes}
     counts_of = {spec.mac: counts[spec.label] for spec in scenario.nodes}
     for driver in drivers:
@@ -433,7 +455,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
 
     def record(tick: int, label: str, out: Message | StoreTrusted) -> None:
         """Write the trace record and counter of one node or attacker output
-        (Ignore, the bulk of a round's outputs, goes to `ignore` directly)."""
+        (a round's Expired and Ignore go to their sink callables directly)."""
         cls = type(out)
         if cls is PayloadMessage:
             payload_sent(tick, label, out.seq)
@@ -518,8 +540,12 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
             inbox = inboxes[mac]
             node_counts = counts[node_label]
             for out in state.tick(inbox, now=tick):
-                # most outputs are Ignore("expired"), so it is tested first
+                # a round that expires payloads returns one Expired, and most do
                 cls = type(out)
+                if cls is Expired:
+                    expired(tick, node_label, out.messages)
+                    node_counts["ignored"] += len(out.messages)
+                    continue
                 if cls is Ignore:
                     ignore(tick, node_label, out.reason, out.context)
                     node_counts["ignored"] += 1
@@ -536,10 +562,14 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                         sender_label = str(sender)
                     row(tick, node_label, sender_label, rssi.value, smoothed_rssi(sender))
 
-        # 5. trust timeline
+        # 5. trust timeline, read from the stores whose trust changed
         for mac in node_order:
+            store = nodes[mac].store
+            if not store.trust_changed:
+                continue
+            store.trust_changed = False
             snap = trust_snapshot[mac]
-            for peer_id, rec in nodes[mac].store.peers.items():
+            for peer_id, rec in store.peers.items():
                 value = rec.trust.value
                 if snap.get(peer_id) != value:
                     snap[peer_id] = value

@@ -110,8 +110,8 @@ class FilterParams:
 
 
 # -- actions -----------------------------------------------------------------
-# A message in a round's output is broadcast next tick; StoreTrusted and
-# Ignore are local outcomes.
+# A message in a round's output is broadcast next tick; StoreTrusted,
+# Ignore and Expired are local outcomes.
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,14 @@ class Ignore:
     context: str = ""
 
 
-Action = Union[BftMessage, AlertMessage, StoreTrusted, Ignore]
+@dataclass(frozen=True)
+class Expired:
+    """The pooled payloads a round dropped unvalidated, in expiry order."""
+
+    messages: tuple[PayloadMessage, ...]
+
+
+Action = Union[BftMessage, AlertMessage, StoreTrusted, Ignore, Expired]
 
 
 # -- self-defense decision table ----------------------------------------------
@@ -158,7 +165,6 @@ class _LinkPipeline:
 
     smooth: Callable[[float], float]
     trigger: TriggerState
-    pending: bool = False  # trigger fired at trigger.last_fire, BFT not yet sent
     # one contradiction-driven BFT allowed per deviation episode; replenished
     # by the next trigger fire so a standing disagreement is announced once
     contradiction_budget: int = 1
@@ -222,12 +228,12 @@ class MessagePool:
         self._by_sender[sender].append(_PoolEntry(msg, received_at))
         return True
 
-    def expire(self, now: int) -> list[_PoolEntry]:
-        """Remove and return entries older than the TTL."""
-        expired: list[_PoolEntry] = []
+    def expire(self, now: int) -> list[PayloadMessage]:
+        """Remove the entries older than the TTL and return their messages."""
+        expired: list[PayloadMessage] = []
         for dq in self._by_sender.values():
             while dq and now - dq[0].received_at > self.ttl:
-                expired.append(dq.popleft())
+                expired.append(dq.popleft().message)
         return expired
 
     def senders(self) -> list[NodeId]:
@@ -272,6 +278,8 @@ class NodeState:
         self.pool = MessagePool(params.pool_ttl)
         self.moved_until: Optional[int] = None
         self._pipelines: dict[NodeId, _LinkPipeline] = {}
+        # links whose trigger fired at trigger.last_fire, BFT not yet sent
+        self._pending: set[NodeId] = set()
         self._seq = 0
         self._alert_last: dict[tuple[AlertType, NodeId], int] = {}
 
@@ -297,7 +305,7 @@ class NodeState:
         smoothed = pipe.smooth(value)
         self.store.update_smoothed(peer, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
-            pipe.pending = True
+            self._pending.add(peer)
         return smoothed
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
@@ -316,7 +324,7 @@ class NodeState:
             self.store.clear_smoothed()
             for pipe in self._pipelines.values():
                 pipe.smooth, pipe.trigger = self.filter_params.link_state()
-                pipe.pending = False
+            self._pending.clear()
 
     def moved_flag(self, now: int) -> bool:
         return self.moved_until is not None and now <= self.moved_until
@@ -373,31 +381,27 @@ class NodeState:
     def validate_pool(self, now: int) -> list[Action]:
         """Validate pooled payloads against RSSI-derived sender positions.
 
-        A verified sender's pooled payloads become StoreTrusted actions. A
-        sender whose deviation trigger fired causes one BFT message; a
-        confidently contradicted location key causes at most one more until
-        the next trigger episode, so a standing disagreement is announced but
-        never spammed.
+        Payloads that waited past the TTL leave the pool first, as one
+        Expired action. A verified sender's pooled payloads become
+        StoreTrusted actions. A sender whose deviation trigger fired causes
+        one BFT message; a confidently contradicted location key causes at
+        most one more until the next trigger episode, so a standing
+        disagreement is announced but never spammed.
         """
-        actions: list[Action] = []
         pool = self.pool
-        for entry in pool.expire(now):
-            # str(NodeId), without a Python-level __str__ call per entry
-            actions.append(
-                Ignore("expired", f"{entry.message.sender.hex(':')}#{entry.message.seq}")
-            )
+        expired = pool.expire(now)
+        actions: list[Action] = [Expired(tuple(expired))] if expired else []
         store = self.store
-        pipelines = self._pipelines
         params = self.params
         # with fewer reporters the own anchor plus one per reporter cannot
         # reach the min_anchors - 1 of even the planar fallback: the verdict
         # is INSUFFICIENT_DATA, and without a pending trigger that is no action
         reported = store.subjects_reported_by(params.min_anchors - 2)
-        live = set(reported)
-        for sender, pipe in pipelines.items():
-            if pipe.pending:
-                live.add(sender)
-        for sender in sorted(live):
+        pending = self._pending
+        if not reported and not pending:
+            return actions
+        pipelines = self._pipelines
+        for sender in sorted(reported | pending):
             newest = pool.newest(sender)
             if newest is None:
                 continue
@@ -414,11 +418,11 @@ class NodeState:
             pipe = pipelines.get(sender)
             if pipe is None:
                 continue
-            if pipe.pending and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
-                pipe.pending = False
+            if sender in pending and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
+                pending.discard(sender)
             # a trigger fires on a sample, so a pending link has a smoothed
             # value; a contradiction alone does not guarantee one
-            if pipe.pending:
+            if sender in pending:
                 actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
                 pipe.contradiction_budget = 1
             elif (
@@ -444,7 +448,7 @@ class NodeState:
             timestamp=now,
         )
         pipe.trigger.note_report(smoothed, now)
-        pipe.pending = False
+        self._pending.discard(subject)
         # own dissent counts toward the local picture as well
         self.store.register_bft(self.self_id, subject, now, now)
         return msg

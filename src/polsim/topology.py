@@ -56,21 +56,27 @@ class TopologyStore:
     """
 
     def __init__(self, self_id: NodeId, capacity: int):
-        if capacity < 1:
+        if not capacity >= 1:
             raise ValueError("history capacity must be >= 1")
         self.self_id = self_id
         self.capacity = capacity
         self.peers: dict[NodeId, PeerRecord] = {}
+        # raised when a peer record is added or its trust adjusted; a reader
+        # of the trust values lowers it once it has read them
+        self.trust_changed = False
         self._links: dict[NodeId, list[tuple[int, float]]] = {}
         self._smoothed: dict[NodeId, tuple[int, float]] = {}
         self._bft_log: list[BftObservation] = []
         # newest report per (subject, reporter), for anchor gathering
         self._reported: dict[NodeId, dict[NodeId, Report]] = {}
+        # subjects_reported_by's result per min_reporters, kept current
+        self._reported_by: dict[int, set[NodeId]] = {}
 
     # -- peers ----------------------------------------------------------
 
     def add_peer(self, record: PeerRecord) -> None:
         self.peers[record.id] = record
+        self.trust_changed = True
 
     def peer(self, node: NodeId) -> Optional[PeerRecord]:
         return self.peers.get(node)
@@ -80,12 +86,14 @@ class TopologyStore:
         if rec is None:
             rec = PeerRecord(id=node)
             self.peers[node] = rec
+            self.trust_changed = True
         return rec
 
     def adjust_trust(self, peer: NodeId, delta: float) -> TrustScore:
         """Clamped trust update; a stranger first gets a record at full trust."""
         rec = self.ensure_peer(peer)
         rec.trust = rec.trust.adjusted(delta)
+        self.trust_changed = True
         return rec.trust
 
     # -- own-link histories -----------------------------------------------
@@ -118,7 +126,7 @@ class TopologyStore:
         """Is `candidate` within `tol` dB of the (lower) median of the link's
         history? An empty history cannot contradict anything, so it returns
         True."""
-        if tol < 0:
+        if not tol >= 0:
             raise ValueError("tol must be >= 0")
         history = self._links.get(peer)
         if history is None:
@@ -135,7 +143,14 @@ class TopologyStore:
         is from tick `t` or later: the first report per tick wins."""
         reports = self._reported.setdefault(subject, {})
         newest = reports.get(reporter)
-        if newest is None or newest.timestamp < t:
+        if newest is None:
+            reports[reporter] = Report(t, value, reporter_location)
+            # the subject gained a reporter: the one change of its count
+            reporters = len(reports)
+            for min_reporters, subjects in self._reported_by.items():
+                if reporters >= min_reporters:
+                    subjects.add(subject)
+        elif newest.timestamp < t:
             reports[reporter] = Report(t, value, reporter_location)
 
     def latest_reports_of(self, subject: NodeId) -> dict[NodeId, Report]:
@@ -143,8 +158,17 @@ class TopologyStore:
         return self._reported.get(subject, {})
 
     def subjects_reported_by(self, min_reporters: int) -> set[NodeId]:
-        """Subjects with a report from at least `min_reporters` reporters."""
-        return {s for s, reports in self._reported.items() if len(reports) >= min_reporters}
+        """Subjects with a report from at least `min_reporters` reporters.
+
+        The set is built on the first call per bound and kept current by
+        `record_report` from then on; the caller must not change it.
+        """
+        subjects = self._reported_by.get(min_reporters)
+        if subjects is None:
+            subjects = self._reported_by[min_reporters] = {
+                s for s, reports in self._reported.items() if len(reports) >= min_reporters
+            }
+        return subjects
 
     # -- smoothed values of the owning node's own links --------------------
     # The node's only copy of them: NodeState writes one per counted sample
@@ -167,7 +191,7 @@ class TopologyStore:
 
     def recent_bft_senders(self, subject: NodeId, window: int, now: int) -> set[NodeId]:
         """Distinct senders that questioned `subject` within (now-window, now]."""
-        if window <= 0:
+        if not window > 0:
             raise ValueError("window must be positive")
         return {
             obs.sender

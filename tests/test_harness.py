@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import polsim.harness
 from polsim.harness import RSSI_HEADER, RssiRow, TraceEvent, run, sensor_reading, write_traces
+from polsim.messages import NodeId, PayloadMessage, SensorType
 from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, builtin_scenario
 
@@ -274,6 +275,39 @@ class TestLineTemplates:
         assert file_sink.event_lines.pop() == event.to_json() + "\n"
 
     @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**32),
+        trace_text | st.sampled_from(['n"1', "n\\1", "n\u00e91", "\U0001f600"]),
+        st.lists(st.tuples(st.binary(min_size=6, max_size=6), st.integers(0, 2**32)), max_size=5),
+    )
+    def test_expired_lines(self, file_sink, tick, node, expired):
+        """`expired` writes and tallies what one `ignore(..., "expired", "sender#seq")` per payload does."""
+        messages = tuple(
+            PayloadMessage(NodeId(sender), seq, SensorType.GENERIC, b"", b"\0" * 16, tick)
+            for sender, seq in expired
+        )
+        lines = file_sink.event_lines
+        start, before = len(lines), file_sink.tally[node]["ignore"]
+        for m in messages:
+            file_sink.ignore(tick, node, "expired", f"{m.sender}#{m.seq}")
+        want = lines[start:]
+        del lines[start:]
+        file_sink.expired(tick, node, messages)
+        assert lines[start:] == want
+        del lines[start:]
+        assert file_sink.tally[node]["ignore"] == before + 2 * len(messages)
+
+        bulk, single = polsim.harness._MemorySink(), polsim.harness._MemorySink()
+        bulk.expired(tick, node, messages)
+        for m in messages:
+            single.ignore(tick, node, "expired", f"{m.sender}#{m.seq}")
+        assert bulk.events == single.events
+        tallies = [{}, {}]
+        for sink, tally in zip((bulk, single), tallies):
+            polsim.harness._tally(sink.events, tally)
+        assert tallies[0] == tallies[1]
+
+    @settings(max_examples=200)
     @given(st.integers(), trace_text, st.integers())
     def test_payload_sent_line(self, file_sink, tick, node, seq):
         file_sink.payload_sent(tick, node, seq)
@@ -350,6 +384,19 @@ class TestSpoofScenario:
             if e.details["subject"] == "n1" and 400 < e.tick <= 520
         }
         assert len(emitters) >= 3
+
+    def test_victim_sends_again_after_until(self):
+        doc = builtin_scenario("static-honest", seed=1).to_dict()
+        doc["attacks"] = [{
+            "type": "identity_spoof", "at": 400,
+            "params": {"victim": "n1", "attacker_position": [0.0, -5.0, -1.0], "until": 600},
+        }]
+        res = run(Scenario.from_dict(doc), collect_rssi=False)
+        ticks = [e.tick for e in res.events if e.action == "send_payload" and e.node == "n1"]
+        assert [t for t in ticks if 400 <= t <= 600] == []
+        assert max(t for t in ticks if t < 400) == 399
+        assert min(t for t in ticks if t > 600) == 601
+        assert res.metrics.counts["attacker0"]["payload_sent"] == 201
 
     def test_spoofed_rows_appear_under_victim_identity(self):
         res = run(builtin_scenario("spoof-attack", seed=42), collect_rssi=True)

@@ -33,6 +33,7 @@ from polsim.protocol import (
     IGNORE,
     SELF_DEFENSE_TABLE,
     SELF_DISTRUST,
+    Expired,
     FilterParams,
     Ignore,
     MessagePool,
@@ -50,9 +51,9 @@ OTHER = NodeId.from_str("02:00:00:00:00:03")
 EXTRAS = [NodeId.from_str(f"02:00:00:00:00:0{i}") for i in (4, 5, 6)]
 
 
-def make_node(**kwargs) -> NodeState:
+def make_node(node_class=NodeState, **kwargs) -> NodeState:
     params = kwargs.pop("params", ProtocolParams(tau=2))
-    node = NodeState(
+    node = node_class(
         self_id=ME,
         self_location=Location(0.0, 0.0, 0.0),
         sensor_type=SensorType.TEMPERATURE,
@@ -244,9 +245,11 @@ class TestValidatePool:
 
     def test_expiry_produces_ignores(self):
         node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
-        node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9), Rssi(-52.0), 10)
+        msg = payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9)
+        node.receive_payload(msg, Rssi(-52.0), 10)
         actions = node.validate_pool(16)
-        assert [a.reason for a in actions if isinstance(a, Ignore)] == ["expired"]
+        assert actions == [Expired((msg,))]
+        assert [f"{m.sender}#{m.seq}" for m in actions[0].messages] == [f"{PEER}#1"]
         assert len(node.pool) == 0
 
     def test_insufficient_data_plus_trigger_sends_bft(self):
@@ -287,11 +290,16 @@ class TestValidatePool:
             verdict = locate_and_verify(PEER, node.store, newest, MODEL, node.self_location, t, node.params)
             assert verdict is VerifyOutcome.INSUFFICIENT_DATA
             actions += [(t, action) for action in node.validate_pool(t)]
-        # the actions the node took before validate_pool skipped the call
-        expected = [(t, Ignore("expired", context=f"{PEER}#{t - 5}")) for t in range(6, 30)]
+        # the actions the node took before validate_pool skipped the call,
+        # each expired payload as its `sender#seq`
+        got = [
+            (t, [f"{m.sender}#{m.seq}" for m in a.messages] if isinstance(a, Expired) else a)
+            for t, a in actions
+        ]
+        expected = [(t, [f"{PEER}#{t - 5}"]) for t in range(6, 30)]
         bft = BftMessage(ME, node.self_location, PEER, Rssi(-58.480527897555184), 22, 21)
-        expected.insert(expected.index((21, Ignore("expired", context=f"{PEER}#16"))) + 1, (21, bft))
-        assert actions == expected
+        expected.insert(expected.index((21, [f"{PEER}#16"])) + 1, (21, bft))
+        assert got == expected
 
     def test_sender_at_the_reporter_bound_is_verified(self, monkeypatch):
         # min_anchors - 2 reporters plus the own anchor reach the planar
@@ -350,7 +358,7 @@ class TestValidatePool:
         # OTHER's link level jumps by 15 dB: its trigger fires, no reports exist
         for t in range(30):
             node.ingest_sample(OTHER, Rssi(-52.0 if t < 12 else -67.0), t)
-            if node._pipelines[OTHER].pending:
+            if OTHER in node._pending:
                 break
         else:
             raise AssertionError("the trigger did not fire")
@@ -465,8 +473,164 @@ class TestOwnLinkAppendPath:
             assert (pipe is None) == (ref_smooth is None)
             if pipe is not None:
                 assert pipe.trigger == ref_trigger
-                assert pipe.pending == (ref_pending is not None)
+                assert (PEER in node._pending) == (ref_pending is not None)
                 assert ref_pending is None or pipe.trigger.last_fire == ref_pending
+
+
+class FlagReference(NodeState):
+    """The node as it kept one pending flag per link pipeline and rebuilt its
+    live senders from the reports and those flags every round, with one
+    Ignore per expired payload."""
+
+    SUBJECTS = (PEER, OTHER, *EXTRAS)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flags: dict[NodeId, bool] = {}
+
+    def pending_flags(self) -> set[NodeId]:
+        return {sender for sender, flag in self.flags.items() if flag}
+
+    def ingest_sample(self, peer, rssi, now):
+        value = rssi.value
+        try:
+            self.store.record_rssi(peer, now, value)
+        except ValueError:
+            return self.smoothed_rssi(peer)
+        pipe = self._pipelines.get(peer)
+        if pipe is None:
+            self.store.ensure_peer(peer)
+            pipe = protocol._LinkPipeline(*self.filter_params.link_state())
+            self._pipelines[peer] = pipe
+        smoothed = pipe.smooth(value)
+        self.store.update_smoothed(peer, now, smoothed)
+        if bft_trigger(pipe.trigger, smoothed, now):
+            self.flags[peer] = True
+        return smoothed
+
+    def on_moved(self, to, now, announce):
+        super().on_moved(to, now, announce)
+        if announce:
+            self.flags = dict.fromkeys(self.flags, False)
+
+    def _emit_bft(self, subject, pipe, now, ref_seq):
+        self.flags[subject] = False
+        return super()._emit_bft(subject, pipe, now, ref_seq)
+
+    def validate_pool(self, now):
+        actions = [Ignore("expired", f"{m.sender}#{m.seq}") for m in self.pool.expire(now)]
+        store, pipelines, params = self.store, self._pipelines, self.params
+        reported = {
+            s for s in self.SUBJECTS if len(store.latest_reports_of(s)) >= params.min_anchors - 2
+        }
+        for sender in sorted(reported | self.pending_flags()):
+            newest = self.pool.newest(sender)
+            if newest is None:
+                continue
+            verdict = VerifyOutcome.INSUFFICIENT_DATA
+            if sender in reported:
+                verdict = protocol.locate_and_verify(
+                    sender, store, newest.message, self.model, self.self_location, now, params
+                )
+            if verdict is VerifyOutcome.VERIFIED:
+                actions += [StoreTrusted(entry.message) for entry in self.pool.clear_sender(sender)]
+                continue
+            pipe = pipelines.get(sender)
+            if pipe is None:
+                continue
+            if self.flags.get(sender) and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
+                self.flags[sender] = False
+            if self.flags.get(sender):
+                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
+                pipe.contradiction_budget = 1
+            elif (
+                verdict is VerifyOutcome.CONTRADICTED
+                and pipe.contradiction_budget > 0
+                and pipe.trigger.cooldown_over(now)
+                and store.latest_smoothed(sender) is not None
+            ):
+                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
+                pipe.contradiction_budget -= 1
+        return actions
+
+
+class TestKeptCurrentSets:
+    """The pending set and the reported subjects a node keeps current give
+    what the per-pipeline flags and the per-round rebuild gave."""
+
+    SENDERS = FlagReference.SUBJECTS
+    PLACES = {
+        PEER: Location(4.0, 0.0, 0.0),
+        OTHER: Location(0.0, 4.0, 0.0),
+        EXTRAS[0]: Location(0.0, 0.0, 4.0),
+        EXTRAS[1]: Location(2.0, 2.0, 0.0),
+        EXTRAS[2]: Location(-3.0, 1.0, 0.0),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["payload", "payload", "bft", "bft", "validate", "validate", "move"]),
+                st.integers(0, 2),   # ticks before the step
+                st.integers(0, 4),   # sender, reporter
+                st.integers(0, 5),   # payload age or displacement, BFT subject (5: the node)
+                st.sampled_from([0.0, 0.0, 0.0, -12.0]),  # dB off the true level
+            ),
+            min_size=20,
+            max_size=60,
+        )
+    )
+    def test_matches_per_pipeline_flags(self, ops):
+        params = ProtocolParams(tau=2, pool_ttl=4)
+        filter_params = FilterParams(
+            warmup=1, trigger_threshold=6.0, trigger_cooldown=2,
+            smoother="exp_smoothing", smoother_params={"alpha": 0.7},
+        )
+        node = make_node(params=params, filter_params=filter_params)
+        ref = make_node(FlagReference, params=params, filter_params=filter_params)
+        here = node.self_location
+
+        def level(a: Location, b: Location, off: float) -> Rssi:
+            return Rssi(rssi_value_from_distance(MODEL, a.distance_to(b)) + off)
+
+        now, seqs = 0, dict.fromkeys(self.SENDERS, 0)
+        for kind, dt, who, other, off in ops:
+            now += dt
+            sender = self.SENDERS[who]
+            place = self.PLACES[sender]
+            if kind == "payload":
+                seqs[sender] += 1
+                claimed = Location(place.x, place.y + 2.0 * (other % 2), place.z)
+                msg = payload_from(sender, seqs[sender], claimed, now - other)
+                rssi = level(here, place, off)
+                got, want = (n.receive_payload(msg, rssi, now) for n in (node, ref))
+            elif kind == "bft":
+                subject = (*self.SENDERS, ME)[other]
+                if subject == sender:  # a BFT message names another node
+                    subject = ME
+                measured = level(place, self.PLACES.get(subject, here), off)
+                msg = BftMessage(sender, place, subject, measured, None, now)
+                got, want = (n.receive_bft(msg, level(here, place, 0.0), now) for n in (node, ref))
+            elif kind == "validate":
+                got = []
+                for action in node.validate_pool(now):
+                    if isinstance(action, Expired):
+                        got += [Ignore("expired", f"{m.sender}#{m.seq}") for m in action.messages]
+                    else:
+                        got.append(action)
+                want = ref.validate_pool(now)
+            else:
+                here = Location(0.5 * who, 0.0, 0.0)
+                for n in (node, ref):
+                    n.on_moved(here, now, announce=True)
+                got = want = None
+            assert got == want
+            assert node._pending == ref.pending_flags()
+            for bound in (1, 2, 3):
+                assert node.store.subjects_reported_by(bound) == {
+                    s for s in self.SENDERS if len(node.store.latest_reports_of(s)) >= bound
+                }
 
 
 class TestReceiveBft:
@@ -704,7 +868,7 @@ class TestTick:
         node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 0), Rssi(-50.0), 1)
         assert node.tick([], now=3) == []
         actions = node.tick([], now=50)
-        assert [a.reason for a in actions if isinstance(a, Ignore)] == ["expired"]
+        assert [[f"{m.sender}#{m.seq}" for m in a.messages] for a in actions] == [[f"{PEER}#1"]]
 
 
 class TestConfigurableSmoother:

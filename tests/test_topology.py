@@ -1,5 +1,7 @@
 """Topology store: histories, trust, dissent counting."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +74,25 @@ class TestRecordReport:
         store.record_report(B, C, 6, -50.0, HERE)
         assert store.latest_reports_of(C) == {B: Report(7, -45.0, HERE)}
 
+    @settings(max_examples=200)
+    @given(
+        bounds=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        reports=st.lists(
+            st.tuples(st.sampled_from([A, B, C, D]), st.sampled_from([B, C, D]), st.integers(0, 5)),
+            max_size=30,
+        ),
+    )
+    def test_subjects_reported_by_kept_current(self, bounds, reports):
+        """The kept set equals the comprehension after every report, for bounds asked before and after."""
+        store = make_store()
+        for bound in bounds:
+            store.subjects_reported_by(bound)
+        for reporter, subject, t in reports:
+            store.record_report(reporter, subject, t, -50.0, HERE)
+            for bound in (*bounds, 2):
+                want = {s for s in (B, C, D) if len(store.latest_reports_of(s)) >= bound}
+                assert store.subjects_reported_by(bound) == want
+
     def test_reporters_and_subjects_kept_apart(self):
         store = make_store()
         store.record_report(B, C, 5, -40.0, HERE)
@@ -125,6 +146,24 @@ class TestHistoryConsistent:
             make_store(capacity=3).history_consistent(B, Rssi(-40.0), -1.0)
 
 
+class TestBounds:
+    """Each bound rejects NaN, which a written-out `<` or `<=` comparison lets through."""
+
+    @pytest.mark.parametrize("capacity", [0, -1, math.nan])
+    def test_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            TopologyStore(A, capacity=capacity)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            make_store(capacity=3).history_consistent(B, Rssi(-40.0), math.nan)
+
+    @pytest.mark.parametrize("window", [0, -1, math.nan])
+    def test_bft_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            make_store().recent_bft_senders(B, window, 10)
+
+
 class TestAdjustTrust:
     def test_basic_step(self):
         store = make_store()
@@ -143,6 +182,20 @@ class TestAdjustTrust:
         store.peers[B].trust = TrustScore(0.0)
         store.adjust_trust(B, -0.3)
         assert store.adjust_trust(B, -0.3).value == 0.0
+
+    def test_trust_changed_raised_by_every_record_write(self):
+        store = TopologyStore(A, capacity=4)
+        assert not store.trust_changed
+        store.add_peer(PeerRecord(id=B))
+        assert store.trust_changed
+        store.trust_changed = False
+        store.ensure_peer(B)  # the record exists: nothing changed
+        assert not store.trust_changed
+        store.ensure_peer(C)
+        assert store.trust_changed
+        store.trust_changed = False
+        store.adjust_trust(B, -0.1)
+        assert store.trust_changed
 
     def test_unknown_peer_gets_a_record(self):
         """A trust update on a stranger creates its record at 1.0 + delta, clamped."""

@@ -4,8 +4,10 @@ The SHA-256 of every trace file is read from `perfbench/references.json`, the
 one stored copy of the reference hashes, so a change that alters a single
 byte of `events.jsonl` or `rssi.csv` fails here as well as in the bench. The
 offline filter sweep over the fig7 trace is held to the bench's hashes too,
-and each built-in's `metrics.json` to a hash pinned in this file, as are the
-three files of four attack runs that the references do not cover.
+and each built-in's `metrics.json` at seeds 1-3 to a hash pinned in this
+file, as are the three files of four attack runs that the references do not
+cover. The trust timeline, which only `metrics.json` holds, is also checked
+against a reference that reads every node's trust after every round.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import pytest
 from polsim.cli import main
 from polsim.filters import FILTER_NAMES
 from polsim.harness import run
+from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, Scenario, builtin_scenario
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
@@ -40,21 +43,39 @@ def test_builtin_traces_match_reference(name, references, tmp_path):
         assert got == digest, f"{name} {file_name} differs from the reference trace"
 
 
-# SHA-256 of metrics.json of each built-in at seed 1; the bench's references
+# SHA-256 of metrics.json of each built-in per seed; the bench's references
 # hold no metrics.json, so its bytes are pinned here
 METRICS_SHA256 = {
-    "paper-fig7": "16399e9f5966c025da2ff61116f130054cf7af5fe06496608db095789426cef0",
-    "static-honest": "b8fd13595dfbdf27addd6ea457e55ba8cf012b9c265cec9bbf54e25292c3b8c4",
-    "spoof-attack": "f575918f4266178cc619d89c3b55a50917ee3684db712739ef7687763f7bc5da",
-    "malicious-bft": "56e48f372e4c19b700a1001929577a10561a3187835e690c4fc9a6a8eb6c0028",
+    "paper-fig7": {
+        1: "16399e9f5966c025da2ff61116f130054cf7af5fe06496608db095789426cef0",
+        2: "5dd487be8147e3eddde00f8071b00f8671f56e19f17c6e93b39b2606eb265268",
+        3: "db90429d088194ecf945e240f4b0c439eb0b14b4b66c0c562b752f692e88b0f6",
+    },
+    "static-honest": {
+        1: "b8fd13595dfbdf27addd6ea457e55ba8cf012b9c265cec9bbf54e25292c3b8c4",
+        2: "7b3641e016f1e705d769ec68eaacc8e7027062fcdced4e95b30233ef68dcd88a",
+        3: "447821d4e7ce56c37cc80456308cd992bbdd786d619ce89d0484f0a862fd28ca",
+    },
+    "spoof-attack": {
+        1: "f575918f4266178cc619d89c3b55a50917ee3684db712739ef7687763f7bc5da",
+        2: "584887633a6a77778403d85c2edb4ef1d1648ab102f665dac7dc46b9da107a81",
+        3: "9027306dc406de03ed34ffcb302bcc0b0cd030e85b1bbfd2c911f21adbd6d772",
+    },
+    "malicious-bft": {
+        1: "56e48f372e4c19b700a1001929577a10561a3187835e690c4fc9a6a8eb6c0028",
+        2: "5151eb6febc04a70637fbc3bbbf75910d8c472eeb3d10d73500b4f60367efc22",
+        3: "f915e0b82a8f63a81829dabfbb121d7f1d8a827412de33bebb1005cbfc494512",
+    },
 }
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_metrics_match_pinned_hash(name, tmp_path):
-    run(builtin_scenario(name, seed=1), out_dir=str(tmp_path))
-    got = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
-    assert got == METRICS_SHA256[name], f"{name} metrics.json differs from the pinned bytes"
+    for seed, digest in METRICS_SHA256[name].items():
+        out = tmp_path / f"seed={seed}"
+        run(builtin_scenario(name, seed=seed), out_dir=str(out))
+        got = hashlib.sha256((out / "metrics.json").read_bytes()).hexdigest()
+        assert got == digest, f"{name} seed {seed} metrics.json differs from the pinned bytes"
 
 
 # Attack paths the built-ins leave unrun, each on static-honest at seed 1
@@ -78,6 +99,15 @@ ATTACKS = {
         "params": {"attacker": "n4", "victim": "n2", "fake_rssi": -90.0, "period": 1},
     },
 }
+
+
+def attack_run(name: str) -> Scenario:
+    """static-honest at seed 1 with the attack `name` of ATTACKS."""
+    doc = builtin_scenario("static-honest", seed=1).to_dict()
+    doc["attacks"] = [ATTACKS[name]]
+    return Scenario.from_dict(doc)
+
+
 # SHA-256 of each file the attack runs write
 ATTACK_SHA256 = {
     "replay": {
@@ -105,12 +135,43 @@ ATTACK_SHA256 = {
 
 @pytest.mark.parametrize("name", ATTACKS)
 def test_attack_traces_match_pinned_hashes(name, tmp_path):
-    doc = builtin_scenario("static-honest", seed=1).to_dict()
-    doc["attacks"] = [ATTACKS[name]]
-    run(Scenario.from_dict(doc), out_dir=str(tmp_path))
+    run(attack_run(name), out_dir=str(tmp_path))
     for file_name, digest in ATTACK_SHA256[name].items():
         got = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
         assert got == digest, f"{name} {file_name} differs from the pinned bytes"
+
+
+def rescanned_trust_timeline(scenario: Scenario, monkeypatch) -> tuple[list, list]:
+    """The run's trust timeline, and one read from every node's trust
+    records after each of its rounds (a round changes only its node's)."""
+    labels = {spec.mac: spec.label for spec in scenario.nodes}
+    seen: dict[str, dict[str, float]] = {}
+    timeline = []
+    tick = NodeState.tick
+
+    def rescanning_tick(self, inbox, *, now):
+        actions = tick(self, inbox, now=now)
+        label = labels[self.self_id]
+        snap = seen.setdefault(label, {})
+        for peer, rec in self.store.peers.items():
+            peer_label = labels.get(peer, str(peer))
+            if snap.get(peer_label) != rec.trust.value:
+                snap[peer_label] = rec.trust.value
+                timeline.append((now, label, peer_label, rec.trust.value))
+        return actions
+
+    monkeypatch.setattr(NodeState, "tick", rescanning_tick)
+    return run(scenario, collect_rssi=False).metrics.trust_timeline, timeline
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *ATTACKS])
+def test_trust_timeline_matches_full_rescan(name, monkeypatch):
+    scenario = attack_run(name) if name in ATTACKS else builtin_scenario(name, seed=1)
+    got, want = rescanned_trust_timeline(scenario, monkeypatch)
+    assert got == want
+    assert any(entry[0] == 0 for entry in want)  # the initial records are read at tick 0
+    if name == "paper-fig7":
+        assert any(entry[0] > 0 for entry in want)  # trust moved during the run
 
 
 def test_filter_sweep_matches_reference(references, tmp_path, capsys):
