@@ -13,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from .localization import PathLossModel, rssi_value_from_distance
-from .messages import Location, Message, NodeId, RSSI_MAX, RSSI_MIN, Rssi
+from .messages import Location, Message, NodeId, RSSI_MAX, RSSI_MIN
 
 MAX_ASYMMETRY_JITTER = 2.5  # keeps |RSSI_AB - RSSI_BA| <= 5 dB before noise
 
@@ -104,11 +104,12 @@ class RadioChannel:
         self._levels[sender] = levels
         return levels
 
-    def broadcast(self, sender: NodeId, msg: Message, now: int) -> list[tuple[NodeId, Rssi]]:
+    def broadcast(self, sender: NodeId, msg: Message, now: int) -> list[tuple[NodeId, float]]:
         """Deliver `msg` to every other registered node within range.
 
-        Returns (receiver, reception RSSI) pairs in ascending receiver order.
-        The sender is the physical transmitter; the message's claimed sender
+        Returns (receiver, reception RSSI in dB) pairs in ascending receiver
+        order, each value a float clamped into [RSSI_MIN, RSSI_MAX]. The
+        sender is the physical transmitter; the message's claimed sender
         field may differ (identity spoofing).
         """
         levels = self._levels.get(sender)
@@ -118,7 +119,7 @@ class RadioChannel:
         if sigma > 0:
             gauss = self._noise.gauss
             return [
-                (receiver, Rssi(min(RSSI_MAX, max(RSSI_MIN, level + gauss(0.0, sigma)))))
+                (receiver, min(RSSI_MAX, max(RSSI_MIN, level + gauss(0.0, sigma))))
                 for receiver, level in levels
             ]
-        return [(receiver, Rssi(min(RSSI_MAX, max(RSSI_MIN, level)))) for receiver, level in levels]
+        return [(receiver, min(RSSI_MAX, max(RSSI_MIN, level))) for receiver, level in levels]

@@ -179,7 +179,7 @@ def _craft_state(c: bool, h: bool, db: bool, dself: bool) -> tuple[NodeState, Bf
         state.on_moved(Location(0.0, 0.0, 0.0), 0, announce=True)
     # feed the B link so the smoothed value sits near -50
     for t in range(1, 9):
-        state.ingest_sample(_B, Rssi(-50.0), t)
+        state.ingest_sample(_B, -50.0, t)
     smoothed = state.smoothed_rssi(_B)
     assert smoothed is not None and abs(smoothed + 50.0) < 1.0
     if not h:
@@ -267,7 +267,7 @@ def check_trust_arithmetic() -> CheckResult:
         timestamp=20,
     )
     before = {n: state.store.peers[n].trust.value for n in state.store.peers}
-    state.receive_alert(alert, 20)
+    state.receive_alert(alert, None, 20)
     after = {n: state.store.peers[n].trust.value for n in state.store.peers}
     changed = {n for n in before if before[n] != after[n]}
     expect_changed = {accuser, *participants}
@@ -291,7 +291,7 @@ def check_trust_arithmetic() -> CheckResult:
     state2.store.add_peer(PeerRecord(id=accused, trust=TrustScore(0.5)))
     state2.store.add_peer(PeerRecord(id=participants[0], trust=TrustScore(1.0)))
     state2.store.register_bft(participants[0], accuser, 10, 10)
-    state2.receive_alert(alert, 20)
+    state2.receive_alert(alert, None, 20)
     if state2.store.peers[accuser].trust.value != 0.0:
         return CheckResult("trust-arithmetic", False, "accuser trust did not clamp to 0")
     if state2.store.peers[participants[0]].trust.value != 1.0:

@@ -269,8 +269,9 @@ class _MemorySink:
         self.events.append(TraceEvent(tick, node, "ignore", {"reason": reason, "context": context}))
 
     def expired(self, tick: int, node: str, messages: tuple[PayloadMessage, ...]) -> None:
+        # the context is str(m.sender) without a Python-level __str__ call
         self.events.extend([
-            TraceEvent(tick, node, "ignore", {"reason": "expired", "context": f"{m.sender}#{m.seq}"})
+            TraceEvent(tick, node, "ignore", {"reason": "expired", "context": f"{m.sender.hex(':')}#{m.seq}"})
             for m in messages
         ])
 
@@ -524,7 +525,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                 record(tick, driver.label, injected)
 
         # 3. channel delivery, counted per receiver by message type
-        inboxes: dict[NodeId, list[tuple[Message, Rssi]]] = {mac: [] for mac in node_order}
+        inboxes: dict[NodeId, list[tuple[Message, float]]] = {mac: [] for mac in node_order}
         for phys_sender, msg in broadcasts:
             received = _RECV_COUNTS[type(msg)]
             for receiver, rssi in channel.broadcast(phys_sender, msg, tick):
@@ -560,7 +561,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
                     sender_label = labels.get(sender)  # label_of, inline
                     if sender_label is None:
                         sender_label = str(sender)
-                    row(tick, node_label, sender_label, rssi.value, smoothed_rssi(sender))
+                    row(tick, node_label, sender_label, rssi, smoothed_rssi(sender))
 
         # 5. trust timeline, read from the stores whose trust changed
         for mac in node_order:

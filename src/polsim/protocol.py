@@ -170,12 +170,6 @@ class _LinkPipeline:
     contradiction_budget: int = 1
 
 
-@dataclass(slots=True)
-class _PoolEntry:
-    message: PayloadMessage
-    received_at: int
-
-
 class MessagePool:
     """Received-but-unvalidated payload messages with TTL and seq dedup.
 
@@ -186,15 +180,20 @@ class MessagePool:
     and a spoofer's seqs in another range add a second run instead of
     shutting out the victim's later seqs, as a per-sender high watermark
     would.
+
+    Each sender's pooled payloads are two parallel deques in reception
+    order, the messages and the ticks they were received at, so pooling a
+    payload builds no object of its own.
     """
 
     def __init__(self, ttl: int):
         self.ttl = ttl
-        self._by_sender: dict[NodeId, deque[_PoolEntry]] = {}
+        # sender -> (messages, reception ticks), equally long
+        self._by_sender: dict[NodeId, tuple[deque[PayloadMessage], deque[int]]] = {}
         self._seen: dict[NodeId, list[int]] = {}
 
     def __len__(self) -> int:
-        return sum(len(d) for d in self._by_sender.values())
+        return sum(len(messages) for messages, _ in self._by_sender.values())
 
     def add(self, msg: PayloadMessage, received_at: int) -> bool:
         """Insert unless (sender, seq) was pooled before; True if inserted."""
@@ -203,7 +202,7 @@ class MessagePool:
         runs = self._seen.get(sender)
         if runs is None:
             self._seen[sender] = [seq, seq]
-            self._by_sender[sender] = deque()
+            self._by_sender[sender] = (deque(), deque())
         elif runs[-1] == seq - 1:
             # the next seq after the newest run, as an honest sender sends:
             # the bisect below would extend that run the same way
@@ -225,34 +224,44 @@ class MessagePool:
                 runs[i] = seq
             else:
                 runs[i:i] = (seq, seq)
-        self._by_sender[sender].append(_PoolEntry(msg, received_at))
+        messages, ticks = self._by_sender[sender]
+        messages.append(msg)
+        ticks.append(received_at)
         return True
 
     def expire(self, now: int) -> list[PayloadMessage]:
-        """Remove the entries older than the TTL and return their messages."""
+        """Remove the payloads older than the TTL and return them, per
+        sender in pooling order."""
         expired: list[PayloadMessage] = []
-        for dq in self._by_sender.values():
-            while dq and now - dq[0].received_at > self.ttl:
-                expired.append(dq.popleft().message)
+        ttl = self.ttl
+        for messages, ticks in self._by_sender.values():
+            while ticks and now - ticks[0] > ttl:
+                ticks.popleft()
+                expired.append(messages.popleft())
         return expired
 
     def senders(self) -> list[NodeId]:
-        return sorted(s for s, dq in self._by_sender.items() if dq)
+        return sorted(s for s, (messages, _) in self._by_sender.items() if messages)
 
-    def entries(self, sender: NodeId) -> list[_PoolEntry]:
-        return list(self._by_sender.get(sender, ()))
+    def entries(self, sender: NodeId) -> list[tuple[PayloadMessage, int]]:
+        """The sender's pooled (message, reception tick) pairs, oldest first."""
+        pooled = self._by_sender.get(sender)
+        return list(zip(*pooled)) if pooled else []
 
-    def newest(self, sender: NodeId) -> Optional[_PoolEntry]:
-        """The sender's newest pooled entry, or None when it has none."""
-        dq = self._by_sender.get(sender)
-        return dq[-1] if dq else None
+    def newest(self, sender: NodeId) -> Optional[PayloadMessage]:
+        """The sender's newest pooled payload, or None when it has none."""
+        pooled = self._by_sender.get(sender)
+        return pooled[0][-1] if pooled and pooled[0] else None
 
-    def clear_sender(self, sender: NodeId) -> list[_PoolEntry]:
-        dq = self._by_sender.get(sender)
-        if not dq:
+    def clear_sender(self, sender: NodeId) -> list[PayloadMessage]:
+        """Remove the sender's pooled payloads and return them, oldest first."""
+        pooled = self._by_sender.get(sender)
+        if not pooled:
             return []
-        out = list(dq)
-        dq.clear()
+        messages, ticks = pooled
+        out = list(messages)
+        messages.clear()
+        ticks.clear()
         return out
 
 
@@ -285,15 +294,14 @@ class NodeState:
 
     # -- link pipeline ----------------------------------------------------
 
-    def ingest_sample(self, peer: NodeId, rssi: Rssi, now: int) -> Optional[float]:
-        """Record a measured RSSI sample and advance the link's smoothing.
+    def ingest_sample(self, peer: NodeId, rssi: float, now: int) -> Optional[float]:
+        """Record a measured RSSI sample (dB) and advance the link's smoothing.
 
         Returns the smoothed value, or None when the sample was a same-tick
         duplicate (only the first measurement per link and tick counts).
         """
-        value = rssi.value
         try:
-            self.store.record_rssi(peer, now, value)
+            self.store.record_rssi(peer, now, rssi)
         except ValueError:
             return self.smoothed_rssi(peer)
         pipe = self._pipelines.get(peer)
@@ -302,7 +310,7 @@ class NodeState:
             self.store.ensure_peer(peer)
             pipe = _LinkPipeline(*self.filter_params.link_state())
             self._pipelines[peer] = pipe
-        smoothed = pipe.smooth(value)
+        smoothed = pipe.smooth(rssi)
         self.store.update_smoothed(peer, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
             self._pending.add(peer)
@@ -366,7 +374,7 @@ class NodeState:
 
     # -- P2: payload reception -------------------------------------------------
 
-    def receive_payload(self, msg: PayloadMessage, rssi: Rssi, now: int) -> list[Action]:
+    def receive_payload(self, msg: PayloadMessage, rssi: float, now: int) -> list[Action]:
         if msg.sender == self.self_id:
             # someone is transmitting under our identity; we cannot pool it
             return [Ignore("self-echo", context=f"seq={msg.seq}")]
@@ -407,13 +415,13 @@ class NodeState:
                 continue
             if sender in reported:
                 verdict = locate_and_verify(
-                    sender, store, newest.message, self.model, self.self_location, now, params
+                    sender, store, newest, self.model, self.self_location, now, params
                 )
             else:
                 verdict = VerifyOutcome.INSUFFICIENT_DATA
             if verdict is VerifyOutcome.VERIFIED:
-                for entry in pool.clear_sender(sender):
-                    actions.append(StoreTrusted(entry.message))
+                for msg in pool.clear_sender(sender):
+                    actions.append(StoreTrusted(msg))
                 continue
             pipe = pipelines.get(sender)
             if pipe is None:
@@ -423,7 +431,7 @@ class NodeState:
             # a trigger fires on a sample, so a pending link has a smoothed
             # value; a contradiction alone does not guarantee one
             if sender in pending:
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
+                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
                 pipe.contradiction_budget = 1
             elif (
                 verdict is VerifyOutcome.CONTRADICTED
@@ -431,7 +439,7 @@ class NodeState:
                 and pipe.trigger.cooldown_over(now)
                 and store.latest_smoothed(sender) is not None
             ):
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
+                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
                 pipe.contradiction_budget -= 1
         return actions
 
@@ -455,7 +463,7 @@ class NodeState:
 
     # -- P4: BFT reception ----------------------------------------------------
 
-    def receive_bft(self, msg: BftMessage, rssi: Rssi, now: int) -> list[Action]:
+    def receive_bft(self, msg: BftMessage, rssi: float, now: int) -> list[Action]:
         if msg.sender == msg.subject:
             return [Ignore("malformed-bft")]
         if msg.sender == self.self_id:
@@ -478,7 +486,7 @@ class NodeState:
         if own is None:
             return None
         claimed_ok = abs(msg.measured_rssi.value - own) <= self.params.consistency_tol
-        history_ok = self.store.history_consistent(origin, Rssi(own), self.params.consistency_tol)
+        history_ok = self.store.history_consistent(origin, own, self.params.consistency_tol)
         distrust_b = self.distrust(origin, now)
         distrust_self = (
             self.store.count_recent_bft(self.self_id, self.params.bft_window, now) > self.tau(now)
@@ -537,8 +545,9 @@ class NodeState:
 
     # -- alert reception -----------------------------------------------------
 
-    def receive_alert(self, alert: AlertMessage, now: int, rssi: Optional[Rssi] = None) -> list[Action]:
-        """Process an alert into local trust bookkeeping.
+    def receive_alert(self, alert: AlertMessage, rssi: Optional[float], now: int) -> list[Action]:
+        """Process an alert into local trust bookkeeping. A reception first
+        measures `rssi` on the sender's link; None measures nothing.
 
         Distrust alerts are accepted, rejected, or ignored; acceptance lowers
         the accused node's trust, rejection lowers the alert sender's trust
@@ -568,12 +577,12 @@ class NodeState:
         seen = self.store.has_seen_bft(ref.sender, ref.subject, ref.timestamp)
         a_smoothed = self.smoothed_rssi(accuser)
         a_consistent = a_smoothed is not None and self.store.history_consistent(
-            accuser, Rssi(a_smoothed), self.params.consistency_tol
+            accuser, a_smoothed, self.params.consistency_tol
         )
         a_distrusted = self.distrust(accuser, now)
         b_smoothed = self.smoothed_rssi(accused)
         b_inconsistent = b_smoothed is not None and not self.store.history_consistent(
-            accused, Rssi(b_smoothed), self.params.consistency_tol
+            accused, b_smoothed, self.params.consistency_tol
         )
         b_doubt = b_inconsistent and self.distrust(accused, now)
 
@@ -595,28 +604,36 @@ class NodeState:
 
     # -- composition -----------------------------------------------------------
 
-    def receive_wire(self, data: bytes, rssi: Rssi, now: int) -> list[Action]:
+    def receive_wire(self, data: bytes, rssi: float, now: int) -> list[Action]:
         try:
             msg = decode_message(data)
         except MessageDecodeError as exc:
             return [Ignore("decode-error", context=str(exc))]
         return self.receive_message(msg, rssi, now)
 
-    def receive_message(self, msg: Message, rssi: Rssi, now: int) -> list[Action]:
-        if type(msg) is PayloadMessage:  # the bulk of the traffic
-            return self.receive_payload(msg, rssi, now)
-        if isinstance(msg, BftMessage):
-            return self.receive_bft(msg, rssi, now)
-        if isinstance(msg, AlertMessage):
-            return self.receive_alert(msg, now, rssi=rssi)
-        return [Ignore("unknown-message-type")]
+    def receive_message(self, msg: Message, rssi: float, now: int) -> list[Action]:
+        return _RECEIVE.get(type(msg), _receive_unknown)(self, msg, rssi, now)
 
     # `now` is keyword-only: perfbench/tracer.py reads it from the call's kwargs
-    def tick(self, inbox: list[tuple[Message, Rssi]], *, now: int) -> list[Action]:
+    def tick(self, inbox: list[tuple[Message, float]], *, now: int) -> list[Action]:
         """One protocol round: ingest the inbox, then validate the pool.
         Deterministic in (state, inbox order, now)."""
         actions: list[Action] = []
+        receive_step = _RECEIVE.get
         for msg, rssi in inbox:
-            actions.extend(self.receive_message(msg, rssi, now))
+            actions.extend(receive_step(type(msg), _receive_unknown)(self, msg, rssi, now))
         actions.extend(self.validate_pool(now))
         return actions
+
+
+def _receive_unknown(node: NodeState, msg: object, rssi: float, now: int) -> list[Action]:
+    return [Ignore("unknown-message-type")]
+
+
+# The receive step of each message type, the one dispatch of a reception:
+# `receive_message` and `tick` look the step up here and call it directly.
+_RECEIVE: dict[type, Callable[[NodeState, Message, float, int], list[Action]]] = {
+    PayloadMessage: NodeState.receive_payload,
+    BftMessage: NodeState.receive_bft,
+    AlertMessage: NodeState.receive_alert,
+}

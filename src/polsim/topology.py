@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .messages import Location, NodeId, Rssi, TrustScore
+from .messages import Location, NodeId, TrustScore
 
 
 class OrderingError(ValueError):
@@ -122,8 +122,8 @@ class TopologyStore:
         """Own links whose newest sample is at most `window` ticks old."""
         return sum(1 for history in self._links.values() if now - history[-1][0] <= window)
 
-    def history_consistent(self, peer: NodeId, candidate: Rssi, tol: float) -> bool:
-        """Is `candidate` within `tol` dB of the (lower) median of the link's
+    def history_consistent(self, peer: NodeId, candidate: float, tol: float) -> bool:
+        """Is `candidate` (dB) within `tol` dB of the (lower) median of the link's
         history? An empty history cannot contradict anything, so it returns
         True."""
         if not tol >= 0:
@@ -132,7 +132,7 @@ class TopologyStore:
         if history is None:
             return True
         values = sorted(v for _, v in history)
-        return abs(candidate.value - values[(len(values) - 1) // 2]) <= tol
+        return abs(candidate - values[(len(values) - 1) // 2]) <= tol
 
     # -- reports from BFT messages ------------------------------------------
 

@@ -4,8 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from polsim.channel import ChannelConfig, RadioChannel, UnknownNodeError
+from polsim.channel import MAX_ASYMMETRY_JITTER, ChannelConfig, RadioChannel, UnknownNodeError
 from polsim.localization import PathLossModel, rssi_value_from_distance
 from polsim.messages import (
     RSSI_MAX,
@@ -39,7 +40,7 @@ class TestBroadcast:
         assert len(deliveries) == 1
         receiver, rssi = deliveries[0]
         assert receiver == B
-        assert rssi.value == pytest.approx(-40.0)
+        assert rssi == pytest.approx(-40.0)
 
     def test_out_of_range_dropped(self):
         ch = quiet_channel(range=5.0)
@@ -62,7 +63,7 @@ class TestBroadcast:
             ch.register(C, Location(2.0, 0.0, 0.0))
             out = []
             for t in range(20):
-                out.append([(str(r), rssi.value) for r, rssi in ch.broadcast(A, MSG, t)])
+                out.append([(str(r), rssi) for r, rssi in ch.broadcast(A, MSG, t)])
             return out
 
         assert one_run() == one_run()
@@ -79,9 +80,9 @@ class TestMove:
         ch = quiet_channel()
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
-        before = ch.broadcast(A, MSG, 0)[0][1].value
+        before = ch.broadcast(A, MSG, 0)[0][1]
         ch.move(B, Location(2.0, 0.0, 0.0))
-        after = ch.broadcast(A, MSG, 1)[0][1].value
+        after = ch.broadcast(A, MSG, 1)[0][1]
         assert before == pytest.approx(-40.0)
         # doubling the distance with n=2 drops the level by 20*log10(2)
         assert before - after == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
@@ -90,9 +91,9 @@ class TestMove:
         ch = quiet_channel()
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.5, 0.0, 0.0))
-        before = ch.broadcast(A, MSG, 0)[0][1].value
+        before = ch.broadcast(A, MSG, 0)[0][1]
         ch.move(B, Location(1.5, 0.0, 0.0))
-        assert ch.broadcast(A, MSG, 1)[0][1].value == pytest.approx(before)
+        assert ch.broadcast(A, MSG, 1)[0][1] == pytest.approx(before)
 
     def test_unknown_node_errors(self):
         ch = quiet_channel()
@@ -116,8 +117,8 @@ class TestAsymmetry:
             for y in (A, B, C):
                 if x == y:
                     continue
-                fwd = dict(ch.broadcast(x, MSG, 0))[y].value
-                rev = dict(ch.broadcast(y, MSG, 0))[x].value
+                fwd = dict(ch.broadcast(x, MSG, 0))[y]
+                rev = dict(ch.broadcast(y, MSG, 0))[x]
                 assert abs(fwd - rev) <= 5.0
                 assert abs(fwd - rev) <= 2.0  # 2 * jitter bound
 
@@ -125,7 +126,7 @@ class TestAsymmetry:
         ch = RadioChannel(ChannelConfig(noise_sigma=0.0, asymmetry_jitter=1.5, seed=7))
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
-        values = {ch.broadcast(A, MSG, t)[0][1].value for t in range(10)}
+        values = {ch.broadcast(A, MSG, t)[0][1] for t in range(10)}
         assert len(values) == 1  # no per-reception variation without noise
 
     def test_jitter_bound_enforced(self):
@@ -151,9 +152,48 @@ class TestMonotonicity:
         for i, d in enumerate((1.0, 2.0, 4.0, 8.0, 16.0)):
             node = NodeId(bytes([3, 0, 0, 0, 0, i]))
             ch.register(node, Location(d, 0.0, 0.0))
-        levels = [rssi.value for _, rssi in ch.broadcast(A, MSG, 0)]
+        levels = [rssi for _, rssi in ch.broadcast(A, MSG, 0)]
         assert levels == sorted(levels, reverse=True)
         assert len(set(levels)) == len(levels)
+
+
+class TestDeliveredValues:
+    """A delivery is one noise draw and a clamp into a plain float."""
+
+    NEAR = NodeId(bytes([4, 0, 0, 0, 0, 0]))  # 1e-4 m: the model level is 0 dB
+    FAR = NodeId(bytes([4, 0, 0, 0, 0, 1]))   # 1e6 m: the model level is -120 dB
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p0=st.floats(-60.0, 0.0),
+        sigma=st.one_of(st.just(0.0), st.floats(0.1, 6.0)),
+        jitter=st.floats(0.0, MAX_ASYMMETRY_JITTER),
+        seed=st.integers(-(2**63), 2**63 - 1),
+        distances=st.lists(st.floats(0.5, 200.0), max_size=4),
+    )
+    @example(p0=0.0, sigma=0.0, jitter=0.0, seed=1, distances=[1.0])
+    @example(p0=-40.0, sigma=3.0, jitter=2.5, seed=5, distances=[])
+    def test_float_in_range_drawn_like_the_channel(self, p0, sigma, jitter, seed, distances):
+        model = PathLossModel(p0=p0)
+        config = ChannelConfig(model=model, noise_sigma=sigma, asymmetry_jitter=jitter, range=1e7, seed=seed)
+        ch = RadioChannel(config)
+        ch.register(A, Location(0.0, 0.0, 0.0))
+        placed = {self.NEAR: 1e-4, self.FAR: 1e6}
+        placed.update({NodeId(bytes([5, 0, 0, 0, 0, i])): d for i, d in enumerate(distances)})
+        for node, d in placed.items():
+            ch.register(node, Location(d, 0.0, 0.0))
+        noise = random.Random()
+        noise.setstate(RadioChannel(config)._noise.getstate())
+        for t in range(3):
+            got = ch.broadcast(A, MSG, t)
+            assert [r for r, _ in got] == sorted(placed)
+            for receiver, value in got:
+                level = rssi_value_from_distance(model, placed[receiver]) + ch.link_jitter(A, receiver)
+                assert type(value) is float
+                assert RSSI_MIN <= value <= RSSI_MAX
+                assert value == min(RSSI_MAX, max(RSSI_MIN, level + noise.gauss(0.0, sigma)))
+            if sigma == 0.0 and jitter == 0.0:
+                assert dict(got)[self.NEAR] == RSSI_MAX and dict(got)[self.FAR] == RSSI_MIN
 
 
 class UncachedChannel:
@@ -206,7 +246,7 @@ class TestLinkLevelCache:
 
     def receivers(self, ch, ref, sender):
         """Broadcast once on both channels; the deliveries must be equal."""
-        got = [(r, rssi.value) for r, rssi in ch.broadcast(sender, MSG, 0)]
+        got = ch.broadcast(sender, MSG, 0)
         assert got == ref.broadcast(sender)
         return [r for r, _ in got]
 

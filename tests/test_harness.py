@@ -446,7 +446,7 @@ class TestReplayScenario:
         # so no sender can ever have two entries for one sequence number
         for node in res.nodes.values():
             for sender in node.pool.senders():
-                seqs = [entry.message.seq for entry in node.pool.entries(sender)]
+                seqs = [msg.seq for msg, _ in node.pool.entries(sender)]
                 assert len(seqs) == len(set(seqs))
                 assert len(seqs) <= node.params.pool_ttl + 1
 

@@ -107,7 +107,7 @@ class TestReceivePayload:
     def test_fresh_message_pooled_and_measured(self):
         node = make_node()
         msg = payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9)
-        actions = node.receive_payload(msg, Rssi(-52.0), 10)
+        actions = node.receive_payload(msg, -52.0, 10)
         assert actions == []
         assert len(node.pool) == 1
         assert node.store.history(PEER) == ((10, -52.0),)
@@ -115,8 +115,8 @@ class TestReceivePayload:
     def test_duplicate_seq_single_pool_entry(self):
         node = make_node()
         msg = payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9)
-        node.receive_payload(msg, Rssi(-52.0), 10)
-        node.receive_payload(msg, Rssi(-53.0), 11)
+        node.receive_payload(msg, -52.0, 10)
+        node.receive_payload(msg, -53.0, 11)
         assert len(node.pool) == 1
         # the second reception's RSSI is still recorded
         assert node.store.history(PEER)[-1] == (11, -53.0)
@@ -124,14 +124,14 @@ class TestReceivePayload:
     def test_stale_message_ignored(self):
         node = make_node()
         msg = payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 0)
-        (action,) = node.receive_payload(msg, Rssi(-52.0), 500)
+        (action,) = node.receive_payload(msg, -52.0, 500)
         assert isinstance(action, Ignore) and action.reason == "stale"
         assert len(node.pool) == 0
 
     def test_own_identity_echo_ignored(self):
         node = make_node()
         msg = payload_from(ME, 1, Location(0.0, 0.0, 0.0), 9)
-        (action,) = node.receive_payload(msg, Rssi(-50.0), 10)
+        (action,) = node.receive_payload(msg, -50.0, 10)
         assert isinstance(action, Ignore) and action.reason == "self-echo"
 
 
@@ -167,7 +167,7 @@ class TestMessagePoolDedup:
             seen.add(seq)
         assert len(pool) == sum(len(seen) for seen in model.values())
         for sender, seen in model.items():
-            assert [e.message.seq for e in pool.entries(sender)] == [
+            assert [m.seq for m, _ in pool.entries(sender)] == [
                 seq for index, seq in dict.fromkeys(ops) if self.SENDERS[index] == sender
             ]
             assert pool._seen[sender] == canonical_runs(seen)
@@ -191,6 +191,55 @@ class TestMessagePoolDedup:
         assert pool._seen[PEER] == [7, 8, 1_000_001, 1_000_001]
 
 
+class TestMessagePoolLayout:
+    """The pool's per-sender deques of messages and reception ticks give
+    what one list of (message, tick) pairs in pooling order gives."""
+
+    SENDERS = [PEER, OTHER, EXTRAS[0]]
+    ops = st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 2), st.integers(0, 8), st.integers(0, 3)),
+        st.tuples(st.just("expire"), st.integers(0, 6)),
+        st.tuples(st.just("clear"), st.integers(0, 2)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ops, max_size=60), st.integers(1, 5))
+    def test_matches_pair_list(self, ops, ttl):
+        pool = MessagePool(ttl=ttl)
+        pairs: list[tuple[PayloadMessage, int]] = []
+        pooled: set[tuple[NodeId, int]] = set()
+        first_pooled: list[NodeId] = []  # expiry visits the senders in this order
+        now = 0
+        for kind, *args in ops:
+            if kind == "add":
+                who, seq, dt = args
+                now += dt
+                sender = self.SENDERS[who]
+                msg = payload_from(sender, seq, Location(1.0, 0.0, 0.0), now)
+                fresh = (sender, seq) not in pooled
+                assert pool.add(msg, now) is fresh
+                if fresh:
+                    pooled.add((sender, seq))
+                    pairs.append((msg, now))
+                    if sender not in first_pooled:
+                        first_pooled.append(sender)
+            elif kind == "expire":
+                now += args[0]
+                due = [(m, t) for m, t in pairs if now - t > ttl]
+                assert pool.expire(now) == [m for s in first_pooled for m, _ in due if m.sender == s]
+                pairs = [pair for pair in pairs if pair not in due]
+            else:
+                sender = self.SENDERS[args[0]]
+                assert pool.clear_sender(sender) == [m for m, _ in pairs if m.sender == sender]
+                pairs = [(m, t) for m, t in pairs if m.sender != sender]
+            assert len(pool) == len(pairs)
+            assert pool.senders() == sorted({m.sender for m, _ in pairs})
+            for sender in self.SENDERS:
+                mine = [(m, t) for m, t in pairs if m.sender == sender]
+                assert pool.entries(sender) == mine
+                assert pool.newest(sender) == (mine[-1][0] if mine else None)
+
+
 def seed_full_anchors(node: NodeState, subject_loc: Location, now: int) -> None:
     """Give the node a fresh, exact anchor set for PEER."""
     node.store.update_smoothed(
@@ -211,7 +260,7 @@ class TestValidatePool:
         node = make_node()
         true_loc = Location(4.0, 0.0, 0.0)
         for seq, t in ((1, 10), (2, 11)):
-            node.receive_payload(payload_from(PEER, seq, true_loc, t - 1), Rssi(-52.0), t)
+            node.receive_payload(payload_from(PEER, seq, true_loc, t - 1), -52.0, t)
         seed_full_anchors(node, true_loc, 11)
         actions = node.validate_pool(11)
         stored = [a for a in actions if isinstance(a, StoreTrusted)]
@@ -223,7 +272,7 @@ class TestValidatePool:
         node = make_node()
         claimed = Location(4.0, 0.0, 0.0)
         actual = Location(4.0, 2.0, 0.0)  # transmitting from 4 cells away
-        node.receive_payload(payload_from(PEER, 1, claimed, 10), Rssi(-52.0), 11)
+        node.receive_payload(payload_from(PEER, 1, claimed, 10), -52.0, 11)
         seed_full_anchors(node, actual, 11)
         actions = node.validate_pool(11)
         bfts = [a for a in actions if isinstance(a, BftMessage)]
@@ -235,7 +284,7 @@ class TestValidatePool:
         node = make_node()
         claimed = Location(4.0, 0.0, 0.0)
         actual = Location(4.0, 2.0, 0.0)
-        node.receive_payload(payload_from(PEER, 1, claimed, 10), Rssi(-52.0), 11)
+        node.receive_payload(payload_from(PEER, 1, claimed, 10), -52.0, 11)
         seed_full_anchors(node, actual, 11)
         first = [a for a in node.validate_pool(11) if isinstance(a, BftMessage)]
         assert len(first) == 1
@@ -246,7 +295,7 @@ class TestValidatePool:
     def test_expiry_produces_ignores(self):
         node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
         msg = payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9)
-        node.receive_payload(msg, Rssi(-52.0), 10)
+        node.receive_payload(msg, -52.0, 10)
         actions = node.validate_pool(16)
         assert actions == [Expired((msg,))]
         assert [f"{m.sender}#{m.seq}" for m in actions[0].messages] == [f"{PEER}#1"]
@@ -256,12 +305,12 @@ class TestValidatePool:
         node = make_node(filter_params=FilterParams(warmup=2, trigger_threshold=6.0))
         steady = Location(4.0, 0.0, 0.0)
         for t in range(12):
-            node.receive_payload(payload_from(PEER, t + 1, steady, t), Rssi(-52.0), t)
+            node.receive_payload(payload_from(PEER, t + 1, steady, t), -52.0, t)
             node.validate_pool(t)
         # link level jumps by 15 dB: trigger fires, no anchors exist
         actions = []
         for t in range(12, 30):
-            node.receive_payload(payload_from(PEER, t + 1, steady, t), Rssi(-67.0), t)
+            node.receive_payload(payload_from(PEER, t + 1, steady, t), -67.0, t)
             actions.extend(node.validate_pool(t))
         bfts = [a for a in actions if isinstance(a, BftMessage)]
         assert len(bfts) >= 1
@@ -280,13 +329,13 @@ class TestValidatePool:
         steady = Location(4.0, 0.0, 0.0)
         actions = []
         for t in range(30):
-            node.receive_payload(payload_from(PEER, t + 1, steady, t - 1), Rssi(-52.0 if t < 12 else -67.0), t)
+            node.receive_payload(payload_from(PEER, t + 1, steady, t - 1), -52.0 if t < 12 else -67.0, t)
             if t % 3 == 0:
                 bft = BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-55.0), None, t)
-                node.receive_bft(bft, Rssi(-50.0), t)
+                node.receive_bft(bft, -50.0, t)
             assert len(node.store.latest_reports_of(PEER)) < node.params.min_anchors - 2
             # called alone, the verifier reaches the same verdict
-            newest = node.pool.newest(PEER).message
+            newest = node.pool.newest(PEER)
             verdict = locate_and_verify(PEER, node.store, newest, MODEL, node.self_location, t, node.params)
             assert verdict is VerifyOutcome.INSUFFICIENT_DATA
             actions += [(t, action) for action in node.validate_pool(t)]
@@ -312,10 +361,10 @@ class TestValidatePool:
             return locate_and_verify(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "locate_and_verify", spy)
-        node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 10), Rssi(-52.0), 11)
+        node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 10), -52.0, 11)
         for reporter in (OTHER, EXTRAS[0]):
             bft = BftMessage(reporter, node.store.peer(reporter).location, PEER, Rssi(-55.0), None, 11)
-            node.receive_bft(bft, Rssi(-50.0), 11)
+            node.receive_bft(bft, -50.0, 11)
         assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
         node.validate_pool(11)
         assert calls == [PEER]
@@ -323,7 +372,7 @@ class TestValidatePool:
     def test_sender_reaching_the_reporter_bound_is_verified_that_tick(self):
         node = make_node()
         true_loc = Location(4.0, 0.0, 0.0)
-        node.receive_payload(payload_from(PEER, 1, true_loc, 10), Rssi(-52.0), 10)
+        node.receive_payload(payload_from(PEER, 1, true_loc, 10), -52.0, 10)
         assert node.validate_pool(10) == []
         # the own anchor and min_anchors - 2 reporters, all exact, arrive at 11
         node.store.update_smoothed(
@@ -357,7 +406,7 @@ class TestValidatePool:
         monkeypatch.setattr(NodeState, "_emit_bft", emit)
         # OTHER's link level jumps by 15 dB: its trigger fires, no reports exist
         for t in range(30):
-            node.ingest_sample(OTHER, Rssi(-52.0 if t < 12 else -67.0), t)
+            node.ingest_sample(OTHER, -52.0 if t < 12 else -67.0, t)
             if OTHER in node._pending:
                 break
         else:
@@ -372,7 +421,7 @@ class TestValidatePool:
         for reporter in (OTHER, PEER):
             node.store.record_report(reporter, EXTRAS[2], now, -55.0, node.store.peer(reporter).location)
         for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
-            node.receive_payload(payload_from(sender, 1, node.store.peer(sender).location, now), Rssi(-52.0), now)
+            node.receive_payload(payload_from(sender, 1, node.store.peer(sender).location, now), -52.0, now)
         node.validate_pool(now)
         assert visits == [("verify", PEER), ("bft", OTHER), ("verify", EXTRAS[0])]
 
@@ -393,11 +442,11 @@ class TestOwnLinkAppendPath:
 
         monkeypatch.setattr(TopologyStore, "record_rssi", spy)
         for t in range(1, 100):
-            node.ingest_sample(PEER, Rssi(-50.0 - t % 3), t)
+            node.ingest_sample(PEER, -50.0 - t % 3, t)
         assert calls == list(range(1, 100))
         assert len(node.store.history(PEER)) == node.params.history_window
-        assert node.ingest_sample(PEER, Rssi(-70.0), 99) == node.smoothed_rssi(PEER)
-        assert node.ingest_sample(PEER, Rssi(-70.0), 98) == node.smoothed_rssi(PEER)
+        assert node.ingest_sample(PEER, -70.0, 99) == node.smoothed_rssi(PEER)
+        assert node.ingest_sample(PEER, -70.0, 98) == node.smoothed_rssi(PEER)
         assert calls == [*range(1, 100), 99, 98]
         assert node.store.history(PEER)[-1] == (99, -50.0)
 
@@ -426,7 +475,7 @@ class TestOwnLinkAppendPath:
         for kind, dt, level in ops:
             now = max(0, clock + dt)
             clock = max(clock, now)
-            rssi = Rssi(float(level))
+            rssi = float(level)
             if kind == "move":
                 node.on_moved(node.self_location, now, announce=True)
                 ref_store.clear_smoothed()
@@ -438,7 +487,7 @@ class TestOwnLinkAppendPath:
                 outcomes = []
                 for store in (node.store, ref_store):
                     try:
-                        store.record_rssi(PEER, now, rssi.value)
+                        store.record_rssi(PEER, now, rssi)
                         outcomes.append(True)
                     except ValueError:
                         outcomes.append(False)
@@ -448,7 +497,7 @@ class TestOwnLinkAppendPath:
             else:
                 got = node.ingest_sample(PEER, rssi, now)
                 try:
-                    ref_store.record_rssi(PEER, now, rssi.value)
+                    ref_store.record_rssi(PEER, now, rssi)
                 except ValueError:
                     own = ref_store.latest_smoothed(PEER)
                     expected = None if own is None else own[1]
@@ -456,7 +505,7 @@ class TestOwnLinkAppendPath:
                     if ref_smooth is None:
                         ref_smooth, ref_trigger = filter_params.link_state()
                     ref_heard = now
-                    expected = ref_smooth(rssi.value)
+                    expected = ref_smooth(rssi)
                     ref_store.update_smoothed(PEER, now, expected)
                     if bft_trigger(ref_trigger, expected, now):
                         ref_pending = now
@@ -492,9 +541,8 @@ class FlagReference(NodeState):
         return {sender for sender, flag in self.flags.items() if flag}
 
     def ingest_sample(self, peer, rssi, now):
-        value = rssi.value
         try:
-            self.store.record_rssi(peer, now, value)
+            self.store.record_rssi(peer, now, rssi)
         except ValueError:
             return self.smoothed_rssi(peer)
         pipe = self._pipelines.get(peer)
@@ -502,7 +550,7 @@ class FlagReference(NodeState):
             self.store.ensure_peer(peer)
             pipe = protocol._LinkPipeline(*self.filter_params.link_state())
             self._pipelines[peer] = pipe
-        smoothed = pipe.smooth(value)
+        smoothed = pipe.smooth(rssi)
         self.store.update_smoothed(peer, now, smoothed)
         if bft_trigger(pipe.trigger, smoothed, now):
             self.flags[peer] = True
@@ -530,10 +578,10 @@ class FlagReference(NodeState):
             verdict = VerifyOutcome.INSUFFICIENT_DATA
             if sender in reported:
                 verdict = protocol.locate_and_verify(
-                    sender, store, newest.message, self.model, self.self_location, now, params
+                    sender, store, newest, self.model, self.self_location, now, params
                 )
             if verdict is VerifyOutcome.VERIFIED:
-                actions += [StoreTrusted(entry.message) for entry in self.pool.clear_sender(sender)]
+                actions += [StoreTrusted(msg) for msg in self.pool.clear_sender(sender)]
                 continue
             pipe = pipelines.get(sender)
             if pipe is None:
@@ -541,7 +589,7 @@ class FlagReference(NodeState):
             if self.flags.get(sender) and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
                 self.flags[sender] = False
             if self.flags.get(sender):
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
+                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
                 pipe.contradiction_budget = 1
             elif (
                 verdict is VerifyOutcome.CONTRADICTED
@@ -549,7 +597,7 @@ class FlagReference(NodeState):
                 and pipe.trigger.cooldown_over(now)
                 and store.latest_smoothed(sender) is not None
             ):
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.message.seq))
+                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
                 pipe.contradiction_budget -= 1
         return actions
 
@@ -591,8 +639,8 @@ class TestKeptCurrentSets:
         ref = make_node(FlagReference, params=params, filter_params=filter_params)
         here = node.self_location
 
-        def level(a: Location, b: Location, off: float) -> Rssi:
-            return Rssi(rssi_value_from_distance(MODEL, a.distance_to(b)) + off)
+        def level(a: Location, b: Location, off: float) -> float:
+            return rssi_value_from_distance(MODEL, a.distance_to(b)) + off
 
         now, seqs = 0, dict.fromkeys(self.SENDERS, 0)
         for kind, dt, who, other, off in ops:
@@ -609,7 +657,7 @@ class TestKeptCurrentSets:
                 subject = (*self.SENDERS, ME)[other]
                 if subject == sender:  # a BFT message names another node
                     subject = ME
-                measured = level(place, self.PLACES.get(subject, here), off)
+                measured = Rssi(level(place, self.PLACES.get(subject, here), off))
                 msg = BftMessage(sender, place, subject, measured, None, now)
                 got, want = (n.receive_bft(msg, level(here, place, 0.0), now) for n in (node, ref))
             elif kind == "validate":
@@ -637,7 +685,7 @@ class TestReceiveBft:
     def test_third_party_bft_bookkeeping(self):
         node = make_node()
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-47.0), None, 20)
-        actions = node.receive_bft(msg, Rssi(-51.0), 21)
+        actions = node.receive_bft(msg, -51.0, 21)
         assert actions == []
         assert node.store.latest_reports_of(OTHER) == {PEER: Report(21, -47.0, Location(4.0, 0.0, 0.0))}
         assert node.store.history(PEER) == ((21, -51.0),)
@@ -648,7 +696,7 @@ class TestReceiveBft:
         node = make_node()
         for value, now in ((-47.0, 21), (-60.0, 21), (-49.0, 22)):
             msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(value), None, now)
-            assert node.receive_bft(msg, Rssi(-51.0), now) == []
+            assert node.receive_bft(msg, -51.0, now) == []
             if now == 21:
                 assert node.store.latest_reports_of(OTHER)[PEER] == Report(21, -47.0, Location(4.0, 0.0, 0.0))
         assert node.store.latest_reports_of(OTHER)[PEER] == Report(22, -49.0, Location(4.0, 0.0, 0.0))
@@ -659,23 +707,23 @@ class TestReceiveBft:
     def test_bft_about_self_dispatches_self_defense(self):
         node = make_node()
         for t in range(10):
-            node.ingest_sample(PEER, Rssi(-50.0), t)
+            node.ingest_sample(PEER, -50.0, t)
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 20)
-        actions = node.receive_bft(msg, Rssi(-50.0), 21)
+        actions = node.receive_bft(msg, -50.0, 21)
         assert len(actions) == 1  # table row (T, T, F, F) -> explicit ignore
         assert isinstance(actions[0], Ignore)
 
     def test_bft_about_self_counted_and_answered_but_not_stored(self):
         node = make_node()
         for t in range(10):
-            node.ingest_sample(PEER, Rssi(-50.0), t)
+            node.ingest_sample(PEER, -50.0, t)
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 20)
         twin = copy.deepcopy(node)
-        actions = node.receive_bft(msg, Rssi(-50.0), 21)
+        actions = node.receive_bft(msg, -50.0, 21)
         assert node.store.latest_reports_of(ME) == {}
         assert ME not in node.store.subjects_reported_by(1)
         assert node.store.count_recent_bft(ME, 100, 21) == 1
-        twin.ingest_sample(PEER, Rssi(-50.0), 21)
+        twin.ingest_sample(PEER, -50.0, 21)
         twin.store.register_bft(PEER, ME, 20, 21)
         assert actions == twin.self_defense(msg, 21)
 
@@ -684,14 +732,14 @@ class TestReceiveBft:
         # hand-built BFT whose subject equals its sender
         raw = struct.pack("<B6sQ", 0x02, PEER.mac, 7)
         raw += struct.pack("<3d6sdB", 4.0, 0.0, 0.0, PEER.mac, -42.0, 0)
-        (action,) = node.receive_wire(raw, Rssi(-50.0), 8)
+        (action,) = node.receive_wire(raw, -50.0, 8)
         assert isinstance(action, Ignore) and action.reason == "decode-error"
 
     def test_distinct_sender_dissent_flips_distrust(self):
         node = make_node()
         for t, sender in enumerate((OTHER, EXTRAS[0], EXTRAS[1])):
             msg = BftMessage(sender, Location(1.0, 1.0, 1.0), PEER, Rssi(-55.0), None, 30 + t)
-            node.receive_bft(msg, Rssi(-48.0), 30 + t)
+            node.receive_bft(msg, -48.0, 30 + t)
         assert node.store.count_recent_bft(PEER, 100, 40) == 3
         assert node.distrust(PEER, 40)  # 3 > tau=2
 
@@ -773,8 +821,8 @@ class TestReceiveAlert:
     def _observing_node(self) -> NodeState:
         node = make_node()
         for t in range(12):
-            node.ingest_sample(PEER, Rssi(-50.0), t)     # accuser link: consistent
-            node.ingest_sample(OTHER, Rssi(-47.0), t)    # accused link: consistent for now
+            node.ingest_sample(PEER, -50.0, t)     # accuser link: consistent
+            node.ingest_sample(OTHER, -47.0, t)    # accused link: consistent for now
         return node
 
     def test_accept_reduces_accused_trust(self):
@@ -788,7 +836,7 @@ class TestReceiveAlert:
             node.store.ensure_peer(sender)
             node.store.register_bft(sender, accused, 21 + i, 21 + i)
         node.store.peers[accused].trust = TrustScore(0.5)
-        actions = node.receive_alert(distrust_alert(accuser, accused), 25)
+        actions = node.receive_alert(distrust_alert(accuser, accused), None, 25)
         assert actions == []
         assert node.store.peers[accused].trust.value == pytest.approx(0.4)
         assert node.store.peers[accuser].trust.value == 1.0
@@ -803,7 +851,7 @@ class TestReceiveAlert:
             node.store.register_bft(sender, accuser, 18 + i, 18 + i)
         node.store.peers[accuser].trust = TrustScore(0.5)
         before = {n: r.trust.value for n, r in node.store.peers.items()}
-        node.receive_alert(distrust_alert(accuser, accused), 25)
+        node.receive_alert(distrust_alert(accuser, accused), None, 25)
         after = {n: r.trust.value for n, r in node.store.peers.items()}
         assert after[accuser] == pytest.approx(0.4)
         for sender in participants:
@@ -818,7 +866,7 @@ class TestReceiveAlert:
         accuser, accused = PEER, OTHER
         node.store.register_bft(accused, accuser, 20, 20)
         before = {n: r.trust.value for n, r in node.store.peers.items()}
-        (action,) = node.receive_alert(distrust_alert(accuser, accused), 25)
+        (action,) = node.receive_alert(distrust_alert(accuser, accused), None, 25)
         assert isinstance(action, Ignore) and action.reason == "alert-undecidable"
         assert {n: r.trust.value for n, r in node.store.peers.items()} == before
 
@@ -827,14 +875,14 @@ class TestReceiveAlert:
         rec = node.store.peers[PEER]
         trust, location = rec.trust.value, rec.location
         alert = AlertMessage(PEER, AlertType.SELF_DISTRUST, PEER, None, 30)
-        assert node.receive_alert(alert, 31) == []
+        assert node.receive_alert(alert, None, 31) == []
         assert rec.trust.value == trust - node.params.trust_step
         assert rec.location is location
 
     def test_measurement_alert_logged_only(self):
         node = make_node()
         alert = AlertMessage(PEER, AlertType.MEASUREMENT, b"\x42", None, 30)
-        (action,) = node.receive_alert(alert, 31)
+        (action,) = node.receive_alert(alert, None, 31)
         assert isinstance(action, Ignore) and action.reason == "measurement-alert"
 
     def test_mismatched_reference_is_malformed(self):
@@ -846,7 +894,7 @@ class TestReceiveAlert:
             ref_bft=BftRef(EXTRAS[0], PEER, 20),  # ref sender != accused
             timestamp=25,
         )
-        (action,) = node.receive_alert(bad, 26)
+        (action,) = node.receive_alert(bad, None, 26)
         assert isinstance(action, Ignore) and action.reason == "malformed-alert"
 
 
@@ -854,8 +902,8 @@ class TestTick:
     def test_deterministic_replay(self):
         node = make_node()
         inbox = [
-            (payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9), Rssi(-52.0)),
-            (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-47.0), None, 9), Rssi(-48.0)),
+            (payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9), -52.0),
+            (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-47.0), None, 9), -48.0),
         ]
         n1, n2 = copy.deepcopy(node), copy.deepcopy(node)
         a1 = n1.tick(list(inbox), now=10)
@@ -865,10 +913,65 @@ class TestTick:
 
     def test_empty_tick_only_expires(self):
         node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
-        node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 0), Rssi(-50.0), 1)
+        node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 0), -50.0, 1)
         assert node.tick([], now=3) == []
         actions = node.tick([], now=50)
         assert [[f"{m.sender}#{m.seq}" for m in a.messages] for a in actions] == [[f"{PEER}#1"]]
+
+
+def node_state(node: NodeState) -> tuple:
+    """What a reception can change of a node, in comparable form."""
+    pool = node.pool
+    pipes = {peer: (pipe.trigger, pipe.contradiction_budget) for peer, pipe in node._pipelines.items()}
+    return (
+        copy.deepcopy(vars(node.store)),
+        {sender: pool.entries(sender) for sender in pool.senders()},
+        set(node._pending),
+        dict(node._alert_last),
+        copy.deepcopy(pipes),
+    )
+
+
+class TestDispatch:
+    """`receive_message` and `tick` route each message type to its receive step."""
+
+    MESSAGES = {
+        "payload": (payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 20), "receive_payload"),
+        "bft-report": (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-47.0), None, 20), "receive_bft"),
+        "bft-about-self": (BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-80.0), None, 20), "receive_bft"),
+        "distrust-alert": (distrust_alert(PEER, OTHER), "receive_alert"),
+        "self-distrust-alert": (AlertMessage(PEER, AlertType.SELF_DISTRUST, PEER, None, 20), "receive_alert"),
+    }
+
+    @staticmethod
+    def primed_node() -> NodeState:
+        node = make_node(params=ProtocolParams(tau=2, pool_ttl=20))
+        for t in range(12):
+            node.ingest_sample(PEER, -50.0, t)
+            node.ingest_sample(OTHER, -47.0, t)
+        node.store.register_bft(OTHER, PEER, 20, 20)  # the BFT the distrust alert names
+        node.pool.add(payload_from(OTHER, 1, Location(0.0, 4.0, 0.0), 0), 0)  # due at tick 21
+        return node
+
+    @pytest.mark.parametrize("name", MESSAGES)
+    def test_receive_message_and_one_message_tick_agree(self, name):
+        msg, step = self.MESSAGES[name]
+        base = self.primed_node()
+        direct, routed, ticked = (copy.deepcopy(base) for _ in range(3))
+        want = getattr(direct, step)(msg, -49.0, 21)
+        assert routed.receive_message(msg, -49.0, 21) == want
+        assert node_state(routed) == node_state(direct)
+        assert routed.store.history(msg.sender)[-1] == (21, -49.0)  # the reception was measured
+        assert ticked.tick([(msg, -49.0)], now=21) == want + routed.validate_pool(21)
+        assert node_state(ticked) == node_state(routed)
+
+    @pytest.mark.parametrize("msg", [b"\x01raw", "text", BftRef(PEER, ME, 20)], ids=["bytes", "str", "bft-ref"])
+    def test_other_types_are_ignored(self, msg):
+        node, twin = self.primed_node(), self.primed_node()
+        assert node.receive_message(msg, -49.0, 21) == [Ignore("unknown-message-type")]
+        assert node_state(node) == node_state(twin)
+        assert node.tick([(msg, -49.0)], now=21) == [Ignore("unknown-message-type"), *twin.validate_pool(21)]
+        assert node_state(node) == node_state(twin)
 
 
 class TestConfigurableSmoother:
@@ -878,8 +981,8 @@ class TestConfigurableSmoother:
                 warmup=2, smoother="exp_smoothing", smoother_params={"alpha": 1.0}
             )
         )
-        node.ingest_sample(PEER, Rssi(-50.0), 0)
-        out = node.ingest_sample(PEER, Rssi(-60.0), 1)
+        node.ingest_sample(PEER, -50.0, 0)
+        out = node.ingest_sample(PEER, -60.0, 1)
         assert out == pytest.approx(-60.0)  # alpha=1 passes raw values through
 
     def test_unknown_smoother_rejected(self):
@@ -891,9 +994,9 @@ class TestConfigurableSmoother:
             filter_params=FilterParams(warmup=2, smoother="moving_average")
         )
         for t in range(5):
-            node.ingest_sample(PEER, Rssi(-50.0), t)
+            node.ingest_sample(PEER, -50.0, t)
         node.on_moved(Location(1.0, 0.0, 0.0), 5, announce=True)
-        out = node.ingest_sample(PEER, Rssi(-70.0), 6)
+        out = node.ingest_sample(PEER, -70.0, 6)
         assert out == pytest.approx(-70.0)  # buffer was cleared
 
 
@@ -901,18 +1004,18 @@ class TestHistoryWindow:
     def test_every_sample_of_the_window_is_kept(self):
         node = make_node(params=ProtocolParams(tau=2, history_window=100))
         for t in range(100):
-            node.ingest_sample(PEER, Rssi(-80.0 if t < 60 else -50.0), t)
+            node.ingest_sample(PEER, -80.0 if t < 60 else -50.0, t)
         # the median of all 100 samples is -80; of only the last 64 it is -50
         params = node.params
         assert len(node.store.history(PEER)) == 100
-        assert node.store.history_consistent(PEER, Rssi(-80.0), params.consistency_tol)
+        assert node.store.history_consistent(PEER, -80.0, params.consistency_tol)
 
 
 class TestTauResolution:
     def test_fraction_of_in_range_peers(self):
         node = make_node(params=ProtocolParams(tau=0.5))
         for t, peer in enumerate((PEER, OTHER, EXTRAS[0], EXTRAS[1])):
-            node.ingest_sample(peer, Rssi(-50.0), t)
+            node.ingest_sample(peer, -50.0, t)
         assert node.in_range_peers(10) == 4
         assert node.tau(10) == 2
 
@@ -923,7 +1026,7 @@ class TestTauResolution:
     def test_auto_default_half(self):
         node = make_node(params=ProtocolParams())
         for t, peer in enumerate((PEER, OTHER, EXTRAS[0])):
-            node.ingest_sample(peer, Rssi(-50.0), t)
+            node.ingest_sample(peer, -50.0, t)
         assert node.tau(10) == 2  # ceil(0.5 * 3)
 
 
@@ -943,7 +1046,7 @@ class TestMovedFlag:
     def test_announced_move_resets_pipelines(self):
         node = make_node()
         for t in range(10):
-            node.ingest_sample(PEER, Rssi(-50.0), t)
+            node.ingest_sample(PEER, -50.0, t)
         assert node.smoothed_rssi(PEER) is not None
         node.on_moved(Location(1.0, 0.0, 0.0), 10, announce=True)
         assert node.smoothed_rssi(PEER) is None
@@ -951,12 +1054,12 @@ class TestMovedFlag:
     def test_announced_move_leaves_no_stale_own_anchor(self):
         node = make_node()
         for t in range(10):
-            node.ingest_sample(PEER, Rssi(-50.0), t)
+            node.ingest_sample(PEER, -50.0, t)
         moved_to = Location(1.0, 0.0, 0.0)
         node.on_moved(moved_to, 10, announce=True)
         assert node.smoothed_rssi(PEER) is None
         assert gather_anchors(PEER, node.store, moved_to, 10, freshness=45) == []
-        node.ingest_sample(PEER, Rssi(-60.0), 11)
+        node.ingest_sample(PEER, -60.0, 11)
         assert node.smoothed_rssi(PEER) == pytest.approx(-60.0)
         (own,) = gather_anchors(PEER, node.store, moved_to, 11, freshness=45)
         assert own[:3] == moved_to.as_tuple()

@@ -109,41 +109,41 @@ class TestHistoryConsistent:
         store = make_store(capacity=3)
         for t, v in enumerate([-45.0, -44.0, -46.0]):
             store.record_rssi(B, t, v)
-        assert store.history_consistent(B, Rssi(-45.0), 5.0)
+        assert store.history_consistent(B, -45.0, 5.0)
 
     def test_outside_tolerance(self):
         store = make_store(capacity=3)
         for t, v in enumerate([-45.0, -44.0, -46.0]):
             store.record_rssi(B, t, v)
-        assert not store.history_consistent(B, Rssi(-60.0), 5.0)
+        assert not store.history_consistent(B, -60.0, 5.0)
 
     def test_only_the_last_capacity_samples_count(self):
         store = make_store(capacity=3)
         for t, v in enumerate([-90.0, -90.0, -90.0, -45.0, -44.0, -46.0]):
             store.record_rssi(B, t, v)
-        assert store.history_consistent(B, Rssi(-45.0), 5.0)
-        assert not store.history_consistent(B, Rssi(-90.0), 5.0)
+        assert store.history_consistent(B, -45.0, 5.0)
+        assert not store.history_consistent(B, -90.0, 5.0)
 
     def test_even_count_uses_the_lower_median(self):
         store = make_store(capacity=3)
         for t, v in enumerate([-40.0, -60.0]):
             store.record_rssi(B, t, v)
-        assert store.history_consistent(B, Rssi(-60.0), 0.0)
-        assert not store.history_consistent(B, Rssi(-40.0), 0.0)
+        assert store.history_consistent(B, -60.0, 0.0)
+        assert not store.history_consistent(B, -40.0, 0.0)
 
     def test_empty_history_is_vacuously_consistent(self):
-        assert make_store(capacity=3).history_consistent(B, Rssi(-90.0), 5.0)
+        assert make_store(capacity=3).history_consistent(B, -90.0, 5.0)
 
     def test_reported_entries_are_not_history_evidence(self):
         store = make_store(capacity=3)
         store.record_report(B, C, 1, -90.0, HERE)
         store.record_report(C, B, 1, -90.0, HERE)
-        assert store.history_consistent(B, Rssi(-40.0), 5.0)
-        assert store.history_consistent(C, Rssi(-40.0), 5.0)
+        assert store.history_consistent(B, -40.0, 5.0)
+        assert store.history_consistent(C, -40.0, 5.0)
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            make_store(capacity=3).history_consistent(B, Rssi(-40.0), -1.0)
+            make_store(capacity=3).history_consistent(B, -40.0, -1.0)
 
 
 class TestBounds:
@@ -156,7 +156,7 @@ class TestBounds:
 
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tol"):
-            make_store(capacity=3).history_consistent(B, Rssi(-40.0), math.nan)
+            make_store(capacity=3).history_consistent(B, -40.0, math.nan)
 
     @pytest.mark.parametrize("window", [0, -1, math.nan])
     def test_bft_window_rejected(self, window):

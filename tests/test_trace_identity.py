@@ -6,11 +6,14 @@ byte of `events.jsonl` or `rssi.csv` fails here as well as in the bench. The
 offline filter sweep over the fig7 trace is held to the bench's hashes too,
 and each built-in's `metrics.json` at seeds 1-3 to a hash pinned in this
 file, as are the three files of four attack runs that the references do not
-cover. The trust timeline, which only `metrics.json` holds, is also checked
+cover. One dense run is held to the bench's hash without an output
+directory, as the bench runs it, so the in-memory records are checked too.
+The trust timeline, which only `metrics.json` holds, is also checked
 against a reference that reads every node's trust after every round.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -22,7 +25,8 @@ from polsim.harness import run
 from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, Scenario, builtin_scenario
 
-REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCES = PERFBENCH / "references.json"
 TICKS = 900
 
 
@@ -41,6 +45,18 @@ def test_builtin_traces_match_reference(name, references, tmp_path):
     for file_name, digest in want.items():
         got = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
         assert got == digest, f"{name} {file_name} differs from the reference trace"
+
+
+def test_memory_sink_run_matches_reference(references):
+    """dense-8 as the bench's dense workload runs it: events kept in memory, no RSSI rows."""
+    spec = importlib.util.spec_from_file_location("perfbench_dense", PERFBENCH / "dense.py")
+    dense = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dense)
+    result = run(Scenario.from_dict(dense.dense_document(8, 1, 1, 100)), collect_rssi=False)
+    events = "".join(f"{event.to_json()}\n" for event in result.events)
+    want = references["dense-8/layout=1/seed=1/ticks=100"]
+    assert set(want) == {"events.jsonl"}
+    assert hashlib.sha256(events.encode("utf-8")).hexdigest() == want["events.jsonl"]
 
 
 # SHA-256 of metrics.json of each built-in per seed; the bench's references
