@@ -108,9 +108,10 @@ def check_zero_false_positives(seeds=ACCEPTANCE_SEEDS) -> CheckResult:
 
 
 def _paired_diffs(res: RunResult) -> list[float]:
-    directed: dict[tuple[int, str, str], float] = {}
-    for row in res.rssi_rows:
-        directed[(row.tick, row.sender, row.receiver)] = row.raw
+    directed: dict[tuple[str, str, str], float] = {}
+    for line in res.rssi_lines:
+        tick, receiver, sender, raw, _ = line.split(",")
+        directed[(tick, sender, receiver)] = float(raw)
     diffs = []
     for (tick, sender, receiver), value in directed.items():
         if sender < receiver:
@@ -122,7 +123,8 @@ def _paired_diffs(res: RunResult) -> list[float]:
 
 def check_rssi_symmetry(seed: int = 42) -> CheckResult:
     """|RSSI_AB - RSSI_BA| <= 5 dB: exactly under zero noise, for >= 99% of
-    paired samples under default noise."""
+    paired samples under default noise. The raw values are read from the
+    run's rssi.csv lines, so to their 6 trace decimals."""
     worst0 = 0.0
     for quiet_seed in (seed - 1, seed, seed + 1):  # different per-link jitter draws
         quiet = builtin_scenario("paper-fig7", seed=quiet_seed).with_channel(noise_sigma=0.0)

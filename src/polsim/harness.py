@@ -6,10 +6,15 @@ the channel delivers them, every node runs its round, and the messages it
 returns queue for the next tick. The whole run is a pure function of
 the scenario (seed included); traces are byte-stable across runs.
 
-Trace outputs (streamed while the run goes when an output directory is given):
+Trace outputs, one line per record:
   rssi.csv     one row per reception: tick,receiver,sender,rssi_raw,rssi_smoothed
   events.jsonl one JSON object per node action: {tick, node, action, details}
   metrics.json run summary, cross-checked against the event log, written last
+
+One sink encodes every record into its line as the run makes it. Given an
+output directory it streams the lines into the files; without one the
+RunResult holds the same lines, `events` parses them on demand, and
+`write_traces` writes them to the files a streamed run would have written.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any, Optional, TextIO
+from typing import Any, Iterable, Iterator, Optional, TextIO
 
 from .messages import (
     AlertMessage,
@@ -61,18 +66,25 @@ class TraceEvent:
             separators=(",", ":"),
         )
 
+    @classmethod
+    def from_json(cls, line: str) -> TraceEvent:
+        return cls(**json.loads(line))
 
-@dataclass(slots=True)
-class RssiRow:
-    tick: int
-    receiver: str
-    sender: str
-    raw: float
-    smoothed: Optional[float]
 
-    def to_csv(self) -> str:
-        smooth = f"{self.smoothed:.6f}" if self.smoothed is not None else ""
-        return f"{self.tick},{self.receiver},{self.sender},{self.raw:.6f},{smooth}"
+class TraceEvents:
+    """The TraceEvents of a run's held event lines, parsed anew on each
+    iteration: a parsed list would hold several times the lines' memory."""
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(TraceEvent.from_json, self._lines)
 
 
 # the event action behind each sent/stored/ignored counter, in check order
@@ -89,13 +101,12 @@ _RECV_COUNTS = {PayloadMessage: "payload_recv", BftMessage: "bft_recv", AlertMes
 _COUNT_KEYS = (*_ACTION_COUNTS.values(), *_RECV_COUNTS.values())
 
 
-def _tally(events: list[TraceEvent], tally: dict[str, dict[str, int]]) -> None:
+def _tally(events: Iterable[TraceEvent]) -> defaultdict[str, dict[str, int]]:
     """Count each event in tally[node][action]; an unknown action raises KeyError."""
+    tally: defaultdict[str, dict[str, int]] = defaultdict(partial(dict.fromkeys, _ACTION_COUNTS, 0))
     for e in events:
-        node = tally.get(e.node)
-        if node is None:
-            node = tally[e.node] = dict.fromkeys(_ACTION_COUNTS, 0)
-        node[e.action] += 1
+        tally[e.node][e.action] += 1
+    return tally
 
 
 def _check_counts(counts: dict[str, dict[str, int]], tally: dict[str, dict[str, int]]) -> None:
@@ -134,33 +145,44 @@ class RunMetrics:
 
 @dataclass
 class RunResult:
-    """A finished run. A run given an output directory streamed its records
-    there: `events` and `rssi_rows` are None and `out_dir` names the files."""
+    """A finished run. A run without an output directory holds its trace
+    lines, `event_lines` and `rssi_lines`, the lines of events.jsonl and of
+    rssi.csv after its header, and `events` parses the event lines on each
+    iteration. A run given an output directory streamed its lines there:
+    `event_lines`, `rssi_lines` and `events` are None and `out_dir` names
+    the files."""
 
     metrics: RunMetrics
-    events: Optional[list[TraceEvent]]
-    rssi_rows: Optional[list[RssiRow]]
     nodes: dict[str, NodeState]
+    event_lines: Optional[list[str]] = None
+    rssi_lines: Optional[list[str]] = None
     out_dir: Optional[str] = None
 
-    def _events(self) -> list[TraceEvent]:
-        if self.events is None:
+    @property
+    def events(self) -> Optional[TraceEvents]:
+        return None if self.event_lines is None else TraceEvents(self.event_lines)
+
+    def _held(self) -> tuple[list[str], list[str]]:
+        if self.event_lines is None or self.rssi_lines is None:
             raise RuntimeError(
                 f"the run streamed its records to {self.out_dir}; read events.jsonl and rssi.csv there"
             )
-        return self.events
+        return self.event_lines, self.rssi_lines
+
+    def _action_events(self, action: str) -> list[TraceEvent]:
+        # a line starts with its first sorted key, "action"
+        prefix = f'{{"action":"{action}",'
+        return [TraceEvent.from_json(line) for line in self._held()[0] if line.startswith(prefix)]
 
     def bft_events(self) -> list[TraceEvent]:
-        return [e for e in self._events() if e.action == "send_bft"]
+        return self._action_events("send_bft")
 
     def alert_events(self) -> list[TraceEvent]:
-        return [e for e in self._events() if e.action == "send_alert"]
+        return self._action_events("send_alert")
 
     def verify_counts(self) -> None:
         """Cross-check metric counters against the event log; raises on drift."""
-        tally: dict[str, dict[str, int]] = {}
-        _tally(self._events(), tally)
-        _check_counts(self.metrics.counts, tally)
+        _check_counts(self.metrics.counts, _tally(TraceEvents(self._held()[0])))
 
 
 def sensor_reading(node_index: int, tick: int) -> bytes:
@@ -249,70 +271,40 @@ class _AttackDriver:
         return self.captured
 
 
-class _MemorySink:
-    """Keeps every record for a RunResult that carries them.
+class _LineSink:
+    """Encodes each record of a run into its trace line as the run makes it.
 
     A sink takes records through one callable per record shape the run
-    makes in bulk, `ignore`, `expired`, `payload_sent` and `row`, and
-    through `event` for the rare kinds; it is told when a tick ends, and
-    `finish` turns the run's metrics into its RunResult. Here `event` is a
-    bound `list.append`; the others build the `TraceEvent`s or `RssiRow` of
-    their fields, `expired` one `ignore` event per expired payload.
-    """
+    makes in bulk, `ignore`, `expired`, `payload_sent`, `store_trusted`
+    and `row`, and through `event` for the rare kinds; it is told when a
+    tick ends, and `finish` turns the run's metrics into its RunResult.
+    The bulk shapes fill one template each, the exact encoding
+    `TraceEvent.to_json` gives their fields (`row` the rssi.csv row, both
+    values to 6 decimals); `expired` fills one template per payload, the
+    line `ignore` makes for that payload's `expired` record; and `event`
+    encodes a `TraceEvent` through `to_json`. Of what it encodes it also
+    keeps the per-(node, action) tally that `finish` checks the counters
+    against, the same way with or without an output directory.
 
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-        self.rows: list[RssiRow] = []
-        self.event = self.events.append
-
-    def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
-        self.events.append(TraceEvent(tick, node, "ignore", {"reason": reason, "context": context}))
-
-    def expired(self, tick: int, node: str, messages: tuple[PayloadMessage, ...]) -> None:
-        # the context is str(m.sender) without a Python-level __str__ call
-        self.events.extend([
-            TraceEvent(tick, node, "ignore", {"reason": "expired", "context": f"{m.sender.hex(':')}#{m.seq}"})
-            for m in messages
-        ])
-
-    def payload_sent(self, tick: int, node: str, seq: int) -> None:
-        self.events.append(TraceEvent(tick, node, "send_payload", {"seq": seq}))
-
-    def row(self, tick: int, receiver: str, sender: str, raw: float, smoothed: Optional[float]) -> None:
-        self.rows.append(RssiRow(tick, receiver, sender, raw, smoothed))
-
-    def end_tick(self) -> None:
-        pass
-
-    def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
-        result = RunResult(metrics, self.events, self.rows, nodes)
-        result.verify_counts()
-        return result
-
-    def close(self) -> None:
-        pass
-
-
-class _FileSink:
-    """Streams records to rssi.csv and events.jsonl in `out_dir` as a run makes them.
-
-    Each record is encoded into its line when it comes: `ignore`,
-    `payload_sent` and `row` fill one template each, the exact encoding
-    `TraceEvent.to_json` and `RssiRow.to_csv` give their fields; `expired`
-    fills one template per payload, the line `ignore` writes for that
-    payload's `expired` record; and `event` encodes a `TraceEvent` through
-    `to_json`. The lines are held as plain strings, which the cyclic GC
-    does not track, and written when a tick ends with a full buffer, so
-    the run holds at most about one chunk of lines. Of what it encodes it keeps only the per-(node, action)
-    tally for the count check.
-    `write_metrics` writes the rest, closes both files, checks the tally
+    The lines are plain strings, which the cyclic GC does not track.
+    Without `out_dir` the sink holds every line for the RunResult. With
+    `out_dir` it writes the lines to events.jsonl and rssi.csv when a tick
+    ends with a full buffer, so the run holds at most about one chunk of
+    them; `finish` writes the rest, closes both files, checks the tally
     and writes metrics.json last: a run that raises leaves no metrics.json.
     """
 
-    def __init__(self, out_dir: str) -> None:
+    def __init__(self, out_dir: Optional[str] = None) -> None:
+        self.out_dir = out_dir
+        self.event_lines: list[str] = []
+        self.row_lines: list[str] = []
+        self.tally = _tally(())
+        self._events_fh: Optional[TextIO] = None
+        self._rssi_fh: Optional[TextIO] = None
+        if out_dir is None:
+            return
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        self.out_dir = out_dir
         self.paths = {
             "rssi": out / "rssi.csv",
             "events": out / "events.jsonl",
@@ -327,37 +319,22 @@ class _FileSink:
         except BaseException:
             self._rssi_fh.close()
             raise
-        self.event_lines: list[str] = []
-        self.row_lines: list[str] = []
-        self.tally: defaultdict[str, dict[str, int]] = defaultdict(partial(dict.fromkeys, _ACTION_COUNTS, 0))
-        # JSON string of each node label and ignore reason, escaped once
-        self._escaped: dict[str, str] = {}
 
     def event(self, e: TraceEvent) -> None:
         self.event_lines.append(f"{e.to_json()}\n")
         self.tally[e.node][e.action] += 1  # an unknown action raises KeyError
 
     def ignore(self, tick: int, node: str, reason: str, context: str) -> None:
-        escaped = self._escaped
-        reason_json = escaped.get(reason)
-        if reason_json is None:
-            reason_json = escaped[reason] = _escape(reason)
-        node_json = escaped.get(node)
-        if node_json is None:
-            node_json = escaped[node] = _escape(node)
         self.event_lines.append(
-            f'{{"action":"ignore","details":{{"context":{_escape(context)},"reason":{reason_json}}},'
-            f'"node":{node_json},"tick":{tick!r}}}\n'
+            f'{{"action":"ignore","details":{{"context":{_escape(context)},"reason":{_escape(reason)}}},'
+            f'"node":{_escape(node)},"tick":{tick!r}}}\n'
         )
         self.tally[node]["ignore"] += 1
 
     def expired(self, tick: int, node: str, messages: tuple[PayloadMessage, ...]) -> None:
-        node_json = self._escaped.get(node)
-        if node_json is None:
-            node_json = self._escaped[node] = _escape(node)
         # the context `sender#seq` (str(NodeId) without a Python-level
         # __str__ call) is hex digits, colons, '#' and digits: nothing to escape
-        tail = f'","reason":"expired"}},"node":{node_json},"tick":{tick!r}}}\n'
+        tail = f'","reason":"expired"}},"node":{_escape(node)},"tick":{tick!r}}}\n'
         self.event_lines.extend([
             f'{{"action":"ignore","details":{{"context":"{m.sender.hex(":")}#{m.seq}{tail}' for m in messages
         ])
@@ -369,6 +346,13 @@ class _FileSink:
         )
         self.tally[node]["send_payload"] += 1
 
+    def store_trusted(self, tick: int, node: str, sender: str, seq: int) -> None:
+        self.event_lines.append(
+            f'{{"action":"store_trusted","details":{{"sender":{_escape(sender)},"seq":{seq!r}}},'
+            f'"node":{_escape(node)},"tick":{tick!r}}}\n'
+        )
+        self.tally[node]["store_trusted"] += 1
+
     def row(self, tick: int, receiver: str, sender: str, raw: float, smoothed: Optional[float]) -> None:
         if smoothed is None:
             self.row_lines.append(f"{tick},{receiver},{sender},{raw:.6f},\n")
@@ -376,42 +360,49 @@ class _FileSink:
             self.row_lines.append(f"{tick},{receiver},{sender},{raw:.6f},{smoothed:.6f}\n")
 
     def end_tick(self) -> None:
+        if self._events_fh is None:
+            return
         if len(self.event_lines) >= _WRITE_CHUNK_LINES:
             _write_lines(self._events_fh, self.event_lines)
         if len(self.row_lines) >= _WRITE_CHUNK_LINES:
             _write_lines(self._rssi_fh, self.row_lines)
 
-    def write_metrics(self, metrics: RunMetrics) -> None:
-        """Write the buffered lines, close the trace files, check the counts, write metrics.json."""
+    def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
+        """Check the counters against the tally and make the RunResult; with
+        an output directory the rest of the lines are written and the files
+        closed before the check, and metrics.json written after it."""
+        if self.out_dir is None:
+            _check_counts(metrics.counts, self.tally)
+            return RunResult(metrics, nodes, self.event_lines, self.row_lines)
         _write_lines(self._events_fh, self.event_lines)
         _write_lines(self._rssi_fh, self.row_lines)
         self.close()
         _check_counts(metrics.counts, self.tally)
         with open(self.paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.to_json() + "\n")
-
-    def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
-        self.write_metrics(metrics)
-        return RunResult(metrics, None, None, nodes, out_dir=self.out_dir)
+        return RunResult(metrics, nodes, out_dir=self.out_dir)
 
     def close(self) -> None:
-        self._rssi_fh.close()
-        self._events_fh.close()
+        if self._events_fh is not None:
+            self._events_fh.close()
+        if self._rssi_fh is not None:
+            self._rssi_fh.close()
 
 
 def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = True) -> RunResult:
     """Execute a scenario.
 
     With `out_dir` the trace files are opened before the first tick and
-    the records streamed into them, and the result carries no records;
-    without it the result holds every event and RSSI row.
+    the trace lines streamed into them, and the result carries no lines;
+    without it the result holds every line, the same lines the files
+    would hold.
     """
-    sink = _FileSink(out_dir) if out_dir is not None else _MemorySink()
+    sink = _LineSink(out_dir)
     with closing(sink):
         return _simulate(scenario, sink, collect_rssi)
 
 
-def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: bool) -> RunResult:
+def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunResult:
     labels: dict[NodeId, str] = {spec.mac: spec.label for spec in scenario.nodes}
 
     def label_of(node: NodeId) -> str:
@@ -442,8 +433,8 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
     for mv in scenario.movements:
         movements_by_tick.setdefault(mv.at, []).append(mv)
 
-    event, ignore, expired, payload_sent, row = (
-        sink.event, sink.ignore, sink.expired, sink.payload_sent, sink.row
+    event, ignore, expired, payload_sent, store_trusted, row = (
+        sink.event, sink.ignore, sink.expired, sink.payload_sent, sink.store_trusted, sink.row
     )
     counts = {spec.label: dict.fromkeys(_COUNT_KEYS, 0) for spec in scenario.nodes}
     counts_of = {spec.mac: counts[spec.label] for spec in scenario.nodes}
@@ -493,7 +484,7 @@ def _simulate(scenario: Scenario, sink: _MemorySink | _FileSink, collect_rssi: b
             counts[label]["alert_sent"] += 1
         elif cls is StoreTrusted:
             m = out.message
-            event(TraceEvent(tick, label, "store_trusted", {"sender": label_of(m.sender), "seq": m.seq}))
+            store_trusted(tick, label, label_of(m.sender), m.seq)
             counts[label]["trusted_stored"] += 1
 
     pending: list[tuple[NodeId, Message]] = []  # broadcasts queued for next tick
@@ -649,16 +640,16 @@ def _write_lines(fh: TextIO, lines: list[str]) -> None:
 
 
 def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
-    """Write rssi.csv, events.jsonl and metrics.json of an in-memory result
-    by replaying its records through the file sink; returns the paths."""
-    events = result._events()
-    rows = result.rssi_rows
-    with closing(_FileSink(out_dir)) as sink:
-        for start in range(0, max(len(events), len(rows)), _WRITE_CHUNK_LINES):
-            for e in events[start:start + _WRITE_CHUNK_LINES]:
-                sink.event(e)
-            for r in rows[start:start + _WRITE_CHUNK_LINES]:
-                sink.row(r.tick, r.receiver, r.sender, r.raw, r.smoothed)
+    """Write the held lines of an in-memory result to rssi.csv and
+    events.jsonl and its metrics.json last, through the sink a streamed run
+    writes with, its counters checked against the lines again; returns the
+    paths."""
+    event_lines, rssi_lines = result._held()
+    with closing(_LineSink(out_dir)) as sink:
+        sink.tally = _tally(TraceEvents(event_lines))
+        for start in range(0, max(len(event_lines), len(rssi_lines)), _WRITE_CHUNK_LINES):
+            sink.event_lines += event_lines[start:start + _WRITE_CHUNK_LINES]
+            sink.row_lines += rssi_lines[start:start + _WRITE_CHUNK_LINES]
             sink.end_tick()
-        sink.write_metrics(result.metrics)
+        sink.finish(result.metrics, result.nodes)
     return sink.paths

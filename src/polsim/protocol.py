@@ -240,9 +240,6 @@ class MessagePool:
                 expired.append(messages.popleft())
         return expired
 
-    def senders(self) -> list[NodeId]:
-        return sorted(s for s, (messages, _) in self._by_sender.items() if messages)
-
     def entries(self, sender: NodeId) -> list[tuple[PayloadMessage, int]]:
         """The sender's pooled (message, reception tick) pairs, oldest first."""
         pooled = self._by_sender.get(sender)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polsim.harness
-from polsim.harness import RSSI_HEADER, RssiRow, TraceEvent, run, sensor_reading, write_traces
+from polsim.harness import RSSI_HEADER, TraceEvent, run, sensor_reading, write_traces
 from polsim.messages import NodeId, PayloadMessage, SensorType
 from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, builtin_scenario
@@ -17,6 +17,15 @@ from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, bui
 
 def quiet(scenario: Scenario) -> Scenario:
     return scenario.with_channel(noise_sigma=0.0, asymmetry_jitter=0.0)
+
+
+def rssi_rows(res) -> list[tuple[int, str, str, float]]:
+    """(tick, receiver, sender, raw) of each rssi.csv line the run holds."""
+    rows = []
+    for line in res.rssi_lines:
+        tick, receiver, sender, raw, _ = line.split(",")
+        rows.append((int(tick), receiver, sender, float(raw)))
+    return rows
 
 
 class TestDeterminism:
@@ -32,7 +41,7 @@ class TestDeterminism:
         r1 = run(builtin_scenario("paper-fig7", seed=11), collect_rssi=True)
         r2 = run(builtin_scenario("paper-fig7", seed=12), collect_rssi=True)
         assert any(
-            a.raw != b.raw for a, b in zip(r1.rssi_rows, r2.rssi_rows)
+            a[3] != b[3] for a, b in zip(rssi_rows(r1), rssi_rows(r2))
         )
 
 
@@ -74,7 +83,7 @@ class TestTraces:
 
     def test_reception_counts_match_rows(self):
         res = run(builtin_scenario("static-honest", seed=3), collect_rssi=True)
-        total_rows = len(res.rssi_rows)
+        total_rows = len(res.rssi_lines)
         total_recv = sum(
             c["payload_recv"] + c["bft_recv"] + c["alert_recv"]
             for c in res.metrics.counts.values()
@@ -112,25 +121,31 @@ TRACE_FILES = ("rssi.csv", "events.jsonl", "metrics.json")
 
 
 class TestStreamedTraces:
-    """A run with an output directory streams its records into the files."""
+    """A run with an output directory streams its trace lines into the
+    files; a run without one holds the same lines."""
 
     @pytest.mark.parametrize("collect_rssi", [True, False], ids=["rssi", "no-rssi"])
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_streamed_files_equal_replayed_result(self, name, seed, collect_rssi, tmp_path):
         scenario = builtin_scenario(name, seed=seed)
-        streamed, replayed = tmp_path / "streamed", tmp_path / "replayed"
+        streamed, written = tmp_path / "streamed", tmp_path / "written"
         run(scenario, out_dir=str(streamed), collect_rssi=collect_rssi)
-        write_traces(run(scenario, collect_rssi=collect_rssi), str(replayed))
+        res = run(scenario, collect_rssi=collect_rssi)
+        assert "".join(res.event_lines).encode() == (streamed / "events.jsonl").read_bytes()
+        assert (RSSI_HEADER + "".join(res.rssi_lines)).encode() == (streamed / "rssi.csv").read_bytes()
+        for event, line in zip(res.events, res.event_lines, strict=True):
+            assert event.to_json() + "\n" == line
+        write_traces(res, str(written))
         for file_name in TRACE_FILES:
-            assert (streamed / file_name).read_bytes() == (replayed / file_name).read_bytes(), file_name
+            assert (streamed / file_name).read_bytes() == (written / file_name).read_bytes(), file_name
         if not collect_rssi:
             assert (streamed / "rssi.csv").read_text() == RSSI_HEADER
 
     def test_streamed_result_carries_no_records(self, tmp_path):
         out = tmp_path / "out"
         res = run(builtin_scenario("malicious-bft", seed=1), out_dir=str(out))
-        assert res.events is None and res.rssi_rows is None
+        assert res.events is None and res.event_lines is None and res.rssi_lines is None
         assert res.out_dir == str(out)
         assert res.metrics.counts["n1"]["payload_sent"] > 0
         for read in (res.bft_events, res.alert_events, res.verify_counts):
@@ -184,16 +199,26 @@ class TestStreamedTraces:
 
     def test_streamed_buffers_hold_str_lines_only(self, monkeypatch, tmp_path):
         held = set()
-        end_tick = polsim.harness._FileSink.end_tick
+        end_tick = polsim.harness._LineSink.end_tick
 
         def inspecting_end_tick(sink):
             held.update(map(type, sink.event_lines))
             held.update(map(type, sink.row_lines))
             end_tick(sink)
 
-        monkeypatch.setattr(polsim.harness._FileSink, "end_tick", inspecting_end_tick)
+        monkeypatch.setattr(polsim.harness._LineSink, "end_tick", inspecting_end_tick)
         run(builtin_scenario("malicious-bft", seed=1), out_dir=str(tmp_path))
         assert held == {str}
+
+        held.clear()
+        res = run(builtin_scenario("malicious-bft", seed=1))
+        assert held == {str}
+        assert {type(line) for line in (*res.event_lines, *res.rssi_lines)} == {str}
+        # `events` parses the lines on each iteration and keeps no list of its own
+        assert "events" not in vars(res) and not isinstance(res.events, list)
+        first = next(iter(res.events))
+        assert first == next(iter(res.events)) and first is not next(iter(res.events))
+        assert len(res.events) == len(res.event_lines)
 
     def test_memory_flat_with_duration(self, tmp_path):
         peaks = {}
@@ -240,39 +265,37 @@ class TestCompactJson:
 
     @settings(max_examples=250)
     @given(st.integers(), trace_text, trace_values)
-    def test_matches_json_dumps(self, file_sink, tick, node, value):
-        before = file_sink.tally[node]["store_trusted"]
-        file_sink.event(TraceEvent(tick, node, "store_trusted", {"value": value}))
+    def test_matches_json_dumps(self, line_sink, tick, node, value):
+        before = line_sink.tally[node]["store_trusted"]
+        line_sink.event(TraceEvent(tick, node, "store_trusted", {"value": value}))
         record = {"tick": tick, "node": node, "action": "store_trusted", "details": {"value": value}}
-        assert file_sink.event_lines.pop() == json_reference(record) + "\n"
-        assert file_sink.tally[node]["store_trusted"] == before + 1
+        assert line_sink.event_lines.pop() == json_reference(record) + "\n"
+        assert line_sink.tally[node]["store_trusted"] == before + 1
 
     @pytest.mark.parametrize("value", [b"raw", {1, 2}, {"k": b"raw"}], ids=["bytes", "set", "nested-bytes"])
-    def test_other_types_raise_type_error(self, file_sink, value):
+    def test_other_types_raise_type_error(self, line_sink, value):
         """A value JSON cannot hold raises and leaves neither a line nor a count."""
-        lines, before = len(file_sink.event_lines), file_sink.tally["n1"]["store_trusted"]
+        lines, before = len(line_sink.event_lines), line_sink.tally["n1"]["store_trusted"]
         with pytest.raises(TypeError):
-            file_sink.event(TraceEvent(0, "n1", "store_trusted", {"value": value}))
-        assert len(file_sink.event_lines) == lines
-        assert file_sink.tally["n1"]["store_trusted"] == before
+            line_sink.event(TraceEvent(0, "n1", "store_trusted", {"value": value}))
+        assert len(line_sink.event_lines) == lines
+        assert line_sink.tally["n1"]["store_trusted"] == before
 
 
 @pytest.fixture(scope="module")
-def file_sink(tmp_path_factory):
-    sink = polsim.harness._FileSink(str(tmp_path_factory.mktemp("sink")))
-    yield sink
-    sink.close()
+def line_sink():
+    return polsim.harness._LineSink()
 
 
 class TestLineTemplates:
-    """Each line the file sink makes from fields is the generic encoding of the same record."""
+    """Each line the sink makes from fields is the generic encoding of the same record."""
 
     @settings(max_examples=200)
     @given(st.integers(), trace_text, trace_text, trace_text)
-    def test_ignore_line(self, file_sink, tick, node, reason, context):
-        file_sink.ignore(tick, node, reason, context)
+    def test_ignore_line(self, line_sink, tick, node, reason, context):
+        line_sink.ignore(tick, node, reason, context)
         event = TraceEvent(tick, node, "ignore", {"reason": reason, "context": context})
-        assert file_sink.event_lines.pop() == event.to_json() + "\n"
+        assert line_sink.event_lines.pop() == event.to_json() + "\n"
 
     @settings(max_examples=200)
     @given(
@@ -280,45 +303,60 @@ class TestLineTemplates:
         trace_text | st.sampled_from(['n"1', "n\\1", "n\u00e91", "\U0001f600"]),
         st.lists(st.tuples(st.binary(min_size=6, max_size=6), st.integers(0, 2**32)), max_size=5),
     )
-    def test_expired_lines(self, file_sink, tick, node, expired):
+    def test_expired_lines(self, line_sink, tick, node, expired):
         """`expired` writes and tallies what one `ignore(..., "expired", "sender#seq")` per payload does."""
         messages = tuple(
             PayloadMessage(NodeId(sender), seq, SensorType.GENERIC, b"", b"\0" * 16, tick)
             for sender, seq in expired
         )
-        lines = file_sink.event_lines
-        start, before = len(lines), file_sink.tally[node]["ignore"]
+        lines = line_sink.event_lines
+        start, before = len(lines), line_sink.tally[node]["ignore"]
         for m in messages:
-            file_sink.ignore(tick, node, "expired", f"{m.sender}#{m.seq}")
+            line_sink.ignore(tick, node, "expired", f"{m.sender}#{m.seq}")
         want = lines[start:]
         del lines[start:]
-        file_sink.expired(tick, node, messages)
+        line_sink.expired(tick, node, messages)
         assert lines[start:] == want
         del lines[start:]
-        assert file_sink.tally[node]["ignore"] == before + 2 * len(messages)
+        assert line_sink.tally[node]["ignore"] == before + 2 * len(messages)
 
-        bulk, single = polsim.harness._MemorySink(), polsim.harness._MemorySink()
+        bulk, single = polsim.harness._LineSink(), polsim.harness._LineSink()
         bulk.expired(tick, node, messages)
         for m in messages:
             single.ignore(tick, node, "expired", f"{m.sender}#{m.seq}")
-        assert bulk.events == single.events
-        tallies = [{}, {}]
-        for sink, tally in zip((bulk, single), tallies):
-            polsim.harness._tally(sink.events, tally)
-        assert tallies[0] == tallies[1]
+        assert bulk.event_lines == single.event_lines
+        assert bulk.tally[node] == single.tally[node]
+        events = list(polsim.harness.TraceEvents(bulk.event_lines))
+        assert polsim.harness._tally(events) == (single.tally if messages else {})
+        assert [e.details["context"] for e in events] == [f"{m.sender}#{m.seq}" for m in messages]
 
     @settings(max_examples=200)
     @given(st.integers(), trace_text, st.integers())
-    def test_payload_sent_line(self, file_sink, tick, node, seq):
-        file_sink.payload_sent(tick, node, seq)
+    def test_payload_sent_line(self, line_sink, tick, node, seq):
+        line_sink.payload_sent(tick, node, seq)
         event = TraceEvent(tick, node, "send_payload", {"seq": seq})
-        assert file_sink.event_lines.pop() == event.to_json() + "\n"
+        assert line_sink.event_lines.pop() == event.to_json() + "\n"
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(),
+        trace_text | st.sampled_from(['n"1', "n\\1", "n\u00e91", "\U0001f600"]),
+        trace_text | st.sampled_from(['n"2', "n\\2", "n\u00e92", "\U0001f600"]),
+        st.integers(0, 2**64) | st.integers(),
+    )
+    def test_store_trusted_line(self, line_sink, tick, node, sender, seq):
+        before = line_sink.tally[node]["store_trusted"]
+        line_sink.store_trusted(tick, node, sender, seq)
+        event = TraceEvent(tick, node, "store_trusted", {"sender": sender, "seq": seq})
+        assert line_sink.event_lines.pop() == event.to_json() + "\n"
+        assert line_sink.tally[node]["store_trusted"] == before + 1
 
     @settings(max_examples=200)
     @given(st.integers(), trace_text, trace_text, st.floats(), st.none() | st.floats())
-    def test_row_line(self, file_sink, tick, receiver, sender, raw, smoothed):
-        file_sink.row(tick, receiver, sender, raw, smoothed)
-        assert file_sink.row_lines.pop() == RssiRow(tick, receiver, sender, raw, smoothed).to_csv() + "\n"
+    def test_row_line(self, line_sink, tick, receiver, sender, raw, smoothed):
+        line_sink.row(tick, receiver, sender, raw, smoothed)
+        smooth = "" if smoothed is None else format(smoothed, ".6f")
+        assert line_sink.row_lines.pop() == f"{tick},{receiver},{sender},{raw:.6f},{smooth}\n"
 
 
 class TestZeroNoiseOracle:
@@ -400,12 +438,13 @@ class TestSpoofScenario:
 
     def test_spoofed_rows_appear_under_victim_identity(self):
         res = run(builtin_scenario("spoof-attack", seed=42), collect_rssi=True)
-        rows_late = [r for r in res.rssi_rows if r.sender == "n1" and r.tick > 450]
+        rows = rssi_rows(res)
+        rows_late = [raw for tick, _, sender, raw in rows if sender == "n1" and tick > 450]
         assert rows_late, "spoofed transmissions carry the victim identity"
-        rows_early = [r for r in res.rssi_rows if r.sender == "n1" and r.tick < 390]
+        rows_early = [raw for tick, _, sender, raw in rows if sender == "n1" and tick < 390]
         # attacker transmits from much farther away than the victim did
-        early = sum(r.raw for r in rows_early) / len(rows_early)
-        late = sum(r.raw for r in rows_late) / len(rows_late)
+        early = sum(rows_early) / len(rows_early)
+        late = sum(rows_late) / len(rows_late)
         assert early - late > 5.0
 
 
@@ -445,7 +484,7 @@ class TestReplayScenario:
         # the pool dedups on (sender, seq); stale handling precedes pooling,
         # so no sender can ever have two entries for one sequence number
         for node in res.nodes.values():
-            for sender in node.pool.senders():
+            for sender in node.pool._by_sender:
                 seqs = [msg.seq for msg, _ in node.pool.entries(sender)]
                 assert len(seqs) == len(set(seqs))
                 assert len(seqs) <= node.params.pool_ttl + 1

@@ -208,7 +208,7 @@ class TestMessagePoolLayout:
         pool = MessagePool(ttl=ttl)
         pairs: list[tuple[PayloadMessage, int]] = []
         pooled: set[tuple[NodeId, int]] = set()
-        first_pooled: list[NodeId] = []  # expiry visits the senders in this order
+        first_pooled: list[NodeId] = []  # the pool keeps its senders, and expiry visits them, in this order
         now = 0
         for kind, *args in ops:
             if kind == "add":
@@ -233,7 +233,7 @@ class TestMessagePoolLayout:
                 assert pool.clear_sender(sender) == [m for m, _ in pairs if m.sender == sender]
                 pairs = [(m, t) for m, t in pairs if m.sender != sender]
             assert len(pool) == len(pairs)
-            assert pool.senders() == sorted({m.sender for m, _ in pairs})
+            assert list(pool._by_sender) == first_pooled
             for sender in self.SENDERS:
                 mine = [(m, t) for m, t in pairs if m.sender == sender]
                 assert pool.entries(sender) == mine
@@ -925,7 +925,7 @@ def node_state(node: NodeState) -> tuple:
     pipes = {peer: (pipe.trigger, pipe.contradiction_budget) for peer, pipe in node._pipelines.items()}
     return (
         copy.deepcopy(vars(node.store)),
-        {sender: pool.entries(sender) for sender in pool.senders()},
+        [(sender, pool.entries(sender)) for sender in pool._by_sender],
         set(node._pending),
         dict(node._alert_last),
         copy.deepcopy(pipes),

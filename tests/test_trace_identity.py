@@ -7,7 +7,8 @@ offline filter sweep over the fig7 trace is held to the bench's hashes too,
 and each built-in's `metrics.json` at seeds 1-3 to a hash pinned in this
 file, as are the three files of four attack runs that the references do not
 cover. One dense run is held to the bench's hash without an output
-directory, as the bench runs it, so the in-memory records are checked too.
+directory, as the bench runs it, so the lines a run holds in memory, parsed
+through `events` and encoded again, are checked too.
 The trust timeline, which only `metrics.json` holds, is also checked
 against a reference that reads every node's trust after every round.
 """
@@ -48,7 +49,7 @@ def test_builtin_traces_match_reference(name, references, tmp_path):
 
 
 def test_memory_sink_run_matches_reference(references):
-    """dense-8 as the bench's dense workload runs it: events kept in memory, no RSSI rows."""
+    """dense-8 as the bench's dense workload runs it: lines held in memory, no RSSI rows."""
     spec = importlib.util.spec_from_file_location("perfbench_dense", PERFBENCH / "dense.py")
     dense = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dense)
