@@ -16,9 +16,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
-from . import filters
 from .checks import BUILTIN_CHECKS
-from .filters import FILTER_NAMES, TriggerState, make_filter
+from .filters import FILTER_NAMES, TriggerState, make_filter, trigger_fires
 from .harness import MOVEMENT_SETTLE_WINDOW, RSSI_HEADER, run
 from .protocol import FilterParams
 from .scenario import BUILTIN_NAMES, Scenario, ScenarioError, builtin_scenario
@@ -110,7 +109,8 @@ def _parse_sweep(text: str) -> list[float]:
 def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list[float]]]]:
     """Each link in order, with its ticks and raw RSSI as two columns stably
     sorted by tick. Raises ValueError unless the header names the five columns
-    once each, in any order, and every row has five fields and a finite rssi_raw."""
+    once each, in any order, and every row has five fields, an integer tick and
+    a finite rssi_raw."""
     links: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -123,11 +123,18 @@ def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list
                 if not row:
                     continue  # a blank line
                 raise ValueError(f"line {reader.line_num}: {len(row)} fields, the header has 5")
-            value = float(row[raw])
+            try:
+                at = int(row[tick])
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: tick {row[tick]!r} is not an integer") from None
+            try:
+                value = float(row[raw])
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: rssi_raw {row[raw]!r} is not a number") from None
             if not math.isfinite(value):
                 raise ValueError(f"line {reader.line_num}: rssi_raw {row[raw]!r} is not finite")
             ticks, raws = links.setdefault((row[receiver], row[sender]), ([], []))
-            ticks.append(int(row[tick]))
+            ticks.append(at)
             raws.append(value)
     for ticks, raws in links.values():
         ticks[:], raws[:] = zip(*sorted(zip(ticks, raws), key=itemgetter(0)))
@@ -171,8 +178,6 @@ def cmd_filters(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    # resolved when the command runs: perfbench/tracer.py wraps it by name
-    fire = filters.bft_trigger
 
     out_dir = Path(args.out) if args.out else trace_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,7 +197,7 @@ def cmd_filters(args: argparse.Namespace) -> int:
             fires: list[int] = []  # the tick of every fire, over all links
             for (_link, (ticks, _raws)), smoothed in zip(links, per_link):
                 trigger = TriggerState(threshold=threshold, cooldown=args.cooldown, warmup=args.warmup)
-                fires += [t for t, value in zip(ticks, smoothed) if fire(trigger, value, t)]
+                fires += trigger_fires(trigger, ticks, smoothed)
             static_fp = sum(not any(mv < t <= mv + args.settle_window for mv in movements) for t in fires)
             detections = []
             for mv in movements:

@@ -5,7 +5,8 @@ stream before deciding whether the link changed. Six candidate filters are
 provided (moving average, exponential smoothing, dynamic moving average,
 Gaussian, median, Kalman) plus the median-then-Kalman cascade that proved the
 best fit, and the threshold trigger that turns smoothed-value deviations into
-BFT emissions.
+BFT emissions; `trigger_fires` runs that trigger over a recorded column for
+the offline sweep.
 
 Every filter is a state dataclass plus a `step(state, value)` function. The
 init fields of the state dataclass are the filter's parameters, with their
@@ -23,9 +24,11 @@ README.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from operator import mul
+from itertools import compress, count, repeat
+from operator import lt, mul, sub
 from typing import Any, Callable, Iterable, Optional
 
 from .kinds import _checked, _schema
@@ -304,6 +307,63 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
         state.last_reported = smoothed
         state.last_baseline = now
     return False
+
+
+def trigger_fires(state: TriggerState, ticks: list[int], values: list[float]) -> list[int]:
+    """Feed one link's column to `state` as `bft_trigger(state, values[k],
+    ticks[k])` for each k in turn would, and return the ticks at which it
+    fired; `state` ends as those calls leave it. `ticks` are non-decreasing
+    ints.
+
+    `bft_trigger` stays the one definition of the trigger; this only leaves
+    out calls that provably change nothing but `recent`. Once a baseline is
+    set, let `due` be the first index whose tick is `rebaseline_after` or
+    more past `last_baseline`. No sample before `due` can rebaseline, so it
+    changes the state only by a fire, and it can fire only if
+    `abs(v - last_reported) > threshold`. Rounded subtraction is monotone in
+    `v`, and `abs(x) > t` exactly when `x > t or -x > t`, so the run up to
+    `due` holds no such sample exactly when its max and min hold none. A NaN
+    never fires; `max` and `min` either pass over it or return it, and then
+    the test fails and the run is searched in C for its first sample past
+    the threshold. The skipped samples only join `recent`. From that sample,
+    or from `due`, `bft_trigger` is called sample by sample until a fire or
+    a rebaseline moves the baseline.
+
+    `bft_trigger` is looked up in this module at each call, not bound once,
+    so a wrapper set on `polsim.filters.bft_trigger` sees every call.
+    """
+    fires: list[int] = []
+    n = len(values)
+    i = 0
+    while i < n and state.last_reported is None:  # warm-up and the baseline sample
+        bft_trigger(state, values[i], ticks[i])
+        i += 1
+    threshold = state.threshold
+    recent = state.recent
+    while i < n:
+        due = bisect_left(ticks, state.last_baseline + state.rebaseline_after, i)
+        if due > i:
+            last = state.last_reported
+            run = values[i:due]
+            if max(run) - last <= threshold and min(run) - last >= -threshold:
+                stop = due
+            else:
+                past = map(lt, repeat(threshold), map(abs, map(sub, run, repeat(last))))
+                stop = next(compress(count(i), past), due)
+            recent += values[max(i, stop - FLAT_WINDOW) : stop]
+            del recent[:-FLAT_WINDOW]
+            i = stop
+        baseline = state.last_baseline
+        while i < n:
+            now = ticks[i]
+            fired = bft_trigger(state, values[i], now)
+            i += 1
+            if fired:
+                fires.append(now)
+                break
+            if state.last_baseline != baseline:
+                break
+    return fires
 
 
 # name -> (state class, step(state, value)); the init fields of the state

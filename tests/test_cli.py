@@ -347,6 +347,22 @@ class TestMalformedTrace:
         assert capsys.readouterr().err.startswith("trace error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,a,b,-50.0,-50.0", "line 3: tick 'x' is not an integer"),
+            ("2,a,b,abc,-50.0", "line 3: rssi_raw 'abc' is not a number"),
+        ],
+        ids=["tick", "rssi_raw"],
+    )
+    def test_bad_number_names_its_line(self, tmp_path, capsys, row, message):
+        trace = tmp_path / "rssi.csv"
+        trace.write_text(GOOD_ROWS + row + "\n", encoding="utf-8")
+        out = tmp_path / "rep"
+        assert run_cli("filters", "--trace", str(trace), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"trace error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rssi.csv"]
+
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         trace = tmp_path / "rssi.csv"
         trace.write_text(GOOD_ROWS + "\n2,a,b,-51.0,-51.0\n\n", encoding="utf-8")
@@ -461,22 +477,35 @@ def synthetic_trace(path: Path, ticks: int = 420) -> None:
 
 
 class TestSweepMatchesReference:
-    @pytest.mark.parametrize("warmup", [0, 10])
-    def test_byte_identical_outputs(self, tmp_path, capsys, warmup):
+    @pytest.mark.parametrize(
+        "sweep, thresholds, warmup, cooldown",
+        [
+            ("2:6:2", [2.0, 4.0, 6.0], 0, 20),
+            ("2:6:2", [2.0, 4.0, 6.0], 10, 20),
+            ("2:6:2", [2.0, 4.0, 6.0], 10, 0),
+            # long quiet runs at the high thresholds, long non-flat stretches at the low ones
+            ("0.5:12:0.5", [0.5 * k for k in range(1, 25)], 10, 20),
+            # longer than every link of the 420-tick trace: no baseline is ever set
+            ("2:6:2", [2.0, 4.0, 6.0], 500, 20),
+        ],
+        ids=["warmup-0", "warmup-10", "cooldown-0", "fine-sweep", "warmup-500"],
+    )
+    def test_byte_identical_outputs(self, tmp_path, capsys, sweep, thresholds, warmup, cooldown):
         trace = tmp_path / "rssi.csv"
         synthetic_trace(trace)
         ours, theirs = tmp_path / "ours", tmp_path / "theirs"
         argv = [
             "filters", "--trace", str(trace), "--filter", ",".join(FILTER_NAMES),
-            "--threshold-sweep", "2:6:2", "--warmup", str(warmup), "--cooldown", "20",
+            "--threshold-sweep", sweep, "--warmup", str(warmup), "--cooldown", str(cooldown),
             "--movements", "150,300", "--settle-window", "60", "--out", str(ours),
         ]
         assert main(argv) == 0
         printed = capsys.readouterr().out.splitlines()
-        expected = reference_sweep(trace, theirs, FILTER_NAMES, [2.0, 4.0, 6.0], 20, warmup, [150, 300], 60)
+        expected = reference_sweep(trace, theirs, FILTER_NAMES, thresholds, cooldown, warmup, [150, 300], 60)
         assert printed == expected + [f"report,{ours / 'filter_report.json'}"]
         report = json.loads((theirs / "filter_report.json").read_text())
-        assert sum(e["trigger_count"] for f in report["filters"] for e in f["thresholds"]) > 0
+        fired = sum(e["trigger_count"] for f in report["filters"] for e in f["thresholds"])
+        assert fired == 0 if warmup >= 420 else fired > 0
         written = sorted(p.name for p in ours.iterdir())
         assert written == sorted(p.name for p in theirs.iterdir())
         assert len(written) == len(FILTER_NAMES) + 1

@@ -8,8 +8,9 @@ from operator import mul
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import polsim.filters
 from polsim.filters import (
     _FILTERS,
     FLAT_WINDOW,
@@ -31,6 +32,7 @@ from polsim.filters import (
     make_filter,
     median_step,
     moving_average_step,
+    trigger_fires,
 )
 
 streams = st.lists(st.floats(min_value=-120.0, max_value=0.0, allow_nan=False), min_size=1, max_size=80)
@@ -382,6 +384,81 @@ class TestTriggerMatchesReference:
                 assert state == reference
                 assert_trigger_invariant(state)
                 now += gap
+
+
+class TestTriggerFires:
+    # Each stretch starts `gap` ticks after the last one, steps its ticks by
+    # `step` (0 repeats a tick) and holds `level` within +-`wobble` (0 is
+    # flat) for `length` samples; levels jump between stretches, up to 1e300
+    # and to +-inf.
+    stretches = st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=200),
+            st.integers(min_value=0, max_value=3),
+            st.one_of(
+                st.integers(min_value=-240, max_value=0).map(lambda k: k / 2),
+                st.floats(min_value=-120.0, max_value=0.0),
+                st.floats(min_value=-1e300, max_value=1e300),
+                st.sampled_from([math.inf, -math.inf]),
+            ),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=3.0)),
+            st.integers(min_value=1, max_value=40),
+        ),
+        max_size=8,
+    )
+
+    @staticmethod
+    def column(stretches):
+        ticks, values, now = [], [], 0
+        for gap, step, level, wobble, length in stretches:
+            now += gap
+            for i in range(length):
+                ticks.append(now)
+                values.append(level + (wobble if i % 2 else -wobble))
+                now += step
+        return ticks, values
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        stretches,
+        # on the half-dB grid of the levels, samples land exactly on the threshold
+        st.one_of(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0, 6.0]),
+            st.floats(min_value=0.1, max_value=20.0),
+            st.floats(min_value=0.1, max_value=1e300),
+        ),
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=1, max_value=120),
+        st.integers(min_value=0, max_value=60),
+    )
+    @example([], 6.0, 30, 90, 0)  # an empty column
+    @example([(0, 1, -50.0, 0.5, 4)], 6.0, 30, 90, 10)  # shorter than the warm-up
+    @example([(0, 1, -50.0, 0.5, 11)], 6.0, 30, 90, 10)  # the warm-up and the baseline sample
+    def test_same_fires_and_final_state_as_per_sample_calls(
+        self, stretches, threshold, cooldown, rebaseline_after, warmup
+    ):
+        ticks, values = self.column(stretches)
+        state = TriggerState(threshold=threshold, cooldown=cooldown,
+                             rebaseline_after=rebaseline_after, warmup=warmup)
+        reference = copy.deepcopy(state)
+        expected = [t for t, v in zip(ticks, values) if bft_trigger(reference, v, t)]
+        assert trigger_fires(state, ticks, values) == expected
+        assert state == reference
+
+    def test_calls_the_module_trigger_only_where_a_sample_can_change_it(self, monkeypatch):
+        calls = []
+
+        def counted(state, smoothed, now):
+            calls.append(now)
+            return bft_trigger(state, smoothed, now)
+
+        monkeypatch.setattr(polsim.filters, "bft_trigger", counted)
+        ticks = list(range(1000))
+        values = [-50.0] * 500 + [-60.0] * 500
+        state = TriggerState(threshold=6.0, cooldown=30, rebaseline_after=200, warmup=10)
+        assert trigger_fires(state, ticks, values) == [500]
+        # the warm-up, the baseline, each rebaseline and the fire
+        assert calls == list(range(11)) + [210, 410, 500, 700, 900]
 
 
 class TestBoundedness:

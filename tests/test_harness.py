@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polsim.harness
 from polsim.harness import RSSI_HEADER, TraceEvent, run, sensor_reading, write_traces
@@ -303,6 +303,7 @@ class TestLineTemplates:
         trace_text | st.sampled_from(['n"1', "n\\1", "n\u00e91", "\U0001f600"]),
         st.lists(st.tuples(st.binary(min_size=6, max_size=6), st.integers(0, 2**32)), max_size=5),
     )
+    @example(tick=0, node="\ud800\udfff", expired=[(b"\0" * 6, 0)])  # a surrogate pair
     def test_expired_lines(self, line_sink, tick, node, expired):
         """`expired` writes and tallies what one `ignore(..., "expired", "sender#seq")` per payload does."""
         messages = tuple(
@@ -327,7 +328,9 @@ class TestLineTemplates:
         assert bulk.event_lines == single.event_lines
         assert bulk.tally[node] == single.tally[node]
         events = list(polsim.harness.TraceEvents(bulk.event_lines))
-        assert polsim.harness._tally(events) == (single.tally if messages else {})
+        # a parsed line holds the label as JSON decodes it, which joins a surrogate pair
+        decoded = json.loads(json.dumps(node))
+        assert polsim.harness._tally(events) == ({decoded: single.tally[node]} if messages else {})
         assert [e.details["context"] for e in events] == [f"{m.sender}#{m.seq}" for m in messages]
 
     @settings(max_examples=200)
