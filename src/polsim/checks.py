@@ -1,17 +1,24 @@
 """Acceptance checks: executable versions of the protocol's target behaviors.
 
-Each check returns a CheckResult so both the CLI (`polsim check`) and the
-test suite can run the same assertions and report one line per criterion.
+`CRITERIA` is the one registry of them: criteria 1-9 in order, then the
+single-liar containment check. Each entry names its criterion, the built-in
+whose `polsim check --builtin` runs it (or none) and its check. A check
+returns its pass detail and raises `CheckFailed` at its first failure;
+`Criterion.run` turns either into the `CheckResult` whose line both the CLI
+and the acceptance test print.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
 from .filters import KalmanState, kalman_step, make_filter
 from .harness import RunResult, run
@@ -44,24 +51,41 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _movement_windows(res: RunResult) -> list[tuple[str, int]]:
-    return [(m["node"], m["at"]) for m in res.metrics.movements]
+class CheckFailed(Exception):
+    """A check's first failure; the message is the FAIL line's detail."""
 
 
-def check_movement_detection(seeds=ACCEPTANCE_SEEDS) -> CheckResult:
-    """Each static node emits 1..2 BFT messages about the mover within 60
-    ticks of each movement, on every seed, within the runtime budget."""
-    worst = ""
-    for seed in seeds:
+@dataclass(frozen=True)
+class Criterion:
+    name: str
+    builtin: Optional[str]  # the built-in whose `polsim check` runs it, if any
+    check: Callable[[], str]  # returns the pass detail or raises CheckFailed
+
+    def run(self) -> CheckResult:
+        try:
+            return CheckResult(self.name, True, self.check())
+        except CheckFailed as failure:
+            return CheckResult(self.name, False, str(failure))
+
+
+def _budgeted_runs(builtin: str) -> Iterator[tuple[int, RunResult, float]]:
+    """`builtin` run untraced on each acceptance seed, as (seed, result,
+    seconds); raises CheckFailed at the first run that takes the budget."""
+    for seed in ACCEPTANCE_SEEDS:
         t0 = time.perf_counter()
-        res = run(builtin_scenario("paper-fig7", seed=seed), collect_rssi=False)
+        res = run(builtin_scenario(builtin, seed=seed), collect_rssi=False)
         elapsed = time.perf_counter() - t0
         if elapsed >= RUNTIME_BUDGET_S:
-            return CheckResult(
-                "movement-detection", False, f"seed {seed} took {elapsed:.2f}s >= {RUNTIME_BUDGET_S}s"
-            )
+            raise CheckFailed(f"seed {seed} took {elapsed:.2f}s >= {RUNTIME_BUDGET_S}s")
+        yield seed, res, elapsed
+
+
+def check_movement_detection() -> str:
+    """Each static node emits 1..2 BFT messages about the mover within 60
+    ticks of each movement, on every seed, within the runtime budget."""
+    for seed, res, elapsed in _budgeted_runs("paper-fig7"):
         bfts = res.bft_events()
-        for mover, at in _movement_windows(res):
+        for mover, at in [(m["node"], m["at"]) for m in res.metrics.movements]:
             for observer in ("n1", "n2", "n3", "n4"):
                 count = sum(
                     1
@@ -71,40 +95,23 @@ def check_movement_detection(seeds=ACCEPTANCE_SEEDS) -> CheckResult:
                     and at < e.tick <= at + 60
                 )
                 if not 1 <= count <= 2:
-                    return CheckResult(
-                        "movement-detection",
-                        False,
-                        f"seed {seed}: {observer} sent {count} BFT about {mover} in ({at}, {at + 60}]",
+                    raise CheckFailed(
+                        f"seed {seed}: {observer} sent {count} BFT about {mover} in ({at}, {at + 60}]"
                     )
-        worst = f"last seed {seed}: {elapsed:.2f}s/run"
-    return CheckResult(
-        "movement-detection",
-        True,
-        f"1..2 BFT per static node within 60 ticks of both movements on {len(seeds)} seeds ({worst})",
+    return (
+        f"1..2 BFT per static node within 60 ticks of both movements on {len(ACCEPTANCE_SEEDS)} seeds "
+        f"(last seed {seed}: {elapsed:.2f}s/run)"
     )
 
 
-def check_zero_false_positives(seeds=ACCEPTANCE_SEEDS) -> CheckResult:
+def check_zero_false_positives() -> str:
     """Static honest network: not a single BFT or alert over the whole run."""
-    for seed in seeds:
-        t0 = time.perf_counter()
-        res = run(builtin_scenario("static-honest", seed=seed), collect_rssi=False)
-        elapsed = time.perf_counter() - t0
-        if elapsed >= RUNTIME_BUDGET_S:
-            return CheckResult(
-                "zero-false-positives", False, f"seed {seed} took {elapsed:.2f}s >= {RUNTIME_BUDGET_S}s"
-            )
+    for seed, res, _elapsed in _budgeted_runs("static-honest"):
         n_bft = len(res.bft_events())
         n_alert = len(res.alert_events())
         if n_bft or n_alert:
-            return CheckResult(
-                "zero-false-positives",
-                False,
-                f"seed {seed}: {n_bft} BFT and {n_alert} alerts in static honest run",
-            )
-    return CheckResult(
-        "zero-false-positives", True, f"0 BFT and 0 alerts across {len(seeds)} static seeds"
-    )
+            raise CheckFailed(f"seed {seed}: {n_bft} BFT and {n_alert} alerts in static honest run")
+    return f"0 BFT and 0 alerts across {len(ACCEPTANCE_SEEDS)} static seeds"
 
 
 def _paired_diffs(res: RunResult) -> list[float]:
@@ -121,10 +128,11 @@ def _paired_diffs(res: RunResult) -> list[float]:
     return diffs
 
 
-def check_rssi_symmetry(seed: int = 42) -> CheckResult:
+def check_rssi_symmetry() -> str:
     """|RSSI_AB - RSSI_BA| <= 5 dB: exactly under zero noise, for >= 99% of
     paired samples under default noise. The raw values are read from the
     run's rssi.csv lines, so to their 6 trace decimals."""
+    seed = 42
     worst0 = 0.0
     for quiet_seed in (seed - 1, seed, seed + 1):  # different per-link jitter draws
         quiet = builtin_scenario("paper-fig7", seed=quiet_seed).with_channel(noise_sigma=0.0)
@@ -132,22 +140,15 @@ def check_rssi_symmetry(seed: int = 42) -> CheckResult:
         diffs0 = _paired_diffs(res0)
         worst0 = max(worst0, max(diffs0) if diffs0 else 0.0)
         if worst0 > 5.0:
-            return CheckResult(
-                "rssi-symmetry", False,
-                f"zero-noise max pairwise diff {worst0:.2f} dB > 5 (seed {quiet_seed})",
-            )
+            raise CheckFailed(f"zero-noise max pairwise diff {worst0:.2f} dB > 5 (seed {quiet_seed})")
     res1 = run(builtin_scenario("paper-fig7", seed=seed), collect_rssi=True)
     diffs1 = _paired_diffs(res1)
     within = sum(1 for d in diffs1 if d <= 5.0) / len(diffs1)
     if within < 0.99:
-        return CheckResult(
-            "rssi-symmetry", False, f"only {within:.2%} of noisy paired samples within 5 dB"
-        )
-    return CheckResult(
-        "rssi-symmetry",
-        True,
+        raise CheckFailed(f"only {within:.2%} of noisy paired samples within 5 dB")
+    return (
         f"zero-noise max {worst0:.2f} dB over 3 seeds; "
-        f"{within:.2%} of {len(diffs1)} noisy pairs within 5 dB",
+        f"{within:.2%} of {len(diffs1)} noisy pairs within 5 dB"
     )
 
 
@@ -214,7 +215,7 @@ def _outcome_of(actions) -> str:
     return IGNORE
 
 
-def check_decision_tree() -> CheckResult:
+def check_decision_tree() -> str:
     """self_defense over all 16 predicate tuples matches the fixed table."""
     t0 = time.perf_counter()
     for c in (True, False):
@@ -224,31 +225,21 @@ def check_decision_tree() -> CheckResult:
                     tup = (c, h, db, dself)
                     expected = EXPECTED_FIXED_ROWS.get(tup, IGNORE)
                     if SELF_DEFENSE_TABLE[tup] != expected:
-                        return CheckResult(
-                            "decision-tree", False, f"shipped table wrong at {tup}"
-                        )
+                        raise CheckFailed(f"shipped table wrong at {tup}")
                     state, msg = _craft_state(c, h, db, dself)
                     inputs = state.self_defense_inputs(msg, 40)
                     if inputs != tup:
-                        return CheckResult(
-                            "decision-tree",
-                            False,
-                            f"crafted predicates {inputs} != intended {tup}",
-                        )
+                        raise CheckFailed(f"crafted predicates {inputs} != intended {tup}")
                     outcome = _outcome_of(state.self_defense(msg, 40))
                     if outcome != expected:
-                        return CheckResult(
-                            "decision-tree", False, f"{tup} -> {outcome}, expected {expected}"
-                        )
+                        raise CheckFailed(f"{tup} -> {outcome}, expected {expected}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
-        return CheckResult("decision-tree", False, f"took {elapsed:.2f}s >= 1s")
-    return CheckResult(
-        "decision-tree", True, f"all 16 rows match, 5 action rows exact ({elapsed:.2f}s)"
-    )
+        raise CheckFailed(f"took {elapsed:.2f}s >= 1s")
+    return f"all 16 rows match, 5 action rows exact ({elapsed:.2f}s)"
 
 
-def check_trust_arithmetic() -> CheckResult:
+def check_trust_arithmetic() -> str:
     """Rejecting a distrust alert moves exactly 4 trust scores by one step."""
     c_id = NodeId.from_str("0c:00:00:00:00:99")
     accuser = _A
@@ -274,18 +265,14 @@ def check_trust_arithmetic() -> CheckResult:
     changed = {n for n in before if before[n] != after[n]}
     expect_changed = {accuser, *participants}
     if changed != expect_changed:
-        return CheckResult(
-            "trust-arithmetic", False, f"changed {sorted(map(str, changed))}"
-        )
+        raise CheckFailed(f"changed {sorted(map(str, changed))}")
     if abs(after[accuser] - (0.5 - step)) > 1e-12:
-        return CheckResult("trust-arithmetic", False, f"accuser trust {after[accuser]}")
+        raise CheckFailed(f"accuser trust {after[accuser]}")
     for participant in participants:
         if abs(after[participant] - (0.5 + step)) > 1e-12:
-            return CheckResult(
-                "trust-arithmetic", False, f"participant trust {after[participant]}"
-            )
+            raise CheckFailed(f"participant trust {after[participant]}")
     if after[accused] != 0.5 or after[_EXTRA[3]] != 0.5:
-        return CheckResult("trust-arithmetic", False, "bystander trust moved")
+        raise CheckFailed("bystander trust moved")
 
     # clamp: participant already at 1.0 stays at 1.0, accuser at 0.05 floors at 0
     state2 = NodeState(self_id=c_id, self_location=Location(0.0, 0.0, 0.0))
@@ -295,17 +282,15 @@ def check_trust_arithmetic() -> CheckResult:
     state2.store.register_bft(participants[0], accuser, 10, 10)
     state2.receive_alert(alert, None, 20)
     if state2.store.peers[accuser].trust.value != 0.0:
-        return CheckResult("trust-arithmetic", False, "accuser trust did not clamp to 0")
+        raise CheckFailed("accuser trust did not clamp to 0")
     if state2.store.peers[participants[0]].trust.value != 1.0:
-        return CheckResult("trust-arithmetic", False, "participant trust escaped 1.0")
-    return CheckResult(
-        "trust-arithmetic", True, "reject moved exactly 4 scores by one step; clamping exact"
-    )
+        raise CheckFailed("participant trust escaped 1.0")
+    return "reject moved exactly 4 scores by one step; clamping exact"
 
 
-def check_spoof_detection(seed: int = 42) -> CheckResult:
+def check_spoof_detection() -> str:
     """Identity spoofing is flagged by more than tau distinct honest nodes."""
-    res = run(builtin_scenario("spoof-attack", seed=seed), collect_rssi=False)
+    res = run(builtin_scenario("spoof-attack", seed=42), collect_rssi=False)
     attack_at = res.metrics.attacks[0]["at"]
     victim = res.metrics.attacks[0]["params"]["victim"]
     deadline = attack_at + 120
@@ -317,28 +302,19 @@ def check_spoof_detection(seed: int = 42) -> CheckResult:
     emitters.discard(victim)
     tau = 2  # half of the four in-range peers
     if len(emitters) <= tau:
-        return CheckResult(
-            "spoof-detection",
-            False,
-            f"only {sorted(emitters)} flagged {victim} within 120 ticks (tau={tau})",
-        )
-    victim_mac = builtin_scenario("spoof-attack", seed=seed).node(victim).mac
+        raise CheckFailed(f"only {sorted(emitters)} flagged {victim} within 120 ticks (tau={tau})")
+    victim_id = res.nodes[victim].self_id
     distrusting = [
         label
         for label, node in res.nodes.items()
-        if label != victim and node.distrust(victim_mac, deadline)
+        if label != victim and node.distrust(victim_id, deadline)
     ]
     if not distrusting:
-        return CheckResult("spoof-detection", False, "no honest node distrusts the victim")
-    return CheckResult(
-        "spoof-detection",
-        True,
-        f"{len(emitters)} honest nodes sent BFT about {victim} (tau={tau}); "
-        f"distrusted by {distrusting}",
-    )
+        raise CheckFailed("no honest node distrusts the victim")
+    return f"{len(emitters)} honest nodes sent BFT about {victim} (tau={tau}); distrusted by {distrusting}"
 
 
-def check_localization_oracle() -> CheckResult:
+def check_localization_oracle() -> str:
     """Multilateration recovers 100 random in-hull targets to 1e-6 m."""
     t0 = time.perf_counter()
     model = PathLossModel()
@@ -366,19 +342,15 @@ def check_localization_oracle() -> CheckResult:
         err = result.position.distance_to(target)
         worst = max(worst, err)
         if err > 1e-6:
-            return CheckResult(
-                "localization-oracle", False, f"target {target.as_tuple()} error {err:.2e} m"
-            )
+            raise CheckFailed(f"target {target.as_tuple()} error {err:.2e} m")
         done += 1
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
-        return CheckResult("localization-oracle", False, f"took {elapsed:.2f}s >= 1s")
-    return CheckResult(
-        "localization-oracle", True, f"100 targets recovered, worst error {worst:.2e} m ({elapsed:.2f}s)"
-    )
+        raise CheckFailed(f"took {elapsed:.2f}s >= 1s")
+    return f"100 targets recovered, worst error {worst:.2e} m ({elapsed:.2f}s)"
 
 
-def check_filter_oracles() -> CheckResult:
+def check_filter_oracles() -> str:
     """Kalman matches an independent recursion; the cascade kills lone spikes."""
     rng = random.Random(99)
     steps = 0
@@ -398,9 +370,7 @@ def check_filter_oracles() -> CheckResult:
                 x = x + k * (z - x)
                 p = (1.0 - k) * p
             if abs(got - x) > 1e-9:
-                return CheckResult(
-                    "filter-oracles", False, f"kalman drift {abs(got - x):.2e} at step {steps}"
-                )
+                raise CheckFailed(f"kalman drift {abs(got - x):.2e} at step {steps}")
             steps += 1
 
     for trial in range(1000):
@@ -415,61 +385,65 @@ def check_filter_oracles() -> CheckResult:
             out = smooth(value)
             worst = max(worst, abs(out - level))
         if worst > 1.0:
-            return CheckResult(
-                "filter-oracles", False, f"spike trial {trial}: deviation {worst:.2f} dB > 1"
-            )
-    return CheckResult(
-        "filter-oracles", True, "kalman matches oracle over 10^4 steps; 1000 spike streams within 1 dB"
-    )
+            raise CheckFailed(f"spike trial {trial}: deviation {worst:.2f} dB > 1")
+    return "kalman matches oracle over 10^4 steps; 1000 spike streams within 1 dB"
 
 
-def check_determinism(seed: int = 7) -> CheckResult:
-    """Two runs of the same seed write byte-identical files, as `polsim run` writes them."""
+def check_determinism() -> str:
+    """`polsim run --builtin paper-fig7 --seed 7` in two interpreters, under
+    hash seeds 0 and 1, writes byte-identical files. The children import
+    this copy of polsim, whatever is installed."""
     names = ("rssi.csv", "events.jsonl", "metrics.json")
+    package_dir = str(Path(__file__).resolve().parents[1])  # where the imported polsim sits
+    pythonpath = os.pathsep.join(filter(None, (package_dir, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "polsim.cli", "run", "--builtin", "paper-fig7", "--seed", "7", "--out"]
     with tempfile.TemporaryDirectory() as workdir:
-        dirs = [Path(workdir) / attempt for attempt in ("a", "b")]
-        for out in dirs:
-            run(builtin_scenario("paper-fig7", seed=seed), out_dir=str(out))
+        dirs = [Path(workdir) / f"hash{hash_seed}" for hash_seed in (0, 1)]
+        for hash_seed, out in enumerate(dirs):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": pythonpath}
+            proc = subprocess.run([*argv, str(out)], env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise CheckFailed(f"hash seed {hash_seed}: exit {proc.returncode}: {proc.stderr.strip()}")
         for name in names:
             if (dirs[0] / name).read_bytes() != (dirs[1] / name).read_bytes():
-                return CheckResult("determinism", False, f"{name} differs between runs")
-    return CheckResult("determinism", True, f"{', '.join(names)} byte-identical for seed {seed}")
+                raise CheckFailed(f"{name} differs between hash seeds 0 and 1")
+    return f"{', '.join(names)} byte-identical for seed 7"
 
 
-def check_malicious_bft(seed: int = 42) -> CheckResult:
+def check_malicious_bft() -> str:
     """A single lying BFT emitter cannot flip distrust or trigger alerts."""
-    res = run(builtin_scenario("malicious-bft", seed=seed), collect_rssi=False)
+    res = run(builtin_scenario("malicious-bft", seed=42), collect_rssi=False)
     victim = res.metrics.attacks[0]["params"]["victim"]
-    victim_mac = builtin_scenario("malicious-bft", seed=seed).node(victim).mac
+    victim_id = res.nodes[victim].self_id
     alerts = res.alert_events()
     if alerts:
-        return CheckResult("malicious-bft", False, f"{len(alerts)} alerts raised")
+        raise CheckFailed(f"{len(alerts)} alerts raised")
     flipped = [
         label
         for label, node in res.nodes.items()
-        if label != victim and node.distrust(victim_mac, res.metrics.duration)
+        if label != victim and node.distrust(victim_id, res.metrics.duration)
     ]
     if flipped:
-        return CheckResult("malicious-bft", False, f"distrust flipped at {flipped}")
+        raise CheckFailed(f"distrust flipped at {flipped}")
     trust_ok = all(
         abs(t.get(victim, 1.0) - 1.0) < 1e-12
         for label, t in res.metrics.trust_final.items()
         if label != victim
     )
     if not trust_ok:
-        return CheckResult("malicious-bft", False, "victim trust changed")
-    return CheckResult(
-        "malicious-bft", True, "single liar registered but no distrust flip, no alerts, trust intact"
-    )
+        raise CheckFailed("victim trust changed")
+    return "single liar registered but no distrust flip, no alerts, trust intact"
 
 
-BUILTIN_CHECKS: dict[str, list[Callable[[], CheckResult]]] = {
-    "paper-fig7": [
-        check_movement_detection,
-        check_rssi_symmetry,
-        check_determinism,
-    ],
-    "static-honest": [check_zero_false_positives],
-    "spoof-attack": [check_spoof_detection],
-    "malicious-bft": [check_malicious_bft],
-}
+CRITERIA = (
+    Criterion("movement-detection", "paper-fig7", check_movement_detection),
+    Criterion("zero-false-positives", "static-honest", check_zero_false_positives),
+    Criterion("rssi-symmetry", "paper-fig7", check_rssi_symmetry),
+    Criterion("decision-tree", None, check_decision_tree),
+    Criterion("trust-arithmetic", None, check_trust_arithmetic),
+    Criterion("spoof-detection", "spoof-attack", check_spoof_detection),
+    Criterion("localization-oracle", None, check_localization_oracle),
+    Criterion("filter-oracles", None, check_filter_oracles),
+    Criterion("determinism", "paper-fig7", check_determinism),
+    Criterion("malicious-bft", "malicious-bft", check_malicious_bft),
+)

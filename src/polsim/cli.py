@@ -16,7 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
-from .checks import BUILTIN_CHECKS
+from .checks import CRITERIA
 from .filters import FILTER_NAMES, TriggerState, make_filter, trigger_fires
 from .harness import MOVEMENT_SETTLE_WINDOW, RSSI_HEADER, run
 from .protocol import FilterParams
@@ -222,12 +222,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.builtin not in BUILTIN_NAMES:
         print(f"unknown builtin {args.builtin!r}; choose from {BUILTIN_NAMES}", file=sys.stderr)
         return EXIT_VALIDATION
-    results = [check() for check in BUILTIN_CHECKS[args.builtin]]
-    failed = False
+    results = [criterion.run() for criterion in CRITERIA if criterion.builtin == args.builtin]
     for result in results:
         print(result.line())
-        failed = failed or not result.passed
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_OK if all(result.passed for result in results) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -123,9 +123,6 @@ class Rssi:
         if not (RSSI_MIN <= self.value <= RSSI_MAX):
             raise ValueError(f"RSSI {self.value} outside [{RSSI_MIN}, {RSSI_MAX}]")
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class TrustScore:

@@ -1,92 +1,17 @@
-"""Acceptance suite: one test and one printed pass/fail line per criterion.
+"""Acceptance suite: one test and one printed pass/fail line per entry of
+`polsim.checks.CRITERIA`, the registry `polsim check` also runs from.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines, or via the CLI (`polsim check --builtin <name>`) for the
-scenario-bound subset.
+lines; `polsim check --builtin <name>` runs the entries of one built-in.
 """
-
-import subprocess
-import sys
 
 import pytest
 
-from polsim.checks import (
-    ACCEPTANCE_SEEDS,
-    check_decision_tree,
-    check_filter_oracles,
-    check_localization_oracle,
-    check_movement_detection,
-    check_rssi_symmetry,
-    check_spoof_detection,
-    check_trust_arithmetic,
-    check_zero_false_positives,
-)
+from polsim.checks import CRITERIA
 
 
-def report(result):
+@pytest.mark.parametrize("criterion", CRITERIA, ids=[criterion.name for criterion in CRITERIA])
+def test_criterion(criterion):
+    result = criterion.run()
     print(result.line())
     assert result.passed, result.detail
-
-
-def test_criterion_1_movement_detection():
-    """1..2 BFT about node 5 per static node within 60 ticks of each movement."""
-    report(check_movement_detection(ACCEPTANCE_SEEDS))
-
-
-def test_criterion_2_zero_false_positives():
-    """Static honest network emits no BFT and no alert on any seed."""
-    report(check_zero_false_positives(ACCEPTANCE_SEEDS))
-
-
-def test_criterion_3_rssi_symmetry():
-    """Pairwise RSSI symmetry within 5 dB (exact without noise, 99% with)."""
-    report(check_rssi_symmetry())
-
-
-def test_criterion_4_decision_tree():
-    """self_defense equals the 16-row table; the five action rows exact."""
-    report(check_decision_tree())
-
-
-def test_criterion_5_trust_arithmetic():
-    """Alert rejection moves exactly four trust scores by one step each."""
-    report(check_trust_arithmetic())
-
-
-def test_criterion_6_spoof_detection():
-    """More than tau distinct honest nodes flag the spoofed identity."""
-    report(check_spoof_detection())
-
-
-def test_criterion_7_localization_oracle():
-    """100 in-hull targets recovered from exact RSSI to 1e-6 m."""
-    report(check_localization_oracle())
-
-
-def test_criterion_8_filter_oracles():
-    """Kalman equals an independent recursion; cascade suppresses spikes."""
-    report(check_filter_oracles())
-
-
-def test_criterion_9_cli_determinism(tmp_path):
-    """Two `run --builtin paper-fig7 --seed 7` invocations are byte-identical."""
-    outputs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "polsim.cli",
-                "run", "--builtin", "paper-fig7", "--seed", "7", "--out", str(out),
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out)
-    identical = all(
-        (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
-        for name in ("rssi.csv", "events.jsonl")
-    )
-    print(f"{'PASS' if identical else 'FAIL'} determinism: "
-          "rssi.csv and events.jsonl byte-identical across two CLI runs (seed 7)")
-    assert identical

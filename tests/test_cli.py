@@ -11,9 +11,10 @@ import pytest
 import polsim.checks
 from polsim import cli
 from polsim.channel import RadioChannel
+from polsim.checks import CRITERIA, CheckFailed, Criterion
 from polsim.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, main
 from polsim.filters import FILTER_NAMES, TriggerState, bft_trigger, make_filter
-from polsim.scenario import builtin_scenario
+from polsim.scenario import BUILTIN_NAMES, builtin_scenario
 
 
 def run_cli(*argv) -> int:
@@ -514,14 +515,30 @@ class TestSweepMatchesReference:
 
 
 class TestCheckCommand:
-    def test_spoof_check_passes(self, capsys):
-        assert run_cli("check", "--builtin", "spoof-attack") == 0
-        assert "PASS spoof-detection" in capsys.readouterr().out
+    def test_registry_names_are_unique(self):
+        names = [criterion.name for criterion in CRITERIA]
+        assert len(set(names)) == len(names)
 
-    def test_malicious_bft_check_passes(self, capsys):
-        assert run_cli("check", "--builtin", "malicious-bft") == 0
-        out = capsys.readouterr().out
-        assert out.startswith("PASS")
+    def test_every_check_is_registered_once(self):
+        public = [name for name in dir(polsim.checks) if name.startswith("check_")]
+        assert sorted(criterion.check.__name__ for criterion in CRITERIA) == sorted(public)
+
+    def test_every_builtin_has_an_entry(self):
+        assert set(BUILTIN_NAMES) <= {criterion.builtin for criterion in CRITERIA}
+
+    @pytest.mark.parametrize("failing, code", [(False, 0), (True, 3)], ids=["all-pass", "one-fails"])
+    def test_prints_the_builtin_entries_in_registry_order(self, monkeypatch, capsys, failing, code):
+        def fail():
+            raise CheckFailed("stub failure")
+
+        monkeypatch.setattr(cli, "CRITERIA", (
+            Criterion("stub-first", "malicious-bft", fail if failing else lambda: "first ok"),
+            Criterion("stub-elsewhere", "paper-fig7", fail),
+            Criterion("stub-second", "malicious-bft", lambda: "second ok"),
+        ))
+        assert run_cli("check", "--builtin", "malicious-bft") == code
+        first = "FAIL stub-first: stub failure" if failing else "PASS stub-first: first ok"
+        assert capsys.readouterr().out.splitlines() == [first, "PASS stub-second: second ok"]
 
     def test_unknown_builtin_exit_1(self, capsys):
         assert run_cli("check", "--builtin", "wat") == 1
