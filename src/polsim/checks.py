@@ -2,10 +2,11 @@
 
 `CRITERIA` is the one registry of them: criteria 1-9 in order, then the
 single-liar containment check. Each entry names its criterion, the built-in
-whose `polsim check --builtin` runs it (or none) and its check. A check
-returns its pass detail and raises `CheckFailed` at its first failure;
-`Criterion.run` turns either into the `CheckResult` whose line both the CLI
-and the acceptance test print.
+its check runs and whose `polsim check --builtin` runs it (or none), and its
+check. `Criterion.run` hands a check its entry's built-in, so a built-in is
+named once, in the registry. A check returns its pass detail and raises
+`CheckFailed` at its first failure; `Criterion.run` turns either into the
+`CheckResult` whose line both the CLI and the acceptance test print.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ class CheckFailed(Exception):
 @dataclass(frozen=True)
 class Criterion:
     name: str
-    builtin: Optional[str]  # the built-in whose `polsim check` runs it, if any
-    check: Callable[[], str]  # returns the pass detail or raises CheckFailed
+    builtin: Optional[str]  # the built-in the check runs and whose `polsim check` runs it, if any
+    check: Callable[..., str]  # takes the built-in, if any; returns the pass detail or raises CheckFailed
 
     def run(self) -> CheckResult:
         try:
-            return CheckResult(self.name, True, self.check())
+            detail = self.check() if self.builtin is None else self.check(self.builtin)
+            return CheckResult(self.name, True, detail)
         except CheckFailed as failure:
             return CheckResult(self.name, False, str(failure))
 
@@ -80,10 +82,10 @@ def _budgeted_runs(builtin: str) -> Iterator[tuple[int, RunResult, float]]:
         yield seed, res, elapsed
 
 
-def check_movement_detection() -> str:
+def check_movement_detection(builtin: str) -> str:
     """Each static node emits 1..2 BFT messages about the mover within 60
     ticks of each movement, on every seed, within the runtime budget."""
-    for seed, res, elapsed in _budgeted_runs("paper-fig7"):
+    for seed, res, elapsed in _budgeted_runs(builtin):
         bfts = res.bft_events()
         for mover, at in [(m["node"], m["at"]) for m in res.metrics.movements]:
             for observer in ("n1", "n2", "n3", "n4"):
@@ -104,9 +106,9 @@ def check_movement_detection() -> str:
     )
 
 
-def check_zero_false_positives() -> str:
+def check_zero_false_positives(builtin: str) -> str:
     """Static honest network: not a single BFT or alert over the whole run."""
-    for seed, res, _elapsed in _budgeted_runs("static-honest"):
+    for seed, res, _elapsed in _budgeted_runs(builtin):
         n_bft = len(res.bft_events())
         n_alert = len(res.alert_events())
         if n_bft or n_alert:
@@ -128,20 +130,20 @@ def _paired_diffs(res: RunResult) -> list[float]:
     return diffs
 
 
-def check_rssi_symmetry() -> str:
+def check_rssi_symmetry(builtin: str) -> str:
     """|RSSI_AB - RSSI_BA| <= 5 dB: exactly under zero noise, for >= 99% of
     paired samples under default noise. The raw values are read from the
     run's rssi.csv lines, so to their 6 trace decimals."""
     seed = 42
     worst0 = 0.0
     for quiet_seed in (seed - 1, seed, seed + 1):  # different per-link jitter draws
-        quiet = builtin_scenario("paper-fig7", seed=quiet_seed).with_channel(noise_sigma=0.0)
+        quiet = builtin_scenario(builtin, seed=quiet_seed).with_channel(noise_sigma=0.0)
         res0 = run(quiet, collect_rssi=True)
         diffs0 = _paired_diffs(res0)
         worst0 = max(worst0, max(diffs0) if diffs0 else 0.0)
         if worst0 > 5.0:
             raise CheckFailed(f"zero-noise max pairwise diff {worst0:.2f} dB > 5 (seed {quiet_seed})")
-    res1 = run(builtin_scenario("paper-fig7", seed=seed), collect_rssi=True)
+    res1 = run(builtin_scenario(builtin, seed=seed), collect_rssi=True)
     diffs1 = _paired_diffs(res1)
     within = sum(1 for d in diffs1 if d <= 5.0) / len(diffs1)
     if within < 0.99:
@@ -288,9 +290,9 @@ def check_trust_arithmetic() -> str:
     return "reject moved exactly 4 scores by one step; clamping exact"
 
 
-def check_spoof_detection() -> str:
+def check_spoof_detection(builtin: str) -> str:
     """Identity spoofing is flagged by more than tau distinct honest nodes."""
-    res = run(builtin_scenario("spoof-attack", seed=42), collect_rssi=False)
+    res = run(builtin_scenario(builtin, seed=42), collect_rssi=False)
     attack_at = res.metrics.attacks[0]["at"]
     victim = res.metrics.attacks[0]["params"]["victim"]
     deadline = attack_at + 120
@@ -389,14 +391,14 @@ def check_filter_oracles() -> str:
     return "kalman matches oracle over 10^4 steps; 1000 spike streams within 1 dB"
 
 
-def check_determinism() -> str:
-    """`polsim run --builtin paper-fig7 --seed 7` in two interpreters, under
+def check_determinism(builtin: str) -> str:
+    """`polsim run --builtin <builtin> --seed 7` in two interpreters, under
     hash seeds 0 and 1, writes byte-identical files. The children import
     this copy of polsim, whatever is installed."""
     names = ("rssi.csv", "events.jsonl", "metrics.json")
     package_dir = str(Path(__file__).resolve().parents[1])  # where the imported polsim sits
     pythonpath = os.pathsep.join(filter(None, (package_dir, os.environ.get("PYTHONPATH"))))
-    argv = [sys.executable, "-m", "polsim.cli", "run", "--builtin", "paper-fig7", "--seed", "7", "--out"]
+    argv = [sys.executable, "-m", "polsim.cli", "run", "--builtin", builtin, "--seed", "7", "--out"]
     with tempfile.TemporaryDirectory() as workdir:
         dirs = [Path(workdir) / f"hash{hash_seed}" for hash_seed in (0, 1)]
         for hash_seed, out in enumerate(dirs):
@@ -410,9 +412,9 @@ def check_determinism() -> str:
     return f"{', '.join(names)} byte-identical for seed 7"
 
 
-def check_malicious_bft() -> str:
+def check_malicious_bft(builtin: str) -> str:
     """A single lying BFT emitter cannot flip distrust or trigger alerts."""
-    res = run(builtin_scenario("malicious-bft", seed=42), collect_rssi=False)
+    res = run(builtin_scenario(builtin, seed=42), collect_rssi=False)
     victim = res.metrics.attacks[0]["params"]["victim"]
     victim_id = res.nodes[victim].self_id
     alerts = res.alert_events()

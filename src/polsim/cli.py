@@ -143,7 +143,13 @@ def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list
 
 def _parse_filter_params(text: Optional[str], names: list[str]) -> dict:
     """Parse --params and build each named filter once, so a bad value fails
-    before anything is written; raises ValueError."""
+    before anything is written; raises ValueError, also when --filter names
+    no filter or one filter twice."""
+    if not names:
+        raise ValueError("--filter names no filter")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"--filter names a filter more than once: {repeated}")
     params = json.loads(text) if text else {}
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object of per-filter objects")

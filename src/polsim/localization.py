@@ -95,32 +95,16 @@ def multilaterate(
     # compensated from Python 3.12 on and would round differently
     cx = cy = cz = 0.0
     terms = []
-    if planar:
-        # the height offset to each anchor is fixed; only its square is used
-        for px, py, pz, rssi in anchors:
-            cx += px
-            cy += py
-            terms.append((px, py, (fixed_z - pz) * (fixed_z - pz), d0 * 10.0 ** ((p0 - rssi) / slope)))
-        return _levenberg_planar(terms, cx / count, cy / count, float(fixed_z), max_iterations, step_tol)
     for px, py, pz, rssi in anchors:
         cx += px
         cy += py
         cz += pz
         terms.append((px, py, pz, d0 * 10.0 ** ((p0 - rssi) / slope)))
-    return _levenberg_3d(terms, cx / count, cy / count, cz / count, max_iterations, step_tol)
+    z = float(fixed_z) if planar else cz / count
+    return _levenberg(terms, cx / count, cy / count, z, planar, max_iterations, step_tol)
 
 
-# The two Levenberg loops below keep the iterate, the symmetric normal matrix
-# J'J (upper triangle aNM) and the gradient J'r (gN) as scalars, and solve the
-# damped system by Cramer's rule. Each sum and product is the one of the
-# generic dim x dim loop with list matrices, in the same order: the sweeps
-# start every accumulator at 0.0 and add in anchor order, a mirrored entry
-# aMN is the same float as aNM, and x * y == y * x exactly. The step solves
-# (J'J + damping) step = -J'r, and subtracting a product equals adding its
-# negation, so the step is bit-for-bit the one of the list solver.
-
-
-def _sweep_3d(
+def _sweep(
     terms: list[tuple[float, float, float, float]], x0: float, x1: float, x2: float
 ) -> tuple[float, float, float, float, float, float, float, float, float, float]:
     """One pass over (x, y, z, range) terms: cost, J'J upper triangle, J'r."""
@@ -150,15 +134,32 @@ def _sweep_3d(
     return cost, a00, a01, a02, a11, a12, a22, g0, g1, g2
 
 
-def _levenberg_3d(
+# One Levenberg loop serves the 3-D solve and the planar fallback. It keeps
+# the iterate, the symmetric normal matrix J'J (upper triangle aNM) and the
+# gradient J'r (gN) as scalars, and solves the damped system
+# (J'J + damping) step = -J'r by Cramer's rule: the full 3x3 system in 3-D,
+# the x-y block alone when the height is fixed. Each sum and product is the
+# one of the generic dim x dim loop with list matrices, in the same order:
+# the sweep starts every accumulator at 0.0 and adds in anchor order, a
+# mirrored entry aMN is the same float as aNM, and x * y == y * x exactly;
+# subtracting a product equals adding its negation, so the step is
+# bit-for-bit the one of the list solver. The planar solve runs the same
+# sweep at the fixed height, whose z sums go unused. Its step leaves z as given
+# rather than adding a zero step to it, since -0.0 + 0.0 is 0.0 and would
+# flip the sign of a fixed height of -0.0; its zero s2 leaves the step norm
+# exactly the one of the x-y step.
+
+
+def _levenberg(
     terms: list[tuple[float, float, float, float]],
     x0: float,
     x1: float,
     x2: float,
+    planar: bool,
     max_iterations: int,
     step_tol: float,
 ) -> MultilaterationResult:
-    cost, a00, a01, a02, a11, a12, a22, g0, g1, g2 = _sweep_3d(terms, x0, x1, x2)
+    cost, a00, a01, a02, a11, a12, a22, g0, g1, g2 = _sweep(terms, x0, x1, x2)
     b0, b1, b2, best_cost = x0, x1, x2, cost
     # the normal matrix at the best iterate, for the GDOP
     b00, b01, b02, b11, b12, b22 = a00, a01, a02, a11, a12, a22
@@ -168,24 +169,33 @@ def _levenberg_3d(
     for iterations in range(1, max_iterations + 1):
         d00 = a00 + lam * (1.0 + a00)
         d11 = a11 + lam * (1.0 + a11)
-        d22 = a22 + lam * (1.0 + a22)
-        c00 = d11 * d22 - a12 * a12
-        c01 = a12 * a02 - a01 * d22
-        c02 = a01 * a12 - d11 * a02
-        det = d00 * c00 + a01 * c01 + a02 * c02
+        if planar:
+            det = d00 * d11 - a01 * a01
+        else:
+            d22 = a22 + lam * (1.0 + a22)
+            c00 = d11 * d22 - a12 * a12
+            c01 = a12 * a02 - a01 * d22
+            c02 = a01 * a12 - d11 * a02
+            det = d00 * c00 + a01 * c01 + a02 * c02
         if abs(det) < 1e-300:
             lam = max(lam * 10.0, 1e-6)
             continue
-        c11 = d00 * d22 - a02 * a02
-        c12 = a01 * a02 - d00 * a12
-        c22 = d00 * d11 - a01 * a01
-        s0 = (-g0 * c00 - g1 * c01 - g2 * c02) / det
-        s1 = (-g0 * c01 - g1 * c11 - g2 * c12) / det
-        s2 = (-g0 * c02 - g1 * c12 - g2 * c22) / det
+        if planar:
+            s0 = (-g0 * d11 + g1 * a01) / det
+            s1 = (-d00 * g1 + a01 * g0) / det
+            s2 = 0.0
+            n2 = x2
+        else:
+            c11 = d00 * d22 - a02 * a02
+            c12 = a01 * a02 - d00 * a12
+            c22 = d00 * d11 - a01 * a01
+            s0 = (-g0 * c00 - g1 * c01 - g2 * c02) / det
+            s1 = (-g0 * c01 - g1 * c11 - g2 * c12) / det
+            s2 = (-g0 * c02 - g1 * c12 - g2 * c22) / det
+            n2 = x2 + s2
         n0 = x0 + s0
         n1 = x1 + s1
-        n2 = x2 + s2
-        swept = _sweep_3d(terms, n0, n1, n2)
+        swept = _sweep(terms, n0, n1, n2)
         if swept[0] <= cost:
             x0, x1, x2 = n0, n1, n2
             cost, a00, a01, a02, a11, a12, a22, g0, g1, g2 = swept
@@ -199,83 +209,19 @@ def _levenberg_3d(
         else:
             lam = min(lam * 10.0, 1e6)
 
-    # GDOP: sqrt(trace((J'J)^-1)) at the best iterate, from its cofactors
-    c00 = b11 * b22 - b12 * b12
-    det = b00 * c00 + b01 * (b12 * b02 - b01 * b22) + b02 * (b01 * b12 - b11 * b02)
-    trace_inv = math.inf if abs(det) < 1e-300 else (c00 + (b00 * b22 - b02 * b02) + (b00 * b11 - b01 * b01)) / det
+    # GDOP: sqrt(trace((J'J)^-1)) at the best iterate, from its cofactors,
+    # over the solved block only
+    if planar:
+        det = b00 * b11 - b01 * b01
+        trace_inv = math.inf if abs(det) < 1e-300 else (b11 + b00) / det
+    else:
+        c00 = b11 * b22 - b12 * b12
+        det = b00 * c00 + b01 * (b12 * b02 - b01 * b22) + b02 * (b01 * b12 - b11 * b02)
+        trace_inv = math.inf if abs(det) < 1e-300 else (c00 + (b00 * b22 - b02 * b02) + (b00 * b11 - b01 * b01)) / det
     gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
     rms = math.sqrt(best_cost / len(terms))
     return MultilaterationResult(Location(b0, b1, b2), rms, converged, iterations, gdop)
 
-
-def _sweep_planar(
-    terms: list[tuple[float, float, float, float]], x0: float, x1: float
-) -> tuple[float, float, float, float, float, float]:
-    """One pass over (x, y, dz squared, range) terms: cost, J'J upper triangle, J'r."""
-    sqrt = math.sqrt
-    a00 = a01 = a11 = g0 = g1 = cost = 0.0
-    for px, py, dz2, d in terms:
-        dx = x0 - px
-        dy = x1 - py
-        rng = sqrt(dx * dx + dy * dy + dz2)
-        if 1e-12 > rng:
-            rng = 1e-12
-        res = rng - d
-        cost += res * res
-        u0 = dx / rng
-        u1 = dy / rng
-        g0 += u0 * res
-        g1 += u1 * res
-        a00 += u0 * u0
-        a01 += u0 * u1
-        a11 += u1 * u1
-    return cost, a00, a01, a11, g0, g1
-
-
-def _levenberg_planar(
-    terms: list[tuple[float, float, float, float]],
-    x0: float,
-    x1: float,
-    z: float,
-    max_iterations: int,
-    step_tol: float,
-) -> MultilaterationResult:
-    cost, a00, a01, a11, g0, g1 = _sweep_planar(terms, x0, x1)
-    b0, b1, best_cost = x0, x1, cost
-    b00, b01, b11 = a00, a01, a11
-    converged = False
-    lam = 1e-9
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        d00 = a00 + lam * (1.0 + a00)
-        d11 = a11 + lam * (1.0 + a11)
-        det = d00 * d11 - a01 * a01
-        if abs(det) < 1e-300:
-            lam = max(lam * 10.0, 1e-6)
-            continue
-        s0 = (-g0 * d11 + g1 * a01) / det
-        s1 = (-d00 * g1 + a01 * g0) / det
-        n0 = x0 + s0
-        n1 = x1 + s1
-        swept = _sweep_planar(terms, n0, n1)
-        if swept[0] <= cost:
-            x0, x1 = n0, n1
-            cost, a00, a01, a11, g0, g1 = swept
-            lam = max(lam * 0.3, 1e-12)
-            if cost < best_cost:
-                b0, b1, best_cost = x0, x1, cost
-                b00, b01, b11 = a00, a01, a11
-            if math.sqrt(s0 * s0 + s1 * s1) < step_tol:
-                converged = True
-                break
-        else:
-            lam = min(lam * 10.0, 1e6)
-
-    det = b00 * b11 - b01 * b01
-    trace_inv = math.inf if abs(det) < 1e-300 else (b11 + b00) / det
-    gdop = math.sqrt(trace_inv) if trace_inv > 0 else math.inf
-    rms = math.sqrt(best_cost / len(terms))
-    return MultilaterationResult(Location(b0, b1, z), rms, converged, iterations, gdop)
 
 class VerifyOutcome(Enum):
     VERIFIED = "verified"

@@ -278,13 +278,15 @@ class TestFiltersCommand:
             ("--threshold-sweep", "2:nan:2"),
             ("--threshold-sweep", "2:1e12:1"),
             ("--threshold-sweep", "1e17:1.00000000000001e17:1"),
+            ("--filter", ","),
+            ("--filter", "median,median"),
         ],
         ids=["params-list", "params-scalar", "params-unknown-key", "params-even-window",
              "movements", "cooldown", "zero-threshold", "params-unknown-filter",
              "params-unselected-filter", "warmup", "settle-window", "params-window-string",
              "params-window-bool", "params-window-float", "params-q-string", "params-q-nan",
              "threshold-nan", "threshold-sweep-nan", "threshold-sweep-too-long",
-             "threshold-sweep-step-too-small"],
+             "threshold-sweep-step-too-small", "filter-empty", "filter-repeated"],
     )
     def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
         out = tmp_path / "rep"
@@ -528,13 +530,13 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("failing, code", [(False, 0), (True, 3)], ids=["all-pass", "one-fails"])
     def test_prints_the_builtin_entries_in_registry_order(self, monkeypatch, capsys, failing, code):
-        def fail():
+        def fail(builtin):
             raise CheckFailed("stub failure")
 
         monkeypatch.setattr(cli, "CRITERIA", (
-            Criterion("stub-first", "malicious-bft", fail if failing else lambda: "first ok"),
+            Criterion("stub-first", "malicious-bft", fail if failing else lambda builtin: "first ok"),
             Criterion("stub-elsewhere", "paper-fig7", fail),
-            Criterion("stub-second", "malicious-bft", lambda: "second ok"),
+            Criterion("stub-second", "malicious-bft", lambda builtin: "second ok"),
         ))
         assert run_cli("check", "--builtin", "malicious-bft") == code
         first = "FAIL stub-first: stub failure" if failing else "PASS stub-first: first ok"
