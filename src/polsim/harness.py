@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, TextIO
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from .messages import (
     AlertMessage,
@@ -279,8 +279,9 @@ class _LineSink:
     and `row`, and through `event` for the rare kinds; it is told when a
     tick ends, and `finish` turns the run's metrics into its RunResult.
     The bulk shapes fill one template each, the exact encoding
-    `TraceEvent.to_json` gives their fields (`row` the rssi.csv row, both
-    values to 6 decimals); `expired` fills one template per payload, the
+    `TraceEvent.to_json` gives their fields; `row` fills the rssi.csv row
+    template once per reception of a receiver's round, both values to 6
+    decimals; `expired` fills one template per payload, the
     line `ignore` makes for that payload's `expired` record; and `event`
     encodes a `TraceEvent` through `to_json`. Of what it encodes it also
     keeps the per-(node, action) tally that `finish` checks the counters
@@ -353,11 +354,23 @@ class _LineSink:
         )
         self.tally[node]["store_trusted"] += 1
 
-    def row(self, tick: int, receiver: str, sender: str, raw: float, smoothed: Optional[float]) -> None:
-        if smoothed is None:
-            self.row_lines.append(f"{tick},{receiver},{sender},{raw:.6f},\n")
-        else:
-            self.row_lines.append(f"{tick},{receiver},{sender},{raw:.6f},{smoothed:.6f}\n")
+    def row(
+        self,
+        tick: int,
+        receiver: str,
+        inbox: list[tuple[Message, float]],
+        labels: dict[NodeId, str],
+        newest: Callable[[NodeId], Optional[tuple[int, float]]],
+    ) -> None:
+        """The rssi.csv rows of one receiver's round, one per (message, raw
+        RSSI) of its inbox: the sender's label from `labels`, and the smoothed
+        value from `newest(sender)`, the link's newest (tick, value) or None."""
+        head = f"{tick},{receiver},"
+        self.row_lines.extend([
+            f"{head}{labels[sender]},{raw:.6f},\n" if (entry := newest(sender := msg.sender)) is None
+            else f"{head}{labels[sender]},{raw:.6f},{entry[1]:.6f}\n"
+            for msg, raw in inbox
+        ])
 
     def end_tick(self) -> None:
         if self._events_fh is None:
@@ -402,12 +415,15 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
         return _simulate(scenario, sink, collect_rssi)
 
 
-def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunResult:
-    labels: dict[NodeId, str] = {spec.mac: spec.label for spec in scenario.nodes}
+class _Labels(dict):
+    """Trace label by node id; an id of no node reads as its MAC text."""
 
-    def label_of(node: NodeId) -> str:
-        lab = labels.get(node)
-        return lab if lab is not None else str(node)
+    def __missing__(self, node: NodeId) -> str:
+        return str(node)
+
+
+def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunResult:
+    labels = _Labels((spec.mac, spec.label) for spec in scenario.nodes)
 
     channel = RadioChannel(scenario.channel)
     nodes: dict[NodeId, NodeState] = {}
@@ -453,7 +469,7 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
             payload_sent(tick, label, out.seq)
             counts[label]["payload_sent"] += 1
         elif cls is BftMessage:
-            subject = label_of(out.subject)
+            subject = labels[out.subject]
             bft_sends.append((tick, label, subject))
             event(
                 TraceEvent(
@@ -467,24 +483,23 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
             )
             counts[label]["bft_sent"] += 1
         elif cls is AlertMessage:
-            obj = label_of(out.object) if isinstance(out.object, NodeId) else out.object.hex()
             ref = None
             if out.ref_bft is not None:
                 ref = {
-                    "sender": label_of(out.ref_bft.sender),
-                    "subject": label_of(out.ref_bft.subject),
+                    "sender": labels[out.ref_bft.sender],
+                    "subject": labels[out.ref_bft.subject],
                     "timestamp": out.ref_bft.timestamp,
                 }
             event(
                 TraceEvent(
                     tick, label, "send_alert",
-                    {"alert_type": out.alert_type.name.lower(), "object": obj, "ref_bft": ref},
+                    {"alert_type": out.alert_type.name.lower(), "object": labels[out.object], "ref_bft": ref},
                 )
             )
             counts[label]["alert_sent"] += 1
         elif cls is StoreTrusted:
             m = out.message
-            store_trusted(tick, label, label_of(m.sender), m.seq)
+            store_trusted(tick, label, labels[m.sender], m.seq)
             counts[label]["trusted_stored"] += 1
 
     pending: list[tuple[NodeId, Message]] = []  # broadcasts queued for next tick
@@ -546,13 +561,9 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
                 if cls is BftMessage or cls is AlertMessage:
                     pending.append((mac, out))
             if collect_rssi:
-                smoothed_rssi = state.smoothed_rssi
-                for msg, rssi in inbox:
-                    sender = msg.sender
-                    sender_label = labels.get(sender)  # label_of, inline
-                    if sender_label is None:
-                        sender_label = str(sender)
-                    row(tick, node_label, sender_label, rssi, smoothed_rssi(sender))
+                # the store holds a smoothed value only for a link with a
+                # pipeline, so its newest entry is what smoothed_rssi reads
+                row(tick, node_label, inbox, labels, state.store.latest_smoothed)
 
         # 5. trust timeline, read from the stores whose trust changed
         for mac in node_order:
@@ -565,11 +576,11 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
                 value = rec.trust.value
                 if snap.get(peer_id) != value:
                     snap[peer_id] = value
-                    trust_timeline.append((tick, labels[mac], label_of(peer_id), value))
+                    trust_timeline.append((tick, labels[mac], labels[peer_id], value))
         sink.end_tick()
 
     trust_final = {
-        labels[mac]: dict(sorted((label_of(peer_id), value) for peer_id, value in snap.items()))
+        labels[mac]: dict(sorted((labels[peer_id], value) for peer_id, value in snap.items()))
         for mac, snap in trust_snapshot.items()
     }
     metrics = _build_metrics(scenario, bft_sends, counts, trust_final, trust_timeline)

@@ -13,8 +13,11 @@ Wire format (all integers little-endian, floats IEEE-754 doubles):
                     [signed_payload: 32B]
     0x02 bft        [sender_location: 3 x f64] [subject mac: 6B]
                     [measured_rssi: f64] [ref flag: u8] [ref_seq: u64?]
-    0x03 alert      [alert_type: u8] [object: mac 6B | len u16 + bytes]
+    0x03 alert      [alert_type: u8] [object: mac 6B]
                     [ref flag: u8] [ref_bft: 6B + 6B + u64?]
+
+A payload's signed_payload is the 32-byte digest of its location key, which
+a key made by `location_key` computes when it is first read.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import IntEnum
 from typing import Optional, Union
 
@@ -50,7 +53,6 @@ class SensorType(IntEnum):
 
 
 class AlertType(IntEnum):
-    MEASUREMENT = 1
     SELF_DISTRUST = 2
     DISTRUST = 3
 
@@ -138,15 +140,59 @@ class TrustScore:
         return TrustScore(min(1.0, max(0.0, self.value + delta)))
 
 
-@dataclass(frozen=True)
 class LocationKey:
-    """32-byte keyed digest binding a payload to a quantized location."""
+    """32-byte keyed digest binding a payload to a quantized location.
 
-    digest: bytes
+    `LocationKey(digest)` wraps a known digest. `location_key` makes a key
+    that holds its grid cell and payload instead and computes the digest on
+    the first read of `digest`, which keeps it and drops the cell and the
+    payload: a run reads a digest only to verify a payload or to encode it,
+    and most payloads are never read. Equality, hash and repr go through
+    `digest`, as a frozen dataclass over `digest` would; the key is immutable,
+    and `copy`, `deepcopy` and `pickle` rebuild it from its digest.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.digest) != 32:
+    __slots__ = ("_digest", "_signing")
+
+    def __init__(self, digest: bytes) -> None:
+        if len(digest) != 32:
             raise ValueError("LocationKey digest must be 32 bytes")
+        _set_digest(self, digest)
+        _set_signing(self, None)
+
+    @property
+    def digest(self) -> bytes:
+        digest = self._digest
+        if digest is None:
+            digest = cell_digest(*self._signing)
+            _set_digest(self, digest)
+            _set_signing(self, None)
+        return digest
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.digest == other.digest
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.digest,))
+
+    def __repr__(self) -> str:
+        return f"LocationKey(digest={self.digest!r})"
+
+    def __reduce__(self) -> tuple:
+        return LocationKey, (self.digest,)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# the slots' own setters, which the key's __setattr__ refuses to other code
+_set_digest = LocationKey._digest.__set__
+_set_signing = LocationKey._signing.__set__
 
 
 def quantize_location(loc: Location, grid: float) -> tuple[float, float, float]:
@@ -166,9 +212,14 @@ def location_key(loc: Location, payload: bytes, grid: float) -> LocationKey:
 
     Two calls with locations falling in the same grid cell and equal payload
     bytes produce the same digest; anything else differs (up to digest
-    collisions, negligible at 256 bits).
+    collisions, negligible at 256 bits). The location is quantized here, so
+    a bad grid raises here; the digest is computed on the key's first read.
     """
-    return LocationKey(cell_digest(*quantize_location(loc, grid), payload))
+    qx, qy, qz = quantize_location(loc, grid)
+    key = object.__new__(LocationKey)
+    _set_digest(key, None)
+    _set_signing(key, (qx, qy, qz, payload))
+    return key
 
 
 @dataclass(frozen=True)
@@ -210,22 +261,17 @@ class BftMessage:
 
 @dataclass(frozen=True)
 class AlertMessage:
-    """High-priority message: measurement alarm, self-distrust, or distrust."""
+    """High-priority trust message: self-distrust or distrust of a node."""
 
     sender: NodeId
     alert_type: AlertType
-    object: Union[NodeId, bytes]
+    object: NodeId
     ref_bft: Optional[BftRef]
     timestamp: int
 
     def __post_init__(self) -> None:
-        if self.alert_type == AlertType.MEASUREMENT:
-            # a NodeId is bytes too, but never a sensor reading
-            if not isinstance(self.object, bytes) or isinstance(self.object, NodeId):
-                raise ValueError("measurement alert carries a sensor reading")
-        else:
-            if not isinstance(self.object, NodeId):
-                raise ValueError("trust alert carries a NodeId object")
+        if not isinstance(self.object, NodeId):
+            raise ValueError("alert carries a NodeId object")
         if self.alert_type == AlertType.DISTRUST and self.ref_bft is None:
             raise ValueError("distrust alert must reference the BFT it replies to")
         if self.alert_type == AlertType.SELF_DISTRUST and self.object != self.sender:
@@ -235,35 +281,52 @@ class AlertMessage:
 Message = Union[PayloadMessage, BftMessage, AlertMessage]
 
 
+def _wire_uint(field: str, value: int, bits: int) -> int:
+    """`value`, or ValueError naming `field` when it is not an integer that
+    fits its unsigned `bits`-bit wire field."""
+    if not (isinstance(value, int) and 0 <= value < 1 << bits):
+        raise ValueError(f"{field} {value} does not fit the wire format's u{bits}")
+    return value
+
+
+def _header(tag: int, msg: Message) -> bytes:
+    return struct.pack("<B6sQ", tag, msg.sender.mac, _wire_uint("timestamp", msg.timestamp, 64))
+
+
 def encode_message(msg: Message) -> bytes:
-    """Serialize a message to its canonical wire bytes."""
+    """Serialize a message to its canonical wire bytes.
+
+    Raises ValueError naming the field when a value does not fit its wire
+    field: a timestamp, seq, ref_seq or referenced BFT timestamp that is not
+    an integer in 0..2**64-1, or a payload longer than 65,535 bytes.
+    """
     if isinstance(msg, PayloadMessage):
-        head = struct.pack("<B6sQ", TAG_PAYLOAD, msg.sender.mac, msg.timestamp)
-        body = struct.pack("<QBH", msg.seq, int(msg.sensor_type), len(msg.payload))
+        head = _header(TAG_PAYLOAD, msg)
+        body = struct.pack(
+            "<QBH",
+            _wire_uint("seq", msg.seq, 64),
+            int(msg.sensor_type),
+            _wire_uint("payload length", len(msg.payload), 16),
+        )
         return head + body + msg.payload + msg.signed_payload.digest
     if isinstance(msg, BftMessage):
-        head = struct.pack("<B6sQ", TAG_BFT, msg.sender.mac, msg.timestamp)
+        head = _header(TAG_BFT, msg)
         loc = msg.sender_location
         body = struct.pack("<3d6sd", loc.x, loc.y, loc.z, msg.subject.mac, msg.measured_rssi.value)
         if msg.ref_seq is None:
             ref = struct.pack("<B", 0)
         else:
-            ref = struct.pack("<BQ", 1, msg.ref_seq)
+            ref = struct.pack("<BQ", 1, _wire_uint("ref_seq", msg.ref_seq, 64))
         return head + body + ref
     if isinstance(msg, AlertMessage):
-        head = struct.pack("<B6sQ", TAG_ALERT, msg.sender.mac, msg.timestamp)
-        body = struct.pack("<B", int(msg.alert_type))
-        if msg.alert_type == AlertType.MEASUREMENT:
-            assert isinstance(msg.object, bytes)
-            body += struct.pack("<H", len(msg.object)) + msg.object
-        else:
-            assert isinstance(msg.object, NodeId)
-            body += msg.object.mac
+        head = _header(TAG_ALERT, msg)
+        body = struct.pack("<B6s", int(msg.alert_type), msg.object.mac)
         if msg.ref_bft is None:
             body += struct.pack("<B", 0)
         else:
             r = msg.ref_bft
-            body += struct.pack("<B6s6sQ", 1, r.sender.mac, r.subject.mac, r.timestamp)
+            rts = _wire_uint("ref_bft timestamp", r.timestamp, 64)
+            body += struct.pack("<B6s6sQ", 1, r.sender.mac, r.subject.mac, rts)
         return head + body
     raise TypeError(f"not a wire message: {type(msg)!r}")
 
@@ -334,12 +397,7 @@ def decode_message(data: bytes) -> Message:
         if tag == TAG_ALERT:
             (atype,) = rd.take("<B")
             alert_type = AlertType(atype)
-            obj: Union[NodeId, bytes]
-            if alert_type == AlertType.MEASUREMENT:
-                (olen,) = rd.take("<H")
-                obj = rd.take_bytes(olen)
-            else:
-                obj = NodeId(rd.take_bytes(6))
+            obj = NodeId(rd.take_bytes(6))
             (flag,) = rd.take("<B")
             ref = None
             if flag:

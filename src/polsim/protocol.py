@@ -549,14 +549,12 @@ class NodeState:
         Distrust alerts are accepted, rejected, or ignored; acceptance lowers
         the accused node's trust, rejection lowers the alert sender's trust
         and raises every dissent participant's. Self-distrust lowers the
-        sender's trust. Measurement alerts are payload-level and only logged.
+        sender's trust.
         """
         if alert.sender == self.self_id:
             return [Ignore("self-echo", context="alert")]
         if rssi is not None:
             self.ingest_sample(alert.sender, rssi, now)
-        if alert.alert_type == AlertType.MEASUREMENT:
-            return [Ignore("measurement-alert", context=str(alert.sender))]
         if alert.alert_type == AlertType.SELF_DISTRUST:
             self.store.adjust_trust(alert.sender, -self.params.trust_step)
             return []
@@ -564,7 +562,7 @@ class NodeState:
         accuser = alert.sender
         accused = alert.object
         ref = alert.ref_bft
-        if not isinstance(accused, NodeId) or ref is None:
+        if ref is None:
             return [Ignore("malformed-alert")]
         if ref.sender != accused or ref.subject != accuser:
             return [Ignore("malformed-alert", context="ref mismatch")]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -355,11 +356,56 @@ class TestLineTemplates:
         assert line_sink.tally[node]["store_trusted"] == before + 1
 
     @settings(max_examples=200)
-    @given(st.integers(), trace_text, trace_text, st.floats(), st.none() | st.floats())
-    def test_row_line(self, line_sink, tick, receiver, sender, raw, smoothed):
-        line_sink.row(tick, receiver, sender, raw, smoothed)
-        smooth = "" if smoothed is None else format(smoothed, ".6f")
-        assert line_sink.row_lines.pop() == f"{tick},{receiver},{sender},{raw:.6f},{smooth}\n"
+    @given(
+        st.integers(),
+        trace_text,
+        st.lists(
+            st.tuples(
+                st.binary(min_size=6, max_size=6).map(NodeId),
+                trace_text,
+                st.floats(),
+                st.none() | st.tuples(st.integers(), st.floats()),
+            ),
+            max_size=5,
+            unique_by=lambda reception: reception[0],
+        ),
+    )
+    def test_row_line(self, line_sink, tick, receiver, receptions):
+        """One rssi.csv line per reception of the round, the smoothed value
+        read from the link's newest (tick, value) entry."""
+        inbox = [(SimpleNamespace(sender=sender), raw) for sender, _, raw, _ in receptions]
+        labels = {sender: label for sender, label, _, _ in receptions}
+        newest = {sender: entry for sender, _, _, entry in receptions if entry is not None}
+        line_sink.row(tick, receiver, inbox, labels, newest.get)
+        want = []
+        for _, label, raw, entry in receptions:
+            smooth = "" if entry is None else format(entry[1], ".6f")
+            want.append(f"{tick},{receiver},{label},{raw:.6f},{smooth}\n")
+        lines = line_sink.row_lines
+        assert lines[len(lines) - len(want):] == want
+        del lines[len(lines) - len(want):]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_newest_smoothed_entry_is_smoothed_rssi(name, monkeypatch):
+    """The rssi.csv rows read the store's newest smoothed entry where
+    `NodeState.smoothed_rssi` also asks for a link pipeline: after every round
+    of a built-in run the two agree for every peer, because only
+    `ingest_sample` stores a smoothed value, after it made the pipeline."""
+    checked = [0]
+    real_tick = NodeState.tick
+
+    def tick(self, inbox, *, now):
+        actions = real_tick(self, inbox, now=now)
+        for peer in {*self.store.peers, *(msg.sender for msg, _ in inbox)}:
+            newest = self.store.latest_smoothed(peer)
+            assert self.smoothed_rssi(peer) == (None if newest is None else newest[1]), (now, peer)
+            checked[0] += newest is not None
+        return actions
+
+    monkeypatch.setattr(NodeState, "tick", tick)
+    run(builtin_scenario(name, seed=1), collect_rssi=False)
+    assert checked[0] > 0
 
 
 class TestZeroNoiseOracle:

@@ -28,6 +28,8 @@ from polsim.messages import (
     PayloadMessage,
     Rssi,
     SensorType,
+    decode_message,
+    encode_message,
     location_key,
     quantize_location,
 )
@@ -535,6 +537,24 @@ class TestLocateAndVerify:
         msg = payload_signed_at(Location(1.5, 1.0, 1.0))  # single cell off
         outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.VERIFIED
+
+    @pytest.mark.parametrize(
+        "signed_at, verdict",
+        [
+            (Location(1.0, 1.0, 1.0), VerifyOutcome.VERIFIED),
+            (Location(1.5, 1.0, 1.0), VerifyOutcome.VERIFIED),
+            (Location(2.0, 1.0, 1.0), VerifyOutcome.CONTRADICTED),
+        ],
+    )
+    def test_decoded_payload_gets_the_deferred_verdict(self, signed_at, verdict):
+        """A payload off the wire, its key rebuilt from the digest, gets the
+        verdict of the payload whose key was still to compute its digest."""
+        store = seeded_store(Location(1.0, 1.0, 1.0))
+        deferred = payload_signed_at(signed_at)
+        assert locate_and_verify(SUBJECT, store, deferred, MODEL, Location(0, 0, 0), 100, PARAMS) is verdict
+        decoded = decode_message(encode_message(payload_signed_at(signed_at)))
+        assert locate_and_verify(SUBJECT, store, decoded, MODEL, Location(0, 0, 0), 100, PARAMS) is verdict
+        assert decoded == deferred
 
     def test_only_self_measurement_insufficient(self):
         store = TopologyStore(SELF, capacity=64)

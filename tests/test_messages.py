@@ -2,12 +2,14 @@
 
 import copy
 import hashlib
+import math
 import pickle
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polsim.messages
 from polsim.messages import (
     AlertMessage,
     AlertType,
@@ -160,6 +162,93 @@ class TestLocationKey:
         assert cell_digest(1.0, -0.5, 2.0, b"p") == want
 
 
+def digest_counter(monkeypatch) -> list[int]:
+    """Count the digests location keys compute: `polsim.messages.cell_digest` calls."""
+    calls = [0]
+    real = polsim.messages.cell_digest
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(polsim.messages, "cell_digest", counted)
+    return calls
+
+
+class TestDeferredLocationKey:
+    """`location_key` defers its digest to the first read and is otherwise
+    the key `LocationKey(cell_digest(*quantize_location(loc, grid), payload))`."""
+
+    @settings(max_examples=300)
+    @given(
+        st.builds(Location, *[st.floats(-1e6, 1e6)] * 3),
+        st.binary(max_size=64),
+        st.floats(1e-3, 1e3),
+    )
+    def test_same_key_as_the_eager_digest(self, loc, payload, grid):
+        eager = LocationKey(cell_digest(*quantize_location(loc, grid), payload))
+
+        def deferred() -> LocationKey:
+            return location_key(loc, payload, grid)
+
+        assert deferred() == eager and eager == deferred()
+        assert not (deferred() != eager) and not (eager != deferred())
+        assert hash(deferred()) == hash(eager)
+        assert deferred().digest == eager.digest
+        assert repr(deferred()) == repr(eager) == f"LocationKey(digest={eager.digest!r})"
+
+        def wire(key: LocationKey) -> bytes:
+            return encode_message(PayloadMessage(A, 1, SensorType.GENERIC, payload, key, 7))
+
+        assert wire(deferred()) == wire(eager)
+        for read_first in (False, True):
+            key = deferred()
+            if read_first:
+                key.digest
+            for copied in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key), copy.copy(key)):
+                assert type(copied) is LocationKey
+                assert copied == key == eager
+                assert copied.digest == eager.digest
+
+    def test_digest_computed_once_on_first_read(self, monkeypatch):
+        calls = digest_counter(monkeypatch)
+        key = location_key(Location(1.0, 2.0, 3.0), b"data", 0.5)
+        assert calls[0] == 0
+        first = key.digest
+        assert calls[0] == 1
+        other = location_key(Location(1.0, 2.0, 3.0), b"data", 0.5)
+        for _ in range(3):
+            assert key.digest is first
+            assert key == other and hash(key) == hash(other) and repr(key) == repr(other)
+            encode_message(PayloadMessage(A, 1, SensorType.GENERIC, b"data", key, 7))
+        assert calls[0] == 2  # one for `key`, one for `other`
+
+    @pytest.mark.parametrize(
+        "grid, error", [(0.0, ValueError), (-1.0, ValueError), (math.nan, ValueError), (1e-320, OverflowError)]
+    )
+    def test_bad_grid_raises_at_call_time(self, monkeypatch, grid, error):
+        calls = digest_counter(monkeypatch)
+        with pytest.raises(error):
+            location_key(Location(1.0, 2.0, 3.0), b"data", grid)
+        assert calls[0] == 0
+
+    def test_known_digest_must_be_32_bytes(self):
+        for bad in (b"", bytes(31), bytes(33)):
+            with pytest.raises(ValueError):
+                LocationKey(bad)
+        assert LocationKey(digest=bytes(32)).digest == bytes(32)
+
+    def test_immutable(self):
+        for key in (location_key(Location(1.0, 2.0, 3.0), b"data", 0.5), LocationKey(bytes(32))):
+            for name in ("digest", "_digest", "_signing", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(key, name, bytes(32))
+                with pytest.raises(AttributeError):
+                    delattr(key, name)
+        key = location_key(Location(1.0, 2.0, 3.0), b"data", 0.5)
+        assert key == LocationKey(cell_digest(1.0, 2.0, 3.0, b"data"))
+
+
 node_ids = st.binary(min_size=6, max_size=6).map(NodeId)
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 locations = st.builds(Location, finite, finite, finite)
@@ -200,9 +289,7 @@ def alert_messages(draw):
             st.builds(BftRef, sender=node_ids, subject=node_ids, timestamp=ticks),
         )
     )
-    if alert_type == AlertType.MEASUREMENT:
-        obj = draw(st.binary(max_size=64))
-    elif alert_type == AlertType.SELF_DISTRUST:
+    if alert_type == AlertType.SELF_DISTRUST:
         obj = sender
     else:
         obj = draw(node_ids)
@@ -243,6 +330,39 @@ class TestWireCodec:
         with pytest.raises(MessageDecodeError):
             decode_message(b"\x09" + bytes(20))
 
+    def test_alert_type_1_rejected(self):
+        """Type 1, the measurement alert, is not a wire alert type."""
+        wire = bytearray(encode_message(AlertMessage(A, AlertType.SELF_DISTRUST, A, None, 0)))
+        assert decode_message(bytes(wire)).alert_type is AlertType.SELF_DISTRUST
+        wire[15] = 1  # the alert type, after the 15-byte header
+        with pytest.raises(MessageDecodeError):
+            decode_message(bytes(wire))
+
+    @pytest.mark.parametrize(
+        "msg, field",
+        [
+            (PayloadMessage(A, 1, SensorType.GENERIC, bytes(70_000), LocationKey(bytes(32)), 0), "payload length"),
+            (PayloadMessage(A, 2**64, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0), "seq"),
+            (PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), -1), "timestamp"),
+            (PayloadMessage(A, 1.5, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0), "seq"),
+            (PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 2.0), "timestamp"),
+            (BftMessage(A, Location(0, 0, 0), B, Rssi(-40.0), -1, 0), "ref_seq"),
+            (AlertMessage(A, AlertType.SELF_DISTRUST, A, None, 2**64), "timestamp"),
+            (AlertMessage(A, AlertType.DISTRUST, B, BftRef(B, A, -1), 0), "ref_bft timestamp"),
+        ],
+    )
+    def test_field_outside_wire_range_is_value_error(self, msg, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            encode_message(msg)
+
+    def test_wire_range_edges_encode(self):
+        top = 2**64 - 1
+        for msg in (
+            PayloadMessage(A, top, SensorType.GENERIC, bytes(65_535), LocationKey(bytes(32)), top),
+            PayloadMessage(A, 0, SensorType.GENERIC, b"", LocationKey(bytes(32)), 0),
+        ):
+            assert decode_message(encode_message(msg)) == msg
+
 
 class TestMessageInvariants:
     def test_bft_subject_must_differ(self):
@@ -257,7 +377,7 @@ class TestMessageInvariants:
         with pytest.raises(ValueError):
             AlertMessage(A, AlertType.SELF_DISTRUST, B, None, 0)
 
-    def test_measurement_alert_carries_reading(self):
-        with pytest.raises(ValueError):
-            AlertMessage(A, AlertType.MEASUREMENT, B, None, 0)
-        AlertMessage(A, AlertType.MEASUREMENT, b"\x00\x01", None, 0)
+    def test_alert_object_is_a_node_id(self):
+        for obj in (b"\x00\x01", B.mac):
+            with pytest.raises(ValueError):
+                AlertMessage(A, AlertType.DISTRUST, obj, BftRef(B, A, 0), 0)

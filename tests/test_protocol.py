@@ -879,12 +879,6 @@ class TestReceiveAlert:
         assert rec.trust.value == trust - node.params.trust_step
         assert rec.location is location
 
-    def test_measurement_alert_logged_only(self):
-        node = make_node()
-        alert = AlertMessage(PEER, AlertType.MEASUREMENT, b"\x42", None, 30)
-        (action,) = node.receive_alert(alert, None, 31)
-        assert isinstance(action, Ignore) and action.reason == "measurement-alert"
-
     def test_mismatched_reference_is_malformed(self):
         node = make_node()
         bad = AlertMessage(

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import polsim.localization
+import polsim.messages
 from polsim.cli import main
 from polsim.filters import FILTER_NAMES
 from polsim.harness import run
@@ -46,6 +48,27 @@ def test_builtin_traces_match_reference(name, references, tmp_path):
     for file_name, digest in want.items():
         got = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
         assert got == digest, f"{name} {file_name} differs from the reference trace"
+
+
+@pytest.mark.parametrize("name, key_digests", [("static-honest", False), ("paper-fig7", True)])
+def test_location_digests_computed_only_when_read(name, key_digests, references, monkeypatch, tmp_path):
+    """A run without a solve reads no payload's location key, so it computes
+    no digest; fig7 verifies payloads and so computes some; both still write
+    the reference traces."""
+    calls = {"key": 0, "cell": 0}
+
+    def counting(kind, real):
+        def counted(*args):
+            calls[kind] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(polsim.messages, "cell_digest", counting("key", polsim.messages.cell_digest))
+    monkeypatch.setattr(polsim.localization, "cell_digest", counting("cell", polsim.localization.cell_digest))
+    run(builtin_scenario(name, seed=1), out_dir=str(tmp_path))
+    assert (calls["key"] > 0) is key_digests and (calls["cell"] > 0) is key_digests, calls
+    for file_name, digest in references[f"{name}/seed=1/ticks={TICKS}"].items():
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
 
 
 def test_memory_sink_run_matches_reference(references):
