@@ -42,7 +42,7 @@ from .messages import (
 )
 from .channel import RadioChannel
 from .protocol import Expired, Ignore, NodeState, StoreTrusted
-from .scenario import AttackKind, AttackSpec, Scenario
+from .scenario import AttackKind, AttackSpec, Scenario, transmitter_id
 from .topology import PeerRecord
 
 TRACE_VERSION = 1
@@ -211,7 +211,7 @@ class _AttackDriver:
             self.label = attacker.label
         else:
             # physical transmitter registered in the channel, invisible to nodes
-            self.phys_id = NodeId(bytes([0x02, 0, 0, 0, 0xAA, 0xF0 + index]))
+            self.phys_id = transmitter_id(index)
             self.position = Location(*[float(c) for c in spec.params["attacker_position"]])
             self.label = f"attacker{index}"
             channel.register(self.phys_id, self.position)
@@ -561,8 +561,6 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
                 if cls is BftMessage or cls is AlertMessage:
                     pending.append((mac, out))
             if collect_rssi:
-                # the store holds a smoothed value only for a link with a
-                # pipeline, so its newest entry is what smoothed_rssi reads
                 row(tick, node_label, inbox, labels, state.store.latest_smoothed)
 
         # 5. trust timeline, read from the stores whose trust changed

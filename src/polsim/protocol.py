@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional, Union
 
 # perfbench/tracer.py wraps polsim.protocol.cascade_step by name; the node
@@ -39,7 +40,7 @@ from .messages import (
     decode_message,
     location_key,
 )
-from .topology import TopologyStore
+from .topology import PeerRecord, TopologyStore
 
 
 @dataclass(frozen=True)
@@ -152,22 +153,8 @@ SELF_DEFENSE_TABLE: dict[tuple[bool, bool, bool, bool], str] = {
     (False, True, True, False): BFT_ABOUT_B,
     (False, False, True, False): DISTRUST_B,
 }
-for _c in (True, False):
-    for _h in (True, False):
-        for _db in (True, False):
-            for _ds in (True, False):
-                SELF_DEFENSE_TABLE.setdefault((_c, _h, _db, _ds), IGNORE)
-
-
-@dataclass(slots=True)
-class _LinkPipeline:
-    """Smoothing and trigger state for one outgoing observation link."""
-
-    smooth: Callable[[float], float]
-    trigger: TriggerState
-    # one contradiction-driven BFT allowed per deviation episode; replenished
-    # by the next trigger fire so a standing disagreement is announced once
-    contradiction_budget: int = 1
+for _key in product((True, False), repeat=4):
+    SELF_DEFENSE_TABLE.setdefault(_key, IGNORE)
 
 
 class MessagePool:
@@ -283,7 +270,6 @@ class NodeState:
         self.store = TopologyStore(self_id, capacity=params.history_window)
         self.pool = MessagePool(params.pool_ttl)
         self.moved_until: Optional[int] = None
-        self._pipelines: dict[NodeId, _LinkPipeline] = {}
         # links whose trigger fired at trigger.last_fire, BFT not yet sent
         self._pending: set[NodeId] = set()
         self._seq = 0
@@ -298,37 +284,37 @@ class NodeState:
         duplicate (only the first measurement per link and tick counts).
         """
         try:
-            self.store.record_rssi(peer, now, rssi)
+            rec = self.store.record_rssi(peer, now, rssi)
         except ValueError:
             return self.smoothed_rssi(peer)
-        pipe = self._pipelines.get(peer)
-        if pipe is None:
-            # peers are never removed, so one ensure_peer per link suffices
-            self.store.ensure_peer(peer)
-            pipe = _LinkPipeline(*self.filter_params.link_state())
-            self._pipelines[peer] = pipe
-        smoothed = pipe.smooth(rssi)
+        if rec.smooth is None:
+            rec.smooth, rec.trigger = self.filter_params.link_state()
+        smoothed = rec.smooth(rssi)
         self.store.update_smoothed(peer, now, smoothed)
-        if bft_trigger(pipe.trigger, smoothed, now):
+        if bft_trigger(rec.trigger, smoothed, now):
             self._pending.add(peer)
         return smoothed
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
-        if peer not in self._pipelines:
+        """The link's newest smoothed value, or None while the row has no
+        smoother: a value stored past `ingest_sample` is no measurement."""
+        rec = self.store.peer(peer)
+        if rec is None or rec.smooth is None or rec.smoothed is None:
             return None
-        own = self.store.latest_smoothed(peer)
-        return None if own is None else own[1]
+        return rec.smoothed[1]
 
     def on_moved(self, to: Location, now: int, announce: bool) -> None:
         """Relocate the node. An announced move (the node noticed, e.g. via an
-        acceleration sensor) raises the movement flag and resets the link
-        pipelines, since every baseline the node held just became stale."""
+        acceleration sensor) raises the movement flag, clears every row's
+        smoothed value and gives each row that has a smoother and trigger
+        fresh ones, since every baseline the node held just became stale."""
         self.self_location = to
         if announce:
             self.moved_until = now + self.params.moved_ttl
-            self.store.clear_smoothed()
-            for pipe in self._pipelines.values():
-                pipe.smooth, pipe.trigger = self.filter_params.link_state()
+            for rec in self.store.peers.values():
+                rec.smoothed = None
+                if rec.smooth is not None:
+                    rec.smooth, rec.trigger = self.filter_params.link_state()
             self._pending.clear()
 
     def moved_flag(self, now: int) -> bool:
@@ -405,7 +391,7 @@ class NodeState:
         pending = self._pending
         if not reported and not pending:
             return actions
-        pipelines = self._pipelines
+        peers = store.peers
         for sender in sorted(reported | pending):
             newest = pool.newest(sender)
             if newest is None:
@@ -420,30 +406,30 @@ class NodeState:
                 for msg in pool.clear_sender(sender):
                     actions.append(StoreTrusted(msg))
                 continue
-            pipe = pipelines.get(sender)
-            if pipe is None:
+            rec = peers.get(sender)
+            if rec is None or (trigger := rec.trigger) is None:
                 continue
-            if sender in pending and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
+            if sender in pending and now - trigger.last_fire > trigger.cooldown:
                 pending.discard(sender)
             # a trigger fires on a sample, so a pending link has a smoothed
             # value; a contradiction alone does not guarantee one
             if sender in pending:
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
-                pipe.contradiction_budget = 1
+                actions.append(self._emit_bft(rec, now, ref_seq=newest.seq))
+                rec.contradiction_budget = 1
             elif (
                 verdict is VerifyOutcome.CONTRADICTED
-                and pipe.contradiction_budget > 0
-                and pipe.trigger.cooldown_over(now)
-                and store.latest_smoothed(sender) is not None
+                and rec.contradiction_budget > 0
+                and trigger.cooldown_over(now)
+                and rec.smoothed is not None
             ):
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
-                pipe.contradiction_budget -= 1
+                actions.append(self._emit_bft(rec, now, ref_seq=newest.seq))
+                rec.contradiction_budget -= 1
         return actions
 
-    def _emit_bft(
-        self, subject: NodeId, pipe: _LinkPipeline, now: int, ref_seq: Optional[int]
-    ) -> BftMessage:
-        _, smoothed = self.store.latest_smoothed(subject)
+    def _emit_bft(self, rec: PeerRecord, now: int, ref_seq: Optional[int]) -> BftMessage:
+        """The BFT message reporting the row's newest smoothed value."""
+        subject = rec.id
+        _, smoothed = rec.smoothed
         msg = BftMessage(
             sender=self.self_id,
             sender_location=self.self_location,
@@ -452,7 +438,7 @@ class NodeState:
             ref_seq=ref_seq,
             timestamp=now,
         )
-        pipe.trigger.note_report(smoothed, now)
+        rec.trigger.note_report(smoothed, now)
         self._pending.discard(subject)
         # own dissent counts toward the local picture as well
         self.store.register_bft(self.self_id, subject, now, now)
@@ -503,34 +489,21 @@ class NodeState:
         if outcome == IGNORE:
             return [Ignore("self-defense", context=f"{inputs}")]
         if outcome == BFT_ABOUT_B:
-            # self_defense_inputs found a smoothed value, so the pipeline exists
-            pipe = self._pipelines[origin]
-            if not pipe.trigger.cooldown_over(now):
+            # self_defense_inputs found a smoothed value, so the row has a trigger
+            rec = self.store.peers[origin]
+            if not rec.trigger.cooldown_over(now):
                 return [Ignore("bft-cooldown", context=str(origin))]
-            return [self._emit_bft(origin, pipe, now, ref_seq=None)]
-        ref = BftRef(msg.sender, msg.subject, msg.timestamp)
+            return [self._emit_bft(rec, now, ref_seq=None)]
         if outcome == SELF_DISTRUST:
-            if not self._alert_allowed(AlertType.SELF_DISTRUST, self.self_id, now):
-                return [Ignore("alert-cooldown", context="self-distrust")]
-            alert = AlertMessage(
-                sender=self.self_id,
-                alert_type=AlertType.SELF_DISTRUST,
-                object=self.self_id,
-                ref_bft=ref,
-                timestamp=now,
-            )
-            return [alert]
-        # outcome == DISTRUST_B
-        if not self._alert_allowed(AlertType.DISTRUST, origin, now):
-            return [Ignore("alert-cooldown", context=f"distrust {origin}")]
-        alert = AlertMessage(
-            sender=self.self_id,
-            alert_type=AlertType.DISTRUST,
-            object=origin,
-            ref_bft=ref,
-            timestamp=now,
-        )
-        return [alert]
+            alert_type, obj, context = AlertType.SELF_DISTRUST, self.self_id, "self-distrust"
+        else:  # DISTRUST_B
+            alert_type, obj, context = AlertType.DISTRUST, origin, f"distrust {origin}"
+        if not self._alert_allowed(alert_type, obj, now):
+            return [Ignore("alert-cooldown", context=context)]
+        ref = BftRef(msg.sender, msg.subject, msg.timestamp)
+        return [
+            AlertMessage(sender=self.self_id, alert_type=alert_type, object=obj, ref_bft=ref, timestamp=now)
+        ]
 
     def _alert_allowed(self, alert_type: AlertType, obj: NodeId, now: int) -> bool:
         key = (alert_type, obj)

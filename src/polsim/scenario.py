@@ -37,6 +37,16 @@ class AttackKind(Enum):
 
 SENSOR_TYPES = {t.name.lower(): t for t in SensorType}
 
+# an identity_spoof or replay attack sends from a channel position of its own
+# under an id ending in 0xf0 + the attack's index, so 16 fit; link jitter
+# hashes that id, which makes the scheme part of the attack's traces
+MAX_TRANSMITTERS = 16
+
+
+def transmitter_id(index: int) -> NodeId:
+    """The channel id 02:00:00:00:aa:(f0 + index) of the attack at `index`."""
+    return NodeId(bytes([0x02, 0, 0, 0, 0xAA, 0xF0 + index]))
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -194,6 +204,14 @@ class Scenario:
             for role in ("victim", "attacker"):
                 if role in params and params[role] not in labels:
                     errors.append(f"{where}{role} {params[role]!r} is not a scenario node")
+            transmits = kind is not AttackKind.MALICIOUS_BFT
+            if not transmits and "attacker" in params and params["attacker"] == params.get("victim"):
+                errors.append(f"{where}attacker and victim must differ, both are {params['victim']!r}")
+            elif transmits and i >= MAX_TRANSMITTERS:
+                errors.append(f"{where}a {kind.value} attack sends from 02:00:00:00:aa:(f0 + its index), "
+                              f"so its index must be below {MAX_TRANSMITTERS}")
+            elif transmits and transmitter_id(i) in macs:
+                errors.append(f"{where}transmitter id {transmitter_id(i)} is the mac of a scenario node")
             if in_run(spec["at"], "attack", where) and len(errors) == seen:
                 attacks.append(AttackSpec(kind, spec["at"], params))
 

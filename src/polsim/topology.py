@@ -1,18 +1,23 @@
-"""Per-node memory of the network: RSSI histories, peer identities, trust.
+"""Per-node memory of the network: one row per peer, reports, dissent.
 
 Mirrors the topology storage matrix each sensor node maintains: one row per
-known node (MAC, location, trust score), a bounded history of the RSSI the
-node measured on each of its own links, and the newest report per reporter
-about each subject other than the node itself, learned from BFT messages. A
-log of observed BFT messages backs the distrust predicate's dissent counting.
+known node holding its identity (MAC, location, trust score) and, for a peer
+the node has measured, the bounded history of the RSSI on that link with the
+link's smoothing and trigger state. Beside the rows it keeps the newest
+report per reporter about each subject other than the node itself, learned
+from BFT messages, and per subject the BFT messages seen about it, which back
+the distrust predicate's dissent counting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .messages import Location, NodeId, TrustScore
+
+if TYPE_CHECKING:
+    from .filters import TriggerState
 
 
 class OrderingError(ValueError):
@@ -28,29 +33,34 @@ class Report(NamedTuple):
     reporter_location: Location
 
 
-@dataclass
+@dataclass(slots=True)
 class PeerRecord:
-    """Identity attributes of one known node."""
+    """Everything a node keeps about one known node.
+
+    The identity attributes come first. The rest is the node's own link to
+    the peer: the measured `(tick, value)` samples at rising ticks, the
+    newest smoothed `(tick, value)`, and the smoother and trigger that made
+    it, which stay None until the node counts a sample. A row with an empty
+    history is no link. `smooth` is a `functools.partial` over its filter
+    state and compares by identity, so rows compare without it.
+    """
 
     id: NodeId
     location: Optional[Location] = None
     trust: TrustScore = field(default_factory=lambda: TrustScore(1.0))
-
-
-@dataclass(frozen=True)
-class BftObservation:
-    """One BFT message seen on the air, kept for dissent counting."""
-
-    sender: NodeId
-    subject: NodeId
-    emitted_at: int
-    seen_at: int
+    history: list[tuple[int, float]] = field(default_factory=list)
+    smoothed: Optional[tuple[int, float]] = None
+    smooth: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    trigger: Optional[TriggerState] = None
+    # one contradiction-driven BFT allowed per deviation episode; replenished
+    # by the next trigger fire so a standing disagreement is announced once
+    contradiction_budget: int = 1
 
 
 class TopologyStore:
     """Single-writer store owned by one simulated node.
 
-    The node's own links are keyed by the peer. Each holds a history of at
+    The node's own links live in the peer rows. Each holds a history of at
     most `capacity` measured `(tick, value)` samples at rising ticks and the
     newest smoothed value.
     """
@@ -64,9 +74,8 @@ class TopologyStore:
         # raised when a peer record is added or its trust adjusted; a reader
         # of the trust values lowers it once it has read them
         self.trust_changed = False
-        self._links: dict[NodeId, list[tuple[int, float]]] = {}
-        self._smoothed: dict[NodeId, tuple[int, float]] = {}
-        self._bft_log: list[BftObservation] = []
+        # per subject, the BFT messages seen about it: (sender, emitted_at, seen_at)
+        self._bft_seen: dict[NodeId, list[tuple[NodeId, int, int]]] = {}
         # newest report per (subject, reporter), for anchor gathering
         self._reported: dict[NodeId, dict[NodeId, Report]] = {}
         # subjects_reported_by's result per min_reporters, kept current
@@ -98,29 +107,33 @@ class TopologyStore:
 
     # -- own-link histories -----------------------------------------------
 
-    def record_rssi(self, peer: NodeId, t: int, value: float) -> None:
-        """Append a measured sample of the link to `peer`; creates the link
-        on first sight. A sample not later than the link's newest one raises
-        OrderingError, so only the first measurement per tick counts."""
-        history = self._links.get(peer)
-        if history is None:
+    def record_rssi(self, peer: NodeId, t: int, value: float) -> PeerRecord:
+        """Append a measured sample of the link to `peer` and return its row,
+        made as `ensure_peer` makes one on first sight. A sample not later
+        than the link's newest one raises OrderingError, so only the first
+        measurement per tick counts."""
+        rec = self.peers.get(peer)
+        if rec is None:
             if peer == self.self_id:
                 raise ValueError("a node has no link to itself")
-            self._links[peer] = [(t, value)]
-            return
-        last_t = history[-1][0]
-        if t <= last_t:
+            rec = self.ensure_peer(peer)
+        history = rec.history
+        if history and t <= (last_t := history[-1][0]):
             raise OrderingError(f"sample at t={t} not after t={last_t} on the link to {peer}")
         history.append((t, value))
         if len(history) > self.capacity:
             del history[0]
+        return rec
 
     def history(self, peer: NodeId) -> tuple[tuple[int, float], ...]:
-        return tuple(self._links.get(peer, ()))
+        rec = self.peers.get(peer)
+        return () if rec is None else tuple(rec.history)
 
     def links_heard_within(self, window: int, now: int) -> int:
         """Own links whose newest sample is at most `window` ticks old."""
-        return sum(1 for history in self._links.values() if now - history[-1][0] <= window)
+        return sum(
+            1 for rec in self.peers.values() if rec.history and now - rec.history[-1][0] <= window
+        )
 
     def history_consistent(self, peer: NodeId, candidate: float, tol: float) -> bool:
         """Is `candidate` (dB) within `tol` dB of the (lower) median of the link's
@@ -128,10 +141,10 @@ class TopologyStore:
         True."""
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
-        history = self._links.get(peer)
-        if history is None:
+        rec = self.peers.get(peer)
+        if rec is None or not rec.history:
             return True
-        values = sorted(v for _, v in history)
+        values = sorted(v for _, v in rec.history)
         return abs(candidate - values[(len(values) - 1) // 2]) <= tol
 
     # -- reports from BFT messages ------------------------------------------
@@ -176,27 +189,25 @@ class TopologyStore:
     # verifier's own anchor never see a value from before the move.
 
     def update_smoothed(self, peer: NodeId, t: int, value: float) -> None:
-        self._smoothed[peer] = (t, value)
+        self.peers[peer].smoothed = (t, value)
 
     def latest_smoothed(self, peer: NodeId) -> Optional[tuple[int, float]]:
-        return self._smoothed.get(peer)
+        rec = self.peers.get(peer)
+        return None if rec is None else rec.smoothed
 
-    def clear_smoothed(self) -> None:
-        self._smoothed.clear()
-
-    # -- BFT observation log ----------------------------------------------
+    # -- BFT sightings, per subject -----------------------------------------
 
     def register_bft(self, sender: NodeId, subject: NodeId, emitted_at: int, seen_at: int) -> None:
-        self._bft_log.append(BftObservation(sender, subject, emitted_at, seen_at))
+        self._bft_seen.setdefault(subject, []).append((sender, emitted_at, seen_at))
 
     def recent_bft_senders(self, subject: NodeId, window: int, now: int) -> set[NodeId]:
         """Distinct senders that questioned `subject` within (now-window, now]."""
         if not window > 0:
             raise ValueError("window must be positive")
         return {
-            obs.sender
-            for obs in self._bft_log
-            if obs.subject == subject and now - window < obs.seen_at <= now
+            sender
+            for sender, _, seen_at in self._bft_seen.get(subject, ())
+            if now - window < seen_at <= now
         }
 
     def count_recent_bft(self, subject: NodeId, window: int, now: int) -> int:
@@ -209,6 +220,6 @@ class TopologyStore:
 
     def has_seen_bft(self, sender: NodeId, subject: NodeId, emitted_at: int) -> bool:
         return any(
-            obs.sender == sender and obs.subject == subject and obs.emitted_at == emitted_at
-            for obs in self._bft_log
+            seen_sender == sender and seen_emitted == emitted_at
+            for seen_sender, seen_emitted, _ in self._bft_seen.get(subject, ())
         )

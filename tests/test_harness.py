@@ -388,10 +388,10 @@ class TestLineTemplates:
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_newest_smoothed_entry_is_smoothed_rssi(name, monkeypatch):
-    """The rssi.csv rows read the store's newest smoothed entry where
-    `NodeState.smoothed_rssi` also asks for a link pipeline: after every round
-    of a built-in run the two agree for every peer, because only
-    `ingest_sample` stores a smoothed value, after it made the pipeline."""
+    """The rssi.csv rows read the sender row's newest smoothed entry where
+    `NodeState.smoothed_rssi` also asks for the row's smoother: after every
+    round of a built-in run the two agree for every peer, because only
+    `ingest_sample` stores a smoothed value, after it gave the row a smoother."""
     checked = [0]
     real_tick = NodeState.tick
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polsim import protocol
+from polsim.checks import _craft_state
 from polsim.localization import (
     PathLossModel,
     VerifyOutcome,
@@ -398,9 +399,9 @@ class TestValidatePool:
 
         emit_bft = NodeState._emit_bft
 
-        def emit(self, subject, *args, **kwargs):
-            visits.append(("bft", subject))
-            return emit_bft(self, subject, *args, **kwargs)
+        def emit(self, rec, *args, **kwargs):
+            visits.append(("bft", rec.id))
+            return emit_bft(self, rec, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "locate_and_verify", verify)
         monkeypatch.setattr(NodeState, "_emit_bft", emit)
@@ -478,7 +479,8 @@ class TestOwnLinkAppendPath:
             rssi = float(level)
             if kind == "move":
                 node.on_moved(node.self_location, now, announce=True)
-                ref_store.clear_smoothed()
+                for rec in ref_store.peers.values():
+                    rec.smoothed = None
                 if ref_smooth is not None:
                     ref_smooth, ref_trigger = filter_params.link_state()
                     ref_pending = None
@@ -518,16 +520,17 @@ class TestOwnLinkAppendPath:
             for probe in (clock, clock + bft_window, clock + bft_window + 1):
                 heard = ref_heard is not None and probe - ref_heard <= bft_window
                 assert node.in_range_peers(probe) == int(heard)
-            pipe = node._pipelines.get(PEER)
-            assert (pipe is None) == (ref_smooth is None)
-            if pipe is not None:
-                assert pipe.trigger == ref_trigger
+            rec = node.store.peer(PEER)
+            assert (rec.smooth is None) == (rec.trigger is None) == (ref_smooth is None)
+            if rec.smooth is not None:
+                assert rec.smooth.args == ref_smooth.args
+                assert rec.trigger == ref_trigger
                 assert (PEER in node._pending) == (ref_pending is not None)
-                assert ref_pending is None or pipe.trigger.last_fire == ref_pending
+                assert ref_pending is None or rec.trigger.last_fire == ref_pending
 
 
 class FlagReference(NodeState):
-    """The node as it kept one pending flag per link pipeline and rebuilt its
+    """The node as it kept one pending flag per link row and rebuilt its
     live senders from the reports and those flags every round, with one
     Ignore per expired payload."""
 
@@ -542,17 +545,14 @@ class FlagReference(NodeState):
 
     def ingest_sample(self, peer, rssi, now):
         try:
-            self.store.record_rssi(peer, now, rssi)
+            rec = self.store.record_rssi(peer, now, rssi)
         except ValueError:
             return self.smoothed_rssi(peer)
-        pipe = self._pipelines.get(peer)
-        if pipe is None:
-            self.store.ensure_peer(peer)
-            pipe = protocol._LinkPipeline(*self.filter_params.link_state())
-            self._pipelines[peer] = pipe
-        smoothed = pipe.smooth(rssi)
+        if rec.smooth is None:
+            rec.smooth, rec.trigger = self.filter_params.link_state()
+        smoothed = rec.smooth(rssi)
         self.store.update_smoothed(peer, now, smoothed)
-        if bft_trigger(pipe.trigger, smoothed, now):
+        if bft_trigger(rec.trigger, smoothed, now):
             self.flags[peer] = True
         return smoothed
 
@@ -561,13 +561,13 @@ class FlagReference(NodeState):
         if announce:
             self.flags = dict.fromkeys(self.flags, False)
 
-    def _emit_bft(self, subject, pipe, now, ref_seq):
-        self.flags[subject] = False
-        return super()._emit_bft(subject, pipe, now, ref_seq)
+    def _emit_bft(self, rec, now, ref_seq):
+        self.flags[rec.id] = False
+        return super()._emit_bft(rec, now, ref_seq)
 
     def validate_pool(self, now):
         actions = [Ignore("expired", f"{m.sender}#{m.seq}") for m in self.pool.expire(now)]
-        store, pipelines, params = self.store, self._pipelines, self.params
+        store, params = self.store, self.params
         reported = {
             s for s in self.SUBJECTS if len(store.latest_reports_of(s)) >= params.min_anchors - 2
         }
@@ -583,22 +583,22 @@ class FlagReference(NodeState):
             if verdict is VerifyOutcome.VERIFIED:
                 actions += [StoreTrusted(msg) for msg in self.pool.clear_sender(sender)]
                 continue
-            pipe = pipelines.get(sender)
-            if pipe is None:
+            rec = store.peer(sender)
+            if rec is None or rec.trigger is None:
                 continue
-            if self.flags.get(sender) and now - pipe.trigger.last_fire > pipe.trigger.cooldown:
+            if self.flags.get(sender) and now - rec.trigger.last_fire > rec.trigger.cooldown:
                 self.flags[sender] = False
             if self.flags.get(sender):
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
-                pipe.contradiction_budget = 1
+                actions.append(self._emit_bft(rec, now, ref_seq=newest.seq))
+                rec.contradiction_budget = 1
             elif (
                 verdict is VerifyOutcome.CONTRADICTED
-                and pipe.contradiction_budget > 0
-                and pipe.trigger.cooldown_over(now)
+                and rec.contradiction_budget > 0
+                and rec.trigger.cooldown_over(now)
                 and store.latest_smoothed(sender) is not None
             ):
-                actions.append(self._emit_bft(sender, pipe, now, ref_seq=newest.seq))
-                pipe.contradiction_budget -= 1
+                actions.append(self._emit_bft(rec, now, ref_seq=newest.seq))
+                rec.contradiction_budget -= 1
         return actions
 
 
@@ -800,6 +800,30 @@ class TestSelfDefensePaperRows:
         assert len(SELF_DEFENSE_TABLE) == 16
         assert sum(1 for v in SELF_DEFENSE_TABLE.values() if v == IGNORE) == 11
 
+    @pytest.mark.parametrize(
+        "row, alert_type, context",
+        [
+            ((True, False, False, True), AlertType.SELF_DISTRUST, "self-distrust"),
+            ((False, False, True, False), AlertType.DISTRUST, "distrust {}"),
+        ],
+    )
+    def test_alert_rows_alert_once_per_cooldown(self, row, alert_type, context):
+        state, msg = _craft_state(*row)
+        obj = state.self_id if alert_type is AlertType.SELF_DISTRUST else msg.sender
+        ref = BftRef(msg.sender, msg.subject, msg.timestamp)
+        assert state.self_defense(msg, 40) == [AlertMessage(state.self_id, alert_type, obj, ref, 40)]
+        assert state.self_defense(msg, 41) == [Ignore("alert-cooldown", context=context.format(msg.sender))]
+
+    def test_smoothed_value_without_a_smoother_is_no_measurement(self):
+        node = make_node()
+        node.store.record_rssi(PEER, 1, -80.0)
+        node.store.update_smoothed(PEER, 2, -50.0)  # stored past ingest_sample, as seed_full_anchors does
+        for sender in (OTHER, *EXTRAS):
+            node.store.register_bft(sender, PEER, 1, 1)  # PEER is distrusted
+        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 3)
+        assert node.smoothed_rssi(PEER) is None
+        assert node.self_defense(msg, 3) == [Ignore("no-measurement-of-accuser", context=str(PEER))]
+
     def test_self_defense_requires_own_subject(self):
         node = make_node()
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-50.0), None, 5)
@@ -903,7 +927,7 @@ class TestTick:
         a1 = n1.tick(list(inbox), now=10)
         a2 = n2.tick(list(inbox), now=10)
         assert repr(a1) == repr(a2)
-        assert vars(n1.store) == vars(n2.store)
+        assert store_state(n1.store) == store_state(n2.store)
 
     def test_empty_tick_only_expires(self):
         node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
@@ -913,16 +937,25 @@ class TestTick:
         assert [[f"{m.sender}#{m.seq}" for m in a.messages] for a in actions] == [[f"{PEER}#1"]]
 
 
+def store_state(store: TopologyStore) -> tuple:
+    """The store in comparable form. A row compares without its smoother, a
+    `functools.partial` that compares by identity, so each row's filter
+    state is compared beside it."""
+    smoothers = {
+        peer: None if rec.smooth is None else (rec.smooth.func, rec.smooth.args)
+        for peer, rec in store.peers.items()
+    }
+    return vars(store), smoothers
+
+
 def node_state(node: NodeState) -> tuple:
     """What a reception can change of a node, in comparable form."""
     pool = node.pool
-    pipes = {peer: (pipe.trigger, pipe.contradiction_budget) for peer, pipe in node._pipelines.items()}
     return (
-        copy.deepcopy(vars(node.store)),
+        copy.deepcopy(store_state(node.store)),
         [(sender, pool.entries(sender)) for sender in pool._by_sender],
         set(node._pending),
         dict(node._alert_last),
-        copy.deepcopy(pipes),
     )
 
 
@@ -1044,6 +1077,25 @@ class TestMovedFlag:
         assert node.smoothed_rssi(PEER) is not None
         node.on_moved(Location(1.0, 0.0, 0.0), 10, announce=True)
         assert node.smoothed_rssi(PEER) is None
+
+    def test_announced_move_clears_every_row_and_rearms_only_pipelines(self):
+        node = make_node()
+        for t in range(10):
+            node.ingest_sample(PEER, -50.0, t)
+        # a raw link, as checks._craft_state appends one, and a bare smoothed value
+        raw = node.store.record_rssi(EXTRAS[2], 9, -60.0)
+        node.store.update_smoothed(OTHER, 9, -47.0)
+        peer = node.store.peer(PEER)
+        old_smooth, old_trigger = peer.smooth, peer.trigger
+        node.on_moved(Location(1.0, 0.0, 0.0), 10, announce=True)
+        assert [rec.smoothed for rec in node.store.peers.values()] == [None] * len(node.store.peers)
+        fresh_smooth, fresh_trigger = node.filter_params.link_state()
+        assert peer.smooth is not old_smooth and peer.smooth.args == fresh_smooth.args
+        assert peer.trigger is not old_trigger and peer.trigger == fresh_trigger
+        assert len(peer.history) == 10  # the measured samples stay
+        for rec in (raw, node.store.peer(OTHER)):
+            assert rec.smooth is None and rec.trigger is None
+        assert raw.history == [(9, -60.0)]
 
     def test_announced_move_leaves_no_stale_own_anchor(self):
         node = make_node()

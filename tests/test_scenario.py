@@ -115,6 +115,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="not a scenario node"):
             Scenario.from_dict(doc)
 
+    def test_transmitter_ids_within_range_and_apart_from_the_macs_are_accepted(self):
+        doc = minimal_doc()
+        doc["nodes"][1]["mac"] = "02:00:00:00:aa:f0"  # the id of a transmitter at index 0
+        spoof = {"type": "identity_spoof", "at": 3, "params": {"victim": "a", "attacker_position": [0, 0, 0]}}
+        bft = {"type": "malicious_bft", "at": 3, "params": {"attacker": "a", "victim": "b"}}
+        # indices 1 to 15 transmit; a lying BFT comes from its attacker node at any index
+        doc["attacks"] = [bft, *[spoof] * 15, bft]
+        scenario = Scenario.from_dict(doc)
+        assert len(scenario.attacks) == 17
+
     def test_duplicate_macs_rejected(self):
         doc = minimal_doc()
         doc["nodes"][1]["mac"] = doc["nodes"][0]["mac"]
@@ -214,6 +224,17 @@ class TestValidation:
             ({"attacks": [{"type": "identity_spoof", "at": 3,
                            "params": {"victim": "a", "attacker_position": [0, 0, math.inf]}}]},
              r"attacks\[0\]: params: attacker_position must be \[x, y, z\] numbers, not \[0, 0, inf\]"),
+            # a BFT about its own sender, and transmitter ids out of range or on a node's mac
+            ({"attacks": [{"type": "malicious_bft", "at": 3, "params": {"attacker": "b", "victim": "b"}}]},
+             r"attacks\[0\]: attacker and victim must differ, both are 'b'"),
+            ({"attacks": [{"type": "replay", "at": 3, "params": {"victim": "a", "attacker_position": [0, 0, 0]}}
+                          for _ in range(17)]},
+             r"attacks\[16\]: a replay attack sends from 02:00:00:00:aa:\(f0 \+ its index\), "
+             r"so its index must be below 16"),
+            ({"nodes": [{"id": "a", "mac": "02:00:00:00:aa:f0", "position": [0, 0, 0]}],
+              "attacks": [{"type": "identity_spoof", "at": 3,
+                           "params": {"victim": "a", "attacker_position": [0, 0, 0]}}]},
+             r"attacks\[0\]: transmitter id 02:00:00:00:aa:f0 is the mac of a scenario node"),
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
              "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
@@ -222,7 +243,8 @@ class TestValidation:
              "payload-period-float", "pool-ttl-string", "trigger-cooldown-float", "announce-string",
              "channel-string-number", "attack-until-string", "attack-fake-rssi-out-of-range",
              "attack-period-bool", "channel-nan", "protocol-infinity", "filters-minus-infinity",
-             "node-position-nan", "attacker-position-infinity"],
+             "node-position-nan", "attacker-position-infinity", "bft-attacker-is-victim",
+             "transmitter-index-16", "transmitter-id-is-a-node-mac"],
     )
     def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()

@@ -59,6 +59,25 @@ class TestRecordRssi:
         with pytest.raises(OrderingError):
             store.record_rssi(B, 4, -40.0)
 
+    def test_returns_the_row_made_as_ensure_peer_makes_one(self):
+        store = TopologyStore(A, capacity=4)
+        rec = store.record_rssi(B, 1, -40.0)
+        assert store.trust_changed and store.peer(B) is rec
+        assert (rec.id, rec.location, rec.trust.value, rec.history) == (B, None, 1.0, [(1, -40.0)])
+        assert rec.smooth is None and rec.trigger is None and rec.smoothed is None
+        store.trust_changed = False
+        assert store.record_rssi(B, 2, -41.0) is rec
+        assert not store.trust_changed
+
+    def test_row_without_samples_is_no_link(self):
+        store = make_store()  # rows for B, C and D, none measured
+        assert store.links_heard_within(10, 0) == 0
+        store.update_smoothed(C, 0, -40.0)  # a smoothed value is no sample
+        assert store.links_heard_within(10, 0) == 0
+        assert store.history_consistent(C, -90.0, 5.0)
+        store.record_rssi(B, 0, -40.0)
+        assert store.links_heard_within(10, 0) == 1
+
 
 class TestRecordReport:
     def test_first_report_of_a_tick_is_kept(self):
@@ -233,6 +252,32 @@ class TestCountRecentBft:
         assert store.count_recent_bft(D, 10, 10) == 1  # seen_at == now is inside
         assert store.count_recent_bft(D, 10, 19) == 1  # 10 > 19 - 10
         assert store.count_recent_bft(D, 10, 20) == 0  # left edge excluded
+
+
+class TestBftSightings:
+    @settings(max_examples=200)
+    @given(
+        sightings=st.lists(
+            st.tuples(st.sampled_from([A, B, C]), st.sampled_from([B, C, D]),
+                      st.integers(0, 30), st.integers(0, 30)),
+            max_size=40,
+        ),
+        window=st.integers(1, 20),
+        now=st.integers(0, 40),
+    )
+    def test_per_subject_lists_match_a_flat_log(self, sightings, window, now):
+        store = make_store()
+        for sender, subject, emitted_at, seen_at in sightings:
+            store.register_bft(sender, subject, emitted_at, seen_at)
+        for subject in (A, B, C, D):
+            want = {s for s, subj, _, seen in sightings if subj == subject and now - window < seen <= now}
+            assert store.recent_bft_senders(subject, window, now) == want
+            assert store.count_recent_bft(subject, window, now) == len(want)
+            for sender in (A, B, C):
+                for emitted_at in range(31):
+                    assert store.has_seen_bft(sender, subject, emitted_at) == any(
+                        (s, subj, e) == (sender, subject, emitted_at) for s, subj, e, _ in sightings
+                    )
 
 
 samples = st.lists(
