@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from math import cos, log, sin, sqrt, tau
+from typing import Optional
 from .localization import PathLossModel, rssi_value_from_distance
 from .messages import Location, Message, NodeId, RSSI_MAX, RSSI_MIN
 
@@ -47,12 +49,18 @@ class RadioChannel:
 
     Positions change only through `register` and `move`; both drop the cached
     link levels, so a delivery costs one noise draw and a clamp.
+
+    The noise is the stream `random.Random.gauss` would draw from `_noise`,
+    drawn in the delivery loop: a Box-Muller pair per two deliveries, whose
+    second normal waits in `_spare` for the next delivery, of this broadcast
+    or the next one.
     """
 
     def __init__(self, config: ChannelConfig):
         self.config = config
         self._positions: dict[NodeId, Location] = {}
         self._noise = random.Random(config.seed ^ 0x5EED_0F_0C_EA_11)
+        self._spare: Optional[float] = None
         self._order: list[NodeId] = []
         # per sender: (receiver, path loss + link jitter) of every receiver in
         # range, in receiver order. Valid while no position changes.
@@ -117,9 +125,27 @@ class RadioChannel:
             levels = self._link_levels(sender)
         sigma = self.config.noise_sigma
         if sigma > 0:
-            gauss = self._noise.gauss
-            return [
-                (receiver, min(RSSI_MAX, max(RSSI_MIN, level + gauss(0.0, sigma))))
-                for receiver, level in levels
-            ]
+            # random.Random.gauss(0.0, sigma) and min(RSSI_MAX, max(RSSI_MIN, v))
+            # written out, operation for operation, so each value is the same float
+            uniform = self._noise.random
+            z2 = self._spare
+            lo, hi = RSSI_MIN, RSSI_MAX
+            out: list[tuple[NodeId, float]] = []
+            append = out.append
+            for receiver, level in levels:
+                if z2 is None:
+                    x2pi = uniform() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                    z = cos(x2pi) * g2rad
+                    z2 = sin(x2pi) * g2rad
+                else:
+                    z, z2 = z2, None
+                v = level + (0.0 + z * sigma)
+                if not v > lo:
+                    v = lo
+                if not v < hi:
+                    v = hi
+                append((receiver, v))
+            self._spare = z2
+            return out
         return [(receiver, min(RSSI_MAX, max(RSSI_MIN, level))) for receiver, level in levels]

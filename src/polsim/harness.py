@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
+from typing import Any, Iterable, Iterator, Optional, TextIO
 
 from .messages import (
     AlertMessage,
@@ -360,14 +360,16 @@ class _LineSink:
         receiver: str,
         inbox: list[tuple[Message, float]],
         labels: dict[NodeId, str],
-        newest: Callable[[NodeId], Optional[tuple[int, float]]],
+        peers: dict[NodeId, PeerRecord],
     ) -> None:
         """The rssi.csv rows of one receiver's round, one per (message, raw
         RSSI) of its inbox: the sender's label from `labels`, and the smoothed
-        value from `newest(sender)`, the link's newest (tick, value) or None."""
+        value from the `smoothed` (tick, value) of the sender's row in
+        `peers`, empty when the sender has no row or the row no value."""
         head = f"{tick},{receiver},"
         self.row_lines.extend([
-            f"{head}{labels[sender]},{raw:.6f},\n" if (entry := newest(sender := msg.sender)) is None
+            f"{head}{labels[sender]},{raw:.6f},\n"
+            if (rec := peers.get(sender := msg.sender)) is None or (entry := rec.smoothed) is None
             else f"{head}{labels[sender]},{raw:.6f},{entry[1]:.6f}\n"
             for msg, raw in inbox
         ])
@@ -561,7 +563,7 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
                 if cls is BftMessage or cls is AlertMessage:
                     pending.append((mac, out))
             if collect_rssi:
-                row(tick, node_label, inbox, labels, state.store.latest_smoothed)
+                row(tick, node_label, inbox, labels, state.store.peers)
 
         # 5. trust timeline, read from the stores whose trust changed
         for mac in node_order:

@@ -40,7 +40,7 @@ from .messages import (
     decode_message,
     location_key,
 )
-from .topology import PeerRecord, TopologyStore
+from .topology import OrderingError, PeerRecord, TopologyStore
 
 
 @dataclass(frozen=True)
@@ -280,17 +280,19 @@ class NodeState:
     def ingest_sample(self, peer: NodeId, rssi: float, now: int) -> Optional[float]:
         """Record a measured RSSI sample (dB) and advance the link's smoothing.
 
-        Returns the smoothed value, or None when the sample was a same-tick
-        duplicate (only the first measurement per link and tick counts).
+        Returns the smoothed value. Only the first measurement per link and
+        tick counts: a same-tick duplicate changes nothing and returns the
+        link's current value, `smoothed_rssi(peer)`. A sample under the
+        node's own id raises ValueError.
         """
         try:
             rec = self.store.record_rssi(peer, now, rssi)
-        except ValueError:
+        except OrderingError:
             return self.smoothed_rssi(peer)
         if rec.smooth is None:
             rec.smooth, rec.trigger = self.filter_params.link_state()
         smoothed = rec.smooth(rssi)
-        self.store.update_smoothed(peer, now, smoothed)
+        rec.smoothed = (now, smoothed)
         if bft_trigger(rec.trigger, smoothed, now):
             self._pending.add(peer)
         return smoothed

@@ -189,6 +189,8 @@ class TopologyStore:
     # verifier's own anchor never see a value from before the move.
 
     def update_smoothed(self, peer: NodeId, t: int, value: float) -> None:
+        """Set the link's smoothed value. NodeState writes `PeerRecord.smoothed`
+        on the row it holds; tests and perfbench/tracer.py call this."""
         self.peers[peer].smoothed = (t, value)
 
     def latest_smoothed(self, peer: NodeId) -> Optional[tuple[int, float]]:

@@ -166,13 +166,14 @@ class TestDeliveredValues:
     @settings(max_examples=150, deadline=None)
     @given(
         p0=st.floats(-60.0, 0.0),
-        sigma=st.one_of(st.just(0.0), st.floats(0.1, 6.0)),
+        sigma=st.one_of(st.just(0.0), st.floats(0.1, 60.0)),
         jitter=st.floats(0.0, MAX_ASYMMETRY_JITTER),
         seed=st.integers(-(2**63), 2**63 - 1),
         distances=st.lists(st.floats(0.5, 200.0), max_size=4),
     )
     @example(p0=0.0, sigma=0.0, jitter=0.0, seed=1, distances=[1.0])
     @example(p0=-40.0, sigma=3.0, jitter=2.5, seed=5, distances=[])
+    @example(p0=-60.0, sigma=60.0, jitter=1.0, seed=3, distances=[2.0, 9.0, 40.0])  # past both clamps
     def test_float_in_range_drawn_like_the_channel(self, p0, sigma, jitter, seed, distances):
         model = PathLossModel(p0=p0)
         config = ChannelConfig(model=model, noise_sigma=sigma, asymmetry_jitter=jitter, range=1e7, seed=seed)
@@ -225,6 +226,22 @@ class UncachedChannel:
 
 
 NODES = [NodeId(bytes([2, 0, 0, 0, 1, i])) for i in range(6)]
+# node positions, in NODES order, for the 10 m range of TestLinkLevelCache
+LAYOUTS = {
+    # 3 or 4 receivers per sender
+    "row-of-5": [Location(3.0 * i, (i % 2) * 1.5, float(i % 3 - 1)) for i in range(5)],
+    # 3 receivers per sender: an odd count, so the spare normal of one
+    # broadcast is the first delivery's noise of the next sender's
+    "square-of-4": [
+        Location(0.0, 0.0, 0.0), Location(4.0, 0.0, 0.0), Location(0.0, 4.0, 0.0), Location(4.0, 4.0, 1.0)
+    ],
+}
+# each layout with and without noise; a row-of-5 input keeps the bare sigma id
+SIGMA_LAYOUTS = [
+    pytest.param(sigma, layout, id=str(sigma) if layout == "row-of-5" else f"{sigma}-{layout}")
+    for layout in LAYOUTS
+    for sigma in (2.0, 0.0)
+]
 
 
 class TestLinkLevelCache:
@@ -255,20 +272,22 @@ class TestLinkLevelCache:
             for sender in sorted(ref.positions):
                 self.receivers(ch, ref, sender)
 
-    def layout(self, ch, ref):
-        for i, node in enumerate(NODES[:5]):
-            self.register(ch, ref, node, Location(3.0 * i, (i % 2) * 1.5, float(i % 3 - 1)))
+    def place(self, ch, ref, layout):
+        for node, pos in zip(NODES, LAYOUTS[layout]):
+            self.register(ch, ref, node, pos)
 
-    @pytest.mark.parametrize("sigma", [2.0, 0.0])
-    def test_matches_uncached_recomputation(self, sigma):
+    @pytest.mark.parametrize("sigma, layout", SIGMA_LAYOUTS)
+    def test_matches_uncached_recomputation(self, sigma, layout):
         ch, ref = self.pair(noise_sigma=sigma)
-        self.layout(ch, ref)
+        self.place(ch, ref, layout)
         self.assert_rounds(ch, ref)
+        if layout == "square-of-4":
+            assert [len(self.receivers(ch, ref, sender)) for sender in NODES[:4]] == [3, 3, 3, 3]
 
-    @pytest.mark.parametrize("sigma", [2.0, 0.0])
-    def test_move_of_sender_and_of_receiver(self, sigma):
+    @pytest.mark.parametrize("sigma, layout", SIGMA_LAYOUTS)
+    def test_move_of_sender_and_of_receiver(self, sigma, layout):
         ch, ref = self.pair(noise_sigma=sigma)
-        self.layout(ch, ref)
+        self.place(ch, ref, layout)
         self.assert_rounds(ch, ref, rounds=1)
         self.move(ch, ref, NODES[0], Location(1.0, 4.0, 0.0))  # a sender moves
         self.assert_rounds(ch, ref)
@@ -276,10 +295,10 @@ class TestLinkLevelCache:
         assert NODES[3] in self.receivers(ch, ref, NODES[2])
         self.assert_rounds(ch, ref)
 
-    @pytest.mark.parametrize("sigma", [2.0, 0.0])
-    def test_late_register(self, sigma):
+    @pytest.mark.parametrize("sigma, layout", SIGMA_LAYOUTS)
+    def test_late_register(self, sigma, layout):
         ch, ref = self.pair(noise_sigma=sigma)
-        self.layout(ch, ref)
+        self.place(ch, ref, layout)
         self.assert_rounds(ch, ref, rounds=1)
         self.register(ch, ref, NODES[5], Location(4.0, 1.0, 0.0))
         assert NODES[5] in self.receivers(ch, ref, NODES[1])

@@ -11,9 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import polsim.harness
 from polsim.harness import RSSI_HEADER, TraceEvent, run, sensor_reading, write_traces
-from polsim.messages import NodeId, PayloadMessage, SensorType
+from polsim.messages import Location, NodeId, PayloadMessage, SensorType
 from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, builtin_scenario
+from polsim.topology import PeerRecord
+
+ME = NodeId(bytes([2, 0, 0, 0, 0, 1]))
+PEER = NodeId(bytes([2, 0, 0, 0, 0, 2]))
+NO_ROW = object()  # a sender the receiving node keeps no peer row for
 
 
 def quiet(scenario: Scenario) -> Scenario:
@@ -364,7 +369,7 @@ class TestLineTemplates:
                 st.binary(min_size=6, max_size=6).map(NodeId),
                 trace_text,
                 st.floats(),
-                st.none() | st.tuples(st.integers(), st.floats()),
+                st.just(NO_ROW) | st.none() | st.tuples(st.integers(), st.floats()),
             ),
             max_size=5,
             unique_by=lambda reception: reception[0],
@@ -372,18 +377,53 @@ class TestLineTemplates:
     )
     def test_row_line(self, line_sink, tick, receiver, receptions):
         """One rssi.csv line per reception of the round, the smoothed value
-        read from the link's newest (tick, value) entry."""
+        read from the `smoothed` (tick, value) of the sender's peer row;
+        empty when the sender has no row or its row no value."""
         inbox = [(SimpleNamespace(sender=sender), raw) for sender, _, raw, _ in receptions]
         labels = {sender: label for sender, label, _, _ in receptions}
-        newest = {sender: entry for sender, _, _, entry in receptions if entry is not None}
-        line_sink.row(tick, receiver, inbox, labels, newest.get)
+        peers = {
+            sender: PeerRecord(sender, smoothed=entry)
+            for sender, _, _, entry in receptions
+            if entry is not NO_ROW
+        }
+        line_sink.row(tick, receiver, inbox, labels, peers)
         want = []
         for _, label, raw, entry in receptions:
-            smooth = "" if entry is None else format(entry[1], ".6f")
+            smooth = "" if entry is NO_ROW or entry is None else format(entry[1], ".6f")
             want.append(f"{tick},{receiver},{label},{raw:.6f},{smooth}\n")
         lines = line_sink.row_lines
         assert lines[len(lines) - len(want):] == want
         del lines[len(lines) - len(want):]
+
+    def rows(self, line_sink, node, inbox, now):
+        """The rssi.csv rows of `node`'s inbox at tick `now`, read from its peer rows."""
+        labels = {msg.sender: str(msg.sender) for msg, _ in inbox}
+        line_sink.row(now, "me", inbox, labels, node.store.peers)
+        rows = line_sink.row_lines[-len(inbox):]
+        del line_sink.row_lines[-len(inbox):]
+        return rows
+
+    def test_self_echo_row_has_no_smoothed_value(self, line_sink):
+        """A payload under the receiver's own id is a self-echo: the node
+        keeps no row for itself, so the smoothed column stays empty."""
+        node = NodeState(ME, Location(0.0, 0.0, 0.0))
+        inbox = [(PayloadMessage(ME, 1, SensorType.GENERIC, b"", b"\0" * 16, 5), -50.0)]
+        node.tick(inbox, now=5)
+        assert node.store.peer(ME) is None
+        assert self.rows(line_sink, node, inbox, 5) == [f"5,me,{ME},-50.000000,\n"]
+
+    def test_row_without_smoothed_value(self, line_sink):
+        """A peer row before its first counted sample, and one whose value an
+        announced move cleared, both leave the smoothed column empty."""
+        node = NodeState(ME, Location(0.0, 0.0, 0.0))
+        node.store.adjust_trust(PEER, -0.1)  # a row, no sample yet
+        inbox = [(PayloadMessage(PEER, 1, SensorType.GENERIC, b"", b"\0" * 16, 5), -50.0)]
+        assert self.rows(line_sink, node, inbox, 5) == [f"5,me,{PEER},-50.000000,\n"]
+        node.tick(inbox, now=5)
+        smoothed = node.store.peer(PEER).smoothed[1]
+        assert self.rows(line_sink, node, inbox, 5) == [f"5,me,{PEER},-50.000000,{smoothed:.6f}\n"]
+        node.on_moved(Location(1.0, 0.0, 0.0), 6, announce=True)
+        assert self.rows(line_sink, node, inbox, 6) == [f"6,me,{PEER},-50.000000,\n"]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

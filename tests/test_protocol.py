@@ -451,6 +451,14 @@ class TestOwnLinkAppendPath:
         assert calls == [*range(1, 100), 99, 98]
         assert node.store.history(PEER)[-1] == (99, -50.0)
 
+    def test_sample_under_own_id_raises(self):
+        """A node has no link to itself: such a sample is an error, not a
+        same-tick duplicate, and it leaves no row behind."""
+        node = make_node()
+        with pytest.raises(ValueError, match="no link to itself"):
+            node.ingest_sample(node.self_id, -50.0, 1)
+        assert node.store.peers.keys() == {PEER, OTHER, *EXTRAS[:2]}
+
     @settings(max_examples=200, deadline=None)
     @given(
         window=st.integers(1, 6),
