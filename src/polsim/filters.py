@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, count, repeat
@@ -54,18 +55,18 @@ class MedianState:
     """
 
     window: int = 5
-    buffer: list[float] = field(default_factory=list, init=False)
+    buffer: deque[float] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.window >= 1 or self.window % 2 == 0:
             raise ValueError("median window must be an odd count >= 1")
+        self.buffer = deque(maxlen=self.window)
 
 
 def median_step(state: MedianState, v: float) -> float:
-    state.buffer.append(v)
-    if len(state.buffer) > state.window:
-        del state.buffer[0]
-    ordered = sorted(state.buffer)
+    buffer = state.buffer
+    buffer.append(v)  # the deque drops its oldest value once full
+    ordered = sorted(buffer)
     return ordered[len(ordered) // 2]
 
 
@@ -249,7 +250,9 @@ class TriggerState:
     last_reported: Optional[float] = None
     last_fire: Optional[int] = None
     last_baseline: Optional[int] = None
-    recent: list[float] = field(default_factory=list)
+    # the last FLAT_WINDOW smoothed values after warm-up, oldest first; an
+    # init field only so that `dataclasses.replace` carries it over
+    recent: deque[float] = field(default_factory=partial(deque, maxlen=FLAT_WINDOW))
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
@@ -258,6 +261,8 @@ class TriggerState:
             raise ValueError("cooldown must be >= 0 and rebaseline_after >= 1")
         if not self.warmup >= 0:
             raise ValueError("warmup must be >= 0")
+        if not (type(self.recent) is deque and self.recent.maxlen == FLAT_WINDOW):
+            raise TypeError(f"recent must be a deque(maxlen={FLAT_WINDOW}), not {self.recent!r}")
 
     def cooldown_over(self, now: int) -> bool:
         return self.last_fire is None or now - self.last_fire >= self.cooldown
@@ -286,8 +291,6 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
         return False
     recent = state.recent
     recent.append(smoothed)
-    if len(recent) > FLAT_WINDOW:
-        del recent[0]
     last_reported = state.last_reported
     if last_reported is None:
         state.last_reported = smoothed
@@ -351,7 +354,6 @@ def trigger_fires(state: TriggerState, ticks: list[int], values: list[float]) ->
                 past = map(lt, repeat(threshold), map(abs, map(sub, run, repeat(last))))
                 stop = next(compress(count(i), past), due)
             recent += values[max(i, stop - FLAT_WINDOW) : stop]
-            del recent[:-FLAT_WINDOW]
             i = stop
         baseline = state.last_baseline
         while i < n:

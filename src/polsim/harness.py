@@ -271,6 +271,23 @@ class _AttackDriver:
         return self.captured
 
 
+# an rssi.csv row: the head "tick,receiver,", the sender label, the raw
+# value and the smoothed value, both to 6 decimals; the second template
+# leaves the smoothed column empty
+_ROW = "%s%s,%.6f,%.6f\n"
+_ROW_UNSMOOTHED = "%s%s,%.6f,\n"
+
+
+class _ExpiredHeads(dict):
+    """The head of a sender's `expired` ignore line, up to the '#' of its
+    context `sender#seq`, by sender id; made on a sender's first line. The
+    sender's MAC text is hex digits and colons: nothing to escape."""
+
+    def __missing__(self, sender: NodeId) -> str:
+        head = self[sender] = f'{{"action":"ignore","details":{{"context":"{sender.hex(":")}#'
+        return head
+
+
 class _LineSink:
     """Encodes each record of a run into its trace line as the run makes it.
 
@@ -279,26 +296,34 @@ class _LineSink:
     and `row`, and through `event` for the rare kinds; it is told when a
     tick ends, and `finish` turns the run's metrics into its RunResult.
     The bulk shapes fill one template each, the exact encoding
-    `TraceEvent.to_json` gives their fields; `row` fills the rssi.csv row
-    template once per reception of a receiver's round, both values to 6
-    decimals; `expired` fills one template per payload, the
-    line `ignore` makes for that payload's `expired` record; and `event`
-    encodes a `TraceEvent` through `to_json`. Of what it encodes it also
-    keeps the per-(node, action) tally that `finish` checks the counters
-    against, the same way with or without an output directory.
+    `TraceEvent.to_json` gives their fields; `expired` starts each line
+    from its sender's head, which it makes once per sender, and ends it
+    with the payload's seq and one tail per call: the line `ignore` makes
+    for that payload's `expired` record; and `event` encodes a `TraceEvent`
+    through `to_json`. `row` keeps one rssi.csv row template and its values
+    per reception of a receiver's round, and a chunk of rows becomes text
+    through one `%` when a tick ends with a full chunk, and at `finish`. Of
+    what it encodes the sink also keeps the per-(node, action) tally that
+    `finish` checks the counters against, the same way with or without an
+    output directory.
 
     The lines are plain strings, which the cyclic GC does not track.
-    Without `out_dir` the sink holds every line for the RunResult. With
-    `out_dir` it writes the lines to events.jsonl and rssi.csv when a tick
-    ends with a full buffer, so the run holds at most about one chunk of
-    them; `finish` writes the rest, closes both files, checks the tally
-    and writes metrics.json last: a run that raises leaves no metrics.json.
+    Without `out_dir` the sink holds every line for the RunResult, a chunk
+    of rows split on "\n" into its lines. With `out_dir` it writes the
+    lines to events.jsonl and rssi.csv when a tick ends with a full buffer,
+    so the run holds at most about one chunk of them; `finish` writes the
+    rest, closes both files, checks the tally and writes metrics.json last:
+    a run that raises leaves no metrics.json.
     """
 
     def __init__(self, out_dir: Optional[str] = None) -> None:
         self.out_dir = out_dir
         self.event_lines: list[str] = []
         self.row_lines: list[str] = []
+        # the rows not yet encoded: one template each, and their values in order
+        self._row_templates: list[str] = []
+        self._row_values: list[Any] = []
+        self._expired_heads = _ExpiredHeads()
         self.tally = _tally(())
         self._events_fh: Optional[TextIO] = None
         self._rssi_fh: Optional[TextIO] = None
@@ -333,12 +358,9 @@ class _LineSink:
         self.tally[node]["ignore"] += 1
 
     def expired(self, tick: int, node: str, messages: tuple[PayloadMessage, ...]) -> None:
-        # the context `sender#seq` (str(NodeId) without a Python-level
-        # __str__ call) is hex digits, colons, '#' and digits: nothing to escape
+        heads = self._expired_heads
         tail = f'","reason":"expired"}},"node":{_escape(node)},"tick":{tick!r}}}\n'
-        self.event_lines.extend([
-            f'{{"action":"ignore","details":{{"context":"{m.sender.hex(":")}#{m.seq}{tail}' for m in messages
-        ])
+        self.event_lines.extend([f"{heads[m.sender]}{m.seq}{tail}" for m in messages])
         self.tally[node]["ignore"] += len(messages)
 
     def payload_sent(self, tick: int, node: str, seq: int) -> None:
@@ -365,16 +387,37 @@ class _LineSink:
         """The rssi.csv rows of one receiver's round, one per (message, raw
         RSSI) of its inbox: the sender's label from `labels`, and the smoothed
         value from the `smoothed` (tick, value) of the sender's row in
-        `peers`, empty when the sender has no row or the row no value."""
+        `peers`, empty when the sender has no row or the row no value. The
+        rows are kept as templates and values until their chunk is encoded."""
         head = f"{tick},{receiver},"
-        self.row_lines.extend([
-            f"{head}{labels[sender]},{raw:.6f},\n"
-            if (rec := peers.get(sender := msg.sender)) is None or (entry := rec.smoothed) is None
-            else f"{head}{labels[sender]},{raw:.6f},{entry[1]:.6f}\n"
-            for msg, raw in inbox
-        ])
+        templates = self._row_templates
+        values = self._row_values
+        for msg, raw in inbox:
+            sender = msg.sender
+            if (rec := peers.get(sender)) is None or (entry := rec.smoothed) is None:
+                templates.append(_ROW_UNSMOOTHED)
+                values += (head, labels[sender], raw)
+            else:
+                templates.append(_ROW)
+                values += (head, labels[sender], raw, entry[1])
+
+    def _encode_rows(self) -> None:
+        """Encode the kept rows in one `%`: into rssi.csv with an output
+        directory, else into `row_lines`, one line each."""
+        text = "".join(self._row_templates) % tuple(self._row_values)
+        self._row_templates.clear()
+        self._row_values.clear()
+        if self._rssi_fh is not None:
+            self._rssi_fh.write(text)
+        else:
+            # not splitlines, which also splits on \x85 and \u2028 in a label
+            lines = text.split("\n")
+            lines.pop()  # the "" after the last row's "\n"
+            self.row_lines += [line + "\n" for line in lines]
 
     def end_tick(self) -> None:
+        if len(self._row_templates) >= _WRITE_CHUNK_LINES:
+            self._encode_rows()
         if self._events_fh is None:
             return
         if len(self.event_lines) >= _WRITE_CHUNK_LINES:
@@ -386,6 +429,7 @@ class _LineSink:
         """Check the counters against the tally and make the RunResult; with
         an output directory the rest of the lines are written and the files
         closed before the check, and metrics.json written after it."""
+        self._encode_rows()
         if self.out_dir is None:
             _check_counts(metrics.counts, self.tally)
             return RunResult(metrics, nodes, self.event_lines, self.row_lines)

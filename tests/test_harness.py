@@ -293,6 +293,50 @@ def line_sink():
     return polsim.harness._LineSink()
 
 
+# a trace label without '\n', which would end its row (the scenario loader
+# rejects it in a node id), drawing often the characters that a `%` template
+# or a line split other than on '\n' could trip on
+row_label = st.text(
+    st.one_of(
+        st.characters().filter(lambda c: c != "\n"),
+        st.sampled_from("%{}\x85\u2028\u00e9\U0001f600"),
+    ),
+    max_size=8,
+)
+
+
+def row_round(receptions):
+    """The inbox, labels and peer rows of (sender, label, raw, smoothed
+    entry or NO_ROW) receptions."""
+    inbox = [(SimpleNamespace(sender=sender), raw) for sender, _, raw, _ in receptions]
+    labels = {sender: label for sender, label, _, _ in receptions}
+    peers = {
+        sender: PeerRecord(sender, smoothed=entry)
+        for sender, _, _, entry in receptions
+        if entry is not NO_ROW
+    }
+    return inbox, labels, peers
+
+
+def oracle_rows(tick, receiver, receptions):
+    """The rssi.csv lines of the receptions, one f-string per row."""
+    want = []
+    for _, label, raw, entry in receptions:
+        smooth = "" if entry is NO_ROW or entry is None else format(entry[1], ".6f")
+        want.append(f"{tick},{receiver},{label},{raw:.6f},{smooth}\n")
+    return want
+
+
+def encoded_rows(sink, count):
+    """The last `count` row lines of a held sink, read after it encodes its
+    kept rows, and taken out of it."""
+    sink._encode_rows()
+    lines = sink.row_lines
+    rows = lines[len(lines) - count:]
+    del lines[len(lines) - count:]
+    return rows
+
+
 class TestLineTemplates:
     """Each line the sink makes from fields is the generic encoding of the same record."""
 
@@ -363,11 +407,11 @@ class TestLineTemplates:
     @settings(max_examples=200)
     @given(
         st.integers(),
-        trace_text,
+        row_label,
         st.lists(
             st.tuples(
                 st.binary(min_size=6, max_size=6).map(NodeId),
-                trace_text,
+                row_label,
                 st.floats(),
                 st.just(NO_ROW) | st.none() | st.tuples(st.integers(), st.floats()),
             ),
@@ -379,29 +423,48 @@ class TestLineTemplates:
         """One rssi.csv line per reception of the round, the smoothed value
         read from the `smoothed` (tick, value) of the sender's peer row;
         empty when the sender has no row or its row no value."""
-        inbox = [(SimpleNamespace(sender=sender), raw) for sender, _, raw, _ in receptions]
-        labels = {sender: label for sender, label, _, _ in receptions}
-        peers = {
-            sender: PeerRecord(sender, smoothed=entry)
-            for sender, _, _, entry in receptions
-            if entry is not NO_ROW
-        }
+        inbox, labels, peers = row_round(receptions)
         line_sink.row(tick, receiver, inbox, labels, peers)
+        assert encoded_rows(line_sink, len(inbox)) == oracle_rows(tick, receiver, receptions)
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["held", "streamed"])
+    def test_rows_across_a_chunk_boundary(self, streamed, tmp_path):
+        """Rows that fill a chunk inside one tick's rounds are encoded when
+        that tick ends, and the rest at the end; the lines are the same as
+        one f-string per row makes, held or written."""
+        chunk = polsim.harness._WRITE_CHUNK_LINES
+        sink = polsim.harness._LineSink(str(tmp_path) if streamed else None)
+        labels = ["n%1", "{n}", "n\u00e9\x85", "\u2028n"]
+        receptions = [
+            (NodeId(bytes([2, 0, 0, 0, 0, i])), label, -40.0 - i / 7, entry)
+            for i, (label, entry) in enumerate(zip(labels, [NO_ROW, None, (1, -41.5), (2, -0.0)]))
+        ]
+        inbox, by_id, peers = row_round(receptions)
         want = []
-        for _, label, raw, entry in receptions:
-            smooth = "" if entry is NO_ROW or entry is None else format(entry[1], ".6f")
-            want.append(f"{tick},{receiver},{label},{raw:.6f},{smooth}\n")
-        lines = line_sink.row_lines
-        assert lines[len(lines) - len(want):] == want
-        del lines[len(lines) - len(want):]
+        # tick 0 leaves the chunk 8 rows short, tick 1's third round fills it
+        rounds = [(0, (chunk - 8) // len(inbox)), (1, 5), (2, 1)]
+        for tick, count in rounds:
+            for r in range(count):
+                sink.row(tick, f"r{r}%s", inbox, by_id, peers)
+                want += oracle_rows(tick, f"r{r}%s", receptions)
+            if tick == 1:
+                assert len(sink._row_templates) > chunk
+            sink.end_tick()
+            if tick == 1:
+                assert sink._row_templates == []
+        sink._encode_rows()
+        sink.close()
+        if streamed:
+            text = (tmp_path / "rssi.csv").read_text(encoding="utf-8")
+            assert text == RSSI_HEADER + "".join(want)
+        else:
+            assert sink.row_lines == want
 
     def rows(self, line_sink, node, inbox, now):
         """The rssi.csv rows of `node`'s inbox at tick `now`, read from its peer rows."""
         labels = {msg.sender: str(msg.sender) for msg, _ in inbox}
         line_sink.row(now, "me", inbox, labels, node.store.peers)
-        rows = line_sink.row_lines[-len(inbox):]
-        del line_sink.row_lines[-len(inbox):]
-        return rows
+        return encoded_rows(line_sink, len(inbox))
 
     def test_self_echo_row_has_no_smoothed_value(self, line_sink):
         """A payload under the receiver's own id is a self-echo: the node

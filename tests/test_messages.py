@@ -1,6 +1,7 @@
 """Core value types, location keys, and the wire codec."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -362,6 +363,54 @@ class TestWireCodec:
             PayloadMessage(A, 0, SensorType.GENERIC, b"", LocationKey(bytes(32)), 0),
         ):
             assert decode_message(encode_message(msg)) == msg
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenPayload:
+    """The frozen dataclass `PayloadMessage` behaves as: the oracle of its value semantics."""
+
+    sender: NodeId
+    seq: int
+    sensor_type: SensorType
+    payload: bytes
+    signed_payload: LocationKey
+    timestamp: int
+
+
+deferred_keys = st.builds(location_key, locations, st.binary(max_size=8), st.sampled_from([0.3, 0.5, 1.0]))
+
+
+class TestPayloadMessageValue:
+    """A payload is an immutable value with a frozen dataclass's `==`,
+    `hash` and `repr`, and copies and pickles to an equal payload."""
+
+    @settings(max_examples=200)
+    @given(payload_messages, st.one_of(digests, deferred_keys))
+    def test_value_semantics_of_the_frozen_dataclass(self, msg, key):
+        fields = (msg.sender, msg.seq, msg.sensor_type, msg.payload, key, msg.timestamp)
+        msg, oracle = PayloadMessage(*fields), FrozenPayload(*fields)
+        same = PayloadMessage(
+            sender=msg.sender, seq=msg.seq, sensor_type=msg.sensor_type,
+            payload=msg.payload, signed_payload=key, timestamp=msg.timestamp,
+        )
+        assert msg == same and not (msg != same)
+        assert hash(msg) == hash(same) == hash(oracle)
+        assert repr(msg) == "PayloadMessage" + repr(oracle).removeprefix("FrozenPayload")
+        assert msg != PayloadMessage(*fields[:-1], fields[-1] + 1)
+        assert msg.__eq__(oracle) is NotImplemented and msg != oracle and msg != fields
+        for copied in (copy.copy(msg), copy.deepcopy(msg), pickle.loads(pickle.dumps(msg))):
+            assert type(copied) is PayloadMessage
+            assert copied == msg and hash(copied) == hash(msg) and repr(copied) == repr(msg)
+
+    def test_frozen(self):
+        msg = PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0)
+        for name in ("sender", "seq", "sensor_type", "payload", "signed_payload", "timestamp", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(msg, name, 2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(msg, name)
+        assert msg == PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0)
+        assert not hasattr(msg, "__dict__")
 
 
 class TestMessageInvariants:

@@ -1,6 +1,7 @@
 """Node protocol: payload handling, pool validation, self defense, alerts."""
 
 import copy
+import math
 import struct
 
 import pytest
@@ -102,6 +103,50 @@ class TestEmitPayload:
         node.on_moved(Location(5.0, 5.0, 0.0), 3, announce=True)
         msg = node.emit_payload(b"\x05", 4)
         assert location_key(Location(5.0, 5.0, 0.0), b"\x05", 0.5) == msg.signed_payload
+
+
+grids = st.sampled_from([0.5, 0.3, 1.0])
+
+
+@st.composite
+def near_half_cells(draw, grid):
+    """A coordinate on a half-cell boundary of `grid`, one ulp either side
+    of one, -0.0, or anywhere."""
+    edge = draw(st.integers(-41, 41)) * grid / 2
+    return draw(st.one_of(
+        st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf), -0.0]),
+        st.floats(-50.0, 50.0),
+    ))
+
+
+@st.composite
+def positions(draw, grid):
+    return Location(*(draw(near_half_cells(grid)) for _ in range(3)))
+
+
+class TestSigningCell:
+    """The node signs from the cell it computes when its location is set,
+    and that key is the one `location_key` makes from the location."""
+
+    @settings(max_examples=200)
+    @given(st.data(), grids, st.binary(max_size=8))
+    def test_key_is_location_key_of_the_current_location(self, data, grid, body):
+        start, announced, silent = (data.draw(positions(grid)) for _ in range(3))
+        node = NodeState(ME, start, params=ProtocolParams(location_grid=grid))
+
+        def signed(now):
+            msg = node.emit_payload(body, now)
+            want = location_key(node.self_location, body, grid)
+            assert msg.signed_payload == want
+            assert msg.signed_payload.digest == want.digest
+
+        signed(0)
+        node.on_moved(announced, 1, announce=True)
+        assert node.self_location == announced
+        signed(2)
+        node.on_moved(silent, 3, announce=False)
+        assert node.self_location == silent
+        signed(4)
 
 
 class TestReceivePayload:

@@ -20,10 +20,12 @@ from polsim.filters import (
 )
 from polsim.kinds import _schema
 from polsim.localization import PathLossModel
+from polsim.messages import Location, NodeId
 from polsim.protocol import FilterParams, ProtocolParams
 from polsim.scenario import (
     AttackKind,
     BUILTIN_NAMES,
+    NodeSpec,
     Scenario,
     ScenarioError,
     builtin_scenario,
@@ -235,6 +237,13 @@ class TestValidation:
               "attacks": [{"type": "identity_spoof", "at": 3,
                            "params": {"victim": "a", "attacker_position": [0, 0, 0]}}]},
              r"attacks\[0\]: transmitter id 02:00:00:00:aa:f0 is the mac of a scenario node"),
+            # an id is an unquoted rssi.csv field: no field separator, quote or line end
+            *(
+                ({"nodes": [{"id": bad, "mac": "02:00:00:00:00:01", "position": [0, 0, 0]}]},
+                 re.escape(f"nodes[0]: id must be a string without ',', '\"', '\\r' or '\\n' "
+                           f"(an rssi.csv field), not {bad!r}"))
+                for bad in ("n,1", 'n"1', "n\r1", "n\n1")
+            ),
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
              "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
@@ -244,7 +253,8 @@ class TestValidation:
              "channel-string-number", "attack-until-string", "attack-fake-rssi-out-of-range",
              "attack-period-bool", "channel-nan", "protocol-infinity", "filters-minus-infinity",
              "node-position-nan", "attacker-position-infinity", "bft-attacker-is-victim",
-             "transmitter-index-16", "transmitter-id-is-a-node-mac"],
+             "transmitter-index-16", "transmitter-id-is-a-node-mac",
+             "node-id-comma", "node-id-quote", "node-id-cr", "node-id-lf"],
     )
     def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()
@@ -257,6 +267,12 @@ class TestValidation:
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
         assert re.search(f"scenario error: .*{message}", capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["n,1", 'n"1', "n\r1", "n\n1"])
+    def test_node_spec_built_in_code_rejects_a_bad_id(self, bad):
+        """The id rule of the loader holds for a NodeSpec built without it."""
+        with pytest.raises(ValueError, match=re.escape(f"node id must be a string without ',', '\"'")):
+            NodeSpec(bad, NodeId.from_str("02:00:00:00:00:01"), Location(0.0, 0.0, 0.0))
 
     def test_malformed_document_exits_1_before_running(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
