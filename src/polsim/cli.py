@@ -133,11 +133,15 @@ def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list
                 raise ValueError(f"line {reader.line_num}: rssi_raw {row[raw]!r} is not a number") from None
             if not math.isfinite(value):
                 raise ValueError(f"line {reader.line_num}: rssi_raw {row[raw]!r} is not finite")
-            ticks, raws = links.setdefault((row[receiver], row[sender]), ([], []))
-            ticks.append(at)
-            raws.append(value)
+            link = (row[receiver], row[sender])
+            columns = links.get(link)
+            if columns is None:
+                columns = links[link] = ([], [])
+            columns[0].append(at)
+            columns[1].append(value)
     for ticks, raws in links.values():
-        ticks[:], raws[:] = zip(*sorted(zip(ticks, raws), key=itemgetter(0)))
+        if ticks != sorted(ticks):  # on ordered ticks the stable sort below changes nothing
+            ticks[:], raws[:] = zip(*sorted(zip(ticks, raws), key=itemgetter(0)))
     return sorted(links.items())
 
 
@@ -189,14 +193,18 @@ def cmd_filters(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report = {"trace": str(trace_path), "movements": movements, "filters": []}
-    # each row's "tick,receiver,sender,raw," prefix, formatted once for every filter
-    prefixes = [[f"{t},{r},{s},{raw:.6f}," for t, raw in zip(*columns)] for (r, s), columns in links]
+    # each link's rows as one template with the smoothed values left as "%.6f",
+    # made once for every filter; "%" in a label is doubled to stay literal
+    templates = []
+    for (receiver, sender), (ticks, raws) in links:
+        labels = f",{receiver},{sender},".replace("%", "%%")
+        templates.append("".join([f"{t}{labels}{raw:.6f},%.6f\n" for t, raw in zip(ticks, raws)]))
     for name in names:
         per_link = [list(map(make_filter(name, params.get(name)), raws)) for _link, (_ticks, raws) in links]
         with open(out_dir / f"smoothed_{name}.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(RSSI_HEADER)
-            for prefix, smoothed in zip(prefixes, per_link):
-                fh.write("".join([f"{p}{value:.6f}\n" for p, value in zip(prefix, smoothed)]))
+            for template, smoothed in zip(templates, per_link):
+                fh.write(template % tuple(smoothed))
 
         entries = []
         for threshold in thresholds:

@@ -312,25 +312,54 @@ def bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
     return False
 
 
+def _first_past(values: list[float], lo: int, hi: int, last: float, threshold: float) -> int:
+    """The first k in [lo, hi) with `abs(values[k] - last) > threshold`, as
+    `bft_trigger` tests it, else `hi`. Rounded subtraction is monotone in
+    `values[k]`, and `abs(x) > t` exactly when `x > t or -x > t`, so the run
+    holds no such sample when its max and min hold none. A NaN never passes;
+    `max` and `min` either pass over it or return it, and then the test
+    fails and the run is searched in C."""
+    if lo >= hi:
+        return hi
+    run = values[lo:hi]
+    if max(run) - last <= threshold and min(run) - last >= -threshold:
+        return hi
+    past = map(lt, repeat(threshold), map(abs, map(sub, run, repeat(last))))
+    return next(compress(count(lo), past), hi)
+
+
 def trigger_fires(state: TriggerState, ticks: list[int], values: list[float]) -> list[int]:
     """Feed one link's column to `state` as `bft_trigger(state, values[k],
     ticks[k])` for each k in turn would, and return the ticks at which it
     fired; `state` ends as those calls leave it. `ticks` are non-decreasing
     ints.
 
-    `bft_trigger` stays the one definition of the trigger; this only leaves
-    out calls that provably change nothing but `recent`. Once a baseline is
-    set, let `due` be the first index whose tick is `rebaseline_after` or
-    more past `last_baseline`. No sample before `due` can rebaseline, so it
-    changes the state only by a fire, and it can fire only if
-    `abs(v - last_reported) > threshold`. Rounded subtraction is monotone in
-    `v`, and `abs(x) > t` exactly when `x > t or -x > t`, so the run up to
-    `due` holds no such sample exactly when its max and min hold none. A NaN
-    never fires; `max` and `min` either pass over it or return it, and then
-    the test fails and the run is searched in C for its first sample past
-    the threshold. The skipped samples only join `recent`. From that sample,
-    or from `due`, `bft_trigger` is called sample by sample until a fire or
-    a rebaseline moves the baseline.
+    `bft_trigger` stays the one definition of the trigger. It is called for
+    the warm-up, the baseline sample and each later sample that can change
+    the state; the samples in between only join `recent`. Once a baseline
+    is set, a sample changes the state only by
+
+    (a) a fire, which needs the cooldown over (from the first index whose
+        tick is `cooldown` or more past `last_fire`) and
+        `abs(v - last_reported) > threshold`, found by `_first_past`; or
+    (b) a rebaseline, which needs a tick `rebaseline_after` or more past
+        `last_baseline` (from index `due`), a full `recent`, and a flat
+        window: `max(recent) - min(recent) <= threshold / 3`.
+
+    For (b) the windows that `recent` would hold are searched in the order
+    of their last sample. Rounded subtraction is monotone, so if a window's
+    span is a number past the bound, so is the span of every window holding
+    the last positions of both its max and its min: that window's `max` is
+    at least the one and its `min` at most the other, unless it starts with
+    a NaN, and then its span is NaN, which `<=` refuses too. So the search
+    jumps past the earlier of the two positions. A run of samples holding a
+    window bounds that window's span the same way, so the first step tests
+    the run from the end of the cooldown to the first window's last sample
+    at once, for (a) and for (b).
+
+    A NaN sample never fires. A window whose span is NaN (it starts with a
+    NaN, or its max and min are the same infinity) goes to `bft_trigger`,
+    which decides; that call may change nothing.
 
     `bft_trigger` is looked up in this module at each call, not bound once,
     so a wrapper set on `polsim.filters.bft_trigger` sees every call.
@@ -342,29 +371,46 @@ def trigger_fires(state: TriggerState, ticks: list[int], values: list[float]) ->
         bft_trigger(state, values[i], ticks[i])
         i += 1
     threshold = state.threshold
+    flat = threshold / 3.0
     recent = state.recent
     while i < n:
+        last = state.last_reported
+        # (a) is searched from `seen` on, (b) in the window that ends at `k`
+        seen = i if state.last_fire is None else bisect_left(ticks, state.last_fire + state.cooldown, i)
         due = bisect_left(ticks, state.last_baseline + state.rebaseline_after, i)
-        if due > i:
-            last = state.last_reported
-            run = values[i:due]
-            if max(run) - last <= threshold and min(run) - last >= -threshold:
-                stop = due
-            else:
-                past = map(lt, repeat(threshold), map(abs, map(sub, run, repeat(last))))
-                stop = next(compress(count(i), past), due)
-            recent += values[max(i, stop - FLAT_WINDOW) : stop]
-            i = stop
-        baseline = state.last_baseline
-        while i < n:
+        k = max(due, i + FLAT_WINDOW - 1 - len(recent))  # the first full window
+        while k < n:
+            start = k + 1 - FLAT_WINDOW
+            if seen < start:  # the run from `seen`, which holds the window
+                window = values[seen : k + 1]
+            elif start >= i:
+                window = values[start : k + 1]
+            else:  # the window begins in `recent`
+                window = (list(recent) + values[i : k + 1])[-FLAT_WINDOW:]
+            hi = max(window)
+            lo = min(window)
+            if seen <= k and not (hi - last <= threshold and lo - last >= -threshold):
+                stop = _first_past(values, seen, k + 1, last, threshold)
+                if stop <= k:
+                    break
+            if not hi - lo > flat:  # flat, or NaN
+                stop = k
+                break
+            if seen < start:  # that was the run's span: test the window alone
+                seen = k + 1
+                continue
+            seen = max(seen, k + 1)
+            backwards = window[::-1]
+            k += FLAT_WINDOW - max(backwards.index(hi), backwards.index(lo))
+        else:
+            stop = _first_past(values, seen, n, last, threshold)
+        recent += values[max(i, stop - FLAT_WINDOW) : stop]
+        i = stop
+        if i < n:
             now = ticks[i]
-            fired = bft_trigger(state, values[i], now)
-            i += 1
-            if fired:
+            if bft_trigger(state, values[i], now):
                 fires.append(now)
-                break
-            if state.last_baseline != baseline:
-                break
+            i += 1
     return fires
 
 

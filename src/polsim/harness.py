@@ -180,10 +180,6 @@ class RunResult:
     def alert_events(self) -> list[TraceEvent]:
         return self._action_events("send_alert")
 
-    def verify_counts(self) -> None:
-        """Cross-check metric counters against the event log; raises on drift."""
-        _check_counts(self.metrics.counts, _tally(TraceEvents(self._held()[0])))
-
 
 def sensor_reading(node_index: int, tick: int) -> bytes:
     """Deterministic fake temperature for payload bodies."""

@@ -19,7 +19,6 @@ ALLOWED = {
     "topology.TopologyStore.update_smoothed": "wrapped by perfbench/tracer.py",
     "messages.encode_message": "public API with test-only callers, ROADMAP item 5",
     "protocol.NodeState.receive_wire": "public API with test-only callers, ROADMAP item 5",
-    "harness.RunResult.verify_counts": "public API with test-only callers, README 'Trace formats'",
 }
 
 

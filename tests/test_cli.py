@@ -14,6 +14,7 @@ from polsim.channel import RadioChannel
 from polsim.checks import CRITERIA, CheckFailed, Criterion
 from polsim.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, main
 from polsim.filters import FILTER_NAMES, TriggerState, bft_trigger, make_filter
+from polsim.harness import RSSI_HEADER
 from polsim.scenario import BUILTIN_NAMES, builtin_scenario
 
 
@@ -514,6 +515,35 @@ class TestSweepMatchesReference:
         assert len(written) == len(FILTER_NAMES) + 1
         for name in written:
             assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+
+    def test_labels_with_format_characters(self, tmp_path, capsys):
+        """Labels holding `%` and braces reach every smoothed CSV as written,
+        and a link whose rows are out of tick order is smoothed in stable
+        tick order."""
+        trace = tmp_path / "rssi.csv"
+        labels = [("n%1", "%s"), ("%%", "{n2}"), ("}{", "%")]
+        rows = []
+        for k, (receiver, sender) in enumerate(labels):
+            for t in range(40):
+                rows.append((t, receiver, sender, -50.0 - 10 * k - (t % 7) * 0.75))
+        # the first link's rows out of tick order, two on one tick
+        rows[:40] = rows[20:40] + [(5, "n%1", "%s", -20.25)] + rows[:20]
+        with open(trace, "w", encoding="utf-8", newline="") as fh:
+            fh.write(RSSI_HEADER)
+            for t, receiver, sender, raw in rows:
+                fh.write(f"{t},{receiver},{sender},{raw},0.0\n")
+        assert main(["filters", "--trace", str(trace), "--filter", ",".join(FILTER_NAMES),
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        columns = reference_read_trace(trace)
+        assert [t for t, _raw in columns[("n%1", "%s")]][:8] == [0, 1, 2, 3, 4, 5, 5, 6]
+        for name in FILTER_NAMES:
+            expected = [RSSI_HEADER]
+            for (receiver, sender), series in sorted(columns.items()):
+                step = make_filter(name)
+                expected += [f"{t},{receiver},{sender},{raw:.6f},{step(raw):.6f}\n" for t, raw in series]
+            written = (tmp_path / "out" / f"smoothed_{name}.csv").read_text(encoding="utf-8")
+            assert written == "".join(expected), name
 
 
 class TestCheckCommand:

@@ -391,7 +391,7 @@ class TestTriggerFires:
     # Each stretch starts `gap` ticks after the last one, steps its ticks by
     # `step` (0 repeats a tick) and holds `level` within +-`wobble` (0 is
     # flat) for `length` samples; levels jump between stretches, up to 1e300
-    # and to +-inf.
+    # and to +-inf, and a NaN level or wobble makes a stretch of NaN.
     stretches = st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=200),
@@ -400,9 +400,9 @@ class TestTriggerFires:
                 st.integers(min_value=-240, max_value=0).map(lambda k: k / 2),
                 st.floats(min_value=-120.0, max_value=0.0),
                 st.floats(min_value=-1e300, max_value=1e300),
-                st.sampled_from([math.inf, -math.inf]),
+                st.sampled_from([math.inf, -math.inf, math.nan]),
             ),
-            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=3.0)),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, math.nan]), st.floats(min_value=0.0, max_value=3.0)),
             st.integers(min_value=1, max_value=40),
         ),
         max_size=8,
@@ -418,6 +418,13 @@ class TestTriggerFires:
                 values.append(level + (wobble if i % 2 else -wobble))
                 now += step
         return ticks, values
+
+    @staticmethod
+    def fields(state):
+        """The state's fields, with the float ones by `repr`, so that NaN
+        compares equal to NaN."""
+        return (state.samples, repr(state.last_reported), state.last_fire, state.last_baseline,
+                repr(list(state.recent)))
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -435,6 +442,11 @@ class TestTriggerFires:
     @example([], 6.0, 30, 90, 0)  # an empty column
     @example([(0, 1, -50.0, 0.5, 4)], 6.0, 30, 90, 10)  # shorter than the warm-up
     @example([(0, 1, -50.0, 0.5, 11)], 6.0, 30, 90, 10)  # the warm-up and the baseline sample
+    # a lone sample past the threshold, the first after the cooldown
+    @example([(0, 1, -50.0, 0, 5), (0, 1, -60.0, 0, 30), (0, 1, -70.0, 0, 1), (0, 1, -60.0, 0, 100)],
+             6.0, 30, 90, 0)
+    # a NaN in the middle of a window, and a window that starts with one
+    @example([(0, 1, -50.0, 0, 30), (0, 1, math.nan, 0, 1), (0, 1, -50.0, 0, 40)], 6.0, 0, 5, 0)
     def test_same_fires_and_final_state_as_per_sample_calls(
         self, stretches, threshold, cooldown, rebaseline_after, warmup
     ):
@@ -444,9 +456,21 @@ class TestTriggerFires:
         reference = copy.deepcopy(state)
         expected = [t for t, v in zip(ticks, values) if bft_trigger(reference, v, t)]
         assert trigger_fires(state, ticks, values) == expected
-        assert state == reference
+        assert self.fields(state) == self.fields(reference)
 
-    def test_calls_the_module_trigger_only_where_a_sample_can_change_it(self, monkeypatch):
+    @staticmethod
+    def counted_calls(monkeypatch, state, ticks, values):
+        """The ticks at which `trigger_fires` calls the module's trigger, and
+        those at which a per-sample reference counts a warm-up sample, fires
+        or moves its baseline; the fires and the final state must agree."""
+        reference = copy.deepcopy(state)
+        fires, changes = [], []
+        for t, v in zip(ticks, values):
+            before = (reference.samples, reference.last_reported, reference.last_baseline)
+            if bft_trigger(reference, v, t):
+                fires.append(t)
+            if before != (reference.samples, reference.last_reported, reference.last_baseline):
+                changes.append(t)
         calls = []
 
         def counted(state, smoothed, now):
@@ -454,13 +478,61 @@ class TestTriggerFires:
             return bft_trigger(state, smoothed, now)
 
         monkeypatch.setattr(polsim.filters, "bft_trigger", counted)
+        assert trigger_fires(state, ticks, values) == fires
+        assert state == reference
+        return calls, changes
+
+    def test_calls_the_module_trigger_only_where_a_sample_can_change_it(self, monkeypatch):
         ticks = list(range(1000))
         values = [-50.0] * 500 + [-60.0] * 500
         state = TriggerState(threshold=6.0, cooldown=30, rebaseline_after=200, warmup=10)
-        assert trigger_fires(state, ticks, values) == [500]
+        calls, changes = self.counted_calls(monkeypatch, state, ticks, values)
         # the warm-up, the baseline, each rebaseline and the fire
-        assert calls == list(range(11)) + [210, 410, 500, 700, 900]
+        assert calls == changes == list(range(11)) + [210, 410, 500, 700, 900]
 
+    def test_no_call_past_due_until_a_sample_can_change_the_trigger(self, monkeypatch):
+        ticks = list(range(1200))
+
+        def level(k):
+            # never flat from 11 to 300 and from 750 to 1000 (a span of 6 dB
+            # against a flat bound of 2, within 3 dB of the baseline); a step
+            # at 600 fires
+            if 11 <= k < 300:
+                return -53.0 if k % 2 else -47.0
+            if 750 <= k < 1000:
+                return -63.0 if k % 2 else -57.0
+            return -50.0 if k < 600 else -60.0
+
+        state = TriggerState(threshold=6.0, cooldown=30, rebaseline_after=100, warmup=10)
+        calls, changes = self.counted_calls(monkeypatch, state, ticks, list(map(level, ticks)))
+        # the warm-up, the baseline, each rebaseline, the fire at 600
+        assert calls == changes == list(range(11)) + [314, 414, 514, 600, 700, 1014, 1114]
+
+    def test_no_call_while_a_cooldown_longer_than_rebaseline_after_holds(self, monkeypatch):
+        ticks = list(range(400))
+        # a fire at 100, then never flat until 300, with a sample past the
+        # threshold at 180, inside the cooldown
+        values = [-50.0] * 100 + [-63.0, -57.0] * 100 + [-60.0] * 100
+        values[180] = -70.0
+        state = TriggerState(threshold=6.0, cooldown=150, rebaseline_after=50)
+        calls, changes = self.counted_calls(monkeypatch, state, ticks, values)
+        # the baseline, the rebaseline at 50, the fire, the rebaselines once flat
+        assert calls == changes == [0, 50, 100, 314, 364]
+
+    @pytest.mark.parametrize(
+        "recent, first",
+        [
+            ([-53.0, -47.0] * 7 + [-53.0], 14),  # full and not flat: flat once it has left the window
+            ([-50.0] * 5, 9),  # flat, but not full: full at the tenth sample
+        ],
+        ids=["full", "part"],
+    )
+    def test_state_passed_in_with_recent_filled(self, monkeypatch, recent, first):
+        state = TriggerState(threshold=6.0, cooldown=30, last_reported=-50.0, last_baseline=-200,
+                             recent=collections.deque(recent, maxlen=FLAT_WINDOW))
+        ticks = list(range(200))
+        calls, changes = self.counted_calls(monkeypatch, state, ticks, [-50.0] * 200)
+        assert calls == changes == list(range(first, 200, 90))
 
     def test_recent_holds_the_last_flat_window_values(self):
         """Over a long column `recent` keeps only the last FLAT_WINDOW values:

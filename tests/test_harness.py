@@ -74,7 +74,6 @@ class TestTraces:
         paths = write_traces(res, str(tmp_path))
         doc = json.loads(paths["metrics"].read_text())
         assert doc["trace_version"] == 1
-        res.verify_counts()  # metric counters equal trace-derived counts
         derived_bft = sum(1 for e in res.events if e.action == "send_bft")
         assert derived_bft == sum(c["bft_sent"] for c in doc["counts"].values())
 
@@ -154,7 +153,7 @@ class TestStreamedTraces:
         assert res.events is None and res.event_lines is None and res.rssi_lines is None
         assert res.out_dir == str(out)
         assert res.metrics.counts["n1"]["payload_sent"] > 0
-        for read in (res.bft_events, res.alert_events, res.verify_counts):
+        for read in (res.bft_events, res.alert_events):
             with pytest.raises(RuntimeError, match=f"streamed its records to {out}"):
                 read()
         with pytest.raises(RuntimeError, match="streamed"):
