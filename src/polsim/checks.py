@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from .filters import KalmanState, kalman_step, make_filter
-from .harness import RunResult, run
+from .harness import RunResult, chunk_lines, run
 from .localization import PathLossModel, multilaterate, rssi_value_from_distance
 from .messages import BftMessage, BftRef, AlertMessage, AlertType, Location, NodeId, Rssi, TrustScore
 from .protocol import (
@@ -119,7 +119,7 @@ def check_zero_false_positives(builtin: str) -> str:
 
 def _paired_diffs(res: RunResult) -> list[float]:
     directed: dict[tuple[str, str, str], float] = {}
-    for line in res.rssi_lines:
+    for line in chunk_lines(res.rssi_chunks):
         tick, receiver, sender, raw, _ = line.split(",")
         directed[(tick, sender, receiver)] = float(raw)
     diffs = []

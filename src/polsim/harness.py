@@ -11,9 +11,10 @@ Trace outputs, one line per record:
   events.jsonl one JSON object per node action: {tick, node, action, details}
   metrics.json run summary, cross-checked against the event log, written last
 
-One sink encodes every record into its line as the run makes it. Given an
-output directory it streams the lines into the files; without one the
-RunResult holds the same lines, `events` parses them on demand, and
+One sink encodes every record into its line as the run makes it and joins
+the lines into text chunks of at least 4,096 lines. Given an output
+directory it writes each chunk into its file; without one the RunResult
+holds the same chunks, `events` parses their lines on demand, and
 `write_traces` writes them to the files a streamed run would have written.
 """
 
@@ -47,8 +48,8 @@ from .topology import PeerRecord
 
 TRACE_VERSION = 1
 MOVEMENT_SETTLE_WINDOW = 120  # ticks after a movement not counted as static
-# lines held before a write: one write per line costs a call per line,
-# holding a whole file raises peak memory by its size
+# lines joined into one chunk of text: one write or one str per line costs a
+# call or an object per line, one buffer of a whole file its size at once
 _WRITE_CHUNK_LINES = 4096
 
 
@@ -71,20 +72,32 @@ class TraceEvent:
         return cls(**json.loads(line))
 
 
+def chunk_lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of text chunks that each end in "\n", without their "\n",
+    split one chunk at a time."""
+    for chunk in chunks:
+        # not splitlines, which also splits on \x85 and \u2028 in a label
+        lines = chunk.split("\n")
+        lines.pop()  # the "" after the chunk's last "\n"
+        yield from lines
+
+
 class TraceEvents:
-    """The TraceEvents of a run's held event lines, parsed anew on each
-    iteration: a parsed list would hold several times the lines' memory."""
+    """The TraceEvents of a run's held events.jsonl chunks, parsed anew on
+    each iteration, a chunk at a time: a list of the events or of the lines
+    would hold several times the chunks' memory."""
 
-    __slots__ = ("_lines",)
+    __slots__ = ("_chunks",)
 
-    def __init__(self, lines: list[str]) -> None:
-        self._lines = lines
+    def __init__(self, chunks: list[str]) -> None:
+        self._chunks = chunks
 
     def __len__(self) -> int:
-        return len(self._lines)
+        # JSON escapes a line end inside a value, so each "\n" ends a line
+        return sum(chunk.count("\n") for chunk in self._chunks)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return map(TraceEvent.from_json, self._lines)
+        return map(TraceEvent.from_json, chunk_lines(self._chunks))
 
 
 # the event action behind each sent/stored/ignored counter, in check order
@@ -145,34 +158,35 @@ class RunMetrics:
 
 @dataclass
 class RunResult:
-    """A finished run. A run without an output directory holds its trace
-    lines, `event_lines` and `rssi_lines`, the lines of events.jsonl and of
-    rssi.csv after its header, and `events` parses the event lines on each
-    iteration. A run given an output directory streamed its lines there:
-    `event_lines`, `rssi_lines` and `events` are None and `out_dir` names
-    the files."""
+    """A finished run. A run without an output directory holds its trace as
+    text chunks, `event_chunks` and `rssi_chunks`: joined, they are the text
+    of events.jsonl and of rssi.csv after its header, and each chunk ends a
+    line. `events` parses the event lines on each iteration. A run given an
+    output directory streamed its chunks there: `event_chunks`,
+    `rssi_chunks` and `events` are None and `out_dir` names the files."""
 
     metrics: RunMetrics
     nodes: dict[str, NodeState]
-    event_lines: Optional[list[str]] = None
-    rssi_lines: Optional[list[str]] = None
+    event_chunks: Optional[list[str]] = None
+    rssi_chunks: Optional[list[str]] = None
     out_dir: Optional[str] = None
 
     @property
     def events(self) -> Optional[TraceEvents]:
-        return None if self.event_lines is None else TraceEvents(self.event_lines)
+        return None if self.event_chunks is None else TraceEvents(self.event_chunks)
 
     def _held(self) -> tuple[list[str], list[str]]:
-        if self.event_lines is None or self.rssi_lines is None:
+        if self.event_chunks is None or self.rssi_chunks is None:
             raise RuntimeError(
                 f"the run streamed its records to {self.out_dir}; read events.jsonl and rssi.csv there"
             )
-        return self.event_lines, self.rssi_lines
+        return self.event_chunks, self.rssi_chunks
 
     def _action_events(self, action: str) -> list[TraceEvent]:
         # a line starts with its first sorted key, "action"
         prefix = f'{{"action":"{action}",'
-        return [TraceEvent.from_json(line) for line in self._held()[0] if line.startswith(prefix)]
+        lines = chunk_lines(self._held()[0])
+        return [TraceEvent.from_json(line) for line in lines if line.startswith(prefix)]
 
     def bft_events(self) -> list[TraceEvent]:
         return self._action_events("send_bft")
@@ -297,25 +311,23 @@ class _LineSink:
     with the payload's seq and one tail per call: the line `ignore` makes
     for that payload's `expired` record; and `event` encodes a `TraceEvent`
     through `to_json`. `row` keeps one rssi.csv row template and its values
-    per reception of a receiver's round, and a chunk of rows becomes text
-    through one `%` when a tick ends with a full chunk, and at `finish`. Of
-    what it encodes the sink also keeps the per-(node, action) tally that
-    `finish` checks the counters against, the same way with or without an
-    output directory.
+    per reception of a receiver's round. Of what it encodes the sink also
+    keeps the per-(node, action) tally that `finish` checks the counters
+    against.
 
-    The lines are plain strings, which the cyclic GC does not track.
-    Without `out_dir` the sink holds every line for the RunResult, a chunk
-    of rows split on "\n" into its lines. With `out_dir` it writes the
-    lines to events.jsonl and rssi.csv when a tick ends with a full buffer,
-    so the run holds at most about one chunk of them; `finish` writes the
-    rest, closes both files, checks the tally and writes metrics.json last:
-    a run that raises leaves no metrics.json.
+    A tick that ends with 4,096 or more event lines or rows hands them on
+    as one chunk, and `finish` the rest, the same chunks on both paths.
+    With `out_dir` each chunk is written to events.jsonl or rssi.csv, so
+    the run holds about one chunk at most; without it the sink keeps the
+    chunks, plain strings that the cyclic GC does not track, for the
+    RunResult. `finish` closes both files, checks the tally and writes
+    metrics.json last: a run that raises leaves no metrics.json.
     """
 
     def __init__(self, out_dir: Optional[str] = None) -> None:
         self.out_dir = out_dir
+        # the event lines of the chunk being formed
         self.event_lines: list[str] = []
-        self.row_lines: list[str] = []
         # the rows not yet encoded: one template each, and their values in order
         self._row_templates: list[str] = []
         self._row_values: list[Any] = []
@@ -323,6 +335,11 @@ class _LineSink:
         self.tally = _tally(())
         self._events_fh: Optional[TextIO] = None
         self._rssi_fh: Optional[TextIO] = None
+        # where a formed chunk goes: the held lists, or the files' writes
+        self.event_chunks: list[str] = []
+        self.rssi_chunks: list[str] = []
+        self._put_events = self.event_chunks.append
+        self._put_rows = self.rssi_chunks.append
         if out_dir is None:
             return
         out = Path(out_dir)
@@ -341,6 +358,8 @@ class _LineSink:
         except BaseException:
             self._rssi_fh.close()
             raise
+        self._put_events = self._events_fh.write
+        self._put_rows = self._rssi_fh.write
 
     def event(self, e: TraceEvent) -> None:
         self.event_lines.append(f"{e.to_json()}\n")
@@ -397,42 +416,26 @@ class _LineSink:
                 templates.append(_ROW)
                 values += (head, labels[sender], raw, entry[1])
 
-    def _encode_rows(self) -> None:
-        """Encode the kept rows in one `%`: into rssi.csv with an output
-        directory, else into `row_lines`, one line each."""
-        text = "".join(self._row_templates) % tuple(self._row_values)
-        self._row_templates.clear()
-        self._row_values.clear()
-        if self._rssi_fh is not None:
-            self._rssi_fh.write(text)
-        else:
-            # not splitlines, which also splits on \x85 and \u2028 in a label
-            lines = text.split("\n")
-            lines.pop()  # the "" after the last row's "\n"
-            self.row_lines += [line + "\n" for line in lines]
-
-    def end_tick(self) -> None:
-        if len(self._row_templates) >= _WRITE_CHUNK_LINES:
-            self._encode_rows()
-        if self._events_fh is None:
-            return
-        if len(self.event_lines) >= _WRITE_CHUNK_LINES:
-            _write_lines(self._events_fh, self.event_lines)
-        if len(self.row_lines) >= _WRITE_CHUNK_LINES:
-            _write_lines(self._rssi_fh, self.row_lines)
+    def end_tick(self, least: int = _WRITE_CHUNK_LINES) -> None:
+        """Hand on as one chunk each buffer of at least `least` lines: the
+        rows encoded through one `%`, the event lines joined."""
+        if len(self._row_templates) >= least:
+            self._put_rows("".join(self._row_templates) % tuple(self._row_values))
+            self._row_templates.clear()
+            self._row_values.clear()
+        if len(self.event_lines) >= least:
+            self._put_events("".join(self.event_lines))
+            self.event_lines.clear()
 
     def finish(self, metrics: RunMetrics, nodes: dict[str, NodeState]) -> RunResult:
-        """Check the counters against the tally and make the RunResult; with
-        an output directory the rest of the lines are written and the files
-        closed before the check, and metrics.json written after it."""
-        self._encode_rows()
-        if self.out_dir is None:
-            _check_counts(metrics.counts, self.tally)
-            return RunResult(metrics, nodes, self.event_lines, self.row_lines)
-        _write_lines(self._events_fh, self.event_lines)
-        _write_lines(self._rssi_fh, self.row_lines)
+        """Hand on the last chunks, close the files, check the counters
+        against the tally and make the RunResult; with an output directory
+        metrics.json is written after the check."""
+        self.end_tick(1)
         self.close()
         _check_counts(metrics.counts, self.tally)
+        if self.out_dir is None:
+            return RunResult(metrics, nodes, self.event_chunks, self.rssi_chunks)
         with open(self.paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.to_json() + "\n")
         return RunResult(metrics, nodes, out_dir=self.out_dir)
@@ -448,9 +451,9 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
     """Execute a scenario.
 
     With `out_dir` the trace files are opened before the first tick and
-    the trace lines streamed into them, and the result carries no lines;
-    without it the result holds every line, the same lines the files
-    would hold.
+    the trace chunks streamed into them, and the result carries none;
+    without it the result holds every chunk, the same text the files would
+    hold.
     """
     sink = _LineSink(out_dir)
     with closing(sink):
@@ -684,23 +687,15 @@ def _build_metrics(
     )
 
 
-def _write_lines(fh: TextIO, lines: list[str]) -> None:
-    """Write the buffered lines in one write call and empty the buffer."""
-    fh.write("".join(lines))
-    lines.clear()  # the same list: the sink keeps appending to it
-
-
 def write_traces(result: RunResult, out_dir: str) -> dict[str, Path]:
-    """Write the held lines of an in-memory result to rssi.csv and
+    """Write the held chunks of an in-memory result to rssi.csv and
     events.jsonl and its metrics.json last, through the sink a streamed run
     writes with, its counters checked against the lines again; returns the
     paths."""
-    event_lines, rssi_lines = result._held()
+    event_chunks, rssi_chunks = result._held()
     with closing(_LineSink(out_dir)) as sink:
-        sink.tally = _tally(TraceEvents(event_lines))
-        for start in range(0, max(len(event_lines), len(rssi_lines)), _WRITE_CHUNK_LINES):
-            sink.event_lines += event_lines[start:start + _WRITE_CHUNK_LINES]
-            sink.row_lines += rssi_lines[start:start + _WRITE_CHUNK_LINES]
-            sink.end_tick()
+        sink.tally = _tally(TraceEvents(event_chunks))
+        sink._events_fh.writelines(event_chunks)
+        sink._rssi_fh.writelines(rssi_chunks)
         sink.finish(result.metrics, result.nodes)
     return sink.paths

@@ -87,10 +87,14 @@ class NodeId(bytes):
 
     @classmethod
     def from_str(cls, text: str) -> "NodeId":
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise ValueError(f"bad MAC string {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
+        """The id of a MAC written as six two-hex-digit octets joined by ':'."""
+        octets = text.split(":")
+        if len(octets) != 6:
+            raise ValueError(f"mac must be six octets joined by ':', not {text!r}")
+        for octet in octets:
+            if len(octet) != 2 or octet.strip("0123456789abcdefABCDEF"):
+                raise ValueError(f"mac octet {octet!r} of {text!r} is not two hex digits")
+        return cls(bytes.fromhex("".join(octets)))
 
 
 @dataclass(frozen=True)

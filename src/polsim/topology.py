@@ -2,16 +2,18 @@
 
 Mirrors the topology storage matrix each sensor node maintains: one row per
 known node holding its identity (MAC, location, trust score) and, for a peer
-the node has measured, the bounded history of the RSSI on that link with the
-link's smoothing and trigger state. Beside the rows it keeps the newest
-report per reporter about each subject other than the node itself, learned
-from BFT messages, and per subject the BFT messages seen about it, which back
-the distrust predicate's dissent counting.
+the node has measured, the last RSSI values on that link with the newest
+one's tick and the link's smoothing and trigger state. Beside the rows it
+keeps the newest report per reporter about each subject other than the node
+itself, learned from BFT messages, and per subject the BFT messages seen
+about it, which back the distrust predicate's dissent counting.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .messages import Location, NodeId, TrustScore
@@ -38,17 +40,18 @@ class PeerRecord:
     """Everything a node keeps about one known node.
 
     The identity attributes come first. The rest is the node's own link to
-    the peer: the measured `(tick, value)` samples at rising ticks, the
-    newest smoothed `(tick, value)`, and the smoother and trigger that made
-    it, which stay None until the node counts a sample. A row with an empty
-    history is no link. `smooth` is a `functools.partial` over its filter
+    the peer: the last measured values, oldest first, the newest one's tick,
+    the newest smoothed `(tick, value)`, and the smoother and trigger that
+    made it, which stay None until the node counts a sample. A row without
+    samples is no link. `smooth` is a `functools.partial` over its filter
     state and compares by identity, so rows compare without it.
     """
 
     id: NodeId
     location: Optional[Location] = None
     trust: TrustScore = field(default_factory=lambda: TrustScore(1.0))
-    history: list[tuple[int, float]] = field(default_factory=list)
+    samples: array = field(default_factory=partial(array, "d"))
+    heard: Optional[int] = None
     smoothed: Optional[tuple[int, float]] = None
     smooth: Optional[Callable[[float], float]] = field(default=None, compare=False)
     trigger: Optional[TriggerState] = None
@@ -60,9 +63,9 @@ class PeerRecord:
 class TopologyStore:
     """Single-writer store owned by one simulated node.
 
-    The node's own links live in the peer rows. Each holds a history of at
-    most `capacity` measured `(tick, value)` samples at rising ticks and the
-    newest smoothed value.
+    The node's own links live in the peer rows. Each holds the values of at
+    most `capacity` measured samples, taken at rising ticks, the tick of the
+    newest and the newest smoothed value.
     """
 
     def __init__(self, self_id: NodeId, capacity: int):
@@ -105,7 +108,7 @@ class TopologyStore:
         self.trust_changed = True
         return rec.trust
 
-    # -- own-link histories -----------------------------------------------
+    # -- own-link samples -------------------------------------------------
 
     def record_rssi(self, peer: NodeId, t: int, value: float) -> PeerRecord:
         """Append a measured sample of the link to `peer` and return its row,
@@ -117,34 +120,30 @@ class TopologyStore:
             if peer == self.self_id:
                 raise ValueError("a node has no link to itself")
             rec = self.ensure_peer(peer)
-        history = rec.history
-        if history and t <= (last_t := history[-1][0]):
-            raise OrderingError(f"sample at t={t} not after t={last_t} on the link to {peer}")
-        history.append((t, value))
-        if len(history) > self.capacity:
-            del history[0]
+        heard = rec.heard
+        if heard is not None and t <= heard:
+            raise OrderingError(f"sample at t={t} not after t={heard} on the link to {peer}")
+        samples = rec.samples
+        samples.append(value)
+        if len(samples) > self.capacity:
+            del samples[0]
+        rec.heard = t
         return rec
-
-    def history(self, peer: NodeId) -> tuple[tuple[int, float], ...]:
-        rec = self.peers.get(peer)
-        return () if rec is None else tuple(rec.history)
 
     def links_heard_within(self, window: int, now: int) -> int:
         """Own links whose newest sample is at most `window` ticks old."""
-        return sum(
-            1 for rec in self.peers.values() if rec.history and now - rec.history[-1][0] <= window
-        )
+        return sum(1 for rec in self.peers.values() if rec.heard is not None and now - rec.heard <= window)
 
     def history_consistent(self, peer: NodeId, candidate: float, tol: float) -> bool:
-        """Is `candidate` (dB) within `tol` dB of the (lower) median of the link's
-        history? An empty history cannot contradict anything, so it returns
-        True."""
+        """Is `candidate` (dB) within `tol` dB of the (lower) median of the
+        link's samples? A link without samples cannot contradict anything,
+        so it returns True."""
         if not tol >= 0:
             raise ValueError("tol must be >= 0")
         rec = self.peers.get(peer)
-        if rec is None or not rec.history:
+        if rec is None or not rec.samples:
             return True
-        values = sorted(v for _, v in rec.history)
+        values = sorted(rec.samples)
         return abs(candidate - values[(len(values) - 1) // 2]) <= tol
 
     # -- reports from BFT messages ------------------------------------------

@@ -2,8 +2,11 @@
 in `src/polsim` is named somewhere in `src/polsim` outside its own body.
 
 The check is by name, not by type: `x.record_rssi(...)` counts as a call of
-every method called `record_rssi`. A definition with no caller in the
-package either goes or is listed in ALLOWED with its reason.
+every method called `record_rssi`. A method counts as named only where its
+name is an attribute, `x.name`: a local variable of the same name calls
+nothing. A function counts as a variable or an attribute. A definition with
+no caller in the package either goes or is listed in ALLOWED with its
+reason.
 """
 
 import ast
@@ -19,43 +22,48 @@ ALLOWED = {
     "topology.TopologyStore.update_smoothed": "wrapped by perfbench/tracer.py",
     "messages.encode_message": "public API with test-only callers, ROADMAP item 5",
     "protocol.NodeState.receive_wire": "public API with test-only callers, ROADMAP item 5",
+    "protocol.MessagePool.entries": "read by the pool tests in tests/test_protocol.py and tests/test_harness.py",
+    "harness.RunResult.events": "read by perfbench/workloads.py, which hashes a held run's events",
 }
 
 
-def _names(node: ast.AST) -> Counter:
-    """How often each name occurs in `node`, as a variable or an attribute."""
+def _names(node: ast.AST, attributes_only: bool) -> Counter:
+    """How often each name occurs in `node` as an attribute and, unless
+    `attributes_only`, as a variable."""
     names: Counter = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            names[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             names[n.attr] += 1
+        elif isinstance(n, ast.Name) and not attributes_only:
+            names[n.id] += 1
     return names
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, node) of each module-level function and each public
-    method of a module-level class."""
+    """(qualified name, node, is a method) of each module-level function and
+    each public method of a module-level class."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, functions):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, False
         elif isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, functions) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member
+                    yield f"{module}.{node.name}.{member.name}", member, True
 
 
 def uncalled(sources: dict[str, str]) -> list[str]:
     """Qualified names of the definitions in `sources` (module name -> code)
     whose name occurs nowhere outside their own body."""
     trees = {module: ast.parse(code) for module, code in sources.items()}
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    everywhere = {
+        kind: sum((_names(tree, kind) for tree in trees.values()), Counter()) for kind in (False, True)
+    }
     return [
         qualname
         for module, tree in trees.items()
-        for qualname, node in _definitions(module, tree)
-        if everywhere[node.name] == _names(node)[node.name]
+        for qualname, node, is_method in _definitions(module, tree)
+        if everywhere[is_method][node.name] == _names(node, is_method)[node.name]
     ]
 
 
@@ -91,7 +99,12 @@ class Box:
     def write(self):
         return Box().read()
 
+    def size(self):
+        return 0
+
     def _peek(self):
         return 1
 '''
-    assert uncalled({"mod": code, "other": "mod.used(3)"}) == ["mod.recursive_only", "mod.Box.write"]
+    # a variable named like a method calls nothing
+    other = "mod.used(3)\nsize = 3"
+    assert uncalled({"mod": code, "other": other}) == ["mod.recursive_only", "mod.Box.write", "mod.Box.size"]

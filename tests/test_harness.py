@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polsim.harness
-from polsim.harness import RSSI_HEADER, TraceEvent, run, sensor_reading, write_traces
+from polsim.harness import RSSI_HEADER, TraceEvent, chunk_lines, run, sensor_reading, write_traces
 from polsim.messages import Location, NodeId, PayloadMessage, SensorType
 from polsim.protocol import NodeState
 from polsim.scenario import BUILTIN_NAMES, AttackKind, AttackSpec, Scenario, builtin_scenario
@@ -28,7 +28,7 @@ def quiet(scenario: Scenario) -> Scenario:
 def rssi_rows(res) -> list[tuple[int, str, str, float]]:
     """(tick, receiver, sender, raw) of each rssi.csv line the run holds."""
     rows = []
-    for line in res.rssi_lines:
+    for line in chunk_lines(res.rssi_chunks):
         tick, receiver, sender, raw, _ = line.split(",")
         rows.append((int(tick), receiver, sender, float(raw)))
     return rows
@@ -88,7 +88,7 @@ class TestTraces:
 
     def test_reception_counts_match_rows(self):
         res = run(builtin_scenario("static-honest", seed=3), collect_rssi=True)
-        total_rows = len(res.rssi_lines)
+        total_rows = sum(chunk.count("\n") for chunk in res.rssi_chunks)
         total_recv = sum(
             c["payload_recv"] + c["bft_recv"] + c["alert_recv"]
             for c in res.metrics.counts.values()
@@ -126,8 +126,8 @@ TRACE_FILES = ("rssi.csv", "events.jsonl", "metrics.json")
 
 
 class TestStreamedTraces:
-    """A run with an output directory streams its trace lines into the
-    files; a run without one holds the same lines."""
+    """A run with an output directory streams its trace chunks into the
+    files; a run without one holds the same chunks."""
 
     @pytest.mark.parametrize("collect_rssi", [True, False], ids=["rssi", "no-rssi"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -137,20 +137,59 @@ class TestStreamedTraces:
         streamed, written = tmp_path / "streamed", tmp_path / "written"
         run(scenario, out_dir=str(streamed), collect_rssi=collect_rssi)
         res = run(scenario, collect_rssi=collect_rssi)
-        assert "".join(res.event_lines).encode() == (streamed / "events.jsonl").read_bytes()
-        assert (RSSI_HEADER + "".join(res.rssi_lines)).encode() == (streamed / "rssi.csv").read_bytes()
-        for event, line in zip(res.events, res.event_lines, strict=True):
-            assert event.to_json() + "\n" == line
+        assert "".join(res.event_chunks).encode() == (streamed / "events.jsonl").read_bytes()
+        assert (RSSI_HEADER + "".join(res.rssi_chunks)).encode() == (streamed / "rssi.csv").read_bytes()
+        for event, line in zip(res.events, chunk_lines(res.event_chunks), strict=True):
+            assert event.to_json() == line
         write_traces(res, str(written))
         for file_name in TRACE_FILES:
             assert (streamed / file_name).read_bytes() == (written / file_name).read_bytes(), file_name
         if not collect_rssi:
             assert (streamed / "rssi.csv").read_text() == RSSI_HEADER
 
+    def test_held_chunks_are_the_streamed_files(self, tmp_path):
+        """A held run of several chunks: joined, its chunks are the file
+        bytes, each ends a line, a row whose label holds a line separator
+        other than "\\n" stays whole, and the events read across chunk
+        boundaries."""
+        doc = builtin_scenario("paper-fig7", seed=1).to_dict()
+        renamed = {"n1": "n\x851", "n5": "n\u20285"}
+        for node in doc["nodes"]:
+            node["id"] = renamed.get(node["id"], node["id"])
+        for movement in doc["movements"]:
+            movement["node"] = renamed.get(movement["node"], movement["node"])
+        scenario = Scenario.from_dict(doc)
+        streamed = tmp_path / "streamed"
+        run(scenario, out_dir=str(streamed))
+        res = run(scenario)
+        chunk = polsim.harness._WRITE_CHUNK_LINES
+        for chunks, file_name, header in (
+            (res.event_chunks, "events.jsonl", ""),
+            (res.rssi_chunks, "rssi.csv", RSSI_HEADER),
+        ):
+            assert len(chunks) >= 3, file_name
+            assert all(text.endswith("\n") for text in chunks), file_name
+            assert (header + "".join(chunks)).encode() == (streamed / file_name).read_bytes()
+        rows = [line.split(",") for line in chunk_lines(res.rssi_chunks)]
+        assert {len(row) for row in rows} == {5}
+        assert {row[2] for row in rows} == {"n\x851", "n2", "n3", "n4", "n\u20285"}
+        lines = (streamed / "events.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+        assert len(res.events) == len(lines) > 2 * chunk
+        assert [event.to_json() for event in res.events] == lines
+
+    def test_held_result_keeps_no_list_per_line(self):
+        """Each list a held result keeps has one item per chunk, not per line."""
+        res = run(builtin_scenario("paper-fig7", seed=1))
+        # one rssi.csv row per reception
+        rows = sum(c["payload_recv"] + c["bft_recv"] + c["alert_recv"] for c in res.metrics.counts.values())
+        most = max(len(res.events), rows) // polsim.harness._WRITE_CHUNK_LINES + 1
+        lists = {name: len(value) for name, value in vars(res).items() if isinstance(value, list)}
+        assert lists and max(lists.values()) <= most, lists
+
     def test_streamed_result_carries_no_records(self, tmp_path):
         out = tmp_path / "out"
         res = run(builtin_scenario("malicious-bft", seed=1), out_dir=str(out))
-        assert res.events is None and res.event_lines is None and res.rssi_lines is None
+        assert res.events is None and res.event_chunks is None and res.rssi_chunks is None
         assert res.out_dir == str(out)
         assert res.metrics.counts["n1"]["payload_sent"] > 0
         for read in (res.bft_events, res.alert_events):
@@ -202,14 +241,14 @@ class TestStreamedTraces:
         assert all(fh.closed for fh in opened)
         assert not (tmp_path / "metrics.json").exists()
 
-    def test_streamed_buffers_hold_str_lines_only(self, monkeypatch, tmp_path):
+    def test_buffers_hold_str_only(self, monkeypatch, tmp_path):
         held = set()
         end_tick = polsim.harness._LineSink.end_tick
 
-        def inspecting_end_tick(sink):
+        def inspecting_end_tick(sink, *least):
             held.update(map(type, sink.event_lines))
-            held.update(map(type, sink.row_lines))
-            end_tick(sink)
+            held.update(map(type, sink.rssi_chunks))
+            end_tick(sink, *least)
 
         monkeypatch.setattr(polsim.harness._LineSink, "end_tick", inspecting_end_tick)
         run(builtin_scenario("malicious-bft", seed=1), out_dir=str(tmp_path))
@@ -218,12 +257,12 @@ class TestStreamedTraces:
         held.clear()
         res = run(builtin_scenario("malicious-bft", seed=1))
         assert held == {str}
-        assert {type(line) for line in (*res.event_lines, *res.rssi_lines)} == {str}
+        assert {type(chunk) for chunk in (*res.event_chunks, *res.rssi_chunks)} == {str}
         # `events` parses the lines on each iteration and keeps no list of its own
         assert "events" not in vars(res) and not isinstance(res.events, list)
         first = next(iter(res.events))
         assert first == next(iter(res.events)) and first is not next(iter(res.events))
-        assert len(res.events) == len(res.event_lines)
+        assert len(res.events) == sum(chunk.count("\n") for chunk in res.event_chunks)
 
     def test_memory_flat_with_duration(self, tmp_path):
         peaks = {}
@@ -326,13 +365,11 @@ def oracle_rows(tick, receiver, receptions):
     return want
 
 
-def encoded_rows(sink, count):
-    """The last `count` row lines of a held sink, read after it encodes its
-    kept rows, and taken out of it."""
-    sink._encode_rows()
-    lines = sink.row_lines
-    rows = lines[len(lines) - count:]
-    del lines[len(lines) - count:]
+def encoded_rows(sink):
+    """The row lines a held sink encodes from its kept rows, taken out of it."""
+    sink.end_tick(1)
+    rows = [f"{line}\n" for line in chunk_lines(sink.rssi_chunks)]
+    sink.rssi_chunks.clear()
     return rows
 
 
@@ -376,7 +413,7 @@ class TestLineTemplates:
             single.ignore(tick, node, "expired", f"{m.sender}#{m.seq}")
         assert bulk.event_lines == single.event_lines
         assert bulk.tally[node] == single.tally[node]
-        events = list(polsim.harness.TraceEvents(bulk.event_lines))
+        events = list(polsim.harness.TraceEvents(["".join(bulk.event_lines)]))
         # a parsed line holds the label as JSON decodes it, which joins a surrogate pair
         decoded = json.loads(json.dumps(node))
         assert polsim.harness._tally(events) == ({decoded: single.tally[node]} if messages else {})
@@ -424,7 +461,7 @@ class TestLineTemplates:
         empty when the sender has no row or its row no value."""
         inbox, labels, peers = row_round(receptions)
         line_sink.row(tick, receiver, inbox, labels, peers)
-        assert encoded_rows(line_sink, len(inbox)) == oracle_rows(tick, receiver, receptions)
+        assert encoded_rows(line_sink) == oracle_rows(tick, receiver, receptions)
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["held", "streamed"])
     def test_rows_across_a_chunk_boundary(self, streamed, tmp_path):
@@ -451,19 +488,19 @@ class TestLineTemplates:
             sink.end_tick()
             if tick == 1:
                 assert sink._row_templates == []
-        sink._encode_rows()
+        sink.end_tick(1)
         sink.close()
         if streamed:
             text = (tmp_path / "rssi.csv").read_text(encoding="utf-8")
             assert text == RSSI_HEADER + "".join(want)
         else:
-            assert sink.row_lines == want
+            assert sink.rssi_chunks == ["".join(want[:len(want) - 4]), "".join(want[len(want) - 4:])]
 
     def rows(self, line_sink, node, inbox, now):
         """The rssi.csv rows of `node`'s inbox at tick `now`, read from its peer rows."""
         labels = {msg.sender: str(msg.sender) for msg, _ in inbox}
         line_sink.row(now, "me", inbox, labels, node.store.peers)
-        return encoded_rows(line_sink, len(inbox))
+        return encoded_rows(line_sink)
 
     def test_self_echo_row_has_no_smoothed_value(self, line_sink):
         """A payload under the receiver's own id is a self-echo: the node

@@ -53,6 +53,12 @@ OTHER = NodeId.from_str("02:00:00:00:00:03")
 EXTRAS = [NodeId.from_str(f"02:00:00:00:00:0{i}") for i in (4, 5, 6)]
 
 
+def link(store, peer):
+    """(heard, sample values) of the store's link to `peer`; (None, []) without a row."""
+    rec = store.peer(peer)
+    return (None, []) if rec is None else (rec.heard, rec.samples.tolist())
+
+
 def make_node(node_class=NodeState, **kwargs) -> NodeState:
     params = kwargs.pop("params", ProtocolParams(tau=2))
     node = node_class(
@@ -156,7 +162,7 @@ class TestReceivePayload:
         actions = node.receive_payload(msg, -52.0, 10)
         assert actions == []
         assert len(node.pool) == 1
-        assert node.store.history(PEER) == ((10, -52.0),)
+        assert link(node.store, PEER) == (10, [-52.0])
 
     def test_duplicate_seq_single_pool_entry(self):
         node = make_node()
@@ -165,7 +171,8 @@ class TestReceivePayload:
         node.receive_payload(msg, -53.0, 11)
         assert len(node.pool) == 1
         # the second reception's RSSI is still recorded
-        assert node.store.history(PEER)[-1] == (11, -53.0)
+        heard, values = link(node.store, PEER)
+        assert (heard, values[-1]) == (11, -53.0)
 
     def test_stale_message_ignored(self):
         node = make_node()
@@ -490,11 +497,12 @@ class TestOwnLinkAppendPath:
         for t in range(1, 100):
             node.ingest_sample(PEER, -50.0 - t % 3, t)
         assert calls == list(range(1, 100))
-        assert len(node.store.history(PEER)) == node.params.history_window
+        assert len(node.store.peer(PEER).samples) == node.params.history_window
         assert node.ingest_sample(PEER, -70.0, 99) == node.smoothed_rssi(PEER)
         assert node.ingest_sample(PEER, -70.0, 98) == node.smoothed_rssi(PEER)
         assert calls == [*range(1, 100), 99, 98]
-        assert node.store.history(PEER)[-1] == (99, -50.0)
+        heard, values = link(node.store, PEER)
+        assert (heard, values[-1]) == (99, -50.0)
 
     def test_sample_under_own_id_raises(self):
         """A node has no link to itself: such a sample is an error, not a
@@ -565,7 +573,7 @@ class TestOwnLinkAppendPath:
                     if bft_trigger(ref_trigger, expected, now):
                         ref_pending = now
                 assert got == expected
-            assert node.store.history(PEER) == ref_store.history(PEER)
+            assert link(node.store, PEER) == link(ref_store, PEER)
             own = ref_store.latest_smoothed(PEER)
             assert node.store.latest_smoothed(PEER) == own
             assert node.smoothed_rssi(PEER) == (None if own is None or ref_smooth is None else own[1])
@@ -741,8 +749,8 @@ class TestReceiveBft:
         actions = node.receive_bft(msg, -51.0, 21)
         assert actions == []
         assert node.store.latest_reports_of(OTHER) == {PEER: Report(21, -47.0, Location(4.0, 0.0, 0.0))}
-        assert node.store.history(PEER) == ((21, -51.0),)
-        assert node.store.history(OTHER) == ()
+        assert link(node.store, PEER) == (21, [-51.0])
+        assert link(node.store, OTHER) == (None, [])
         assert node.store.count_recent_bft(OTHER, 100, 21) == 1
 
     def test_first_report_per_tick_kept_until_a_later_tick(self):
@@ -1041,7 +1049,8 @@ class TestDispatch:
         want = getattr(direct, step)(msg, -49.0, 21)
         assert routed.receive_message(msg, -49.0, 21) == want
         assert node_state(routed) == node_state(direct)
-        assert routed.store.history(msg.sender)[-1] == (21, -49.0)  # the reception was measured
+        heard, values = link(routed.store, msg.sender)
+        assert (heard, values[-1]) == (21, -49.0)  # the reception was measured
         assert ticked.tick([(msg, -49.0)], now=21) == want + routed.validate_pool(21)
         assert node_state(ticked) == node_state(routed)
 
@@ -1087,7 +1096,7 @@ class TestHistoryWindow:
             node.ingest_sample(PEER, -80.0 if t < 60 else -50.0, t)
         # the median of all 100 samples is -80; of only the last 64 it is -50
         params = node.params
-        assert len(node.store.history(PEER)) == 100
+        assert len(node.store.peer(PEER).samples) == 100
         assert node.store.history_consistent(PEER, -80.0, params.consistency_tol)
 
 
@@ -1145,10 +1154,10 @@ class TestMovedFlag:
         fresh_smooth, fresh_trigger = node.filter_params.link_state()
         assert peer.smooth is not old_smooth and peer.smooth.args == fresh_smooth.args
         assert peer.trigger is not old_trigger and peer.trigger == fresh_trigger
-        assert len(peer.history) == 10  # the measured samples stay
+        assert len(peer.samples) == 10  # the measured samples stay
         for rec in (raw, node.store.peer(OTHER)):
             assert rec.smooth is None and rec.trigger is None
-        assert raw.history == [(9, -60.0)]
+        assert (raw.heard, raw.samples.tolist()) == (9, [-60.0])
 
     def test_announced_move_leaves_no_stale_own_anchor(self):
         node = make_node()

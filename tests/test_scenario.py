@@ -244,6 +244,18 @@ class TestValidation:
                            f"(an rssi.csv field), not {bad!r}"))
                 for bad in ("n,1", 'n"1', "n\r1", "n\n1")
             ),
+            # a mac is six two-hex-digit octets: nothing int(..., 16) would also read
+            *(
+                ({"nodes": [{"id": "a", "mac": mac, "position": [0, 0, 0]}]},
+                 re.escape(f"nodes[0]: mac octet {octet!r} of {mac!r} is not two hex digits"))
+                for mac, octet in (
+                    ("0x2:00:00:00:00:01", "0x2"), ("+2:00:00:00:00:01", "+2"), (" 2:00:00:00:00:01", " 2"),
+                    ("0_2:00:00:00:00:01", "0_2"), ("002:00:00:00:00:01", "002"), ("2:0:0:0:0:1", "2"),
+                    ("zz:00:00:00:00:01", "zz"),
+                )
+            ),
+            ({"nodes": [{"id": "a", "mac": "02:00:00:00:01", "position": [0, 0, 0]}]},
+             re.escape("nodes[0]: mac must be six octets joined by ':', not '02:00:00:00:01'")),
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
              "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
@@ -254,7 +266,9 @@ class TestValidation:
              "attack-period-bool", "channel-nan", "protocol-infinity", "filters-minus-infinity",
              "node-position-nan", "attacker-position-infinity", "bft-attacker-is-victim",
              "transmitter-index-16", "transmitter-id-is-a-node-mac",
-             "node-id-comma", "node-id-quote", "node-id-cr", "node-id-lf"],
+             "node-id-comma", "node-id-quote", "node-id-cr", "node-id-lf",
+             "mac-0x", "mac-plus", "mac-space", "mac-underscore", "mac-three-digits", "mac-one-digit",
+             "mac-not-hex", "mac-five-octets"],
     )
     def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()

@@ -20,6 +20,12 @@ D = NodeId.from_str("02:00:00:00:00:04")
 HERE = Location(1.0, 0.0, 0.0)
 
 
+def link(store, peer):
+    """(heard, sample values) of the store's link to `peer`; (None, []) without a row."""
+    rec = store.peer(peer)
+    return (None, []) if rec is None else (rec.heard, rec.samples.tolist())
+
+
 def make_store(capacity=64):
     store = TopologyStore(A, capacity=capacity)
     for node in (B, C, D):
@@ -31,8 +37,8 @@ class TestRecordRssi:
     def test_first_record_creates_link(self):
         store = make_store()
         store.record_rssi(B, 1, -40.0)
-        assert store.history(B) == ((1, -40.0),)
-        assert store.history(C) == ()
+        assert link(store, B) == (1, [-40.0])
+        assert link(store, C) == (None, [])
 
     def test_rejects_own_id(self):
         with pytest.raises(ValueError):
@@ -42,16 +48,16 @@ class TestRecordRssi:
         store = make_store(capacity=8)
         for t in range(9):
             store.record_rssi(B, t, -40.0 - t)
-        history = store.history(B)
-        assert len(history) == 8
-        assert history[0] == (1, -41.0)  # t=0 evicted
+        heard, values = link(store, B)
+        assert heard == 8 and len(values) == 8
+        assert values[0] == -41.0  # t=0 evicted
 
     def test_same_tick_rejected(self):
         store = make_store()
         store.record_rssi(B, 5, -40.0)
         with pytest.raises(OrderingError):
             store.record_rssi(B, 5, -41.0)
-        assert store.history(B) == ((5, -40.0),)
+        assert link(store, B) == (5, [-40.0])
 
     def test_backwards_time_rejected(self):
         store = make_store()
@@ -63,7 +69,7 @@ class TestRecordRssi:
         store = TopologyStore(A, capacity=4)
         rec = store.record_rssi(B, 1, -40.0)
         assert store.trust_changed and store.peer(B) is rec
-        assert (rec.id, rec.location, rec.trust.value, rec.history) == (B, None, 1.0, [(1, -40.0)])
+        assert (rec.id, rec.location, rec.trust.value, rec.heard, rec.samples.tolist()) == (B, None, 1.0, 1, [-40.0])
         assert rec.smooth is None and rec.trigger is None and rec.smoothed is None
         store.trust_changed = False
         assert store.record_rssi(B, 2, -41.0) is rec
@@ -309,4 +315,12 @@ class TestStoreProperties:
                 store.record_rssi(peer, t, value)
                 model[peer] = kept + [(t, value)]
             for node in (A, B, C, D):
-                assert store.history(node) == tuple(model.get(node, [])[-capacity:])
+                kept = model.get(node, [])[-capacity:]
+                assert link(store, node) == (kept[-1][0] if kept else None, [v for _, v in kept])
+                median = sorted(v for _, v in kept)[(len(kept) - 1) // 2] if kept else None
+                for candidate, tol in ((value, 0.0), (-60.0, 5.0)):
+                    want = median is None or abs(candidate - median) <= tol
+                    assert store.history_consistent(node, candidate, tol) == want
+            for window in (0, 5):
+                heard = sum(1 for kept in model.values() if t - kept[-1][0] <= window)
+                assert store.links_heard_within(window, t) == heard
