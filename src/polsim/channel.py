@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import cos, log, sin, sqrt, tau
 from typing import Optional
 from .localization import PathLossModel, rssi_value_from_distance
-from .messages import Location, Message, NodeId, RSSI_MAX, RSSI_MIN
+from .messages import Location, NodeId, RSSI_MAX, RSSI_MIN
 
 MAX_ASYMMETRY_JITTER = 2.5  # keeps |RSSI_AB - RSSI_BA| <= 5 dB before noise
 
@@ -112,13 +112,14 @@ class RadioChannel:
         self._levels[sender] = levels
         return levels
 
-    def broadcast(self, sender: NodeId, msg: Message, now: int) -> list[tuple[NodeId, float]]:
-        """Deliver `msg` to every other registered node within range.
+    def broadcast(self, sender: NodeId) -> list[tuple[NodeId, float]]:
+        """Deliver one transmission of `sender` to every other registered
+        node within range.
 
         Returns (receiver, reception RSSI in dB) pairs in ascending receiver
         order, each value a float clamped into [RSSI_MIN, RSSI_MAX]. The
-        sender is the physical transmitter; the message's claimed sender
-        field may differ (identity spoofing).
+        sender is the physical transmitter; the claimed sender field of the
+        message it carries may differ (identity spoofing).
         """
         levels = self._levels.get(sender)
         if levels is None:

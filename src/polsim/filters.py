@@ -246,13 +246,12 @@ class TriggerState:
     cooldown: int
     rebaseline_after: int = 90
     warmup: int = 0
-    samples: int = 0  # warm-up samples seen, stops at `warmup`
-    last_reported: Optional[float] = None
-    last_fire: Optional[int] = None
-    last_baseline: Optional[int] = None
-    # the last FLAT_WINDOW smoothed values after warm-up, oldest first; an
-    # init field only so that `dataclasses.replace` carries it over
-    recent: deque[float] = field(default_factory=partial(deque, maxlen=FLAT_WINDOW))
+    samples: int = field(default=0, init=False)  # warm-up samples seen, stops at `warmup`
+    last_reported: Optional[float] = field(default=None, init=False)
+    last_fire: Optional[int] = field(default=None, init=False)
+    last_baseline: Optional[int] = field(default=None, init=False)
+    # the last FLAT_WINDOW smoothed values after warm-up, oldest first
+    recent: deque[float] = field(default_factory=partial(deque, maxlen=FLAT_WINDOW), init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
@@ -261,8 +260,6 @@ class TriggerState:
             raise ValueError("cooldown must be >= 0 and rebaseline_after >= 1")
         if not self.warmup >= 0:
             raise ValueError("warmup must be >= 0")
-        if not (type(self.recent) is deque and self.recent.maxlen == FLAT_WINDOW):
-            raise TypeError(f"recent must be a deque(maxlen={FLAT_WINDOW}), not {self.recent!r}")
 
     def cooldown_over(self, now: int) -> bool:
         return self.last_fire is None or now - self.last_fire >= self.cooldown

@@ -7,7 +7,9 @@ returns queue for the next tick. The whole run is a pure function of
 the scenario (seed included); traces are byte-stable across runs.
 
 Trace outputs, one line per record:
-  rssi.csv     one row per reception: tick,receiver,sender,rssi_raw,rssi_smoothed
+  rssi.csv     one row per reception: tick,receiver,sender,rssi_raw,rssi_smoothed;
+               rssi_smoothed is the receiver's `PeerRecord.smoothed` for the
+               sender after its round, empty while that is None
   events.jsonl one JSON object per node action: {tick, node, action, details}
   metrics.json run summary, cross-checked against the event log, written last
 
@@ -400,21 +402,21 @@ class _LineSink:
         peers: dict[NodeId, PeerRecord],
     ) -> None:
         """The rssi.csv rows of one receiver's round, one per (message, raw
-        RSSI) of its inbox: the sender's label from `labels`, and the smoothed
-        value from the `smoothed` (tick, value) of the sender's row in
-        `peers`, empty when the sender has no row or the row no value. The
-        rows are kept as templates and values until their chunk is encoded."""
+        RSSI) of its inbox: the sender's label from `labels`, and the
+        `smoothed` value of the sender's row in `peers`, empty when the
+        sender has no row or the row no value. The rows are kept as
+        templates and values until their chunk is encoded."""
         head = f"{tick},{receiver},"
         templates = self._row_templates
         values = self._row_values
         for msg, raw in inbox:
             sender = msg.sender
-            if (rec := peers.get(sender)) is None or (entry := rec.smoothed) is None:
+            if (rec := peers.get(sender)) is None or (smoothed := rec.smoothed) is None:
                 templates.append(_ROW_UNSMOOTHED)
                 values += (head, labels[sender], raw)
             else:
                 templates.append(_ROW)
-                values += (head, labels[sender], raw, entry[1])
+                values += (head, labels[sender], raw, smoothed)
 
     def end_tick(self, least: int = _WRITE_CHUNK_LINES) -> None:
         """Hand on as one chunk each buffer of at least `least` lines: the
@@ -579,7 +581,7 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
         inboxes: dict[NodeId, list[tuple[Message, float]]] = {mac: [] for mac in node_order}
         for phys_sender, msg in broadcasts:
             received = _RECV_COUNTS[type(msg)]
-            for receiver, rssi in channel.broadcast(phys_sender, msg, tick):
+            for receiver, rssi in channel.broadcast(phys_sender):
                 inbox = inboxes.get(receiver)
                 if inbox is not None:
                     inbox.append((msg, rssi))

@@ -4,8 +4,9 @@ A log-distance path-loss model maps RSSI to range estimates; a Gauss-Newton
 least-squares solver combines ranges from several observers of known position
 into a location estimate. `locate_and_verify` ties both to the topology
 store: it estimates a payload sender's position from the node's own smoothed
-measurement plus peer measurements extracted from BFT messages, and checks
-the estimate against the location the payload was signed with.
+measurement, fresh while the link's newest sample is, plus peer measurements
+extracted from BFT messages, and checks the estimate against the location
+the payload was signed with.
 """
 
 from __future__ import annotations
@@ -238,15 +239,17 @@ def gather_anchors(
 ) -> list[Anchor]:
     """Collect usable observers of `subject`: self plus reporting peers.
 
-    The node's own anchor uses its current smoothed RSSI of the subject. Peer
-    anchors come from the newest report per reporter (extracted from BFT
-    messages) no older than `freshness` ticks; the anchor point is the
-    location the reporter claimed in its BFT message.
+    The node's own anchor uses its newest smoothed RSSI of the subject,
+    from the link's newest sample, when that sample is no older than
+    `freshness` ticks. Peer anchors come from the newest report per
+    reporter (extracted from BFT messages) no older than `freshness` ticks;
+    the anchor point is the location the reporter claimed in its BFT
+    message.
     """
     anchors: list[Anchor] = []
-    own = store.latest_smoothed(subject)
-    if own is not None and now - own[0] <= freshness:
-        anchors.append((self_location.x, self_location.y, self_location.z, own[1]))
+    rec = store.peers.get(subject)
+    if rec is not None and rec.smoothed is not None and now - rec.heard <= freshness:
+        anchors.append((self_location.x, self_location.y, self_location.z, rec.smoothed))
     reports = store.latest_reports_of(subject)
     for peer_id in sorted(reports):
         entry = reports[peer_id]
@@ -286,7 +289,7 @@ def locate_and_verify(
     anchors = gather_anchors(subject, store, self_location, now, params.anchor_freshness)
     fixed_z: Optional[float] = None
     if len(anchors) < min_anchors:
-        rec = store.peer(subject)
+        rec = store.peers.get(subject)
         if len(anchors) == min_anchors - 1 and rec is not None and rec.location is not None:
             fixed_z = rec.location.z
         else:

@@ -231,11 +231,6 @@ class MessagePool:
                 expired.append(messages.popleft())
         return expired
 
-    def entries(self, sender: NodeId) -> list[tuple[PayloadMessage, int]]:
-        """The sender's pooled (message, reception tick) pairs, oldest first."""
-        pooled = self._by_sender.get(sender)
-        return list(zip(*pooled)) if pooled else []
-
     def newest(self, sender: NodeId) -> Optional[PayloadMessage]:
         """The sender's newest pooled payload, or None when it has none."""
         pooled = self._by_sender.get(sender)
@@ -305,19 +300,15 @@ class NodeState:
             return self.smoothed_rssi(peer)
         if rec.smooth is None:
             rec.smooth, rec.trigger = self.filter_params.link_state()
-        smoothed = rec.smooth(rssi)
-        rec.smoothed = (now, smoothed)
+        smoothed = rec.smoothed = rec.smooth(rssi)
         if bft_trigger(rec.trigger, smoothed, now):
             self._pending.add(peer)
         return smoothed
 
     def smoothed_rssi(self, peer: NodeId) -> Optional[float]:
-        """The link's newest smoothed value, or None while the row has no
-        smoother: a value stored past `ingest_sample` is no measurement."""
-        rec = self.store.peer(peer)
-        if rec is None or rec.smooth is None or rec.smoothed is None:
-            return None
-        return rec.smoothed[1]
+        """The link's newest smoothed value, or None when it has none."""
+        rec = self.store.peers.get(peer)
+        return None if rec is None else rec.smoothed
 
     def on_moved(self, to: Location, now: int, announce: bool) -> None:
         """Relocate the node. An announced move (the node noticed, e.g. via an
@@ -352,7 +343,7 @@ class NodeState:
     def distrust(self, target: NodeId, now: int) -> bool:
         """Low trust in the target (one with no peer record is trusted), or
         enough distinct peers questioned it."""
-        rec = self.store.peer(target)
+        rec = self.store.peers.get(target)
         if rec is not None and rec.trust.value < self.params.epsilon:
             return True
         count = self.store.count_recent_bft(target, self.params.bft_window, now)
@@ -442,7 +433,7 @@ class NodeState:
     def _emit_bft(self, rec: PeerRecord, now: int, ref_seq: Optional[int]) -> BftMessage:
         """The BFT message reporting the row's newest smoothed value."""
         subject = rec.id
-        _, smoothed = rec.smoothed
+        smoothed = rec.smoothed
         msg = BftMessage(
             sender=self.self_id,
             sender_location=self.self_location,

@@ -2,11 +2,12 @@
 
 Mirrors the topology storage matrix each sensor node maintains: one row per
 known node holding its identity (MAC, location, trust score) and, for a peer
-the node has measured, the last RSSI values on that link with the newest
-one's tick and the link's smoothing and trigger state. Beside the rows it
-keeps the newest report per reporter about each subject other than the node
-itself, learned from BFT messages, and per subject the BFT messages seen
-about it, which back the distrust predicate's dissent counting.
+the node has measured, the last RSSI values on that link, the newest one's
+tick and smoothed value, and the link's smoothing and trigger state. Beside
+the rows it keeps the newest report per reporter about each subject other
+than the node itself, learned from BFT messages, and per subject the BFT
+messages seen about it, which back the distrust predicate's dissent
+counting.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ class PeerRecord:
     """Everything a node keeps about one known node.
 
     The identity attributes come first. The rest is the node's own link to
-    the peer: the last measured values, oldest first, the newest one's tick,
-    the newest smoothed `(tick, value)`, and the smoother and trigger that
-    made it, which stay None until the node counts a sample. A row without
-    samples is no link. `smooth` is a `functools.partial` over its filter
-    state and compares by identity, so rows compare without it.
+    the peer: the last measured values, oldest first, the newest one's tick
+    `heard`, the newest smoothed value, which is from tick `heard`, and the
+    smoother and trigger that made it, which stay None until the node counts
+    a sample. A row without samples is no link. `smooth` is a
+    `functools.partial` over its filter state and compares by identity, so
+    rows compare without it.
     """
 
     id: NodeId
@@ -52,7 +54,7 @@ class PeerRecord:
     trust: TrustScore = field(default_factory=lambda: TrustScore(1.0))
     samples: array = field(default_factory=partial(array, "d"))
     heard: Optional[int] = None
-    smoothed: Optional[tuple[int, float]] = None
+    smoothed: Optional[float] = None
     smooth: Optional[Callable[[float], float]] = field(default=None, compare=False)
     trigger: Optional[TriggerState] = None
     # one contradiction-driven BFT allowed per deviation episode; replenished
@@ -89,9 +91,6 @@ class TopologyStore:
     def add_peer(self, record: PeerRecord) -> None:
         self.peers[record.id] = record
         self.trust_changed = True
-
-    def peer(self, node: NodeId) -> Optional[PeerRecord]:
-        return self.peers.get(node)
 
     def ensure_peer(self, node: NodeId) -> PeerRecord:
         rec = self.peers.get(node)
@@ -187,14 +186,11 @@ class TopologyStore:
     # and clears them all on an announced move, so its readers and the
     # verifier's own anchor never see a value from before the move.
 
-    def update_smoothed(self, peer: NodeId, t: int, value: float) -> None:
-        """Set the link's smoothed value. NodeState writes `PeerRecord.smoothed`
-        on the row it holds; tests and perfbench/tracer.py call this."""
-        self.peers[peer].smoothed = (t, value)
-
-    def latest_smoothed(self, peer: NodeId) -> Optional[tuple[int, float]]:
-        rec = self.peers.get(peer)
-        return None if rec is None else rec.smoothed
+    def update_smoothed(self, peer: NodeId, value: float) -> None:
+        """Set the smoothed value of the link's newest sample. NodeState
+        writes `PeerRecord.smoothed` on the row it holds; tests call this,
+        and perfbench/tracer.py wraps it by name."""
+        self.peers[peer].smoothed = value
 
     # -- BFT sightings, per subject -----------------------------------------
 

@@ -5,8 +5,8 @@ The check is by name, not by type: `x.record_rssi(...)` counts as a call of
 every method called `record_rssi`. A method counts as named only where its
 name is an attribute, `x.name`: a local variable of the same name calls
 nothing. A function counts as a variable or an attribute. A definition with
-no caller in the package either goes or is listed in ALLOWED with its
-reason.
+no caller in the package either goes or is listed in ALLOWED with the
+file that reads it and why; that file must still name it.
 """
 
 import ast
@@ -15,15 +15,16 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polsim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polsim"
 
+# qualified name -> (the file outside src/polsim that reads it, why it stays)
 ALLOWED = {
-    "harness.write_traces": "wrapped by perfbench/tracer.py",
-    "topology.TopologyStore.update_smoothed": "wrapped by perfbench/tracer.py",
-    "messages.encode_message": "public API with test-only callers, ROADMAP item 5",
-    "protocol.NodeState.receive_wire": "public API with test-only callers, ROADMAP item 5",
-    "protocol.MessagePool.entries": "read by the pool tests in tests/test_protocol.py and tests/test_harness.py",
-    "harness.RunResult.events": "read by perfbench/workloads.py, which hashes a held run's events",
+    "harness.write_traces": ("perfbench/tracer.py", "wraps it by name, ROADMAP item 1"),
+    "topology.TopologyStore.update_smoothed": ("perfbench/tracer.py", "wraps it by name, ROADMAP item 1"),
+    "messages.encode_message": ("tests/test_messages.py", "public API with test-only callers, ROADMAP item 6"),
+    "protocol.NodeState.receive_wire": ("tests/test_protocol.py", "public API with test-only callers, ROADMAP item 6"),
+    "harness.RunResult.events": ("perfbench/workloads.py", "hashes a held run's events"),
 }
 
 
@@ -79,6 +80,21 @@ def test_every_definition_has_a_caller(package_uncalled):
 def test_allowed_definitions_are_still_uncalled(package_uncalled):
     """An allowed name that gained a caller in the package leaves the list."""
     assert sorted(ALLOWED.keys() - set(package_uncalled)) == []
+
+
+def test_allowed_definitions_are_still_read_by_their_file():
+    """An allowed name whose reader stopped naming it leaves the list. The
+    reader names it as the package does, or as a whole string (a name the
+    tracer wraps)."""
+    unread = []
+    for qualname, (reader, _why) in ALLOWED.items():
+        tree = ast.parse((ROOT / reader).read_text(encoding="utf-8"))
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        name = qualname.rsplit(".", 1)[1]
+        is_method = qualname.count(".") == 2
+        if name not in _names(tree, attributes_only=is_method) and name not in strings:
+            unread.append(qualname)
+    assert unread == []
 
 
 def test_check_flags_an_uncalled_definition():

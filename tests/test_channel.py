@@ -8,21 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from polsim.channel import MAX_ASYMMETRY_JITTER, ChannelConfig, RadioChannel, UnknownNodeError
 from polsim.localization import PathLossModel, rssi_value_from_distance
-from polsim.messages import (
-    RSSI_MAX,
-    RSSI_MIN,
-    Location,
-    LocationKey,
-    NodeId,
-    PayloadMessage,
-    SensorType,
-)
+from polsim.messages import RSSI_MAX, RSSI_MIN, Location, NodeId
 
 A = NodeId.from_str("02:00:00:00:00:01")
 B = NodeId.from_str("02:00:00:00:00:02")
 C = NodeId.from_str("02:00:00:00:00:03")
-
-MSG = PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0)
 
 
 def quiet_channel(**overrides) -> RadioChannel:
@@ -36,7 +26,7 @@ class TestBroadcast:
         ch = quiet_channel()
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
-        deliveries = ch.broadcast(A, MSG, 0)
+        deliveries = ch.broadcast(A)
         assert len(deliveries) == 1
         receiver, rssi = deliveries[0]
         assert receiver == B
@@ -47,13 +37,13 @@ class TestBroadcast:
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
         ch.register(C, Location(50.0, 0.0, 0.0))
-        receivers = [r for r, _ in ch.broadcast(A, MSG, 0)]
+        receivers = [r for r, _ in ch.broadcast(A)]
         assert receivers == [B]
 
     def test_unregistered_sender_errors(self):
         ch = quiet_channel()
         with pytest.raises(UnknownNodeError):
-            ch.broadcast(A, MSG, 0)
+            ch.broadcast(A)
 
     def test_same_seed_same_deliveries(self):
         def one_run():
@@ -62,8 +52,8 @@ class TestBroadcast:
             ch.register(B, Location(1.0, 0.0, 0.0))
             ch.register(C, Location(2.0, 0.0, 0.0))
             out = []
-            for t in range(20):
-                out.append([(str(r), rssi) for r, rssi in ch.broadcast(A, MSG, t)])
+            for _ in range(20):
+                out.append([(str(r), rssi) for r, rssi in ch.broadcast(A)])
             return out
 
         assert one_run() == one_run()
@@ -72,7 +62,7 @@ class TestBroadcast:
         ch = quiet_channel()
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
-        assert all(r != A for r, _ in ch.broadcast(A, MSG, 0))
+        assert all(r != A for r, _ in ch.broadcast(A))
 
 
 class TestMove:
@@ -80,9 +70,9 @@ class TestMove:
         ch = quiet_channel()
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
-        before = ch.broadcast(A, MSG, 0)[0][1]
+        before = ch.broadcast(A)[0][1]
         ch.move(B, Location(2.0, 0.0, 0.0))
-        after = ch.broadcast(A, MSG, 1)[0][1]
+        after = ch.broadcast(A)[0][1]
         assert before == pytest.approx(-40.0)
         # doubling the distance with n=2 drops the level by 20*log10(2)
         assert before - after == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
@@ -91,9 +81,9 @@ class TestMove:
         ch = quiet_channel()
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.5, 0.0, 0.0))
-        before = ch.broadcast(A, MSG, 0)[0][1]
+        before = ch.broadcast(A)[0][1]
         ch.move(B, Location(1.5, 0.0, 0.0))
-        assert ch.broadcast(A, MSG, 1)[0][1] == pytest.approx(before)
+        assert ch.broadcast(A)[0][1] == pytest.approx(before)
 
     def test_unknown_node_errors(self):
         ch = quiet_channel()
@@ -117,8 +107,8 @@ class TestAsymmetry:
             for y in (A, B, C):
                 if x == y:
                     continue
-                fwd = dict(ch.broadcast(x, MSG, 0))[y]
-                rev = dict(ch.broadcast(y, MSG, 0))[x]
+                fwd = dict(ch.broadcast(x))[y]
+                rev = dict(ch.broadcast(y))[x]
                 assert abs(fwd - rev) <= 5.0
                 assert abs(fwd - rev) <= 2.0  # 2 * jitter bound
 
@@ -126,7 +116,7 @@ class TestAsymmetry:
         ch = RadioChannel(ChannelConfig(noise_sigma=0.0, asymmetry_jitter=1.5, seed=7))
         ch.register(A, Location(0.0, 0.0, 0.0))
         ch.register(B, Location(1.0, 0.0, 0.0))
-        values = {ch.broadcast(A, MSG, t)[0][1] for t in range(10)}
+        values = {ch.broadcast(A)[0][1] for _ in range(10)}
         assert len(values) == 1  # no per-reception variation without noise
 
     def test_jitter_bound_enforced(self):
@@ -152,7 +142,7 @@ class TestMonotonicity:
         for i, d in enumerate((1.0, 2.0, 4.0, 8.0, 16.0)):
             node = NodeId(bytes([3, 0, 0, 0, 0, i]))
             ch.register(node, Location(d, 0.0, 0.0))
-        levels = [rssi for _, rssi in ch.broadcast(A, MSG, 0)]
+        levels = [rssi for _, rssi in ch.broadcast(A)]
         assert levels == sorted(levels, reverse=True)
         assert len(set(levels)) == len(levels)
 
@@ -185,8 +175,8 @@ class TestDeliveredValues:
             ch.register(node, Location(d, 0.0, 0.0))
         noise = random.Random()
         noise.setstate(RadioChannel(config)._noise.getstate())
-        for t in range(3):
-            got = ch.broadcast(A, MSG, t)
+        for _ in range(3):
+            got = ch.broadcast(A)
             assert [r for r, _ in got] == sorted(placed)
             for receiver, value in got:
                 level = rssi_value_from_distance(model, placed[receiver]) + ch.link_jitter(A, receiver)
@@ -263,7 +253,7 @@ class TestLinkLevelCache:
 
     def receivers(self, ch, ref, sender):
         """Broadcast once on both channels; the deliveries must be equal."""
-        got = ch.broadcast(sender, MSG, 0)
+        got = ch.broadcast(sender)
         assert got == ref.broadcast(sender)
         return [r for r, _ in got]
 

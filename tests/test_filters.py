@@ -300,11 +300,15 @@ class TestTrigger:
         initial = copy.deepcopy(warm)
         for t, v in enumerate(values[:k]):
             assert bft_trigger(warm, v, t) is False
-            assert dataclasses.replace(warm, samples=0) == initial
+            assert warm.samples == t + 1
+            counted = copy.deepcopy(warm)
+            counted.samples = 0
+            assert counted == initial
         fresh = TriggerState(threshold=threshold, cooldown=cooldown, rebaseline_after=5)
         rest = list(enumerate(values))[k:]
         assert [bft_trigger(warm, v, t) for t, v in rest] == [bft_trigger(fresh, v, t) for t, v in rest]
-        assert dataclasses.replace(warm, warmup=0, samples=0) == fresh
+        warm.warmup = warm.samples = 0
+        assert warm == fresh
 
 
 def reference_bft_trigger(state: TriggerState, smoothed: float, now: int) -> bool:
@@ -528,8 +532,9 @@ class TestTriggerFires:
         ids=["full", "part"],
     )
     def test_state_passed_in_with_recent_filled(self, monkeypatch, recent, first):
-        state = TriggerState(threshold=6.0, cooldown=30, last_reported=-50.0, last_baseline=-200,
-                             recent=collections.deque(recent, maxlen=FLAT_WINDOW))
+        state = TriggerState(threshold=6.0, cooldown=30)
+        state.last_reported, state.last_baseline = -50.0, -200
+        state.recent.extend(recent)
         ticks = list(range(200))
         calls, changes = self.counted_calls(monkeypatch, state, ticks, [-50.0] * 200)
         assert calls == changes == list(range(first, 200, 90))
@@ -550,6 +555,9 @@ class TestTriggerFires:
             TriggerState(threshold=6.0, cooldown=30, recent=[-50.0] * 20)
         with pytest.raises(TypeError, match="recent"):
             TriggerState(threshold=6.0, cooldown=30, recent=collections.deque())
+        for name, value in (("samples", 3), ("last_reported", -50.0), ("last_fire", 0), ("last_baseline", 0)):
+            with pytest.raises(TypeError, match=name):
+                TriggerState(threshold=6.0, cooldown=30, **{name: value})
         assert TriggerState(threshold=6.0, cooldown=30).recent.maxlen == FLAT_WINDOW
 
 

@@ -345,13 +345,13 @@ row_label = st.text(
 
 def row_round(receptions):
     """The inbox, labels and peer rows of (sender, label, raw, smoothed
-    entry or NO_ROW) receptions."""
+    value or NO_ROW) receptions."""
     inbox = [(SimpleNamespace(sender=sender), raw) for sender, _, raw, _ in receptions]
     labels = {sender: label for sender, label, _, _ in receptions}
     peers = {
-        sender: PeerRecord(sender, smoothed=entry)
-        for sender, _, _, entry in receptions
-        if entry is not NO_ROW
+        sender: PeerRecord(sender, smoothed=smoothed)
+        for sender, _, _, smoothed in receptions
+        if smoothed is not NO_ROW
     }
     return inbox, labels, peers
 
@@ -359,8 +359,8 @@ def row_round(receptions):
 def oracle_rows(tick, receiver, receptions):
     """The rssi.csv lines of the receptions, one f-string per row."""
     want = []
-    for _, label, raw, entry in receptions:
-        smooth = "" if entry is NO_ROW or entry is None else format(entry[1], ".6f")
+    for _, label, raw, smoothed in receptions:
+        smooth = "" if smoothed is NO_ROW or smoothed is None else format(smoothed, ".6f")
         want.append(f"{tick},{receiver},{label},{raw:.6f},{smooth}\n")
     return want
 
@@ -449,7 +449,7 @@ class TestLineTemplates:
                 st.binary(min_size=6, max_size=6).map(NodeId),
                 row_label,
                 st.floats(),
-                st.just(NO_ROW) | st.none() | st.tuples(st.integers(), st.floats()),
+                st.just(NO_ROW) | st.none() | st.floats(),
             ),
             max_size=5,
             unique_by=lambda reception: reception[0],
@@ -457,7 +457,7 @@ class TestLineTemplates:
     )
     def test_row_line(self, line_sink, tick, receiver, receptions):
         """One rssi.csv line per reception of the round, the smoothed value
-        read from the `smoothed` (tick, value) of the sender's peer row;
+        read from the `smoothed` value of the sender's peer row;
         empty when the sender has no row or its row no value."""
         inbox, labels, peers = row_round(receptions)
         line_sink.row(tick, receiver, inbox, labels, peers)
@@ -472,8 +472,8 @@ class TestLineTemplates:
         sink = polsim.harness._LineSink(str(tmp_path) if streamed else None)
         labels = ["n%1", "{n}", "n\u00e9\x85", "\u2028n"]
         receptions = [
-            (NodeId(bytes([2, 0, 0, 0, 0, i])), label, -40.0 - i / 7, entry)
-            for i, (label, entry) in enumerate(zip(labels, [NO_ROW, None, (1, -41.5), (2, -0.0)]))
+            (NodeId(bytes([2, 0, 0, 0, 0, i])), label, -40.0 - i / 7, smoothed)
+            for i, (label, smoothed) in enumerate(zip(labels, [NO_ROW, None, -41.5, -0.0]))
         ]
         inbox, by_id, peers = row_round(receptions)
         want = []
@@ -508,7 +508,7 @@ class TestLineTemplates:
         node = NodeState(ME, Location(0.0, 0.0, 0.0))
         inbox = [(PayloadMessage(ME, 1, SensorType.GENERIC, b"", b"\0" * 16, 5), -50.0)]
         node.tick(inbox, now=5)
-        assert node.store.peer(ME) is None
+        assert ME not in node.store.peers
         assert self.rows(line_sink, node, inbox, 5) == [f"5,me,{ME},-50.000000,\n"]
 
     def test_row_without_smoothed_value(self, line_sink):
@@ -519,7 +519,7 @@ class TestLineTemplates:
         inbox = [(PayloadMessage(PEER, 1, SensorType.GENERIC, b"", b"\0" * 16, 5), -50.0)]
         assert self.rows(line_sink, node, inbox, 5) == [f"5,me,{PEER},-50.000000,\n"]
         node.tick(inbox, now=5)
-        smoothed = node.store.peer(PEER).smoothed[1]
+        smoothed = node.store.peers[PEER].smoothed
         assert self.rows(line_sink, node, inbox, 5) == [f"5,me,{PEER},-50.000000,{smoothed:.6f}\n"]
         node.on_moved(Location(1.0, 0.0, 0.0), 6, announce=True)
         assert self.rows(line_sink, node, inbox, 6) == [f"6,me,{PEER},-50.000000,\n"]
@@ -527,19 +527,23 @@ class TestLineTemplates:
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_newest_smoothed_entry_is_smoothed_rssi(name, monkeypatch):
-    """The rssi.csv rows read the sender row's newest smoothed entry where
-    `NodeState.smoothed_rssi` also asks for the row's smoother: after every
-    round of a built-in run the two agree for every peer, because only
-    `ingest_sample` stores a smoothed value, after it gave the row a smoother."""
+    """The rssi.csv rows read the sender row's `smoothed` value and the node
+    reads `NodeState.smoothed_rssi`: after every round of a built-in run the
+    two agree for every peer, and a row with a value has a smoother and a
+    trigger, because only `ingest_sample` stores one, after it gave the row
+    both."""
     checked = [0]
     real_tick = NodeState.tick
 
     def tick(self, inbox, *, now):
         actions = real_tick(self, inbox, now=now)
         for peer in {*self.store.peers, *(msg.sender for msg, _ in inbox)}:
-            newest = self.store.latest_smoothed(peer)
-            assert self.smoothed_rssi(peer) == (None if newest is None else newest[1]), (now, peer)
-            checked[0] += newest is not None
+            rec = self.store.peers.get(peer)
+            newest = None if rec is None else rec.smoothed
+            assert self.smoothed_rssi(peer) == newest, (now, peer)
+            if newest is not None:
+                assert rec.smooth is not None and rec.trigger is not None, (now, peer)
+                checked[0] += 1
         return actions
 
     monkeypatch.setattr(NodeState, "tick", tick)
@@ -672,8 +676,8 @@ class TestReplayScenario:
         # the pool dedups on (sender, seq); stale handling precedes pooling,
         # so no sender can ever have two entries for one sequence number
         for node in res.nodes.values():
-            for sender in node.pool._by_sender:
-                seqs = [msg.seq for msg, _ in node.pool.entries(sender)]
+            for messages, _ticks in node.pool._by_sender.values():
+                seqs = [msg.seq for msg in messages]
                 assert len(seqs) == len(set(seqs))
                 assert len(seqs) <= node.params.pool_ttl + 1
 

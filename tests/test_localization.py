@@ -487,11 +487,10 @@ def seeded_store(subject_location: Location, *, reports_at: int = 100) -> Topolo
     self_loc = Location(0.0, 0.0, 0.0)
     peer_locs = [Location(4.0, 0.0, 0.0), Location(0.0, 4.0, 0.0), Location(0.0, 0.0, 4.0)]
     store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
-    store.update_smoothed(
-        SUBJECT,
-        reports_at,
-        rssi_value_from_distance(MODEL, subject_location.distance_to(self_loc)),
-    )
+    own = rssi_value_from_distance(MODEL, subject_location.distance_to(self_loc))
+    # the first smoothed output of a link is its first sample
+    store.record_rssi(SUBJECT, reports_at, own)
+    store.update_smoothed(SUBJECT, own)
     for peer, loc in zip(PEERS, peer_locs):
         store.add_peer(PeerRecord(id=peer, location=loc))
         store.record_report(
@@ -559,7 +558,8 @@ class TestLocateAndVerify:
     def test_only_self_measurement_insufficient(self):
         store = TopologyStore(SELF, capacity=64)
         store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
-        store.update_smoothed(SUBJECT, 100, -45.0)
+        store.record_rssi(SUBJECT, 100, -45.0)
+        store.update_smoothed(SUBJECT, -45.0)
         msg = payload_signed_at(Location(1.0, 1.0, 1.0))
         outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA

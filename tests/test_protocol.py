@@ -55,8 +55,14 @@ EXTRAS = [NodeId.from_str(f"02:00:00:00:00:0{i}") for i in (4, 5, 6)]
 
 def link(store, peer):
     """(heard, sample values) of the store's link to `peer`; (None, []) without a row."""
-    rec = store.peer(peer)
+    rec = store.peers.get(peer)
     return (None, []) if rec is None else (rec.heard, rec.samples.tolist())
+
+
+def pool_pairs(pool, sender):
+    """The sender's pooled (message, reception tick) pairs, oldest first."""
+    messages, ticks = pool._by_sender.get(sender, ((), ()))
+    return list(zip(messages, ticks))
 
 
 def make_node(node_class=NodeState, **kwargs) -> NodeState:
@@ -220,7 +226,7 @@ class TestMessagePoolDedup:
             seen.add(seq)
         assert len(pool) == sum(len(seen) for seen in model.values())
         for sender, seen in model.items():
-            assert [m.seq for m, _ in pool.entries(sender)] == [
+            assert [m.seq for m, _ in pool_pairs(pool, sender)] == [
                 seq for index, seq in dict.fromkeys(ops) if self.SENDERS[index] == sender
             ]
             assert pool._seen[sender] == canonical_runs(seen)
@@ -289,17 +295,19 @@ class TestMessagePoolLayout:
             assert list(pool._by_sender) == first_pooled
             for sender in self.SENDERS:
                 mine = [(m, t) for m, t in pairs if m.sender == sender]
-                assert pool.entries(sender) == mine
+                assert pool_pairs(pool, sender) == mine
                 assert pool.newest(sender) == (mine[-1][0] if mine else None)
 
 
 def seed_full_anchors(node: NodeState, subject_loc: Location, now: int) -> None:
-    """Give the node a fresh, exact anchor set for PEER."""
+    """Give the node a fresh, exact anchor set for PEER: the smoothed value
+    of the sample PEER's payload was received with at `now` becomes exact."""
+    assert node.store.peers[PEER].heard == now
     node.store.update_smoothed(
-        PEER, now, rssi_value_from_distance(MODEL, subject_loc.distance_to(node.self_location))
+        PEER, rssi_value_from_distance(MODEL, subject_loc.distance_to(node.self_location))
     )
     for reporter in (OTHER, EXTRAS[0], EXTRAS[1]):
-        loc = node.store.peer(reporter).location
+        loc = node.store.peers[reporter].location
         node.store.record_report(
             reporter, PEER, now, rssi_value_from_distance(MODEL, subject_loc.distance_to(loc)), loc
         )
@@ -416,7 +424,7 @@ class TestValidatePool:
         monkeypatch.setattr(protocol, "locate_and_verify", spy)
         node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 10), -52.0, 11)
         for reporter in (OTHER, EXTRAS[0]):
-            bft = BftMessage(reporter, node.store.peer(reporter).location, PEER, Rssi(-55.0), None, 11)
+            bft = BftMessage(reporter, node.store.peers[reporter].location, PEER, Rssi(-55.0), None, 11)
             node.receive_bft(bft, -50.0, 11)
         assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
         node.validate_pool(11)
@@ -428,11 +436,11 @@ class TestValidatePool:
         node.receive_payload(payload_from(PEER, 1, true_loc, 10), -52.0, 10)
         assert node.validate_pool(10) == []
         # the own anchor and min_anchors - 2 reporters, all exact, arrive at 11
-        node.store.update_smoothed(
-            PEER, 11, rssi_value_from_distance(MODEL, true_loc.distance_to(node.self_location))
-        )
+        own = rssi_value_from_distance(MODEL, true_loc.distance_to(node.self_location))
+        node.store.record_rssi(PEER, 11, own)
+        node.store.update_smoothed(PEER, own)
         for reporter in (OTHER, EXTRAS[1]):
-            loc = node.store.peer(reporter).location
+            loc = node.store.peers[reporter].location
             node.store.record_report(
                 reporter, PEER, 11, rssi_value_from_distance(MODEL, true_loc.distance_to(loc)), loc
             )
@@ -468,13 +476,13 @@ class TestValidatePool:
         # PEER and EXTRAS[0] have min_anchors - 2 reporters, EXTRAS[1] one
         for subject, reporters in ((PEER, (OTHER, EXTRAS[1])), (EXTRAS[0], (OTHER, PEER)), (EXTRAS[1], (PEER,))):
             for reporter in reporters:
-                loc = node.store.peer(reporter).location
+                loc = node.store.peers[reporter].location
                 node.store.record_report(reporter, subject, now, -55.0, reporter_location=loc)
         # EXTRAS[2] has reporters but nothing pooled
         for reporter in (OTHER, PEER):
-            node.store.record_report(reporter, EXTRAS[2], now, -55.0, node.store.peer(reporter).location)
+            node.store.record_report(reporter, EXTRAS[2], now, -55.0, node.store.peers[reporter].location)
         for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
-            node.receive_payload(payload_from(sender, 1, node.store.peer(sender).location, now), -52.0, now)
+            node.receive_payload(payload_from(sender, 1, node.store.peers[sender].location, now), -52.0, now)
         node.validate_pool(now)
         assert visits == [("verify", PEER), ("bft", OTHER), ("verify", EXTRAS[0])]
 
@@ -497,7 +505,7 @@ class TestOwnLinkAppendPath:
         for t in range(1, 100):
             node.ingest_sample(PEER, -50.0 - t % 3, t)
         assert calls == list(range(1, 100))
-        assert len(node.store.peer(PEER).samples) == node.params.history_window
+        assert len(node.store.peers[PEER].samples) == node.params.history_window
         assert node.ingest_sample(PEER, -70.0, 99) == node.smoothed_rssi(PEER)
         assert node.ingest_sample(PEER, -70.0, 98) == node.smoothed_rssi(PEER)
         assert calls == [*range(1, 100), 99, 98]
@@ -516,6 +524,7 @@ class TestOwnLinkAppendPath:
     @given(
         window=st.integers(1, 6),
         bft_window=st.integers(1, 6),
+        freshness=st.integers(1, 6),
         warmup=st.integers(0, 3),
         cooldown=st.integers(0, 4),
         ops=st.lists(
@@ -527,9 +536,9 @@ class TestOwnLinkAppendPath:
             max_size=60,
         ),
     )
-    def test_matches_record_rssi_reference(self, window, bft_window, warmup, cooldown, ops):
+    def test_matches_record_rssi_reference(self, window, bft_window, freshness, warmup, cooldown, ops):
         filter_params = FilterParams(warmup=warmup, trigger_threshold=3.0, trigger_cooldown=cooldown)
-        params = ProtocolParams(tau=2, history_window=window, bft_window=bft_window)
+        params = ProtocolParams(tau=2, history_window=window, bft_window=bft_window, anchor_freshness=freshness)
         node = make_node(params=params, filter_params=filter_params)
         ref_store = TopologyStore(ME, capacity=window)
         ref_smooth = ref_trigger = ref_pending = ref_heard = None
@@ -562,26 +571,32 @@ class TestOwnLinkAppendPath:
                 try:
                     ref_store.record_rssi(PEER, now, rssi)
                 except ValueError:
-                    own = ref_store.latest_smoothed(PEER)
-                    expected = None if own is None else own[1]
+                    expected = ref_store.peers[PEER].smoothed
                 else:
                     if ref_smooth is None:
                         ref_smooth, ref_trigger = filter_params.link_state()
                     ref_heard = now
                     expected = ref_smooth(rssi)
-                    ref_store.update_smoothed(PEER, now, expected)
+                    ref_store.update_smoothed(PEER, expected)
                     if bft_trigger(ref_trigger, expected, now):
                         ref_pending = now
                 assert got == expected
             assert link(node.store, PEER) == link(ref_store, PEER)
-            own = ref_store.latest_smoothed(PEER)
-            assert node.store.latest_smoothed(PEER) == own
-            assert node.smoothed_rssi(PEER) == (None if own is None or ref_smooth is None else own[1])
+            own = None if PEER not in ref_store.peers else ref_store.peers[PEER].smoothed
+            rec = node.store.peers[PEER]
+            assert rec.smoothed == own
+            # a smoothed value implies a sample, a smoother and a trigger
+            assert own is None or (rec.heard is not None and rec.smooth is not None and rec.trigger is not None)
+            assert node.smoothed_rssi(PEER) == own
             # the last-heard tick is the newest sample's, injected ones included
             for probe in (clock, clock + bft_window, clock + bft_window + 1):
                 heard = ref_heard is not None and probe - ref_heard <= bft_window
                 assert node.in_range_peers(probe) == int(heard)
-            rec = node.store.peer(PEER)
+            # the own anchor is the smoothed value while `heard` is fresh
+            for probe in (clock, clock + freshness, clock + freshness + 1):
+                fresh = own is not None and probe - ref_heard <= freshness
+                anchors = gather_anchors(PEER, node.store, node.self_location, probe, freshness)
+                assert anchors == ([(0.0, 0.0, 0.0, own)] if fresh else [])
             assert (rec.smooth is None) == (rec.trigger is None) == (ref_smooth is None)
             if rec.smooth is not None:
                 assert rec.smooth.args == ref_smooth.args
@@ -612,7 +627,7 @@ class FlagReference(NodeState):
         if rec.smooth is None:
             rec.smooth, rec.trigger = self.filter_params.link_state()
         smoothed = rec.smooth(rssi)
-        self.store.update_smoothed(peer, now, smoothed)
+        self.store.update_smoothed(peer, smoothed)
         if bft_trigger(rec.trigger, smoothed, now):
             self.flags[peer] = True
         return smoothed
@@ -644,7 +659,7 @@ class FlagReference(NodeState):
             if verdict is VerifyOutcome.VERIFIED:
                 actions += [StoreTrusted(msg) for msg in self.pool.clear_sender(sender)]
                 continue
-            rec = store.peer(sender)
+            rec = store.peers.get(sender)
             if rec is None or rec.trigger is None:
                 continue
             if self.flags.get(sender) and now - rec.trigger.last_fire > rec.trigger.cooldown:
@@ -656,7 +671,7 @@ class FlagReference(NodeState):
                 verdict is VerifyOutcome.CONTRADICTED
                 and rec.contradiction_budget > 0
                 and rec.trigger.cooldown_over(now)
-                and store.latest_smoothed(sender) is not None
+                and rec.smoothed is not None
             ):
                 actions.append(self._emit_bft(rec, now, ref_seq=newest.seq))
                 rec.contradiction_budget -= 1
@@ -875,16 +890,6 @@ class TestSelfDefensePaperRows:
         assert state.self_defense(msg, 40) == [AlertMessage(state.self_id, alert_type, obj, ref, 40)]
         assert state.self_defense(msg, 41) == [Ignore("alert-cooldown", context=context.format(msg.sender))]
 
-    def test_smoothed_value_without_a_smoother_is_no_measurement(self):
-        node = make_node()
-        node.store.record_rssi(PEER, 1, -80.0)
-        node.store.update_smoothed(PEER, 2, -50.0)  # stored past ingest_sample, as seed_full_anchors does
-        for sender in (OTHER, *EXTRAS):
-            node.store.register_bft(sender, PEER, 1, 1)  # PEER is distrusted
-        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 3)
-        assert node.smoothed_rssi(PEER) is None
-        assert node.self_defense(msg, 3) == [Ignore("no-measurement-of-accuser", context=str(PEER))]
-
     def test_self_defense_requires_own_subject(self):
         node = make_node()
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-50.0), None, 5)
@@ -1014,7 +1019,7 @@ def node_state(node: NodeState) -> tuple:
     pool = node.pool
     return (
         copy.deepcopy(store_state(node.store)),
-        [(sender, pool.entries(sender)) for sender in pool._by_sender],
+        [(sender, pool_pairs(pool, sender)) for sender in pool._by_sender],
         set(node._pending),
         dict(node._alert_last),
     )
@@ -1096,7 +1101,7 @@ class TestHistoryWindow:
             node.ingest_sample(PEER, -80.0 if t < 60 else -50.0, t)
         # the median of all 100 samples is -80; of only the last 64 it is -50
         params = node.params
-        assert len(node.store.peer(PEER).samples) == 100
+        assert len(node.store.peers[PEER].samples) == 100
         assert node.store.history_consistent(PEER, -80.0, params.consistency_tol)
 
 
@@ -1144,10 +1149,9 @@ class TestMovedFlag:
         node = make_node()
         for t in range(10):
             node.ingest_sample(PEER, -50.0, t)
-        # a raw link, as checks._craft_state appends one, and a bare smoothed value
+        # a raw link, as checks._craft_state appends one
         raw = node.store.record_rssi(EXTRAS[2], 9, -60.0)
-        node.store.update_smoothed(OTHER, 9, -47.0)
-        peer = node.store.peer(PEER)
+        peer = node.store.peers[PEER]
         old_smooth, old_trigger = peer.smooth, peer.trigger
         node.on_moved(Location(1.0, 0.0, 0.0), 10, announce=True)
         assert [rec.smoothed for rec in node.store.peers.values()] == [None] * len(node.store.peers)
@@ -1155,7 +1159,7 @@ class TestMovedFlag:
         assert peer.smooth is not old_smooth and peer.smooth.args == fresh_smooth.args
         assert peer.trigger is not old_trigger and peer.trigger == fresh_trigger
         assert len(peer.samples) == 10  # the measured samples stay
-        for rec in (raw, node.store.peer(OTHER)):
+        for rec in (raw, node.store.peers[OTHER]):
             assert rec.smooth is None and rec.trigger is None
         assert (raw.heard, raw.samples.tolist()) == (9, [-60.0])
 

@@ -22,7 +22,7 @@ HERE = Location(1.0, 0.0, 0.0)
 
 def link(store, peer):
     """(heard, sample values) of the store's link to `peer`; (None, []) without a row."""
-    rec = store.peer(peer)
+    rec = store.peers.get(peer)
     return (None, []) if rec is None else (rec.heard, rec.samples.tolist())
 
 
@@ -68,7 +68,7 @@ class TestRecordRssi:
     def test_returns_the_row_made_as_ensure_peer_makes_one(self):
         store = TopologyStore(A, capacity=4)
         rec = store.record_rssi(B, 1, -40.0)
-        assert store.trust_changed and store.peer(B) is rec
+        assert store.trust_changed and store.peers[B] is rec
         assert (rec.id, rec.location, rec.trust.value, rec.heard, rec.samples.tolist()) == (B, None, 1.0, 1, [-40.0])
         assert rec.smooth is None and rec.trigger is None and rec.smoothed is None
         store.trust_changed = False
@@ -77,8 +77,6 @@ class TestRecordRssi:
 
     def test_row_without_samples_is_no_link(self):
         store = make_store()  # rows for B, C and D, none measured
-        assert store.links_heard_within(10, 0) == 0
-        store.update_smoothed(C, 0, -40.0)  # a smoothed value is no sample
         assert store.links_heard_within(10, 0) == 0
         assert store.history_consistent(C, -90.0, 5.0)
         store.record_rssi(B, 0, -40.0)
@@ -229,8 +227,8 @@ class TestAdjustTrust:
         assert store.adjust_trust(lowered, -0.1).value == pytest.approx(0.9)
         assert store.adjust_trust(raised, 0.1).value == 1.0
         for stranger, want in ((lowered, 0.9), (raised, 1.0)):
-            rec = store.peer(stranger)
-            assert rec is not None and rec.location is None
+            rec = store.peers[stranger]
+            assert rec.location is None
             assert rec.trust.value == pytest.approx(want)
 
 
