@@ -123,18 +123,18 @@ def cascade_step(state: CascadeState, raw: float) -> float:
 @dataclass
 class MovingAverageState:
     window: int = 5
-    buffer: list[float] = field(default_factory=list, init=False)
+    buffer: deque[float] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.window >= 1:
             raise ValueError("window must be >= 1")
+        self.buffer = deque(maxlen=self.window)
 
 
 def moving_average_step(state: MovingAverageState, v: float) -> float:
-    state.buffer.append(v)
-    if len(state.buffer) > state.window:
-        del state.buffer[0]
-    return _sum(state.buffer) / len(state.buffer)
+    buffer = state.buffer
+    buffer.append(v)  # the deque drops its oldest value once full
+    return _sum(buffer) / len(buffer)
 
 
 @dataclass
@@ -197,7 +197,7 @@ class GaussianState:
 
     sigma: float = 2.0
     window: int = 5
-    buffer: list[float] = field(default_factory=list, init=False)
+    buffer: deque[float] = field(init=False)
     # weights[age] and totals[n - 1] (the first n added left to right), each made once in warm-up
     weights: list[float] = field(default_factory=list, init=False)
     totals: list[float] = field(default_factory=list, init=False)
@@ -207,18 +207,19 @@ class GaussianState:
             raise ValueError("sigma must be positive")
         if not self.window >= 1:
             raise ValueError("window must be >= 1")
+        self.buffer = deque(maxlen=self.window)
 
 
 def gaussian_step(state: GaussianState, v: float) -> float:
-    state.buffer.append(v)
-    if len(state.buffer) > state.window:
-        del state.buffer[0]
-    elif len(state.weights) < len(state.buffer):
-        age = len(state.weights)
-        state.weights.append(math.exp(-(age * age) / (2.0 * state.sigma * state.sigma)))
-        state.totals.append((state.totals[-1] if age else 0) + state.weights[-1])
+    buffer = state.buffer
+    buffer.append(v)  # the deque drops its oldest value once full
+    weights = state.weights
+    if len(weights) < len(buffer):
+        age = len(weights)
+        weights.append(math.exp(-(age * age) / (2.0 * state.sigma * state.sigma)))
+        state.totals.append((state.totals[-1] if age else 0) + weights[-1])
     # newest sample has age 0 and sits at the end of the buffer
-    return _sum(map(mul, state.weights, reversed(state.buffer))) / state.totals[len(state.buffer) - 1]
+    return _sum(map(mul, weights, reversed(buffer))) / state.totals[len(buffer) - 1]
 
 
 # samples kept for the local-flatness check

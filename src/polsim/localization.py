@@ -260,6 +260,14 @@ def gather_anchors(
     return anchors
 
 
+def min_reporters(params: ProtocolParams) -> int:
+    """The fewest reporters of a subject with which `locate_and_verify` can
+    solve: the own anchor plus one per reporter must reach the
+    `min_anchors - 1` of the planar fallback. With fewer, every verdict
+    about the subject is INSUFFICIENT_DATA, reached before any solve."""
+    return params.min_anchors - 2
+
+
 def locate_and_verify(
     subject: NodeId,
     store: TopologyStore,
@@ -274,7 +282,8 @@ def locate_and_verify(
     The bounds come from the node's `params`. Anchors older than
     `anchor_freshness` ticks are dropped. With at least `min_anchors`
     anchors a 3-D multilateration runs; with one fewer and a stored subject
-    location the solve falls back to the stored height. The verdict is only
+    location the solve falls back to the stored height (the planar rule
+    `min_reporters` follows from). The verdict is only
     trusted when the solve converged, the range misfit stays below
     `residual_cap` (anchors agree with each other) and the geometry is
     strong enough (`max_gdop`); anything else yields INSUFFICIENT_DATA

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 # perfbench/tracer.py wraps polsim.protocol.cascade_step by name; the node
 # steps its smoother through make_filter and no longer calls it here
 from .filters import TriggerState, bft_trigger, cascade_step, make_filter  # noqa: F401
-from .localization import PathLossModel, VerifyOutcome, locate_and_verify
+from .localization import PathLossModel, VerifyOutcome, locate_and_verify, min_reporters
 from .messages import (
     AlertMessage,
     AlertType,
@@ -266,7 +266,7 @@ class NodeState:
         self.sensor_type = sensor_type
         self.filter_params = filter_params
         self.model = model
-        self.store = TopologyStore(self_id, capacity=params.history_window)
+        self.store = TopologyStore(self_id, params.history_window, min_reporters(params))
         self.pool = MessagePool(params.pool_ttl)
         self.moved_until: Optional[int] = None
         # links whose trigger fired at trigger.last_fire, BFT not yet sent
@@ -377,35 +377,29 @@ class NodeState:
         """Validate pooled payloads against RSSI-derived sender positions.
 
         Payloads that waited past the TTL leave the pool first, as one
-        Expired action. A verified sender's pooled payloads become
-        StoreTrusted actions. A sender whose deviation trigger fired causes
-        one BFT message; a confidently contradicted location key causes at
-        most one more until the next trigger episode, so a standing
-        disagreement is announced but never spammed.
+        Expired action. `locate_and_verify` then decides each pooled sender
+        in `store.live` or with a pending trigger; any other one could only
+        get INSUFFICIENT_DATA, and no action. A verified sender's pooled
+        payloads become StoreTrusted actions. A sender whose deviation
+        trigger fired causes one BFT message; a confidently contradicted
+        location key causes at most one more until the next trigger
+        episode, so a standing disagreement is announced but never spammed.
         """
         pool = self.pool
         expired = pool.expire(now)
         actions: list[Action] = [Expired(tuple(expired))] if expired else []
         store = self.store
         params = self.params
-        # with fewer reporters the own anchor plus one per reporter cannot
-        # reach the min_anchors - 1 of even the planar fallback: the verdict
-        # is INSUFFICIENT_DATA, and without a pending trigger that is no action
-        reported = store.subjects_reported_by(params.min_anchors - 2)
+        live = store.live
         pending = self._pending
-        if not reported and not pending:
+        if not live and not pending:
             return actions
         peers = store.peers
-        for sender in sorted(reported | pending):
+        for sender in sorted(live | pending):
             newest = pool.newest(sender)
             if newest is None:
                 continue
-            if sender in reported:
-                verdict = locate_and_verify(
-                    sender, store, newest, self.model, self.self_location, now, params
-                )
-            else:
-                verdict = VerifyOutcome.INSUFFICIENT_DATA
+            verdict = locate_and_verify(sender, store, newest, self.model, self.self_location, now, params)
             if verdict is VerifyOutcome.VERIFIED:
                 for msg in pool.clear_sender(sender):
                     actions.append(StoreTrusted(msg))
@@ -475,10 +469,8 @@ class NodeState:
         claimed_ok = abs(msg.measured_rssi.value - own) <= self.params.consistency_tol
         history_ok = self.store.history_consistent(origin, own, self.params.consistency_tol)
         distrust_b = self.distrust(origin, now)
-        distrust_self = (
-            self.store.count_recent_bft(self.self_id, self.params.bft_window, now) > self.tau(now)
-            or self.moved_flag(now)
-        )
+        # a node holds no row for itself, so its own distrust is its dissent count
+        distrust_self = self.distrust(self.self_id, now) or self.moved_flag(now)
         return claimed_ok, history_ok, distrust_b, distrust_self
 
     def self_defense(self, msg: BftMessage, now: int) -> list[Action]:

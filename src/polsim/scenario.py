@@ -212,6 +212,8 @@ class Scenario:
             for role in ("victim", "attacker"):
                 if role in params and params[role] not in labels:
                     errors.append(f"{where}{role} {params[role]!r} is not a scenario node")
+            if params.get("until", spec["at"]) < spec["at"]:
+                errors.append(f"{where}params: until {params['until']} is before at {spec['at']}")
             transmits = kind is not AttackKind.MALICIOUS_BFT
             if not transmits and "attacker" in params and params["attacker"] == params.get("victim"):
                 errors.append(f"{where}attacker and victim must differ, both are {params['victim']!r}")
@@ -253,7 +255,7 @@ class Scenario:
 # -- kinds of document values (see polsim.kinds) ------------------------------
 
 _POSITIVE_INT = _kind((int,), "a positive integer", lambda v: v >= 1)
-_OPTIONAL_INT = _kind((int, type(None)), "an integer or null")
+_OPTIONAL_POSITIVE_INT = _kind((int, type(None)), "a positive integer or null", lambda v: v is None or v >= 1)
 _LIST = _kind((list,), "a list")
 _OBJECT = _kind((dict,), "an object")
 _RSSI = _kind(_NUMBER_TYPES, f"a number in [{RSSI_MIN}, {RSSI_MAX}]", lambda v: RSSI_MIN <= v <= RSSI_MAX)
@@ -314,7 +316,7 @@ _ATTACK_PARAMS: dict[AttackKind, tuple[dict[str, Kind], tuple[str, ...]]] = {
     ),
     AttackKind.REPLAY: (
         {"victim": _STR, "attacker_position": _point, "period": _POSITIVE_INT,
-         "capture_at": _INT, "count": _OPTIONAL_INT},
+         "capture_at": _INT, "count": _OPTIONAL_POSITIVE_INT},
         ("victim", "attacker_position"),
     ),
 }

@@ -5,9 +5,9 @@ known node holding its identity (MAC, location, trust score) and, for a peer
 the node has measured, the last RSSI values on that link, the newest one's
 tick and smoothed value, and the link's smoothing and trigger state. Beside
 the rows it keeps the newest report per reporter about each subject other
-than the node itself, learned from BFT messages, and per subject the BFT
-messages seen about it, which back the distrust predicate's dissent
-counting.
+than the node itself, learned from BFT messages, the live set of subjects
+with enough reporters to be located, and per subject the BFT messages seen
+about it, which back the distrust predicate's dissent counting.
 """
 
 from __future__ import annotations
@@ -67,14 +67,19 @@ class TopologyStore:
 
     The node's own links live in the peer rows. Each holds the values of at
     most `capacity` measured samples, taken at rising ticks, the tick of the
-    newest and the newest smoothed value.
+    newest and the newest smoothed value. `live` holds the subjects reported
+    by at least `min_reporters` reporters (`localization.min_reporters`),
+    the only subjects the node can locate.
     """
 
-    def __init__(self, self_id: NodeId, capacity: int):
+    def __init__(self, self_id: NodeId, capacity: int, min_reporters: int):
         if not capacity >= 1:
             raise ValueError("history capacity must be >= 1")
+        if not min_reporters >= 1:
+            raise ValueError("min_reporters must be >= 1")
         self.self_id = self_id
         self.capacity = capacity
+        self.min_reporters = min_reporters
         self.peers: dict[NodeId, PeerRecord] = {}
         # raised when a peer record is added or its trust adjusted; a reader
         # of the trust values lowers it once it has read them
@@ -83,8 +88,9 @@ class TopologyStore:
         self._bft_seen: dict[NodeId, list[tuple[NodeId, int, int]]] = {}
         # newest report per (subject, reporter), for anchor gathering
         self._reported: dict[NodeId, dict[NodeId, Report]] = {}
-        # subjects_reported_by's result per min_reporters, kept current
-        self._reported_by: dict[int, set[NodeId]] = {}
+        # the subjects with at least min_reporters reporters, kept current
+        # by record_report; readers must not change it
+        self.live: set[NodeId] = set()
 
     # -- peers ----------------------------------------------------------
 
@@ -157,29 +163,14 @@ class TopologyStore:
         if newest is None:
             reports[reporter] = Report(t, value, reporter_location)
             # the subject gained a reporter: the one change of its count
-            reporters = len(reports)
-            for min_reporters, subjects in self._reported_by.items():
-                if reporters >= min_reporters:
-                    subjects.add(subject)
+            if len(reports) >= self.min_reporters:
+                self.live.add(subject)
         elif newest.timestamp < t:
             reports[reporter] = Report(t, value, reporter_location)
 
     def latest_reports_of(self, subject: NodeId) -> dict[NodeId, Report]:
         """Newest report per reporter for the given subject."""
         return self._reported.get(subject, {})
-
-    def subjects_reported_by(self, min_reporters: int) -> set[NodeId]:
-        """Subjects with a report from at least `min_reporters` reporters.
-
-        The set is built on the first call per bound and kept current by
-        `record_report` from then on; the caller must not change it.
-        """
-        subjects = self._reported_by.get(min_reporters)
-        if subjects is None:
-            subjects = self._reported_by[min_reporters] = {
-                s for s, reports in self._reported.items() if len(reports) >= min_reporters
-            }
-        return subjects
 
     # -- smoothed values of the owning node's own links --------------------
     # The node's only copy of them: NodeState writes one per counted sample

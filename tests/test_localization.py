@@ -18,6 +18,7 @@ from polsim.localization import (
     _signed_within_slack,
     gather_anchors,
     locate_and_verify,
+    min_reporters,
     multilaterate,
     rssi_value_from_distance,
 )
@@ -483,7 +484,7 @@ class TestUnrolledSolverMatchesReference:
 
 def seeded_store(subject_location: Location, *, reports_at: int = 100) -> TopologyStore:
     """Store holding a full set of exact anchors for SUBJECT."""
-    store = TopologyStore(SELF, capacity=64)
+    store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS))
     self_loc = Location(0.0, 0.0, 0.0)
     peer_locs = [Location(4.0, 0.0, 0.0), Location(0.0, 4.0, 0.0), Location(0.0, 0.0, 4.0)]
     store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
@@ -556,7 +557,7 @@ class TestLocateAndVerify:
         assert decoded == deferred
 
     def test_only_self_measurement_insufficient(self):
-        store = TopologyStore(SELF, capacity=64)
+        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS))
         store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
         store.record_rssi(SUBJECT, 100, -45.0)
         store.update_smoothed(SUBJECT, -45.0)
@@ -581,6 +582,34 @@ class TestLocateAndVerify:
         msg = payload_signed_at(true_loc)
         outcome = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, PARAMS)
         assert outcome is VerifyOutcome.VERIFIED
+
+    @pytest.mark.parametrize("min_anchors", [4, 5, 6])
+    def test_min_reporters_is_the_fewest_that_reach_a_solve(self, min_anchors, monkeypatch):
+        """With a fresh own anchor and a stored height, min_reporters - 1
+        fresh reporters give INSUFFICIENT_DATA before any solve, and
+        min_reporters reporters reach the planar fallback."""
+        params = ProtocolParams(min_anchors=min_anchors)
+        solves = []
+
+        def unconverged(anchors, *args, **kwargs):
+            solves.append(len(anchors))
+            return MultilaterationResult(Location(0.0, 0.0, 0.0), math.inf, False, 0)
+
+        monkeypatch.setattr("polsim.localization.multilaterate", unconverged)
+        reporters = [NodeId.from_str(f"02:00:00:00:01:{i:02x}") for i in range(min_reporters(params))]
+        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(params))
+        store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
+        store.record_rssi(SUBJECT, 100, -45.0)
+        store.update_smoothed(SUBJECT, -45.0)
+        msg = payload_signed_at(Location(1.0, 1.0, 1.0))
+        for i, reporter in enumerate(reporters):
+            verdict = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, params)
+            assert verdict is VerifyOutcome.INSUFFICIENT_DATA and solves == []
+            assert SUBJECT not in store.live
+            store.record_report(reporter, SUBJECT, 100, -45.0, reporter_location=Location(float(i + 1), 0.0, 0.0))
+        assert SUBJECT in store.live
+        locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, params)
+        assert solves == [min_anchors - 1]
 
     def test_inconsistent_ranges_yield_no_verdict(self):
         true_loc = Location(1.0, 1.0, 1.0)
@@ -671,7 +700,7 @@ class TestGatherAnchors:
         assert len(anchors) == 4
 
     def test_reporter_location_preferred(self):
-        store = TopologyStore(SELF, capacity=64)
+        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS))
         claimed = Location(9.0, 9.0, 9.0)
         store.add_peer(PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0)))
         store.record_report(PEERS[0], SUBJECT, 100, -50.0, reporter_location=claimed)

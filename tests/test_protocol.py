@@ -14,6 +14,7 @@ from polsim.localization import (
     VerifyOutcome,
     gather_anchors,
     locate_and_verify,
+    min_reporters,
     rssi_value_from_distance,
 )
 from polsim.messages import (
@@ -378,15 +379,19 @@ class TestValidatePool:
         assert bfts[0].subject == PEER
         assert bfts[0].measured_rssi.value <= -52.0
 
-    def test_hopeless_sender_decided_without_verification(self, monkeypatch):
+    def test_hopeless_sender_verified_as_insufficient(self, monkeypatch):
         # one reporter of PEER: own anchor + 1 < min_anchors - 1, so no solve
-        # can run; validate_pool decides without calling locate_and_verify
+        # can run; each verdict validate_pool asks for is INSUFFICIENT_DATA
         node = make_node(params=ProtocolParams(tau=2, pool_ttl=5))
+        verdicts = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("locate_and_verify called for a hopeless sender")
+        def spy(sender, *args, **kwargs):
+            verdict = locate_and_verify(sender, *args, **kwargs)
+            assert sender != PEER or verdict is VerifyOutcome.INSUFFICIENT_DATA
+            verdicts.append((sender, verdict))
+            return verdict
 
-        monkeypatch.setattr(protocol, "locate_and_verify", refuse)
+        monkeypatch.setattr(protocol, "locate_and_verify", spy)
         steady = Location(4.0, 0.0, 0.0)
         actions = []
         for t in range(30):
@@ -394,14 +399,16 @@ class TestValidatePool:
             if t % 3 == 0:
                 bft = BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-55.0), None, t)
                 node.receive_bft(bft, -50.0, t)
-            assert len(node.store.latest_reports_of(PEER)) < node.params.min_anchors - 2
+            assert len(node.store.latest_reports_of(PEER)) < min_reporters(node.params)
+            assert PEER not in node.store.live
             # called alone, the verifier reaches the same verdict
             newest = node.pool.newest(PEER)
             verdict = locate_and_verify(PEER, node.store, newest, MODEL, node.self_location, t, node.params)
             assert verdict is VerifyOutcome.INSUFFICIENT_DATA
             actions += [(t, action) for action in node.validate_pool(t)]
-        # the actions the node took before validate_pool skipped the call,
-        # each expired payload as its `sender#seq`
+        # PEER, pending once its trigger fired, was the only sender visited
+        assert verdicts and {sender for sender, _ in verdicts} == {PEER}
+        # the actions the node took, each expired payload as its `sender#seq`
         got = [
             (t, [f"{m.sender}#{m.seq}" for m in a.messages] if isinstance(a, Expired) else a)
             for t, a in actions
@@ -426,7 +433,7 @@ class TestValidatePool:
         for reporter in (OTHER, EXTRAS[0]):
             bft = BftMessage(reporter, node.store.peers[reporter].location, PEER, Rssi(-55.0), None, 11)
             node.receive_bft(bft, -50.0, 11)
-        assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
+        assert len(node.store.latest_reports_of(PEER)) == min_reporters(node.params)
         node.validate_pool(11)
         assert calls == [PEER]
 
@@ -444,7 +451,7 @@ class TestValidatePool:
             node.store.record_report(
                 reporter, PEER, 11, rssi_value_from_distance(MODEL, true_loc.distance_to(loc)), loc
             )
-        assert len(node.store.latest_reports_of(PEER)) == node.params.min_anchors - 2
+        assert len(node.store.latest_reports_of(PEER)) == min_reporters(node.params)
         (stored,) = node.validate_pool(11)
         assert isinstance(stored, StoreTrusted) and stored.message.seq == 1
         assert len(node.pool) == 0
@@ -483,8 +490,9 @@ class TestValidatePool:
             node.store.record_report(reporter, EXTRAS[2], now, -55.0, node.store.peers[reporter].location)
         for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
             node.receive_payload(payload_from(sender, 1, node.store.peers[sender].location, now), -52.0, now)
+        assert node.store.live == {PEER, EXTRAS[0], EXTRAS[2]}
         node.validate_pool(now)
-        assert visits == [("verify", PEER), ("bft", OTHER), ("verify", EXTRAS[0])]
+        assert visits == [("verify", PEER), ("verify", OTHER), ("bft", OTHER), ("verify", EXTRAS[0])]
 
 
 class TestOwnLinkAppendPath:
@@ -540,7 +548,7 @@ class TestOwnLinkAppendPath:
         filter_params = FilterParams(warmup=warmup, trigger_threshold=3.0, trigger_cooldown=cooldown)
         params = ProtocolParams(tau=2, history_window=window, bft_window=bft_window, anchor_freshness=freshness)
         node = make_node(params=params, filter_params=filter_params)
-        ref_store = TopologyStore(ME, capacity=window)
+        ref_store = TopologyStore(ME, capacity=window, min_reporters=min_reporters(params))
         ref_smooth = ref_trigger = ref_pending = ref_heard = None
         clock = 0
         for kind, dt, level in ops:
@@ -679,8 +687,9 @@ class FlagReference(NodeState):
 
 
 class TestKeptCurrentSets:
-    """The pending set and the reported subjects a node keeps current give
-    what the per-pipeline flags and the per-round rebuild gave."""
+    """The pending set and the live set a node keeps current give what the
+    per-pipeline flags and the per-round rebuild gave, though the node asks
+    `locate_and_verify` about every sender it visits."""
 
     SENDERS = FlagReference.SUBJECTS
     PLACES = {
@@ -751,10 +760,11 @@ class TestKeptCurrentSets:
                 got = want = None
             assert got == want
             assert node._pending == ref.pending_flags()
-            for bound in (1, 2, 3):
-                assert node.store.subjects_reported_by(bound) == {
-                    s for s in self.SENDERS if len(node.store.latest_reports_of(s)) >= bound
-                }
+            assert node.store.live == {
+                s for s in self.SENDERS if len(node.store.latest_reports_of(s)) >= min_reporters(params)
+            }
+            # no row for the node itself: its distrust is its dissent count alone
+            assert node.self_id not in node.store.peers
 
 
 class TestReceiveBft:
@@ -796,12 +806,16 @@ class TestReceiveBft:
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 20)
         twin = copy.deepcopy(node)
         actions = node.receive_bft(msg, -50.0, 21)
-        assert node.store.latest_reports_of(ME) == {}
-        assert ME not in node.store.subjects_reported_by(1)
         assert node.store.count_recent_bft(ME, 100, 21) == 1
         twin.ingest_sample(PEER, -50.0, 21)
         twin.store.register_bft(PEER, ME, 20, 21)
         assert actions == twin.self_defense(msg, 21)
+        # a second reporter would make a stored subject live
+        node.receive_bft(BftMessage(OTHER, Location(0.0, 4.0, 0.0), ME, Rssi(-50.0), None, 21), -50.0, 22)
+        assert min_reporters(node.params) == 2
+        assert node.store.latest_reports_of(ME) == {}
+        assert ME not in node.store.live
+        assert node.store.count_recent_bft(ME, 100, 22) == 2
 
     def test_malformed_wire_bft_ignored(self):
         node = make_node()

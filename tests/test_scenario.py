@@ -256,6 +256,21 @@ class TestValidation:
             ),
             ({"nodes": [{"id": "a", "mac": "02:00:00:00:01", "position": [0, 0, 0]}]},
              re.escape("nodes[0]: mac must be six octets joined by ':', not '02:00:00:00:01'")),
+            # an attack that can never act: over before it starts, or a replay of no payload
+            *(
+                ({"attacks": [{"type": kind, "at": 20, "params": {**params, "until": 10}}]},
+                 re.escape("attacks[0]: params: until 10 is before at 20"))
+                for kind, params in (
+                    ("malicious_bft", {"attacker": "a", "victim": "b"}),
+                    ("identity_spoof", {"victim": "a", "attacker_position": [0, 0, 0]}),
+                )
+            ),
+            *(
+                ({"attacks": [{"type": "replay", "at": 3,
+                               "params": {"victim": "a", "attacker_position": [0, 0, 0], "count": count}}]},
+                 re.escape(f"attacks[0]: params: count must be a positive integer or null, not {count}"))
+                for count in (0, -1)
+            ),
         ],
         ids=["nodes-not-list", "movements-not-list", "attacks-not-list", "tick-ms-string",
              "tick-ms-float", "tick-ms-bool", "duration-bool", "seed-bool", "seed-too-big",
@@ -268,7 +283,8 @@ class TestValidation:
              "transmitter-index-16", "transmitter-id-is-a-node-mac",
              "node-id-comma", "node-id-quote", "node-id-cr", "node-id-lf",
              "mac-0x", "mac-plus", "mac-space", "mac-underscore", "mac-three-digits", "mac-one-digit",
-             "mac-not-hex", "mac-five-octets"],
+             "mac-not-hex", "mac-five-octets", "bft-until-before-at", "spoof-until-before-at",
+             "replay-count-zero", "replay-count-negative"],
     )
     def test_malformed_document_is_a_scenario_error(self, patch, message, tmp_path, capsys):
         doc = minimal_doc()
@@ -281,6 +297,16 @@ class TestValidation:
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 1
         assert re.search(f"scenario error: .*{message}", capsys.readouterr().err)
         assert not out.exists()
+
+    def test_attack_bounds_that_can_act_load(self):
+        """An attack may end at the tick it starts, and a replay may send once."""
+        doc = minimal_doc()
+        doc["attacks"] = [
+            {"type": "malicious_bft", "at": 20, "params": {"attacker": "a", "victim": "b", "until": 20}},
+            {"type": "replay", "at": 3, "params": {"victim": "a", "attacker_position": [0, 0, 0], "count": 1}},
+        ]
+        scenario = Scenario.from_dict(doc)
+        assert [a.params.get("until", a.params.get("count")) for a in scenario.attacks] == [20, 1]
 
     @pytest.mark.parametrize("bad", ["n,1", 'n"1', "n\r1", "n\n1"])
     def test_node_spec_built_in_code_rejects_a_bad_id(self, bad):

@@ -26,8 +26,8 @@ def link(store, peer):
     return (None, []) if rec is None else (rec.heard, rec.samples.tolist())
 
 
-def make_store(capacity=64):
-    store = TopologyStore(A, capacity=capacity)
+def make_store(capacity=64, min_reporters=2):
+    store = TopologyStore(A, capacity=capacity, min_reporters=min_reporters)
     for node in (B, C, D):
         store.add_peer(PeerRecord(id=node))
     return store
@@ -66,7 +66,7 @@ class TestRecordRssi:
             store.record_rssi(B, 4, -40.0)
 
     def test_returns_the_row_made_as_ensure_peer_makes_one(self):
-        store = TopologyStore(A, capacity=4)
+        store = TopologyStore(A, capacity=4, min_reporters=2)
         rec = store.record_rssi(B, 1, -40.0)
         assert store.trust_changed and store.peers[B] is rec
         assert (rec.id, rec.location, rec.trust.value, rec.heard, rec.samples.tolist()) == (B, None, 1.0, 1, [-40.0])
@@ -99,22 +99,19 @@ class TestRecordReport:
 
     @settings(max_examples=200)
     @given(
-        bounds=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        bound=st.integers(1, 4),
         reports=st.lists(
             st.tuples(st.sampled_from([A, B, C, D]), st.sampled_from([B, C, D]), st.integers(0, 5)),
             max_size=30,
         ),
     )
-    def test_subjects_reported_by_kept_current(self, bounds, reports):
-        """The kept set equals the comprehension after every report, for bounds asked before and after."""
-        store = make_store()
-        for bound in bounds:
-            store.subjects_reported_by(bound)
+    def test_live_set_kept_current(self, bound, reports):
+        """The live set equals the comprehension over the store's one bound after every report."""
+        store = make_store(min_reporters=bound)
+        assert store.live == set()
         for reporter, subject, t in reports:
             store.record_report(reporter, subject, t, -50.0, HERE)
-            for bound in (*bounds, 2):
-                want = {s for s in (B, C, D) if len(store.latest_reports_of(s)) >= bound}
-                assert store.subjects_reported_by(bound) == want
+            assert store.live == {s for s in (B, C, D) if len(store.latest_reports_of(s)) >= bound}
 
     def test_reporters_and_subjects_kept_apart(self):
         store = make_store()
@@ -123,8 +120,7 @@ class TestRecordReport:
         store.record_report(B, D, 5, -42.0, HERE)
         assert store.latest_reports_of(C) == {B: Report(5, -40.0, HERE), D: Report(5, -41.0, HERE)}
         assert store.latest_reports_of(B) == {}
-        assert store.subjects_reported_by(2) == {C}
-        assert store.subjects_reported_by(1) == {C, D}
+        assert store.live == {C}
 
 
 class TestHistoryConsistent:
@@ -175,7 +171,12 @@ class TestBounds:
     @pytest.mark.parametrize("capacity", [0, -1, math.nan])
     def test_capacity_rejected(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
-            TopologyStore(A, capacity=capacity)
+            TopologyStore(A, capacity=capacity, min_reporters=2)
+
+    @pytest.mark.parametrize("min_reporters", [0, -1, math.nan])
+    def test_min_reporters_rejected(self, min_reporters):
+        with pytest.raises(ValueError, match="min_reporters"):
+            TopologyStore(A, capacity=4, min_reporters=min_reporters)
 
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tol"):
@@ -207,7 +208,7 @@ class TestAdjustTrust:
         assert store.adjust_trust(B, -0.3).value == 0.0
 
     def test_trust_changed_raised_by_every_record_write(self):
-        store = TopologyStore(A, capacity=4)
+        store = TopologyStore(A, capacity=4, min_reporters=2)
         assert not store.trust_changed
         store.add_peer(PeerRecord(id=B))
         assert store.trust_changed
