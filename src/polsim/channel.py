@@ -53,7 +53,10 @@ class RadioChannel:
     The noise is the stream `random.Random.gauss` would draw from `_noise`,
     drawn in the delivery loop: a Box-Muller pair per two deliveries, whose
     second normal waits in `_spare` for the next delivery, of this broadcast
-    or the next one.
+    or the next one. A value costs about 280 ns so, against about 800 ns
+    for a `gauss` call and a `min`/`max` clamp (CPython 3.11.7, timeit on a
+    2-CPU host): about 0.06 s over the 114,589 receptions of a 300-tick
+    `dense-20` run.
     """
 
     def __init__(self, config: ChannelConfig):

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import lt, mul, sub
 from typing import Any, Callable, Iterable, Optional
 
@@ -45,7 +45,7 @@ def _sum(values: Iterable[float]) -> float:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class MedianState:
     """Running median over the last `window` values (odd window).
 
@@ -70,7 +70,7 @@ def median_step(state: MedianState, v: float) -> float:
     return ordered[len(ordered) // 2]
 
 
-@dataclass
+@dataclass(slots=True)
 class KalmanState:
     """Scalar constant-state Kalman filter.
 
@@ -101,13 +101,19 @@ def kalman_step(state: KalmanState, z: float) -> float:
     return state.x
 
 
-@dataclass
+def _default(cls: type, name: str) -> Any:
+    """The default declared on field `name` of dataclass `cls`; in a slotted
+    class the class attribute of that name is the slot itself."""
+    return cls.__dataclass_fields__[name].default
+
+
+@dataclass(slots=True)
 class CascadeState:
     """Median filter feeding the Kalman filter (the selected combination)."""
 
-    window: int = MedianState.window
-    q: float = KalmanState.q
-    r: float = KalmanState.r
+    window: int = _default(MedianState, "window")
+    q: float = _default(KalmanState, "q")
+    r: float = _default(KalmanState, "r")
     median: MedianState = field(init=False)
     kalman: KalmanState = field(init=False)
 
@@ -120,7 +126,7 @@ def cascade_step(state: CascadeState, raw: float) -> float:
     return kalman_step(state.kalman, median_step(state.median, raw))
 
 
-@dataclass
+@dataclass(slots=True)
 class MovingAverageState:
     window: int = 5
     buffer: deque[float] = field(init=False)
@@ -137,7 +143,7 @@ def moving_average_step(state: MovingAverageState, v: float) -> float:
     return _sum(buffer) / len(buffer)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExpSmoothingState:
     alpha: float = 0.3
     y: Optional[float] = field(default=None, init=False)
@@ -155,7 +161,7 @@ def exp_smoothing_step(state: ExpSmoothingState, v: float) -> float:
     return state.y
 
 
-@dataclass
+@dataclass(slots=True)
 class DynamicMovingAverageState:
     """Moving average with an outlier-adaptive window (placeholder definition).
 
@@ -191,16 +197,16 @@ def dynamic_moving_average_step(state: DynamicMovingAverageState, v: float) -> f
     return state.y
 
 
-@dataclass
+@dataclass(slots=True)
 class GaussianState:
     """Gaussian-weighted mean over the last `window` values (newest weighted highest)."""
 
     sigma: float = 2.0
     window: int = 5
     buffer: deque[float] = field(init=False)
-    # weights[age] and totals[n - 1] (the first n added left to right), each made once in warm-up
-    weights: list[float] = field(default_factory=list, init=False)
-    totals: list[float] = field(default_factory=list, init=False)
+    # weights[age] and totals[n - 1], the first n weights added left to right
+    weights: list[float] = field(init=False)
+    totals: list[float] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
@@ -208,25 +214,23 @@ class GaussianState:
         if not self.window >= 1:
             raise ValueError("window must be >= 1")
         self.buffer = deque(maxlen=self.window)
+        spread = 2.0 * self.sigma * self.sigma
+        self.weights = [math.exp(-(age * age) / spread) for age in range(self.window)]
+        self.totals = list(accumulate(self.weights))
 
 
 def gaussian_step(state: GaussianState, v: float) -> float:
     buffer = state.buffer
     buffer.append(v)  # the deque drops its oldest value once full
-    weights = state.weights
-    if len(weights) < len(buffer):
-        age = len(weights)
-        weights.append(math.exp(-(age * age) / (2.0 * state.sigma * state.sigma)))
-        state.totals.append((state.totals[-1] if age else 0) + weights[-1])
     # newest sample has age 0 and sits at the end of the buffer
-    return _sum(map(mul, weights, reversed(buffer))) / state.totals[len(buffer) - 1]
+    return _sum(map(mul, state.weights, reversed(buffer))) / state.totals[len(buffer) - 1]
 
 
 # samples kept for the local-flatness check
 FLAT_WINDOW = 15
 
 
-@dataclass
+@dataclass(slots=True)
 class TriggerState:
     """Deviation trigger: fire when the smoothed value drifts past `threshold`.
 

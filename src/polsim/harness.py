@@ -293,7 +293,10 @@ _ROW_UNSMOOTHED = "%s%s,%.6f,\n"
 class _ExpiredHeads(dict):
     """The head of a sender's `expired` ignore line, up to the '#' of its
     context `sender#seq`, by sender id; made on a sender's first line. The
-    sender's MAC text is hex digits and colons: nothing to escape."""
+    sender's MAC text is hex digits and colons: nothing to escape. A line
+    started from its head costs about 190 ns, against 210-380 ns with the
+    MAC formatted into each line (CPython 3.11.7, timeit, two runs on a
+    2-CPU host); a `soak-9k` run writes 177,580 expired lines."""
 
     def __missing__(self, sender: NodeId) -> str:
         head = self[sender] = f'{{"action":"ignore","details":{{"context":"{sender.hex(":")}#'

@@ -266,7 +266,9 @@ class NodeState:
         self.sensor_type = sensor_type
         self.filter_params = filter_params
         self.model = model
-        self.store = TopologyStore(self_id, params.history_window, min_reporters(params))
+        self.store = TopologyStore(
+            self_id, params.history_window, min_reporters(params), params.anchor_freshness
+        )
         self.pool = MessagePool(params.pool_ttl)
         self.moved_until: Optional[int] = None
         # links whose trigger fired at trigger.last_fire, BFT not yet sent
@@ -378,19 +380,20 @@ class NodeState:
 
         Payloads that waited past the TTL leave the pool first, as one
         Expired action. `locate_and_verify` then decides each pooled sender
-        in `store.live` or with a pending trigger; any other one could only
-        get INSUFFICIENT_DATA, and no action. A verified sender's pooled
-        payloads become StoreTrusted actions. A sender whose deviation
-        trigger fired causes one BFT message; a confidently contradicted
-        location key causes at most one more until the next trigger
-        episode, so a standing disagreement is announced but never spammed.
+        that is live in the store or has a pending trigger; any other one
+        could only get INSUFFICIENT_DATA, and no action. A verified
+        sender's pooled payloads become StoreTrusted actions. A sender
+        whose deviation trigger fired causes one BFT message; a confidently
+        contradicted location key causes at most one more until the next
+        trigger episode, so a standing disagreement is announced but never
+        spammed.
         """
         pool = self.pool
         expired = pool.expire(now)
         actions: list[Action] = [Expired(tuple(expired))] if expired else []
         store = self.store
         params = self.params
-        live = store.live
+        live = store.live(now)
         pending = self._pending
         if not live and not pending:
             return actions

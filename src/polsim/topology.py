@@ -5,9 +5,9 @@ known node holding its identity (MAC, location, trust score) and, for a peer
 the node has measured, the last RSSI values on that link, the newest one's
 tick and smoothed value, and the link's smoothing and trigger state. Beside
 the rows it keeps the newest report per reporter about each subject other
-than the node itself, learned from BFT messages, the live set of subjects
-with enough reporters to be located, and per subject the BFT messages seen
-about it, which back the distrust predicate's dissent counting.
+than the node itself, learned from BFT messages, until when each subject
+has enough fresh reports to be located, and per subject the BFT messages
+seen about it, which back the distrust predicate's dissent counting.
 """
 
 from __future__ import annotations
@@ -67,19 +67,24 @@ class TopologyStore:
 
     The node's own links live in the peer rows. Each holds the values of at
     most `capacity` measured samples, taken at rising ticks, the tick of the
-    newest and the newest smoothed value. `live` holds the subjects reported
-    by at least `min_reporters` reporters (`localization.min_reporters`),
-    the only subjects the node can locate.
+    newest and the newest smoothed value. A subject is live at a tick while
+    at least `min_reporters` (`localization.min_reporters`) of its reports
+    are at most `freshness` ticks old, the bound on a report the verifier
+    uses (`ProtocolParams.anchor_freshness`). The verifier can locate no
+    subject that is not live; a live one may still lack the own anchor.
     """
 
-    def __init__(self, self_id: NodeId, capacity: int, min_reporters: int):
+    def __init__(self, self_id: NodeId, capacity: int, min_reporters: int, freshness: int):
         if not capacity >= 1:
             raise ValueError("history capacity must be >= 1")
         if not min_reporters >= 1:
             raise ValueError("min_reporters must be >= 1")
+        if not freshness >= 0:
+            raise ValueError("freshness must be >= 0")
         self.self_id = self_id
         self.capacity = capacity
         self.min_reporters = min_reporters
+        self.freshness = freshness
         self.peers: dict[NodeId, PeerRecord] = {}
         # raised when a peer record is added or its trust adjusted; a reader
         # of the trust values lowers it once it has read them
@@ -88,9 +93,9 @@ class TopologyStore:
         self._bft_seen: dict[NodeId, list[tuple[NodeId, int, int]]] = {}
         # newest report per (subject, reporter), for anchor gathering
         self._reported: dict[NodeId, dict[NodeId, Report]] = {}
-        # the subjects with at least min_reporters reporters, kept current
-        # by record_report; readers must not change it
-        self.live: set[NodeId] = set()
+        # subject -> the last tick at which its min_reporters-th newest
+        # report is fresh, kept current by record_report
+        self._live_until: dict[NodeId, int] = {}
 
     # -- peers ----------------------------------------------------------
 
@@ -160,13 +165,19 @@ class TopologyStore:
         is from tick `t` or later: the first report per tick wins."""
         reports = self._reported.setdefault(subject, {})
         newest = reports.get(reporter)
-        if newest is None:
-            reports[reporter] = Report(t, value, reporter_location)
-            # the subject gained a reporter: the one change of its count
-            if len(reports) >= self.min_reporters:
-                self.live.add(subject)
-        elif newest.timestamp < t:
-            reports[reporter] = Report(t, value, reporter_location)
+        if newest is not None and newest.timestamp >= t:
+            return
+        reports[reporter] = Report(t, value, reporter_location)
+        if len(reports) >= self.min_reporters:
+            ticks = sorted(report.timestamp for report in reports.values())
+            self._live_until[subject] = ticks[-self.min_reporters] + self.freshness
+
+    def live(self, now: int) -> set[NodeId]:
+        """The subjects with at least `min_reporters` reports at most
+        `freshness` ticks old at `now`: a subject leaves on the tick its
+        min_reporters-th newest report ages past `freshness`, and comes back
+        with the report that gives it enough fresh ones again."""
+        return {subject for subject, until in self._live_until.items() if now <= until}
 
     def latest_reports_of(self, subject: NodeId) -> dict[NodeId, Report]:
         """Newest report per reporter for the given subject."""

@@ -136,6 +136,11 @@ class TestCascade:
             out = cascade_step(state, -60.0)
         assert abs(out - (-60.0)) <= 2.0
 
+    def test_defaults_are_the_median_and_kalman_defaults(self):
+        state = CascadeState()
+        assert state.window == MedianState().window
+        assert (state.q, state.r) == (KalmanState().q, KalmanState().r)
+
 
 class TestOtherFilters:
     def test_moving_average(self):
@@ -179,13 +184,6 @@ class TestOtherFilters:
             weights = [math.exp(-(age * age) / (2.0 * sigma * sigma)) for age in range(len(buffer))]
             expected = _sum(map(mul, weights, reversed(buffer))) / _sum(weights)
             assert gaussian_step(state, v) == expected
-
-    def test_gaussian_weighs_only_the_ages_it_has_seen(self):
-        # a window far longer than any trace costs nothing up front
-        state = GaussianState(window=10**12)
-        for v in (-40.0, -50.0, -60.0):
-            gaussian_step(state, v)
-        assert len(state.weights) == len(state.totals) == 3
 
     def test_dynamic_moving_average_shrinks_on_jump(self):
         state = DynamicMovingAverageState(max_window=8, threshold=5.0)
@@ -232,6 +230,13 @@ class TestOtherFilters:
             step(v)
         clone = copy.deepcopy(step)
         assert [clone(v) for v in (-70.0, -42.0)] == [step(v) for v in (-70.0, -42.0)]
+
+    @pytest.mark.parametrize("name", list(_FILTERS))
+    def test_every_link_state_is_slotted(self, name):
+        # a node keeps one smoother and one trigger per directed link
+        (state,) = make_filter(name).args
+        assert not hasattr(state, "__dict__")
+        assert not hasattr(TriggerState(threshold=6.0, cooldown=30), "__dict__")
 
 
 class TestTrigger:

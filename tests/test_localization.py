@@ -484,7 +484,7 @@ class TestUnrolledSolverMatchesReference:
 
 def seeded_store(subject_location: Location, *, reports_at: int = 100) -> TopologyStore:
     """Store holding a full set of exact anchors for SUBJECT."""
-    store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS))
+    store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS), freshness=PARAMS.anchor_freshness)
     self_loc = Location(0.0, 0.0, 0.0)
     peer_locs = [Location(4.0, 0.0, 0.0), Location(0.0, 4.0, 0.0), Location(0.0, 0.0, 4.0)]
     store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
@@ -557,7 +557,7 @@ class TestLocateAndVerify:
         assert decoded == deferred
 
     def test_only_self_measurement_insufficient(self):
-        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS))
+        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS), freshness=PARAMS.anchor_freshness)
         store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
         store.record_rssi(SUBJECT, 100, -45.0)
         store.update_smoothed(SUBJECT, -45.0)
@@ -573,6 +573,7 @@ class TestLocateAndVerify:
             SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, ProtocolParams(anchor_freshness=45)
         )
         assert outcome is VerifyOutcome.INSUFFICIENT_DATA
+        assert SUBJECT in store.live(55) and SUBJECT not in store.live(56)
 
     def test_planar_fallback_with_three_anchors(self):
         true_loc = Location(1.0, 1.0, 1.0)
@@ -597,7 +598,9 @@ class TestLocateAndVerify:
 
         monkeypatch.setattr("polsim.localization.multilaterate", unconverged)
         reporters = [NodeId.from_str(f"02:00:00:00:01:{i:02x}") for i in range(min_reporters(params))]
-        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(params))
+        store = TopologyStore(
+            SELF, capacity=64, min_reporters=min_reporters(params), freshness=params.anchor_freshness
+        )
         store.add_peer(PeerRecord(id=SUBJECT, location=Location(1.0, 1.0, 1.0)))
         store.record_rssi(SUBJECT, 100, -45.0)
         store.update_smoothed(SUBJECT, -45.0)
@@ -605,9 +608,9 @@ class TestLocateAndVerify:
         for i, reporter in enumerate(reporters):
             verdict = locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, params)
             assert verdict is VerifyOutcome.INSUFFICIENT_DATA and solves == []
-            assert SUBJECT not in store.live
+            assert SUBJECT not in store.live(100)
             store.record_report(reporter, SUBJECT, 100, -45.0, reporter_location=Location(float(i + 1), 0.0, 0.0))
-        assert SUBJECT in store.live
+        assert SUBJECT in store.live(100)
         locate_and_verify(SUBJECT, store, msg, MODEL, Location(0, 0, 0), 100, params)
         assert solves == [min_anchors - 1]
 
@@ -700,7 +703,7 @@ class TestGatherAnchors:
         assert len(anchors) == 4
 
     def test_reporter_location_preferred(self):
-        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS))
+        store = TopologyStore(SELF, capacity=64, min_reporters=min_reporters(PARAMS), freshness=PARAMS.anchor_freshness)
         claimed = Location(9.0, 9.0, 9.0)
         store.add_peer(PeerRecord(id=PEERS[0], location=Location(4.0, 0.0, 0.0)))
         store.record_report(PEERS[0], SUBJECT, 100, -50.0, reporter_location=claimed)

@@ -410,7 +410,6 @@ class TestPayloadMessageValue:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(msg, name)
         assert msg == PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0)
-        assert not hasattr(msg, "__dict__")
 
 
 class TestMessageInvariants:

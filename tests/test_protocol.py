@@ -400,7 +400,7 @@ class TestValidatePool:
                 bft = BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-55.0), None, t)
                 node.receive_bft(bft, -50.0, t)
             assert len(node.store.latest_reports_of(PEER)) < min_reporters(node.params)
-            assert PEER not in node.store.live
+            assert PEER not in node.store.live(t)
             # called alone, the verifier reaches the same verdict
             newest = node.pool.newest(PEER)
             verdict = locate_and_verify(PEER, node.store, newest, MODEL, node.self_location, t, node.params)
@@ -490,7 +490,7 @@ class TestValidatePool:
             node.store.record_report(reporter, EXTRAS[2], now, -55.0, node.store.peers[reporter].location)
         for sender in (EXTRAS[1], EXTRAS[0], OTHER, PEER):
             node.receive_payload(payload_from(sender, 1, node.store.peers[sender].location, now), -52.0, now)
-        assert node.store.live == {PEER, EXTRAS[0], EXTRAS[2]}
+        assert node.store.live(now) == {PEER, EXTRAS[0], EXTRAS[2]}
         node.validate_pool(now)
         assert visits == [("verify", PEER), ("verify", OTHER), ("bft", OTHER), ("verify", EXTRAS[0])]
 
@@ -548,7 +548,7 @@ class TestOwnLinkAppendPath:
         filter_params = FilterParams(warmup=warmup, trigger_threshold=3.0, trigger_cooldown=cooldown)
         params = ProtocolParams(tau=2, history_window=window, bft_window=bft_window, anchor_freshness=freshness)
         node = make_node(params=params, filter_params=filter_params)
-        ref_store = TopologyStore(ME, capacity=window, min_reporters=min_reporters(params))
+        ref_store = TopologyStore(ME, capacity=window, min_reporters=min_reporters(params), freshness=freshness)
         ref_smooth = ref_trigger = ref_pending = ref_heard = None
         clock = 0
         for kind, dt, level in ops:
@@ -686,10 +686,17 @@ class FlagReference(NodeState):
         return actions
 
 
+def fresh_reports(store: TopologyStore, subject: NodeId, now: int, params: ProtocolParams) -> int:
+    """The reports about `subject` that `gather_anchors` counts at `now`."""
+    return sum(now - r.timestamp <= params.anchor_freshness for r in store.latest_reports_of(subject).values())
+
+
 class TestKeptCurrentSets:
     """The pending set and the live set a node keeps current give what the
-    per-pipeline flags and the per-round rebuild gave, though the node asks
-    `locate_and_verify` about every sender it visits."""
+    per-pipeline flags and the per-round rebuild over every reported subject
+    gave, though the node asks `locate_and_verify` about every sender it
+    visits, and about none that is not pending and lacks `min_reporters`
+    fresh reports."""
 
     SENDERS = FlagReference.SUBJECTS
     PLACES = {
@@ -724,6 +731,12 @@ class TestKeptCurrentSets:
         ref = make_node(FlagReference, params=params, filter_params=filter_params)
         here = node.self_location
 
+        def verify(sender, store, *args):
+            if store is node.store:
+                at = args[-2]
+                assert sender in node._pending or fresh_reports(store, sender, at, params) >= min_reporters(params)
+            return locate_and_verify(sender, store, *args)
+
         def level(a: Location, b: Location, off: float) -> float:
             return rssi_value_from_distance(MODEL, a.distance_to(b)) + off
 
@@ -747,7 +760,10 @@ class TestKeptCurrentSets:
                 got, want = (n.receive_bft(msg, level(here, place, 0.0), now) for n in (node, ref))
             elif kind == "validate":
                 got = []
-                for action in node.validate_pool(now):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(protocol, "locate_and_verify", verify)
+                    node_actions = node.validate_pool(now)
+                for action in node_actions:
                     if isinstance(action, Expired):
                         got += [Ignore("expired", f"{m.sender}#{m.seq}") for m in action.messages]
                     else:
@@ -760,8 +776,8 @@ class TestKeptCurrentSets:
                 got = want = None
             assert got == want
             assert node._pending == ref.pending_flags()
-            assert node.store.live == {
-                s for s in self.SENDERS if len(node.store.latest_reports_of(s)) >= min_reporters(params)
+            assert node.store.live(now) == {
+                s for s in self.SENDERS if fresh_reports(node.store, s, now, params) >= min_reporters(params)
             }
             # no row for the node itself: its distrust is its dissent count alone
             assert node.self_id not in node.store.peers
@@ -814,7 +830,7 @@ class TestReceiveBft:
         node.receive_bft(BftMessage(OTHER, Location(0.0, 4.0, 0.0), ME, Rssi(-50.0), None, 21), -50.0, 22)
         assert min_reporters(node.params) == 2
         assert node.store.latest_reports_of(ME) == {}
-        assert ME not in node.store.live
+        assert ME not in node.store.live(22)
         assert node.store.count_recent_bft(ME, 100, 22) == 2
 
     def test_malformed_wire_bft_ignored(self):

@@ -26,8 +26,8 @@ def link(store, peer):
     return (None, []) if rec is None else (rec.heard, rec.samples.tolist())
 
 
-def make_store(capacity=64, min_reporters=2):
-    store = TopologyStore(A, capacity=capacity, min_reporters=min_reporters)
+def make_store(capacity=64, min_reporters=2, freshness=45):
+    store = TopologyStore(A, capacity=capacity, min_reporters=min_reporters, freshness=freshness)
     for node in (B, C, D):
         store.add_peer(PeerRecord(id=node))
     return store
@@ -66,7 +66,7 @@ class TestRecordRssi:
             store.record_rssi(B, 4, -40.0)
 
     def test_returns_the_row_made_as_ensure_peer_makes_one(self):
-        store = TopologyStore(A, capacity=4, min_reporters=2)
+        store = TopologyStore(A, capacity=4, min_reporters=2, freshness=45)
         rec = store.record_rssi(B, 1, -40.0)
         assert store.trust_changed and store.peers[B] is rec
         assert (rec.id, rec.location, rec.trust.value, rec.heard, rec.samples.tolist()) == (B, None, 1.0, 1, [-40.0])
@@ -100,18 +100,39 @@ class TestRecordReport:
     @settings(max_examples=200)
     @given(
         bound=st.integers(1, 4),
+        freshness=st.integers(0, 3),
         reports=st.lists(
-            st.tuples(st.sampled_from([A, B, C, D]), st.sampled_from([B, C, D]), st.integers(0, 5)),
+            st.tuples(st.sampled_from([A, B, C, D]), st.sampled_from([B, C, D]), st.integers(0, 8)),
             max_size=30,
         ),
     )
-    def test_live_set_kept_current(self, bound, reports):
-        """The live set equals the comprehension over the store's one bound after every report."""
-        store = make_store(min_reporters=bound)
-        assert store.live == set()
+    def test_live_set_kept_current(self, bound, freshness, reports):
+        """After every report, the live set at each tick equals the subjects
+        with at least the store's bound of reports the verifier counts as
+        fresh (`gather_anchors` drops one older than `freshness`)."""
+        store = make_store(min_reporters=bound, freshness=freshness)
+        assert store.live(0) == set()
         for reporter, subject, t in reports:
             store.record_report(reporter, subject, t, -50.0, HERE)
-            assert store.live == {s for s in (B, C, D) if len(store.latest_reports_of(s)) >= bound}
+            for now in range(14):
+                assert store.live(now) == {
+                    s
+                    for s in (B, C, D)
+                    if sum(now - r.timestamp <= freshness for r in store.latest_reports_of(s).values()) >= bound
+                }
+
+    def test_subject_leaves_when_its_reports_go_stale_and_rejoins_on_the_next(self):
+        store = make_store(min_reporters=2, freshness=45)
+        store.record_report(B, D, 0, -40.0, HERE)
+        assert store.live(0) == set()
+        store.record_report(C, D, 10, -41.0, HERE)
+        # the second-newest report, from tick 0, is fresh up to tick 45
+        assert store.live(10) == store.live(45) == {D}
+        assert store.live(46) == set()
+        # B's next report leaves two fresh ones: from ticks 10 and 50
+        store.record_report(B, D, 50, -42.0, HERE)
+        assert store.live(50) == store.live(55) == {D}
+        assert store.live(56) == set()
 
     def test_reporters_and_subjects_kept_apart(self):
         store = make_store()
@@ -120,7 +141,7 @@ class TestRecordReport:
         store.record_report(B, D, 5, -42.0, HERE)
         assert store.latest_reports_of(C) == {B: Report(5, -40.0, HERE), D: Report(5, -41.0, HERE)}
         assert store.latest_reports_of(B) == {}
-        assert store.live == {C}
+        assert store.live(5) == {C}
 
 
 class TestHistoryConsistent:
@@ -171,12 +192,17 @@ class TestBounds:
     @pytest.mark.parametrize("capacity", [0, -1, math.nan])
     def test_capacity_rejected(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
-            TopologyStore(A, capacity=capacity, min_reporters=2)
+            TopologyStore(A, capacity=capacity, min_reporters=2, freshness=45)
 
     @pytest.mark.parametrize("min_reporters", [0, -1, math.nan])
     def test_min_reporters_rejected(self, min_reporters):
         with pytest.raises(ValueError, match="min_reporters"):
-            TopologyStore(A, capacity=4, min_reporters=min_reporters)
+            TopologyStore(A, capacity=4, min_reporters=min_reporters, freshness=45)
+
+    @pytest.mark.parametrize("freshness", [-1, math.nan])
+    def test_freshness_rejected(self, freshness):
+        with pytest.raises(ValueError, match="freshness"):
+            TopologyStore(A, capacity=4, min_reporters=2, freshness=freshness)
 
     def test_nan_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tol"):
@@ -208,7 +234,7 @@ class TestAdjustTrust:
         assert store.adjust_trust(B, -0.3).value == 0.0
 
     def test_trust_changed_raised_by_every_record_write(self):
-        store = TopologyStore(A, capacity=4, min_reporters=2)
+        store = TopologyStore(A, capacity=4, min_reporters=2, freshness=45)
         assert not store.trust_changed
         store.add_peer(PeerRecord(id=B))
         assert store.trust_changed
