@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, compress, count, repeat
 from operator import lt, mul, sub
 from typing import Any, Callable, Iterable, Optional
@@ -197,26 +197,38 @@ def dynamic_moving_average_step(state: DynamicMovingAverageState, v: float) -> f
     return state.y
 
 
+# the longest Gaussian window; its weights are built when a state is made
+GAUSSIAN_MAX_WINDOW = 10_000
+
+
+@lru_cache(maxsize=16)
+def _gaussian_weights(sigma: float, window: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """weights[age] for each age below `window`, and totals[n - 1], the first
+    n weights added left to right. Every state with the same `sigma` and
+    `window` shares the pair, so a node's links hold one copy."""
+    spread = 2.0 * sigma * sigma
+    weights = tuple(math.exp(-(age * age) / spread) for age in range(window))
+    return weights, tuple(accumulate(weights))
+
+
 @dataclass(slots=True)
 class GaussianState:
-    """Gaussian-weighted mean over the last `window` values (newest weighted highest)."""
+    """Gaussian-weighted mean over the last `window` values (newest weighted
+    highest); `window` is at most `GAUSSIAN_MAX_WINDOW`."""
 
     sigma: float = 2.0
     window: int = 5
     buffer: deque[float] = field(init=False)
-    # weights[age] and totals[n - 1], the first n weights added left to right
-    weights: list[float] = field(init=False)
-    totals: list[float] = field(init=False)
+    weights: tuple[float, ...] = field(init=False)
+    totals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not self.window >= 1:
-            raise ValueError("window must be >= 1")
+        if not 1 <= self.window <= GAUSSIAN_MAX_WINDOW:
+            raise ValueError(f"window must be in [1, {GAUSSIAN_MAX_WINDOW}]")
         self.buffer = deque(maxlen=self.window)
-        spread = 2.0 * self.sigma * self.sigma
-        self.weights = [math.exp(-(age * age) / spread) for age in range(self.window)]
-        self.totals = list(accumulate(self.weights))
+        self.weights, self.totals = _gaussian_weights(self.sigma, self.window)
 
 
 def gaussian_step(state: GaussianState, v: float) -> float:

@@ -177,6 +177,8 @@ class TopologyStore:
         `freshness` ticks old at `now`: a subject leaves on the tick its
         min_reporters-th newest report ages past `freshness`, and comes back
         with the report that gives it enough fresh ones again."""
+        if not self._live_until:  # no subject has had enough reporters yet
+            return set()
         return {subject for subject, until in self._live_until.items() if now <= until}
 
     def latest_reports_of(self, subject: NodeId) -> dict[NodeId, Report]:

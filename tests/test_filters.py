@@ -15,6 +15,7 @@ import polsim.filters
 from polsim.filters import (
     _FILTERS,
     FLAT_WINDOW,
+    GAUSSIAN_MAX_WINDOW,
     CascadeState,
     DynamicMovingAverageState,
     ExpSmoothingState,
@@ -174,8 +175,8 @@ class TestOtherFilters:
     @pytest.mark.parametrize("window", range(1, 10))
     def test_gaussian_cached_weights_match_the_per_call_expression(self, window, sigma):
         # the weights and their total as each step computed them before they
-        # were cached on the state; outputs must agree bit for bit, during
-        # warm-up (fewer than `window` samples) and after
+        # were built once per parameter set; outputs must agree bit for bit,
+        # during warm-up (fewer than `window` samples) and after
         rng = random.Random(window * 100 + sigma)
         state, buffer = GaussianState(sigma=sigma, window=window), []
         for _ in range(3 * window + 5):
@@ -184,6 +185,21 @@ class TestOtherFilters:
             weights = [math.exp(-(age * age) / (2.0 * sigma * sigma)) for age in range(len(buffer))]
             expected = _sum(map(mul, weights, reversed(buffer))) / _sum(weights)
             assert gaussian_step(state, v) == expected
+
+    def test_gaussian_window_past_the_bound_rejected(self):
+        # the weights are built when the state is made, so a window is bounded
+        assert len(GaussianState(window=GAUSSIAN_MAX_WINDOW).weights) == GAUSSIAN_MAX_WINDOW
+        for window in (GAUSSIAN_MAX_WINDOW + 1, 10**12):
+            with pytest.raises(ValueError, match="window must be in"):
+                make_filter("gaussian", {"window": window})
+
+    def test_gaussian_states_share_one_weight_table(self):
+        # one node holds a smoother per link; they share the weights
+        a, b = GaussianState(sigma=3.0, window=400), GaussianState(sigma=3.0, window=400)
+        assert a.weights is b.weights and a.totals is b.totals
+        clone = copy.deepcopy(a)
+        assert clone.weights is a.weights and clone.totals is a.totals
+        assert GaussianState(sigma=3.0, window=401).weights[:400] == a.weights
 
     def test_dynamic_moving_average_shrinks_on_jump(self):
         state = DynamicMovingAverageState(max_window=8, threshold=5.0)

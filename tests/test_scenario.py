@@ -339,10 +339,11 @@ class TestValidation:
             ({"smoother_params": {"window": 7.9}}, "window must be an integer, not 7.9"),
             ({"smoother_params": {"q": "0.5"}}, "q must be a number, not '0.5'"),
             ({"smoother_params": {"q": math.nan}}, "q must be a number, not nan"),
+            ({"smoother": "gaussian", "smoother_params": {"window": 10**9}}, "window must be in"),
         ],
         ids=["even-window", "kalman-r-zero", "zero-threshold", "params-not-object",
              "params-typo", "negative-warmup", "dropped-key", "window-string", "window-bool",
-             "window-float", "q-string", "q-nan"],
+             "window-float", "q-string", "q-nan", "gaussian-window-past-bound"],
     )
     def test_bad_filter_config_exits_1_before_running(self, filters, message, tmp_path, capsys):
         doc = minimal_doc()
