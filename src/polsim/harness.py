@@ -204,38 +204,38 @@ def sensor_reading(node_index: int, tick: int) -> bytes:
 
 
 class _AttackDriver:
-    """Expands an attack spec into per-tick injected broadcasts."""
+    """Expands an attack spec into per-tick injected broadcasts; reads each parameter by `AttackSpec.param`."""
 
     def __init__(self, spec: AttackSpec, scenario: Scenario, index: int, channel: RadioChannel):
         self.kind = spec.kind
-        self.params = spec.params
+        self.param = spec.param
         self.at = spec.at
-        self.until = spec.params.get("until", scenario.duration)
-        self.period = spec.params.get("period", 1)
+        self.until = self.param("until")
+        self.period = self.param("period")
         self.counter = 0
-        self.victim = scenario.node(spec.params["victim"])
+        self.victim = scenario.node(self.param("victim"))
         self.victim_index = scenario.nodes.index(self.victim)
         self.grid = scenario.protocol.location_grid
         if self.kind is AttackKind.MALICIOUS_BFT:
-            attacker = scenario.node(spec.params["attacker"])
+            attacker = scenario.node(self.param("attacker"))
             self.phys_id = attacker.mac
             self.position = attacker.position
             self.label = attacker.label
         else:
             # physical transmitter registered in the channel, invisible to nodes
             self.phys_id = transmitter_id(index)
-            self.position = Location(*[float(c) for c in spec.params["attacker_position"]])
+            self.position = Location(*[float(c) for c in self.param("attacker_position")])
             self.label = f"attacker{index}"
             channel.register(self.phys_id, self.position)
         self.captured: Optional[PayloadMessage] = None
-        self.capture_at = spec.params.get("capture_at", 0)
 
     def active(self, tick: int) -> bool:
+        """A replayer transmits only what it captured, at most `count` times."""
         if tick < self.at or tick > self.until:
             return False
         if self.kind is AttackKind.REPLAY:
-            count = self.params.get("count")
-            if count is not None and self.counter >= count:
+            count = self.param("count")
+            if self.captured is None or (count is not None and self.counter >= count):
                 return False
         return (tick - self.at) % self.period == 0
 
@@ -243,15 +243,13 @@ class _AttackDriver:
         """Does this spoofer hold back its victim's own payload at `tick`?
         It does while it is under way, `at <= tick <= until`."""
         return (
-            self.kind is AttackKind.IDENTITY_SPOOF
-            and self.at <= tick <= self.until
-            and self.params.get("suppress_victim", True)
+            self.kind is AttackKind.IDENTITY_SPOOF and self.at <= tick <= self.until and self.param("suppress_victim")
         )
 
     def overhear(self, payloads: list[tuple[NodeId, Message]], tick: int) -> None:
         """A replayer keeps its victim's payload among the tick's node payloads
         while `tick <= capture_at`, or the first one after."""
-        if self.kind is AttackKind.REPLAY and (tick <= self.capture_at or self.captured is None):
+        if self.kind is AttackKind.REPLAY and (tick <= self.param("capture_at") or self.captured is None):
             for sender, msg in payloads:
                 if sender == self.victim.mac:
                     self.captured = msg
@@ -275,7 +273,7 @@ class _AttackDriver:
                 sender=self.phys_id,
                 sender_location=self.position,
                 subject=self.victim.mac,
-                measured_rssi=Rssi(float(self.params.get("fake_rssi", -90.0))),
+                measured_rssi=Rssi(float(self.param("fake_rssi"))),
                 ref_seq=None,
                 timestamp=tick,
             )
@@ -465,15 +463,9 @@ def run(scenario: Scenario, out_dir: Optional[str] = None, collect_rssi: bool = 
         return _simulate(scenario, sink, collect_rssi)
 
 
-class _Labels(dict):
-    """Trace label by node id; an id of no node reads as its MAC text."""
-
-    def __missing__(self, node: NodeId) -> str:
-        return str(node)
-
-
 def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunResult:
-    labels = _Labels((spec.mac, spec.label) for spec in scenario.nodes)
+    # every id a run traces is a node's: attacks send under their nodes' ids
+    labels = {spec.mac: spec.label for spec in scenario.nodes}
 
     channel = RadioChannel(scenario.channel)
     nodes: dict[NodeId, NodeState] = {}
@@ -533,19 +525,10 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
             )
             counts[label]["bft_sent"] += 1
         elif cls is AlertMessage:
-            ref = None
-            if out.ref_bft is not None:
-                ref = {
-                    "sender": labels[out.ref_bft.sender],
-                    "subject": labels[out.ref_bft.subject],
-                    "timestamp": out.ref_bft.timestamp,
-                }
-            event(
-                TraceEvent(
-                    tick, label, "send_alert",
-                    {"alert_type": out.alert_type.name.lower(), "object": labels[out.object], "ref_bft": ref},
-                )
-            )
+            ref = out.ref_bft  # a node's alert answers the BFT it references
+            ref_bft = {"sender": labels[ref.sender], "subject": labels[ref.subject], "timestamp": ref.timestamp}
+            details = {"alert_type": out.alert_type.name.lower(), "object": labels[out.object], "ref_bft": ref_bft}
+            event(TraceEvent(tick, label, "send_alert", details))
             counts[label]["alert_sent"] += 1
         elif cls is StoreTrusted:
             m = out.message

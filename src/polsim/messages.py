@@ -284,6 +284,8 @@ class AlertMessage:
     timestamp: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alert_type, AlertType):
+            raise ValueError(f"alert type must be an AlertType, not {self.alert_type!r}")
         if not isinstance(self.object, NodeId):
             raise ValueError("alert carries a NodeId object")
         if self.alert_type == AlertType.DISTRUST and self.ref_bft is None:
@@ -360,13 +362,6 @@ class _Reader:
         self.pos += size
         return out
 
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MessageDecodeError("truncated message")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
     def done(self) -> None:
         if self.pos != len(self.data):
             raise MessageDecodeError(f"{len(self.data) - self.pos} trailing bytes")
@@ -384,8 +379,7 @@ def decode_message(data: bytes) -> Message:
     try:
         if tag == TAG_PAYLOAD:
             seq, stype, plen = rd.take("<QBH")
-            payload = rd.take_bytes(plen)
-            digest = rd.take_bytes(32)
+            payload, digest = rd.take(f"<{plen}s32s")
             rd.done()
             return PayloadMessage(
                 sender=sender,
@@ -409,10 +403,9 @@ def decode_message(data: bytes) -> Message:
                 timestamp=timestamp,
             )
         if tag == TAG_ALERT:
-            (atype,) = rd.take("<B")
+            atype, objmac, flag = rd.take("<B6sB")
             alert_type = AlertType(atype)
-            obj = NodeId(rd.take_bytes(6))
-            (flag,) = rd.take("<B")
+            obj = NodeId(objmac)
             ref = None
             if flag:
                 rmac, rsub, rts = rd.take("<6s6sQ")
@@ -421,6 +414,6 @@ def decode_message(data: bytes) -> Message:
             return AlertMessage(
                 sender=sender, alert_type=alert_type, object=obj, ref_bft=ref, timestamp=timestamp
             )
-    except (ValueError, InvalidLocationError) as exc:
+    except ValueError as exc:  # InvalidLocationError included
         raise MessageDecodeError(str(exc)) from exc
     raise MessageDecodeError(f"unknown message tag 0x{tag:02x}")

@@ -170,11 +170,15 @@ class MessagePool:
     honest sender's monotone seqs stay one run however long the run is,
     and a spoofer's seqs in another range add a second run instead of
     shutting out the victim's later seqs, as a per-sender high watermark
-    would.
+    would. A plain per-sender set of seqs raises `soak-9k`'s peak RSS from
+    46.3 to 57.9 MB (+25%, 4 of 4 alternating `perfbench/run.py` pairs).
 
     Each sender's pooled payloads are two parallel deques in reception
     order, the messages and the ticks they were received at, so pooling a
-    payload builds no object of its own.
+    payload builds no object of its own. One deque of (tick, message)
+    pairs raises `dense-20`'s peak RSS from 54.5 to 56.2 MB (+3.0%, 6 of 6
+    pairs); its `wall_s` moved +0.7%, unresolved (3 of 6 pairs). Both
+    measured on CPython 3.11.7, a 2-CPU host.
     """
 
     def __init__(self, ttl: int):
@@ -448,8 +452,6 @@ class NodeState:
     # -- P4: BFT reception ----------------------------------------------------
 
     def receive_bft(self, msg: BftMessage, rssi: float, now: int) -> list[Action]:
-        if msg.sender == msg.subject:
-            return [Ignore("malformed-bft")]
         if msg.sender == self.self_id:
             return [Ignore("self-echo", context="bft")]
         self.ingest_sample(msg.sender, rssi, now)
@@ -534,8 +536,6 @@ class NodeState:
         accuser = alert.sender
         accused = alert.object
         ref = alert.ref_bft
-        if ref is None:
-            return [Ignore("malformed-alert")]
         if ref.sender != accused or ref.subject != accuser:
             return [Ignore("malformed-alert", context="ref mismatch")]
         if accused == self.self_id:

@@ -10,7 +10,7 @@ lying-BFT attack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from enum import Enum
 from typing import Any
 
@@ -81,6 +81,11 @@ class AttackSpec:
     kind: AttackKind
     at: int
     params: dict[str, Any] = field(default_factory=dict)
+
+    def param(self, name: str) -> Any:
+        """The parameter as given, or its `_ATTACK_PARAMS` default; KeyError for a required one."""
+        default = _ATTACK_PARAMS[name][1]
+        return self.params[name] if default is MISSING else self.params.get(name, default)
 
     def to_dict(self) -> dict[str, Any]:
         return {"type": self.kind.value, "at": self.at, "params": dict(self.params)}
@@ -207,7 +212,7 @@ class Scenario:
             if len(errors) > seen:
                 continue
             kind = spec["type"]
-            kinds, required = _ATTACK_PARAMS[kind]
+            kinds, required = _ATTACK_SCHEMAS[kind]
             params = _checked(spec.get("params", {}), kinds, f"{where}params: ", errors, required)
             for role in ("victim", "attacker"):
                 if role in params and params[role] not in labels:
@@ -303,22 +308,27 @@ _NODE_KINDS = {
 }
 _MOVEMENT_KINDS = {"node": _STR, "at": _INT, "to": lambda v: Location(*_point(v)), "announce": _BOOL}
 _ATTACK_KINDS = {"type": _one_of({k.value: k for k in AttackKind}), "at": _INT, "params": _OBJECT}
-# per attack kind: the kind of each parameter, and the parameters it needs
-_ATTACK_PARAMS: dict[AttackKind, tuple[dict[str, Kind], tuple[str, ...]]] = {
-    AttackKind.IDENTITY_SPOOF: (
-        {"victim": _STR, "attacker_position": _point, "period": _POSITIVE_INT,
-         "suppress_victim": _BOOL, "until": _INT},
-        ("victim", "attacker_position"),
-    ),
-    AttackKind.MALICIOUS_BFT: (
-        {"attacker": _STR, "victim": _STR, "fake_rssi": _RSSI, "period": _POSITIVE_INT, "until": _INT},
-        ("attacker", "victim"),
-    ),
-    AttackKind.REPLAY: (
-        {"victim": _STR, "attacker_position": _point, "period": _POSITIVE_INT,
-         "capture_at": _INT, "count": _OPTIONAL_POSITIVE_INT},
-        ("victim", "attacker_position"),
-    ),
+# every attack parameter: its kind and its default, MISSING where a document
+# must give it; `AttackSpec.param` reads the default of one left out
+_ATTACK_PARAMS: dict[str, tuple[Kind, Any]] = {
+    "victim": (_STR, MISSING),
+    "attacker": (_STR, MISSING),
+    "attacker_position": (_point, MISSING),
+    "period": (_POSITIVE_INT, 1),
+    "until": (_INT, float("inf")),  # no end: to the end of the run
+    "suppress_victim": (_BOOL, True),
+    "fake_rssi": (_RSSI, -90.0),
+    "capture_at": (_INT, 0),
+    "count": (_OPTIONAL_POSITIVE_INT, None),  # None: no limit
+}
+# per attack kind: the kind of each parameter it takes, and those without a default
+_ATTACK_SCHEMAS = {
+    kind: ({n: _ATTACK_PARAMS[n][0] for n in names}, tuple(n for n in names if _ATTACK_PARAMS[n][1] is MISSING))
+    for kind, names in (
+        (AttackKind.IDENTITY_SPOOF, ("victim", "attacker_position", "period", "suppress_victim", "until")),
+        (AttackKind.MALICIOUS_BFT, ("attacker", "victim", "fake_rssi", "period", "until")),
+        (AttackKind.REPLAY, ("victim", "attacker_position", "period", "capture_at", "count")),
+    )
 }
 
 

@@ -68,6 +68,34 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("scenario error: seed must be in")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_unknown_builtin_exit_1_before_writing(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = (command, "--builtin", "no-such", *(("--out", str(out)) if command == "run" else ()))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"scenario error: unknown builtin scenario 'no-such'; choose from {BUILTIN_NAMES}\n"
+        assert not out.exists()
+
+    def test_scenario_file_of_a_list_exit_1_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "scenario error: scenario document must be a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "--builtin", "static-honest"), ("run", "--builtin", "static-honest", "--seed", "x", "--out", "o")],
+        ids=["missing-out", "non-integer-seed"],
+    )
+    def test_usage_error_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "usage: polsim run" in capsys.readouterr().err
+
     def test_invalid_scenario_lists_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"duration": -1, "nodes": [], "bogus": 1}))

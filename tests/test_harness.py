@@ -671,6 +671,21 @@ class TestReplayScenario:
         assert res.bft_events() == []
         assert res.alert_events() == []
 
+    @pytest.mark.parametrize("spoof_until, replays", [(10, [50, 60, 70]), (100, [110, 120, 130])])
+    def test_count_is_spent_only_on_captured_payloads(self, spoof_until, replays):
+        """A replayer whose victim is silenced has nothing to send: those
+        ticks neither transmit nor count toward `count`."""
+        doc = builtin_scenario("static-honest", seed=1).to_dict()
+        doc["duration"] = 200
+        doc["attacks"] = [
+            {"type": "identity_spoof", "at": 0,
+             "params": {"victim": "n1", "attacker_position": [0.0, -5.0, -1.0], "until": spoof_until}},
+            {"type": "replay", "at": 50,
+             "params": {"victim": "n1", "attacker_position": [4.0, 4.0, 0.0], "period": 10, "count": 3}},
+        ]
+        res = run(Scenario.from_dict(doc), collect_rssi=False)
+        assert [e.tick for e in res.events if e.action == "send_payload" and e.node == "attacker1"] == replays
+
     def test_replay_does_not_duplicate_pool_entries(self):
         res = run(self.make_scenario(), collect_rssi=False)
         # the pool dedups on (sender, seq); stale handling precedes pooling,

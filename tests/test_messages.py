@@ -322,6 +322,14 @@ class TestWireCodec:
         with pytest.raises(MessageDecodeError):
             decode_message(data[:-1])
 
+    def test_shorter_than_the_header_is_truncated(self):
+        with pytest.raises(MessageDecodeError, match="^truncated message$"):
+            decode_message(b"\x02" + A.mac + bytes(7))  # one byte short of the 15-byte header
+
+    def test_encode_rejects_a_non_message(self):
+        with pytest.raises(TypeError, match="not a wire message"):
+            encode_message(object())
+
     def test_trailing_bytes_rejected(self):
         data = encode_message(BftMessage(A, Location(0, 0, 0), B, Rssi(-40.0), 3, 9))
         with pytest.raises(MessageDecodeError):
@@ -429,3 +437,8 @@ class TestMessageInvariants:
         for obj in (b"\x00\x01", B.mac):
             with pytest.raises(ValueError):
                 AlertMessage(A, AlertType.DISTRUST, obj, BftRef(B, A, 0), 0)
+
+    @pytest.mark.parametrize("alert_type", [7, "distrust", None])
+    def test_alert_type_is_an_alert_type(self, alert_type):
+        with pytest.raises(ValueError, match="alert type must be an AlertType"):
+            AlertMessage(A, alert_type, A, None, 0)

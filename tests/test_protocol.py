@@ -28,6 +28,7 @@ from polsim.messages import (
     Rssi,
     SensorType,
     TrustScore,
+    encode_message,
     location_key,
 )
 from polsim.protocol import (
@@ -841,6 +842,20 @@ class TestReceiveBft:
         (action,) = node.receive_wire(raw, -50.0, 8)
         assert isinstance(action, Ignore) and action.reason == "decode-error"
 
+    def test_bft_under_own_id_is_a_self_echo(self):
+        node, twin = make_node(), make_node()
+        msg = BftMessage(ME, Location(0.0, 0.0, 0.0), PEER, Rssi(-47.0), None, 20)
+        assert node.receive_bft(msg, -51.0, 21) == [Ignore("self-echo", context="bft")]
+        assert node_state(node) == node_state(twin)  # nothing measured, logged or stored
+
+    def test_wire_distrust_alert_without_ref_is_a_decode_error(self):
+        """The constructor refuses a distrust alert without its ref, so the
+        decoder does too and the node never sees one."""
+        node = make_node()
+        raw = struct.pack("<B6sQ", 0x03, PEER.mac, 7) + struct.pack("<B6sB", int(AlertType.DISTRUST), OTHER.mac, 0)
+        (action,) = node.receive_wire(raw, -50.0, 8)
+        assert action.reason == "decode-error" and "must reference" in action.context
+
     def test_distinct_sender_dissent_flips_distrust(self):
         node = make_node()
         for t, sender in enumerate((OTHER, EXTRAS[0], EXTRAS[1])):
@@ -920,6 +935,12 @@ class TestSelfDefensePaperRows:
         assert state.self_defense(msg, 40) == [AlertMessage(state.self_id, alert_type, obj, ref, 40)]
         assert state.self_defense(msg, 41) == [Ignore("alert-cooldown", context=context.format(msg.sender))]
 
+    def test_bft_row_inside_the_cooldown_is_ignored(self):
+        state, msg = _craft_state(True, False, True, False)
+        (bft,) = state.self_defense(msg, 40)
+        assert isinstance(bft, BftMessage) and bft.subject == msg.sender
+        assert state.self_defense(msg, 41) == [Ignore("bft-cooldown", context=str(msg.sender))]
+
     def test_self_defense_requires_own_subject(self):
         node = make_node()
         msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-50.0), None, 5)
@@ -998,6 +1019,30 @@ class TestReceiveAlert:
         assert node.receive_alert(alert, None, 31) == []
         assert rec.trust.value == trust - node.params.trust_step
         assert rec.location is location
+
+    def test_alert_under_own_id_is_a_self_echo(self):
+        node, twin = self._observing_node(), self._observing_node()
+        assert node.receive_alert(distrust_alert(ME, PEER), -50.0, 25) == [Ignore("self-echo", context="alert")]
+        assert node_state(node) == node_state(twin)
+
+    def test_alert_accusing_the_node_itself_is_ignored(self):
+        node, twin = self._observing_node(), self._observing_node()
+        # PEER accuses this node of a lying BFT about PEER
+        assert node.receive_alert(distrust_alert(PEER, ME), None, 25) == [Ignore("accused-is-self")]
+        assert node_state(node) == node_state(twin)
+
+    def test_rejection_rewards_other_participants_but_not_the_node(self):
+        node = self._observing_node()
+        accuser, accused = PEER, OTHER
+        node.store.register_bft(ME, accuser, 18, 18)  # the node's own dissent about the accuser
+        node.store.register_bft(EXTRAS[0], accuser, 19, 19)
+        node.store.peers[EXTRAS[0]].trust = TrustScore(0.5)
+        assert node.store.recent_bft_senders(accuser, node.params.bft_window, 25) == {ME, EXTRAS[0]}
+        # the referenced BFT was never seen: reject
+        assert node.receive_alert(distrust_alert(accuser, accused), None, 25) == []
+        assert node.store.peers[accuser].trust.value == pytest.approx(0.9)
+        assert node.store.peers[EXTRAS[0]].trust.value == pytest.approx(0.6)
+        assert ME not in node.store.peers
 
     def test_mismatched_reference_is_malformed(self):
         node = make_node()
@@ -1088,6 +1133,13 @@ class TestDispatch:
         assert (heard, values[-1]) == (21, -49.0)  # the reception was measured
         assert ticked.tick([(msg, -49.0)], now=21) == want + routed.validate_pool(21)
         assert node_state(ticked) == node_state(routed)
+
+    @pytest.mark.parametrize("name", MESSAGES)
+    def test_wire_reception_equals_the_decoded_one(self, name):
+        msg, _step = self.MESSAGES[name]
+        wired, direct = self.primed_node(), self.primed_node()
+        assert wired.receive_wire(encode_message(msg), -49.0, 21) == direct.receive_message(msg, -49.0, 21)
+        assert node_state(wired) == node_state(direct)
 
     @pytest.mark.parametrize("msg", [b"\x01raw", "text", BftRef(PEER, ME, 20)], ids=["bytes", "str", "bft-ref"])
     def test_other_types_are_ignored(self, msg):
