@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional
 from .filters import KalmanState, kalman_step, make_filter
 from .harness import RunResult, chunk_lines, run
 from .localization import PathLossModel, multilaterate, rssi_value_from_distance
-from .messages import BftMessage, BftRef, AlertMessage, AlertType, Location, NodeId, Rssi, TrustScore
+from .messages import BftMessage, BftRef, AlertMessage, AlertType, Location, NodeId
 from .protocol import (
     BFT_ABOUT_B,
     DISTRUST_B,
@@ -193,14 +193,14 @@ def _craft_state(c: bool, h: bool, db: bool, dself: bool) -> tuple[NodeState, Bf
         for t in range(9, 9 + params.history_window):
             state.store.record_rssi(_B, t, -80.0)
     if db:
-        state.store.peers[_B].trust = TrustScore(0.05)
+        state.store.peers[_B].trust = 0.05
     now = 40
     claimed = smoothed if c else smoothed - 30.0
     msg = BftMessage(
         sender=_B,
         sender_location=Location(3.0, 0.0, 0.0),
         subject=_A,
-        measured_rssi=Rssi(claimed),
+        measured_rssi=claimed,
         ref_seq=None,
         timestamp=now,
     )
@@ -247,7 +247,7 @@ def check_trust_arithmetic() -> str:
     state = NodeState(self_id=c_id, self_location=Location(0.0, 0.0, 0.0))
     step = state.params.trust_step
     for node in [accuser, accused, *participants, _EXTRA[3]]:
-        state.store.add_peer(PeerRecord(id=node, trust=TrustScore(0.5)))
+        state.store.add_peer(PeerRecord(id=node, trust=0.5))
     for i, participant in enumerate(participants):
         state.store.register_bft(participant, accuser, 10 + i, 10 + i)
     # the referenced BFT from the accused was never observed -> reject
@@ -258,9 +258,9 @@ def check_trust_arithmetic() -> str:
         ref_bft=BftRef(accused, accuser, 5),
         timestamp=20,
     )
-    before = {n: state.store.peers[n].trust.value for n in state.store.peers}
+    before = {n: state.store.peers[n].trust for n in state.store.peers}
     state.receive_alert(alert, None, 20)
-    after = {n: state.store.peers[n].trust.value for n in state.store.peers}
+    after = {n: state.store.peers[n].trust for n in state.store.peers}
     changed = {n for n in before if before[n] != after[n]}
     expect_changed = {accuser, *participants}
     if changed != expect_changed:
@@ -275,14 +275,14 @@ def check_trust_arithmetic() -> str:
 
     # clamp: participant already at 1.0 stays at 1.0, accuser at 0.05 floors at 0
     state2 = NodeState(self_id=c_id, self_location=Location(0.0, 0.0, 0.0))
-    state2.store.add_peer(PeerRecord(id=accuser, trust=TrustScore(0.05)))
-    state2.store.add_peer(PeerRecord(id=accused, trust=TrustScore(0.5)))
-    state2.store.add_peer(PeerRecord(id=participants[0], trust=TrustScore(1.0)))
+    state2.store.add_peer(PeerRecord(id=accuser, trust=0.05))
+    state2.store.add_peer(PeerRecord(id=accused, trust=0.5))
+    state2.store.add_peer(PeerRecord(id=participants[0], trust=1.0))
     state2.store.register_bft(participants[0], accuser, 10, 10)
     state2.receive_alert(alert, None, 20)
-    if state2.store.peers[accuser].trust.value != 0.0:
+    if state2.store.peers[accuser].trust != 0.0:
         raise CheckFailed("accuser trust did not clamp to 0")
-    if state2.store.peers[participants[0]].trust.value != 1.0:
+    if state2.store.peers[participants[0]].trust != 1.0:
         raise CheckFailed("participant trust escaped 1.0")
     return "reject moved exactly 4 scores by one step; clamping exact"
 

@@ -40,7 +40,6 @@ from .messages import (
     Message,
     NodeId,
     PayloadMessage,
-    Rssi,
     location_key,
 )
 from .channel import RadioChannel
@@ -273,7 +272,7 @@ class _AttackDriver:
                 sender=self.phys_id,
                 sender_location=self.position,
                 subject=self.victim.mac,
-                measured_rssi=Rssi(float(self.param("fake_rssi"))),
+                measured_rssi=float(self.param("fake_rssi")),
                 ref_seq=None,
                 timestamp=tick,
             )
@@ -518,7 +517,7 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
                     tick, label, "send_bft",
                     {
                         "subject": subject,
-                        "measured_rssi": round(out.measured_rssi.value, 6),
+                        "measured_rssi": round(out.measured_rssi, 6),
                         "ref_seq": out.ref_seq,
                     },
                 )
@@ -604,7 +603,7 @@ def _simulate(scenario: Scenario, sink: _LineSink, collect_rssi: bool) -> RunRes
             store.trust_changed = False
             snap = trust_snapshot[mac]
             for peer_id, rec in store.peers.items():
-                value = rec.trust.value
+                value = rec.trust
                 if snap.get(peer_id) != value:
                     snap[peer_id] = value
                     trust_timeline.append((tick, labels[mac], labels[peer_id], value))

@@ -1,10 +1,11 @@
 """Domain value types and the three wire message types of the PoL protocol.
 
-Everything here is an immutable value: node identifiers, locations, RSSI
-readings, trust scores, and the payload / BFT / alert messages exchanged
-between sensor nodes. The module also implements the location key (a keyed
-digest binding a payload to a quantized location) and the canonical binary
-wire encoding.
+Everything here is an immutable value: node identifiers, locations, and the
+payload / BFT / alert messages exchanged between sensor nodes. An RSSI
+reading is a plain float in [RSSI_MIN, RSSI_MAX], which a BFT message
+checks for the one it carries. The module also implements the location key
+(a keyed digest binding a payload to a quantized location) and the
+canonical binary wire encoding.
 
 Wire format (all integers little-endian, floats IEEE-754 doubles):
 
@@ -15,6 +16,9 @@ Wire format (all integers little-endian, floats IEEE-754 doubles):
                     [measured_rssi: f64] [ref flag: u8] [ref_seq: u64?]
     0x03 alert      [alert_type: u8] [object: mac 6B]
                     [ref flag: u8] [ref_bft: 6B + 6B + u64?]
+
+A ref flag is 1 when the field marked `?` follows and 0 when it does not;
+the decoder refuses any other byte.
 
 A payload's signed_payload is the 32-byte digest of its location key, which
 a key made by `cell_key` or `location_key` computes when it is first read.
@@ -117,31 +121,6 @@ class Location:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class Rssi:
-    """Received signal strength in dB, restricted to [-120, 0]."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (RSSI_MIN <= self.value <= RSSI_MAX):
-            raise ValueError(f"RSSI {self.value} outside [{RSSI_MIN}, {RSSI_MAX}]")
-
-
-@dataclass(frozen=True)
-class TrustScore:
-    """Dimensionless trust in [0, 1]; arithmetic clamps at the bounds."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"trust {self.value} outside [0, 1]")
-
-    def adjusted(self, delta: float) -> "TrustScore":
-        return TrustScore(min(1.0, max(0.0, self.value + delta)))
 
 
 class LocationKey:
@@ -264,13 +243,15 @@ class BftMessage:
     sender: NodeId
     sender_location: Location
     subject: NodeId
-    measured_rssi: Rssi
+    measured_rssi: float
     ref_seq: Optional[int]
     timestamp: int
 
     def __post_init__(self) -> None:
         if self.sender == self.subject:
             raise ValueError("BFT subject must differ from sender")
+        if not (RSSI_MIN <= self.measured_rssi <= RSSI_MAX):  # NaN fails too
+            raise ValueError(f"RSSI {self.measured_rssi} outside [{RSSI_MIN}, {RSSI_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -288,8 +269,13 @@ class AlertMessage:
             raise ValueError(f"alert type must be an AlertType, not {self.alert_type!r}")
         if not isinstance(self.object, NodeId):
             raise ValueError("alert carries a NodeId object")
-        if self.alert_type == AlertType.DISTRUST and self.ref_bft is None:
-            raise ValueError("distrust alert must reference the BFT it replies to")
+        if self.alert_type == AlertType.DISTRUST:
+            # A distrusts B for B's BFT about A: the ref names that BFT
+            ref = self.ref_bft
+            if ref is None:
+                raise ValueError("distrust alert must reference the BFT it replies to")
+            if ref.sender != self.object or ref.subject != self.sender:
+                raise ValueError("distrust alert must reference the accused's BFT about its sender")
         if self.alert_type == AlertType.SELF_DISTRUST and self.object != self.sender:
             raise ValueError("self-distrust alert object must equal sender")
 
@@ -328,7 +314,7 @@ def encode_message(msg: Message) -> bytes:
     if isinstance(msg, BftMessage):
         head = _header(TAG_BFT, msg)
         loc = msg.sender_location
-        body = struct.pack("<3d6sd", loc.x, loc.y, loc.z, msg.subject.mac, msg.measured_rssi.value)
+        body = struct.pack("<3d6sd", loc.x, loc.y, loc.z, msg.subject.mac, msg.measured_rssi)
         if msg.ref_seq is None:
             ref = struct.pack("<B", 0)
         else:
@@ -362,6 +348,13 @@ class _Reader:
         self.pos += size
         return out
 
+    def flag(self) -> bool:
+        """Whether a ref follows: its flag byte is 1, not 0, and nothing else."""
+        (flag,) = self.take("<B")
+        if flag > 1:
+            raise MessageDecodeError(f"ref flag {flag} is neither 0 nor 1")
+        return flag == 1
+
     def done(self) -> None:
         if self.pos != len(self.data):
             raise MessageDecodeError(f"{len(self.data) - self.pos} trailing bytes")
@@ -371,7 +364,8 @@ def decode_message(data: bytes) -> Message:
     """Parse canonical wire bytes back into a message value.
 
     Raises MessageDecodeError for anything malformed: unknown tag, truncation,
-    trailing bytes, or field values violating message invariants.
+    trailing bytes, a ref flag other than 0 or 1, or field values violating
+    message invariants.
     """
     rd = _Reader(data)
     tag, mac, timestamp = rd.take("<B6sQ")
@@ -391,23 +385,22 @@ def decode_message(data: bytes) -> Message:
             )
         if tag == TAG_BFT:
             x, y, z, submac, rssi = rd.take("<3d6sd")
-            (flag,) = rd.take("<B")
-            ref_seq = rd.take("<Q")[0] if flag else None
+            ref_seq = rd.take("<Q")[0] if rd.flag() else None
             rd.done()
             return BftMessage(
                 sender=sender,
                 sender_location=Location(x, y, z),
                 subject=NodeId(submac),
-                measured_rssi=Rssi(rssi),
+                measured_rssi=rssi,
                 ref_seq=ref_seq,
                 timestamp=timestamp,
             )
         if tag == TAG_ALERT:
-            atype, objmac, flag = rd.take("<B6sB")
+            atype, objmac = rd.take("<B6s")
             alert_type = AlertType(atype)
             obj = NodeId(objmac)
             ref = None
-            if flag:
+            if rd.flag():
                 rmac, rsub, rts = rd.take("<6s6sQ")
                 ref = BftRef(NodeId(rmac), NodeId(rsub), rts)
             rd.done()

@@ -35,7 +35,6 @@ from .messages import (
     MessageDecodeError,
     NodeId,
     PayloadMessage,
-    Rssi,
     SensorType,
     cell_key,
     decode_message,
@@ -350,7 +349,7 @@ class NodeState:
         """Low trust in the target (one with no peer record is trusted), or
         enough distinct peers questioned it."""
         rec = self.store.peers.get(target)
-        if rec is not None and rec.trust.value < self.params.epsilon:
+        if rec is not None and rec.trust < self.params.epsilon:
             return True
         count = self.store.count_recent_bft(target, self.params.bft_window, now)
         return count > self.tau(now)
@@ -439,7 +438,7 @@ class NodeState:
             sender=self.self_id,
             sender_location=self.self_location,
             subject=subject,
-            measured_rssi=Rssi(smoothed),
+            measured_rssi=smoothed,
             ref_seq=ref_seq,
             timestamp=now,
         )
@@ -459,7 +458,7 @@ class NodeState:
         if msg.subject == self.self_id:
             return self.self_defense(msg, now)
         self.store.record_report(
-            msg.sender, msg.subject, now, msg.measured_rssi.value, msg.sender_location
+            msg.sender, msg.subject, now, msg.measured_rssi, msg.sender_location
         )
         return []
 
@@ -471,7 +470,7 @@ class NodeState:
         own = self.smoothed_rssi(origin)
         if own is None:
             return None
-        claimed_ok = abs(msg.measured_rssi.value - own) <= self.params.consistency_tol
+        claimed_ok = abs(msg.measured_rssi - own) <= self.params.consistency_tol
         history_ok = self.store.history_consistent(origin, own, self.params.consistency_tol)
         distrust_b = self.distrust(origin, now)
         # a node holds no row for itself, so its own distrust is its dissent count
@@ -532,12 +531,11 @@ class NodeState:
         if alert.alert_type == AlertType.SELF_DISTRUST:
             self.store.adjust_trust(alert.sender, -self.params.trust_step)
             return []
-        # distrust alert from A accusing B of a lying BFT about A
+        # distrust alert from A accusing B of a lying BFT about A, which
+        # the alert's ref names (AlertMessage checks that it does)
         accuser = alert.sender
         accused = alert.object
         ref = alert.ref_bft
-        if ref.sender != accused or ref.subject != accuser:
-            return [Ignore("malformed-alert", context="ref mismatch")]
         if accused == self.self_id:
             return [Ignore("accused-is-self")]
 

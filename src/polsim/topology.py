@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .messages import Location, NodeId, TrustScore
+from .messages import Location, NodeId
 
 if TYPE_CHECKING:
     from .filters import TriggerState
@@ -51,7 +51,7 @@ class PeerRecord:
 
     id: NodeId
     location: Optional[Location] = None
-    trust: TrustScore = field(default_factory=lambda: TrustScore(1.0))
+    trust: float = 1.0  # in [0, 1]; adjust_trust clamps every change
     samples: array = field(default_factory=partial(array, "d"))
     heard: Optional[int] = None
     smoothed: Optional[float] = None
@@ -111,10 +111,11 @@ class TopologyStore:
             self.trust_changed = True
         return rec
 
-    def adjust_trust(self, peer: NodeId, delta: float) -> TrustScore:
-        """Clamped trust update; a stranger first gets a record at full trust."""
+    def adjust_trust(self, peer: NodeId, delta: float) -> float:
+        """Trust update clamped into [0, 1]; a stranger first gets a record at
+        full trust."""
         rec = self.ensure_peer(peer)
-        rec.trust = rec.trust.adjusted(delta)
+        rec.trust = min(1.0, max(0.0, rec.trust + delta))
         self.trust_changed = True
         return rec.trust
 

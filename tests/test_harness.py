@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -707,6 +708,41 @@ class TestMaliciousBftScenario:
         for label, node in res.nodes.items():
             if label != "n2":
                 assert not node.distrust(victim_mac, res.metrics.duration)
+
+
+@lru_cache(maxsize=None)
+def state_sizes(ticks: int) -> dict[str, tuple[int, ...]]:
+    """Per node label, after `malicious-bft` (seed 1) at `ticks`: the BFT
+    sightings, the kept reports, the alert cooldown keys, the pool depth and
+    the pooled seq runs."""
+    doc = builtin_scenario("malicious-bft", seed=1).to_dict()
+    doc["duration"] = ticks
+    res = run(Scenario.from_dict(doc), collect_rssi=False)
+    return {
+        label: (
+            sum(map(len, node.store._bft_seen.values())),
+            sum(map(len, node.store._reported.values())),
+            len(node._alert_last),
+            len(node.pool),
+            sum(len(runs) // 2 for runs in node.pool._seen.values()),
+        )
+        for label, node in res.nodes.items()
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the BFT log keeps every sighting: 33 entries per node at 1,500 ticks, 108 at 4,500",
+)
+def test_node_state_does_not_grow_with_run_length():
+    """A 3x longer run leaves every node's state the same size."""
+    assert state_sizes(4500) == state_sizes(1500)
+
+
+def test_node_state_but_the_bft_log_does_not_grow_with_run_length():
+    """Until the BFT log is bounded, the gate above fails on it alone."""
+    short, long = state_sizes(1500), state_sizes(4500)
+    assert {label: sizes[1:] for label, sizes in long.items()} == {label: sizes[1:] for label, sizes in short.items()}
 
 
 class TestSensorReading:

@@ -27,7 +27,6 @@ from polsim.messages import (
     LocationKey,
     NodeId,
     PayloadMessage,
-    Rssi,
     SensorType,
     decode_message,
     encode_message,
@@ -71,12 +70,12 @@ class TestPathLoss:
             rssi_value_from_distance(MODEL, 0.0)
 
     def test_inverse_at_reference(self):
-        assert distance_from_rssi(MODEL, Rssi(-40.0)) == pytest.approx(1.0)
-        assert distance_from_rssi(MODEL, Rssi(-60.0)) == pytest.approx(10.0)
+        assert distance_from_rssi(MODEL, -40.0) == pytest.approx(1.0)
+        assert distance_from_rssi(MODEL, -60.0) == pytest.approx(10.0)
 
     def test_roundtrip(self):
         d = 3.7
-        r = Rssi(rssi_value_from_distance(MODEL, d))
+        r = rssi_value_from_distance(MODEL, d)
         assert distance_from_rssi(MODEL, r) == pytest.approx(d, abs=1e-9)
 
     @given(st.floats(min_value=0.02, max_value=500.0), st.floats(min_value=0.02, max_value=500.0))
@@ -176,7 +175,7 @@ def _ranged(
 ) -> list[tuple[float, float, float, float]]:
     """Model RSSI of `target` at each anchor, shifted by `offsets` dB."""
     return [
-        (*a.as_tuple(), Rssi(rssi_value_from_distance(MODEL, target.distance_to(a)) + off).value)
+        (*a.as_tuple(), rssi_value_from_distance(MODEL, target.distance_to(a)) + off)
         for a, off in zip(anchors, offsets)
     ]
 
@@ -285,9 +284,9 @@ def reference_inverse_trace(a: list[list[float]]) -> float:
     return (c00 + c11 + c22) / det
 
 
-def distance_from_rssi(m: PathLossModel, r: Rssi) -> float:
+def distance_from_rssi(m: PathLossModel, r: float) -> float:
     """Invert the path-loss model (exact inverse within the unclamped range)."""
-    return m.d0 * 10.0 ** ((m.p0 - r.value) / (10.0 * m.n))
+    return m.d0 * 10.0 ** ((m.p0 - r) / (10.0 * m.n))
 
 
 def reference_multilaterate(
@@ -315,7 +314,7 @@ def reference_multilaterate(
         )
 
     anchors = [o[:3] for o in obs]
-    dists = [distance_from_rssi(m, Rssi(o[3])) for o in obs]
+    dists = [distance_from_rssi(m, o[3]) for o in obs]
     count = len(obs)
     dim = 2 if planar else 3
     x = [reduce(add, (p[i] for p in anchors), 0) / count for i in range(dim)]

@@ -22,9 +22,9 @@ from polsim.messages import (
     MessageDecodeError,
     NodeId,
     PayloadMessage,
-    Rssi,
+    RSSI_MAX,
+    RSSI_MIN,
     SensorType,
-    TrustScore,
     cell_digest,
     decode_message,
     encode_message,
@@ -89,26 +89,26 @@ class TestLocation:
         assert Location(0, 0, 0).distance_to(Location(3, 4, 0)) == pytest.approx(5.0)
 
 
-class TestRssiAndTrust:
-    def test_rssi_range(self):
-        Rssi(-120.0)
-        Rssi(0.0)
-        with pytest.raises(ValueError):
-            Rssi(-120.1)
-        with pytest.raises(ValueError):
-            Rssi(0.5)
+class TestBftRssiRange:
+    """A BFT message carries a measured RSSI in [RSSI_MIN, RSSI_MAX]."""
 
-    def test_trust_clamps(self):
-        assert TrustScore(0.5).adjusted(0.1).value == pytest.approx(0.6)
-        assert TrustScore(0.05).adjusted(-0.1).value == 0.0
-        assert TrustScore(1.0).adjusted(0.1).value == 1.0
+    @pytest.mark.parametrize("rssi", [RSSI_MIN, -60.0, -0.0, RSSI_MAX])
+    def test_range_edges_accepted(self, rssi):
+        msg = BftMessage(A, Location(0, 0, 0), B, rssi, None, 0)
+        assert decode_message(encode_message(msg)) == msg
 
-    @given(st.floats(0, 1), st.lists(st.floats(-1, 1, allow_nan=False), max_size=30))
-    def test_trust_never_escapes_unit_interval(self, start, deltas):
-        trust = TrustScore(start)
-        for delta in deltas:
-            trust = trust.adjusted(delta)
-            assert 0.0 <= trust.value <= 1.0
+    @pytest.mark.parametrize("rssi", [-120.1, 0.5, -math.inf, math.inf, math.nan])
+    def test_outside_range_or_nan_refused(self, rssi):
+        with pytest.raises(ValueError, match="outside"):
+            BftMessage(A, Location(0, 0, 0), B, rssi, None, 0)
+
+    @pytest.mark.parametrize("rssi", [-120.1, 0.5, -math.inf, math.inf, math.nan])
+    def test_decoding_outside_range_or_nan_is_decode_error(self, rssi):
+        wire = bytearray(encode_message(BftMessage(A, Location(0, 0, 0), B, -40.0, None, 0)))
+        # after the 15-byte header, the three coordinates and the subject mac
+        struct.pack_into("<d", wire, 15 + 24 + 6, rssi)
+        with pytest.raises(MessageDecodeError, match="outside"):
+            decode_message(bytes(wire))
 
 
 class TestLocationKey:
@@ -253,7 +253,7 @@ class TestDeferredLocationKey:
 node_ids = st.binary(min_size=6, max_size=6).map(NodeId)
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 locations = st.builds(Location, finite, finite, finite)
-rssis = st.floats(min_value=-120.0, max_value=0.0, allow_nan=False).map(Rssi)
+rssis = st.floats(min_value=RSSI_MIN, max_value=RSSI_MAX)
 ticks = st.integers(min_value=0, max_value=2**40)
 digests = st.binary(min_size=32, max_size=32).map(LocationKey)
 
@@ -282,26 +282,24 @@ bft_messages = st.builds(
 
 @st.composite
 def alert_messages(draw):
+    """A self-distrust alert with or without any ref, or a distrust alert
+    whose ref names the accused's BFT about the sender."""
     sender = draw(node_ids)
-    alert_type = draw(st.sampled_from(list(AlertType)))
-    ref = draw(
-        st.one_of(
-            st.none(),
-            st.builds(BftRef, sender=node_ids, subject=node_ids, timestamp=ticks),
-        )
-    )
-    if alert_type == AlertType.SELF_DISTRUST:
-        obj = sender
+    if draw(st.sampled_from(list(AlertType))) == AlertType.SELF_DISTRUST:
+        obj, alert_type = sender, AlertType.SELF_DISTRUST
+        ref = draw(st.one_of(st.none(), st.builds(BftRef, sender=node_ids, subject=node_ids, timestamp=ticks)))
     else:
-        obj = draw(node_ids)
-        if ref is None:
-            ref = BftRef(obj, sender, draw(ticks))
+        obj, alert_type = draw(node_ids), AlertType.DISTRUST
+        ref = BftRef(obj, sender, draw(ticks))
     return AlertMessage(sender=sender, alert_type=alert_type, object=obj, ref_bft=ref, timestamp=draw(ticks))
+
+
+wire_messages = st.one_of(payload_messages, bft_messages, alert_messages())
 
 
 class TestWireCodec:
     @settings(max_examples=200)
-    @given(st.one_of(payload_messages, bft_messages, alert_messages()))
+    @given(wire_messages)
     def test_roundtrip_byte_exact(self, msg):
         encoded = encode_message(msg)
         assert decode_message(encoded) == msg
@@ -309,7 +307,7 @@ class TestWireCodec:
 
     def test_type_tags(self):
         pay = PayloadMessage(A, 1, SensorType.TEMPERATURE, b"x", LocationKey(bytes(32)), 0)
-        bft = BftMessage(A, Location(0, 0, 0), B, Rssi(-42.0), None, 0)
+        bft = BftMessage(A, Location(0, 0, 0), B, -42.0, None, 0)
         alert = AlertMessage(A, AlertType.SELF_DISTRUST, A, None, 0)
         assert encode_message(pay)[0] == 0x01
         assert encode_message(bft)[0] == 0x02
@@ -331,7 +329,7 @@ class TestWireCodec:
             encode_message(object())
 
     def test_trailing_bytes_rejected(self):
-        data = encode_message(BftMessage(A, Location(0, 0, 0), B, Rssi(-40.0), 3, 9))
+        data = encode_message(BftMessage(A, Location(0, 0, 0), B, -40.0, 3, 9))
         with pytest.raises(MessageDecodeError):
             decode_message(data + b"\x00")
 
@@ -347,6 +345,27 @@ class TestWireCodec:
         with pytest.raises(MessageDecodeError):
             decode_message(bytes(wire))
 
+    BFT_HEAD = struct.pack("<B6sQ3d6sd", 0x02, A.mac, 9, 0.0, 0.0, 0.0, B.mac, -40.0)
+    ALERT_HEAD = struct.pack("<B6sQB6s", 0x03, A.mac, 9, int(AlertType.DISTRUST), B.mac)
+
+    @pytest.mark.parametrize(
+        "head, ref",
+        [
+            (BFT_HEAD, struct.pack("<Q", 3)),
+            (BFT_HEAD, b""),
+            (ALERT_HEAD, struct.pack("<6s6sQ", B.mac, A.mac, 5)),
+        ],
+        ids=["bft-ref", "bft-no-ref", "alert-ref"],
+    )
+    def test_ref_flag_other_than_0_or_1_rejected(self, head, ref):
+        """Only the flag byte `encode_message` writes decodes: any other
+        would give a message that encodes to different bytes."""
+        canonical = head + bytes([1 if ref else 0]) + ref
+        assert encode_message(decode_message(canonical)) == canonical
+        for flag in (2, 7, 255):
+            with pytest.raises(MessageDecodeError, match=f"^ref flag {flag} is neither 0 nor 1$"):
+                decode_message(head + bytes([flag]) + ref)
+
     @pytest.mark.parametrize(
         "msg, field",
         [
@@ -355,7 +374,7 @@ class TestWireCodec:
             (PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), -1), "timestamp"),
             (PayloadMessage(A, 1.5, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 0), "seq"),
             (PayloadMessage(A, 1, SensorType.GENERIC, b"x", LocationKey(bytes(32)), 2.0), "timestamp"),
-            (BftMessage(A, Location(0, 0, 0), B, Rssi(-40.0), -1, 0), "ref_seq"),
+            (BftMessage(A, Location(0, 0, 0), B, -40.0, -1, 0), "ref_seq"),
             (AlertMessage(A, AlertType.SELF_DISTRUST, A, None, 2**64), "timestamp"),
             (AlertMessage(A, AlertType.DISTRUST, B, BftRef(B, A, -1), 0), "ref_bft timestamp"),
         ],
@@ -423,11 +442,22 @@ class TestPayloadMessageValue:
 class TestMessageInvariants:
     def test_bft_subject_must_differ(self):
         with pytest.raises(ValueError):
-            BftMessage(A, Location(0, 0, 0), A, Rssi(-40.0), None, 0)
+            BftMessage(A, Location(0, 0, 0), A, -40.0, None, 0)
 
     def test_distrust_alert_needs_ref(self):
         with pytest.raises(ValueError):
             AlertMessage(A, AlertType.DISTRUST, B, None, 0)
+
+    @pytest.mark.parametrize("ref", [BftRef(A, B, 0), BftRef(B, B, 0), BftRef(A, A, 0)])
+    def test_distrust_ref_names_the_accused_bft_about_the_sender(self, ref):
+        """A distrusts B for B's BFT about A, so only BftRef(B, A, t) fits;
+        the decoder refuses the bytes of any other."""
+        with pytest.raises(ValueError, match="must reference the accused's BFT about its sender"):
+            AlertMessage(A, AlertType.DISTRUST, B, ref, 0)
+        wire = struct.pack("<B6sQB6sB6s6sQ", 0x03, A.mac, 0, int(AlertType.DISTRUST), B.mac, 1,
+                           ref.sender.mac, ref.subject.mac, ref.timestamp)
+        with pytest.raises(MessageDecodeError, match="must reference the accused's BFT about its sender"):
+            decode_message(wire)
 
     def test_self_distrust_object_is_sender(self):
         with pytest.raises(ValueError):
@@ -442,3 +472,34 @@ class TestMessageInvariants:
     def test_alert_type_is_an_alert_type(self, alert_type):
         with pytest.raises(ValueError, match="alert type must be an AlertType"):
             AlertMessage(A, alert_type, A, None, 0)
+
+
+def _accepts_only_canonical_bytes(data: bytes) -> None:
+    """`decode_message` raises nothing but MessageDecodeError, and what it
+    accepts encodes back to the same bytes."""
+    try:
+        msg = decode_message(data)
+    except MessageDecodeError:
+        return
+    assert encode_message(msg) == data
+
+
+class TestDecoderFuzz:
+    """The decoder over arbitrary bytes and one-byte mutations of valid encodings."""
+
+    @settings(max_examples=300)
+    @given(
+        st.binary(max_size=80)
+        | st.builds(lambda tag, rest: bytes([tag]) + rest, st.sampled_from([1, 2, 3]), st.binary(max_size=80))
+    )
+    def test_arbitrary_bytes(self, data):
+        """Any bytes, and any bytes after a known tag."""
+        _accepts_only_canonical_bytes(data)
+
+    @settings(max_examples=1000)
+    @given(wire_messages, st.data())
+    def test_one_byte_mutations_of_valid_encodings(self, msg, data):
+        wire = bytearray(encode_message(msg))
+        at = data.draw(st.integers(0, len(wire) - 1), label="at")
+        wire[at] = data.draw(st.integers(0, 255), label="byte")
+        _accepts_only_canonical_bytes(bytes(wire))

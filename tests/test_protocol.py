@@ -25,9 +25,7 @@ from polsim.messages import (
     Location,
     NodeId,
     PayloadMessage,
-    Rssi,
     SensorType,
-    TrustScore,
     encode_message,
     location_key,
 )
@@ -378,7 +376,7 @@ class TestValidatePool:
         bfts = [a for a in actions if isinstance(a, BftMessage)]
         assert len(bfts) >= 1
         assert bfts[0].subject == PEER
-        assert bfts[0].measured_rssi.value <= -52.0
+        assert bfts[0].measured_rssi <= -52.0
 
     def test_hopeless_sender_verified_as_insufficient(self, monkeypatch):
         # one reporter of PEER: own anchor + 1 < min_anchors - 1, so no solve
@@ -398,7 +396,7 @@ class TestValidatePool:
         for t in range(30):
             node.receive_payload(payload_from(PEER, t + 1, steady, t - 1), -52.0 if t < 12 else -67.0, t)
             if t % 3 == 0:
-                bft = BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-55.0), None, t)
+                bft = BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, -55.0, None, t)
                 node.receive_bft(bft, -50.0, t)
             assert len(node.store.latest_reports_of(PEER)) < min_reporters(node.params)
             assert PEER not in node.store.live(t)
@@ -415,7 +413,7 @@ class TestValidatePool:
             for t, a in actions
         ]
         expected = [(t, [f"{PEER}#{t - 5}"]) for t in range(6, 30)]
-        bft = BftMessage(ME, node.self_location, PEER, Rssi(-58.480527897555184), 22, 21)
+        bft = BftMessage(ME, node.self_location, PEER, -58.480527897555184, 22, 21)
         expected.insert(expected.index((21, [f"{PEER}#16"])) + 1, (21, bft))
         assert got == expected
 
@@ -432,7 +430,7 @@ class TestValidatePool:
         monkeypatch.setattr(protocol, "locate_and_verify", spy)
         node.receive_payload(payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 10), -52.0, 11)
         for reporter in (OTHER, EXTRAS[0]):
-            bft = BftMessage(reporter, node.store.peers[reporter].location, PEER, Rssi(-55.0), None, 11)
+            bft = BftMessage(reporter, node.store.peers[reporter].location, PEER, -55.0, None, 11)
             node.receive_bft(bft, -50.0, 11)
         assert len(node.store.latest_reports_of(PEER)) == min_reporters(node.params)
         node.validate_pool(11)
@@ -756,7 +754,7 @@ class TestKeptCurrentSets:
                 subject = (*self.SENDERS, ME)[other]
                 if subject == sender:  # a BFT message names another node
                     subject = ME
-                measured = Rssi(level(place, self.PLACES.get(subject, here), off))
+                measured = level(place, self.PLACES.get(subject, here), off)
                 msg = BftMessage(sender, place, subject, measured, None, now)
                 got, want = (n.receive_bft(msg, level(here, place, 0.0), now) for n in (node, ref))
             elif kind == "validate":
@@ -787,7 +785,7 @@ class TestKeptCurrentSets:
 class TestReceiveBft:
     def test_third_party_bft_bookkeeping(self):
         node = make_node()
-        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-47.0), None, 20)
+        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, -47.0, None, 20)
         actions = node.receive_bft(msg, -51.0, 21)
         assert actions == []
         assert node.store.latest_reports_of(OTHER) == {PEER: Report(21, -47.0, Location(4.0, 0.0, 0.0))}
@@ -798,7 +796,7 @@ class TestReceiveBft:
     def test_first_report_per_tick_kept_until_a_later_tick(self):
         node = make_node()
         for value, now in ((-47.0, 21), (-60.0, 21), (-49.0, 22)):
-            msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(value), None, now)
+            msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, value, None, now)
             assert node.receive_bft(msg, -51.0, now) == []
             if now == 21:
                 assert node.store.latest_reports_of(OTHER)[PEER] == Report(21, -47.0, Location(4.0, 0.0, 0.0))
@@ -811,7 +809,7 @@ class TestReceiveBft:
         node = make_node()
         for t in range(10):
             node.ingest_sample(PEER, -50.0, t)
-        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 20)
+        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, -50.0, None, 20)
         actions = node.receive_bft(msg, -50.0, 21)
         assert len(actions) == 1  # table row (T, T, F, F) -> explicit ignore
         assert isinstance(actions[0], Ignore)
@@ -820,7 +818,7 @@ class TestReceiveBft:
         node = make_node()
         for t in range(10):
             node.ingest_sample(PEER, -50.0, t)
-        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-50.0), None, 20)
+        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, -50.0, None, 20)
         twin = copy.deepcopy(node)
         actions = node.receive_bft(msg, -50.0, 21)
         assert node.store.count_recent_bft(ME, 100, 21) == 1
@@ -828,7 +826,7 @@ class TestReceiveBft:
         twin.store.register_bft(PEER, ME, 20, 21)
         assert actions == twin.self_defense(msg, 21)
         # a second reporter would make a stored subject live
-        node.receive_bft(BftMessage(OTHER, Location(0.0, 4.0, 0.0), ME, Rssi(-50.0), None, 21), -50.0, 22)
+        node.receive_bft(BftMessage(OTHER, Location(0.0, 4.0, 0.0), ME, -50.0, None, 21), -50.0, 22)
         assert min_reporters(node.params) == 2
         assert node.store.latest_reports_of(ME) == {}
         assert ME not in node.store.live(22)
@@ -844,7 +842,7 @@ class TestReceiveBft:
 
     def test_bft_under_own_id_is_a_self_echo(self):
         node, twin = make_node(), make_node()
-        msg = BftMessage(ME, Location(0.0, 0.0, 0.0), PEER, Rssi(-47.0), None, 20)
+        msg = BftMessage(ME, Location(0.0, 0.0, 0.0), PEER, -47.0, None, 20)
         assert node.receive_bft(msg, -51.0, 21) == [Ignore("self-echo", context="bft")]
         assert node_state(node) == node_state(twin)  # nothing measured, logged or stored
 
@@ -859,7 +857,7 @@ class TestReceiveBft:
     def test_distinct_sender_dissent_flips_distrust(self):
         node = make_node()
         for t, sender in enumerate((OTHER, EXTRAS[0], EXTRAS[1])):
-            msg = BftMessage(sender, Location(1.0, 1.0, 1.0), PEER, Rssi(-55.0), None, 30 + t)
+            msg = BftMessage(sender, Location(1.0, 1.0, 1.0), PEER, -55.0, None, 30 + t)
             node.receive_bft(msg, -48.0, 30 + t)
         assert node.store.count_recent_bft(PEER, 100, 40) == 3
         assert node.distrust(PEER, 40)  # 3 > tau=2
@@ -868,7 +866,7 @@ class TestReceiveBft:
 class TestDistrust:
     def test_low_trust_first_disjunct(self):
         node = make_node()
-        node.store.peers[PEER].trust = TrustScore(0.2)
+        node.store.peers[PEER].trust = 0.2
         assert node.distrust(PEER, 10)
 
     def test_dissent_second_disjunct(self):
@@ -897,7 +895,7 @@ class TestDistrust:
             assert not flipped or now_flag  # never true -> false while adding
             flipped = now_flag
         assert flipped
-        node.store.peers[PEER].trust = TrustScore(0.1)
+        node.store.peers[PEER].trust = 0.1
         assert node.distrust(PEER, 50)  # lowering trust keeps it true
 
 
@@ -943,7 +941,7 @@ class TestSelfDefensePaperRows:
 
     def test_self_defense_requires_own_subject(self):
         node = make_node()
-        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, Rssi(-50.0), None, 5)
+        msg = BftMessage(PEER, Location(4.0, 0.0, 0.0), OTHER, -50.0, None, 5)
         with pytest.raises(ValueError):
             node.self_defense(msg, 5)
 
@@ -976,11 +974,11 @@ class TestReceiveAlert:
         for i, sender in enumerate((EXTRAS[0], EXTRAS[1], EXTRAS[2])):
             node.store.ensure_peer(sender)
             node.store.register_bft(sender, accused, 21 + i, 21 + i)
-        node.store.peers[accused].trust = TrustScore(0.5)
+        node.store.peers[accused].trust = 0.5
         actions = node.receive_alert(distrust_alert(accuser, accused), None, 25)
         assert actions == []
-        assert node.store.peers[accused].trust.value == pytest.approx(0.4)
-        assert node.store.peers[accuser].trust.value == 1.0
+        assert node.store.peers[accused].trust == pytest.approx(0.4)
+        assert node.store.peers[accuser].trust == 1.0
 
     def test_unseen_reference_rejects_and_rewards_dissent(self):
         node = self._observing_node()
@@ -988,12 +986,12 @@ class TestReceiveAlert:
         participants = (EXTRAS[0], EXTRAS[1])
         for i, sender in enumerate(participants):
             node.store.ensure_peer(sender)
-            node.store.peers[sender].trust = TrustScore(0.5)
+            node.store.peers[sender].trust = 0.5
             node.store.register_bft(sender, accuser, 18 + i, 18 + i)
-        node.store.peers[accuser].trust = TrustScore(0.5)
-        before = {n: r.trust.value for n, r in node.store.peers.items()}
+        node.store.peers[accuser].trust = 0.5
+        before = {n: r.trust for n, r in node.store.peers.items()}
         node.receive_alert(distrust_alert(accuser, accused), None, 25)
-        after = {n: r.trust.value for n, r in node.store.peers.items()}
+        after = {n: r.trust for n, r in node.store.peers.items()}
         assert after[accuser] == pytest.approx(0.4)
         for sender in participants:
             assert after[sender] == pytest.approx(0.6)
@@ -1006,18 +1004,18 @@ class TestReceiveAlert:
         node = self._observing_node()
         accuser, accused = PEER, OTHER
         node.store.register_bft(accused, accuser, 20, 20)
-        before = {n: r.trust.value for n, r in node.store.peers.items()}
+        before = {n: r.trust for n, r in node.store.peers.items()}
         (action,) = node.receive_alert(distrust_alert(accuser, accused), None, 25)
         assert isinstance(action, Ignore) and action.reason == "alert-undecidable"
-        assert {n: r.trust.value for n, r in node.store.peers.items()} == before
+        assert {n: r.trust for n, r in node.store.peers.items()} == before
 
     def test_self_distrust_lowers_trust_one_step_and_keeps_location(self):
         node = make_node()
         rec = node.store.peers[PEER]
-        trust, location = rec.trust.value, rec.location
+        trust, location = rec.trust, rec.location
         alert = AlertMessage(PEER, AlertType.SELF_DISTRUST, PEER, None, 30)
         assert node.receive_alert(alert, None, 31) == []
-        assert rec.trust.value == trust - node.params.trust_step
+        assert rec.trust == trust - node.params.trust_step
         assert rec.location is location
 
     def test_alert_under_own_id_is_a_self_echo(self):
@@ -1036,25 +1034,28 @@ class TestReceiveAlert:
         accuser, accused = PEER, OTHER
         node.store.register_bft(ME, accuser, 18, 18)  # the node's own dissent about the accuser
         node.store.register_bft(EXTRAS[0], accuser, 19, 19)
-        node.store.peers[EXTRAS[0]].trust = TrustScore(0.5)
+        node.store.peers[EXTRAS[0]].trust = 0.5
         assert node.store.recent_bft_senders(accuser, node.params.bft_window, 25) == {ME, EXTRAS[0]}
         # the referenced BFT was never seen: reject
         assert node.receive_alert(distrust_alert(accuser, accused), None, 25) == []
-        assert node.store.peers[accuser].trust.value == pytest.approx(0.9)
-        assert node.store.peers[EXTRAS[0]].trust.value == pytest.approx(0.6)
+        assert node.store.peers[accuser].trust == pytest.approx(0.9)
+        assert node.store.peers[EXTRAS[0]].trust == pytest.approx(0.6)
         assert ME not in node.store.peers
 
     def test_mismatched_reference_is_malformed(self):
-        node = make_node()
-        bad = AlertMessage(
-            sender=PEER,
-            alert_type=AlertType.DISTRUST,
-            object=OTHER,
-            ref_bft=BftRef(EXTRAS[0], PEER, 20),  # ref sender != accused
-            timestamp=25,
-        )
-        (action,) = node.receive_alert(bad, None, 26)
-        assert isinstance(action, Ignore) and action.reason == "malformed-alert"
+        """PEER accuses OTHER, so the ref must name OTHER's BFT about PEER:
+        the constructor refuses any other ref, and the node gets such wire
+        bytes only as a decode error."""
+        for ref_sender, ref_subject in ((EXTRAS[0], PEER), (OTHER, EXTRAS[0]), (PEER, OTHER)):
+            with pytest.raises(ValueError, match="must reference the accused's BFT"):
+                AlertMessage(PEER, AlertType.DISTRUST, OTHER, BftRef(ref_sender, ref_subject, 20), 25)
+            node, twin = self._observing_node(), self._observing_node()
+            raw = struct.pack("<B6sQ", 0x03, PEER.mac, 25) + struct.pack(
+                "<B6sB6s6sQ", int(AlertType.DISTRUST), OTHER.mac, 1, ref_sender.mac, ref_subject.mac, 20
+            )
+            (action,) = node.receive_wire(raw, -50.0, 26)
+            assert action.reason == "decode-error" and "must reference the accused's BFT" in action.context
+            assert node_state(node) == node_state(twin)
 
 
 class TestTick:
@@ -1062,7 +1063,7 @@ class TestTick:
         node = make_node()
         inbox = [
             (payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 9), -52.0),
-            (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-47.0), None, 9), -48.0),
+            (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, -47.0, None, 9), -48.0),
         ]
         n1, n2 = copy.deepcopy(node), copy.deepcopy(node)
         a1 = n1.tick(list(inbox), now=10)
@@ -1105,8 +1106,8 @@ class TestDispatch:
 
     MESSAGES = {
         "payload": (payload_from(PEER, 1, Location(4.0, 0.0, 0.0), 20), "receive_payload"),
-        "bft-report": (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, Rssi(-47.0), None, 20), "receive_bft"),
-        "bft-about-self": (BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, Rssi(-80.0), None, 20), "receive_bft"),
+        "bft-report": (BftMessage(OTHER, Location(0.0, 4.0, 0.0), PEER, -47.0, None, 20), "receive_bft"),
+        "bft-about-self": (BftMessage(PEER, Location(4.0, 0.0, 0.0), ME, -80.0, None, 20), "receive_bft"),
         "distrust-alert": (distrust_alert(PEER, OTHER), "receive_alert"),
         "self-distrust-alert": (AlertMessage(PEER, AlertType.SELF_DISTRUST, PEER, None, 20), "receive_alert"),
     }

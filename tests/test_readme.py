@@ -1,0 +1,89 @@
+"""README's parameter tables against the dataclasses that declare the keys.
+
+The channel, filter, smoother and protocol tables each copy key names and
+defaults from the code; these tests read both sides, so an edit to either
+that the other lacks fails here.
+"""
+
+import json
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
+
+import pytest
+
+from polsim.channel import ChannelConfig
+from polsim.filters import FILTER_NAMES, make_filter
+from polsim.localization import PathLossModel
+from polsim.protocol import FilterParams, ProtocolParams
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def table_after(heading: str) -> list[list[str]]:
+    """The cells of each body row of the first table after `heading`."""
+    lines = README[README.index(heading) :].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = []
+    for line in lines[start + 2 :]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def value(text: str) -> object:
+    """A table's default as the code writes it: `name` a string, else JSON
+    (null, 30, -40.0)."""
+    if text.startswith("`") and text.endswith("`"):
+        return text[1:-1]
+    return json.loads(text)
+
+
+def documented(heading: str) -> dict[str, object]:
+    """key -> default of a `| key | default | meaning |` table."""
+    return {row[0].strip("`"): value(row[1]) for row in table_after(heading)}
+
+
+def declared(*classes: type, skip: tuple[str, ...] = ()) -> dict[str, object]:
+    """init field -> default of each dataclass, as the scenario loader reads them."""
+    out = {}
+    for cls in classes:
+        for f in fields(cls):
+            if f.init and f.name not in skip:
+                assert f.default is not MISSING, f"{cls.__name__}.{f.name} has no plain default"
+                out[f.name] = f.default
+    return out
+
+
+def typed(params: dict[str, object]) -> dict[str, tuple[type, object]]:
+    """Each default with its type, so 30 and 30.0 differ as they do in a trace."""
+    return {key: (type(default), default) for key, default in params.items()}
+
+
+@pytest.mark.parametrize(
+    "heading, want",
+    [
+        ("### Channel parameters (`channel`)", declared(PathLossModel, ChannelConfig, skip=("model", "seed"))),
+        ("### Filter parameters (`filters`)", declared(FilterParams)),
+        ("### Protocol parameters (`protocol`)", declared(ProtocolParams)),
+    ],
+    ids=["channel", "filters", "protocol"],
+)
+def test_key_table_matches_its_dataclasses(heading, want):
+    assert typed(documented(heading)) == typed(want)
+
+
+def test_smoother_table_matches_the_state_dataclasses():
+    """Each row lists its smoother's keys as "`key` default", in field order."""
+    rows = table_after("| smoother | keys and defaults |")
+    documented = {
+        row[0].strip("`"): {key: value(text) for key, text in re.findall(r"`(\w+)` ([^,\s]+)", row[1])}
+        for row in rows
+    }
+    assert list(documented) == list(FILTER_NAMES)
+    for name, params in documented.items():
+        state = make_filter(name).args[0]
+        want = declared(type(state))
+        assert list(params) == list(want), name
+        assert typed(params) == typed(want), name

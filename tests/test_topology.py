@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polsim.messages import Location, NodeId, Rssi, TrustScore
+from polsim.messages import Location, NodeId
 from polsim.topology import (
     OrderingError,
     PeerRecord,
@@ -69,7 +69,7 @@ class TestRecordRssi:
         store = TopologyStore(A, capacity=4, min_reporters=2, freshness=45)
         rec = store.record_rssi(B, 1, -40.0)
         assert store.trust_changed and store.peers[B] is rec
-        assert (rec.id, rec.location, rec.trust.value, rec.heard, rec.samples.tolist()) == (B, None, 1.0, 1, [-40.0])
+        assert (rec.id, rec.location, rec.trust, rec.heard, rec.samples.tolist()) == (B, None, 1.0, 1, [-40.0])
         assert rec.smooth is None and rec.trigger is None and rec.smoothed is None
         store.trust_changed = False
         assert store.record_rssi(B, 2, -41.0) is rec
@@ -217,21 +217,32 @@ class TestBounds:
 class TestAdjustTrust:
     def test_basic_step(self):
         store = make_store()
-        store.peers[B].trust = TrustScore(0.5)
-        assert store.adjust_trust(B, 0.1).value == pytest.approx(0.6)
+        store.peers[B].trust = 0.5
+        assert store.adjust_trust(B, 0.1) == pytest.approx(0.6)
 
     def test_clamps_both_ends(self):
         store = make_store()
-        store.peers[B].trust = TrustScore(0.05)
-        assert store.adjust_trust(B, -0.1).value == 0.0
-        store.peers[C].trust = TrustScore(1.0)
-        assert store.adjust_trust(C, 0.1).value == 1.0
+        store.peers[B].trust = 0.05
+        assert store.adjust_trust(B, -0.1) == 0.0
+        store.peers[C].trust = 1.0
+        assert store.adjust_trust(C, 0.1) == 1.0
 
     def test_idempotent_at_clamp_bounds(self):
         store = make_store()
-        store.peers[B].trust = TrustScore(0.0)
+        store.peers[B].trust = 0.0
         store.adjust_trust(B, -0.3)
-        assert store.adjust_trust(B, -0.3).value == 0.0
+        assert store.adjust_trust(B, -0.3) == 0.0
+
+    @given(st.floats(0, 1), st.lists(st.floats(-1, 1), max_size=30))
+    def test_trust_never_escapes_unit_interval(self, start, deltas):
+        """Each step is `trust + delta`, clamped into [0, 1]."""
+        store = make_store()
+        store.peers[B].trust = start
+        for delta in deltas:
+            unclamped = store.peers[B].trust + delta
+            after = store.adjust_trust(B, delta)
+            assert after == store.peers[B].trust and 0.0 <= after <= 1.0
+            assert after == (0.0 if unclamped < 0.0 else 1.0 if unclamped > 1.0 else unclamped)
 
     def test_trust_changed_raised_by_every_record_write(self):
         store = TopologyStore(A, capacity=4, min_reporters=2, freshness=45)
@@ -251,12 +262,12 @@ class TestAdjustTrust:
         """A trust update on a stranger creates its record at 1.0 + delta, clamped."""
         store = make_store()
         lowered, raised = NodeId.from_str("ff:ff:ff:ff:ff:01"), NodeId.from_str("ff:ff:ff:ff:ff:02")
-        assert store.adjust_trust(lowered, -0.1).value == pytest.approx(0.9)
-        assert store.adjust_trust(raised, 0.1).value == 1.0
+        assert store.adjust_trust(lowered, -0.1) == pytest.approx(0.9)
+        assert store.adjust_trust(raised, 0.1) == 1.0
         for stranger, want in ((lowered, 0.9), (raised, 1.0)):
             rec = store.peers[stranger]
             assert rec.location is None
-            assert rec.trust.value == pytest.approx(want)
+            assert rec.trust == pytest.approx(want)
 
 
 class TestCountRecentBft:

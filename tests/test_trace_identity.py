@@ -195,9 +195,9 @@ def rescanned_trust_timeline(scenario: Scenario, monkeypatch) -> tuple[list, lis
         snap = seen.setdefault(label, {})
         for peer, rec in self.store.peers.items():
             peer_label = labels.get(peer, str(peer))
-            if snap.get(peer_label) != rec.trust.value:
-                snap[peer_label] = rec.trust.value
-                timeline.append((now, label, peer_label, rec.trust.value))
+            if snap.get(peer_label) != rec.trust:
+                snap[peer_label] = rec.trust
+                timeline.append((now, label, peer_label, rec.trust))
         return actions
 
     monkeypatch.setattr(NodeState, "tick", rescanning_tick)
