@@ -12,7 +12,10 @@ import csv
 import json
 import math
 import sys
-from operator import itemgetter
+from array import array
+from contextlib import ExitStack
+from itertools import islice
+from operator import gt
 from pathlib import Path
 from typing import Optional
 
@@ -67,8 +70,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep(text: str) -> list[float]:
-    """The thresholds LO, LO + STEP, ... up to HI; raises ValueError for a
-    malformed spec and for one that makes more than MAX_SWEEP_THRESHOLDS."""
+    """The thresholds LO, LO + STEP, ... each rounded to 9 decimals, up to the
+    last that does not exceed HI; raises ValueError for a malformed spec, for
+    one that makes more than MAX_SWEEP_THRESHOLDS and for one whose rounded
+    threshold repeats the one before it."""
     try:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
@@ -83,21 +88,26 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValueError(too_long)
     out: list[float] = []
     value = lo
-    while value <= hi + 1e-9:
-        # value can still stop moving where it crosses into a coarser binade
+    while (threshold := round(value, 9)) <= hi:
+        if out and threshold == out[-1]:
+            # a step below the rounding, or a value that stopped moving where
+            # it crossed into a coarser binade
+            raise ValueError(f"sweep spec {text!r} repeats the threshold {threshold!r}")
+        # a value may move by less than STEP, so make more than the count above
         if len(out) == MAX_SWEEP_THRESHOLDS:
             raise ValueError(too_long)
-        out.append(round(value, 9))
+        out.append(threshold)
         value += step
     return out
 
 
-def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list[float]]]]:
-    """Each link in order, with its ticks and raw RSSI as two columns stably
-    sorted by tick. Raises ValueError unless the header names the five columns
-    once each, in any order, and every row has five fields, an integer tick and
-    a finite rssi_raw."""
-    links: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
+def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[array, array]]]:
+    """Each link in order, with its ticks (`array('q')`) and raw RSSI
+    (`array('d')`) as two columns stably sorted by tick. Raises ValueError
+    unless the header names the five columns once each, in any order, and
+    every row has five fields, an integer tick that fits a signed 64-bit
+    integer and a finite rssi_raw."""
+    links: dict[tuple[str, str], tuple[array, array]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -122,12 +132,19 @@ def _read_trace(path: Path) -> list[tuple[tuple[str, str], tuple[list[int], list
             link = (row[receiver], row[sender])
             columns = links.get(link)
             if columns is None:
-                columns = links[link] = ([], [])
-            columns[0].append(at)
+                columns = links[link] = (array("q"), array("d"))
+            try:
+                columns[0].append(at)
+            except OverflowError:
+                raise ValueError(
+                    f"line {reader.line_num}: tick {row[tick]!r} does not fit a signed 64-bit integer"
+                ) from None
             columns[1].append(value)
     for ticks, raws in links.values():
-        if ticks != sorted(ticks):  # on ordered ticks the stable sort below changes nothing
-            ticks[:], raws[:] = zip(*sorted(zip(ticks, raws), key=itemgetter(0)))
+        if any(map(gt, ticks, islice(ticks, 1, None))):  # ordered ticks need no sort
+            order = sorted(range(len(ticks)), key=ticks.__getitem__)  # stable
+            ticks[:] = array("q", map(ticks.__getitem__, order))
+            raws[:] = array("d", map(raws.__getitem__, order))
     return sorted(links.items())
 
 
@@ -178,38 +195,42 @@ def cmd_filters(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else trace_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = {"trace": str(trace_path), "movements": movements, "filters": []}
-    # each link's rows as one template with the smoothed values left as "%.6f",
-    # made once for every filter; "%" in a label is doubled to stay literal
-    templates = []
-    for (receiver, sender), (ticks, raws) in links:
-        labels = f",{receiver},{sender},".replace("%", "%%")
-        templates.append("".join([f"{t}{labels}{raw:.6f},%.6f\n" for t, raw in zip(ticks, raws)]))
-    for name in names:
-        per_link = [list(map(make_filter(name, params.get(name)), raws)) for _link, (_ticks, raws) in links]
-        with open(out_dir / f"smoothed_{name}.csv", "w", encoding="utf-8", newline="\n") as fh:
+    # the tick of every fire over all links, per (filter, threshold) position;
+    # only one link's template and smoothed column are held at a time
+    fires: list[list[list[int]]] = [[[] for _threshold in thresholds] for _name in names]
+    with ExitStack() as stack:
+        outs = []
+        for name in names:
+            fh = stack.enter_context(open(out_dir / f"smoothed_{name}.csv", "w", encoding="utf-8", newline="\n"))
             fh.write(RSSI_HEADER)
-            for template, smoothed in zip(templates, per_link):
+            outs.append(fh)
+        for (receiver, sender), (ticks, raws) in links:
+            # the link's rows as one template with the smoothed values left as
+            # "%.6f", made once for every filter; "%" in a label is doubled to stay literal
+            labels = f",{receiver},{sender},".replace("%", "%%")
+            template = "".join([f"{t}{labels}{raw:.6f},%.6f\n" for t, raw in zip(ticks, raws)])
+            for name, fh, per_threshold in zip(names, outs, fires):
+                smoothed = list(map(make_filter(name, params.get(name)), raws))
                 fh.write(template % tuple(smoothed))
+                for threshold, fired in zip(thresholds, per_threshold):
+                    trigger = TriggerState(threshold=threshold, cooldown=args.cooldown, warmup=args.warmup)
+                    fired += trigger_fires(trigger, ticks, smoothed)
 
+    report = {"trace": str(trace_path), "movements": movements, "filters": []}
+    for name, per_threshold in zip(names, fires):
         entries = []
-        for threshold in thresholds:
-            fires: list[int] = []  # the tick of every fire, over all links
-            for (_link, (ticks, _raws)), smoothed in zip(links, per_link):
-                trigger = TriggerState(threshold=threshold, cooldown=args.cooldown, warmup=args.warmup)
-                fires += trigger_fires(trigger, ticks, smoothed)
-            static_fp = sum(not any(mv < t <= mv + args.settle_window for mv in movements) for t in fires)
+        for threshold, fired in zip(thresholds, per_threshold):
+            static_fp = sum(not any(mv < t <= mv + args.settle_window for mv in movements) for t in fired)
             detections = []
             for mv in movements:
-                hits = [t for t in fires if mv < t <= mv + args.settle_window]
+                hits = [t for t in fired if mv < t <= mv + args.settle_window]
                 detections.append({"movement_tick": mv, "latency": (min(hits) - mv) if hits else None})
-            entries.append({"threshold": threshold, "trigger_count": len(fires),
+            entries.append({"threshold": threshold, "trigger_count": len(fired),
                             "static_false_positives": static_fp, "detections": detections})
             print(
-                f"{name},threshold={threshold},triggers={len(fires)},static_fp={static_fp},"
+                f"{name},threshold={threshold},triggers={len(fired)},static_fp={static_fp},"
                 f"latencies={[d['latency'] for d in detections]}"
             )
-        del per_link  # freed before the next filter's list is built, for a lower peak
         report["filters"].append({"name": name, "params": params.get(name, {}), "thresholds": entries})
 
     report_path = out_dir / "filter_report.json"

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, compress, count, repeat
 from operator import lt, mul, sub
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .kinds import _checked, _schema
 
@@ -342,11 +342,12 @@ def _first_past(values: list[float], lo: int, hi: int, last: float, threshold: f
     return next(compress(count(lo), past), hi)
 
 
-def trigger_fires(state: TriggerState, ticks: list[int], values: list[float]) -> list[int]:
+def trigger_fires(state: TriggerState, ticks: Sequence[int], values: list[float]) -> list[int]:
     """Feed one link's column to `state` as `bft_trigger(state, values[k],
     ticks[k])` for each k in turn would, and return the ticks at which it
-    fired; `state` ends as those calls leave it. `ticks` are non-decreasing
-    ints.
+    fired; `state` ends as those calls leave it. `ticks` is a sequence of
+    non-decreasing ints, such as an `array('q')`; `values` is a list, which
+    is joined to `list(recent)`.
 
     `bft_trigger` stays the one definition of the trigger. It is called for
     the warm-up, the baseline sample and each later sample that can change

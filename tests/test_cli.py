@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -259,6 +260,8 @@ class TestFiltersCommand:
     def test_sweep_keeps_its_values(self):
         assert _parse_sweep("2:10:2") == [2.0, 4.0, 6.0, 8.0, 10.0]
         assert _parse_sweep("0.1:0.5:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert _parse_sweep("0.1:0.3:0.1") == [0.1, 0.2, 0.3]  # 0.1 * 3 is 0.30000000000000004
+        assert _parse_sweep("0.5:12:0.5") == [0.5 * k for k in range(1, 25)]
         assert len(_parse_sweep(f"1:{MAX_SWEEP_THRESHOLDS}:1")) == MAX_SWEEP_THRESHOLDS
 
     @pytest.mark.parametrize(
@@ -281,8 +284,23 @@ class TestFiltersCommand:
 
     def test_sweep_whose_value_stops_moving_is_bounded(self):
         # 2**53 - 1 + 1 moves, but 2**53 + 1 rounds back to 2**53
-        with pytest.raises(ValueError, match="more than 10000 thresholds"):
+        with pytest.raises(ValueError, match="repeats the threshold 9007199254740992.0"):
             _parse_sweep(f"{2**53 - 1}:{2**53 + 10}:1")
+
+    def test_sweep_whose_value_moves_by_less_than_its_step_is_bounded(self):
+        # at 2**54 a double moves by 4, so each step of 5 adds only 4: the
+        # spec asks for 9,999 thresholds, the loop would make 12,500
+        with pytest.raises(ValueError, match="more than 10000 thresholds"):
+            _parse_sweep(f"{2**54}:{2**54 + 49_996}:5")
+
+    def test_sweep_below_the_rounding_is_refused(self):
+        # a step of 1e-10 is below the 9-decimal rounding, so 2.0 comes twice
+        with pytest.raises(ValueError, match="repeats the threshold 2.0"):
+            _parse_sweep("2:2.000000001:1e-10")
+
+    def test_sweep_stops_at_the_last_rounded_value_within_hi(self):
+        # 2.0000000006 rounds to 2.000000001, past HI, though it is within 1e-9 of it
+        assert _parse_sweep("2:2.0000000004:0.0000000006") == [2.0]
 
     @pytest.mark.parametrize(
         "extra",
@@ -307,6 +325,7 @@ class TestFiltersCommand:
             ("--threshold-sweep", "2:nan:2"),
             ("--threshold-sweep", "2:1e12:1"),
             ("--threshold-sweep", "1e17:1.00000000000001e17:1"),
+            ("--threshold-sweep", "2:2.000000001:1e-10"),
             ("--filter", ","),
             ("--filter", "median,median"),
         ],
@@ -315,7 +334,8 @@ class TestFiltersCommand:
              "params-unselected-filter", "warmup", "settle-window", "params-window-string",
              "params-window-bool", "params-window-float", "params-q-string", "params-q-nan",
              "threshold-nan", "threshold-sweep-nan", "threshold-sweep-too-long",
-             "threshold-sweep-step-too-small", "filter-empty", "filter-repeated"],
+             "threshold-sweep-step-too-small", "threshold-sweep-repeats", "filter-empty",
+             "filter-repeated"],
     )
     def test_bad_argument_exit_1_before_writing(self, trace_dir, tmp_path, capsys, extra):
         out = tmp_path / "rep"
@@ -384,8 +404,10 @@ class TestMalformedTrace:
         [
             ("x,a,b,-50.0,-50.0", "line 3: tick 'x' is not an integer"),
             ("2,a,b,abc,-50.0", "line 3: rssi_raw 'abc' is not a number"),
+            (f"{2**63},a,b,-50.0,-50.0", f"line 3: tick '{2**63}' does not fit a signed 64-bit integer"),
+            (f"{-2**63 - 1},a,b,-50.0,-50.0", f"line 3: tick '{-2**63 - 1}' does not fit a signed 64-bit integer"),
         ],
-        ids=["tick", "rssi_raw"],
+        ids=["tick", "rssi_raw", "tick-past-int64", "tick-below-int64"],
     )
     def test_bad_number_names_its_line(self, tmp_path, capsys, row, message):
         trace = tmp_path / "rssi.csv"
@@ -405,6 +427,30 @@ class TestMalformedTrace:
             "1,a,b,-50.000000,-50.000000",
             "2,a,b,-51.000000,-50.000000",  # the median of two is the upper one
         ]
+
+
+class TestSweepMemory:
+    def test_peak_holds_the_columns_and_one_link(self, tmp_path, capsys):
+        """The sweep holds the trace as two compact columns, 16 B a row, and
+        one link's template and smoothed column at a time."""
+        links, link_rows = 20, 1_000
+        trace = tmp_path / "rssi.csv"
+        rng = random.Random(3)
+        with open(trace, "w", encoding="utf-8", newline="") as fh:
+            fh.write(RSSI_HEADER)
+            for t in range(link_rows):
+                for k in range(links):
+                    fh.write(f"{t},n{k},n{k + 1},{rng.gauss(-60.0, 2.0):.6f},0.0\n")
+        tracemalloc.start()
+        try:
+            assert main(["filters", "--trace", str(trace), "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        columns = 16 * links * link_rows * 1.25  # with the arrays' spare room
+        one_link = 200 * link_rows  # its template, the strings it is joined from, its smoothed column
+        assert peak <= columns + one_link + 256 * 1024, f"{peak / (links * link_rows):.0f} B a row"
 
 
 # -- the sweep as written with one (tick, raw, smoothed) tuple per row --------

@@ -1,11 +1,12 @@
 """README's parameter tables against the dataclasses that declare the keys.
 
-The channel, filter, smoother and protocol tables each copy key names and
-defaults from the code; these tests read both sides, so an edit to either
-that the other lacks fails here.
+The channel, filter, smoother and protocol tables and the sentence of
+attack defaults each copy key names and defaults from the code; these tests
+read both sides, so an edit to either that the other lacks fails here.
 """
 
 import json
+import math
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -16,6 +17,7 @@ from polsim.channel import ChannelConfig
 from polsim.filters import FILTER_NAMES, make_filter
 from polsim.localization import PathLossModel
 from polsim.protocol import FilterParams, ProtocolParams
+from polsim.scenario import _ATTACK_PARAMS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -87,3 +89,19 @@ def test_smoother_table_matches_the_state_dataclasses():
         want = declared(type(state))
         assert list(params) == list(want), name
         assert typed(params) == typed(want), name
+
+
+def test_attack_defaults_sentence_matches_the_declarations():
+    """The sentence "A parameter left out takes its default: `period` 1, ..."
+    states each default that `scenario._ATTACK_PARAMS` declares, for every
+    parameter that has one; `until`'s infinity reads "the end of the run"."""
+    sentence = re.search(r"takes its default: (.*?)\.\s", README, re.S).group(1)
+    stated = {
+        key: math.inf if text == "the end of the run" else json.loads(text)
+        for key, text in re.findall(r"`(\w+)` (the end of the run|[^,\s]+)", sentence)
+    }
+    want = {name: default for name, (_kind, default) in _ATTACK_PARAMS.items() if default is not MISSING}
+    # -90 states -90.0, but true does not state 1
+    assert {key: (type(v) is bool, v) for key, v in stated.items()} == {
+        key: (type(v) is bool, v) for key, v in want.items()
+    }
