@@ -95,7 +95,7 @@ class RadioChannel:
         j = self.config.asymmetry_jitter
         if j == 0.0:
             return 0.0
-        material = self.config.seed.to_bytes(8, "little", signed=True) + sender.mac + receiver.mac
+        material = self.config.seed.to_bytes(8, "little", signed=True) + sender + receiver
         h = int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
         return (h / 2**64 * 2.0 - 1.0) * j
 

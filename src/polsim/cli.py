@@ -172,12 +172,6 @@ def _parse_filter_params(text: Optional[str], names: list[str]) -> dict:
 
 
 def cmd_filters(args: argparse.Namespace) -> int:
-    trace_path = Path(args.trace)
-    try:
-        links = _read_trace(trace_path)
-    except (OSError, ValueError, csv.Error) as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     names = [n.strip() for n in args.filter.split(",") if n.strip()]
     try:
         params = _parse_filter_params(args.params, names)
@@ -190,6 +184,12 @@ def cmd_filters(args: argparse.Namespace) -> int:
             raise ValueError("--settle-window must be >= 0")
     except ValueError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    trace_path = Path(args.trace)
+    try:
+        links = _read_trace(trace_path)
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     out_dir = Path(args.out) if args.out else trace_path.parent

@@ -7,18 +7,9 @@ checks for the one it carries. The module also implements the location key
 (a keyed digest binding a payload to a quantized location) and the
 canonical binary wire encoding.
 
-Wire format (all integers little-endian, floats IEEE-754 doubles):
-
-    common header   [type: u8] [sender mac: 6B] [timestamp: u64]
-    0x01 payload    [seq: u64] [sensor_type: u8] [len: u16] [payload]
-                    [signed_payload: 32B]
-    0x02 bft        [sender_location: 3 x f64] [subject mac: 6B]
-                    [measured_rssi: f64] [ref flag: u8] [ref_seq: u64?]
-    0x03 alert      [alert_type: u8] [object: mac 6B]
-                    [ref flag: u8] [ref_bft: 6B + 6B + u64?]
-
-A ref flag is 1 when the field marked `?` follows and 0 when it does not;
-the decoder refuses any other byte.
+The wire format is declared once, as the `struct.Struct` of each message
+part below, which the encoder and the decoder both use; README "Wire
+format" documents it, and tests/test_readme.py checks that the two agree.
 
 A payload's signed_payload is the 32-byte digest of its location key, which
 a key made by `cell_key` or `location_key` computes when it is first read.
@@ -39,6 +30,15 @@ RSSI_MAX = 0.0
 TAG_PAYLOAD = 0x01
 TAG_BFT = 0x02
 TAG_ALERT = 0x03
+
+# each part of a wire message, little-endian; a ref follows its body when the flag is 1
+HEADER = struct.Struct("<B6sQ")  # type, sender, timestamp
+PAYLOAD_BODY = struct.Struct("<QBH")  # seq, sensor_type, payload length; the payload and its digest follow
+BFT_BODY = struct.Struct("<3d6sdB")  # sender_location, subject, measured_rssi, ref flag
+BFT_REF = struct.Struct("<Q")  # ref_seq
+ALERT_BODY = struct.Struct("<B6sB")  # alert_type, object, ref flag
+ALERT_REF = struct.Struct("<6s6sQ")  # ref_bft sender, subject, timestamp
+_CELL = struct.Struct("<3d")  # a grid cell, as the key of its location keys' digest
 
 
 class InvalidLocationError(ValueError):
@@ -66,10 +66,11 @@ class NodeId(bytes):
 
     Identifiers key the dicts and sets of every hot path of the simulator, so
     hash, equality and order are the `bytes` ones and run in C: the hash is
-    `hash(mac)`, ids compare byte-wise, and `sorted` orders them by MAC. A
-    subclass is chosen over interning one object per MAC: there is no intern
-    table to grow when the codec decodes arbitrary bytes. `copy`, `deepcopy`
-    and `pickle` rebuild a `NodeId` through `__new__`.
+    `hash(mac)`, ids compare byte-wise, `sorted` orders them by MAC and the
+    codec packs an id as is. A subclass is chosen over interning one object
+    per MAC: there is no intern table to grow when the codec decodes
+    arbitrary bytes. `copy`, `deepcopy` and `pickle` rebuild a `NodeId`
+    through `__new__`.
     """
 
     __slots__ = ()
@@ -78,10 +79,6 @@ class NodeId(bytes):
         if not isinstance(mac, bytes) or len(mac) != 6:
             raise ValueError(f"NodeId needs exactly 6 bytes, got {mac!r}")
         return super().__new__(cls, mac)
-
-    @property
-    def mac(self) -> bytes:
-        return bytes(self)
 
     def __str__(self) -> str:
         return self.hex(":")
@@ -191,7 +188,7 @@ def quantize_location(loc: Location, grid: float) -> tuple[float, float, float]:
 
 def cell_digest(qx: float, qy: float, qz: float, payload: bytes) -> bytes:
     """32-byte digest of `payload` keyed by the grid cell (qx, qy, qz)."""
-    return hashlib.blake2b(payload, key=struct.pack("<3d", qx, qy, qz), digest_size=32).digest()
+    return hashlib.blake2b(payload, key=_CELL.pack(qx, qy, qz), digest_size=32).digest()
 
 
 def cell_key(cell: tuple[float, float, float], payload: bytes) -> LocationKey:
@@ -291,8 +288,14 @@ def _wire_uint(field: str, value: int, bits: int) -> int:
     return value
 
 
-def _header(tag: int, msg: Message) -> bytes:
-    return struct.pack("<B6sQ", tag, msg.sender.mac, _wire_uint("timestamp", msg.timestamp, 64))
+_SENSOR_TYPES = frozenset(SensorType)
+
+
+def _wire_sensor_type(value: int) -> int:
+    """`value`, or ValueError naming the field when the decoder would refuse it."""
+    if not (isinstance(value, int) and value in _SENSOR_TYPES):
+        raise ValueError(f"sensor_type {value} is not a SensorType value")
+    return value
 
 
 def encode_message(msg: Message) -> bytes:
@@ -300,36 +303,30 @@ def encode_message(msg: Message) -> bytes:
 
     Raises ValueError naming the field when a value does not fit its wire
     field: a timestamp, seq, ref_seq or referenced BFT timestamp that is not
-    an integer in 0..2**64-1, or a payload longer than 65,535 bytes.
+    an integer in 0..2**64-1, a sensor_type that is not a SensorType value,
+    or a payload longer than 65,535 bytes.
     """
     if isinstance(msg, PayloadMessage):
-        head = _header(TAG_PAYLOAD, msg)
-        body = struct.pack(
-            "<QBH",
+        head = HEADER.pack(TAG_PAYLOAD, msg.sender, _wire_uint("timestamp", msg.timestamp, 64))
+        body = PAYLOAD_BODY.pack(
             _wire_uint("seq", msg.seq, 64),
-            int(msg.sensor_type),
+            _wire_sensor_type(msg.sensor_type),
             _wire_uint("payload length", len(msg.payload), 16),
         )
         return head + body + msg.payload + msg.signed_payload.digest
     if isinstance(msg, BftMessage):
-        head = _header(TAG_BFT, msg)
+        head = HEADER.pack(TAG_BFT, msg.sender, _wire_uint("timestamp", msg.timestamp, 64))
         loc = msg.sender_location
-        body = struct.pack("<3d6sd", loc.x, loc.y, loc.z, msg.subject.mac, msg.measured_rssi)
-        if msg.ref_seq is None:
-            ref = struct.pack("<B", 0)
-        else:
-            ref = struct.pack("<BQ", 1, _wire_uint("ref_seq", msg.ref_seq, 64))
+        ref = b"" if msg.ref_seq is None else BFT_REF.pack(_wire_uint("ref_seq", msg.ref_seq, 64))
+        body = BFT_BODY.pack(loc.x, loc.y, loc.z, msg.subject, msg.measured_rssi, 1 if ref else 0)
         return head + body + ref
     if isinstance(msg, AlertMessage):
-        head = _header(TAG_ALERT, msg)
-        body = struct.pack("<B6s", int(msg.alert_type), msg.object.mac)
-        if msg.ref_bft is None:
-            body += struct.pack("<B", 0)
-        else:
-            r = msg.ref_bft
-            rts = _wire_uint("ref_bft timestamp", r.timestamp, 64)
-            body += struct.pack("<B6s6sQ", 1, r.sender.mac, r.subject.mac, rts)
-        return head + body
+        head = HEADER.pack(TAG_ALERT, msg.sender, _wire_uint("timestamp", msg.timestamp, 64))
+        r = msg.ref_bft
+        ref = b"" if r is None else ALERT_REF.pack(
+            r.sender, r.subject, _wire_uint("ref_bft timestamp", r.timestamp, 64)
+        )
+        return head + ALERT_BODY.pack(msg.alert_type, msg.object, 1 if ref else 0) + ref
     raise TypeError(f"not a wire message: {type(msg)!r}")
 
 
@@ -340,20 +337,25 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
+    def skip(self, size: int) -> int:
+        """The position of the next `size` bytes, which the cursor moves past."""
+        start = self.pos
+        self.pos = start + size
+        if self.pos > len(self.data):
             raise MessageDecodeError("truncated message")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
+        return start
 
-    def flag(self) -> bool:
-        """Whether a ref follows: its flag byte is 1, not 0, and nothing else."""
-        (flag,) = self.take("<B")
+    def take(self, part: struct.Struct) -> tuple:
+        return part.unpack_from(self.data, self.skip(part.size))
+
+    def raw(self, size: int) -> bytes:
+        return self.data[self.skip(size) : self.pos]
+
+    def ref(self, flag: int, part: struct.Struct) -> Optional[tuple]:
+        """The ref `part` when its flag is 1, None when it is 0; any other flag byte is refused."""
         if flag > 1:
             raise MessageDecodeError(f"ref flag {flag} is neither 0 nor 1")
-        return flag == 1
+        return self.take(part) if flag else None
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -368,44 +370,41 @@ def decode_message(data: bytes) -> Message:
     message invariants.
     """
     rd = _Reader(data)
-    tag, mac, timestamp = rd.take("<B6sQ")
-    sender = NodeId(mac)
+    tag, sender, timestamp = rd.take(HEADER)
+    sender = NodeId(sender)
     try:
         if tag == TAG_PAYLOAD:
-            seq, stype, plen = rd.take("<QBH")
-            payload, digest = rd.take(f"<{plen}s32s")
+            seq, sensor_type, length = rd.take(PAYLOAD_BODY)
+            payload, digest = rd.raw(length), rd.raw(32)
             rd.done()
             return PayloadMessage(
                 sender=sender,
                 seq=seq,
-                sensor_type=SensorType(stype),
+                sensor_type=SensorType(sensor_type),
                 payload=payload,
                 signed_payload=LocationKey(digest),
                 timestamp=timestamp,
             )
         if tag == TAG_BFT:
-            x, y, z, submac, rssi = rd.take("<3d6sd")
-            ref_seq = rd.take("<Q")[0] if rd.flag() else None
+            x, y, z, subject, rssi, flag = rd.take(BFT_BODY)
+            ref = rd.ref(flag, BFT_REF)
             rd.done()
             return BftMessage(
                 sender=sender,
                 sender_location=Location(x, y, z),
-                subject=NodeId(submac),
+                subject=NodeId(subject),
                 measured_rssi=rssi,
-                ref_seq=ref_seq,
+                ref_seq=None if ref is None else ref[0],
                 timestamp=timestamp,
             )
         if tag == TAG_ALERT:
-            atype, objmac = rd.take("<B6s")
-            alert_type = AlertType(atype)
-            obj = NodeId(objmac)
-            ref = None
-            if rd.flag():
-                rmac, rsub, rts = rd.take("<6s6sQ")
-                ref = BftRef(NodeId(rmac), NodeId(rsub), rts)
+            alert_type, obj, flag = rd.take(ALERT_BODY)
+            alert_type, obj = AlertType(alert_type), NodeId(obj)
+            ref = rd.ref(flag, ALERT_REF)
             rd.done()
+            ref_bft = None if ref is None else BftRef(NodeId(ref[0]), NodeId(ref[1]), ref[2])
             return AlertMessage(
-                sender=sender, alert_type=alert_type, object=obj, ref_bft=ref, timestamp=timestamp
+                sender=sender, alert_type=alert_type, object=obj, ref_bft=ref_bft, timestamp=timestamp
             )
     except ValueError as exc:  # InvalidLocationError included
         raise MessageDecodeError(str(exc)) from exc

@@ -349,6 +349,17 @@ class TestFiltersCommand:
         assert not (out / "filter_report.json").exists()
         assert not out.exists()
 
+    def test_arguments_are_checked_before_the_trace_is_read(self, tmp_path, capsys):
+        """A bad argument is refused without opening the trace, so it
+        comes first when the trace is bad too."""
+        out = tmp_path / "rep"
+        code = run_cli(
+            "filters", "--trace", str(tmp_path / "no-such.csv"), "--params", '{"median":5}', "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("argument error: ")
+        assert not out.exists()
+
     def test_sweep_smooths_like_the_node(self, tmp_path, capsys):
         # static-honest has no moves (no pipeline resets) and no same-tick
         # duplicate receptions, so every rssi.csv row is one smoother step

@@ -48,17 +48,17 @@ class TestNodeId:
     def test_bytewise_order_and_equality(self):
         assert A < B
         assert A == NodeId(bytes([2, 0, 0, 0, 0, 1]))
-        assert len({A, NodeId(A.mac)}) == 1
+        assert len({A, NodeId(bytes(A))}) == 1
 
     @given(st.binary(min_size=6, max_size=6))
     def test_hash_is_the_mac_hash(self, mac):
         node = NodeId(mac)
         assert hash(node) == hash(mac)
-        assert node.mac == mac and type(node.mac) is bytes
+        assert bytes(node) == mac
 
     @given(st.lists(st.binary(min_size=6, max_size=6), max_size=20))
     def test_sorted_order_is_byte_order(self, macs):
-        assert [n.mac for n in sorted(NodeId(m) for m in macs)] == sorted(macs)
+        assert [bytes(n) for n in sorted(NodeId(m) for m in macs)] == sorted(macs)
 
     def test_text_forms(self):
         node = NodeId(bytes([0x0A, 0xBB, 0, 1, 0xFE, 0x7F]))
@@ -271,7 +271,7 @@ bft_messages = st.builds(
     lambda sender, loc, subject, rssi, ref, t: BftMessage(
         sender, loc, subject if subject != sender else NodeId(bytes(6)), rssi, ref, t
     ),
-    sender=node_ids.filter(lambda n: n.mac != bytes(6)),
+    sender=node_ids.filter(lambda n: n != bytes(6)),
     loc=locations,
     subject=node_ids,
     rssi=rssis,
@@ -322,7 +322,7 @@ class TestWireCodec:
 
     def test_shorter_than_the_header_is_truncated(self):
         with pytest.raises(MessageDecodeError, match="^truncated message$"):
-            decode_message(b"\x02" + A.mac + bytes(7))  # one byte short of the 15-byte header
+            decode_message(b"\x02" + A + bytes(7))  # one byte short of the 15-byte header
 
     def test_encode_rejects_a_non_message(self):
         with pytest.raises(TypeError, match="not a wire message"):
@@ -345,15 +345,15 @@ class TestWireCodec:
         with pytest.raises(MessageDecodeError):
             decode_message(bytes(wire))
 
-    BFT_HEAD = struct.pack("<B6sQ3d6sd", 0x02, A.mac, 9, 0.0, 0.0, 0.0, B.mac, -40.0)
-    ALERT_HEAD = struct.pack("<B6sQB6s", 0x03, A.mac, 9, int(AlertType.DISTRUST), B.mac)
+    BFT_HEAD = struct.pack("<B6sQ3d6sd", 0x02, A, 9, 0.0, 0.0, 0.0, B, -40.0)
+    ALERT_HEAD = struct.pack("<B6sQB6s", 0x03, A, 9, int(AlertType.DISTRUST), B)
 
     @pytest.mark.parametrize(
         "head, ref",
         [
             (BFT_HEAD, struct.pack("<Q", 3)),
             (BFT_HEAD, b""),
-            (ALERT_HEAD, struct.pack("<6s6sQ", B.mac, A.mac, 5)),
+            (ALERT_HEAD, struct.pack("<6s6sQ", B, A, 5)),
         ],
         ids=["bft-ref", "bft-no-ref", "alert-ref"],
     )
@@ -377,11 +377,38 @@ class TestWireCodec:
             (BftMessage(A, Location(0, 0, 0), B, -40.0, -1, 0), "ref_seq"),
             (AlertMessage(A, AlertType.SELF_DISTRUST, A, None, 2**64), "timestamp"),
             (AlertMessage(A, AlertType.DISTRUST, B, BftRef(B, A, -1), 0), "ref_bft timestamp"),
+            (PayloadMessage(A, 1, 9, b"x", LocationKey(bytes(32)), 0), "sensor_type"),
+            (PayloadMessage(A, 1, 300, b"x", LocationKey(bytes(32)), 0), "sensor_type"),
+            (PayloadMessage(A, 1, -1, b"x", LocationKey(bytes(32)), 0), "sensor_type"),
+            (PayloadMessage(A, 1, "1", b"x", LocationKey(bytes(32)), 0), "sensor_type"),
         ],
     )
     def test_field_outside_wire_range_is_value_error(self, msg, field):
         with pytest.raises(ValueError, match=f"^{field} "):
             encode_message(msg)
+
+    def test_wire_bytes_are_pinned(self):
+        """The exact bytes of each layout, so a change to one that the
+        decoder followed would still fail here."""
+        loc, key = Location(1.5, -2.0, 0.25), location_key(Location(1.2, 3.4, 0.0), b"21.5", 0.5)
+        pinned = {
+            PayloadMessage(A, 7, SensorType.TEMPERATURE, b"21.5", key, 42):
+                "01 020000000001 2a00000000000000 0700000000000000 01 0400 32312e35"
+                " 5f8315869315c3194242ee00114b4b8762443ccfe4f921c94592ab66f8fae181",
+            BftMessage(A, loc, B, -63.5, None, 42):
+                "02 020000000001 2a00000000000000 000000000000f83f 00000000000000c0 000000000000d03f"
+                " 020000000002 0000000000c04fc0 00",
+            BftMessage(A, loc, B, -63.5, 7, 42):
+                "02 020000000001 2a00000000000000 000000000000f83f 00000000000000c0 000000000000d03f"
+                " 020000000002 0000000000c04fc0 01 0700000000000000",
+            AlertMessage(A, AlertType.SELF_DISTRUST, A, None, 43):
+                "03 020000000001 2b00000000000000 02 020000000001 00",
+            AlertMessage(A, AlertType.DISTRUST, B, BftRef(B, A, 41), 44):
+                "03 020000000001 2c00000000000000 03 020000000002 01 020000000002 020000000001 2900000000000000",
+        }
+        for msg, wire in pinned.items():
+            assert encode_message(msg) == bytes.fromhex(wire)
+            assert decode_message(bytes.fromhex(wire)) == msg
 
     def test_wire_range_edges_encode(self):
         top = 2**64 - 1
@@ -454,8 +481,8 @@ class TestMessageInvariants:
         the decoder refuses the bytes of any other."""
         with pytest.raises(ValueError, match="must reference the accused's BFT about its sender"):
             AlertMessage(A, AlertType.DISTRUST, B, ref, 0)
-        wire = struct.pack("<B6sQB6sB6s6sQ", 0x03, A.mac, 0, int(AlertType.DISTRUST), B.mac, 1,
-                           ref.sender.mac, ref.subject.mac, ref.timestamp)
+        wire = struct.pack("<B6sQB6sB6s6sQ", 0x03, A, 0, int(AlertType.DISTRUST), B, 1,
+                           ref.sender, ref.subject, ref.timestamp)
         with pytest.raises(MessageDecodeError, match="must reference the accused's BFT about its sender"):
             decode_message(wire)
 
@@ -464,7 +491,7 @@ class TestMessageInvariants:
             AlertMessage(A, AlertType.SELF_DISTRUST, B, None, 0)
 
     def test_alert_object_is_a_node_id(self):
-        for obj in (b"\x00\x01", B.mac):
+        for obj in (b"\x00\x01", bytes(B)):
             with pytest.raises(ValueError):
                 AlertMessage(A, AlertType.DISTRUST, obj, BftRef(B, A, 0), 0)
 

@@ -835,8 +835,8 @@ class TestReceiveBft:
     def test_malformed_wire_bft_ignored(self):
         node = make_node()
         # hand-built BFT whose subject equals its sender
-        raw = struct.pack("<B6sQ", 0x02, PEER.mac, 7)
-        raw += struct.pack("<3d6sdB", 4.0, 0.0, 0.0, PEER.mac, -42.0, 0)
+        raw = struct.pack("<B6sQ", 0x02, PEER, 7)
+        raw += struct.pack("<3d6sdB", 4.0, 0.0, 0.0, PEER, -42.0, 0)
         (action,) = node.receive_wire(raw, -50.0, 8)
         assert isinstance(action, Ignore) and action.reason == "decode-error"
 
@@ -850,7 +850,7 @@ class TestReceiveBft:
         """The constructor refuses a distrust alert without its ref, so the
         decoder does too and the node never sees one."""
         node = make_node()
-        raw = struct.pack("<B6sQ", 0x03, PEER.mac, 7) + struct.pack("<B6sB", int(AlertType.DISTRUST), OTHER.mac, 0)
+        raw = struct.pack("<B6sQ", 0x03, PEER, 7) + struct.pack("<B6sB", int(AlertType.DISTRUST), OTHER, 0)
         (action,) = node.receive_wire(raw, -50.0, 8)
         assert action.reason == "decode-error" and "must reference" in action.context
 
@@ -1050,8 +1050,8 @@ class TestReceiveAlert:
             with pytest.raises(ValueError, match="must reference the accused's BFT"):
                 AlertMessage(PEER, AlertType.DISTRUST, OTHER, BftRef(ref_sender, ref_subject, 20), 25)
             node, twin = self._observing_node(), self._observing_node()
-            raw = struct.pack("<B6sQ", 0x03, PEER.mac, 25) + struct.pack(
-                "<B6sB6s6sQ", int(AlertType.DISTRUST), OTHER.mac, 1, ref_sender.mac, ref_subject.mac, 20
+            raw = struct.pack("<B6sQ", 0x03, PEER, 25) + struct.pack(
+                "<B6sB6s6sQ", int(AlertType.DISTRUST), OTHER, 1, ref_sender, ref_subject, 20
             )
             (action,) = node.receive_wire(raw, -50.0, 26)
             assert action.reason == "decode-error" and "must reference the accused's BFT" in action.context

@@ -1,8 +1,10 @@
-"""README's parameter tables against the dataclasses that declare the keys.
+"""README's parameter tables against the dataclasses that declare the keys,
+and its wire format against the structs that declare the layouts.
 
 The channel, filter, smoother and protocol tables and the sentence of
-attack defaults each copy key names and defaults from the code; these tests
-read both sides, so an edit to either that the other lacks fails here.
+attack defaults each copy key names and defaults from the code, and the
+wire format section copies each message part's layout; these tests read
+both sides, so an edit to either that the other lacks fails here.
 """
 
 import json
@@ -16,6 +18,19 @@ import pytest
 from polsim.channel import ChannelConfig
 from polsim.filters import FILTER_NAMES, make_filter
 from polsim.localization import PathLossModel
+from polsim.messages import (
+    _CELL,
+    ALERT_BODY,
+    ALERT_REF,
+    BFT_BODY,
+    BFT_REF,
+    HEADER,
+    PAYLOAD_BODY,
+    TAG_ALERT,
+    TAG_BFT,
+    TAG_PAYLOAD,
+    cell_digest,
+)
 from polsim.protocol import FilterParams, ProtocolParams
 from polsim.scenario import _ATTACK_PARAMS
 
@@ -105,3 +120,36 @@ def test_attack_defaults_sentence_matches_the_declarations():
     assert {key: (type(v) is bool, v) for key, v in stated.items()} == {
         key: (type(v) is bool, v) for key, v in want.items()
     }
+
+
+# README's field types and the struct codes they stand for
+WIRE_CODES = {"3 x f64": "3d", "f64": "d", "u8": "B", "u16": "H", "u64": "Q", "6B": "6s", "32B": "32s"}
+WIRE_TYPE = re.compile("|".join(WIRE_CODES))  # "3 x f64" is tried before "f64"
+
+
+def wire_parts(layout: str) -> list[str]:
+    """The struct format of each part of a README layout `[name: type] ...`:
+    a field with no wire type (the payload bytes) and a field sent only "if
+    flag is 1" each start a new part."""
+    parts = [""]
+    for field in re.findall(r"\[([^]]*)\]", layout):
+        codes = [WIRE_CODES[token] for token in WIRE_TYPE.findall(field)]
+        if not codes or field.endswith("if flag is 1"):
+            parts.append("")
+        parts[-1] += "".join(codes)
+    return ["<" + part for part in parts]
+
+
+def test_wire_format_matches_the_structs():
+    section = README[README.index("## Wire format") :]
+    header = re.search(r"```\n(.*?)\n```", section, re.S).group(1)
+    assert wire_parts(header) == [HEADER.format]
+    digest = f"<{len(cell_digest(0.0, 0.0, 0.0, b''))}s"
+    rows = table_after("## Wire format")
+    documented = {int(re.match(r"`(0x\w+)`", tag).group(1), 16): wire_parts(layout) for tag, layout in rows}
+    assert documented == {
+        TAG_PAYLOAD: [PAYLOAD_BODY.format, digest],
+        TAG_BFT: [BFT_BODY.format, BFT_REF.format],
+        TAG_ALERT: [ALERT_BODY.format, ALERT_REF.format],
+    }
+    assert f"packed as `{_CELL.format}`" in " ".join(section.split())
